@@ -84,10 +84,9 @@ func main() {
 		workerID     = flag.String("worker-id", "", "stable worker identity in the placement ring (default <hostname>:<port>)")
 		heartbeat    = flag.Duration("heartbeat", 0, "worker heartbeat interval (0 = a third of the coordinator's TTL)")
 		clusterTTL   = flag.Duration("cluster-ttl", 0, "coordinator: drop workers silent for this long (0 = 10s)")
-		stealAfter   = flag.Duration("steal-after", 0, "coordinator: duplicate a shard on another worker after this long without an answer (0 = 2m)")
+		stealAfter   = flag.Duration("steal-after", 0, "coordinator: longest wait before hedging a straggling shard onto another worker; the delay adapts to 2x the p90 shard latency below it (0 = 2m)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "coordinator: bound one shard dispatch (0 = 10m); timeouts count against the worker's circuit breaker")
 		peerTimeout  = flag.Duration("peer-timeout", 0, "coordinator: bound one peer-cache probe (0 = 2s); keep small when a worker may be slow")
-		hedgeQ       = flag.Float64("hedge-quantile", 0, "coordinator: derive the straggler-hedge delay from this shard-latency quantile in (0,1) (0 = fixed -steal-after delay)")
 		admitBudget  = flag.Float64("admission-budget", 0, "in-flight cost ceiling in default-evaluation units before shedding (0 = 4 x GOMAXPROCS, min 32)")
 		chaosHTTP    = flag.String("chaos-http", "", "JSON chaos plan whose HTTP faults wrap this server's handler (testing only)")
 	)
@@ -129,7 +128,6 @@ func main() {
 			StealAfter:     *stealAfter,
 			RequestTimeout: *shardTimeout,
 			PeerTimeout:    *peerTimeout,
-			HedgeQuantile:  *hedgeQ,
 			Logf:           log.Printf,
 		},
 	}

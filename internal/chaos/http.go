@@ -25,7 +25,8 @@ func (inj *Injector) httpFaultFor() (HTTPFault, bool) {
 
 // Handler wraps h with the plan's HTTP faults on the server side.
 //
-// ModeLatency delays the response; ModeError short-circuits with the
+// ModeLatency delays the response (a request whose context ends during the
+// delay is abandoned unserved); ModeError short-circuits with the
 // configured status (default 503) and a Retry-After hint; ModeDrop severs
 // the connection without writing a response (the client sees io.EOF /
 // connection reset), via the net/http-sanctioned http.ErrAbortHandler panic.
@@ -39,8 +40,9 @@ func (inj *Injector) Handler(h http.Handler) http.Handler {
 		switch f.Mode {
 		case ModeLatency:
 			inj.httpFaults.Add(1)
-			time.Sleep(time.Duration(f.LatencyMS) * time.Millisecond)
-			h.ServeHTTP(w, r)
+			if sleepCtx(r.Context(), time.Duration(f.LatencyMS)*time.Millisecond) == nil {
+				h.ServeHTTP(w, r)
+			}
 		case ModeError:
 			inj.httpFaults.Add(1)
 			code := f.Code
@@ -58,7 +60,8 @@ func (inj *Injector) Handler(h http.Handler) http.Handler {
 
 // RoundTripper wraps rt with the plan's HTTP faults on the client side,
 // for chaos-testing clients against a healthy server. A nil rt wraps
-// http.DefaultTransport.
+// http.DefaultTransport. ModeLatency honors the request context, like a
+// real stall would.
 func (inj *Injector) RoundTripper(rt http.RoundTripper) http.RoundTripper {
 	if rt == nil {
 		rt = http.DefaultTransport
@@ -71,7 +74,9 @@ func (inj *Injector) RoundTripper(rt http.RoundTripper) http.RoundTripper {
 		switch f.Mode {
 		case ModeLatency:
 			inj.httpFaults.Add(1)
-			time.Sleep(time.Duration(f.LatencyMS) * time.Millisecond)
+			if err := sleepCtx(req.Context(), time.Duration(f.LatencyMS)*time.Millisecond); err != nil {
+				return nil, err
+			}
 			return rt.RoundTrip(req)
 		case ModeError:
 			inj.httpFaults.Add(1)
@@ -79,11 +84,7 @@ func (inj *Injector) RoundTripper(rt http.RoundTripper) http.RoundTripper {
 			if code == 0 {
 				code = http.StatusServiceUnavailable
 			}
-			// Drain and close the request body as a real transport would.
-			if req.Body != nil {
-				io.Copy(io.Discard, req.Body)
-				req.Body.Close()
-			}
+			drainBody(req)
 			return &http.Response{
 				StatusCode: code,
 				Status:     strconv.Itoa(code) + " " + http.StatusText(code),
@@ -96,10 +97,7 @@ func (inj *Injector) RoundTripper(rt http.RoundTripper) http.RoundTripper {
 			}, nil
 		default: // ModeDrop
 			inj.httpFaults.Add(1)
-			if req.Body != nil {
-				io.Copy(io.Discard, req.Body)
-				req.Body.Close()
-			}
+			drainBody(req)
 			return nil, fmt.Errorf("%w: dropped connection", ErrInjected)
 		}
 	})

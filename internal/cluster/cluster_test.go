@@ -138,66 +138,6 @@ func TestRegistryExpire(t *testing.T) {
 	}
 }
 
-func TestCacheSuccessCachedErrorsRetried(t *testing.T) {
-	var c Cache
-	calls := 0
-	fail := errors.New("transient")
-	_, err := c.Do(context.Background(), "k", func() ([]byte, error) { calls++; return nil, fail })
-	if !errors.Is(err, fail) {
-		t.Fatalf("err = %v", err)
-	}
-	v, err := c.Do(context.Background(), "k", func() ([]byte, error) { calls++; return []byte("ok"), nil })
-	if err != nil || string(v) != "ok" {
-		t.Fatalf("second Do: %q, %v", v, err)
-	}
-	v, err = c.Do(context.Background(), "k", func() ([]byte, error) { calls++; return nil, errors.New("never runs") })
-	if err != nil || string(v) != "ok" {
-		t.Fatalf("cached Do: %q, %v", v, err)
-	}
-	if calls != 2 {
-		t.Errorf("fn ran %d times, want 2 (error retried, success cached)", calls)
-	}
-	if _, ok := c.Peek("k"); !ok {
-		t.Error("Peek should find completed entry")
-	}
-	if _, ok := c.Peek("missing"); ok {
-		t.Error("Peek of unknown key should miss")
-	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
-		t.Errorf("stats = %d/%d, want 1 hit / 2 misses", hits, misses)
-	}
-}
-
-func TestCacheSingleflight(t *testing.T) {
-	var c Cache
-	var running atomic.Int32
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := c.Do(context.Background(), "k", func() ([]byte, error) {
-				running.Add(1)
-				<-start
-				return []byte("shared"), nil
-			})
-			if err != nil || string(v) != "shared" {
-				t.Errorf("Do: %q, %v", v, err)
-			}
-		}()
-	}
-	// Wait until the single computation is in flight, then release it.
-	for running.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	close(start)
-	wg.Wait()
-	if n := running.Load(); n != 1 {
-		t.Errorf("%d computations ran, want 1", n)
-	}
-}
-
 // fakeWorker is an httptest worker answering shard POSTs and cache GETs.
 type fakeWorker struct {
 	t        *testing.T
@@ -455,10 +395,10 @@ func TestSchedulerStealsFromStraggler(t *testing.T) {
 		t.Fatal("owner never received the shard (test setup broken)")
 	}
 	if !contains(string(body), `"from":"w2"`) {
-		t.Errorf("body %s, want stolen result from w2", body)
+		t.Errorf("body %s, want hedged result from w2", body)
 	}
-	if st := s.Stats(); st.Steals != 1 {
-		t.Errorf("steals = %d, want 1", st.Steals)
+	if st := s.Stats(); st.Hedges != 1 {
+		t.Errorf("hedges = %d, want 1", st.Hedges)
 	}
 }
 
@@ -483,3 +423,81 @@ func TestSchedulerRunAllOrdered(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// TestCacheSuccessCachedErrorsRetried: the scheduler's shard cache keeps
+// successes only. A failed dispatch reaches its caller and is forgotten, so
+// the next Run dispatches again; that success is then served from cache.
+func TestCacheSuccessCachedErrorsRetried(t *testing.T) {
+	g := NewRegistry(time.Minute)
+	w := newFakeWorker(t, "w1")
+	var calls atomic.Int32
+	w.respond = func(sh Shard) ([]byte, error) {
+		if calls.Add(1) == 1 {
+			return nil, errors.New("transient")
+		}
+		return []byte(`{"ok":true}`), nil
+	}
+	w.register(g)
+	s := &Scheduler{Registry: g}
+	sh := testShard(1)
+
+	if _, err := s.Run(context.Background(), sh); err == nil {
+		t.Fatal("first Run should fail")
+	}
+	if _, ok := s.Peek(sh.Key()); ok {
+		t.Fatal("failed dispatch was cached")
+	}
+	for i := 0; i < 2; i++ {
+		v, err := s.Run(context.Background(), sh)
+		if err != nil || string(v) != `{"ok":true}` {
+			t.Fatalf("Run %d: %q, %v", i+2, v, err)
+		}
+	}
+	if n := len(w.executions()); n != 2 {
+		t.Errorf("%d executions, want 2 (error retried, success cached)", n)
+	}
+	if _, ok := s.Peek(sh.Key()); !ok {
+		t.Error("Peek should find the completed shard")
+	}
+	if _, ok := s.Peek("missing"); ok {
+		t.Error("Peek of unknown key should miss")
+	}
+	if st := s.Stats(); st.CacheHits != 1 || st.CacheMisses != 2 {
+		t.Errorf("stats = %+v, want 1 cache hit / 2 misses", st)
+	}
+}
+
+// TestCacheSingleflight: concurrent Runs of one shard share one dispatch.
+func TestCacheSingleflight(t *testing.T) {
+	g := NewRegistry(time.Minute)
+	w := newFakeWorker(t, "w1")
+	start := make(chan struct{})
+	w.respond = func(sh Shard) ([]byte, error) {
+		<-start
+		return []byte("shared"), nil
+	}
+	w.register(g)
+	s := &Scheduler{Registry: g}
+
+	const callers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := s.Run(context.Background(), testShard(1))
+			if err != nil || string(v) != "shared" {
+				t.Errorf("Run: %q, %v", v, err)
+			}
+		}()
+	}
+	// Release the dispatch once every other caller has joined it.
+	for s.Stats().CacheHits < callers-1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(start)
+	wg.Wait()
+	if n := len(w.executions()); n != 1 {
+		t.Errorf("%d dispatches ran, want 1", n)
+	}
+}

@@ -1,12 +1,18 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"hmem/internal/breaker"
 )
 
 func TestHedgeDelayAdaptive(t *testing.T) {
-	s := &Scheduler{StealAfter: 2 * time.Second, HedgeQuantile: 0.9}
+	s := &Scheduler{StealAfter: 2 * time.Second}
 
 	// Below hedgeMinSamples the fixed StealAfter is the fallback.
 	if d := s.hedgeDelay(); d != 2*time.Second {
@@ -42,7 +48,7 @@ func TestHedgeDelayAdaptive(t *testing.T) {
 }
 
 func TestHedgeBudget(t *testing.T) {
-	s := &Scheduler{HedgeBurst: 2, HedgeRatio: 0.25}
+	s := &Scheduler{}
 
 	// The burst allowance covers the first two hedges with no credit earned.
 	if !s.spendHedge() || !s.spendHedge() {
@@ -66,4 +72,52 @@ func TestHedgeBudget(t *testing.T) {
 	if s.spendHedge() {
 		t.Fatal("hedge granted beyond the budget")
 	}
+}
+
+// TestHedgeLogNamesPrimaryWorker: when the ring owner's breaker refuses the
+// dispatch, the primary lands on the next candidate, and the hedge log must
+// name that worker as the straggler, not the skipped owner.
+func TestHedgeLogNamesPrimaryWorker(t *testing.T) {
+	g := NewRegistry(time.Minute)
+	workers := map[string]*fakeWorker{}
+	for _, id := range []string{"w1", "w2", "w3"} {
+		workers[id] = newFakeWorker(t, id)
+		workers[id].register(g)
+	}
+	sh := testShard(0)
+	owners := g.Owners(sh.Key(), 3)
+	skipped, straggler, hedge := owners[0].ID, owners[1].ID, owners[2].ID
+
+	release := make(chan struct{})
+	defer close(release)
+	workers[straggler].respond = func(Shard) ([]byte, error) {
+		<-release
+		return []byte(`{}`), nil
+	}
+	breakers := &breaker.Set{Config: breaker.Config{MinSamples: 1, OpenFor: time.Minute}}
+	done, _ := breakers.Get(skipped).Allow()
+	done(false) // trips the owner's breaker open
+
+	var mu sync.Mutex
+	var logs []string
+	s := &Scheduler{
+		Registry: g, Breakers: breakers, StealAfter: 20 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	}
+	if _, err := s.Run(context.Background(), sh); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := fmt.Sprintf("straggling on %s, hedging onto %s", straggler, hedge)
+	for _, l := range logs {
+		if strings.Contains(l, want) {
+			return
+		}
+	}
+	t.Fatalf("no log line contains %q; got:\n%s", want, strings.Join(logs, "\n"))
 }

@@ -4,11 +4,11 @@
 // consistent-hash ring for shard placement, a worker registry with
 // TTL-based liveness, a shard descriptor codec, and a scheduler that
 // dispatches shards over HTTP with peer-cache lookup, bounded
-// retry-on-another-worker, and work-stealing for stragglers.
+// retry-on-another-worker, and hedging of stragglers.
 //
 // The correctness contract mirrors the rest of the repository: every shard
 // is a pure function of its descriptor, so placement, retries, duplicate
-// (stolen) executions, and worker churn can change wall-clock time but
+// (hedged) executions, and worker churn can change wall-clock time but
 // never bytes. The merge order of shard results is fixed by shard index,
 // making cluster output byte-identical to standalone output at any worker
 // count.
@@ -141,7 +141,7 @@ func (r *Ring) Owner(key string) (string, bool) {
 }
 
 // Owners walks clockwise from key's position and returns up to n distinct
-// nodes: the owner first, then the natural failover/steal candidates in
+// nodes: the owner first, then the natural failover/hedge candidates in
 // deterministic order.
 func (r *Ring) Owners(key string, n int) []string {
 	if len(r.hashes) == 0 || n <= 0 {

@@ -47,48 +47,29 @@ func retryableStatus(code int) bool {
 // Scheduler places shards on registered workers and collects their results.
 // Placement is consistent-hash by shard key (repeat shards land on the node
 // whose memo already holds the result); failures retry on the next ring
-// candidate; stragglers are raced against a duplicate dispatch
-// (work-stealing) — all safe because shard results are pure functions of
-// their descriptors. Results are cached success-only, so one transient
-// outage never poisons a key. Safe for concurrent use.
+// candidate; stragglers are raced against a hedged duplicate dispatch — all
+// safe because shard results are pure functions of their descriptors.
+// Results are memoized success-only (exec.Memo), so one transient outage
+// never poisons a key. Safe for concurrent use.
 type Scheduler struct {
 	// Registry supplies live workers and ring placement.
 	Registry *Registry
 	// Client is the HTTP client for worker calls (wrap its Transport with
-	// chaos.RoundTripper or Partition to inject faults). Nil uses a default
-	// client with no overall timeout — per-call contexts bound each request.
+	// chaos.RoundTripper or chaos.HostFaults to inject faults). Nil uses a
+	// default client with no overall timeout — per-call contexts bound each
+	// request.
 	Client *http.Client
 	// MaxAttempts bounds the distinct workers tried per shard (<=0 means 3),
 	// mirroring the journal's bounded attempt counting so a poison shard
 	// cannot ricochet around the cluster forever.
 	MaxAttempts int
-	// StealAfter launches a duplicate dispatch (a hedge) on the next ring
-	// candidate when the owner has not answered within this duration
-	// (0 disables hedging). First success wins; the loser's result is
-	// discarded. With HedgeQuantile set, StealAfter becomes the fallback
-	// and ceiling for the adaptive delay rather than the delay itself.
+	// StealAfter enables hedging and bounds its delay (0 disables it). When
+	// the owner has not answered in time, a duplicate dispatch goes to the
+	// next ring candidate; first success wins and the loser's result is
+	// discarded. The delay is hedgeMultiplier × the p90 of recent shard
+	// latencies, clamped to [StealAfter/4, StealAfter]; until hedgeMinSamples
+	// latencies exist it is StealAfter itself.
 	StealAfter time.Duration
-	// HedgeQuantile, when in (0,1), derives the hedge delay from observed
-	// shard latency instead of the fixed StealAfter: delay =
-	// HedgeMultiplier × that latency quantile, clamped to
-	// [HedgeMin, HedgeMax]. Zero keeps the fixed StealAfter delay.
-	HedgeQuantile float64
-	// HedgeMultiplier scales the latency quantile into the hedge delay
-	// (<=0 = 2): hedging at 2× the p95 only duplicates genuine outliers.
-	HedgeMultiplier float64
-	// HedgeMin / HedgeMax clamp the adaptive delay (<=0 = StealAfter/4 and
-	// StealAfter respectively), so a burst of fast cache-adjacent shards
-	// cannot collapse the delay to microseconds and duplicate everything.
-	HedgeMin time.Duration
-	HedgeMax time.Duration
-	// HedgeRatio is the hedge credit earned per primary dispatch
-	// (<=0 = 0.25): at most one hedge per 1/ratio placements beyond the
-	// burst allowance, the global budget that stops hedges from amplifying
-	// an overload.
-	HedgeRatio float64
-	// HedgeBurst is the up-front hedge allowance (<=0 = 2) so the first
-	// straggler of a run can still be hedged before any credit accrues.
-	HedgeBurst int
 	// Breakers, when set, quarantines failing workers: placement skips
 	// candidates whose breaker refuses, dispatch outcomes feed it (transport
 	// failures and retryable statuses count against the worker; application
@@ -102,16 +83,16 @@ type Scheduler struct {
 	// PeerTimeout bounds one peer-cache GET (<=0 means 2 seconds).
 	PeerTimeout time.Duration
 	// Logf, when set, receives placement decisions worth an operator's
-	// attention (retries, steals, fallbacks).
+	// attention (retries, hedges, fallbacks).
 	Logf func(format string, args ...any)
 
-	cache Cache
+	cache exec.Memo[string, []byte]
 
 	placed, retries, hedges, peerHits, breakerSkips atomic.Uint64
 
 	// hedgeEarnedMilli/hedgeSpent implement the global hedge budget in
-	// milli-tokens: each placement earns HedgeRatio×1000, each hedge spends
-	// 1000, and HedgeBurst×1000 is free up front.
+	// milli-tokens: each placement earns hedgeRatio×1000, each hedge spends
+	// 1000, and hedgeBurst×1000 is free up front.
 	hedgeEarnedMilli atomic.Uint64
 	hedgeSpent       atomic.Uint64
 
@@ -119,6 +100,17 @@ type Scheduler struct {
 	// hedge delay.
 	lat latencyWindow
 }
+
+// Hedging constants. Hedging at 2× the p90 duplicates only genuine
+// outliers; the clamp floor stops a burst of fast cache-adjacent shards from
+// collapsing the delay to microseconds. The budget allows one hedge per four
+// placements beyond a burst of two, so hedges cannot amplify an overload.
+const (
+	hedgeQuantile   = 0.9
+	hedgeMultiplier = 2
+	hedgeRatio      = 0.25
+	hedgeBurst      = 2
+)
 
 func (s *Scheduler) maxAttempts() int {
 	if s.MaxAttempts > 0 {
@@ -154,75 +146,30 @@ func (s *Scheduler) logf(format string, args ...any) {
 	}
 }
 
-func (s *Scheduler) hedgeMultiplier() float64 {
-	if s.HedgeMultiplier > 0 {
-		return s.HedgeMultiplier
-	}
-	return 2
-}
-
-func (s *Scheduler) hedgeMin() time.Duration {
-	if s.HedgeMin > 0 {
-		return s.HedgeMin
-	}
-	return s.StealAfter / 4
-}
-
-func (s *Scheduler) hedgeMax() time.Duration {
-	if s.HedgeMax > 0 {
-		return s.HedgeMax
-	}
-	return s.StealAfter
-}
-
-func (s *Scheduler) hedgeRatio() float64 {
-	if s.HedgeRatio > 0 {
-		return s.HedgeRatio
-	}
-	return 0.25
-}
-
-func (s *Scheduler) hedgeBurst() int {
-	if s.HedgeBurst > 0 {
-		return s.HedgeBurst
-	}
-	return 2
-}
-
-// hedgeDelay picks this dispatch's hedge delay: the latency-quantile-derived
-// adaptive delay when configured and enough samples exist, the fixed
-// StealAfter otherwise. Zero disables hedging entirely.
+// hedgeDelay picks this dispatch's hedge delay: the latency-derived delay
+// once enough samples exist, StealAfter until then. Zero disables hedging.
 func (s *Scheduler) hedgeDelay() time.Duration {
 	if s.StealAfter <= 0 {
 		return 0
 	}
-	if s.HedgeQuantile <= 0 || s.HedgeQuantile >= 1 {
-		return s.StealAfter
-	}
-	q, ok := s.lat.quantile(s.HedgeQuantile)
+	q, ok := s.lat.quantile(hedgeQuantile)
 	if !ok {
 		return s.StealAfter
 	}
-	d := time.Duration(s.hedgeMultiplier() * q * float64(time.Second))
-	if min := s.hedgeMin(); d < min {
-		d = min
-	}
-	if max := s.hedgeMax(); max > 0 && d > max {
-		d = max
-	}
-	return d
+	d := time.Duration(hedgeMultiplier * q * float64(time.Second))
+	return min(max(d, s.StealAfter/4), s.StealAfter)
 }
 
 // earnHedge credits the budget for one primary placement.
 func (s *Scheduler) earnHedge() {
-	s.hedgeEarnedMilli.Add(uint64(s.hedgeRatio() * 1000))
+	s.hedgeEarnedMilli.Add(uint64(hedgeRatio * 1000))
 }
 
 // spendHedge tries to debit one hedge from the global budget.
 func (s *Scheduler) spendHedge() bool {
 	for {
 		spent := s.hedgeSpent.Load()
-		if (spent+1)*1000 > uint64(s.hedgeBurst())*1000+s.hedgeEarnedMilli.Load() {
+		if (spent+1)*1000 > hedgeBurst*1000+s.hedgeEarnedMilli.Load() {
 			return false
 		}
 		if s.hedgeSpent.CompareAndSwap(spent, spent+1) {
@@ -246,7 +193,7 @@ func workerHealthy(err error) bool {
 // latencyWindow is a fixed-capacity ring of recent successful shard
 // latencies (seconds). quantile sorts a copy; with fewer than
 // hedgeMinSamples entries it reports no estimate so early dispatches fall
-// back to the fixed delay.
+// back to StealAfter.
 type latencyWindow struct {
 	mu      sync.Mutex
 	samples [latencyWindowCap]float64
@@ -294,7 +241,7 @@ func (s *Scheduler) Run(ctx context.Context, sh Shard) ([]byte, error) {
 		return nil, err
 	}
 	key := sh.Key()
-	return s.cache.Do(ctx, key, func() ([]byte, error) {
+	return s.cache.DoCtx(ctx, key, func() ([]byte, error) {
 		// Detach: the dispatch outcome is shared with every requester of the
 		// key, so it must not record one caller's cancellation. Observability
 		// (spans, progress) rides along.
@@ -373,12 +320,15 @@ func (s *Scheduler) dispatch(ctx context.Context, sh Shard, key string) ([]byte,
 		}
 		return Worker{}, false
 	}
-	if _, ok := launchNext(); !ok {
+	primary, ok := launchNext()
+	if !ok {
 		return nil, fmt.Errorf("%w (all %d candidates quarantined by breakers)", ErrNoWorkers, len(cands))
 	}
 	var hedgeT <-chan time.Time
 	if d := s.hedgeDelay(); d > 0 && next < len(cands) {
-		hedgeT = time.After(d)
+		t := time.NewTimer(d)
+		defer t.Stop()
+		hedgeT = t.C
 	}
 	var lastErr error
 	for inflight > 0 {
@@ -405,7 +355,7 @@ func (s *Scheduler) dispatch(ctx context.Context, sh Shard, key string) ([]byte,
 				if w, ok := launchNext(); ok {
 					s.hedges.Add(1)
 					s.logf("cluster: shard %s straggling on %s, hedging onto %s",
-						key, cands[0].ID, w.ID)
+						key, primary.ID, w.ID)
 				}
 			}
 		}
@@ -504,9 +454,6 @@ type SchedulerStats struct {
 	Retries uint64
 	// Hedges counts duplicate dispatches launched against stragglers.
 	Hedges uint64
-	// Steals is the pre-hedging name for Hedges, kept so existing callers
-	// and dashboards keep working.
-	Steals uint64
 	// BreakerSkips counts placement candidates passed over because their
 	// worker's breaker refused.
 	BreakerSkips uint64
@@ -518,16 +465,14 @@ type SchedulerStats struct {
 
 // Stats returns the placement counters.
 func (s *Scheduler) Stats() SchedulerStats {
-	hits, misses := s.cache.Stats()
-	hedges := s.hedges.Load()
+	cs := s.cache.Stats()
 	return SchedulerStats{
 		Placed:       s.placed.Load(),
 		Retries:      s.retries.Load(),
-		Hedges:       hedges,
-		Steals:       hedges,
+		Hedges:       s.hedges.Load(),
 		BreakerSkips: s.breakerSkips.Load(),
 		PeerHits:     s.peerHits.Load(),
-		CacheHits:    hits,
-		CacheMisses:  misses,
+		CacheHits:    cs.Hits,
+		CacheMisses:  cs.Misses,
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestClusterStealRaceBothSucceed is a race-detector regression for the
-// work-stealing window: the owner stalls long enough for a duplicate
+// hedging window: the owner stalls long enough for a duplicate
 // dispatch, then BOTH dispatches succeed. Shard results are deterministic,
 // so the two bodies are identical — the contract is that exactly one result
 // is merged, the dispatch cache holds exactly one entry, and a repeat Run is
@@ -22,7 +22,7 @@ func TestClusterStealRaceBothSucceed(t *testing.T) {
 	ownerRelease := make(chan struct{})
 	var releaseOnce sync.Once
 	owner.respond = func(sh Shard) ([]byte, error) {
-		// Stall until the stolen duplicate has landed, then succeed too: the
+		// Stall until the hedged duplicate has landed, then succeed too: the
 		// loser's write races the winner's merge, which is exactly what the
 		// race detector is here to check.
 		<-ownerRelease
@@ -65,8 +65,8 @@ func TestClusterStealRaceBothSucceed(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.Placed != 2 || st.Steals != 1 {
-		t.Fatalf("stats = %+v, want 2 placed, 1 steal", st)
+	if st.Placed != 2 || st.Hedges != 1 {
+		t.Fatalf("stats = %+v, want 2 placed, 1 hedge", st)
 	}
 	if st.CacheMisses != 1 || st.CacheHits != 0 {
 		t.Fatalf("stats = %+v, want exactly one cache miss and no hits yet", st)

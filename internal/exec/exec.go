@@ -30,13 +30,14 @@ import (
 // Memo is a concurrency-safe, generic singleflight memo cache.
 //
 // The first caller of Do for a key runs the function; callers arriving while
-// it is in flight block and share its outcome. Both values and errors are
-// cached permanently: every computation in this repository is a
-// deterministic function of its key (and the owning runner's options), so a
-// retry could only repeat the same outcome. A panic in the function is also
-// cached and re-raised (wrapped in PanicError) in the first caller and every
-// waiter — concurrent and subsequent alike — so a broken invariant surfaces
-// at every request site instead of deadlocking the waiters.
+// it is in flight block and share its outcome. Only successes are cached. A
+// failed computation's error, or its panic (re-raised wrapped in PanicError),
+// reaches the first caller and every waiter already sharing it, and then the
+// key is forgotten so the next caller computes afresh. Simulations are
+// deterministic functions of their key and would fail the same way again,
+// but a cluster shard dispatch can fail for transient reasons (dead worker,
+// partition, drain), and a cached failure or panic would wedge its key for
+// every later caller.
 //
 // The zero value is ready to use.
 type Memo[K comparable, V any] struct {
@@ -108,10 +109,10 @@ func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 // a caller whose context is cancelled before the computation starts never
 // registers it, and a caller waiting on another goroutine's in-flight
 // computation stops waiting and returns ctx.Err(). The computation itself —
-// once started — always runs to completion and is cached, because its result
-// is shared with every other requester of the key; this is also why fn must
-// not observe the caller's context (a cached ctx.Err() would poison the key
-// for every future caller).
+// once started — always runs to completion, because its outcome is shared
+// with every other requester of the key; this is also why fn must not
+// observe the caller's context (one caller's cancellation would fail every
+// requester waiting on it).
 func (m *Memo[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V, error) {
 	var zero V
 	if err := ctx.Err(); err != nil {
@@ -139,11 +140,19 @@ func (m *Memo[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V,
 	m.mu.Unlock()
 	m.misses.Add(1)
 
-	defer close(c.done)
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if r != nil {
 			c.panicked = true
 			c.panicVal = r
+		}
+		if c.panicked || c.err != nil {
+			m.mu.Lock()
+			delete(m.calls, key)
+			m.mu.Unlock()
+		}
+		close(c.done)
+		if r != nil {
 			panic(PanicError{Value: r})
 		}
 	}()
@@ -151,11 +160,31 @@ func (m *Memo[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V,
 	return c.val, c.err
 }
 
-// Len reports how many keys have been requested (including in-flight ones).
+// Len reports how many keys are cached or in flight.
 func (m *Memo[K, V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.calls)
+}
+
+// Peek returns key's cached value without computing anything or touching
+// the hit/miss counters. It misses while the computation is still in flight:
+// the cluster's peer-cache lookup serves finished results only.
+func (m *Memo[K, V]) Peek(key K) (V, bool) {
+	m.mu.Lock()
+	c, ok := m.calls[key]
+	m.mu.Unlock()
+	if ok {
+		select {
+		case <-c.done:
+			if !c.panicked && c.err == nil {
+				return c.val, true
+			}
+		default:
+		}
+	}
+	var zero V
+	return zero, false
 }
 
 // Known reports whether key has a finished or in-flight computation — i.e.
@@ -292,8 +321,8 @@ type fanout struct {
 // a tracer nor a progress sink. The nil return is load-bearing: Map and
 // ForEach fall back to the exact uninstrumented task closure, so a bare
 // context pays zero extra allocations — per task and per call — with the
-// observability layer compiled in (the hmembench gate pins allocs/op
-// exactly).
+// observability layer compiled in (TestFanoutBareContextAllocs pins the
+// count).
 func newFanout(ctx context.Context, n int) *fanout {
 	if !obs.Enabled(ctx) && !obs.Reporting(ctx) {
 		return nil

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestMemoSingleFlight: many concurrent callers of the same key share one
@@ -76,46 +77,62 @@ func TestMemoDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestMemoErrorCached: a failed computation is cached — later callers get
-// the same error without a re-execution (computations are deterministic, so
-// retrying could only fail identically).
-func TestMemoErrorCached(t *testing.T) {
+// TestMemoErrorForgotten: a failed computation is shared with the callers
+// already waiting on it, then forgotten — the next caller runs its own
+// function, and that success is cached.
+func TestMemoErrorForgotten(t *testing.T) {
 	var m Memo[string, int]
 	var executions atomic.Int64
 	boom := errors.New("boom")
+	gate := make(chan struct{})
 
+	const callers = 16
 	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			if _, err := m.Do("bad", func() (int, error) {
 				executions.Add(1)
+				<-gate
 				return 0, boom
 			}); !errors.Is(err, boom) {
 				t.Errorf("got err %v, want boom", err)
 			}
 		}()
 	}
-	wg.Wait()
-	// A later (sequential) caller still sees the cached error.
-	if _, err := m.Do("bad", func() (int, error) {
-		executions.Add(1)
-		return 7, nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("cached error lost: %v", err)
+	for m.Stats().Hits < callers-1 { // every waiter has joined the leader
+		runtime.Gosched()
 	}
+	close(gate)
+	wg.Wait()
 	if n := executions.Load(); n != 1 {
 		t.Fatalf("failed fn executed %d times, want 1", n)
 	}
+	if _, ok := m.Peek("bad"); ok || m.Len() != 0 {
+		t.Fatalf("failed key still cached (Len=%d)", m.Len())
+	}
+	// A later caller computes afresh; its success sticks.
+	if v, err := m.Do("bad", func() (int, error) { executions.Add(1); return 7, nil }); v != 7 || err != nil {
+		t.Fatalf("retry got (%d, %v), want (7, nil)", v, err)
+	}
+	if v, err := m.Do("bad", func() (int, error) { executions.Add(1); return 0, boom }); v != 7 || err != nil {
+		t.Fatalf("cached success lost: (%d, %v)", v, err)
+	}
+	if n := executions.Load(); n != 2 {
+		t.Fatalf("fn executed %d times, want 2 (error retried, success cached)", n)
+	}
+	if s := m.Stats(); s.Hits != callers || s.Misses != 2 {
+		t.Fatalf("Stats = %+v, want {Hits:%d Misses:2}", s, callers)
+	}
 }
 
-// TestMemoPanicPropagation: a panicking computation re-raises in the leader,
-// every concurrent waiter, and every subsequent caller, all without
-// re-execution.
+// TestMemoPanicPropagation: a panicking computation re-raises in the leader
+// and every concurrent waiter, without re-execution.
 func TestMemoPanicPropagation(t *testing.T) {
 	var m Memo[string, int]
 	var executions, caught atomic.Int64
+	gate := make(chan struct{})
 
 	const callers = 8
 	var wg sync.WaitGroup
@@ -138,26 +155,68 @@ func TestMemoPanicPropagation(t *testing.T) {
 			}()
 			m.Do("explosive", func() (int, error) {
 				executions.Add(1)
+				<-gate
 				panic("kaboom")
 			})
 		}()
 	}
+	for m.Stats().Hits < callers-1 {
+		runtime.Gosched()
+	}
+	close(gate)
 	wg.Wait()
 	if n := caught.Load(); n != callers {
 		t.Fatalf("%d callers caught the panic, want %d", n, callers)
 	}
-
-	// A fresh caller after the fact panics too, still without re-running.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("subsequent caller did not panic")
-			}
-		}()
-		m.Do("explosive", func() (int, error) { executions.Add(1); return 0, nil })
-	}()
 	if n := executions.Load(); n != 1 {
 		t.Fatalf("panicking fn executed %d times, want 1", n)
+	}
+}
+
+// TestMemoPanicDoesNotWedgeKey is the regression for a panicking shard
+// computation: the key must not stay in flight forever. A later caller with
+// a short deadline runs its own function instead of waiting it out.
+func TestMemoPanicDoesNotWedgeKey(t *testing.T) {
+	var m Memo[string, []byte]
+	func() {
+		defer func() { recover() }()
+		m.Do("shard", func() ([]byte, error) { panic("worker bug") })
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	v, err := m.DoCtx(ctx, "shard", func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || string(v) != "ok" {
+		t.Fatalf("second Do = (%q, %v), want (ok, nil)", v, err)
+	}
+}
+
+// TestMemoPeek: Peek serves finished successes only, and never counts as a
+// hit or miss.
+func TestMemoPeek(t *testing.T) {
+	var m Memo[string, int]
+	gate := make(chan struct{})
+	leaderIn := make(chan struct{})
+	go m.Do("k", func() (int, error) {
+		close(leaderIn)
+		<-gate
+		return 5, nil
+	})
+	<-leaderIn
+	if _, ok := m.Peek("k"); ok {
+		t.Fatal("Peek hit an in-flight computation")
+	}
+	close(gate)
+	if v, err := m.Do("k", func() (int, error) { return 0, nil }); v != 5 || err != nil {
+		t.Fatalf("Do = (%d, %v)", v, err)
+	}
+	if v, ok := m.Peek("k"); !ok || v != 5 {
+		t.Fatalf("Peek = (%d, %v), want (5, true)", v, ok)
+	}
+	if _, ok := m.Peek("missing"); ok {
+		t.Fatal("Peek of unknown key hit")
+	}
+	if s := m.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("Stats = %+v, want {Hits:1 Misses:1}", s)
 	}
 }
 

@@ -113,3 +113,24 @@ func TestForEachUntracedIsUninstrumented(t *testing.T) {
 		}
 	}
 }
+
+// TestFanoutBareContextAllocs pins the cost of a fan-out on a bare context:
+// the group's fixed three allocations (group, semaphore, done channel), Map's
+// result slice, and two per task (the task closure and its goroutine). Any
+// observability allocation leaking onto the untraced path breaks it.
+func TestFanoutBareContextAllocs(t *testing.T) {
+	ctx := context.Background()
+	const n = 8
+	mapAllocs := testing.AllocsPerRun(100, func() {
+		Map(ctx, 4, n, func(i int) (int, error) { return i, nil })
+	})
+	if want := float64(4 + 2*n); mapAllocs > want {
+		t.Errorf("Map allocs = %v, want <= %v", mapAllocs, want)
+	}
+	forEachAllocs := testing.AllocsPerRun(100, func() {
+		ForEach(ctx, 4, n, func(int) error { return nil })
+	})
+	if want := float64(3 + 2*n); forEachAllocs > want {
+		t.Errorf("ForEach allocs = %v, want <= %v", forEachAllocs, want)
+	}
+}

@@ -163,20 +163,3 @@ func TestExecutionContextRoundTrip(t *testing.T) {
 		t.Fatal("profile mismatch accepted")
 	}
 }
-
-// TestSummaryServiceFile: the bench conversion carries every gateable number.
-func TestSummaryServiceFile(t *testing.T) {
-	sum := sampleSummary()
-	sum.TargetRPS = 100
-	f := sum.ServiceFile("nightly")
-	if f.Profile != "mixed" || f.TargetRPS != 100 || f.AchievedRPS != 120 {
-		t.Fatalf("header lost: %+v", f)
-	}
-	m, ok := f.Classes["evaluate"]
-	if !ok {
-		t.Fatal("evaluate class missing")
-	}
-	if m.Requests != 100 || m.ErrorRate != 0.01 || m.P99MS != 30 || m.P999MS != 45 {
-		t.Fatalf("metric lost: %+v", m)
-	}
-}

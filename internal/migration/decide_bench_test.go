@@ -6,18 +6,17 @@ import (
 	"hmem/internal/sim"
 )
 
-// benchDecide measures one interval turnover for a mechanism: feeding a
-// working set of accesses and taking the migration decision.
-func benchDecide(b *testing.B, mig sim.Migrator) {
+// decideTurn binds mig to a placement holding a 2048-page working set and
+// returns one interval turnover: feeding every page's access and taking the
+// migration decision for interval i.
+func decideTurn(mig sim.Migrator) func(i int) {
 	placement := sim.NewPlacement(256, 8192)
 	mig.Bind(placement.PageTable())
 	const pages = 2048
 	for pg := uint64(0); pg < pages; pg++ {
 		placement.Lookup(pg)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		for pg := uint64(0); pg < pages; pg++ {
 			pi := placement.Intern(pg)
 			mig.OnAccess(pi, pg%3 == 0, placement.InHBMIndex(pi))
@@ -27,8 +26,41 @@ func benchDecide(b *testing.B, mig sim.Migrator) {
 	}
 }
 
+// decideCases are the benchmarked mechanisms with their pinned allocations
+// per interval turnover.
+var decideCases = []struct {
+	name   string
+	build  func() sim.Migrator
+	allocs float64
+}{
+	{"perf-baseline", func() sim.Migrator { return NewPerf(100000) }, 14},
+	{"full-counter", func() sim.Migrator { return NewFullCounter(100000) }, 14},
+	{"cross-counter", func() sim.Migrator { return NewCrossCounter(100000, 4, 32) }, 4},
+}
+
 func BenchmarkMigratorDecide(b *testing.B) {
-	b.Run("perf-baseline", func(b *testing.B) { benchDecide(b, NewPerf(100000)) })
-	b.Run("full-counter", func(b *testing.B) { benchDecide(b, NewFullCounter(100000)) })
-	b.Run("cross-counter", func(b *testing.B) { benchDecide(b, NewCrossCounter(100000, 4, 32)) })
+	for _, c := range decideCases {
+		b.Run(c.name, func(b *testing.B) {
+			turn := decideTurn(c.build())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				turn(i)
+			}
+		})
+	}
+}
+
+// TestMigratorDecideAllocs pins each mechanism's allocations per interval
+// turnover at today's counts, so an allocating regression in the decide path
+// fails here rather than surfacing as a slower figure suite.
+func TestMigratorDecideAllocs(t *testing.T) {
+	for _, c := range decideCases {
+		turn := decideTurn(c.build())
+		i := 0
+		got := testing.AllocsPerRun(50, func() { turn(i); i++ })
+		if got > c.allocs {
+			t.Errorf("%s: %v allocs per turnover, want <= %v", c.name, got, c.allocs)
+		}
+	}
 }

@@ -45,7 +45,7 @@ func TestClusterBrownoutBreakerAndRecovery(t *testing.T) {
 		want = append(want, evaluateJSON(t, standalone, tc.workload, tc.policy))
 	}
 
-	sd := chaos.NewSlowdown(nil)
+	sd := chaos.NewHostFaults(nil)
 	coordCfg := shrink(clusterTestConfig(RoleCoordinator))
 	// This test outlives the helper's 2s liveness TTL (brownout dispatches
 	// burn their timeout one by one) and startWorkers registers without a
@@ -55,7 +55,6 @@ func TestClusterBrownoutBreakerAndRecovery(t *testing.T) {
 	coordCfg.Cluster.RequestTimeout = 2 * time.Second
 	coordCfg.Cluster.PeerTimeout = 100 * time.Millisecond
 	coordCfg.Cluster.StealAfter = time.Second
-	coordCfg.Cluster.HedgeQuantile = 0.9
 	coordCfg.Cluster.Breaker = breaker.Config{
 		Window:         10,
 		MinSamples:     3,
@@ -106,7 +105,7 @@ func TestClusterBrownoutBreakerAndRecovery(t *testing.T) {
 	// clear (each reopening the quarantine), so the loop generates unlimited
 	// fresh work — a unique fault_trials per iteration defeats every cache —
 	// until the probes win.
-	sd.Clear()
+	sd.Heal()
 	time.Sleep(500 * time.Millisecond) // let the quarantine (OpenFor) lapse
 	deadline := time.Now().Add(30 * time.Second)
 	closed := func() bool {

@@ -118,55 +118,21 @@ func retryable(err error) bool {
 	return true // transport-level failure
 }
 
-// do performs one breaker-gated round trip and decodes a 2xx JSON body into
+// do performs one round trip (see send) and decodes the 2xx JSON body into
 // out.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	if c.Breaker != nil {
-		done, ok := c.Breaker.Allow()
-		if !ok {
-			return ErrCircuitOpen
-		}
-		err := c.doOnce(ctx, method, path, in, out)
-		done(err == nil || !retryable(err))
-		return err
-	}
-	return c.doOnce(ctx, method, path, in, out)
-}
-
-// doOnce performs one round trip and decodes a 2xx JSON body into out.
-func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
+	var body []byte
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("hmemd: encoding request: %w", err)
 		}
-		body = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(c.BaseURL, "/")+path, body)
+	resp, err := c.send(ctx, method, path, body, false)
 	if err != nil {
-		return fmt.Errorf("hmemd: building request: %w", err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("hmemd: %s %s: %w", method, path, err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var eb errorBody
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		return &APIError{
-			StatusCode: resp.StatusCode,
-			Message:    msg,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-	}
 	if out == nil {
 		return nil
 	}
@@ -174,6 +140,59 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 		return fmt.Errorf("hmemd: decoding %s %s response: %w", method, path, err)
 	}
 	return nil
+}
+
+// send performs one breaker-gated exchange and returns the 2xx response for
+// the caller to read and close. A non-2xx status comes back as *APIError.
+// The breaker hears whether the server answered coherently: a 2xx or a
+// non-retryable verdict counts as healthy, transport failures and 5xx/429
+// count against the host, and failures while reading the body afterwards
+// are the pipe's fault, not the host's. stream lifts the HTTP client's
+// overall timeout for responses that can outlive it (job watches, batches),
+// leaving ctx as the only bound.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, stream bool) (_ *http.Response, err error) {
+	if c.Breaker != nil {
+		done, ok := c.Breaker.Allow()
+		if !ok {
+			return nil, ErrCircuitOpen
+		}
+		defer func() { done(err == nil || !retryable(err)) }()
+	}
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(c.BaseURL, "/")+path, rd)
+	if err != nil {
+		return nil, fmt.Errorf("hmemd: building request: %w", err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	hc := c.httpClient()
+	if stream {
+		unbounded := *hc
+		unbounded.Timeout = 0
+		hc = &unbounded
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("hmemd: %s %s: %w", method, path, err)
+	}
+	if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	msg := resp.Status
+	if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
+		msg = eb.Error
+	}
+	return nil, &APIError{
+		StatusCode: resp.StatusCode,
+		Message:    msg,
+		RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+	}
 }
 
 // parseRetryAfter reads the header's delay-seconds form (the only form this
@@ -186,22 +205,35 @@ func parseRetryAfter(v string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// doIdempotent is do with bounded retry-with-backoff. The backoff doubles
-// per attempt and is jittered (uniform over [delay/2, delay]) so a fleet of
-// clients bounced by the same outage doesn't reconverge in lockstep; a
-// server Retry-After hint raises the wait when it asks for longer.
+// doIdempotent is do under the retry policy.
 func (c *Client) doIdempotent(ctx context.Context, method, path string, in, out any) error {
+	return c.retry(ctx, func() error { return c.do(ctx, method, path, in, out) })
+}
+
+// retry is the client's one retry policy: it runs attempt until it
+// succeeds, fails non-retryably, or has been retried c.Retries times. The
+// wait between attempts doubles from c.Backoff and is jittered (see
+// jitteredWait) so a fleet of clients bounced by the same outage doesn't
+// reconverge in lockstep; a server Retry-After hint raises the wait when it
+// asks for longer. Once ctx is done the loop ends with ctx's error.
+func (c *Client) retry(ctx context.Context, attempt func() error) error {
 	delay := c.backoff()
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = c.do(ctx, method, path, in, out)
-		if err == nil || attempt >= c.Retries || !retryable(err) {
+	for n := 0; ; n++ {
+		err := attempt()
+		if err == nil {
+			return nil
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if n >= c.Retries || !retryable(err) {
 			return err
 		}
-		wait := c.jitteredWait(delay, err)
+		t := time.NewTimer(c.jitteredWait(delay, err))
 		select {
-		case <-time.After(wait):
+		case <-t.C:
 		case <-ctx.Done():
+			t.Stop()
 			return ctx.Err()
 		}
 		delay *= 2
@@ -375,33 +407,17 @@ func (c *Client) JobTrace(ctx context.Context, id string) ([]obs.SpanData, error
 // up, the decoder hit a torn line — is not a failure of the job, just of the
 // pipe. Job state is idempotent to re-read (the server replays every
 // transition from the start), so WaitJob reconnects up to Retries times with
-// the same jittered backoff as other idempotent calls, deduplicating
+// the same retry policy as other idempotent calls, deduplicating
 // transitions by their Seq so onEvent sees each one exactly once across
 // however many connections it took.
 func (c *Client) WaitJob(ctx context.Context, id string, onEvent func(JobEvent)) (JobStatus, error) {
 	lastSeq := 0
-	delay := c.backoff()
-	for attempt := 0; ; attempt++ {
-		err := c.watchOnce(ctx, id, &lastSeq, onEvent)
-		if err == nil {
-			// Terminal state observed; the final status (with result table)
-			// is one plain GET away.
-			return c.Job(ctx, id)
-		}
-		if ctx.Err() != nil {
-			return JobStatus{}, ctx.Err()
-		}
-		if attempt >= c.Retries || !retryable(err) {
-			return JobStatus{}, err
-		}
-		wait := c.jitteredWait(delay, err)
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		}
-		delay *= 2
+	if err := c.retry(ctx, func() error { return c.watchOnce(ctx, id, &lastSeq, onEvent) }); err != nil {
+		return JobStatus{}, err
 	}
+	// Terminal state observed; the final status (with result table) is one
+	// plain GET away.
+	return c.Job(ctx, id)
 }
 
 // watchOnce runs one watch connection until a terminal event (nil) or the
@@ -410,54 +426,11 @@ func (c *Client) WaitJob(ctx context.Context, id string, onEvent func(JobEvent))
 // heartbeats (which reuse their transition's seq) are always forwarded —
 // they are point-in-time telemetry, not history.
 func (c *Client) watchOnce(ctx context.Context, id string, lastSeq *int, onEvent func(JobEvent)) error {
-	var done func(bool)
-	if c.Breaker != nil {
-		var ok bool
-		done, ok = c.Breaker.Allow()
-		if !ok {
-			return ErrCircuitOpen
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(c.BaseURL, "/")+"/v1/jobs/"+id+"?watch=1", nil)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"?watch=1", nil, true)
 	if err != nil {
-		if done != nil {
-			done(false)
-		}
-		return fmt.Errorf("hmemd: building watch request: %w", err)
-	}
-	// Watching can outlive any fixed client timeout; rely on ctx instead.
-	hc := *c.httpClient()
-	hc.Timeout = 0
-	resp, err := hc.Do(req)
-	if err != nil {
-		if done != nil {
-			done(false)
-		}
-		return fmt.Errorf("hmemd: watching job %s: %w", id, err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		apiErr := &APIError{
-			StatusCode: resp.StatusCode,
-			Message:    msg,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-		if done != nil {
-			done(!retryable(apiErr))
-		}
-		return apiErr
-	}
-	// The connection was established and answered coherently; mid-stream
-	// failures below are the pipe's fault, not evidence against the host.
-	if done != nil {
-		done(true)
-	}
 	dec := json.NewDecoder(resp.Body)
 	for {
 		var ev JobEvent

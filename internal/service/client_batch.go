@@ -1,14 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 )
 
@@ -44,9 +41,8 @@ func NewPooledClient(baseURL string, conns int) *Client {
 //
 // A batch stream severed mid-flight is not a failure of the evaluations —
 // results are deterministic and cached server side, so EvaluateBatch
-// re-posts the same batch up to Retries times with the usual jittered
-// backoff and deduplicates replayed lines by Seq, exactly like the job
-// watch stream's reconnect machinery.
+// re-posts the same batch under the client's retry policy and deduplicates
+// replayed lines by Seq, exactly like the job watch stream's reconnects.
 func (c *Client) EvaluateBatch(ctx context.Context, req BatchRequest, onResult func(BatchResult)) (BatchSummary, error) {
 	if len(req.Items) == 0 {
 		return BatchSummary{}, errors.New("hmemd: empty batch")
@@ -56,26 +52,12 @@ func (c *Client) EvaluateBatch(ctx context.Context, req BatchRequest, onResult f
 		return BatchSummary{}, fmt.Errorf("hmemd: encoding batch: %w", err)
 	}
 	lastSeq := 0
-	delay := c.backoff()
-	for attempt := 0; ; attempt++ {
-		sum, err := c.batchOnce(ctx, req.Items, body, &lastSeq, onResult)
-		if err == nil {
-			return sum, nil
-		}
-		if ctx.Err() != nil {
-			return BatchSummary{}, ctx.Err()
-		}
-		if attempt >= c.Retries || !retryable(err) {
-			return BatchSummary{}, err
-		}
-		wait := c.jitteredWait(delay, err)
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return BatchSummary{}, ctx.Err()
-		}
-		delay *= 2
-	}
+	var sum BatchSummary
+	err = c.retry(ctx, func() (err error) {
+		sum, err = c.batchOnce(ctx, req.Items, body, &lastSeq, onResult)
+		return err
+	})
+	return sum, err
 }
 
 // CollectBatch is EvaluateBatch gathering the item lines into a slice, in
@@ -93,55 +75,11 @@ func (c *Client) CollectBatch(ctx context.Context, req BatchRequest) ([]BatchRes
 // (returned) or the stream dies (error). lastSeq carries dedup state
 // across reconnects: replayed lines at or below it are skipped.
 func (c *Client) batchOnce(ctx context.Context, items []BatchItem, body []byte, lastSeq *int, onResult func(BatchResult)) (BatchSummary, error) {
-	var done func(bool)
-	if c.Breaker != nil {
-		var ok bool
-		done, ok = c.Breaker.Allow()
-		if !ok {
-			return BatchSummary{}, ErrCircuitOpen
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(c.BaseURL, "/")+"/v1/batch", bytes.NewReader(body))
+	resp, err := c.send(ctx, http.MethodPost, "/v1/batch", body, true)
 	if err != nil {
-		if done != nil {
-			done(false)
-		}
-		return BatchSummary{}, fmt.Errorf("hmemd: building batch request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// A large batch can outlive any fixed client timeout; rely on ctx.
-	hc := *c.httpClient()
-	hc.Timeout = 0
-	resp, err := hc.Do(req)
-	if err != nil {
-		if done != nil {
-			done(false)
-		}
-		return BatchSummary{}, fmt.Errorf("hmemd: posting batch: %w", err)
+		return BatchSummary{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		apiErr := &APIError{
-			StatusCode: resp.StatusCode,
-			Message:    msg,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-		if done != nil {
-			done(!retryable(apiErr))
-		}
-		return BatchSummary{}, apiErr
-	}
-	// Connection established and answered coherently; mid-stream failures
-	// below are the pipe's fault, not evidence against the host.
-	if done != nil {
-		done(true)
-	}
 	dec := json.NewDecoder(resp.Body)
 	for {
 		var ev BatchResult

@@ -13,6 +13,7 @@ import (
 	"hmem"
 	"hmem/internal/breaker"
 	"hmem/internal/cluster"
+	"hmem/internal/exec"
 	"hmem/internal/experiments"
 	"hmem/internal/faultsim"
 	"hmem/internal/obs"
@@ -38,8 +39,8 @@ type ClusterConfig struct {
 	TTL time.Duration
 	// HealthEvery is the liveness sweep interval (<=0 = 1s).
 	HealthEvery time.Duration
-	// StealAfter launches a duplicate of a straggling shard on the next
-	// ring candidate (<=0 = 2m; work-stealing for stuck-but-alive workers).
+	// StealAfter bounds the delay before a straggling shard is hedged onto
+	// the next ring candidate (<=0 = 2m); see cluster.Scheduler.StealAfter.
 	StealAfter time.Duration
 	// MaxAttempts bounds distinct workers tried per shard (<=0 = 3).
 	MaxAttempts int
@@ -57,18 +58,6 @@ type ClusterConfig struct {
 	// failure ratio after 5 samples, 5s quarantine, 1 probe, 2 successes
 	// to close).
 	Breaker breaker.Config
-	// HedgeQuantile, when in (0,1), derives the straggler-hedge delay from
-	// observed shard latency (HedgeMultiplier × that quantile, clamped to
-	// [StealAfter/4, StealAfter]) instead of the fixed StealAfter.
-	HedgeQuantile float64
-	// HedgeMultiplier scales the latency quantile into the hedge delay
-	// (<=0 = 2).
-	HedgeMultiplier float64
-	// HedgeRatio is the hedge credit earned per primary dispatch (<=0 =
-	// 0.25) — the global budget keeping hedges from amplifying overload.
-	HedgeRatio float64
-	// HedgeBurst is the up-front hedge allowance (<=0 = 2).
-	HedgeBurst int
 }
 
 // clusterState is the per-role cluster machinery hanging off a Service.
@@ -76,10 +65,10 @@ type ClusterConfig struct {
 // GET /v1/cluster/cache/{key} on any clustered role.
 type clusterState struct {
 	role     string
-	reg      *cluster.Registry  // coordinator: worker membership + ring
-	sched    *cluster.Scheduler // coordinator: shard placement
-	breakers *breaker.Set       // coordinator: per-worker circuit breakers
-	cache    cluster.Cache      // worker: executed-shard results, peer-servable
+	reg      *cluster.Registry         // coordinator: worker membership + ring
+	sched    *cluster.Scheduler        // coordinator: shard placement
+	breakers *breaker.Set              // coordinator: per-worker circuit breakers
+	cache    exec.Memo[string, []byte] // worker: executed-shard results, peer-servable
 
 	executed atomic.Uint64 // shards this node ran for a coordinator
 	inflight atomic.Int64  // shard executions currently running
@@ -134,18 +123,14 @@ func (s *Service) initCluster() error {
 		}
 		cs.breakers = breakers
 		cs.sched = &cluster.Scheduler{
-			Registry:        cs.reg,
-			Client:          httpClient,
-			MaxAttempts:     cc.MaxAttempts,
-			StealAfter:      stealAfter,
-			HedgeQuantile:   cc.HedgeQuantile,
-			HedgeMultiplier: cc.HedgeMultiplier,
-			HedgeRatio:      cc.HedgeRatio,
-			HedgeBurst:      cc.HedgeBurst,
-			Breakers:        breakers,
-			RequestTimeout:  cc.RequestTimeout,
-			PeerTimeout:     cc.PeerTimeout,
-			Logf:            cc.Logf,
+			Registry:       cs.reg,
+			Client:         httpClient,
+			MaxAttempts:    cc.MaxAttempts,
+			StealAfter:     stealAfter,
+			Breakers:       breakers,
+			RequestTimeout: cc.RequestTimeout,
+			PeerTimeout:    cc.PeerTimeout,
+			Logf:           cc.Logf,
 		}
 		every := cc.HealthEvery
 		if every <= 0 {
@@ -382,8 +367,11 @@ func (s *Service) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 	}
 	cs.inflight.Add(1)
 	defer cs.inflight.Add(-1)
-	raw, err := cs.cache.Do(r.Context(), sh.Key(), func() ([]byte, error) {
-		return s.executeShard(r.Context(), sh)
+	// The computation is shared with every concurrent requester of the key,
+	// so it must not observe this request's cancellation (see Memo.DoCtx).
+	ctx := r.Context()
+	raw, err := cs.cache.DoCtx(ctx, sh.Key(), func() ([]byte, error) {
+		return s.executeShard(obs.Detach(ctx), sh)
 	})
 	if err != nil {
 		var mismatch *digestMismatchError

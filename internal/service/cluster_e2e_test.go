@@ -192,7 +192,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	_, standalone := newTestServer(t, cfg)
 	want := evaluateJSON(t, standalone, "astar", "cc-migration")
 
-	part := chaos.NewPartition(nil)
+	part := chaos.NewHostFaults(nil)
 	coordCfg := clusterTestConfig(RoleCoordinator)
 	coordCfg.Cluster.Transport = part
 	coord, cc := newTestServer(t, coordCfg)

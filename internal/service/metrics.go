@@ -54,7 +54,6 @@ type serviceMetrics struct {
 	clusterShardsPlaced   *obs.Counter
 	clusterShardsExecuted *obs.Counter
 	clusterRetries        *obs.Counter
-	clusterSteals         *obs.Counter
 	clusterPeerHits       *obs.Counter
 	clusterCacheHits      *obs.Counter
 	clusterCacheMisses    *obs.Counter
@@ -132,8 +131,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"Shards this worker executed for a coordinator."),
 		clusterRetries: reg.Counter("hmemd_cluster_retries_total",
 			"Shard dispatches retried on another worker after a transient failure."),
-		clusterSteals: reg.Counter("hmemd_cluster_steals_total",
-			"Duplicate dispatches launched against straggling workers (work stealing)."),
 		clusterPeerHits: reg.Counter("hmemd_cluster_peer_hits_total",
 			"Shards answered from a peer's result cache instead of dispatching."),
 		clusterCacheHits: reg.Counter("hmemd_cluster_cache_hits_total",
@@ -222,7 +219,7 @@ func (s *Service) syncMetrics() {
 	m.admissionLatency.Set(s.adm.latencyEWMA())
 	m.healthState.Set(float64(s.currentHealth()))
 	if cs := s.cluster; cs != nil {
-		hits, misses := cs.cache.Stats()
+		shards := cs.cache.Stats()
 		if cs.reg != nil {
 			rs := cs.reg.Stats()
 			m.clusterWorkers.Set(float64(rs.Live))
@@ -232,12 +229,11 @@ func (s *Service) syncMetrics() {
 			ss := cs.sched.Stats()
 			m.clusterShardsPlaced.Set(ss.Placed)
 			m.clusterRetries.Set(ss.Retries)
-			m.clusterSteals.Set(ss.Steals)
 			m.hedges.Set(ss.Hedges)
 			m.breakerSkips.Set(ss.BreakerSkips)
 			m.clusterPeerHits.Set(ss.PeerHits)
-			hits += ss.CacheHits
-			misses += ss.CacheMisses
+			shards.Hits += ss.CacheHits
+			shards.Misses += ss.CacheMisses
 		}
 		if cs.breakers != nil {
 			opens, closes, refused := cs.breakers.Totals()
@@ -249,8 +245,8 @@ func (s *Service) syncMetrics() {
 			}
 		}
 		m.clusterShardsExecuted.Set(cs.executed.Load())
-		m.clusterCacheHits.Set(hits)
-		m.clusterCacheMisses.Set(misses)
+		m.clusterCacheHits.Set(shards.Hits)
+		m.clusterCacheMisses.Set(shards.Misses)
 		m.clusterInflight.Set(float64(cs.inflight.Load()))
 	}
 }
