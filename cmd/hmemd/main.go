@@ -183,6 +183,8 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM) // before /healthz answers: a stop right after start must still drain
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("hmemd: listening on %s", *addr)
@@ -230,9 +232,6 @@ func main() {
 		heartbeatDone = make(chan struct{})
 		go heartbeatLoop(hbCtx, heartbeatDone, svc, &service.Client{BaseURL: *coordinator}, id, selfURL, *heartbeat)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	select {
 	case err := <-errCh:

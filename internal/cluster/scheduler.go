@@ -25,6 +25,11 @@ import (
 // alone is still a correct, if slower, hmemd.
 var ErrNoWorkers = errors.New("cluster: no live workers to place shard on")
 
+// maxAttempts bounds the distinct workers tried per shard, mirroring the
+// journal's bounded attempt counting so a poison shard cannot ricochet around
+// the cluster forever.
+const maxAttempts = 3
+
 // WorkerError is an application-level failure returned by a worker: the
 // shard was delivered and the computation itself failed. Shards are
 // deterministic, so the same failure would reproduce on every node — the
@@ -59,10 +64,6 @@ type Scheduler struct {
 	// default client with no overall timeout — per-call contexts bound each
 	// request.
 	Client *http.Client
-	// MaxAttempts bounds the distinct workers tried per shard (<=0 means 3),
-	// mirroring the journal's bounded attempt counting so a poison shard
-	// cannot ricochet around the cluster forever.
-	MaxAttempts int
 	// StealAfter enables hedging and bounds its delay (0 disables it). When
 	// the owner has not answered in time, a duplicate dispatch goes to the
 	// next ring candidate; first success wins and the loser's result is
@@ -111,13 +112,6 @@ const (
 	hedgeRatio      = 0.25
 	hedgeBurst      = 2
 )
-
-func (s *Scheduler) maxAttempts() int {
-	if s.MaxAttempts > 0 {
-		return s.MaxAttempts
-	}
-	return 3
-}
 
 func (s *Scheduler) client() *http.Client {
 	if s.Client != nil {
@@ -269,7 +263,7 @@ func (s *Scheduler) dispatch(ctx context.Context, sh Shard, key string) ([]byte,
 			obs.Str("key", key), obs.Str("shard", sh.String()))
 		defer sp.End()
 	}
-	cands := s.Registry.Owners(key, s.maxAttempts())
+	cands := s.Registry.Owners(key, maxAttempts)
 	if len(cands) == 0 {
 		return nil, ErrNoWorkers
 	}
@@ -368,7 +362,7 @@ func (s *Scheduler) dispatch(ctx context.Context, sh Shard, key string) ([]byte,
 // ID order. Misses are cheap 404s; a hit skips a whole simulation.
 func (s *Scheduler) peerLookup(ctx context.Context, key string) ([]byte, bool) {
 	seen := make(map[string]struct{})
-	scan := append(s.Registry.Owners(key, s.maxAttempts()), s.Registry.Snapshot()...)
+	scan := append(s.Registry.Owners(key, maxAttempts), s.Registry.Snapshot()...)
 	for _, w := range scan {
 		if _, dup := seen[w.ID]; dup {
 			continue

@@ -38,38 +38,33 @@ func healthName(st int) string {
 type AdmissionConfig struct {
 	// Budget is the in-flight cost ceiling in units of one default-shaped
 	// evaluation (<=0 = 4 × GOMAXPROCS, floored at 32 so a single running
-	// job — JobCostFactor units — cannot push a small machine into
+	// job — jobCostFactor units — cannot push a small machine into
 	// degraded health by itself). A request arriving while in-flight cost
 	// is at or above the budget is shed with 429 + Retry-After; cost-0
 	// requests (memo hits) are always admitted.
 	Budget float64
-	// DegradedRatio is the in-flight/budget fraction at which /healthz
-	// reports degraded and job submission is refused (<=0 = 0.75).
-	DegradedRatio float64
-	// SheddingRatio is the fraction at which /healthz reports shedding and
-	// every costed endpoint is refused (<=0 = 1.0).
-	SheddingRatio float64
-	// HealthHold is how long a crossed threshold keeps its health state
-	// after load drops back under it (<=0 = 2s) — hysteresis so the state
-	// does not flap request-to-request.
-	HealthHold time.Duration
-	// JobCostFactor prices one experiment job in evaluation units
-	// (<=0 = 8): a figure driver fans out to many evaluations.
-	JobCostFactor float64
 	// Now is the clock (nil = time.Now) — the test seam.
 	Now func() time.Time
 }
 
 const (
-	defaultDegradedRatio = 0.75
-	defaultSheddingRatio = 1.0
-	defaultHealthHold    = 2 * time.Second
-	defaultJobCostFactor = 8
+	// degradedRatio is the in-flight/budget fraction at which /healthz
+	// reports degraded and job submission is refused; sheddingRatio the one
+	// at which every costed endpoint is refused.
+	degradedRatio = 0.75
+	sheddingRatio = 1.0
+	// healthHold is how long a crossed threshold keeps its health state
+	// after load drops back under it — hysteresis so the state does not
+	// flap request-to-request.
+	healthHold = 2 * time.Second
+	// jobCostFactor prices one experiment job in evaluation units: a figure
+	// driver fans out to many evaluations.
+	jobCostFactor = 8
 	// maxRetryAfterSecs caps the drain-rate-derived hint: past a minute the
 	// estimate is noise and clients should poll, not sleep.
 	maxRetryAfterSecs = 60
-	// ewmaAlpha is the smoothing factor for the drain-rate and latency
-	// estimators: new sample weighted 1/5, matching a ~5-observation memory.
+	// ewmaAlpha is the smoothing factor for the drain-rate estimators: new
+	// sample weighted 1/5, matching a ~5-observation memory.
 	ewmaAlpha = 0.2
 )
 
@@ -85,8 +80,6 @@ type admission struct {
 	budget     float64
 	degradedAt float64 // cost threshold, not ratio
 	sheddingAt float64
-	hold       time.Duration
-	jobFactor  float64
 	now        func() time.Time
 
 	// inflightBits holds math.Float64bits of the summed in-flight cost,
@@ -94,10 +87,6 @@ type admission struct {
 	inflightBits atomic.Uint64
 	admitted     atomic.Uint64
 	shed         atomic.Uint64
-
-	// latencyBits is an EWMA of admitted-request latency in seconds
-	// (float64 bits) — the "recent latency" signal /metrics exposes.
-	latencyBits atomic.Uint64
 
 	// degradedUntil / sheddingUntil hold the UnixNano until which the state
 	// is pinned; crossing a threshold re-stamps now+hold. Reading health is
@@ -120,32 +109,14 @@ func newAdmission(cfg AdmissionConfig) *admission {
 			budget = 32
 		}
 	}
-	dr := cfg.DegradedRatio
-	if dr <= 0 {
-		dr = defaultDegradedRatio
-	}
-	sr := cfg.SheddingRatio
-	if sr <= 0 {
-		sr = defaultSheddingRatio
-	}
-	hold := cfg.HealthHold
-	if hold <= 0 {
-		hold = defaultHealthHold
-	}
-	jf := cfg.JobCostFactor
-	if jf <= 0 {
-		jf = defaultJobCostFactor
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
 	a := &admission{
 		budget:     budget,
-		degradedAt: dr * budget,
-		sheddingAt: sr * budget,
-		hold:       hold,
-		jobFactor:  jf,
+		degradedAt: degradedRatio * budget,
+		sheddingAt: sheddingRatio * budget,
 		now:        now,
 	}
 	a.drain.now = now
@@ -191,36 +162,23 @@ func (a *admission) charge(cost float64) {
 	}
 }
 
-// release returns an admitted (or charged) cost and feeds the estimators
-// with the completion: cost units drained over d, and the latency EWMA.
-func (a *admission) release(cost float64, d time.Duration) {
-	if cost > 0 {
-		for {
-			old := a.inflightBits.Load()
-			next := math.Float64frombits(old) - cost
-			if next < 0 {
-				next = 0 // defensive: a double release must not wedge admission
-			}
-			if a.inflightBits.CompareAndSwap(old, math.Float64bits(next)) {
-				break
-			}
-		}
-		a.drain.observe(cost)
+// release returns an admitted (or charged) cost and feeds the drain-rate
+// estimator with the completion.
+func (a *admission) release(cost float64) {
+	if cost <= 0 {
+		return
 	}
-	if d > 0 {
-		secs := d.Seconds()
-		for {
-			old := a.latencyBits.Load()
-			cur := math.Float64frombits(old)
-			next := secs
-			if cur > 0 {
-				next = cur + ewmaAlpha*(secs-cur)
-			}
-			if a.latencyBits.CompareAndSwap(old, math.Float64bits(next)) {
-				break
-			}
+	for {
+		old := a.inflightBits.Load()
+		next := math.Float64frombits(old) - cost
+		if next < 0 {
+			next = 0 // defensive: a double release must not wedge admission
+		}
+		if a.inflightBits.CompareAndSwap(old, math.Float64bits(next)) {
+			break
 		}
 	}
+	a.drain.observe(cost)
 }
 
 // inflight reads the current summed in-flight cost.
@@ -228,20 +186,15 @@ func (a *admission) inflight() float64 {
 	return math.Float64frombits(a.inflightBits.Load())
 }
 
-// latencyEWMA reads the smoothed admitted-request latency in seconds.
-func (a *admission) latencyEWMA() float64 {
-	return math.Float64frombits(a.latencyBits.Load())
-}
-
 // stampHealth pins degraded/shedding for the hold window when load crosses
 // their thresholds. Called on every admission-path event; allocation-free.
 func (a *admission) stampHealth(load float64) {
 	if load >= a.sheddingAt {
-		until := a.now().Add(a.hold).UnixNano()
+		until := a.now().Add(healthHold).UnixNano()
 		a.sheddingUntil.Store(until)
 		a.degradedUntil.Store(until)
 	} else if load >= a.degradedAt {
-		a.degradedUntil.Store(a.now().Add(a.hold).UnixNano())
+		a.degradedUntil.Store(a.now().Add(healthHold).UnixNano())
 	}
 }
 

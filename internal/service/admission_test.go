@@ -105,12 +105,12 @@ func TestAdmissionShedAndRetryAfter(t *testing.T) {
 	if ok, _ := a.admit(0); !ok {
 		t.Fatal("cost-0 request shed")
 	}
-	a.release(0, time.Millisecond)
+	a.release(0)
 
 	// Train the drain estimator: two releases 1s apart -> ~4 units/s.
-	a.release(9, time.Second)
+	a.release(9)
 	clock.advance(time.Second)
-	a.release(4, time.Second)
+	a.release(4)
 	a.charge(14) // back over budget with a known rate
 	_, retry = a.admit(2)
 	// excess = 14+2-10 = 6 units at 4/s -> ceil(1.5) = 2s.
@@ -122,8 +122,8 @@ func TestAdmissionShedAndRetryAfter(t *testing.T) {
 		t.Fatalf("inflight = %v, want 14", got)
 	}
 	// Double release clamps at zero rather than wedging admission open.
-	a.release(20, 0)
-	a.release(20, 0)
+	a.release(20)
+	a.release(20)
 	if got := a.inflight(); got != 0 {
 		t.Fatalf("inflight after over-release = %v, want 0", got)
 	}
@@ -131,8 +131,7 @@ func TestAdmissionShedAndRetryAfter(t *testing.T) {
 
 func TestAdmissionHealthLadder(t *testing.T) {
 	clock := newAdmClock()
-	hold := 2 * time.Second
-	a := newAdmission(AdmissionConfig{Budget: 10, HealthHold: hold, Now: clock.now})
+	a := newAdmission(AdmissionConfig{Budget: 10, Now: clock.now})
 
 	if got := a.healthState(); got != healthOK {
 		t.Fatalf("fresh state = %s, want ok", healthName(got))
@@ -148,21 +147,21 @@ func TestAdmissionHealthLadder(t *testing.T) {
 		t.Fatalf("state at 11/10 = %s, want shedding", healthName(got))
 	}
 	// Load drops, but the hold pins the state: hysteresis against flapping.
-	a.release(11, time.Second)
+	a.release(11)
 	if got := a.healthState(); got != healthShedding {
 		t.Fatalf("state inside hold = %s, want shedding", healthName(got))
 	}
-	clock.advance(hold + time.Millisecond)
+	clock.advance(healthHold + time.Millisecond)
 	if got := a.healthState(); got != healthOK {
 		t.Fatalf("state after hold = %s, want ok", healthName(got))
 	}
 	// Degraded alone does not stamp shedding.
 	a.charge(8)
-	a.release(8, time.Second)
+	a.release(8)
 	if got := a.healthState(); got != healthDegraded {
 		t.Fatalf("state = %s, want degraded", healthName(got))
 	}
-	clock.advance(hold + time.Millisecond)
+	clock.advance(healthHold + time.Millisecond)
 	if got := a.healthState(); got != healthOK {
 		t.Fatalf("state after degraded hold = %s, want ok", healthName(got))
 	}
@@ -179,7 +178,7 @@ func TestAdmissionFastPathAllocs(t *testing.T) {
 			t.Fatal("admit refused under a huge budget")
 		}
 		_ = a.healthState()
-		a.release(1, time.Microsecond)
+		a.release(1)
 	}); got != 0 {
 		t.Fatalf("admission fast path allocates %v per run, want 0", got)
 	}

@@ -1,15 +1,17 @@
 package service
 
-// POST /v1/batch — the high-throughput request path. One request carries N
+// POST /v1/batch — the high-throughput request path — and the evaluation
+// executor behind every evaluation endpoint. One batch request carries N
 // evaluate/compare items; results stream back as NDJSON, one seq-tagged
 // line per item in item order plus a terminal summary line, so a client
 // pipelines N evaluations over a single connection instead of paying N
-// round trips. Server side, items that share a workload trace but differ
-// in policy are coalesced onto one replay plan (Engine.AcquireTracePlan):
-// the trace is generated once and every policy's cachesim→memsim→avf chain
-// replays it. The batch is priced into the admission controller as the sum
-// of its non-coalesced items — each distinct fresh result key costs one
-// options-scaled unit; duplicates within the batch and already-cached keys
+// round trips. /v1/evaluate and /v1/compare are one-item runs of the same
+// executor. Server side, items that share a workload trace but differ in
+// policy are coalesced onto one replay plan (Engine.AcquireTracePlan): the
+// trace is generated once and every policy's cachesim→memsim→avf chain
+// replays it. A run is priced into the admission controller as the sum of
+// its non-coalesced items — each distinct fresh result key costs one
+// options-scaled unit; duplicates within the run and already-cached keys
 // are free. Item failures are isolated: an item's error rides its own
 // result line while the rest of the batch completes.
 //
@@ -26,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"hmem"
 	"hmem/internal/exec"
@@ -78,8 +79,8 @@ type BatchRequest struct {
 // the item failed), or the terminal summary line (Done non-nil). Seq is
 // index+1 for item lines and items+1 for the terminal line — the dedup
 // token the client's reconnect machinery keys on. Result payloads are
-// raw JSON: the bytes are exactly what /v1/evaluate would have returned
-// for the same item, which the differential test pins.
+// raw JSON: the bytes are exactly an in-process engine's result for the
+// item, marshalled, which the differential test pins.
 type BatchResult struct {
 	Seq     int             `json:"seq"`
 	Index   int             `json:"index"`
@@ -163,10 +164,144 @@ func decodeBatchLine(line []byte) (BatchResult, error) {
 	return res, nil
 }
 
-// batchFailure renders an item that never produced a result (skipped by
-// cancellation, or its task died before recording an outcome).
-func batchFailure(it BatchItem, index int, err error) BatchResult {
-	return BatchResult{Seq: index + 1, Index: index, ID: it.ID, Error: err.Error()}
+// itemOutcome is one executed item: its JSON payload (an evaluate item's
+// result, or a compare item's result array) or its error.
+type itemOutcome struct {
+	payload json.RawMessage
+	err     error
+}
+
+// batchResult renders item index's outcome as its stream line.
+func batchResult(it BatchItem, index int, out itemOutcome) BatchResult {
+	res := BatchResult{Seq: index + 1, Index: index, ID: it.ID}
+	switch {
+	case out.err != nil:
+		res.Error = out.err.Error()
+	case len(it.Policies) > 0:
+		res.Results = out.payload
+	default:
+		res.Result = out.payload
+	}
+	return res
+}
+
+// evaluationRun is one admitted run of the executor. done[i] closes once
+// outcomes[i] is recorded; settled closes after every item has finished and
+// the run's admission cost and trace plans have been released.
+type evaluationRun struct {
+	outcomes []itemOutcome
+	done     []chan struct{}
+	settled  chan struct{}
+}
+
+// evaluate is hmemd's one evaluation path. It resolves every item's engine,
+// prices the distinct fresh result keys and admits that cost, then runs the
+// items in the background: one trace plan pinned per (engine, workload)
+// group with fresh work, the items under exec.Settle with per-item error
+// isolation, and the cost and plans released once the work has settled —
+// not when the client goes away, since the simulations it started keep
+// running. On false the response is already written: a 400 for an item
+// whose options do not resolve (itemErr labels the error), or an admission
+// refusal.
+func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []BatchItem, itemErr func(i int, err error) error) (*evaluationRun, bool) {
+	engines := make([]*hmem.Engine, len(items))
+	digests := make([]string, len(items))
+	for i := range items {
+		e, digest, err := s.engineFor(items[i].Options)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, itemErr(i, err))
+			return nil, false
+		}
+		engines[i], digests[i] = e, digest
+	}
+
+	// Each distinct result key that is neither cached nor in flight costs
+	// one options-scaled unit; fresh collects the (engine, workload) groups
+	// carrying such work — only those are worth a replay plan.
+	type planKey struct{ digest, workload string }
+	var cost float64
+	seen := make(map[string]bool)
+	fresh := make(map[planKey]*hmem.Engine)
+	for i := range items {
+		it := &items[i]
+		for _, p := range it.policySet() {
+			key := resultKey(digests[i], it.Workload, p)
+			if seen[key] || s.results.Known(key) {
+				continue
+			}
+			seen[key] = true
+			cost += s.costUnit(engines[i].Options())
+			fresh[planKey{digests[i], it.Workload}] = engines[i]
+		}
+	}
+	// In the shedding state all fresh work is refused with 503 — cached
+	// answers still flow; under that, the budget sheds the excess with 429.
+	// Both carry a drain-rate-derived Retry-After.
+	if cost > 0 && s.adm.healthState() == healthShedding {
+		secs := retryAfterSeconds(s.adm.inflight()-s.adm.budget+cost, s.adm.drain.rate())
+		writeRetryableError(w, http.StatusServiceUnavailable, secs, errors.New("server is shedding load"))
+		return nil, false
+	}
+	if ok, secs := s.adm.admit(cost); !ok {
+		writeRetryableError(w, http.StatusTooManyRequests, secs,
+			errors.New("admission: in-flight cost over budget; retry later"))
+		return nil, false
+	}
+
+	run := &evaluationRun{
+		outcomes: make([]itemOutcome, len(items)),
+		done:     make([]chan struct{}, len(items)),
+		settled:  make(chan struct{}),
+	}
+	for i := range run.done {
+		run.done[i] = make(chan struct{})
+	}
+	go func() {
+		defer close(run.settled)
+		// Acquisition failure is not fatal — those items run uncoalesced
+		// and surface their own errors.
+		var plans []func()
+		for pk, e := range fresh {
+			if release, err := e.AcquireTracePlan(ctx, pk.workload); err == nil {
+				plans = append(plans, release)
+			}
+		}
+		errs := exec.Settle(ctx, s.resolvedDefaults.Parallel, len(items), func(i int) error {
+			run.outcomes[i] = s.runItem(ctx, items[i], engines[i], digests[i])
+			close(run.done[i])
+			return nil
+		})
+		// Tasks that never recorded an outcome — skipped by cancellation or
+		// killed by a panic — get their error here.
+		for i, err := range errs {
+			if err != nil {
+				run.outcomes[i] = itemOutcome{err: err}
+				close(run.done[i])
+			}
+		}
+		for _, release := range plans {
+			release()
+		}
+		s.adm.release(cost)
+	}()
+	return run, true
+}
+
+// runItem executes one item through the shared result cache. Errors are the
+// item's, never the run's.
+func (s *Service) runItem(ctx context.Context, it BatchItem, e *hmem.Engine, digest string) itemOutcome {
+	if len(it.Policies) == 0 {
+		raw, err := s.result(ctx, e, digest, it.Workload, it.Policy)
+		return itemOutcome{payload: raw, err: err}
+	}
+	raws, err := exec.Map(ctx, e.Options().Parallel, len(it.Policies), func(j int) (json.RawMessage, error) {
+		return s.result(ctx, e, digest, it.Workload, it.Policies[j])
+	})
+	if err != nil {
+		return itemOutcome{err: err}
+	}
+	raw, err := json.Marshal(raws)
+	return itemOutcome{payload: raw, err: err}
 }
 
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -190,116 +325,35 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	items := req.Items
-
-	// Resolve every item's engine up front: a bad option patch 400s the
-	// whole batch before any admission charge or stream byte.
-	type itemExec struct {
-		engine *hmem.Engine
-		digest string
-	}
-	execs := make([]itemExec, len(items))
-	for i := range items {
-		e, digest, err := s.engineFor(items[i].Options)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("item %d: %w", i, err))
-			return
-		}
-		execs[i] = itemExec{engine: e, digest: digest}
-	}
-
-	// Price the batch as the sum of its non-coalesced items: each distinct
-	// fresh result key costs one options-scaled unit; duplicates within the
-	// batch and keys already cached (or in flight) are free. fresh tracks
-	// which (engine, workload) groups carry any fresh work at all — only
-	// those are worth a replay plan.
-	type planKey struct{ digest, workload string }
-	var cost float64
-	seen := make(map[string]bool)
-	fresh := make(map[planKey]bool)
-	for i := range items {
-		it := &items[i]
-		for _, p := range it.policySet() {
-			key := resultKey(execs[i].digest, it.Workload, p)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			if c := s.evaluateCost(execs[i].digest, it.Workload, p, execs[i].engine.Options()); c > 0 {
-				cost += c
-				fresh[planKey{execs[i].digest, it.Workload}] = true
-			}
-		}
-	}
-	if !s.admitCost(w, cost) {
+	ctx := r.Context()
+	run, ok := s.evaluate(ctx, w, items, func(i int, err error) error { return fmt.Errorf("item %d: %w", i, err) })
+	if !ok {
 		return
 	}
-	start := time.Now()
-	defer func() { s.adm.release(cost, time.Since(start)) }()
 	s.met.batchRequests.Inc()
-
-	// Pin one replay plan per (engine, workload) group with fresh work, so
-	// items sharing a trace but differing in policy drive all their
-	// simulation chains off a single trace pass. Acquisition failure is not
-	// fatal — those items run uncoalesced and surface their own errors.
-	ctx := r.Context()
-	plans := make(map[planKey]func())
-	for i := range items {
-		pk := planKey{execs[i].digest, items[i].Workload}
-		if _, ok := plans[pk]; ok || !fresh[pk] {
-			continue
-		}
-		if release, err := execs[i].engine.AcquireTracePlan(ctx, items[i].Workload); err == nil {
-			plans[pk] = release
-		}
-	}
-	defer func() {
-		for _, release := range plans {
-			release()
-		}
-	}()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	// Items execute in parallel with per-item error isolation; the emitter
-	// below streams each line as soon as its item — and every earlier one —
-	// has settled, so the stream is in item order but the work is not
-	// serialized.
-	outcomes := make([]BatchResult, len(items))
-	done := make([]chan struct{}, len(items))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	go func() {
-		errs := exec.Settle(ctx, s.resolvedDefaults.Parallel, len(items), func(i int) error {
-			outcomes[i] = s.runBatchItem(ctx, items[i], execs[i].engine, execs[i].digest, i)
-			close(done[i])
-			return nil
-		})
-		// Tasks that never recorded an outcome — skipped by cancellation or
-		// killed by a panic — get their error here and unblock the emitter.
-		for i, err := range errs {
-			if err != nil {
-				outcomes[i] = batchFailure(items[i], i, err)
-				close(done[i])
-			}
-		}
-	}()
-
+	// Items execute in parallel; each line streams as soon as its item — and
+	// every earlier one — has settled, so the stream is in item order but the
+	// work is not serialized.
 	errCount := 0
 	for i := range items {
 		select {
-		case <-done[i]:
+		case <-run.done[i]:
 		case <-ctx.Done():
 			return // client gone; any status we write is unread
 		}
-		line, err := encodeBatchLine(outcomes[i])
+		res := batchResult(items[i], i, run.outcomes[i])
+		line, err := encodeBatchLine(res)
 		if err != nil {
-			line, _ = encodeBatchLine(batchFailure(items[i], i, err))
+			res = batchResult(items[i], i, itemOutcome{err: err})
+			line, _ = encodeBatchLine(res)
 		}
 		outcome := "ok"
-		if outcomes[i].Error != "" {
+		if res.Error != "" {
 			errCount++
 			outcome = "error"
 		}
@@ -312,12 +366,19 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// every line, so streaming latency is unchanged where it matters.
 		if flusher != nil && i+1 < len(items) {
 			select {
-			case <-done[i+1]:
+			case <-run.done[i+1]:
 			default:
 				flusher.Flush()
 			}
 		}
 		s.met.batchItems.With(outcome).Inc()
+	}
+	// The summary waits for the run's releases, so a client that has read
+	// the whole stream sees its cost already returned to the budget.
+	select {
+	case <-run.settled:
+	case <-ctx.Done():
+		return
 	}
 	line, err := encodeBatchLine(BatchResult{
 		Seq:  len(items) + 1,
@@ -330,44 +391,4 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-}
-
-// runBatchItem executes one item through the shared result cache and
-// renders its line. Errors are the item's, never the batch's.
-func (s *Service) runBatchItem(ctx context.Context, it BatchItem, e *hmem.Engine, digest string, index int) BatchResult {
-	out := BatchResult{Seq: index + 1, Index: index, ID: it.ID}
-	if len(it.Policies) > 0 {
-		results, err := exec.Map(ctx, e.Options().Parallel, len(it.Policies), func(j int) (hmem.Result, error) {
-			return s.evaluateCached(ctx, e, digest, it.Workload, it.Policies[j])
-		})
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		raw, err := json.Marshal(results)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.Results = raw
-		return out
-	}
-	key := resultKey(digest, it.Workload, it.Policy)
-	if raw, ok := s.encodedResults.Load(key); ok {
-		out.Result = raw.(json.RawMessage)
-		return out
-	}
-	res, err := s.evaluateCached(ctx, e, digest, it.Workload, it.Policy)
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	s.encodedResults.Store(key, json.RawMessage(raw))
-	out.Result = raw
-	return out
 }

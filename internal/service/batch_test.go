@@ -3,25 +3,58 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hmem"
 )
 
-// evaluateRaw posts one /v1/evaluate request and returns the raw response
-// body bytes — the ground truth the batch path must reproduce byte for
-// byte.
-func evaluateRaw(t *testing.T, baseURL string, it BatchItem) []byte {
+// referenceEngine is an in-process engine with the server's default
+// options: the ground truth the service must reproduce byte for byte,
+// computed without any of the service's code.
+func referenceEngine(t *testing.T, cfg Config) *hmem.Engine {
 	t.Helper()
-	body := fmt.Sprintf(`{"workload":%q,"policy":%q}`, it.Workload, it.Policy)
-	resp, err := http.Post(baseURL+"/v1/evaluate", "application/json", strings.NewReader(body))
+	opts := cfg.Defaults
+	e, err := hmem.NewEngine(&opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// referenceResult evaluates one workload × policy in process.
+func referenceResult(t *testing.T, e *hmem.Engine, workloadName string, policy hmem.PolicyName) hmem.Result {
+	t.Helper()
+	res, err := e.Evaluate(context.Background(), workloadName, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// referenceJSON is the wire form of a reference value: marshalled and
+// followed by the newline every JSON response ends with.
+func referenceJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(raw, '\n')
+}
+
+// postRaw posts body to path and returns the 200 response's raw bytes.
+func postRaw(t *testing.T, baseURL, path, body string) []byte {
+	t.Helper()
+	resp, err := http.Post(baseURL+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +64,7 @@ func evaluateRaw(t *testing.T, baseURL string, it BatchItem) []byte {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("evaluate %s/%s: status %d: %s", it.Workload, it.Policy, resp.StatusCode, raw)
+		t.Fatalf("POST %s %s: status %d: %s", path, body, resp.StatusCode, raw)
 	}
 	return raw
 }
@@ -53,23 +86,25 @@ func batchItemGrid(n int) []BatchItem {
 	return items
 }
 
-// TestBatchDifferential is the batch path's anchor: a batch of N items is
-// byte-identical to N sequential /v1/evaluate calls, across batch sizes and
-// server parallelism. The sequential bodies are writeJSON output (marshal +
-// newline), so the comparison is append(item.Result, '\n') — the exact
-// bytes either path puts on the wire.
+// TestBatchDifferential is the batch path's anchor: every line of a batch of
+// N items is byte-identical to an in-process engine's result for the item,
+// across batch sizes and server parallelism. The comparison is
+// append(item.Result, '\n') against the marshalled reference plus newline —
+// the exact bytes /v1/evaluate puts on the wire.
 func TestBatchDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is not a -short test")
 	}
+	base := tinyConfig()
+	base.Defaults.RecordsPerCore = 1200
+	base.Defaults.FaultTrials = 800
+	ref := referenceEngine(t, base) // Parallel never changes a result
 	sizes := []int{1, 16, 256}
 	parallels := []int{1, runtime.NumCPU()}
 	for _, par := range parallels {
 		for _, n := range sizes {
 			t.Run(fmt.Sprintf("items=%d/parallel=%d", n, par), func(t *testing.T) {
-				cfg := tinyConfig()
-				cfg.Defaults.RecordsPerCore = 1200
-				cfg.Defaults.FaultTrials = 800
+				cfg := base
 				cfg.Defaults.Parallel = par
 				_, c := newTestServer(t, cfg)
 				items := batchItemGrid(n)
@@ -92,10 +127,10 @@ func TestBatchDifferential(t *testing.T) {
 					if res.Error != "" {
 						t.Fatalf("item %d failed: %s", i, res.Error)
 					}
-					want := evaluateRaw(t, c.BaseURL, items[i])
+					want := referenceJSON(t, referenceResult(t, ref, items[i].Workload, items[i].Policy))
 					got := append(bytes.Clone(res.Result), '\n')
 					if !bytes.Equal(got, want) {
-						t.Fatalf("item %d (%s/%s): batch bytes differ from /v1/evaluate\nbatch: %s\nseq:   %s",
+						t.Fatalf("item %d (%s/%s): batch bytes differ from the in-process engine\nbatch:  %s\nengine: %s",
 							i, items[i].Workload, items[i].Policy, got, want)
 					}
 				}
@@ -104,11 +139,10 @@ func TestBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescing pins the tentpole's server half: K same-workload,
-// different-policy items generate the trace exactly once (the plan
-// materialization), every simulation replays it, and the results are still
-// byte-identical to an uncoalesced server evaluating the same items one at
-// a time.
+// TestBatchCoalescing pins the server half of trace coalescing: K
+// same-workload, different-policy items generate the trace exactly once (the
+// plan materialization), every simulation replays it, and the results are
+// still byte-identical to an uncoalesced in-process engine.
 func TestBatchCoalescing(t *testing.T) {
 	policies := []hmem.PolicyName{hmem.PolicyPerfFocused, hmem.PolicyBalanced, hmem.PolicyWrRatio, hmem.PolicyWr2Ratio}
 	items := make([]BatchItem, len(policies))
@@ -145,15 +179,120 @@ func TestBatchCoalescing(t *testing.T) {
 		}
 	}
 
-	// Same items on a server that never coalesces (plain sequential
-	// /v1/evaluate): bytes must match — coalescing is invisible in results.
-	_, plain := newTestServer(t, tinyConfig())
+	// The same items on an engine that never coalesces: bytes must match —
+	// coalescing is invisible in results.
+	ref := referenceEngine(t, tinyConfig())
 	for i, res := range results {
-		want := evaluateRaw(t, plain.BaseURL, items[i])
+		want := referenceJSON(t, referenceResult(t, ref, items[i].Workload, items[i].Policy))
 		got := append(bytes.Clone(res.Result), '\n')
 		if !bytes.Equal(got, want) {
 			t.Fatalf("policy %s: coalesced bytes differ from uncoalesced evaluation", items[i].Policy)
 		}
+	}
+}
+
+// TestOneItemEndpoints pins /v1/evaluate and /v1/compare, one-item runs of
+// the batch executor, to an in-process engine byte for byte — and pins that
+// they coalesce like a batch: on a fresh server, a balanced evaluate's
+// profiling run and policy simulation replay one trace generation.
+func TestOneItemEndpoints(t *testing.T) {
+	cfg := tinyConfig()
+	_, c := newTestServer(t, cfg)
+	ref := referenceEngine(t, cfg)
+	ddr := referenceResult(t, ref, "astar", hmem.PolicyDDROnly)
+	balanced := referenceResult(t, ref, "astar", hmem.PolicyBalanced)
+
+	got := postRaw(t, c.BaseURL, "/v1/evaluate", `{"workload":"astar","policy":"balanced"}`)
+	if want := referenceJSON(t, balanced); !bytes.Equal(got, want) {
+		t.Fatalf("evaluate bytes differ from the in-process engine\nserver: %s\nengine: %s", got, want)
+	}
+	resp, err := http.Get(c.BaseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(page), "\nhmemd_trace_opens_total 1\n") {
+		t.Error("a fresh balanced evaluate did not generate its trace exactly once")
+	}
+
+	got = postRaw(t, c.BaseURL, "/v1/compare", `{"workload":"astar","policies":["ddr-only","balanced"]}`)
+	want := referenceJSON(t, map[string]any{"results": []hmem.Result{ddr, balanced}})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("compare bytes differ from the in-process engine\nserver: %s\nengine: %s", got, want)
+	}
+}
+
+// gatedTraces blocks every astar trace stream a simulation opens until open
+// is called; reached closes when the first one is requested. The gate holds
+// a run's simulations mid-flight so a test can read the admission ledger.
+func gatedTraces(cfg *Config) (reached <-chan struct{}, open func()) {
+	gate, entered := make(chan struct{}), make(chan struct{})
+	var opened, enter sync.Once
+	cfg.TraceWrap = func(workloadName string, s hmem.TraceStream) hmem.TraceStream {
+		if workloadName == "astar" {
+			enter.Do(func() { close(entered) })
+			<-gate
+		}
+		return s
+	}
+	return entered, func() { opened.Do(func() { close(gate) }) }
+}
+
+// TestBatchDisconnectKeepsCostUntilSettled: a client that posts a batch and
+// hangs up must not hand back its admission cost while the simulation it
+// started is still running — the cost returns only once the work settles.
+func TestBatchDisconnectKeepsCostUntilSettled(t *testing.T) {
+	cfg := tinyConfig()
+	reached, open := gatedTraces(&cfg)
+	svc, c := newTestServer(t, cfg)
+	t.Cleanup(open) // runs before the server's cleanup, which waits for handlers
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _ = c.CollectBatch(ctx, BatchRequest{Items: []BatchItem{{Workload: "astar", Policy: hmem.PolicyBalanced}}})
+	}()
+	<-reached
+	cancel()
+	<-done
+	// The handler has returned (its request is counted) ...
+	waitFor(t, func() bool { return requestCount(t, c.BaseURL, "POST /v1/batch", http.StatusOK) == 1 })
+	// ... but the simulation is still held at the gate, and so is its cost.
+	if got := svc.adm.inflight(); got != 1 {
+		t.Fatalf("in-flight cost after the client left = %v, want 1 (simulation still running)", got)
+	}
+	open()
+	waitFor(t, func() bool { return svc.adm.inflight() == 0 })
+}
+
+// TestCompareChargesRepeatedPolicyOnce: a compare naming one policy twice is
+// one fresh result key, so it costs one unit, as the same items would in a
+// batch.
+func TestCompareChargesRepeatedPolicyOnce(t *testing.T) {
+	cfg := tinyConfig()
+	reached, open := gatedTraces(&cfg)
+	svc, c := newTestServer(t, cfg)
+	t.Cleanup(open)
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Compare(context.Background(), CompareRequest{
+			Workload: "astar", Policies: []hmem.PolicyName{hmem.PolicyBalanced, hmem.PolicyBalanced}})
+		errc <- err
+	}()
+	<-reached
+	if got := svc.adm.inflight(); got != 1 {
+		t.Fatalf("in-flight cost of a repeated-policy compare = %v, want 1", got)
+	}
+	open()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.adm.inflight(); got != 0 {
+		t.Fatalf("in-flight cost after the response = %v, want 0", got)
 	}
 }
 

@@ -42,8 +42,6 @@ type ClusterConfig struct {
 	// StealAfter bounds the delay before a straggling shard is hedged onto
 	// the next ring candidate (<=0 = 2m); see cluster.Scheduler.StealAfter.
 	StealAfter time.Duration
-	// MaxAttempts bounds distinct workers tried per shard (<=0 = 3).
-	MaxAttempts int
 	// RequestTimeout bounds one shard POST (<=0 = 10m).
 	RequestTimeout time.Duration
 	// PeerTimeout bounds one peer-cache probe (<=0 = 2s).
@@ -125,7 +123,6 @@ func (s *Service) initCluster() error {
 		cs.sched = &cluster.Scheduler{
 			Registry:       cs.reg,
 			Client:         httpClient,
-			MaxAttempts:    cc.MaxAttempts,
 			StealAfter:     stealAfter,
 			Breakers:       breakers,
 			RequestTimeout: cc.RequestTimeout,

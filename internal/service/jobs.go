@@ -562,11 +562,10 @@ func (s *Service) runOneJob(j *job) {
 	// evaluations it is: sustained job load pushes the node into degraded
 	// (new submissions refused) and, at the budget, into shedding. The job
 	// itself was 202-acknowledged, so it is charged, never shed.
-	cost := s.jobCost(e.Options())
-	jobStart := time.Now()
+	cost := jobCostFactor * s.costUnit(e.Options())
 	s.adm.charge(cost)
 	defer func() {
-		s.adm.release(cost, time.Since(jobStart))
+		s.adm.release(cost)
 		s.adm.jobsDrain.observe(1)
 	}()
 	ctx := s.baseCtx

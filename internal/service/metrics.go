@@ -64,7 +64,6 @@ type serviceMetrics struct {
 	admissionAdmitted  *obs.Counter
 	admissionShed      *obs.Counter
 	admissionDrainRate *obs.Gauge
-	admissionLatency   *obs.Gauge
 	healthState        *obs.Gauge
 
 	breakerState   *obs.GaugeVec
@@ -149,8 +148,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"Requests shed over budget (429/503 with a drain-rate-derived Retry-After)."),
 		admissionDrainRate: reg.Gauge("hmemd_admission_drain_rate",
 			"EWMA of completed cost units per second — the denominator of the Retry-After hint."),
-		admissionLatency: reg.Gauge("hmemd_admission_latency_seconds",
-			"EWMA of admitted-request latency."),
 		healthState: reg.Gauge("hmemd_health_state",
 			"Current health rung: 0 ok, 1 degraded, 2 shedding, 3 draining."),
 		// Breaker and hedge families are registered on every role (zero when
@@ -216,7 +213,6 @@ func (s *Service) syncMetrics() {
 	m.admissionAdmitted.Set(s.adm.admitted.Load())
 	m.admissionShed.Set(s.adm.shed.Load())
 	m.admissionDrainRate.Set(s.adm.drain.rate())
-	m.admissionLatency.Set(s.adm.latencyEWMA())
 	m.healthState.Set(float64(s.currentHealth()))
 	if cs := s.cluster; cs != nil {
 		shards := cs.cache.Stats()

@@ -26,7 +26,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/metrics.g
 
 // maskMetricsPage replaces timing-dependent sample values with "X":
 //   - histogram _bucket and _sum lines (latencies vary run to run);
-//   - the admission latency and drain-rate gauges (EWMAs of wall time);
+//   - the admission drain-rate gauge (an EWMA of wall time);
 //   - every line mentioning the "GET /metrics" route (the assertion loop
 //     below scrapes an unpredictable number of times).
 //
@@ -43,7 +43,7 @@ func maskMetricsPage(page string) string {
 		if i := strings.IndexAny(line, "{ "); i >= 0 {
 			name := line[:i]
 			if strings.HasSuffix(name, "_bucket") || strings.HasSuffix(name, "_sum") ||
-				name == "hmemd_admission_latency_seconds" || name == "hmemd_admission_drain_rate" {
+				name == "hmemd_admission_drain_rate" {
 				mask = true
 			}
 		}

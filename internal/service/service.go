@@ -5,10 +5,10 @@
 //
 // The service is three cooperating pieces:
 //
-//   - synchronous evaluation endpoints (/v1/evaluate, /v1/compare) that run
-//     on the caller's request goroutine, deduplicated by a process-lifetime
-//     singleflight result cache — two concurrent identical requests perform
-//     one simulation;
+//   - evaluation endpoints (/v1/evaluate, /v1/compare, /v1/batch) that share
+//     one executor (see batch.go), deduplicated by a process-lifetime
+//     singleflight cache of encoded results — two concurrent identical
+//     requests perform one simulation;
 //   - an async job queue (/v1/jobs) for the long-running experiment drivers
 //     (regenerating a paper figure can take minutes), bounded in depth and
 //     drained by a fixed worker pool, with NDJSON progress streaming;
@@ -113,15 +113,10 @@ type Service struct {
 	// *patchResolution, skipping the probe engine and digest per request.
 	enginesByPatch sync.Map
 
-	// results collapses identical evaluate requests — concurrent and
-	// repeated — into one simulation. Keyed by digest|workload|policy.
-	results exec.Memo[string, hmem.Result]
-
-	// encodedResults caches the marshaled form of successful results for
-	// the batch stream, which would otherwise re-encode each warm hit
-	// twice (payload + envelope). Same keys as results, bytes are
-	// immutable once stored.
-	encodedResults sync.Map
+	// results collapses identical evaluations — concurrent and repeated —
+	// into one simulation and holds each result's JSON encoding, the bytes
+	// every endpoint writes. Keyed by digest|workload|policy.
+	results exec.Memo[string, json.RawMessage]
 
 	jobs jobStore
 
@@ -517,31 +512,18 @@ func (s *Service) costUnit(opts hmem.Options) float64 {
 	return u
 }
 
-// evaluateCost prices one evaluate request: a result already finished or in
-// flight shares existing work and is free; fresh work costs one unit scaled
-// by the request's options.
-func (s *Service) evaluateCost(digest, workloadName string, policy hmem.PolicyName, opts hmem.Options) float64 {
-	if s.results.Known(resultKey(digest, workloadName, policy)) {
-		return 0
-	}
-	return s.costUnit(opts)
-}
-
-// jobCost prices one experiment job: a flat multiple of the unit, since a
-// figure driver fans out to many evaluations.
-func (s *Service) jobCost(opts hmem.Options) float64 {
-	return s.adm.jobFactor * s.costUnit(opts)
-}
-
-// evaluateCached runs one evaluation through the result cache: concurrent
-// and repeated identical requests share a single simulation.
-func (s *Service) evaluateCached(ctx context.Context, e *hmem.Engine, digest, workloadName string, policy hmem.PolicyName) (hmem.Result, error) {
-	key := resultKey(digest, workloadName, policy)
-	return s.results.DoCtx(ctx, key, func() (hmem.Result, error) {
+// result returns one evaluation's JSON encoding through the result cache:
+// concurrent and repeated identical requests share a single simulation.
+func (s *Service) result(ctx context.Context, e *hmem.Engine, digest, workloadName string, policy hmem.PolicyName) (json.RawMessage, error) {
+	return s.results.DoCtx(ctx, resultKey(digest, workloadName, policy), func() (json.RawMessage, error) {
 		// Background, not ctx: the result is shared with every requester of
 		// the key, so one caller's cancellation must not be cached. The
 		// registry rides along so engine metrics (hmem_*) land on /metrics.
-		return e.Evaluate(obs.WithRegistry(context.Background(), s.registry), workloadName, policy)
+		res, err := e.Evaluate(obs.WithRegistry(context.Background(), s.registry), workloadName, policy)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(res)
 	})
 }
 
@@ -644,23 +626,7 @@ func (s *Service) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	e, digest, err := s.engineFor(req.Options)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	cost := s.evaluateCost(digest, req.Workload, req.Policy, e.Options())
-	if !s.admitCost(w, cost) {
-		return
-	}
-	start := time.Now()
-	res, err := s.evaluateCached(r.Context(), e, digest, req.Workload, req.Policy)
-	s.adm.release(cost, time.Since(start))
-	if err != nil {
-		writeEvaluationError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	s.serveOne(w, r, BatchItem{Workload: req.Workload, Policy: req.Policy, Options: req.Options}, "", "")
 }
 
 func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
@@ -679,34 +645,35 @@ func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	e, digest, err := s.engineFor(req.Options)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	s.serveOne(w, r, BatchItem{Workload: req.Workload, Policies: req.Policies, Options: req.Options},
+		`{"results":`, "}")
+}
+
+// serveOne answers /v1/evaluate and /v1/compare as a one-item run of the
+// evaluation executor: the item's payload, between prefix and suffix, is the
+// response body — the bytes writeJSON would produce for the decoded result.
+func (s *Service) serveOne(w http.ResponseWriter, r *http.Request, it BatchItem, prefix, suffix string) {
+	ctx := r.Context()
+	run, ok := s.evaluate(ctx, w, []BatchItem{it}, func(_ int, err error) error { return err })
+	if !ok {
 		return
 	}
-	// Compare is priced per policy: policies whose result is already cached
-	// (or in flight) are free, the rest cost one unit each.
-	var cost float64
-	for _, p := range req.Policies {
-		cost += s.evaluateCost(digest, req.Workload, p, e.Options())
-	}
-	if !s.admitCost(w, cost) {
+	select {
+	case <-run.settled:
+	case <-ctx.Done():
+		writeEvaluationError(w, ctx.Err())
 		return
 	}
-	start := time.Now()
-	// Compare goes policy-by-policy through the same result cache the
-	// evaluate endpoint uses, so mixed evaluate/compare traffic shares
-	// simulations. The engine's own memoization already collapses the
-	// underlying profiling run.
-	results, err := exec.Map(r.Context(), e.Options().Parallel, len(req.Policies), func(i int) (hmem.Result, error) {
-		return s.evaluateCached(r.Context(), e, digest, req.Workload, req.Policies[i])
-	})
-	s.adm.release(cost, time.Since(start))
-	if err != nil {
-		writeEvaluationError(w, err)
+	out := run.outcomes[0]
+	if out.err != nil {
+		writeEvaluationError(w, out.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	body := make([]byte, 0, len(prefix)+len(out.payload)+len(suffix)+1)
+	body = append(append(append(append(body, prefix...), out.payload...), suffix...), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // handleHealthz reports the service's rung on the ok → degraded → shedding
@@ -738,27 +705,6 @@ func (s *Service) refuseIfClosing(w http.ResponseWriter) bool {
 		return true
 	}
 	return false
-}
-
-// admitCost runs one costed request through health gating and budget
-// admission. In the shedding state all fresh work (cost > 0) is refused with
-// 503 — cached answers still flow; under that, the budget sheds the excess
-// with 429. Both carry a drain-rate-derived Retry-After. On true the caller
-// owes s.adm.release(cost, elapsed).
-func (s *Service) admitCost(w http.ResponseWriter, cost float64) bool {
-	if cost > 0 && s.adm.healthState() == healthShedding {
-		secs := retryAfterSeconds(s.adm.inflight()-s.adm.budget+cost, s.adm.drain.rate())
-		writeRetryableError(w, http.StatusServiceUnavailable, secs,
-			errors.New("server is shedding load"))
-		return false
-	}
-	ok, secs := s.adm.admit(cost)
-	if !ok {
-		writeRetryableError(w, http.StatusTooManyRequests, secs,
-			errors.New("admission: in-flight cost over budget; retry later"))
-		return false
-	}
-	return true
 }
 
 // --- plumbing ---
