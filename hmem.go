@@ -293,8 +293,8 @@ func Compare(ctx context.Context, workloadName string, policies []PolicyName, op
 // Engine is a long-lived evaluation session: one memoized experiment runner
 // shared across every call, so repeated and concurrent requests for the same
 // simulation collapse into a single execution. The hmemd service keeps one
-// Engine per distinct option set for its process lifetime. All methods are
-// safe for concurrent use.
+// Engine per distinct option set while it is in use, plus a bounded set of
+// idle ones. All methods are safe for concurrent use.
 type Engine struct {
 	r *experiments.Runner
 }
@@ -403,6 +403,17 @@ func (e *Engine) SetTraceWrap(wrap func(workloadName string, s trace.Stream) tra
 // falls back to local execution, so an engine with an idle delegate behaves
 // exactly like a standalone one.
 func (e *Engine) SetDelegate(d experiments.Delegate) { e.r.SetDelegate(d) }
+
+// SetStudyStore installs a fault-study store shared with other engines:
+// every engine holding it runs each distinct tier study once between them.
+// Results are byte-identical with or without a store. hmemd installs one
+// per process.
+func (e *Engine) SetStudyStore(st *experiments.StudyStore) { e.r.SetStudyStore(st) }
+
+// StudiesKnown reports whether every fault study this engine needs is
+// finished or in flight in its installed store (false without one) — the
+// admission cost model's way to price an evaluation's study as paid.
+func (e *Engine) StudiesKnown() bool { return e.r.StudiesKnown() }
 
 // ExecuteBlock runs one building block locally by its wire key — the worker
 // side of cluster execution. Results flow through the engine's memo caches,

@@ -148,7 +148,9 @@ func (m *Memo[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V,
 		}
 		if c.panicked || c.err != nil {
 			m.mu.Lock()
-			delete(m.calls, key)
+			if m.calls[key] == c {
+				delete(m.calls, key)
+			}
 			m.mu.Unlock()
 		}
 		close(c.done)
@@ -196,6 +198,15 @@ func (m *Memo[K, V]) Known(key K) bool {
 	defer m.mu.Unlock()
 	_, ok := m.calls[key]
 	return ok
+}
+
+// Forget drops key's entry so the next Do computes it afresh — the eviction
+// hook for callers that bound a memo. Waiters already sharing an in-flight
+// computation still receive its outcome.
+func (m *Memo[K, V]) Forget(key K) {
+	m.mu.Lock()
+	delete(m.calls, key)
+	m.mu.Unlock()
 }
 
 // Stats returns the current hit/miss counters.

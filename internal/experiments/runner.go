@@ -107,6 +107,10 @@ type Runner struct {
 	// computation (the cluster distribution seam, see blocks.go).
 	delegateMu sync.RWMutex
 	delegate   Delegate
+
+	// studies, when set, shares fault-study outcomes with other runners
+	// (see studies.go).
+	studies atomic.Pointer[StudyStore]
 }
 
 // Profile is a workload's oracle profiling run: the DDR-only simulation
@@ -214,7 +218,8 @@ func mapSpecs[T any](ctx context.Context, r *Runner, specs []workload.Spec, fn f
 
 // Fits runs (once) the per-tier FaultSim studies and returns every tier's
 // uncorrectable FIT per GB, in topology tier order. Tiers carrying a fixed
-// FITPerGB skip their study. Concurrent callers share the one computation.
+// FITPerGB skip their study. Concurrent callers share the one computation,
+// and with a StudyStore installed so do other runners.
 func (r *Runner) Fits(ctx context.Context) (faultsim.TierFITs, error) {
 	return r.fits.DoCtx(ctx, struct{}{}, func() (faultsim.TierFITs, error) {
 		// Detach: keep the first requester's observability but not its
@@ -230,11 +235,9 @@ func (r *Runner) Fits(ctx context.Context) (faultsim.TierFITs, error) {
 			if err != nil {
 				return faultsim.TierFITs{}, err
 			}
-			res, err := r.runStudy(runCtx, i, study)
-			if err != nil {
+			if per[i], err = r.tierFIT(runCtx, i, study); err != nil {
 				return faultsim.TierFITs{}, err
 			}
-			per[i] = res.UncFITPerGB
 		}
 		return faultsim.TierFITs{
 			DDRPerGB: per[0],

@@ -187,32 +187,37 @@ func batchResult(it BatchItem, index int, out itemOutcome) BatchResult {
 
 // evaluationRun is one admitted run of the executor. done[i] closes once
 // outcomes[i] is recorded; settled closes after every item has finished and
-// the run's admission cost and trace plans have been released.
+// the run's admission cost, trace plans and engines have been released.
 type evaluationRun struct {
 	outcomes []itemOutcome
 	done     []chan struct{}
 	settled  chan struct{}
 }
 
-// evaluate is hmemd's one evaluation path. It resolves every item's engine,
-// prices the distinct fresh result keys and admits that cost, then runs the
-// items in the background: one trace plan pinned per (engine, workload)
-// group with fresh work, the items under exec.Settle with per-item error
-// isolation, and the cost and plans released once the work has settled —
-// not when the client goes away, since the simulations it started keep
-// running. On false the response is already written: a 400 for an item
-// whose options do not resolve (itemErr labels the error), or an admission
-// refusal.
+// evaluate is hmemd's one evaluation path. It resolves and holds every
+// item's engine, prices the distinct fresh result keys and admits that
+// cost, then runs the items in the background: one trace plan pinned per
+// (engine, workload) group with fresh work, the items under exec.Settle
+// with per-item error isolation, and the cost, plans and engines released
+// once the work has settled — not when the client goes away, since the
+// simulations it started keep running. On false the response is already
+// written: a 400 for an item whose options do not resolve (itemErr labels
+// the error), or an admission refusal.
 func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []BatchItem, itemErr func(i int, err error) error) (*evaluationRun, bool) {
-	engines := make([]*hmem.Engine, len(items))
-	digests := make([]string, len(items))
+	engines := make([]*engineEntry, 0, len(items))
+	releaseEngines := func() {
+		for _, en := range engines {
+			s.releaseEngine(en)
+		}
+	}
 	for i := range items {
-		e, digest, err := s.engineFor(items[i].Options)
+		en, err := s.acquireEngine(items[i].Options)
 		if err != nil {
+			releaseEngines()
 			writeError(w, http.StatusBadRequest, itemErr(i, err))
 			return nil, false
 		}
-		engines[i], digests[i] = e, digest
+		engines = append(engines, en)
 	}
 
 	// Each distinct result key that is neither cached nor in flight costs
@@ -224,25 +229,28 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 	fresh := make(map[planKey]*hmem.Engine)
 	for i := range items {
 		it := &items[i]
+		en := engines[i]
 		for _, p := range it.policySet() {
-			key := resultKey(digests[i], it.Workload, p)
+			key := resultKey(en.digest, it.Workload, p)
 			if seen[key] || s.results.Known(key) {
 				continue
 			}
 			seen[key] = true
-			cost += s.costUnit(engines[i].Options())
-			fresh[planKey{digests[i], it.Workload}] = engines[i]
+			cost += s.costUnit(en.e)
+			fresh[planKey{en.digest, it.Workload}] = en.e
 		}
 	}
 	// In the shedding state all fresh work is refused with 503 — cached
 	// answers still flow; under that, the budget sheds the excess with 429.
 	// Both carry a drain-rate-derived Retry-After.
 	if cost > 0 && s.adm.healthState() == healthShedding {
+		releaseEngines()
 		secs := retryAfterSeconds(s.adm.inflight()-s.adm.budget+cost, s.adm.drain.rate())
 		writeRetryableError(w, http.StatusServiceUnavailable, secs, errors.New("server is shedding load"))
 		return nil, false
 	}
 	if ok, secs := s.adm.admit(cost); !ok {
+		releaseEngines()
 		writeRetryableError(w, http.StatusTooManyRequests, secs,
 			errors.New("admission: in-flight cost over budget; retry later"))
 		return nil, false
@@ -267,7 +275,7 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 			}
 		}
 		errs := exec.Settle(ctx, s.resolvedDefaults.Parallel, len(items), func(i int) error {
-			run.outcomes[i] = s.runItem(ctx, items[i], engines[i], digests[i])
+			run.outcomes[i] = s.runItem(ctx, items[i], engines[i])
 			close(run.done[i])
 			return nil
 		})
@@ -283,13 +291,15 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 			release()
 		}
 		s.adm.release(cost)
+		releaseEngines()
 	}()
 	return run, true
 }
 
 // runItem executes one item through the shared result cache. Errors are the
 // item's, never the run's.
-func (s *Service) runItem(ctx context.Context, it BatchItem, e *hmem.Engine, digest string) itemOutcome {
+func (s *Service) runItem(ctx context.Context, it BatchItem, en *engineEntry) itemOutcome {
+	e, digest := en.e, en.digest
 	if len(it.Policies) == 0 {
 		raw, err := s.result(ctx, e, digest, it.Workload, it.Policy)
 		return itemOutcome{payload: raw, err: err}

@@ -405,13 +405,15 @@ func (s *Service) executeShard(ctx context.Context, sh cluster.Shard) ([]byte, e
 	if err := json.Unmarshal(sh.Options, &opts); err != nil {
 		return nil, fmt.Errorf("cluster: undecodable shard options: %w", err)
 	}
-	e, digest, err := s.engineForOptions(opts)
+	en, err := s.acquireEngineForOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	if digest != sh.Digest {
-		return nil, &digestMismatchError{want: sh.Digest, got: digest}
+	defer s.releaseEngine(en)
+	if en.digest != sh.Digest {
+		return nil, &digestMismatchError{want: sh.Digest, got: en.digest}
 	}
+	e := en.e
 	// The registry rides along so engine metrics (hmem_*) land on /metrics
 	// on workers too; memo sharing semantics inside the block paths handle
 	// cancellation the same way local traffic does.

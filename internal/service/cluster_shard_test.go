@@ -33,10 +33,12 @@ func TestClusterShardIgnoresRequesterCancel(t *testing.T) {
 	svc, wc := newTestServer(t, cfg)
 
 	opts := cfg.Defaults
-	e, digest, err := svc.engineForOptions(opts)
+	en, err := svc.acquireEngineForOptions(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer svc.releaseEngine(en)
+	e, digest := en.e, en.digest
 	raw, err := json.Marshal(opts)
 	if err != nil {
 		t.Fatal(err)

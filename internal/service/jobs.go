@@ -352,13 +352,15 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	e, _, err := s.engineFor(req.Options)
+	en, err := s.acquireEngine(req.Options)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	ids := en.e.ExperimentIDs()
+	s.releaseEngine(en)
 	known := false
-	for _, id := range e.ExperimentIDs() {
+	for _, id := range ids {
 		if id == req.Experiment {
 			known = true
 			break
@@ -553,16 +555,18 @@ func (s *Service) runOneJob(j *job) {
 		return
 	}
 	s.setJobState(j, JobRunning, "", nil)
-	e, _, err := s.engineFor(j.options)
+	en, err := s.acquireEngine(j.options)
 	if err != nil {
 		s.setJobState(j, JobFailed, err.Error(), nil)
 		return
 	}
+	defer s.releaseEngine(en)
+	e := en.e
 	// An executing job weighs on the admission budget like the fan-out of
 	// evaluations it is: sustained job load pushes the node into degraded
 	// (new submissions refused) and, at the budget, into shedding. The job
 	// itself was 202-acknowledged, so it is charged, never shed.
-	cost := jobCostFactor * s.costUnit(e.Options())
+	cost := jobCostFactor * s.costUnit(e)
 	s.adm.charge(cost)
 	defer func() {
 		s.adm.release(cost)

@@ -32,6 +32,9 @@ type serviceMetrics struct {
 
 	resultHits, resultMisses *obs.Counter
 	engineHits, engineMisses *obs.Counter
+	engines                  *obs.Gauge
+	engineEvictions          *obs.Counter
+	faultStudies             *obs.Counter
 
 	batchRequests *obs.Counter
 	batchItems    *obs.CounterVec
@@ -92,6 +95,12 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"Engine-level memo hits (profiles, policy runs, fault studies) across all engines."),
 		engineMisses: reg.Counter("hmemd_engine_memo_misses_total",
 			"Engine-level memo misses across all engines."),
+		engines: reg.Gauge("hmemd_engines",
+			"Live engines, one per resolved option set; idle ones are retired beyond "+strconv.Itoa(maxEngines)+"."),
+		engineEvictions: reg.Counter("hmemd_engine_evictions_total",
+			"Idle engines retired to keep the engine set within its bound."),
+		faultStudies: reg.Counter("hmemd_fault_studies_total",
+			"Tier fault studies run; every engine shares one store, so each distinct study runs once."),
 		batchRequests: reg.Counter("hmemd_batch_requests_total",
 			"Batch requests accepted by POST /v1/batch (validated and admitted)."),
 		batchItems: reg.CounterVec("hmemd_batch_items_total",
@@ -184,18 +193,21 @@ var jobStates = []string{JobQueued, JobRunning, JobDone, JobFailed, JobCancelled
 
 // syncMetrics copies externally-owned counters into their registry mirrors.
 // Called just before rendering; every source is monotonic or a point-in-time
-// gauge, so the copy is safe to repeat.
+// gauge, so the copy is safe to repeat. Engine-summed counters include the
+// final counts of retired engines, so eviction never lowers them.
 func (s *Service) syncMetrics() {
 	m := s.met
 	rc := s.results.Stats()
 	m.resultHits.Set(rc.Hits)
 	m.resultMisses.Set(rc.Misses)
-	es := s.engineStats()
-	m.engineHits.Set(es.Hits)
-	m.engineMisses.Set(es.Misses)
-	ts := s.TraceStats()
-	m.traceOpens.Set(ts.Opens)
-	m.coalesceHits.Set(ts.CoalesceHits)
+	et := s.engineTotals()
+	m.engineHits.Set(et.memo.Hits)
+	m.engineMisses.Set(et.memo.Misses)
+	m.traceOpens.Set(et.trace.Opens)
+	m.coalesceHits.Set(et.trace.CoalesceHits)
+	m.engines.Set(float64(et.live))
+	m.engineEvictions.Set(et.evictions)
+	m.faultStudies.Set(s.engines.studies.Runs())
 	m.queueDepth.Set(float64(len(s.queue)))
 	m.queueOldestAge.Set(s.jobs.oldestQueuedAge().Seconds())
 	counts := s.jobs.countByState()

@@ -20,8 +20,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -105,13 +103,10 @@ type Service struct {
 	cfg Config
 	mux *http.ServeMux
 
-	// engines maps an options digest to its long-lived engine so every
-	// request shape shares one memoized runner per option set.
-	enginesMu sync.Mutex
-	engines   map[string]*hmem.Engine
-	// enginesByPatch short-circuits engineFor: OptionsPatch value →
-	// *patchResolution, skipping the probe engine and digest per request.
-	enginesByPatch sync.Map
+	// engines holds one engine per resolved option set in use, plus a
+	// bounded set of idle ones, all sharing one fault-study store (see
+	// engines.go).
+	engines enginePool
 
 	// results collapses identical evaluations — concurrent and repeated —
 	// into one simulation and holds each result's JSON encoding, the bytes
@@ -181,8 +176,11 @@ func New(cfg Config) (*Service, error) {
 	baseCtx, cancel := context.WithCancel(context.Background())
 	reg := obs.NewRegistry()
 	s := &Service{
-		cfg:        cfg,
-		engines:    map[string]*hmem.Engine{},
+		cfg: cfg,
+		engines: enginePool{
+			byDigest: map[string]*engineEntry{},
+			byPatch:  map[OptionsPatch]*engineEntry{},
+		},
 		baseCtx:    baseCtx,
 		cancelBase: cancel,
 		registry:   reg,
@@ -202,13 +200,14 @@ func New(cfg Config) (*Service, error) {
 	// Validate the configured defaults once, up front: a bad default option
 	// set should fail service start, not every request. The resolved option
 	// set anchors the admission cost model's unit (one default evaluate).
-	defEngine, _, err := s.engineFor(nil)
+	// The hold is never released, so the default engine is never retired.
+	def, err := s.acquireEngine(nil)
 	if err != nil {
 		cancel()
 		s.stopCluster()
 		return nil, fmt.Errorf("service: invalid default options: %w", err)
 	}
-	s.resolvedDefaults = defEngine.Options()
+	s.resolvedDefaults = def.e.Options()
 	s.adm = newAdmission(cfg.Admission)
 	s.jobs.init()
 
@@ -386,107 +385,7 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// --- engines and the result cache ---
-
-// optionsDigest canonically fingerprints a resolved option set. Parallel is
-// normalized out: it only changes scheduling, never a result, so requests
-// differing only in worker count share cache entries.
-func optionsDigest(o hmem.Options) string {
-	o.Parallel = 0
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", o)))
-	return hex.EncodeToString(sum[:8])
-}
-
-// engineFor returns the process-lifetime engine for an option patch,
-// creating it on first use. The digest of the engine's resolved options is
-// the cache-key prefix for its results.
-//
-// The patch → (engine, digest) resolution is cached: OptionsPatch is a
-// small comparable struct, and resolving it from scratch (a probe engine
-// plus a reflective digest) per request dominated the warm path once
-// batches carried many items per request. Entries are keyed by patch
-// value — distinct patches resolving to the same options share the engine
-// through the digest map as before.
-func (s *Service) engineFor(patch *OptionsPatch) (*hmem.Engine, string, error) {
-	key := OptionsPatch{}
-	if patch != nil {
-		key = *patch
-	}
-	if v, ok := s.enginesByPatch.Load(key); ok {
-		r := v.(*patchResolution)
-		return r.engine, r.digest, nil
-	}
-	opts := s.cfg.Defaults
-	if patch != nil {
-		opts = patch.apply(opts)
-	}
-	e, digest, err := s.engineForOptions(opts)
-	if err != nil {
-		return nil, "", err
-	}
-	s.enginesByPatch.Store(key, &patchResolution{engine: e, digest: digest})
-	return e, digest, nil
-}
-
-// patchResolution is one cached engineFor answer.
-type patchResolution struct {
-	engine *hmem.Engine
-	digest string
-}
-
-// engineForOptions is engineFor on a fully-resolved option set — also the
-// entry workers use to rebuild a shard's engine from its wire options. On
-// coordinators every new engine gets the cluster delegate, so its expensive
-// blocks fan out to workers from the first request.
-func (s *Service) engineForOptions(opts hmem.Options) (*hmem.Engine, string, error) {
-	probe, err := hmem.NewEngine(&opts)
-	if err != nil {
-		return nil, "", err
-	}
-	digest := optionsDigest(probe.Options())
-	s.enginesMu.Lock()
-	defer s.enginesMu.Unlock()
-	if e, ok := s.engines[digest]; ok {
-		return e, digest, nil
-	}
-	if s.cluster != nil && s.cluster.sched != nil {
-		d, err := newClusterDelegate(s, probe.Options(), digest)
-		if err != nil {
-			return nil, "", err
-		}
-		probe.SetDelegate(d)
-	}
-	if s.cfg.TraceWrap != nil {
-		probe.SetTraceWrap(s.cfg.TraceWrap)
-	}
-	s.engines[digest] = probe
-	return probe, digest, nil
-}
-
-// engineStats sums the memo counters of every engine (for /metrics).
-func (s *Service) engineStats() exec.MemoStats {
-	s.enginesMu.Lock()
-	defer s.enginesMu.Unlock()
-	var total exec.MemoStats
-	for _, e := range s.engines {
-		total = total.Add(e.CacheStats())
-	}
-	return total
-}
-
-// TraceStats sums the trace-delivery counters of every engine: generator
-// runs (opens) versus simulations served a coalesced replay (hits). Feeds
-// hmemd_trace_opens_total / hmemd_coalesce_hits_total and the coalescing
-// correctness tests.
-func (s *Service) TraceStats() hmem.TraceStats {
-	s.enginesMu.Lock()
-	defer s.enginesMu.Unlock()
-	var total hmem.TraceStats
-	for _, e := range s.engines {
-		total = total.Add(e.TraceStats())
-	}
-	return total
-}
+// --- the result cache (engines live in engines.go) ---
 
 // resultKey is the result-cache key for one evaluation; the admission cost
 // model probes the same key to price cache hits as free.
@@ -494,15 +393,20 @@ func resultKey(digest, workloadName string, policy hmem.PolicyName) string {
 	return digest + "|" + workloadName + "|" + string(policy)
 }
 
-// costUnit prices one evaluation of the given resolved options in units of a
-// default-shaped evaluation: simulation time scales with the trace length
-// (records per core) and the fault-study trial count, weighted evenly.
-func (s *Service) costUnit(opts hmem.Options) float64 {
+// costUnit prices one evaluation on engine e in units of a default-shaped
+// evaluation: simulation time scales with the trace length (records per
+// core) and the fault-study trial count, weighted evenly. The study half is
+// free when the engine's studies are already in the shared store.
+func (s *Service) costUnit(e *hmem.Engine) float64 {
+	opts := e.Options()
 	u := 0.0
 	if d := s.resolvedDefaults.RecordsPerCore; d > 0 {
 		u += 0.5 * float64(opts.RecordsPerCore) / float64(d)
 	} else {
 		u += 0.5
+	}
+	if e.StudiesKnown() {
+		return u
 	}
 	if d := s.resolvedDefaults.FaultTrials; d > 0 {
 		u += 0.5 * float64(opts.FaultTrials) / float64(d)
@@ -606,12 +510,13 @@ func (s *Service) handleTopologies(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Service) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	e, _, err := s.engineFor(nil)
+	en, err := s.acquireEngine(nil)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"experiments": e.ExperimentIDs()})
+	defer s.releaseEngine(en)
+	writeJSON(w, http.StatusOK, map[string]any{"experiments": en.e.ExperimentIDs()})
 }
 
 func (s *Service) handleEvaluate(w http.ResponseWriter, r *http.Request) {
