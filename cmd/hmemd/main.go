@@ -28,7 +28,6 @@
 //	GET  /healthz         GET  /metrics        GET /v1/jobs/{id}/trace
 //	POST /v1/cluster/register    POST /v1/cluster/deregister
 //	GET  /v1/cluster/workers     POST /v1/cluster/shard
-//	GET  /v1/cluster/cache/{key}
 //
 // -debug-addr starts a SECOND listener (keep it private — bind localhost)
 // serving net/http/pprof under /debug/pprof/ plus a /debug/runtime JSON
@@ -86,7 +85,6 @@ func main() {
 		clusterTTL   = flag.Duration("cluster-ttl", 0, "coordinator: drop workers silent for this long (0 = 10s)")
 		stealAfter   = flag.Duration("steal-after", 0, "coordinator: longest wait before hedging a straggling shard onto another worker; the delay adapts to 2x the p90 shard latency below it (0 = 2m)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "coordinator: bound one shard dispatch (0 = 10m); timeouts count against the worker's circuit breaker")
-		peerTimeout  = flag.Duration("peer-timeout", 0, "coordinator: bound one peer-cache probe (0 = 2s); keep small when a worker may be slow")
 		admitBudget  = flag.Float64("admission-budget", 0, "in-flight cost ceiling in default-evaluation units before shedding (0 = 4 x GOMAXPROCS, min 32)")
 		chaosHTTP    = flag.String("chaos-http", "", "JSON chaos plan whose HTTP faults wrap this server's handler (testing only)")
 	)
@@ -127,7 +125,6 @@ func main() {
 			TTL:            *clusterTTL,
 			StealAfter:     *stealAfter,
 			RequestTimeout: *shardTimeout,
-			PeerTimeout:    *peerTimeout,
 			Logf:           log.Printf,
 		},
 	}

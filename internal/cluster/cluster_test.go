@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hmem/internal/breaker"
 )
 
 func TestShardKeyStableAndDistinct(t *testing.T) {
@@ -138,19 +140,18 @@ func TestRegistryExpire(t *testing.T) {
 	}
 }
 
-// fakeWorker is an httptest worker answering shard POSTs and cache GETs.
+// fakeWorker is an httptest worker answering shard POSTs.
 type fakeWorker struct {
 	t        *testing.T
 	id       string
 	mu       sync.Mutex
-	cache    map[string][]byte
 	executed []string
 	respond  func(sh Shard) ([]byte, error) // nil = echo key
 	srv      *httptest.Server
 }
 
 func newFakeWorker(t *testing.T, id string) *fakeWorker {
-	f := &fakeWorker{t: t, id: id, cache: make(map[string][]byte)}
+	f := &fakeWorker{t: t, id: id}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/shard", func(w http.ResponseWriter, r *http.Request) {
 		var sh Shard
@@ -169,19 +170,6 @@ func newFakeWorker(t *testing.T, id string) *fakeWorker {
 				http.Error(w, `{"error":"`+err.Error()+`"}`, http.StatusInternalServerError)
 				return
 			}
-		}
-		f.mu.Lock()
-		f.cache[sh.Key()] = body
-		f.mu.Unlock()
-		w.Write(body)
-	})
-	mux.HandleFunc("GET /v1/cluster/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		body, ok := f.cache[r.PathValue("key")]
-		f.mu.Unlock()
-		if !ok {
-			http.Error(w, `{"error":"miss"}`, http.StatusNotFound)
-			return
 		}
 		w.Write(body)
 	})
@@ -206,7 +194,10 @@ func testShard(i int) Shard {
 	return Shard{Kind: KindProfile, Digest: "dig", Workload: fmt.Sprintf("wl-%d", i)}
 }
 
-func TestSchedulerPlacesAndCaches(t *testing.T) {
+// TestSchedulerPlacesOnOwner: the scheduler keeps no results, so every Run
+// places the shard, and a repeat lands on the same ring owner, whose engine
+// memo answers it.
+func TestSchedulerPlacesOnOwner(t *testing.T) {
 	g := NewRegistry(time.Minute)
 	w1 := newFakeWorker(t, "w1")
 	w2 := newFakeWorker(t, "w2")
@@ -226,12 +217,18 @@ func TestSchedulerPlacesAndCaches(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Errorf("repeat run differs: %s vs %s", b1, b2)
 	}
-	if n := len(w1.executions()) + len(w2.executions()); n != 1 {
-		t.Errorf("%d executions, want 1 (second run from coordinator cache)", n)
+	owner, _ := g.ring.Owner(sh.Key())
+	for _, w := range []*fakeWorker{w1, w2} {
+		want := 0
+		if w.id == owner {
+			want = 2
+		}
+		if n := len(w.executions()); n != want {
+			t.Errorf("%s executed %d times, want %d (owner %s)", w.id, n, want, owner)
+		}
 	}
-	st := s.Stats()
-	if st.Placed != 1 || st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Errorf("stats = %+v", st)
+	if st := s.Stats(); st.Placed != 2 {
+		t.Errorf("stats = %+v, want 2 placements", st)
 	}
 }
 
@@ -295,6 +292,57 @@ func TestSchedulerRetriesOnDeadWorker(t *testing.T) {
 	}
 }
 
+// TestSchedulerQuarantinedWorkerGetsNoTraffic: a worker whose breaker is
+// open receives no request of any kind, even one that stalls until its
+// caller gives up, so fresh shards run at the healthy worker's pace.
+func TestSchedulerQuarantinedWorkerGetsNoTraffic(t *testing.T) {
+	g := NewRegistry(time.Minute)
+	var stalledHits atomic.Int64
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		stalledHits.Add(1)
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+		http.Error(w, `{"error":"stalled"}`, http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(stalled.Close)
+	t.Cleanup(func() { close(release) })
+	if _, err := g.Register(RegisterRequest{ID: "stalled", URL: stalled.URL}); err != nil {
+		t.Fatal(err)
+	}
+	healthy := newFakeWorker(t, "healthy")
+	healthy.register(g)
+
+	breakers := &breaker.Set{Config: breaker.Config{MinSamples: 1, OpenFor: time.Minute}}
+	done, _ := breakers.Get("stalled").Allow()
+	done(false) // trips the stalled worker's breaker open
+	s := &Scheduler{Registry: g, Breakers: breakers}
+
+	const n = 10
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		body, err := s.Run(context.Background(), testShard(i))
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if !contains(string(body), `"from":"healthy"`) {
+			t.Errorf("shard %d body %s, want executed by the healthy worker", i, body)
+		}
+	}
+	elapsed := time.Since(start)
+	if got := stalledHits.Load(); got != 0 {
+		t.Errorf("quarantined worker received %d requests, want 0", got)
+	}
+	if limit := n * 200 * time.Millisecond / 2; elapsed > limit {
+		t.Errorf("%d fresh shards took %v, want under %v", n, elapsed, limit)
+	}
+	if st := s.Stats(); st.BreakerSkips == 0 {
+		t.Error("placement never skipped the quarantined worker; the test exercised nothing")
+	}
+}
+
 func TestSchedulerPropagatesApplicationFailure(t *testing.T) {
 	g := NewRegistry(time.Minute)
 	w1 := newFakeWorker(t, "w1")
@@ -327,40 +375,6 @@ func TestSchedulerNoWorkers(t *testing.T) {
 	_, err := s.Run(context.Background(), testShard(1))
 	if !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
-	}
-}
-
-func TestSchedulerPeerCacheHit(t *testing.T) {
-	g := NewRegistry(time.Minute)
-	w1 := newFakeWorker(t, "w1")
-	w2 := newFakeWorker(t, "w2")
-	w1.register(g)
-	w2.register(g)
-	sh := testShard(7)
-	// Pre-fill the NON-owner's cache: the peer scan must find it and no
-	// worker may execute.
-	owner, _ := g.ring.Owner(sh.Key())
-	other := w1
-	if owner == "w1" {
-		other = w2
-	}
-	other.mu.Lock()
-	other.cache[sh.Key()] = []byte(`{"from":"peer-cache"}`)
-	other.mu.Unlock()
-
-	s := &Scheduler{Registry: g}
-	body, err := s.Run(context.Background(), sh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(string(body), "peer-cache") {
-		t.Errorf("body %s, want peer-cache payload", body)
-	}
-	if n := len(w1.executions()) + len(w2.executions()); n != 0 {
-		t.Errorf("%d executions, want 0 (answered from peer cache)", n)
-	}
-	if st := s.Stats(); st.PeerHits != 1 {
-		t.Errorf("peer hits = %d, want 1", st.PeerHits)
 	}
 }
 
@@ -423,81 +437,3 @@ func TestSchedulerRunAllOrdered(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
-
-// TestCacheSuccessCachedErrorsRetried: the scheduler's shard cache keeps
-// successes only. A failed dispatch reaches its caller and is forgotten, so
-// the next Run dispatches again; that success is then served from cache.
-func TestCacheSuccessCachedErrorsRetried(t *testing.T) {
-	g := NewRegistry(time.Minute)
-	w := newFakeWorker(t, "w1")
-	var calls atomic.Int32
-	w.respond = func(sh Shard) ([]byte, error) {
-		if calls.Add(1) == 1 {
-			return nil, errors.New("transient")
-		}
-		return []byte(`{"ok":true}`), nil
-	}
-	w.register(g)
-	s := &Scheduler{Registry: g}
-	sh := testShard(1)
-
-	if _, err := s.Run(context.Background(), sh); err == nil {
-		t.Fatal("first Run should fail")
-	}
-	if _, ok := s.Peek(sh.Key()); ok {
-		t.Fatal("failed dispatch was cached")
-	}
-	for i := 0; i < 2; i++ {
-		v, err := s.Run(context.Background(), sh)
-		if err != nil || string(v) != `{"ok":true}` {
-			t.Fatalf("Run %d: %q, %v", i+2, v, err)
-		}
-	}
-	if n := len(w.executions()); n != 2 {
-		t.Errorf("%d executions, want 2 (error retried, success cached)", n)
-	}
-	if _, ok := s.Peek(sh.Key()); !ok {
-		t.Error("Peek should find the completed shard")
-	}
-	if _, ok := s.Peek("missing"); ok {
-		t.Error("Peek of unknown key should miss")
-	}
-	if st := s.Stats(); st.CacheHits != 1 || st.CacheMisses != 2 {
-		t.Errorf("stats = %+v, want 1 cache hit / 2 misses", st)
-	}
-}
-
-// TestCacheSingleflight: concurrent Runs of one shard share one dispatch.
-func TestCacheSingleflight(t *testing.T) {
-	g := NewRegistry(time.Minute)
-	w := newFakeWorker(t, "w1")
-	start := make(chan struct{})
-	w.respond = func(sh Shard) ([]byte, error) {
-		<-start
-		return []byte("shared"), nil
-	}
-	w.register(g)
-	s := &Scheduler{Registry: g}
-
-	const callers = 8
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := s.Run(context.Background(), testShard(1))
-			if err != nil || string(v) != "shared" {
-				t.Errorf("Run: %q, %v", v, err)
-			}
-		}()
-	}
-	// Release the dispatch once every other caller has joined it.
-	for s.Stats().CacheHits < callers-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(start)
-	wg.Wait()
-	if n := len(w.executions()); n != 1 {
-		t.Errorf("%d dispatches ran, want 1", n)
-	}
-}

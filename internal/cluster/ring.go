@@ -3,8 +3,8 @@
 // dependency-free (stdlib plus the repo's own exec/obs primitives): a
 // consistent-hash ring for shard placement, a worker registry with
 // TTL-based liveness, a shard descriptor codec, and a scheduler that
-// dispatches shards over HTTP with peer-cache lookup, bounded
-// retry-on-another-worker, and hedging of stragglers.
+// dispatches shards over HTTP with bounded retry-on-another-worker and
+// hedging of stragglers.
 //
 // The correctness contract mirrors the rest of the repository: every shard
 // is a pure function of its descriptor, so placement, retries, duplicate

@@ -51,11 +51,12 @@ func retryableStatus(code int) bool {
 
 // Scheduler places shards on registered workers and collects their results.
 // Placement is consistent-hash by shard key (repeat shards land on the node
-// whose memo already holds the result); failures retry on the next ring
-// candidate; stragglers are raced against a hedged duplicate dispatch — all
-// safe because shard results are pure functions of their descriptors.
-// Results are memoized success-only (exec.Memo), so one transient outage
-// never poisons a key. Safe for concurrent use.
+// whose engine memo already holds the result); failures retry on the next
+// ring candidate; stragglers are raced against a hedged duplicate dispatch —
+// all safe because shard results are pure functions of their descriptors.
+// The scheduler keeps no results: callers run it inside their engine memo,
+// which coalesces concurrent requests for a block and caches its success.
+// Safe for concurrent use.
 type Scheduler struct {
 	// Registry supplies live workers and ring placement.
 	Registry *Registry
@@ -81,15 +82,11 @@ type Scheduler struct {
 	// RequestTimeout bounds one shard POST (<=0 means 10 minutes —
 	// simulations are slow, wedged workers are not).
 	RequestTimeout time.Duration
-	// PeerTimeout bounds one peer-cache GET (<=0 means 2 seconds).
-	PeerTimeout time.Duration
 	// Logf, when set, receives placement decisions worth an operator's
 	// attention (retries, hedges, fallbacks).
 	Logf func(format string, args ...any)
 
-	cache exec.Memo[string, []byte]
-
-	placed, retries, hedges, peerHits, breakerSkips atomic.Uint64
+	placed, retries, hedges, breakerSkips atomic.Uint64
 
 	// hedgeEarnedMilli/hedgeSpent implement the global hedge budget in
 	// milli-tokens: each placement earns hedgeRatio×1000, each hedge spends
@@ -125,13 +122,6 @@ func (s *Scheduler) requestTimeout() time.Duration {
 		return s.RequestTimeout
 	}
 	return 10 * time.Minute
-}
-
-func (s *Scheduler) peerTimeout() time.Duration {
-	if s.PeerTimeout > 0 {
-		return s.PeerTimeout
-	}
-	return 2 * time.Second
 }
 
 func (s *Scheduler) logf(format string, args ...any) {
@@ -223,24 +213,15 @@ func (lw *latencyWindow) quantile(q float64) (float64, bool) {
 	return tmp[idx], true
 }
 
-// Peek exposes the scheduler's completed-shard cache, so a coordinator also
-// answers peer-cache lookups.
-func (s *Scheduler) Peek(key string) ([]byte, bool) { return s.cache.Peek(key) }
-
-// Run places one shard and returns its raw result payload. Concurrent calls
-// for the same shard share one dispatch; a completed shard is served from
-// cache without touching the network.
+// Run places one shard and returns its raw result payload. Every call
+// dispatches: coalescing and caching belong to the caller's engine memo,
+// whose closures run under obs.Detach, so ctx carries no requester's
+// cancellation.
 func (s *Scheduler) Run(ctx context.Context, sh Shard) ([]byte, error) {
 	if err := sh.Validate(); err != nil {
 		return nil, err
 	}
-	key := sh.Key()
-	return s.cache.DoCtx(ctx, key, func() ([]byte, error) {
-		// Detach: the dispatch outcome is shared with every requester of the
-		// key, so it must not record one caller's cancellation. Observability
-		// (spans, progress) rides along.
-		return s.dispatch(obs.Detach(ctx), sh, key)
-	})
+	return s.dispatch(ctx, sh)
 }
 
 // RunAll places shards on at most workers concurrent dispatches and returns
@@ -252,11 +233,12 @@ func (s *Scheduler) RunAll(ctx context.Context, workers int, shards []Shard) ([]
 	})
 }
 
-// dispatch drives one shard to completion: peer-cache scan, then placement
-// on the ring owner with bounded retry-on-another-worker and hedging of
-// stragglers, both consulting per-worker circuit breakers so quarantined
-// workers are skipped rather than tried.
-func (s *Scheduler) dispatch(ctx context.Context, sh Shard, key string) ([]byte, error) {
+// dispatch drives one shard to completion: placement on the ring owner with
+// bounded retry-on-another-worker and hedging of stragglers, both
+// consulting per-worker circuit breakers so quarantined workers are skipped
+// rather than tried.
+func (s *Scheduler) dispatch(ctx context.Context, sh Shard) ([]byte, error) {
+	key := sh.Key()
 	if obs.Enabled(ctx) {
 		var sp *obs.Span
 		ctx, sp = obs.Start(ctx, "cluster.shard",
@@ -267,10 +249,6 @@ func (s *Scheduler) dispatch(ctx context.Context, sh Shard, key string) ([]byte,
 	if len(cands) == 0 {
 		return nil, ErrNoWorkers
 	}
-	if b, ok := s.peerLookup(ctx, key); ok {
-		return b, nil
-	}
-
 	type outcome struct {
 		body []byte
 		err  error
@@ -357,28 +335,6 @@ func (s *Scheduler) dispatch(ctx context.Context, sh Shard, key string) ([]byte,
 	return nil, fmt.Errorf("%w (tried %d; last: %v)", ErrNoWorkers, next, lastErr)
 }
 
-// peerLookup scans live workers for an already-memoized result before any
-// recompute: ring candidates first (most likely holders), then the rest in
-// ID order. Misses are cheap 404s; a hit skips a whole simulation.
-func (s *Scheduler) peerLookup(ctx context.Context, key string) ([]byte, bool) {
-	seen := make(map[string]struct{})
-	scan := append(s.Registry.Owners(key, maxAttempts), s.Registry.Snapshot()...)
-	for _, w := range scan {
-		if _, dup := seen[w.ID]; dup {
-			continue
-		}
-		seen[w.ID] = struct{}{}
-		cctx, cancel := context.WithTimeout(ctx, s.peerTimeout())
-		body, err := s.get(cctx, w.URL+"/v1/cluster/cache/"+key)
-		cancel()
-		if err == nil {
-			s.peerHits.Add(1)
-			return body, true
-		}
-	}
-	return nil, false
-}
-
 // post delivers a shard to one worker and returns the raw result payload.
 func (s *Scheduler) post(ctx context.Context, w Worker, sh Shard) ([]byte, error) {
 	buf, err := json.Marshal(sh)
@@ -415,24 +371,6 @@ func (s *Scheduler) post(ctx context.Context, w Worker, sh Shard) ([]byte, error
 	return body, nil
 }
 
-// get fetches one peer-cache entry; any non-200 is a miss.
-func (s *Scheduler) get(ctx context.Context, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("cluster: peer cache HTTP %d", resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
-}
-
 // maxShardResponse bounds one shard payload (a sim.Result with snapshots is
 // O(pages); 64 MB is far above any real payload, low enough to stop a
 // misbehaving peer from exhausting memory).
@@ -451,22 +389,14 @@ type SchedulerStats struct {
 	// BreakerSkips counts placement candidates passed over because their
 	// worker's breaker refused.
 	BreakerSkips uint64
-	// PeerHits counts shards answered from another node's cache.
-	PeerHits uint64
-	// CacheHits/CacheMisses are the coordinator-side shard cache counters.
-	CacheHits, CacheMisses uint64
 }
 
 // Stats returns the placement counters.
 func (s *Scheduler) Stats() SchedulerStats {
-	cs := s.cache.Stats()
 	return SchedulerStats{
 		Placed:       s.placed.Load(),
 		Retries:      s.retries.Load(),
 		Hedges:       s.hedges.Load(),
 		BreakerSkips: s.breakerSkips.Load(),
-		PeerHits:     s.peerHits.Load(),
-		CacheHits:    cs.Hits,
-		CacheMisses:  cs.Misses,
 	}
 }

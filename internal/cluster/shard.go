@@ -52,9 +52,9 @@ type Shard struct {
 	Trials int `json:"trials,omitempty"`
 }
 
-// Key returns the shard's canonical cache key: a hex digest, stable across
-// processes and safe in URL paths. Every cache in the cluster — coordinator
-// dispatch memo, worker shard cache, peer lookups — is keyed by it.
+// Key returns the shard's canonical key: a hex digest, stable across
+// processes. Ring placement hashes it, so a repeat shard lands on the node
+// whose engine memo already holds the result.
 func (s Shard) Key() string {
 	var b strings.Builder
 	b.WriteString(string(s.Kind))

@@ -169,26 +169,6 @@ func (m *Memo[K, V]) Len() int {
 	return len(m.calls)
 }
 
-// Peek returns key's cached value without computing anything or touching
-// the hit/miss counters. It misses while the computation is still in flight:
-// the cluster's peer-cache lookup serves finished results only.
-func (m *Memo[K, V]) Peek(key K) (V, bool) {
-	m.mu.Lock()
-	c, ok := m.calls[key]
-	m.mu.Unlock()
-	if ok {
-		select {
-		case <-c.done:
-			if !c.panicked && c.err == nil {
-				return c.val, true
-			}
-		default:
-		}
-	}
-	var zero V
-	return zero, false
-}
-
 // Known reports whether key has a finished or in-flight computation — i.e.
 // whether a Do for it would share existing work rather than start new work.
 // Admission control uses this to price memo hits as near-free without

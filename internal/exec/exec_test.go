@@ -109,7 +109,7 @@ func TestMemoErrorForgotten(t *testing.T) {
 	if n := executions.Load(); n != 1 {
 		t.Fatalf("failed fn executed %d times, want 1", n)
 	}
-	if _, ok := m.Peek("bad"); ok || m.Len() != 0 {
+	if m.Known("bad") || m.Len() != 0 {
 		t.Fatalf("failed key still cached (Len=%d)", m.Len())
 	}
 	// A later caller computes afresh; its success sticks.
@@ -187,36 +187,6 @@ func TestMemoPanicDoesNotWedgeKey(t *testing.T) {
 	v, err := m.DoCtx(ctx, "shard", func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || string(v) != "ok" {
 		t.Fatalf("second Do = (%q, %v), want (ok, nil)", v, err)
-	}
-}
-
-// TestMemoPeek: Peek serves finished successes only, and never counts as a
-// hit or miss.
-func TestMemoPeek(t *testing.T) {
-	var m Memo[string, int]
-	gate := make(chan struct{})
-	leaderIn := make(chan struct{})
-	go m.Do("k", func() (int, error) {
-		close(leaderIn)
-		<-gate
-		return 5, nil
-	})
-	<-leaderIn
-	if _, ok := m.Peek("k"); ok {
-		t.Fatal("Peek hit an in-flight computation")
-	}
-	close(gate)
-	if v, err := m.Do("k", func() (int, error) { return 0, nil }); v != 5 || err != nil {
-		t.Fatalf("Do = (%d, %v)", v, err)
-	}
-	if v, ok := m.Peek("k"); !ok || v != 5 {
-		t.Fatalf("Peek = (%d, %v), want (5, true)", v, ok)
-	}
-	if _, ok := m.Peek("missing"); ok {
-		t.Fatal("Peek of unknown key hit")
-	}
-	if s := m.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("Stats = %+v, want {Hits:1 Misses:1}", s)
 	}
 }
 

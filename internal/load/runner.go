@@ -415,7 +415,7 @@ func executeOp(ctx context.Context, c *service.Client, cfg Config, op Op) error 
 		items := make([]service.BatchItem, len(op.Policies))
 		for i, p := range op.Policies {
 			items[i] = service.BatchItem{
-				ID: fmt.Sprintf("op%d-%d", op.Index, i),
+				ID:       fmt.Sprintf("op%d-%d", op.Index, i),
 				Workload: op.Workload, Policy: p, Options: patch,
 			}
 		}

@@ -53,7 +53,6 @@ func TestClusterBrownoutBreakerAndRecovery(t *testing.T) {
 	coordCfg.Cluster.TTL = 10 * time.Minute
 	coordCfg.Cluster.Transport = sd
 	coordCfg.Cluster.RequestTimeout = 2 * time.Second
-	coordCfg.Cluster.PeerTimeout = 100 * time.Millisecond
 	coordCfg.Cluster.StealAfter = time.Second
 	coordCfg.Cluster.Breaker = breaker.Config{
 		Window:         10,

@@ -13,7 +13,6 @@ import (
 	"hmem"
 	"hmem/internal/breaker"
 	"hmem/internal/cluster"
-	"hmem/internal/exec"
 	"hmem/internal/experiments"
 	"hmem/internal/faultsim"
 	"hmem/internal/obs"
@@ -44,8 +43,6 @@ type ClusterConfig struct {
 	StealAfter time.Duration
 	// RequestTimeout bounds one shard POST (<=0 = 10m).
 	RequestTimeout time.Duration
-	// PeerTimeout bounds one peer-cache probe (<=0 = 2s).
-	PeerTimeout time.Duration
 	// Transport, when set, replaces the scheduler's HTTP transport — the
 	// chaos seam partition tests cut.
 	Transport http.RoundTripper
@@ -59,14 +56,13 @@ type ClusterConfig struct {
 }
 
 // clusterState is the per-role cluster machinery hanging off a Service.
-// reg/sched are non-nil only on coordinators; the shard cache serves
-// GET /v1/cluster/cache/{key} on any clustered role.
+// reg/sched/breakers are non-nil only on coordinators. Shard results live
+// in the engine memo of the node that computed them, not here.
 type clusterState struct {
 	role     string
-	reg      *cluster.Registry         // coordinator: worker membership + ring
-	sched    *cluster.Scheduler        // coordinator: shard placement
-	breakers *breaker.Set              // coordinator: per-worker circuit breakers
-	cache    exec.Memo[string, []byte] // worker: executed-shard results, peer-servable
+	reg      *cluster.Registry  // coordinator: worker membership + ring
+	sched    *cluster.Scheduler // coordinator: shard placement
+	breakers *breaker.Set       // coordinator: per-worker circuit breakers
 
 	executed atomic.Uint64 // shards this node ran for a coordinator
 	inflight atomic.Int64  // shard executions currently running
@@ -126,7 +122,6 @@ func (s *Service) initCluster() error {
 			StealAfter:     stealAfter,
 			Breakers:       breakers,
 			RequestTimeout: cc.RequestTimeout,
-			PeerTimeout:    cc.PeerTimeout,
 			Logf:           cc.Logf,
 		}
 		every := cc.HealthEvery
@@ -344,8 +339,10 @@ func (s *Service) handleClusterWorkers(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleClusterShard executes one shard — the worker side of the wire.
-// Results are cached (and peer-servable) by shard key; duplicate dispatches
-// of an in-flight shard coalesce onto the running computation.
+// Block shards run through the engine's memoized paths, so a repeat or
+// duplicate (hedged) dispatch of a block joins or reuses its computation;
+// those paths detach from the requester, so one coordinator request's
+// cancellation never fails another's.
 func (s *Service) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 	cs := s.requireCluster(w, RoleWorker)
 	if cs == nil {
@@ -364,12 +361,7 @@ func (s *Service) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 	}
 	cs.inflight.Add(1)
 	defer cs.inflight.Add(-1)
-	// The computation is shared with every concurrent requester of the key,
-	// so it must not observe this request's cancellation (see Memo.DoCtx).
-	ctx := r.Context()
-	raw, err := cs.cache.DoCtx(ctx, sh.Key(), func() ([]byte, error) {
-		return s.executeShard(obs.Detach(ctx), sh)
-	})
+	raw, err := s.executeShard(r.Context(), sh)
 	if err != nil {
 		var mismatch *digestMismatchError
 		if errors.As(err, &mismatch) {
@@ -436,26 +428,4 @@ func (s *Service) executeShard(ctx context.Context, sh cluster.Shard) ([]byte, e
 		}
 		return json.Marshal(p)
 	}
-}
-
-// handleClusterCache serves this node's cached shard results to peers: a
-// coordinator (or a sibling coordinator) probes before re-dispatching work
-// another round already paid for.
-func (s *Service) handleClusterCache(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil {
-		writeError(w, http.StatusPreconditionFailed, errors.New("cluster: standalone node has no shard cache"))
-		return
-	}
-	key := r.PathValue("key")
-	raw, ok := s.cluster.cache.Peek(key)
-	if !ok && s.cluster.sched != nil {
-		raw, ok = s.cluster.sched.Peek(key)
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("cluster: no cached result for %q", key))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
 }

@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -180,6 +184,80 @@ func TestClusterBatchByteIdentical(t *testing.T) {
 	}
 }
 
+// shardPostRecorder is a coordinator transport that counts shard POSTs by
+// shard key before passing them on.
+type shardPostRecorder struct {
+	mu    sync.Mutex
+	posts map[string]int
+	kinds map[string]cluster.Kind
+}
+
+func (rec *shardPostRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/v1/cluster/shard") {
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		var sh cluster.Shard
+		if err := json.Unmarshal(body, &sh); err != nil {
+			return nil, err
+		}
+		rec.mu.Lock()
+		rec.posts[sh.Key()]++
+		rec.kinds[sh.Key()] = sh.Kind
+		rec.mu.Unlock()
+		req = req.Clone(req.Context())
+		req.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestClusterBatchPostsEachShardOnce: a multi-policy batch for one workload
+// fans out concurrently, and every item needs the same profile and fault
+// study. The coordinator's engine memo must coalesce those shared blocks,
+// so no shard key is ever posted to a worker twice.
+func TestClusterBatchPostsEachShardOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full simulations across multiple in-process nodes")
+	}
+	rec := &shardPostRecorder{posts: map[string]int{}, kinds: map[string]cluster.Kind{}}
+	coordCfg := clusterTestConfig(RoleCoordinator)
+	coordCfg.Cluster.Transport = rec
+	coord, cc := newTestServer(t, coordCfg)
+	startWorkers(t, coord, 2)
+
+	var items []BatchItem
+	for _, p := range []hmem.PolicyName{"perf-focused", "balanced", "wr-ratio", "cc-migration", "fc-migration"} {
+		items = append(items, BatchItem{ID: string(p), Workload: "astar", Policy: p})
+	}
+	_, sum, err := cc.CollectBatch(context.Background(), BatchRequest{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Errors != 0 {
+		t.Fatalf("batch summary = %+v", sum)
+	}
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	profiles := 0
+	for key, n := range rec.posts {
+		if n != 1 {
+			t.Errorf("%s shard %s posted %d times, want 1", rec.kinds[key], key, n)
+		}
+		if rec.kinds[key] == cluster.KindProfile {
+			profiles++
+		}
+	}
+	if profiles != 1 {
+		t.Errorf("%d profile shards posted, want exactly 1 for the one workload", profiles)
+	}
+	if st := coord.cluster.sched.Stats(); st.Placed != uint64(len(rec.posts)) {
+		t.Errorf("placed %d shards but posted %d distinct keys", st.Placed, len(rec.posts))
+	}
+}
+
 // TestClusterSurvivesWorkerKill cuts one of two workers off mid-run: every
 // shard it owned must be re-placed on the survivor exactly once, and the
 // final answer must still be byte-identical to standalone.
@@ -231,8 +309,8 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 		t.Error("partition dropped no requests")
 	}
 
-	// Heal and re-evaluate: the coordinator's dispatch cache answers
-	// without any new placement.
+	// Heal and re-evaluate: the coordinator's result memo answers without
+	// any new placement.
 	part.Heal()
 	before := coord.cluster.sched.Stats().Placed
 	_ = evaluateJSON(t, cc, "astar", "cc-migration")

@@ -15,8 +15,9 @@ import (
 // TestClusterShardIgnoresRequesterCancel: a worker's shard computation is
 // shared by every coordinator request for that shard, so one requester's
 // cancellation must not fail the others. Requester A starts the shard and
-// ends up waiting on the engine's in-flight profile; requester B joins A's
-// computation; A then cancels. B must still get the result, not a 500.
+// ends up waiting on the engine's in-flight profile; requester B joins the
+// same memoized computation; A then cancels. B must still get the result,
+// not a 500.
 func TestClusterShardIgnoresRequesterCancel(t *testing.T) {
 	gate := make(chan struct{})
 	var release sync.Once
@@ -62,7 +63,7 @@ func TestClusterShardIgnoresRequesterCancel(t *testing.T) {
 		var out json.RawMessage
 		errB <- wc.do(context.Background(), "POST", "/v1/cluster/shard", sh, &out)
 	}()
-	waitFor(t, func() bool { return svc.cluster.cache.Stats().Hits >= 1 }) // B joined A
+	waitFor(t, func() bool { return e.CacheStats().Hits >= 2 }) // B joined A on the profile memo
 
 	cancelA()
 	time.Sleep(100 * time.Millisecond) // let A's cancellation land on the worker

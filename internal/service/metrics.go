@@ -57,9 +57,6 @@ type serviceMetrics struct {
 	clusterShardsPlaced   *obs.Counter
 	clusterShardsExecuted *obs.Counter
 	clusterRetries        *obs.Counter
-	clusterPeerHits       *obs.Counter
-	clusterCacheHits      *obs.Counter
-	clusterCacheMisses    *obs.Counter
 	clusterInflight       *obs.Gauge
 
 	admissionInflight  *obs.Gauge
@@ -139,12 +136,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"Shards this worker executed for a coordinator."),
 		clusterRetries: reg.Counter("hmemd_cluster_retries_total",
 			"Shard dispatches retried on another worker after a transient failure."),
-		clusterPeerHits: reg.Counter("hmemd_cluster_peer_hits_total",
-			"Shards answered from a peer's result cache instead of dispatching."),
-		clusterCacheHits: reg.Counter("hmemd_cluster_cache_hits_total",
-			"Shard-cache hits on this node (coordinator dispatch memo plus worker result cache)."),
-		clusterCacheMisses: reg.Counter("hmemd_cluster_cache_misses_total",
-			"Shard-cache misses on this node."),
 		clusterInflight: reg.Gauge("hmemd_cluster_inflight_shards",
 			"Shard executions currently running on this worker."),
 		admissionInflight: reg.Gauge("hmemd_admission_inflight_cost",
@@ -227,7 +218,6 @@ func (s *Service) syncMetrics() {
 	m.admissionDrainRate.Set(s.adm.drain.rate())
 	m.healthState.Set(float64(s.currentHealth()))
 	if cs := s.cluster; cs != nil {
-		shards := cs.cache.Stats()
 		if cs.reg != nil {
 			rs := cs.reg.Stats()
 			m.clusterWorkers.Set(float64(rs.Live))
@@ -239,9 +229,6 @@ func (s *Service) syncMetrics() {
 			m.clusterRetries.Set(ss.Retries)
 			m.hedges.Set(ss.Hedges)
 			m.breakerSkips.Set(ss.BreakerSkips)
-			m.clusterPeerHits.Set(ss.PeerHits)
-			shards.Hits += ss.CacheHits
-			shards.Misses += ss.CacheMisses
 		}
 		if cs.breakers != nil {
 			opens, closes, refused := cs.breakers.Totals()
@@ -253,8 +240,6 @@ func (s *Service) syncMetrics() {
 			}
 		}
 		m.clusterShardsExecuted.Set(cs.executed.Load())
-		m.clusterCacheHits.Set(shards.Hits)
-		m.clusterCacheMisses.Set(shards.Misses)
 		m.clusterInflight.Set(float64(cs.inflight.Load()))
 	}
 }

@@ -322,7 +322,6 @@ func (s *Service) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/cluster/deregister", s.handleClusterDeregister)
 	mux.HandleFunc("GET /v1/cluster/workers", s.handleClusterWorkers)
 	mux.HandleFunc("POST /v1/cluster/shard", s.handleClusterShard)
-	mux.HandleFunc("GET /v1/cluster/cache/{key}", s.handleClusterCache)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -693,9 +692,6 @@ func routeLabel(r *http.Request) string {
 		} else {
 			path = "/v1/jobs/{id}"
 		}
-	}
-	if strings.HasPrefix(path, "/v1/cluster/cache/") {
-		path = "/v1/cluster/cache/{key}"
 	}
 	return r.Method + " " + path
 }
