@@ -95,8 +95,8 @@ func Benchmarks() []string { return workload.Names() }
 // experiments package (1/64 capacity scale, 40 K records/core).
 type Options = experiments.Options
 
-// TraceStats is the trace-delivery counter pair (generator runs vs
-// coalesced replays) reported by Engine.TraceStats.
+// TraceStats is the trace-delivery counter pair (recordings vs replays)
+// reported by Engine.TraceStats.
 type TraceStats = experiments.TraceStats
 
 // TraceStream is the per-core trace interface, re-exported for the
@@ -369,23 +369,14 @@ func (e *Engine) RunExperiment(ctx context.Context, id string) (*report.Table, e
 // simulation work requests have shared so far.
 func (e *Engine) CacheStats() exec.MemoStats { return e.r.CacheStats() }
 
-// AcquireTracePlan pins a materialized trace replay plan for a workload and
-// returns its release: while held, every evaluation of that workload on
-// this engine replays one collected trace instead of regenerating it per
-// simulation — the plan-coalescing primitive behind the hmemd batch
-// endpoint. Results are byte-identical to uncoalesced evaluation (the
-// generators are pure functions of the seed). Release is idempotent; the
-// records are dropped when the last holder releases. No-op (still returning
-// a valid release) when a cluster delegate is installed, because batch
-// items shard independently across workers.
-func (e *Engine) AcquireTracePlan(ctx context.Context, workloadName string) (release func(), err error) {
-	return e.r.AcquireTracePlan(ctx, workloadName)
-}
-
-// TraceStats reports the engine's trace-delivery counters: generator runs
-// (opens) versus simulations served a replay view from an active coalescing
-// plan (hits).
+// TraceStats reports the engine's trace-delivery counters: trace
+// recordings (opens) versus simulations that replayed a recording (hits).
 func (e *Engine) TraceStats() experiments.TraceStats { return e.r.TraceStats() }
+
+// RecordingBytes reports the bytes of trace recordings the engine keeps.
+// Each workload's trace is recorded once and replayed to every simulation
+// of it, under a fixed 96 MiB bound per engine.
+func (e *Engine) RecordingBytes() int64 { return e.r.RecordingBytes() }
 
 // SetTraceWrap installs a wrapper over every trace stream a simulation on
 // this engine consumes, keyed by workload name — the per-item

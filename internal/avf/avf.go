@@ -18,13 +18,13 @@
 //
 // The tracker is keyed by dense page indices (core.PageTable interning —
 // passed here as raw uint32 to keep this package import-free) and stores
-// per-page state in flat slices: the per-access path is array indexing, no
-// map operations, and no allocations once the footprint has been seen. Tiers
-// are dense small integers too — the tracker supports any tier count
-// (NewTrackerN) with per-tier ACE totals in flat [tier][pageIndex] slices,
-// so the N-tier generalization costs the hot path nothing. Page ids reappear
-// only at Snapshot time, when the caller provides the dense index→id
-// mapping.
+// per-page state in fixed-size chunks of flat arrays: the per-access path is
+// array indexing, no map operations, and no allocations once the footprint
+// has been seen, and growth never copies. Tiers are dense small integers
+// too — the tracker supports any tier count (NewTrackerN) with per-tier ACE
+// totals in flat tier-major arrays per chunk, so the N-tier generalization
+// costs the hot path nothing. Page ids reappear only at Snapshot time, when
+// the caller provides the dense index→id mapping.
 package avf
 
 import (
@@ -72,15 +72,28 @@ type pageState struct {
 	reads, writes uint64
 }
 
+// chunkPages is the tracker's unit of growth. State grows one chunk at a
+// time and chunks never move, so covering a new index copies nothing.
+const (
+	chunkShift = 8
+	chunkPages = 1 << chunkShift
+)
+
+// chunk holds the state of chunkPages consecutive page indices.
+type chunk struct {
+	pages [chunkPages]pageState
+	// ace accumulates ACE cycles, tier-major: ace[tier*chunkPages+j] for
+	// the chunk's page j, so charging an interval is one array index
+	// regardless of tier count.
+	ace []int64
+}
+
 // Tracker accumulates ACE time for every page index it observes. The zero
 // value is not usable; construct with NewTracker (two tiers) or NewTrackerN.
 // Not safe for concurrent use.
 type Tracker struct {
-	pages []pageState // indexed by dense page index
-	// ace accumulates ACE cycles as flat [tier][pageIndex] slices — dense in
-	// the same index space as pages, so charging an interval is two array
-	// indexes regardless of tier count.
-	ace      [][]int64
+	chunks   []*chunk // chunk c covers indices [c*chunkPages, (c+1)*chunkPages)
+	tiers    int
 	observed int // entries with at least one access
 }
 
@@ -94,31 +107,16 @@ func NewTrackerN(tiers int) *Tracker {
 	if tiers < 1 || tiers > 256 {
 		panic("avf: tier count out of range")
 	}
-	return &Tracker{ace: make([][]int64, tiers)}
+	return &Tracker{tiers: tiers}
 }
 
 // NumTiers returns the tracker's tier count.
-func (t *Tracker) NumTiers() int { return len(t.ace) }
+func (t *Tracker) NumTiers() int { return t.tiers }
 
-// ensure grows the state slices to cover index i.
-func (t *Tracker) ensure(i int) {
-	if i < len(t.pages) {
-		return
-	}
-	n := len(t.pages) * 2
-	if n <= i {
-		n = i + 1
-	}
-	if n < 64 {
-		n = 64
-	}
-	pages := make([]pageState, n)
-	copy(pages, t.pages)
-	t.pages = pages
-	for tier := range t.ace {
-		ace := make([]int64, n)
-		copy(ace, t.ace[tier])
-		t.ace[tier] = ace
+// grow adds chunks until index i is covered.
+func (t *Tracker) grow(i int) {
+	for len(t.chunks) <= i>>chunkShift {
+		t.chunks = append(t.chunks, &chunk{ace: make([]int64, t.tiers*chunkPages)})
 	}
 }
 
@@ -134,14 +132,16 @@ func (t *Tracker) Access(pi uint32, lineInPage int, at int64, write bool, tier T
 	if lineInPage < 0 || lineInPage >= trace.LinesPerPage {
 		panic("avf: line index out of page")
 	}
-	if int(tier) >= len(t.ace) {
+	if int(tier) >= t.tiers {
 		panic("avf: tier out of range for tracker")
 	}
 	i := int(pi)
-	if i >= len(t.pages) {
-		t.ensure(i)
+	if i>>chunkShift >= len(t.chunks) {
+		t.grow(i)
 	}
-	ps := &t.pages[i]
+	c := t.chunks[i>>chunkShift]
+	j := i & (chunkPages - 1)
+	ps := &c.pages[j]
 	if ps.touched == 0 && ps.reads == 0 && ps.writes == 0 {
 		t.observed++
 	}
@@ -154,7 +154,7 @@ func (t *Tracker) Access(pi uint32, lineInPage int, at int64, write bool, tier T
 		if !write {
 			// Interval ends in a read: ACE, charged to the tier the page
 			// occupied when the interval started.
-			t.ace[ps.lineTier[lineInPage]][i] += at - last
+			c.ace[int(ps.lineTier[lineInPage])*chunkPages+j] += at - last
 		}
 	}
 	ps.lastAccess[lineInPage] = at
@@ -175,10 +175,10 @@ func (t *Tracker) Access(pi uint32, lineInPage int, at int64, write bool, tier T
 // in DESIGN.md).
 func (t *Tracker) MigratePage(pi uint32, to Tier) {
 	i := int(pi)
-	if i >= len(t.pages) {
+	if i>>chunkShift >= len(t.chunks) {
 		return
 	}
-	ps := &t.pages[i]
+	ps := &t.chunks[i>>chunkShift].pages[i&(chunkPages-1)]
 	if ps.touched == 0 {
 		return
 	}
@@ -207,23 +207,25 @@ func (t *Tracker) Snapshot(totalCycles int64, ids []uint64) []PageAVF {
 		panic("avf: Snapshot with non-positive duration")
 	}
 	denom := float64(trace.LinesPerPage) * float64(totalCycles)
-	tiers := len(t.ace)
+	tiers := t.tiers
 	out := make([]PageAVF, 0, t.observed)
 	// One backing array for every page's ByTier keeps the snapshot to O(1)
 	// allocations instead of one per page.
 	shares := make([]float64, t.observed*tiers)
-	for i := range t.pages {
-		ps := &t.pages[i]
-		if ps.touched == 0 {
-			continue
+	for ci, c := range t.chunks {
+		for j := range c.pages {
+			ps := &c.pages[j]
+			if ps.touched == 0 {
+				continue
+			}
+			p := PageAVF{Page: ids[ci*chunkPages+j], Reads: ps.reads, Writes: ps.writes}
+			p.ByTier, shares = shares[:tiers:tiers], shares[tiers:]
+			for tier := 0; tier < tiers; tier++ {
+				p.ByTier[tier] = float64(c.ace[tier*chunkPages+j]) / denom
+				p.AVF += p.ByTier[tier]
+			}
+			out = append(out, p)
 		}
-		p := PageAVF{Page: ids[i], Reads: ps.reads, Writes: ps.writes}
-		p.ByTier, shares = shares[:tiers:tiers], shares[tiers:]
-		for tier := 0; tier < tiers; tier++ {
-			p.ByTier[tier] = float64(t.ace[tier][i]) / denom
-			p.AVF += p.ByTier[tier]
-		}
-		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })
 	return out

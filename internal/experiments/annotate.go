@@ -31,11 +31,8 @@ func (r *Runner) annotationRun(ctx context.Context, spec workload.Spec) (sim.Res
 		} else if ok {
 			return p.Result, nil
 		}
-		suite, err := r.buildSuite(spec)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return sim.Run(r.cfg, suite.streams, pins, true, nil)
+		res, _, err := r.simulate(context.Background(), spec, pins, true, nil)
+		return res, err
 	})
 	if err != nil {
 		return sim.Result{}, nil, err

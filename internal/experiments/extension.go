@@ -111,11 +111,8 @@ func (r *Runner) annotatedMigrationRun(ctx context.Context, spec workload.Spec) 
 		// Pin annotations into at most half of HBM so the migration mechanism
 		// has frames to work with.
 		_, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages())/2)
-		suite, err := r.buildSuite(spec)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return sim.Run(r.cfg, suite.streams, pins, true,
+		res, _, err := r.simulate(context.Background(), spec, pins, true,
 			migration.NewFullCounter(r.opts.FCIntervalCycles))
+		return res, err
 	})
 }

@@ -1,10 +1,11 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (the per-experiment index lives in DESIGN.md §4).
 // A Runner memoizes profiling runs, policy runs, and the fault study behind
-// singleflight caches, and every driver fans its independent simulations out
-// over a bounded worker pool — so the full suite does each expensive
-// simulation exactly once, saturates the machine, and still produces
-// bit-identical tables for a given Options.Seed at any worker count.
+// singleflight caches, records each workload's trace once for all of its
+// simulations, and every driver fans its independent simulations out over a
+// bounded worker pool — so the full suite does each expensive simulation
+// exactly once, saturates the machine, and still produces bit-identical
+// tables for a given Options.Seed at any worker count.
 package experiments
 
 import (
@@ -48,9 +49,10 @@ type Options struct {
 	// Built-ins honor ScaleDiv; registered topologies carry explicit
 	// capacities.
 	Topology string
-	// Parallel bounds the worker count for every fan-out: figure drivers
+	// Parallel bounds the worker count for every fan-out — figure drivers
 	// sweeping workloads × policies, fault-study shards, and facade
-	// comparisons (non-positive = one worker per CPU). The worker count
+	// comparisons — and the simulations one Runner runs at once, however
+	// those fan-outs nest (non-positive = one per CPU). The worker count
 	// only changes wall-clock time, never a result — identical seeds give
 	// bit-identical tables at any parallelism.
 	Parallel int
@@ -92,10 +94,13 @@ type Runner struct {
 	profiles exec.Memo[string, *Profile]
 	runs     exec.Memo[string, sim.Result]
 
-	// plans holds the active trace-coalescing plans by workload name;
-	// counters and the wrap seam live in coalesce.go.
-	plansMu sync.Mutex
-	plans   map[string]*tracePlan
+	// recordings holds the workloads' recorded traces; counters and the
+	// wrap seam live in recordings.go.
+	recordings recordingStore
+
+	// slots holds one token per running simulation, bounding them at
+	// Options.Parallel however the fan-outs nest.
+	slots chan struct{}
 
 	traceOpens   atomic.Uint64
 	coalesceHits atomic.Uint64
@@ -167,6 +172,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		cfg:   cfg,
 		topo:  topo,
 		specs: specs,
+		slots: make(chan struct{}, opts.Parallel),
 	}, nil
 }
 
@@ -283,37 +289,20 @@ func (r *Runner) CacheStats() exec.MemoStats {
 	return r.fits.Stats().Add(r.profiles.Stats()).Add(r.runs.Stats())
 }
 
-// buildSuite constructs the trace view a simulation consumes: fresh
-// generators normally (streams are consumed, so every simulation needs its
-// own), or zero-copy replay views when a coalescing plan for the workload
-// is held (see coalesce.go).
-func (r *Runner) buildSuite(spec workload.Spec) (*suiteView, error) {
-	return r.buildSuiteCtx(context.Background(), spec)
-}
-
-// buildSuiteCtx is buildSuite recorded as a "trace.build" span — the trace
-// decode/generation seam.
-func (r *Runner) buildSuiteCtx(ctx context.Context, spec workload.Spec) (*suiteView, error) {
-	// Gated on Enabled so the attribute slice is never built untraced.
-	if obs.Enabled(ctx) {
-		_, sp := obs.Start(ctx, "trace.build",
-			obs.Str("workload", spec.Name), obs.Int("records_per_core", int64(r.opts.RecordsPerCore)))
-		defer sp.End()
-	}
-	if p := r.activePlan(spec.Name); p != nil {
-		r.coalesceHits.Add(1)
-		streams := make([]trace.Stream, len(p.records))
-		for i, recs := range p.records {
-			streams[i] = trace.NewSliceStream(recs)
-		}
-		return r.wrapStreams(spec.Name, &suiteView{structures: p.structures, streams: streams}), nil
-	}
-	suite, err := spec.Build(r.opts.RecordsPerCore, r.opts.Seed)
+// simulate runs one simulation of the workload's trace, returning the
+// workload's structure table with the result. It holds one of the runner's
+// simulation slots only while the simulation runs — never while recording
+// or resolving dependencies, and a simulation waits on nothing else, so
+// slots cannot deadlock.
+func (r *Runner) simulate(ctx context.Context, spec workload.Spec, pages []uint64, pin bool, mig sim.Migrator) (sim.Result, []workload.Structure, error) {
+	suite, err := r.buildSuiteCtx(ctx, spec)
 	if err != nil {
-		return nil, err
+		return sim.Result{}, nil, err
 	}
-	r.traceOpens.Add(1)
-	return r.wrapStreams(spec.Name, &suiteView{structures: suite.Structures, streams: suite.Streams()}), nil
+	r.slots <- struct{}{}
+	defer func() { <-r.slots }()
+	res, err := sim.RunCtx(ctx, r.cfg, suite.streams, pages, pin, mig)
+	return res, suite.structures, err
 }
 
 // ProfileOf returns the memoized DDR-only profiling run for a workload.
@@ -330,15 +319,11 @@ func (r *Runner) ProfileOf(ctx context.Context, spec workload.Spec) (*Profile, e
 		} else if ok {
 			return &Profile{Structures: p.Structures, Result: p.Result, Stats: p.Result.Stats()}, nil
 		}
-		suite, err := r.buildSuiteCtx(runCtx, spec)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunCtx(runCtx, r.cfg, suite.streams, nil, false, nil)
+		res, structures, err := r.simulate(runCtx, spec, nil, false, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: profiling %s: %w", spec.Name, err)
 		}
-		return &Profile{Structures: suite.structures, Result: res, Stats: res.Stats()}, nil
+		return &Profile{Structures: structures, Result: res, Stats: res.Stats()}, nil
 	})
 }
 
@@ -366,11 +351,7 @@ func (r *Runner) RunStatic(ctx context.Context, spec workload.Spec, policy core.
 			return sim.Result{}, err
 		}
 		pages := policy.Select(prof.Stats, int(r.cfg.FastPages()))
-		suite, err := r.buildSuiteCtx(runCtx, spec)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		res, err := sim.RunCtx(runCtx, r.cfg, suite.streams, pages, false, nil)
+		res, _, err := r.simulate(runCtx, spec, pages, false, nil)
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("experiments: %s under %s: %w", spec.Name, policy.Name(), err)
 		}
@@ -403,11 +384,7 @@ func (r *Runner) RunDynamic(ctx context.Context, spec workload.Spec, mech string
 			return sim.Result{}, err
 		}
 		pages := warm.Select(prof.Stats, int(r.cfg.FastPages()))
-		suite, err := r.buildSuiteCtx(runCtx, spec)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		res, err := sim.RunCtx(runCtx, r.cfg, suite.streams, pages, false, build())
+		res, _, err := r.simulate(runCtx, spec, pages, false, build())
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("experiments: %s under %s: %w", spec.Name, mech, err)
 		}

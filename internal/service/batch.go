@@ -7,12 +7,11 @@ package service
 // pipelines N evaluations over a single connection instead of paying N
 // round trips. /v1/evaluate and /v1/compare are one-item runs of the same
 // executor. Server side, items that share a workload trace but differ in
-// policy are coalesced onto one replay plan (Engine.AcquireTracePlan): the
-// trace is generated once and every policy's cachesim→memsim→avf chain
-// replays it. A run is priced into the admission controller as the sum of
-// its non-coalesced items — each distinct fresh result key costs one
-// options-scaled unit; duplicates within the run and already-cached keys
-// are free. Item failures are isolated: an item's error rides its own
+// policy share one trace recording: each engine records a workload's trace
+// once and every policy's simulation replays it. A run is priced into the
+// admission controller as the sum of its distinct fresh result keys, one
+// options-scaled unit each; duplicates within the run and already-cached
+// keys are free. Item failures are isolated: an item's error rides its own
 // result line while the rest of the batch completes.
 //
 // The stream replays identically on reconnect (results are cached and
@@ -187,7 +186,7 @@ func batchResult(it BatchItem, index int, out itemOutcome) BatchResult {
 
 // evaluationRun is one admitted run of the executor. done[i] closes once
 // outcomes[i] is recorded; settled closes after every item has finished and
-// the run's admission cost, trace plans and engines have been released.
+// the run's admission cost and engines have been released.
 type evaluationRun struct {
 	outcomes []itemOutcome
 	done     []chan struct{}
@@ -196,10 +195,9 @@ type evaluationRun struct {
 
 // evaluate is hmemd's one evaluation path. It resolves and holds every
 // item's engine, prices the distinct fresh result keys and admits that
-// cost, then runs the items in the background: one trace plan pinned per
-// (engine, workload) group with fresh work, the items under exec.Settle
-// with per-item error isolation, and the cost, plans and engines released
-// once the work has settled — not when the client goes away, since the
+// cost, then runs the items in the background under exec.Settle with
+// per-item error isolation, and releases the cost and engines once the
+// work has settled — not when the client goes away, since the
 // simulations it started keep running. On false the response is already
 // written: a 400 for an item whose options do not resolve (itemErr labels
 // the error), or an admission refusal.
@@ -221,12 +219,9 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 	}
 
 	// Each distinct result key that is neither cached nor in flight costs
-	// one options-scaled unit; fresh collects the (engine, workload) groups
-	// carrying such work — only those are worth a replay plan.
-	type planKey struct{ digest, workload string }
+	// one options-scaled unit.
 	var cost float64
 	seen := make(map[string]bool)
-	fresh := make(map[planKey]*hmem.Engine)
 	for i := range items {
 		it := &items[i]
 		en := engines[i]
@@ -237,7 +232,6 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 			}
 			seen[key] = true
 			cost += s.costUnit(en.e)
-			fresh[planKey{en.digest, it.Workload}] = en.e
 		}
 	}
 	// In the shedding state all fresh work is refused with 503 — cached
@@ -266,14 +260,6 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 	}
 	go func() {
 		defer close(run.settled)
-		// Acquisition failure is not fatal — those items run uncoalesced
-		// and surface their own errors.
-		var plans []func()
-		for pk, e := range fresh {
-			if release, err := e.AcquireTracePlan(ctx, pk.workload); err == nil {
-				plans = append(plans, release)
-			}
-		}
 		errs := exec.Settle(ctx, s.resolvedDefaults.Parallel, len(items), func(i int) error {
 			run.outcomes[i] = s.runItem(ctx, items[i], engines[i])
 			close(run.done[i])
@@ -286,9 +272,6 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 				run.outcomes[i] = itemOutcome{err: err}
 				close(run.done[i])
 			}
-		}
-		for _, release := range plans {
-			release()
 		}
 		s.adm.release(cost)
 		releaseEngines()

@@ -139,10 +139,11 @@ func TestBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescing pins the server half of trace coalescing: K
-// same-workload, different-policy items generate the trace exactly once (the
-// plan materialization), every simulation replays it, and the results are
-// still byte-identical to an uncoalesced in-process engine.
+// TestBatchCoalescing pins the server half of trace sharing: K
+// same-workload, different-policy items record the trace exactly once,
+// every later simulation replays the recording, the recording's bytes are
+// exported, and the results are still byte-identical to an in-process
+// engine.
 func TestBatchCoalescing(t *testing.T) {
 	policies := []hmem.PolicyName{hmem.PolicyPerfFocused, hmem.PolicyBalanced, hmem.PolicyWrRatio, hmem.PolicyWr2Ratio}
 	items := make([]BatchItem, len(policies))
@@ -160,7 +161,7 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 	st := svc.TraceStats()
 	if st.Opens != 1 {
-		t.Fatalf("batch opened the trace %d times, want exactly 1 (coalesced plan)", st.Opens)
+		t.Fatalf("batch opened the trace %d times, want exactly 1 (one recording)", st.Opens)
 	}
 	if st.CoalesceHits < uint64(len(items)) {
 		t.Fatalf("coalesce hits = %d, want at least %d (one per item)", st.CoalesceHits, len(items))
@@ -177,6 +178,9 @@ func TestBatchCoalescing(t *testing.T) {
 		if !strings.Contains(string(page), family) {
 			t.Errorf("metrics page missing %q", family)
 		}
+	}
+	if want := fmt.Sprintf("\nhmemd_trace_recording_bytes %d\n", svc.engineTotals().recordingBytes); svc.engineTotals().recordingBytes == 0 || !strings.Contains(string(page), want) {
+		t.Errorf("metrics page does not export the recording's bytes as %q", strings.TrimSpace(want))
 	}
 
 	// The same items on an engine that never coalesces: bytes must match —

@@ -121,9 +121,9 @@ func TestClusterByteIdenticalToStandalone(t *testing.T) {
 }
 
 // TestClusterBatchByteIdentical routes a batch through a coordinator: each
-// item shards independently across the ring (coalescing no-ops under the
-// cluster delegate — a plan would serialize what the ring parallelizes),
-// and every item's bytes still match a standalone server's batch answer.
+// item shards independently across the ring (the coordinator records no
+// trace: its blocks run on workers), and every item's bytes still match a
+// standalone server's batch answer.
 func TestClusterBatchByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations across multiple in-process nodes")
@@ -165,10 +165,10 @@ func TestClusterBatchByteIdentical(t *testing.T) {
 		}
 	}
 	// The work really sharded: the ring placed and executed, and no item was
-	// served from a coordinator-side plan. (Opens may be nonzero: a shard
-	// that exhausts the ring falls back to a local fresh build by design.
-	// CoalesceHits is the coalescing invariant — with the delegate installed,
-	// AcquireTracePlan no-ops, so nothing can replay locally.)
+	// replayed from a coordinator-side recording. (Opens may be nonzero: a
+	// shard that exhausts the ring falls back to a local recording by
+	// design. CoalesceHits is the invariant — with the delegate installed,
+	// blocks run on workers, so no coordinator simulation replays.)
 	if coord.cluster.sched.Stats().Placed == 0 {
 		t.Error("coordinator placed no shards for the batch")
 	}

@@ -54,6 +54,9 @@ type engineTotals struct {
 	trace     hmem.TraceStats
 	live      int
 	evictions uint64
+	// recordingBytes sums the trace recordings of live engines only: a
+	// retired engine's recordings are garbage.
+	recordingBytes int64
 }
 
 // optionsDigest canonically fingerprints a resolved option set. Parallel is
@@ -183,12 +186,13 @@ func (s *Service) engineTotals() engineTotals {
 	for _, en := range p.byDigest {
 		t.memo = t.memo.Add(en.e.CacheStats())
 		t.trace = t.trace.Add(en.e.TraceStats())
+		t.recordingBytes += en.e.RecordingBytes()
 	}
 	return t
 }
 
 // TraceStats sums the trace-delivery counters of every engine, live and
-// retired: generator runs (opens) versus simulations served a coalesced
-// replay (hits). Feeds hmemd_trace_opens_total / hmemd_coalesce_hits_total
-// and the coalescing correctness tests.
+// retired: trace recordings (opens) versus simulations that replayed a
+// recording (hits). Feeds hmemd_trace_opens_total / hmemd_coalesce_hits_total
+// and the recording tests.
 func (s *Service) TraceStats() hmem.TraceStats { return s.engineTotals().trace }

@@ -40,6 +40,7 @@ type serviceMetrics struct {
 	batchItems    *obs.CounterVec
 	traceOpens    *obs.Counter
 	coalesceHits  *obs.Counter
+	recordingSize *obs.Gauge
 
 	queueDepth     *obs.Gauge
 	queueOldestAge *obs.Gauge
@@ -106,6 +107,8 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"Workload trace generations across all engines (coalescing-plan materializations included)."),
 		coalesceHits: reg.Counter("hmemd_coalesce_hits_total",
 			"Simulations served a trace replay from an active coalescing plan instead of regenerating."),
+		recordingSize: reg.Gauge("hmemd_trace_recording_bytes",
+			"Bytes of trace recordings kept across live engines, at most 96 MiB per engine."),
 		queueDepth: reg.Gauge("hmemd_job_queue_depth",
 			"Jobs waiting in the queue."),
 		queueOldestAge: reg.Gauge("hmemd_job_queue_oldest_age_seconds",
@@ -196,6 +199,7 @@ func (s *Service) syncMetrics() {
 	m.engineMisses.Set(et.memo.Misses)
 	m.traceOpens.Set(et.trace.Opens)
 	m.coalesceHits.Set(et.trace.CoalesceHits)
+	m.recordingSize.Set(float64(et.recordingBytes))
 	m.engines.Set(float64(et.live))
 	m.engineEvictions.Set(et.evictions)
 	m.faultStudies.Set(s.engines.studies.Runs())

@@ -201,12 +201,52 @@ func (r Result) Stats() []core.PageStats {
 	return s
 }
 
+// fifo is a queue on a ring buffer. Its array is reused and only grows
+// (doubling, to a power of two) when the queue outgrows it, so a queue whose
+// length stays bounded stops allocating.
+type fifo[T any] struct {
+	buf  []T
+	head int // index of the front element
+	n    int
+}
+
+func (q *fifo[T]) len() int { return q.n }
+
+// at returns the i-th element from the front.
+func (q *fifo[T]) at(i int) T { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *fifo[T]) push(v T) {
+	if q.n == len(q.buf) {
+		buf := make([]T, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			buf[i] = q.at(i)
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return v
+}
+
+// pendingRead is a read occupying the core's outstanding window.
+type pendingRead struct {
+	req  *memsim.Request
+	tier avf.Tier
+}
+
 type coreState struct {
 	stream      trace.Stream
 	time        int64
 	done        bool
-	outstanding []*memsim.Request
-	outTier     []avf.Tier
+	outstanding fifo[pendingRead]
 	insts       uint64
 
 	// Request recycling: reads return to reqFree once Completed; posted
@@ -214,15 +254,14 @@ type coreState struct {
 	// are bounded by the ROB window and the channels' queue depths, so the
 	// steady-state access path performs no Request allocation.
 	reqFree   []*memsim.Request
-	writeRing []*memsim.Request
+	writeRing fifo[*memsim.Request]
 }
 
 // getRequest returns a recycled Request when one is available, reclaiming
 // any posted writes the memory controller has since retired.
 func (c *coreState) getRequest(line uint64, write bool, arrival int64) *memsim.Request {
-	for len(c.writeRing) > 0 && c.writeRing[0].Finished() {
-		c.reqFree = append(c.reqFree, c.writeRing[0])
-		c.writeRing = c.writeRing[1:]
+	for c.writeRing.len() > 0 && c.writeRing.at(0).Finished() {
+		c.reqFree = append(c.reqFree, c.writeRing.pop())
 	}
 	if n := len(c.reqFree); n > 0 {
 		r := c.reqFree[n-1]
@@ -409,7 +448,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		mem.Enqueue(req)
 		if write {
 			placement.RecordWrite(tier, frame)
-			c.writeRing = append(c.writeRing, req)
+			c.writeRing.push(req)
 			res.Writes++
 			if cfg.WriteBufferCycles > 0 {
 				if lag := mem.Horizon(req.Line) - c.time; lag > cfg.WriteBufferCycles {
@@ -420,17 +459,13 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 			res.Reads++
 			// Reads occupy the outstanding window; block on the oldest
 			// when the window is full (ROB head stall).
-			c.outstanding = append(c.outstanding, req)
-			c.outTier = append(c.outTier, tier)
-			if len(c.outstanding) > cfg.MaxOutstanding {
-				oldest := c.outstanding[0]
-				oldTier := c.outTier[0]
-				c.outstanding = c.outstanding[1:]
-				c.outTier = c.outTier[1:]
-				if fin := mems[oldTier].Complete(oldest); fin > c.time {
+			c.outstanding.push(pendingRead{req, tier})
+			if c.outstanding.len() > cfg.MaxOutstanding {
+				oldest := c.outstanding.pop()
+				if fin := mems[oldest.tier].Complete(oldest.req); fin > c.time {
 					c.time = fin
 				}
-				c.reqFree = append(c.reqFree, oldest)
+				c.reqFree = append(c.reqFree, oldest.req)
 			}
 		}
 		if tier == fastTier {
@@ -440,8 +475,9 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 
 	// Drain: every core waits for its remaining reads.
 	for _, c := range cores {
-		for i, req := range c.outstanding {
-			if fin := mems[c.outTier[i]].Complete(req); fin > c.time {
+		for i := 0; i < c.outstanding.len(); i++ {
+			r := c.outstanding.at(i)
+			if fin := mems[r.tier].Complete(r.req); fin > c.time {
 				c.time = fin
 			}
 		}

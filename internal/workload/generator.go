@@ -36,6 +36,7 @@ type Generator struct {
 	basePage uint64
 
 	structures []Structure
+	pageStruct []uint32 // per-page index into structures
 	pageClass  []uint8
 	pageHash   []uint8 // per-page line-subset offset
 	pageCov    []uint8 // per-page effective coverage (class coverage, jittered)
@@ -81,6 +82,7 @@ func NewGenerator(prof Profile, basePage uint64, records int, seed uint64) (*Gen
 // layout partitions the footprint into class-homogeneous structures.
 func (g *Generator) layout() {
 	n := g.prof.FootprintPages
+	g.pageStruct = make([]uint32, n)
 	g.pageClass = make([]uint8, n)
 	g.pageHash = make([]uint8, n)
 	g.streamPos = make([]uint8, n)
@@ -111,6 +113,7 @@ func (g *Generator) layout() {
 				Pages:     size,
 			})
 			for i := 0; i < size; i++ {
+				g.pageStruct[page] = uint32(len(g.structures) - 1)
 				g.pageClass[page] = uint8(ci)
 				g.pageHash[page] = uint8(g.rng.Uint64n(64))
 				// Per-page jitter keeps neighbouring classes' AVF ranges
@@ -189,6 +192,12 @@ func (g *Generator) Next() (trace.Record, error) {
 	if g.emitted >= g.total {
 		return trace.Record{}, io.EOF
 	}
+	return unpack(g.basePage, g.pageStruct, g.step()), nil
+}
+
+// step draws the next record in packed form. The caller checks that records
+// remain.
+func (g *Generator) step() uint64 {
 	phase := float64(g.emitted) / float64(g.total)
 
 	// Burst continuation: once scheduled, a page receives Burst consecutive
@@ -275,35 +284,12 @@ func (g *Generator) Next() (trace.Record, error) {
 		gap = g.rng.Poisson(g.meanGap / 8)
 	}
 
-	structIdx := g.structOf(page)
-	rec := trace.Record{
-		Gap:  uint32(gap),
-		PC:   0x400000 + uint64(structIdx)*0x40,
-		Addr: (g.basePage+uint64(page))*trace.PageSize + uint64(line)*trace.LineSize,
-	}
+	kind := trace.Read
 	if write {
-		rec.Kind = trace.Write
-	} else {
-		rec.Kind = trace.Read
+		kind = trace.Write
 	}
 	g.emitted++
-	return rec, nil
-}
-
-// structOf locates the structure containing a local page (binary search over
-// the sorted structure ranges).
-func (g *Generator) structOf(page int) int {
-	gp := g.basePage + uint64(page)
-	lo, hi := 0, len(g.structures)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if g.structures[mid].FirstPage <= gp {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
+	return pack(uint32(gap), page, line, kind)
 }
 
 // Structures returns the generator's structure table.

@@ -88,6 +88,9 @@ func (p Profile) Validate() error {
 	if p.FootprintPages <= 0 {
 		return fmt.Errorf("workload: %s: FootprintPages must be positive", p.Name)
 	}
+	if p.FootprintPages >= maxPages {
+		return fmt.Errorf("workload: %s: FootprintPages must be below %d", p.Name, maxPages)
+	}
 	if p.MPKI <= 0 {
 		return fmt.Errorf("workload: %s: MPKI must be positive", p.Name)
 	}
