@@ -55,7 +55,9 @@ type Config struct {
 	BusBytesPerBeat int
 	// Timing is the tier's timing parameter set.
 	Timing Timing
-	// QueueDepth is the per-channel scheduler window for FR-FCFS.
+	// QueueDepth is the per-channel scheduler window for FR-FCFS, 1 to
+	// maxQueueDepth requests (the scheduler keeps one bit per window slot
+	// in a uint64 mask).
 	QueueDepth int
 }
 
@@ -74,6 +76,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memsim: %s: BusBytesPerBeat must be positive", c.Name)
 	case c.QueueDepth <= 0:
 		return fmt.Errorf("memsim: %s: QueueDepth must be positive", c.Name)
+	case c.QueueDepth > maxQueueDepth:
+		return fmt.Errorf("memsim: %s: QueueDepth %d exceeds the %d-slot scheduler window", c.Name, c.QueueDepth, maxQueueDepth)
 	case c.Timing.TCK <= 0 || c.Timing.TBL <= 0:
 		return fmt.Errorf("memsim: %s: timing TCK and TBL must be positive", c.Name)
 	case c.Timing.TREFI < 0 || c.Timing.TRFC < 0 || (c.Timing.TREFI > 0 && c.Timing.TRFC <= 0):
@@ -81,6 +85,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// maxQueueDepth bounds Config.QueueDepth: one uint64 mask bit per slot.
+const maxQueueDepth = 64
 
 // lineSize is the cache-line transfer granularity in bytes.
 const lineSize = 64

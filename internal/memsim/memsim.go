@@ -1,6 +1,10 @@
 package memsim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Request is one cache-line access in flight in a memory tier. Callers
 // allocate a Request, Enqueue it, and later obtain its finish time with
@@ -17,7 +21,7 @@ type Request struct {
 	finish int64
 	seq    uint64
 	served bool
-	// Geometry is resolved once at Enqueue so the FR-FCFS scan and the
+	// Geometry is resolved once at Enqueue so the FR-FCFS window and the
 	// command sequencer never re-divide the line address.
 	ch, bk int32
 	row    int64
@@ -91,7 +95,31 @@ type channel struct {
 	lastAct     int64 // for tRRD across banks
 	nextRefresh int64 // next all-bank refresh deadline (0 = disabled)
 	banks       []bank
-	pending     []*Request
+
+	// The FR-FCFS window: QueueDepth slots, and per class one mask with a
+	// bit per slot. free marks empty slots. Among occupied ones, read marks
+	// reads, hit those whose row is their bank's open row, future those
+	// whose arrival was after now when last checked (every other occupied
+	// slot has arrived, since now never moves backward), and bankSet[b]
+	// those addressing bank b. nextArrival is the earliest arrival among
+	// the future slots (MaxInt64 when there are none).
+	slots       []slot
+	full        uint64 // one bit per slot
+	free        uint64
+	read        uint64
+	hit         uint64
+	future      uint64
+	bankSet     []uint64
+	nextArrival int64
+}
+
+// slot is one occupied window entry, with the fields selection reads copied
+// out of the Request so the scheduler's scans stay in the channel's arrays.
+type slot struct {
+	r       *Request
+	seq     uint64
+	arrival int64
+	row     int64
 }
 
 // ServiceEvent describes one serviced request for timing audits: the DRAM
@@ -162,6 +190,11 @@ func New(cfg Config) *Memory {
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 		}
+		ch.slots = make([]slot, cfg.QueueDepth)
+		ch.full = math.MaxUint64 >> (64 - cfg.QueueDepth)
+		ch.free = ch.full
+		ch.bankSet = make([]uint64, len(ch.banks))
+		ch.nextArrival = math.MaxInt64
 		m.channels[i] = ch
 	}
 	return m
@@ -205,10 +238,24 @@ func (m *Memory) Enqueue(r *Request) {
 	chIdx, bk, row, _ := m.geometry(r.Line)
 	r.ch, r.bk, r.row = int32(chIdx), int32(bk), row
 	ch := m.channels[chIdx]
-	for len(ch.pending) >= m.cfg.QueueDepth {
+	for ch.free == 0 {
 		m.serveOne(ch)
 	}
-	ch.pending = append(ch.pending, r)
+	i := bits.TrailingZeros64(ch.free)
+	bit := uint64(1) << i
+	ch.free &^= bit
+	ch.slots[i] = slot{r: r, seq: r.seq, arrival: r.Arrival, row: row}
+	ch.bankSet[bk] |= bit
+	if !r.Write {
+		ch.read |= bit
+	}
+	if ch.banks[bk].openRow == row {
+		ch.hit |= bit
+	}
+	if r.Arrival > ch.now {
+		ch.future |= bit
+		ch.nextArrival = min(ch.nextArrival, r.Arrival)
+	}
 }
 
 // Complete forces resolution of r and returns its finish cycle. Requests on
@@ -242,58 +289,86 @@ func (m *Memory) Drain() int64 {
 
 // serveOne picks and retires one request from ch under FR-FCFS. It returns
 // false if the channel has nothing pending.
+//
+// FR-FCFS with read priority among requests that have arrived by the
+// horizon: row-hit reads, then other reads, then row-hit writes, then
+// writes — reads sit on the core's critical path while writes are posted.
+// Ties break by age (lowest seq). If nothing has arrived, the channel idles
+// and the horizon first advances to the earliest arrival.
 func (m *Memory) serveOne(ch *channel) bool {
-	if len(ch.pending) == 0 {
+	occupied := ch.full &^ ch.free
+	if occupied == 0 {
 		return false
 	}
-	// Advance the horizon to the earliest arrival if the channel is idle
-	// ahead of all pending work.
-	earliest := ch.pending[0].Arrival
-	for _, r := range ch.pending[1:] {
-		if r.Arrival < earliest {
-			earliest = r.Arrival
-		}
+	arrived := occupied &^ ch.future
+	if arrived == 0 {
+		// Every pending request is a future one, so the earliest arrival
+		// among them is the earliest of the window.
+		ch.now = max(ch.now, ch.nextArrival)
 	}
-	if ch.now < earliest {
-		ch.now = earliest
+	if ch.nextArrival <= ch.now {
+		ch.arrive()
+		arrived = occupied &^ ch.future
 	}
 
-	// FR-FCFS with read priority among requests that have arrived by the
-	// horizon: row-hit reads, then other reads, then row-hit writes, then
-	// writes — reads sit on the core's critical path while writes are
-	// posted. Ties break by age. If nothing has arrived yet (can't happen
-	// given the horizon advance above, but guard), fall back to the oldest.
-	best := -1
-	bestPrio := -1
-	var bestSeq uint64
-	for i, r := range ch.pending {
-		if r.Arrival > ch.now {
-			continue
-		}
-		prio := 0
-		if ch.banks[r.bk].openRow == r.row {
-			prio++
-		}
-		if !r.Write {
-			prio += 2
-		}
-		if prio > bestPrio || (prio == bestPrio && r.seq < bestSeq) {
-			best, bestPrio, bestSeq = i, prio, r.seq
-		}
+	class := arrived & ch.read & ch.hit
+	if class == 0 {
+		class = arrived & ch.read
 	}
-	if best == -1 {
-		best, bestSeq = 0, ch.pending[0].seq
-		for i, r := range ch.pending {
-			if r.seq < bestSeq {
-				best, bestSeq = i, r.seq
-			}
-		}
+	if class == 0 {
+		class = arrived & ch.hit
 	}
-	r := ch.pending[best]
-	ch.pending[best] = ch.pending[len(ch.pending)-1]
-	ch.pending = ch.pending[:len(ch.pending)-1]
+	if class == 0 {
+		class = arrived
+	}
+	i := ch.oldest(class)
+	r := ch.slots[i].r
+	ch.slots[i].r = nil
+	bit := uint64(1) << i
+	ch.free |= bit
+	ch.read &^= bit
+	ch.hit &^= bit
+	ch.bankSet[r.bk] &^= bit
 	m.service(ch, r)
 	return true
+}
+
+// arrive clears the future bits of slots that have arrived by now and
+// recomputes nextArrival over the rest.
+func (ch *channel) arrive() {
+	next := int64(math.MaxInt64)
+	for f := ch.future; f != 0; f &= f - 1 {
+		i := bits.TrailingZeros64(f)
+		if a := ch.slots[i].arrival; a <= ch.now {
+			ch.future &^= 1 << i
+		} else {
+			next = min(next, a)
+		}
+	}
+	ch.nextArrival = next
+}
+
+// oldest returns the slot in the non-empty mask class with the lowest seq.
+func (ch *channel) oldest(class uint64) int {
+	best := bits.TrailingZeros64(class)
+	bestSeq := ch.slots[best].seq
+	for f := class & (class - 1); f != 0; f &= f - 1 {
+		if i := bits.TrailingZeros64(f); ch.slots[i].seq < bestSeq {
+			best, bestSeq = i, ch.slots[i].seq
+		}
+	}
+	return best
+}
+
+// rehit re-derives the hit bits of bank bk's slots after it opened row.
+func (ch *channel) rehit(bk int32, row int64) {
+	set := ch.bankSet[bk]
+	ch.hit &^= set
+	for f := set; f != 0; f &= f - 1 {
+		if i := bits.TrailingZeros64(f); ch.slots[i].row == row {
+			ch.hit |= 1 << i
+		}
+	}
 }
 
 // refreshUpTo runs any all-bank refreshes due by cycle `at`: every bank is
@@ -303,7 +378,8 @@ func (m *Memory) refreshUpTo(ch *channel, at int64) {
 		return
 	}
 	for ch.nextRefresh <= at {
-		end := max64(ch.nextRefresh, ch.cmdFree) + m.ct.rfc
+		ch.hit = 0
+		end := max(ch.nextRefresh, ch.cmdFree) + m.ct.rfc
 		for i := range ch.banks {
 			ch.banks[i].openRow = -1
 			if ch.banks[i].preReady < end {
@@ -327,7 +403,7 @@ func (m *Memory) service(ch *channel, r *Request) {
 	row := r.row
 	b := &ch.banks[r.bk]
 
-	start := max64(ch.now, r.Arrival)
+	start := max(ch.now, r.Arrival)
 	m.refreshUpTo(ch, start)
 
 	rowHit := false
@@ -338,29 +414,31 @@ func (m *Memory) service(ch *channel, r *Request) {
 	case b.openRow == -1:
 		m.stats.RowMisses++
 		// ACT: respect tRRD across the rank and the command bus.
-		act := max64(start, ch.cmdFree, ch.lastAct+t.rrd)
+		act := max(start, ch.cmdFree, ch.lastAct+t.rrd)
 		ch.lastAct = act
 		b.openRow = row
 		b.casReady = act + t.rcd
 		b.preReady = act + t.ras
+		ch.rehit(r.bk, row)
 	default:
 		m.stats.RowMisses++
 		m.stats.RowConflicts++
 		// PRE must respect tRAS since the opening ACT, the read-to-PRE
 		// delay, and write recovery — all folded into preReady.
-		pre := max64(start, ch.cmdFree, b.preReady)
-		act := max64(pre+t.rp, ch.lastAct+t.rrd)
+		pre := max(start, ch.cmdFree, b.preReady)
+		act := max(pre+t.rp, ch.lastAct+t.rrd)
 		ch.lastAct = act
 		b.openRow = row
 		b.casReady = act + t.rcd
 		b.preReady = act + t.ras
+		ch.rehit(r.bk, row)
 	}
 
 	// CAS issue: ACT-to-CAS readiness, command bus, CAS-to-CAS spacing, and
 	// write-to-read turnaround when a read follows a write on this bank.
-	cas := max64(start, b.casReady, ch.cmdFree)
+	cas := max(start, b.casReady, ch.cmdFree)
 	if !r.Write && b.lastWriteEnd > 0 {
-		cas = max64(cas, b.lastWriteEnd+t.wtr)
+		cas = max(cas, b.lastWriteEnd+t.wtr)
 	}
 	ch.cmdFree = cas + t.ccd
 
@@ -369,18 +447,18 @@ func (m *Memory) service(ch *channel, r *Request) {
 	if r.Write {
 		casLat = t.cwl
 	}
-	dataStart := max64(cas+casLat, ch.dataFre)
+	dataStart := max(cas+casLat, ch.dataFre)
 	dataEnd := dataStart + t.bl
 	ch.dataFre = dataEnd
 	m.stats.DataBusBusy += t.bl
 
 	if r.Write {
 		b.lastWriteEnd = dataEnd
-		b.preReady = max64(b.preReady, dataEnd+t.wr)
+		b.preReady = max(b.preReady, dataEnd+t.wr)
 		m.stats.Writes++
 		m.stats.TotalWriteLatency += uint64(dataEnd - r.Arrival)
 	} else {
-		b.preReady = max64(b.preReady, cas+t.rtp)
+		b.preReady = max(b.preReady, cas+t.rtp)
 		m.stats.Reads++
 		m.stats.TotalReadLatency += uint64(dataEnd - r.Arrival)
 	}
@@ -430,8 +508,12 @@ func (m *Memory) BulkTransferCycles(nPages int) int64 {
 
 // RecordBulkTransfer accounts a completed bulk migration burst against the
 // tier's stats and invalidates every open row (the burst walks the whole
-// array, destroying row locality).
+// array, destroying row locality). cycles must not be negative: horizons
+// never move backward.
 func (m *Memory) RecordBulkTransfer(nPages int, cycles int64) {
+	if cycles < 0 {
+		panic("memsim: RecordBulkTransfer with negative cycles")
+	}
 	m.stats.BulkTransfers++
 	m.stats.BulkTransferredPages += uint64(nPages)
 	m.stats.BulkTransferCyclesPaid += cycles
@@ -439,9 +521,10 @@ func (m *Memory) RecordBulkTransfer(nPages int, cycles int64) {
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 		}
+		ch.hit = 0
 		ch.now += cycles
-		ch.cmdFree = max64(ch.cmdFree, ch.now)
-		ch.dataFre = max64(ch.dataFre, ch.now)
+		ch.cmdFree = max(ch.cmdFree, ch.now)
+		ch.dataFre = max(ch.dataFre, ch.now)
 	}
 }
 
@@ -454,14 +537,4 @@ func (m *Memory) AdvanceTo(cycle int64) {
 			ch.now = cycle
 		}
 	}
-}
-
-func max64(vs ...int64) int64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

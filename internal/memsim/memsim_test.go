@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +29,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CapacityBytes = 4097 },
 		func(c *Config) { c.BusBytesPerBeat = 0 },
 		func(c *Config) { c.QueueDepth = 0 },
+		func(c *Config) { c.QueueDepth = 65 },
 		func(c *Config) { c.Timing.TCK = 0 },
 		func(c *Config) { c.Timing.TBL = 0 },
 	}
@@ -37,6 +39,15 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d: invalid config accepted", i)
 		}
+	}
+	deep := small()
+	deep.QueueDepth = 64
+	if err := deep.Validate(); err != nil {
+		t.Errorf("64-slot window rejected: %v", err)
+	}
+	deep.QueueDepth = 65
+	if err := deep.Validate(); err == nil || !strings.Contains(err.Error(), "DDR3") {
+		t.Errorf("65-slot window: error %v, want one naming the tier", err)
 	}
 }
 
@@ -401,6 +412,15 @@ func TestBulkTransferCycles(t *testing.T) {
 	}
 }
 
+func TestRecordBulkTransferRejectsNegativeCycles(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative bulk-transfer cycles accepted")
+		}
+	}()
+	New(small()).RecordBulkTransfer(1, -1)
+}
+
 func TestRecordBulkTransferClosesRows(t *testing.T) {
 	cfg := small()
 	m := New(cfg)
@@ -451,14 +471,62 @@ func TestStatsZeroDivision(t *testing.T) {
 	}
 }
 
+// requestRing recycles a fixed set of Requests round robin. Before a slot's
+// request is reused it is forced to completion and Reset, so driving a Memory
+// through the ring allocates nothing once every slot has been filled.
+type requestRing struct {
+	m    *Memory
+	reqs []*Request
+	next int
+}
+
+func newRequestRing(m *Memory, n int) *requestRing {
+	return &requestRing{m: m, reqs: make([]*Request, n)}
+}
+
+func (q *requestRing) issue(line uint64, write bool, arrival int64) {
+	r := q.reqs[q.next]
+	if r == nil {
+		r = &Request{Line: line, Write: write, Arrival: arrival}
+		q.reqs[q.next] = r
+	} else {
+		q.m.Complete(r)
+		r.Reset(line, write, arrival)
+	}
+	q.next = (q.next + 1) % len(q.reqs)
+	q.m.Enqueue(r)
+}
+
+// TestSteadyStateZeroAllocs: with recycled Requests, Enqueue and Complete
+// allocate nothing once the window is warm.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	for _, cfg := range []Config{DDR3(1 << 24), HBM(1 << 24)} {
+		m := New(cfg)
+		ring := newRequestRing(m, 1024)
+		rng := xrand.New(3)
+		var at int64
+		step := func() {
+			at += int64(rng.Intn(8))
+			ring.issue(rng.Uint64n(cfg.Lines()), rng.Bool(0.3), at)
+		}
+		for i := 0; i < 4096; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+			t.Errorf("%s: %.2f allocs per Enqueue/Complete, want 0", cfg.Name, allocs)
+		}
+	}
+}
+
 func BenchmarkRandomAccess(b *testing.B) {
 	cfg := DDR3(1 << 26)
 	m := New(cfg)
+	ring := newRequestRing(m, 1024)
 	rng := xrand.New(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := &Request{Line: rng.Uint64n(cfg.Lines()), Arrival: int64(i)}
-		m.Enqueue(r)
+		ring.issue(rng.Uint64n(cfg.Lines()), false, int64(i))
 	}
 	m.Drain()
 }
@@ -466,10 +534,11 @@ func BenchmarkRandomAccess(b *testing.B) {
 func BenchmarkStreaming(b *testing.B) {
 	cfg := HBM(1 << 26)
 	m := New(cfg)
+	ring := newRequestRing(m, 1024)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := &Request{Line: uint64(i) % cfg.Lines(), Arrival: int64(i)}
-		m.Enqueue(r)
+		ring.issue(uint64(i)%cfg.Lines(), false, int64(i))
 	}
 	m.Drain()
 }
