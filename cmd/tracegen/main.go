@@ -1,11 +1,10 @@
-// Command tracegen generates a synthetic benchmark trace, optionally
-// filters it through the Table 1 cache hierarchy (the Moola step of the
-// paper's methodology), and writes it in the binary trace format.
+// Command tracegen generates a synthetic benchmark trace and writes it in
+// the binary trace format. The generators emit post-LLC (memory-level)
+// traffic directly, so no cache filter runs.
 //
 // Usage:
 //
-//	tracegen -bench mcf -records 100000 -out mcf.trc        # memory-level
-//	tracegen -bench mcf -records 100000 -cpu -out mcf.trc   # CPU-level + cache filter
+//	tracegen -bench mcf -records 100000 -out mcf.trc
 package main
 
 import (
@@ -13,7 +12,6 @@ import (
 	"fmt"
 	"os"
 
-	"hmem/internal/cachesim"
 	"hmem/internal/trace"
 	"hmem/internal/workload"
 )
@@ -21,9 +19,8 @@ import (
 func main() {
 	var (
 		bench   = flag.String("bench", "astar", "benchmark profile name")
-		records = flag.Int("records", 100000, "records to generate (pre-filter)")
+		records = flag.Int("records", 100000, "records to generate")
 		out     = flag.String("out", "", "output file (default <bench>.trc)")
-		cpu     = flag.Bool("cpu", false, "treat generated records as CPU-level and filter through L1/L2")
 		seed    = flag.Uint64("seed", 1, "generator seed")
 	)
 	flag.Parse()
@@ -50,19 +47,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var src trace.Stream = g
-	if *cpu {
-		l2, err := cachesim.New(cachesim.Table1L2(16))
-		if err != nil {
-			fatal(err)
-		}
-		h, err := cachesim.NewHierarchy(cachesim.Table1Hierarchy(), l2)
-		if err != nil {
-			fatal(err)
-		}
-		src = cachesim.NewFilterStream(workload.CPUExpand(src, 4, *seed+1), h)
-	}
-	recs, err := trace.Collect(src, 0)
+	recs, err := trace.Collect(g, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -79,12 +64,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		fatal(fmt.Errorf("closing %s: %w", path, err))
 	}
-	fmt.Printf("wrote %d records to %s", w.Count(), path)
-	if *cpu {
-		// Expansion inflates the CPU-level stream ~5x before filtering.
-		fmt.Printf(" (cache-filtered from ~%d CPU-level accesses)", *records*5)
-	}
-	fmt.Println()
+	fmt.Printf("wrote %d records to %s\n", w.Count(), path)
 }
 
 func fatal(err error) {

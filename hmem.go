@@ -9,8 +9,8 @@
 // The facade below exposes the common workflows; the full machinery lives in
 // the internal packages (see DESIGN.md for the system inventory):
 //
-//	workload   synthetic SPEC-like 16-core trace generation (Table 2 mixes)
-//	cachesim   L1/L2 filtering for CPU-level traces
+//	workload   synthetic SPEC-like 16-core trace generation (Table 2
+//	           mixes), emitting post-LLC traffic directly
 //	memsim     cycle-level two-tier DRAM timing (Table 1 configuration)
 //	avf        per-cache-line ACE tracking, per-page AVF
 //	ecc        SEC-DED(72,64) and RS(18,16) ChipKill codecs
@@ -231,10 +231,6 @@ type TopologySummary struct {
 	FastTier   int           `json:"fast_tier"`
 	AllocOrder []int         `json:"alloc_order"`
 }
-
-// Topologies lists the selectable topology names: the built-in hbm-ddr and
-// dram-nvm machines first, then any registered custom topologies.
-func Topologies() []string { return core.TopologyNames() }
 
 // DescribeTopologies summarizes every selectable topology at the given
 // capacity scale (0 = the default experiment scale).

@@ -104,3 +104,19 @@ func TestEvaluateDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
 }
+
+// TestExperimentIDsAllocs: listing the experiments builds no table. Every
+// hmemd job submission and GET /v1/experiments lists them, and the static
+// tables cost over 200 allocations to render.
+func TestExperimentIDsAllocs(t *testing.T) {
+	e, err := NewEngine(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.ExperimentIDs()); n != 23 {
+		t.Fatalf("ExperimentIDs lists %d experiments, want 23", n)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.ExperimentIDs() }); allocs > 64 {
+		t.Fatalf("ExperimentIDs = %.0f allocs/call, want <= 64", allocs)
+	}
+}

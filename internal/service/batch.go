@@ -193,66 +193,39 @@ type evaluationRun struct {
 	settled  chan struct{}
 }
 
-// evaluate is hmemd's one evaluation path. It resolves and holds every
-// item's engine, prices the distinct fresh result keys and admits that
-// cost, then runs the items in the background under exec.Settle with
-// per-item error isolation, and releases the cost and engines once the
-// work has settled — not when the client goes away, since the
-// simulations it started keep running. On false the response is already
-// written: a 400 for an item whose options do not resolve (itemErr labels
-// the error), or an admission refusal.
-func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []BatchItem, itemErr func(i int, err error) error) (*evaluationRun, bool) {
-	engines := make([]*engineEntry, 0, len(items))
+// execute is hmemd's one engine-and-cost lifecycle, shared by requests and
+// jobs. It resolves and holds one engine per options patch, prices the work,
+// and hands the cost to admit, the caller's one admission decision. Admitted
+// work runs in the background under exec.Settle, work(i, engine) per item
+// with per-item error isolation; the cost and engines are released once the
+// work has settled — not when the caller goes away, since the work it
+// started keeps running. When a patch's engine does not resolve (bad names
+// it) or admit refuses, nothing is held and run is nil.
+func (s *Service) execute(ctx context.Context, patches []*OptionsPatch, price func([]*engineEntry) float64,
+	admit func(cost float64) bool, work func(i int, en *engineEntry) itemOutcome) (run *evaluationRun, bad int, err error) {
+	engines := make([]*engineEntry, 0, len(patches))
 	releaseEngines := func() {
 		for _, en := range engines {
 			s.releaseEngine(en)
 		}
 	}
-	for i := range items {
-		en, err := s.acquireEngine(items[i].Options)
+	for i, p := range patches {
+		en, err := s.acquireEngine(p)
 		if err != nil {
 			releaseEngines()
-			writeError(w, http.StatusBadRequest, itemErr(i, err))
-			return nil, false
+			return nil, i, err
 		}
 		engines = append(engines, en)
 	}
-
-	// Each distinct result key that is neither cached nor in flight costs
-	// one options-scaled unit.
-	var cost float64
-	seen := make(map[string]bool)
-	for i := range items {
-		it := &items[i]
-		en := engines[i]
-		for _, p := range it.policySet() {
-			key := resultKey(en.digest, it.Workload, p)
-			if seen[key] || s.results.Known(key) {
-				continue
-			}
-			seen[key] = true
-			cost += s.costUnit(en.e)
-		}
-	}
-	// In the shedding state all fresh work is refused with 503 — cached
-	// answers still flow; under that, the budget sheds the excess with 429.
-	// Both carry a drain-rate-derived Retry-After.
-	if cost > 0 && s.adm.healthState() == healthShedding {
+	cost := price(engines)
+	if !admit(cost) {
 		releaseEngines()
-		secs := retryAfterSeconds(s.adm.inflight()-s.adm.budget+cost, s.adm.drain.rate())
-		writeRetryableError(w, http.StatusServiceUnavailable, secs, errors.New("server is shedding load"))
-		return nil, false
-	}
-	if ok, secs := s.adm.admit(cost); !ok {
-		releaseEngines()
-		writeRetryableError(w, http.StatusTooManyRequests, secs,
-			errors.New("admission: in-flight cost over budget; retry later"))
-		return nil, false
+		return nil, 0, nil
 	}
 
-	run := &evaluationRun{
-		outcomes: make([]itemOutcome, len(items)),
-		done:     make([]chan struct{}, len(items)),
+	run = &evaluationRun{
+		outcomes: make([]itemOutcome, len(patches)),
+		done:     make([]chan struct{}, len(patches)),
 		settled:  make(chan struct{}),
 	}
 	for i := range run.done {
@@ -260,8 +233,8 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 	}
 	go func() {
 		defer close(run.settled)
-		errs := exec.Settle(ctx, s.resolvedDefaults.Parallel, len(items), func(i int) error {
-			run.outcomes[i] = s.runItem(ctx, items[i], engines[i])
+		errs := exec.Settle(ctx, s.resolvedDefaults.Parallel, len(patches), func(i int) error {
+			run.outcomes[i] = work(i, engines[i])
 			close(run.done[i])
 			return nil
 		})
@@ -276,7 +249,57 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 		s.adm.release(cost)
 		releaseEngines()
 	}()
-	return run, true
+	return run, 0, nil
+}
+
+// evaluate runs evaluate and compare items through execute. Each distinct
+// result key that is neither cached nor in flight costs one options-scaled
+// unit; duplicates within the run and cached keys are free. On false the
+// response is already written: a 400 for an item whose options do not
+// resolve (itemErr labels the error), or an admission refusal.
+func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []BatchItem, itemErr func(i int, err error) error) (*evaluationRun, bool) {
+	patches := make([]*OptionsPatch, len(items))
+	for i := range items {
+		patches[i] = items[i].Options
+	}
+	price := func(engines []*engineEntry) float64 {
+		var cost float64
+		seen := make(map[string]bool)
+		for i := range items {
+			for _, p := range items[i].policySet() {
+				key := resultKey(engines[i].digest, items[i].Workload, p)
+				if seen[key] || s.results.Known(key) {
+					continue
+				}
+				seen[key] = true
+				cost += s.costUnit(engines[i].e)
+			}
+		}
+		return cost
+	}
+	// In the shedding state all fresh work is refused with 503 — cached
+	// answers still flow; under that, the budget sheds the excess with 429.
+	// Both carry a drain-rate-derived Retry-After.
+	admit := func(cost float64) bool {
+		if cost > 0 && s.adm.healthState() == healthShedding {
+			secs := retryAfterSeconds(s.adm.inflight()-s.adm.budget+cost, s.adm.drain.rate())
+			writeRetryableError(w, http.StatusServiceUnavailable, secs, errors.New("server is shedding load"))
+			return false
+		}
+		ok, secs := s.adm.admit(cost)
+		if !ok {
+			writeRetryableError(w, http.StatusTooManyRequests, secs,
+				errors.New("admission: in-flight cost over budget; retry later"))
+		}
+		return ok
+	}
+	run, bad, err := s.execute(ctx, patches, price, admit, func(i int, en *engineEntry) itemOutcome {
+		return s.runItem(ctx, items[i], en)
+	})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, itemErr(bad, err))
+	}
+	return run, run != nil
 }
 
 // runItem executes one item through the shared result cache. Errors are the
@@ -325,63 +348,73 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.batchRequests.Inc()
 
+	// Items execute in parallel; each line is ready once its item — and
+	// every earlier one — has settled, so the stream is in item order but
+	// the work is not serialized. The summary waits for the run's releases,
+	// so a client that has read the whole stream sees its cost already
+	// returned to the budget.
+	next, errCount := 0, 0
+	writeNDJSON(ctx, w, func(buf []byte) ([]byte, <-chan struct{}) {
+		for ; next < len(items); next++ {
+			select {
+			case <-run.done[next]:
+			default:
+				return buf, run.done[next]
+			}
+			res := batchResult(items[next], next, run.outcomes[next])
+			line, err := encodeBatchLine(res)
+			if err != nil {
+				res = batchResult(items[next], next, itemOutcome{err: err})
+				line, _ = encodeBatchLine(res)
+			}
+			outcome := "ok"
+			if res.Error != "" {
+				errCount++
+				outcome = "error"
+			}
+			s.met.batchItems.With(outcome).Inc()
+			buf = append(buf, line...)
+		}
+		select {
+		case <-run.settled:
+		default:
+			return buf, run.settled
+		}
+		line, _ := encodeBatchLine(BatchResult{
+			Seq:  len(items) + 1,
+			Done: &BatchSummary{Items: len(items), Errors: errCount},
+		})
+		return append(buf, line...), nil
+	})
+}
+
+// writeNDJSON is hmemd's one NDJSON stream writer, behind job watches and
+// batches. Each round, next appends every line that is ready to buf and
+// returns the channel that closes when more may be ready, or nil once it
+// has appended the terminal line. The writer writes the round, flushes once
+// before it blocks, and stops after the terminal line, on a failed write, or
+// when the client goes away.
+func writeNDJSON(ctx context.Context, w http.ResponseWriter, next func(buf []byte) ([]byte, <-chan struct{})) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-
-	// Items execute in parallel; each line streams as soon as its item — and
-	// every earlier one — has settled, so the stream is in item order but the
-	// work is not serialized.
-	errCount := 0
-	for i := range items {
-		select {
-		case <-run.done[i]:
-		case <-ctx.Done():
-			return // client gone; any status we write is unread
-		}
-		res := batchResult(items[i], i, run.outcomes[i])
-		line, err := encodeBatchLine(res)
-		if err != nil {
-			res = batchResult(items[i], i, itemOutcome{err: err})
-			line, _ = encodeBatchLine(res)
-		}
-		outcome := "ok"
-		if res.Error != "" {
-			errCount++
-			outcome = "error"
-		}
-		if _, err := w.Write(line); err != nil {
+	var buf []byte
+	for {
+		var wait <-chan struct{}
+		buf, wait = next(buf[:0])
+		if _, err := w.Write(buf); err != nil {
 			return
 		}
-		// Flush only when the stream is about to idle: if the next line (or
-		// the terminal summary) follows immediately, it carries these bytes
-		// and the per-line syscall is saved. Fresh, slow items still flush
-		// every line, so streaming latency is unchanged where it matters.
-		if flusher != nil && i+1 < len(items) {
-			select {
-			case <-run.done[i+1]:
-			default:
-				flusher.Flush()
-			}
+		if flusher != nil {
+			flusher.Flush()
 		}
-		s.met.batchItems.With(outcome).Inc()
-	}
-	// The summary waits for the run's releases, so a client that has read
-	// the whole stream sees its cost already returned to the budget.
-	select {
-	case <-run.settled:
-	case <-ctx.Done():
-		return
-	}
-	line, err := encodeBatchLine(BatchResult{
-		Seq:  len(items) + 1,
-		Done: &BatchSummary{Items: len(items), Errors: errCount},
-	})
-	if err != nil {
-		return
-	}
-	_, _ = w.Write(line)
-	if flusher != nil {
-		flusher.Flush()
+		if wait == nil {
+			return
+		}
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return
+		}
 	}
 }

@@ -474,8 +474,8 @@ func TestJournalReplayRequeuesInterruptedAndPoisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j3.id == "job-1" || j3.id == "job-2" {
-		t.Fatalf("id collision: %s", j3.id)
+	if j3.ID == "job-1" || j3.ID == "job-2" {
+		t.Fatalf("id collision: %s", j3.ID)
 	}
 	if svc.jobRetries.Load() != 1 {
 		t.Fatalf("jobRetries = %d, want 1", svc.jobRetries.Load())

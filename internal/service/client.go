@@ -403,16 +403,26 @@ func (c *Client) JobTrace(ctx context.Context, id string) ([]obs.SpanData, error
 // transition or progress heartbeat (nil is fine), until the job reaches a
 // terminal state; it then fetches and returns the final status.
 //
-// A watch stream severed mid-flight — the connection dropped, a proxy gave
-// up, the decoder hit a torn line — is not a failure of the job, just of the
-// pipe. Job state is idempotent to re-read (the server replays every
-// transition from the start), so WaitJob reconnects up to Retries times with
-// the same retry policy as other idempotent calls, deduplicating
-// transitions by their Seq so onEvent sees each one exactly once across
-// however many connections it took.
+// A watch stream severed mid-flight is not a failure of the job, just of
+// the pipe: the server replays every transition from the start, so
+// readStream reconnects and onEvent sees each transition exactly once.
+// Progress heartbeats reuse their transition's seq and are always
+// forwarded — they are point-in-time telemetry, not history.
 func (c *Client) WaitJob(ctx context.Context, id string, onEvent func(JobEvent)) (JobStatus, error) {
-	lastSeq := 0
-	if err := c.retry(ctx, func() error { return c.watchOnce(ctx, id, &lastSeq, onEvent) }); err != nil {
+	err := readStream(ctx, c, http.MethodGet, "/v1/jobs/"+id+"?watch=1", nil, "job "+id+" events",
+		func(ev *JobEvent) (int, bool) {
+			if ev.Progress != nil {
+				return 0, false
+			}
+			return ev.Seq, terminal(ev.State)
+		},
+		func(ev JobEvent) error {
+			if onEvent != nil {
+				onEvent(ev)
+			}
+			return nil
+		})
+	if err != nil {
 		return JobStatus{}, err
 	}
 	// Terminal state observed; the final status (with result table) is one
@@ -420,38 +430,43 @@ func (c *Client) WaitJob(ctx context.Context, id string, onEvent func(JobEvent))
 	return c.Job(ctx, id)
 }
 
-// watchOnce runs one watch connection until a terminal event (nil) or the
-// stream dies (error). lastSeq carries transition dedup state across
-// reconnects: replayed transitions at or below it are skipped; progress
-// heartbeats (which reuse their transition's seq) are always forwarded —
-// they are point-in-time telemetry, not history.
-func (c *Client) watchOnce(ctx context.Context, id string, lastSeq *int, onEvent func(JobEvent)) error {
-	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"?watch=1", nil, true)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var ev JobEvent
-		if err := dec.Decode(&ev); err != nil {
-			// EOF before a terminal event is a severed stream too: the server
-			// never ends a healthy watch early.
-			return fmt.Errorf("hmemd: reading job %s events: %w", id, err)
+// readStream is the client's one NDJSON stream reader, behind WaitJob and
+// EvaluateBatch. Under the retry policy it sends the request, decodes one T
+// per line and hands each to onLine until the terminal line has been
+// handled. A stream severed mid-flight — the connection dropped, a proxy
+// gave up, a torn line, EOF before the terminal line — is retried like any
+// idempotent call: the server replays the stream from the start, and lines
+// whose seq was already handled are dropped, so onLine sees each line
+// exactly once however many connections it took. classify reports a line's
+// seq (0 for lines that are never deduplicated) and whether it is
+// terminal; an onLine error fails the attempt.
+func readStream[T any](ctx context.Context, c *Client, method, path string, body []byte, what string,
+	classify func(*T) (seq int, last bool), onLine func(T) error) error {
+	handled := 0
+	return c.retry(ctx, func() error {
+		resp, err := c.send(ctx, method, path, body, true)
+		if err != nil {
+			return err
 		}
-		isProgress := ev.Progress != nil
-		if isProgress || ev.Seq > *lastSeq {
-			if !isProgress {
-				*lastSeq = ev.Seq
+		defer resp.Body.Close()
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var line T
+			if err := dec.Decode(&line); err != nil {
+				return fmt.Errorf("hmemd: reading %s: %w", what, err)
 			}
-			if onEvent != nil {
-				onEvent(ev)
+			seq, last := classify(&line)
+			if seq == 0 || seq > handled {
+				if err := onLine(line); err != nil {
+					return err
+				}
+				handled = max(handled, seq)
+			}
+			if last {
+				return nil
 			}
 		}
-		if terminal(ev.State) {
-			return nil
-		}
-	}
+	})
 }
 
 // RunJob is SubmitJob + WaitJob + result extraction in one call.

@@ -51,12 +51,26 @@ func (c *Client) EvaluateBatch(ctx context.Context, req BatchRequest, onResult f
 	if err != nil {
 		return BatchSummary{}, fmt.Errorf("hmemd: encoding batch: %w", err)
 	}
-	lastSeq := 0
 	var sum BatchSummary
-	err = c.retry(ctx, func() (err error) {
-		sum, err = c.batchOnce(ctx, req.Items, body, &lastSeq, onResult)
-		return err
-	})
+	err = readStream(ctx, c, http.MethodPost, "/v1/batch", body, "batch results",
+		func(ev *BatchResult) (int, bool) { return ev.Seq, ev.Done != nil },
+		func(ev BatchResult) error {
+			if ev.Done != nil {
+				sum = *ev.Done
+				return nil
+			}
+			// Opaque request matching: the server echoes each item's index
+			// and ID; a mismatch means the stream is answering a different
+			// batch.
+			if ev.Index < 0 || ev.Index >= len(req.Items) || ev.ID != req.Items[ev.Index].ID {
+				return fmt.Errorf(
+					"hmemd: batch stream mismatch: seq %d carries index %d id %q", ev.Seq, ev.Index, ev.ID)
+			}
+			if onResult != nil {
+				onResult(ev)
+			}
+			return nil
+		})
 	return sum, err
 }
 
@@ -69,40 +83,4 @@ func (c *Client) CollectBatch(ctx context.Context, req BatchRequest) ([]BatchRes
 		return nil, BatchSummary{}, err
 	}
 	return out, sum, nil
-}
-
-// batchOnce runs one batch connection until the terminal summary line
-// (returned) or the stream dies (error). lastSeq carries dedup state
-// across reconnects: replayed lines at or below it are skipped.
-func (c *Client) batchOnce(ctx context.Context, items []BatchItem, body []byte, lastSeq *int, onResult func(BatchResult)) (BatchSummary, error) {
-	resp, err := c.send(ctx, http.MethodPost, "/v1/batch", body, true)
-	if err != nil {
-		return BatchSummary{}, err
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var ev BatchResult
-		if err := dec.Decode(&ev); err != nil {
-			// EOF before the terminal line is a severed stream too: a healthy
-			// batch always ends with its summary.
-			return BatchSummary{}, fmt.Errorf("hmemd: reading batch results: %w", err)
-		}
-		if ev.Done != nil {
-			return *ev.Done, nil
-		}
-		if ev.Seq <= *lastSeq {
-			continue
-		}
-		// Opaque request matching: the server echoes each item's index and
-		// ID; a mismatch means the stream is answering a different batch.
-		if ev.Index < 0 || ev.Index >= len(items) || ev.ID != items[ev.Index].ID {
-			return BatchSummary{}, fmt.Errorf(
-				"hmemd: batch stream mismatch: seq %d carries index %d id %q", ev.Seq, ev.Index, ev.ID)
-		}
-		*lastSeq = ev.Seq
-		if onResult != nil {
-			onResult(ev)
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -77,40 +78,34 @@ type JobEvent struct {
 	Progress *obs.Progress `json:"progress,omitempty"`
 }
 
-// job is the server-side record. All fields are guarded by the store mutex;
-// notify is closed-and-replaced on every event so watchers can block on it.
+// job is the server-side record: the wire status plus what the store needs
+// to run, deduplicate and stream it. All fields are guarded by the store
+// mutex; notify is closed-and-replaced on every event so watchers can block
+// on it.
 type job struct {
-	id          string
-	experiment  string
-	options     *OptionsPatch
-	timeoutMS   int64
-	idemKey     string
+	JobStatus
+	req         JobRequest
 	fingerprint string
-
-	state      string
-	err        string
-	result     *report.Table
-	progress   *obs.Progress
-	createdAt  time.Time
-	startedAt  *time.Time
-	finishedAt *time.Time
-
-	events []JobEvent
-	notify chan struct{}
+	events      []JobEvent
+	notify      chan struct{}
 }
 
-func (j *job) status() JobStatus {
-	return JobStatus{
-		ID:         j.id,
-		Experiment: j.experiment,
-		State:      j.state,
-		Error:      j.err,
-		Result:     j.result,
-		Progress:   j.progress,
-		CreatedAt:  j.createdAt,
-		StartedAt:  j.startedAt,
-		FinishedAt: j.finishedAt,
+// newJob builds a queued job for req, created at at.
+func newJob(id string, req JobRequest, at time.Time) *job {
+	return &job{
+		JobStatus:   JobStatus{ID: id, Experiment: req.Experiment, State: JobQueued, CreatedAt: at},
+		req:         req,
+		fingerprint: req.fingerprint(),
+		events:      []JobEvent{{Seq: 1, JobID: id, State: JobQueued}},
+		notify:      make(chan struct{}),
 	}
+}
+
+// wakeLocked wakes every watcher blocked on the job's notify channel.
+func (j *job) wakeLocked() {
+	old := j.notify
+	j.notify = make(chan struct{})
+	close(old)
 }
 
 func terminal(state string) bool {
@@ -144,63 +139,42 @@ var errKeyConflict = errors.New("idempotency key already used by a different req
 func (st *jobStore) add(req JobRequest) (j *job, existed bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	fp := req.fingerprint()
 	if req.IdempotencyKey != "" {
 		// A cancelled job never ran and never will; if it kept its key, the
 		// retry a queue-full 429 or draining 503 explicitly invites would get
 		// a 200 for work that was silently dropped — so cancellation frees
 		// the key (in memory here, and across restarts because replayed
 		// cancelled jobs hit this same check).
-		if prev, ok := st.byKey[req.IdempotencyKey]; ok && prev.state != JobCancelled {
-			if prev.fingerprint != fp {
+		if prev, ok := st.byKey[req.IdempotencyKey]; ok && prev.State != JobCancelled {
+			if prev.fingerprint != req.fingerprint() {
 				return nil, false, errKeyConflict
 			}
 			return prev, true, nil
 		}
 	}
-	st.next++
-	j = &job{
-		id:          fmt.Sprintf("job-%d", st.next),
-		experiment:  req.Experiment,
-		options:     req.Options,
-		timeoutMS:   req.TimeoutMS,
-		idemKey:     req.IdempotencyKey,
-		fingerprint: fp,
-		state:       JobQueued,
-		createdAt:   time.Now().UTC(),
-		notify:      make(chan struct{}),
-	}
-	j.events = append(j.events, JobEvent{Seq: 1, JobID: j.id, State: JobQueued})
-	st.byID[j.id] = j
-	if j.idemKey != "" {
-		st.byKey[j.idemKey] = j
-	}
-	st.order = append(st.order, j)
+	j = newJob(fmt.Sprintf("job-%d", st.next+1), req, time.Now().UTC())
+	st.insertLocked(j)
 	return j, false, nil
 }
 
-// restore inserts a journal-reconstructed job. Replay runs before the
-// workers and handlers start, but takes the lock anyway for consistency.
-func (st *jobStore) restore(j *job) {
+// insert adds a journal-restored job. Replay runs before the workers and
+// handlers start, but takes the lock anyway for consistency.
+func (st *jobStore) insert(j *job) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	j.fingerprint = JobRequest{
-		Experiment: j.experiment, Options: j.options, TimeoutMS: j.timeoutMS,
-	}.fingerprint()
-	st.byID[j.id] = j
-	if j.idemKey != "" {
-		st.byKey[j.idemKey] = j
-	}
-	st.order = append(st.order, j)
+	st.insertLocked(j)
 }
 
-// resumeIDs advances the id counter past every restored job so new ids never
-// collide with journaled ones.
-func (st *jobStore) resumeIDs(maxSeen int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if maxSeen > st.next {
-		st.next = maxSeen
+// insertLocked indexes j and advances the id counter past it, so new ids
+// never collide with restored ones.
+func (st *jobStore) insertLocked(j *job) {
+	st.byID[j.ID] = j
+	if j.req.IdempotencyKey != "" {
+		st.byKey[j.req.IdempotencyKey] = j
+	}
+	st.order = append(st.order, j)
+	if n, err := strconv.Atoi(strings.TrimPrefix(j.ID, "job-")); err == nil && n > st.next {
+		st.next = n
 	}
 }
 
@@ -209,7 +183,7 @@ func (st *jobStore) resumeIDs(maxSeen int) {
 func (st *jobStore) statusOf(j *job) JobStatus {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return j.status()
+	return j.JobStatus
 }
 
 func (st *jobStore) get(id string) (*job, bool) {
@@ -239,37 +213,33 @@ func (st *jobStore) list(limit, offset int) ([]JobStatus, int) {
 	out := make([]JobStatus, 0, n)
 	// st.order is oldest-first; walk backwards so page 0 is the newest jobs.
 	for i := total - 1 - offset; i >= 0 && len(out) < n; i-- {
-		out = append(out, st.order[i].status())
+		out = append(out, st.order[i].JobStatus)
 	}
 	return out, total
 }
 
-// transition records a state change, appends the event, and wakes watchers.
-// Progress describes the run segment in flight, so every transition clears
-// it: a fresh running state starts from nothing, and a terminal state's
-// story is its result, not a stale percentage.
-func (st *jobStore) transition(j *job, state, errMsg string, result *report.Table) {
+// transition is the job state machine, for live jobs and journal replay
+// alike: it records a state change made at at, appends the event, and wakes
+// watchers. Progress describes the run segment in flight, so every
+// transition clears it: a fresh running state starts from nothing, and a
+// terminal state's story is its result, not a stale percentage.
+func (st *jobStore) transition(j *job, state, errMsg string, result *report.Table, at time.Time) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	now := time.Now().UTC()
-	j.state = state
-	j.err = errMsg
-	j.progress = nil
+	j.State, j.Error, j.Progress = state, errMsg, nil
 	if result != nil {
-		j.result = result
+		j.Result = result
 	}
 	switch state {
 	case JobRunning:
-		j.startedAt = &now
+		j.StartedAt = &at
 	case JobDone, JobFailed, JobCancelled:
-		j.finishedAt = &now
+		j.FinishedAt = &at
 	}
 	j.events = append(j.events, JobEvent{
-		Seq: len(j.events) + 1, JobID: j.id, State: state, Error: errMsg,
+		Seq: len(j.events) + 1, JobID: j.ID, State: state, Error: errMsg,
 	})
-	old := j.notify
-	j.notify = make(chan struct{})
-	close(old)
+	j.wakeLocked()
 }
 
 // setProgress publishes a progress report for a running job and wakes
@@ -279,28 +249,20 @@ func (st *jobStore) transition(j *job, state, errMsg string, result *report.Tabl
 func (st *jobStore) setProgress(j *job, p obs.Progress) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if j.state != JobRunning {
+	if j.State != JobRunning {
 		return
 	}
-	j.progress = &p
-	old := j.notify
-	j.notify = make(chan struct{})
-	close(old)
+	j.Progress = &p
+	j.wakeLocked()
 }
 
-// snapshotEvents returns the events at or after fromSeq, the current state
-// and progress, plus the channel that closes on the next transition or
-// progress report.
+// snapshotEvents returns the events from seq fromSeq (>= 1) on, the current
+// state and progress, plus the channel that closes on the next transition
+// or progress report.
 func (st *jobStore) snapshotEvents(j *job, fromSeq int) ([]JobEvent, string, *obs.Progress, chan struct{}) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var out []JobEvent
-	for _, ev := range j.events {
-		if ev.Seq >= fromSeq {
-			out = append(out, ev)
-		}
-	}
-	return out, j.state, j.progress, j.notify
+	return append([]JobEvent(nil), j.events[fromSeq-1:]...), j.State, j.Progress, j.notify
 }
 
 // oldestQueuedAge reports how long the longest-waiting queued job has been
@@ -310,8 +272,8 @@ func (st *jobStore) oldestQueuedAge() time.Duration {
 	defer st.mu.Unlock()
 	var oldest time.Time
 	for _, j := range st.order {
-		if j.state == JobQueued && (oldest.IsZero() || j.createdAt.Before(oldest)) {
-			oldest = j.createdAt
+		if j.State == JobQueued && (oldest.IsZero() || j.CreatedAt.Before(oldest)) {
+			oldest = j.CreatedAt
 		}
 	}
 	if oldest.IsZero() {
@@ -328,7 +290,7 @@ func (st *jobStore) countByState() map[string]int {
 		JobQueued: 0, JobRunning: 0, JobDone: 0, JobFailed: 0, JobCancelled: 0,
 	}
 	for _, j := range st.order {
-		out[j.state]++
+		out[j.State]++
 	}
 	return out
 }
@@ -389,9 +351,9 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	// Journal before acknowledging: a 202 promises the job survives us.
 	s.journal.append(journalRecord{
-		Op: "submit", JobID: j.id, At: j.createdAt,
-		Experiment: j.experiment, Options: j.options,
-		IdemKey: j.idemKey, TimeoutMS: j.timeoutMS,
+		Op: "submit", JobID: j.ID, At: j.CreatedAt,
+		Experiment: req.Experiment, Options: req.Options,
+		IdemKey: req.IdempotencyKey, TimeoutMS: req.TimeoutMS,
 	})
 	// Enqueue under the mutex so a concurrent Shutdown can't close the
 	// channel between our closing-check and the send.
@@ -465,45 +427,33 @@ func (s *Service) handleGetJob(w http.ResponseWriter, r *http.Request) {
 
 // watchJob streams the job's state transitions — interleaved with progress
 // heartbeats while it runs — as NDJSON until the job reaches a terminal
-// state or the client disconnects. The final status (with the result table)
-// is one plain GET away once the stream ends.
+// state or the client disconnects. A heartbeat reuses the seq of the
+// transition it elaborates. The final status (with the result table) is one
+// plain GET away once the stream ends.
 func (s *Service) watchJob(w http.ResponseWriter, r *http.Request, j *job) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
 	nextSeq := 1
 	var lastProgress *obs.Progress
-	for {
+	writeNDJSON(r.Context(), w, func(buf []byte) ([]byte, <-chan struct{}) {
 		events, state, progress, notify := s.jobs.snapshotEvents(j, nextSeq)
-		for _, ev := range events {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			nextSeq = ev.Seq + 1
-		}
+		nextSeq += len(events)
 		// setProgress replaces the pointer on every report, so pointer
-		// identity is exactly "something new since the last loop".
+		// identity is exactly "something new since the last round".
 		if progress != nil && progress != lastProgress {
 			lastProgress = progress
-			ev := JobEvent{Seq: nextSeq - 1, JobID: j.id, State: state, Progress: progress}
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
+			events = append(events, JobEvent{Seq: nextSeq - 1, JobID: j.ID, State: state, Progress: progress})
 		}
-		if flusher != nil {
-			flusher.Flush()
+		for _, ev := range events {
+			line, err := json.Marshal(ev)
+			if err != nil {
+				return buf, nil
+			}
+			buf = append(append(buf, line...), '\n')
 		}
 		if terminal(state) {
-			return
+			return buf, nil
 		}
-		select {
-		case <-notify:
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return buf, notify
+	})
 }
 
 // handleJobTrace serves the job's spans still held in the daemon's ring
@@ -516,18 +466,19 @@ func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
-	spans := s.ring.Snapshot(j.id)
+	spans := s.ring.Snapshot(j.ID)
 	if spans == nil {
 		spans = []obs.SpanData{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"trace": j.id, "spans": spans})
+	writeJSON(w, http.StatusOK, map[string]any{"trace": j.ID, "spans": spans})
 }
 
 // setJobState applies a state transition and journals it.
 func (s *Service) setJobState(j *job, state, errMsg string, result *report.Table) {
-	s.jobs.transition(j, state, errMsg, result)
+	at := time.Now().UTC()
+	s.jobs.transition(j, state, errMsg, result, at)
 	s.journal.append(journalRecord{
-		Op: "state", JobID: j.id, At: time.Now().UTC(),
+		Op: "state", JobID: j.ID, At: at,
 		State: state, Error: errMsg, Result: result,
 	})
 }
@@ -544,10 +495,10 @@ func (s *Service) runJobs() {
 	}
 }
 
-// runOneJob executes one job with the failure domain of exactly that job: a
-// panicking experiment driver fails its own request with the captured stack
-// and the worker moves on; a configured deadline fails a runaway run; both
-// leave the daemon healthy.
+// runOneJob executes one job through execute, with the failure domain of
+// exactly that job: a panicking experiment driver fails its own request
+// with the captured stack and the worker moves on; a configured deadline
+// fails a runaway run; both leave the daemon healthy.
 func (s *Service) runOneJob(j *job) {
 	if s.baseCtx.Err() != nil {
 		// Drain deadline already passed: mark the remainder cancelled.
@@ -555,51 +506,50 @@ func (s *Service) runOneJob(j *job) {
 		return
 	}
 	s.setJobState(j, JobRunning, "", nil)
-	en, err := s.acquireEngine(j.options)
-	if err != nil {
-		s.setJobState(j, JobFailed, err.Error(), nil)
-		return
-	}
-	defer s.releaseEngine(en)
-	e := en.e
-	// An executing job weighs on the admission budget like the fan-out of
-	// evaluations it is: sustained job load pushes the node into degraded
-	// (new submissions refused) and, at the budget, into shedding. The job
-	// itself was 202-acknowledged, so it is charged, never shed.
-	cost := jobCostFactor * s.costUnit(e)
-	s.adm.charge(cost)
-	defer func() {
-		s.adm.release(cost)
-		s.adm.jobsDrain.observe(1)
-	}()
-	ctx := s.baseCtx
-	if j.timeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(j.timeoutMS)*time.Millisecond)
-		defer cancel()
-	}
 	// Each job gets its own tracer (trace id = job id) over the shared
 	// exporter, so GET /v1/jobs/{id}/trace can filter the ring precisely.
 	// Span ends feed the per-phase histogram; progress callbacks feed the
 	// job's live progress field.
-	tracer := obs.NewTracer(j.id, s.spanExp)
+	tracer := obs.NewTracer(j.ID, s.spanExp)
 	tracer.OnEnd(func(sd obs.SpanData) {
 		s.met.jobPhase.With(sd.Name).Observe(float64(sd.DurationNS) / 1e9)
 	})
-	ctx = obs.WithTracer(ctx, tracer)
-	ctx = obs.WithRegistry(ctx, s.registry)
-	ctx = obs.WithProgress(ctx, func(p obs.Progress) { s.jobs.setProgress(j, p) })
 	var table *report.Table
-	run := func() error {
-		var runErr error
-		table, runErr = e.RunExperiment(ctx, j.experiment)
-		return runErr
+	run, _, err := s.execute(s.baseCtx, []*OptionsPatch{j.req.Options},
+		func(en []*engineEntry) float64 { return jobCostFactor * s.costUnit(en[0].e) },
+		// An executing job weighs on the admission budget like the fan-out of
+		// evaluations it is: sustained job load pushes the node into
+		// degraded (new submissions refused) and, at the budget, into
+		// shedding. The job itself was 202-acknowledged, so it is charged,
+		// never shed.
+		func(cost float64) bool { s.adm.charge(cost); return true },
+		func(_ int, en *engineEntry) itemOutcome {
+			ctx := s.baseCtx
+			if j.req.TimeoutMS > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, time.Duration(j.req.TimeoutMS)*time.Millisecond)
+				defer cancel()
+			}
+			ctx = obs.WithTracer(ctx, tracer)
+			ctx = obs.WithRegistry(ctx, s.registry)
+			ctx = obs.WithProgress(ctx, func(p obs.Progress) { s.jobs.setProgress(j, p) })
+			call := func() (err error) {
+				table, err = en.e.RunExperiment(ctx, j.Experiment)
+				return err
+			}
+			if s.cfg.TaskWrap != nil {
+				call = s.cfg.TaskWrap(call)
+			}
+			return itemOutcome{err: call()}
+		})
+	if run == nil {
+		s.setJobState(j, JobFailed, err.Error(), nil)
+		return
 	}
-	if s.cfg.TaskWrap != nil {
-		run = s.cfg.TaskWrap(run)
-	}
-	err = exec.Protect(run)
+	<-run.settled
+	s.adm.jobsDrain.observe(1)
 	s.met.spansDropped.Add(tracer.Dropped())
+	err = run.outcomes[0].err
 	var pe *exec.PanicError
 	switch {
 	case errors.As(err, &pe):
@@ -609,8 +559,8 @@ func (s *Service) runOneJob(j *job) {
 			stack = stack[:panicStackLimit] + "\n[stack truncated]"
 		}
 		s.setJobState(j, JobFailed, fmt.Sprintf("panic: %v\n%s", pe.Value, stack), nil)
-	case errors.Is(err, context.DeadlineExceeded) && j.timeoutMS > 0 && s.baseCtx.Err() == nil:
-		s.setJobState(j, JobFailed, fmt.Sprintf("job deadline (%dms) exceeded", j.timeoutMS), nil)
+	case errors.Is(err, context.DeadlineExceeded) && j.req.TimeoutMS > 0 && s.baseCtx.Err() == nil:
+		s.setJobState(j, JobFailed, fmt.Sprintf("job deadline (%dms) exceeded", j.req.TimeoutMS), nil)
 	case err != nil:
 		s.setJobState(j, JobFailed, err.Error(), nil)
 	default:

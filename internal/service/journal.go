@@ -10,8 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,8 +98,8 @@ type journalOpenStats struct {
 	compacted int
 }
 
-// openJournal reads dir's existing journal (if any), compacts it, and opens
-// it for append. A torn trailing line — what a crash mid-append leaves
+// openJournal reads dir's existing journal (if any), compacts the file, and
+// opens it for append; it returns the records it read, in seq order. A torn trailing line — what a crash mid-append leaves
 // behind — is skipped, as is any other unparsable line: a best-effort
 // journal must not brick the daemon that owns it; the skips are counted so
 // operators can tell a clean replay from a lossy one. wrap, when non-nil,
@@ -144,17 +142,11 @@ func openJournal(dir string, wrap func(io.Writer) io.Writer) (*journal, []journa
 	// restart) and replay cost grows without bound for a long-lived daemon.
 	// The rewrite is atomic (tmp + rename) and best-effort — if it fails the
 	// old file is still valid, just larger, and appends continue past its
-	// original tail.
-	kept := compactRecords(recs)
+	// original tail. Replay compacts the records itself either way.
+	kept := flattenJobs(compactRecords(recs))
 	stats.compacted = len(recs) - len(kept)
-	if stats.compacted > 0 || stats.corruptLines > 0 {
-		if rewriteJournal(path, kept) == nil {
-			recs = kept
-		} else {
-			stats.compacted = 0
-		}
-	} else {
-		recs = kept
+	if (stats.compacted > 0 || stats.corruptLines > 0) && rewriteJournal(path, kept) != nil {
+		stats.compacted = 0
 	}
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -170,53 +162,49 @@ func openJournal(dir string, wrap func(io.Writer) io.Writer) (*journal, []journa
 	return jl, recs, stats, nil
 }
 
-// compactRecords collapses a record list to the minimum that replays
-// identically: per job, its submit record — carrying the accumulated count
-// of compacted-away running transitions in Attempts — plus its latest state
-// record (with the result table for done jobs). Original sequence numbers
-// are preserved. Orphaned state records, whose submit line was lost to
-// corruption, are dropped: without a request to re-run there is nothing
-// replay could do with them.
-func compactRecords(recs []journalRecord) []journalRecord {
-	type agg struct {
-		submit   journalRecord
-		last     *journalRecord
-		attempts int
-	}
-	byID := map[string]*agg{}
-	var order []*agg
+// compactedJob is one job's journal history reduced to what replays
+// identically: its submit record, whose Attempts counts the running
+// transitions before last, and its latest state record (nil while the job
+// has none).
+type compactedJob struct {
+	submit journalRecord
+	last   *journalRecord
+}
+
+// compactRecords collapses a record list, in seq order, to one compactedJob
+// per job in submission order. Attempts accumulates across compactions.
+// Orphaned state records, whose submit line was lost to corruption, are
+// dropped: without a request to re-run there is nothing replay could do
+// with them.
+func compactRecords(recs []journalRecord) []*compactedJob {
+	byID := map[string]*compactedJob{}
+	var jobs []*compactedJob
 	for _, rec := range recs {
-		switch rec.Op {
-		case "submit":
-			if rec.JobID == "" || byID[rec.JobID] != nil {
-				continue
-			}
-			a := &agg{submit: rec, attempts: rec.Attempts}
-			byID[rec.JobID] = a
-			order = append(order, a)
-		case "state":
-			a := byID[rec.JobID]
-			if a == nil {
-				continue
-			}
-			if rec.State == JobRunning {
-				a.attempts++
+		cj := byID[rec.JobID]
+		switch {
+		case rec.Op == "submit" && rec.JobID != "" && cj == nil:
+			cj = &compactedJob{submit: rec}
+			byID[rec.JobID] = cj
+			jobs = append(jobs, cj)
+		case rec.Op == "state" && cj != nil:
+			if cj.last != nil && cj.last.State == JobRunning {
+				cj.submit.Attempts++
 			}
 			r := rec
-			a.last = &r
+			cj.last = &r
 		}
 	}
+	return jobs
+}
+
+// flattenJobs renders compacted jobs back into journal records, with their
+// original sequence numbers and in seq order.
+func flattenJobs(jobs []*compactedJob) []journalRecord {
 	var out []journalRecord
-	for _, a := range order {
-		sub := a.submit
-		sub.Attempts = a.attempts
-		if a.last != nil && a.last.State == JobRunning {
-			// The kept running record is counted again at replay.
-			sub.Attempts--
-		}
-		out = append(out, sub)
-		if a.last != nil {
-			out = append(out, *a.last)
+	for _, cj := range jobs {
+		out = append(out, cj.submit)
+		if cj.last != nil {
+			out = append(out, *cj.last)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
@@ -335,97 +323,50 @@ type RecoveryStats struct {
 	CompactedRecords int
 }
 
-// replayedJob pairs a reconstructed job with how many times it had entered
-// the running state before the crash.
-type replayedJob struct {
-	j        *job
-	attempts int
-}
-
 // replayJournal rebuilds the job store from journal records and returns the
-// jobs that must be re-enqueued, in original submission order. Terminal jobs
-// are restored for GET /v1/jobs/{id}; interrupted ones either requeue (with
-// a fresh journaled "queued" transition, so attempts accumulate across
-// repeated crashes) or — at maxJobAttempts — fail as poison.
+// jobs that must be re-enqueued, in original submission order. Each job is
+// restored from its compacted form: queued as submitted, then moved to its
+// latest journaled state by the live state machine, stamped with the
+// record's time. Terminal jobs are restored for GET /v1/jobs/{id};
+// interrupted ones either requeue (with a fresh journaled "queued"
+// transition, so attempts accumulate across repeated crashes) or — at
+// maxJobAttempts — fail as poison.
 func (s *Service) replayJournal(recs []journalRecord) []*job {
-	byID := map[string]*replayedJob{}
-	var order []*replayedJob
-	maxID := 0
-	for _, rec := range recs {
-		switch rec.Op {
-		case "submit":
-			if rec.JobID == "" || byID[rec.JobID] != nil {
-				continue
-			}
-			j := &job{
-				id:         rec.JobID,
-				experiment: rec.Experiment,
-				options:    rec.Options,
-				idemKey:    rec.IdemKey,
-				timeoutMS:  rec.TimeoutMS,
-				state:      JobQueued,
-				createdAt:  rec.At,
-				notify:     make(chan struct{}),
-			}
-			j.events = append(j.events, JobEvent{Seq: 1, JobID: j.id, State: JobQueued})
-			// Attempts carries running transitions a previous startup
-			// compacted away; state records below add the rest.
-			rj := &replayedJob{j: j, attempts: rec.Attempts}
-			byID[rec.JobID] = rj
-			order = append(order, rj)
-			if n, err := strconv.Atoi(strings.TrimPrefix(rec.JobID, "job-")); err == nil && n > maxID {
-				maxID = n
-			}
-		case "state":
-			rj := byID[rec.JobID]
-			if rj == nil {
-				continue
-			}
-			j := rj.j
-			at := rec.At
-			j.state = rec.State
-			j.err = rec.Error
-			if rec.Result != nil {
-				j.result = rec.Result
-			}
-			switch rec.State {
-			case JobRunning:
-				rj.attempts++
-				j.startedAt = &at
-			case JobDone, JobFailed, JobCancelled:
-				j.finishedAt = &at
-			}
-			j.events = append(j.events, JobEvent{
-				Seq: len(j.events) + 1, JobID: j.id, State: rec.State, Error: rec.Error,
-			})
-		}
-	}
-
 	var requeue []*job
-	for _, rj := range order {
-		j := rj.j
-		s.jobs.restore(j)
+	for _, cj := range compactRecords(recs) {
+		sub := cj.submit
+		j := newJob(sub.JobID, JobRequest{
+			Experiment: sub.Experiment, Options: sub.Options,
+			TimeoutMS: sub.TimeoutMS, IdempotencyKey: sub.IdemKey,
+		}, sub.At)
+		s.jobs.insert(j)
+		attempts := sub.Attempts
+		if last := cj.last; last != nil {
+			s.jobs.transition(j, last.State, last.Error, last.Result, last.At)
+			if last.State == JobRunning {
+				attempts++
+			}
+		}
 		s.recovery.Restored++
-		if terminal(j.state) {
+		if terminal(j.State) {
 			s.recovery.Terminal++
 			continue
 		}
-		if rj.attempts >= maxJobAttempts {
+		if attempts >= maxJobAttempts {
 			s.setJobState(j, JobFailed, fmt.Sprintf(
-				"interrupted %d times by daemon restarts; not retrying (poison job)", rj.attempts), nil)
+				"interrupted %d times by daemon restarts; not retrying (poison job)", attempts), nil)
 			s.recovery.PoisonFailed++
 			continue
 		}
 		// Journal the fresh queued state so the *next* crash still sees the
 		// accumulated running count and the requeue itself is exactly-once:
 		// a replayed journal never contains a requeue decision, only states.
-		if j.state != JobQueued {
+		if j.State != JobQueued {
 			s.jobRetries.Add(1)
 		}
 		s.setJobState(j, JobQueued, "", nil)
 		s.recovery.Requeued++
 		requeue = append(requeue, j)
 	}
-	s.jobs.resumeIDs(maxID)
 	return requeue
 }

@@ -104,9 +104,9 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		batchItems: reg.CounterVec("hmemd_batch_items_total",
 			"Batch items streamed, by terminal outcome.", "outcome"),
 		traceOpens: reg.Counter("hmemd_trace_opens_total",
-			"Workload trace generations across all engines (coalescing-plan materializations included)."),
+			"Workload trace recordings made from the generators, across all engines."),
 		coalesceHits: reg.Counter("hmemd_coalesce_hits_total",
-			"Simulations served a trace replay from an active coalescing plan instead of regenerating."),
+			"Simulations that replayed an existing trace recording instead of generating the trace."),
 		recordingSize: reg.Gauge("hmemd_trace_recording_bytes",
 			"Bytes of trace recordings kept across live engines, at most 96 MiB per engine."),
 		queueDepth: reg.Gauge("hmemd_job_queue_depth",
