@@ -13,22 +13,29 @@
 // observed access.
 //
 // Because dynamic schemes move pages between tiers mid-run, every ACE
-// interval is attributed to the tier the page occupied when the interval
-// started, splitting a page's soft-error exposure across tiers.
+// interval is charged to the tier passed with the access that closes it —
+// the page's tier at that moment — so a page's soft-error exposure splits
+// across the tiers it occupied, and an interval spanning a migration is
+// charged wholly to the destination tier.
 //
 // The tracker is keyed by dense page indices (core.PageTable interning —
-// passed here as raw uint32 to keep this package import-free) and stores
-// per-page state in fixed-size chunks of flat arrays: the per-access path is
-// array indexing, no map operations, and no allocations once the footprint
-// has been seen, and growth never copies. Tiers are dense small integers
-// too — the tracker supports any tier count (NewTrackerN) with per-tier ACE
-// totals in flat tier-major arrays per chunk, so the N-tier generalization
-// costs the hot path nothing. Page ids reappear only at Snapshot time, when
-// the caller provides the dense index→id mapping.
+// passed here as raw uint32 to keep this package import-free), and its
+// memory is proportional to the lines a run touches, not to its page
+// footprint: a run typically touches a few of each page's 64 lines. Per page
+// index it keeps a touched-line mask, read and write counts, the offset and
+// size class of a block holding the page's line timestamps in rank order
+// (line l sits at slot popcount(mask & (1<<l - 1))), and a flat row of ACE
+// cycles per tier. Blocks live in a chunked arena whose chunks never move; a
+// full block doubles (2 up to 64 slots) and per-size free lists reuse the
+// blocks left behind. An access to a line already seen is array indexing and
+// a popcount: no map operations and no allocations. Tiers are dense small
+// integers too — the tracker supports any tier count (NewTrackerN) at no
+// cost to the hot path. Page ids reappear only at Snapshot time, when the
+// caller provides the dense index→id mapping.
 package avf
 
 import (
-	"sort"
+	"math/bits"
 	"strconv"
 
 	"hmem/internal/trace"
@@ -60,41 +67,36 @@ func (t Tier) String() string {
 	}
 }
 
-type pageState struct {
-	lastAccess [trace.LinesPerPage]int64
-	// lineTier records, per line, the tier the page was in at the line's
-	// last access — the tier an interval ending at the next access to that
-	// line is charged to.
-	lineTier [trace.LinesPerPage]uint8
-	// touched marks lines that have been accessed at least once.
-	touched uint64
-	// reads/writes give per-page access counts for cross-checks.
+// pageLines is one page's access counts and the location of its line
+// timestamps: everything an access reads or writes but the timestamp and
+// the ACE total, in one cache line. A page with touched == 0 has no block.
+type pageLines struct {
+	touched       uint64 // bit l set once line l has been accessed
 	reads, writes uint64
+	off           uint32 // arena slot of the block's first timestamp
+	class         uint8  // the block holds 2<<class timestamps
 }
 
-// chunkPages is the tracker's unit of growth. State grows one chunk at a
-// time and chunks never move, so covering a new index copies nothing.
+// The arena grows one chunk at a time and chunks never move. A block never
+// straddles two chunks, so its slots are one slice of one chunk.
 const (
-	chunkShift = 8
-	chunkPages = 1 << chunkShift
+	chunkShift = 14
+	chunkSlots = 1 << chunkShift
+	maxClass   = 5 // 2<<5 == trace.LinesPerPage
 )
-
-// chunk holds the state of chunkPages consecutive page indices.
-type chunk struct {
-	pages [chunkPages]pageState
-	// ace accumulates ACE cycles, tier-major: ace[tier*chunkPages+j] for
-	// the chunk's page j, so charging an interval is one array index
-	// regardless of tier count.
-	ace []int64
-}
 
 // Tracker accumulates ACE time for every page index it observes. The zero
 // value is not usable; construct with NewTracker (two tiers) or NewTrackerN.
 // Not safe for concurrent use.
 type Tracker struct {
-	chunks   []*chunk // chunk c covers indices [c*chunkPages, (c+1)*chunkPages)
 	tiers    int
-	observed int // entries with at least one access
+	pages    []pageLines
+	ace      []int64 // ACE cycles, page-major: page i's row is ace[i*tiers : (i+1)*tiers]
+	observed int     // pages with at least one access
+
+	chunks [][]int64              // the arena; slot s is chunks[s>>chunkShift][s&(chunkSlots-1)]
+	next   uint32                 // first unused arena slot
+	free   [maxClass + 1][]uint32 // released blocks by size class
 }
 
 // NewTracker returns an empty tracker over the paper's two tiers.
@@ -113,15 +115,44 @@ func NewTrackerN(tiers int) *Tracker {
 // NumTiers returns the tracker's tier count.
 func (t *Tracker) NumTiers() int { return t.tiers }
 
-// grow adds chunks until index i is covered.
+// grow extends the per-page arrays to cover index i, at least doubling them.
 func (t *Tracker) grow(i int) {
-	for len(t.chunks) <= i>>chunkShift {
-		t.chunks = append(t.chunks, &chunk{ace: make([]int64, t.tiers*chunkPages)})
+	n := max(i+1, 2*len(t.pages), 256)
+	pages := make([]pageLines, n)
+	copy(pages, t.pages)
+	ace := make([]int64, n*t.tiers)
+	copy(ace, t.ace)
+	t.pages, t.ace = pages, ace
+}
+
+// block returns the slots of a block of class c at arena offset off.
+func (t *Tracker) block(off uint32, c uint8) []int64 {
+	lo := off & (chunkSlots - 1)
+	return t.chunks[off>>chunkShift][lo : lo+2<<c : lo+2<<c]
+}
+
+// alloc returns the arena offset of a free block of class c, reusing a
+// released one when it can.
+func (t *Tracker) alloc(c uint8) uint32 {
+	if fl := t.free[c]; len(fl) > 0 {
+		t.free[c] = fl[:len(fl)-1]
+		return fl[len(fl)-1]
 	}
+	size := uint32(2) << c
+	if end := uint32(len(t.chunks)) << chunkShift; t.next+size > end {
+		// The block does not fit in the last chunk: the chunk's tail stays
+		// unused and the block starts a new one.
+		t.next = end
+		t.chunks = append(t.chunks, make([]int64, chunkSlots))
+	}
+	off := t.next
+	t.next += size
+	return off
 }
 
 // Access records an access to line lineInPage (0..63) of the page interned
-// at dense index pi, at cycle `at`, residing in tier. Accesses to a line
+// at dense index pi, at cycle `at`, residing in tier. An ACE interval is
+// charged to the tier of the access that closes it. Accesses to a line
 // arrive in nearly non-decreasing time order; a timestamp earlier than the
 // line's last access is treated as concurrent with it (clamped to a
 // zero-length interval), because the simulator's per-core clocks can skew
@@ -136,55 +167,52 @@ func (t *Tracker) Access(pi uint32, lineInPage int, at int64, write bool, tier T
 		panic("avf: tier out of range for tracker")
 	}
 	i := int(pi)
-	if i>>chunkShift >= len(t.chunks) {
+	if i >= len(t.pages) {
 		t.grow(i)
 	}
-	c := t.chunks[i>>chunkShift]
-	j := i & (chunkPages - 1)
-	ps := &c.pages[j]
-	if ps.touched == 0 && ps.reads == 0 && ps.writes == 0 {
-		t.observed++
-	}
+	pl := &t.pages[i]
 	bit := uint64(1) << uint(lineInPage)
-	if ps.touched&bit != 0 {
-		last := ps.lastAccess[lineInPage]
+	rank := bits.OnesCount64(pl.touched & (bit - 1))
+	if pl.touched&bit != 0 {
+		slot := &t.chunks[pl.off>>chunkShift][pl.off&(chunkSlots-1)+uint32(rank)]
+		last := *slot
 		if at < last {
 			at = last
 		}
 		if !write {
-			// Interval ends in a read: ACE, charged to the tier the page
-			// occupied when the interval started.
-			c.ace[int(ps.lineTier[lineInPage])*chunkPages+j] += at - last
+			// Interval ends in a read: ACE.
+			t.ace[i*t.tiers+int(tier)] += at - last
 		}
-	}
-	ps.lastAccess[lineInPage] = at
-	ps.lineTier[lineInPage] = uint8(tier)
-	ps.touched |= bit
-	if write {
-		ps.writes++
+		*slot = at
 	} else {
-		ps.reads++
+		t.insert(pl, rank, at)
+		pl.touched |= bit
+	}
+	if write {
+		pl.writes++
+	} else {
+		pl.reads++
 	}
 }
 
-// MigratePage re-tags a page's open intervals to a new tier. An ACE interval
-// that spans the migration is charged wholly to the destination tier: at
-// migration time the interval's outcome (read or write) is still unknown, so
-// a faithful split is impossible without lookahead. Migrations are rare per
-// page relative to accesses, so the attribution error is small (documented
-// in DESIGN.md).
-func (t *Tracker) MigratePage(pi uint32, to Tier) {
-	i := int(pi)
-	if i>>chunkShift >= len(t.chunks) {
-		return
+// insert opens a line's first timestamp at rank in the page's block,
+// allocating or doubling the block when it has no free slot.
+func (t *Tracker) insert(pl *pageLines, rank int, at int64) {
+	n := bits.OnesCount64(pl.touched)
+	if n == 0 {
+		t.observed++
+		pl.class = 0
+		pl.off = t.alloc(0)
+	} else if n == 2<<pl.class {
+		old := t.block(pl.off, pl.class)
+		t.free[pl.class] = append(t.free[pl.class], pl.off)
+		pl.class++
+		pl.off = t.alloc(pl.class)
+		copy(t.block(pl.off, pl.class), old)
 	}
-	ps := &t.chunks[i>>chunkShift].pages[i&(chunkPages-1)]
-	if ps.touched == 0 {
-		return
-	}
-	for l := range ps.lineTier {
-		ps.lineTier[l] = uint8(to)
-	}
+	blk := t.block(pl.off, pl.class)
+	copy(blk[rank+1:n+1], blk[rank:n])
+	blk[rank] = at
 }
 
 // PageAVF describes one page's vulnerability over a run of totalCycles.
@@ -206,29 +234,70 @@ func (t *Tracker) Snapshot(totalCycles int64, ids []uint64) []PageAVF {
 	if totalCycles <= 0 {
 		panic("avf: Snapshot with non-positive duration")
 	}
-	denom := float64(trace.LinesPerPage) * float64(totalCycles)
-	tiers := t.tiers
-	out := make([]PageAVF, 0, t.observed)
-	// One backing array for every page's ByTier keeps the snapshot to O(1)
-	// allocations instead of one per page.
-	shares := make([]float64, t.observed*tiers)
-	for ci, c := range t.chunks {
-		for j := range c.pages {
-			ps := &c.pages[j]
-			if ps.touched == 0 {
-				continue
-			}
-			p := PageAVF{Page: ids[ci*chunkPages+j], Reads: ps.reads, Writes: ps.writes}
-			p.ByTier, shares = shares[:tiers:tiers], shares[tiers:]
-			for tier := 0; tier < tiers; tier++ {
-				p.ByTier[tier] = float64(c.ace[tier*chunkPages+j]) / denom
-				p.AVF += p.ByTier[tier]
-			}
-			out = append(out, p)
+	order := make([]entry, 0, t.observed)
+	for i := range t.pages {
+		if t.pages[i].touched != 0 {
+			order = append(order, entry{ids[i], i})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })
+	order = sortByID(order)
+
+	denom := float64(trace.LinesPerPage) * float64(totalCycles)
+	tiers := t.tiers
+	out := make([]PageAVF, len(order))
+	// One backing array for every page's ByTier keeps the snapshot to O(1)
+	// allocations instead of one per page.
+	shares := make([]float64, len(order)*tiers)
+	for k, e := range order {
+		pl := &t.pages[e.index]
+		p := &out[k]
+		*p = PageAVF{Page: e.id, Reads: pl.reads, Writes: pl.writes}
+		p.ByTier, shares = shares[:tiers:tiers], shares[tiers:]
+		for tier := 0; tier < tiers; tier++ {
+			p.ByTier[tier] = float64(t.ace[e.index*tiers+tier]) / denom
+			p.AVF += p.ByTier[tier]
+		}
+	}
 	return out
+}
+
+// entry pairs a page id with its dense index.
+type entry struct {
+	id    uint64
+	index int
+}
+
+// sortByID orders entries by page id with an LSD radix sort over the id
+// bytes that differ between entries. Page ids are dense per core, so that
+// is typically three passes, several times faster than a comparison sort on
+// a cold run's 15k pages. Ids are distinct, so the order is the one any
+// sort gives.
+func sortByID(a []entry) []entry {
+	var diff uint64
+	for _, e := range a {
+		diff |= e.id ^ a[0].id
+	}
+	tmp := make([]entry, len(a))
+	for shift := uint(0); diff>>shift != 0; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		var next [256]int
+		for _, e := range a {
+			next[byte(e.id>>shift)]++
+		}
+		sum := 0
+		for b, c := range next {
+			next[b], sum = sum, sum+c
+		}
+		for _, e := range a {
+			b := byte(e.id >> shift)
+			tmp[next[b]] = e
+			next[b]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
 }
 
 // PageCount returns the number of distinct pages observed.

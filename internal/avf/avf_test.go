@@ -122,30 +122,25 @@ func TestPageAveragesLines(t *testing.T) {
 }
 
 func TestTierAttribution(t *testing.T) {
+	// An interval is charged to the tier of the access that closes it, so
+	// one spanning a migration lands wholly in the destination tier.
 	tr := NewTracker()
 	tr.Access(1, 0, 0, true, TierHBM)    // interval starts in HBM
 	tr.Access(1, 0, 40, false, TierHBM)  // [0,40] ACE -> HBM
-	tr.MigratePage(1, TierDDR)           // move page to DDR
-	tr.Access(1, 0, 100, false, TierDDR) // [40,100] ACE -> DDR (start re-tagged)
+	tr.Access(1, 0, 100, false, TierDDR) // page moved to DDR: [40,100] ACE -> DDR
+	tr.Access(1, 0, 130, true, TierHBM)  // back in HBM: [100,130] dead
+	tr.Access(1, 0, 150, false, TierDDR) // [130,150] ACE -> DDR
 	snap := tr.Snapshot(160, identityIDs(2))
 	p := snap[0]
 	denominator := 64.0 * 160
 	if math.Abs(p.ByTier[TierHBM]-40/denominator) > 1e-12 {
 		t.Fatalf("HBM share = %v, want %v", p.ByTier[TierHBM], 40/denominator)
 	}
-	if math.Abs(p.ByTier[TierDDR]-60/denominator) > 1e-12 {
-		t.Fatalf("DDR share = %v, want %v", p.ByTier[TierDDR], 60/denominator)
+	if math.Abs(p.ByTier[TierDDR]-80/denominator) > 1e-12 {
+		t.Fatalf("DDR share = %v, want %v", p.ByTier[TierDDR], 80/denominator)
 	}
 	if math.Abs(p.AVF-(p.ByTier[0]+p.ByTier[1])) > 1e-15 {
 		t.Fatal("tier shares must sum to page AVF")
-	}
-}
-
-func TestMigrateUnknownPageIsNoop(t *testing.T) {
-	tr := NewTracker()
-	tr.MigratePage(99, TierHBM) // must not panic or create state
-	if tr.PageCount() != 0 {
-		t.Fatal("MigratePage created a page")
 	}
 }
 
@@ -276,7 +271,8 @@ func BenchmarkAccess(b *testing.B) {
 }
 
 // TestAccessZeroAllocsWhenWarm checks the AVF unit's hot path: once a page
-// index is covered by the flat state array, Access never allocates.
+// index is covered, an access to a line already seen, or to a new line the
+// page's block has room for (here each page's second line), never allocates.
 func TestAccessZeroAllocsWhenWarm(t *testing.T) {
 	tr := NewTracker()
 	for pi := uint32(0); pi < 64; pi++ {
@@ -307,5 +303,46 @@ func TestSkewedAccessClamps(t *testing.T) {
 	want := 60.0 / (64.0 * 160) // only [100,160] is ACE
 	if math.Abs(p.AVF-want) > 1e-12 {
 		t.Fatalf("AVF = %v, want %v (skewed access must charge nothing)", p.AVF, want)
+	}
+}
+
+// BenchmarkSnapshot snapshots a tracker the size of one cold hmemd run
+// (about 15k pages, 3 lines each) whose page ids were interned in a
+// shuffled order.
+func BenchmarkSnapshot(b *testing.B) {
+	const pages = 15000
+	rng := xrand.New(1)
+	tr := NewTracker()
+	ids := make([]uint64, pages)
+	for i, v := range rng.Perm(pages) {
+		ids[i] = uint64(v) + 1<<20
+		for l := 0; l < 3; l++ {
+			tr.Access(uint32(i), rng.Intn(64), int64(i), rng.Bool(0.3), TierDDR)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = tr.Snapshot(pages, ids)
+	}
+}
+
+var snapshotSink []PageAVF
+
+// BenchmarkAccessSparse spreads accesses over 16k pages with a few lines
+// each, the shape of a cold hmemd run: the per-page state no longer fits
+// in cache, so the benchmark counts the cache lines an access touches.
+func BenchmarkAccessSparse(b *testing.B) {
+	const pages = 1 << 14
+	tr := NewTracker()
+	rng := xrand.New(1)
+	for pi := uint32(0); pi < pages; pi++ {
+		for l := 0; l < 4; l++ {
+			tr.Access(pi, l*16, 0, true, TierDDR)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := rng.Uint64()
+		tr.Access(uint32(r%pages), int(r>>32&3)*16, int64(i), r>>40&3 == 0, TierDDR)
 	}
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -21,23 +22,26 @@ func rankBy(stats []PageStats, capacity int, key func(PageStats) float64) []uint
 	if capacity <= 0 || len(stats) == 0 {
 		return nil
 	}
-	idx := make([]int, len(stats))
-	for i := range idx {
-		idx[i] = i
+	type keyed struct {
+		key  float64
+		page uint64
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ka, kb := key(stats[idx[a]]), key(stats[idx[b]])
-		if ka != kb {
-			return ka > kb
+	ranked := make([]keyed, len(stats))
+	for i, s := range stats {
+		ranked[i] = keyed{key(s), s.Page}
+	}
+	slices.SortFunc(ranked, func(a, b keyed) int {
+		if a.key != b.key {
+			if a.key > b.key {
+				return -1
+			}
+			return 1
 		}
-		return stats[idx[a]].Page < stats[idx[b]].Page
+		return cmp.Compare(a.page, b.page)
 	})
-	if capacity > len(idx) {
-		capacity = len(idx)
-	}
-	out := make([]uint64, capacity)
-	for i := 0; i < capacity; i++ {
-		out[i] = stats[idx[i]].Page
+	out := make([]uint64, min(capacity, len(ranked)))
+	for i := range out {
+		out[i] = ranked[i].page
 	}
 	return out
 }

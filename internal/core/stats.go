@@ -6,7 +6,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hmem/internal/avf"
 	"hmem/internal/faultsim"
@@ -56,7 +57,7 @@ func FromSnapshot(snap []avf.PageAVF) []PageStats {
 
 // SortByPage orders stats by page id (canonical order for determinism).
 func SortByPage(stats []PageStats) {
-	sort.Slice(stats, func(i, j int) bool { return stats[i].Page < stats[j].Page })
+	slices.SortFunc(stats, func(a, b PageStats) int { return cmp.Compare(a.Page, b.Page) })
 }
 
 // MeanHotness returns the mean access count — the paper's hot/cold threshold

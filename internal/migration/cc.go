@@ -1,7 +1,8 @@
 package migration
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hmem/internal/core"
 	"hmem/internal/mea"
@@ -118,11 +119,11 @@ func (c *CrossCounter) hotSet() []pageCount {
 	for _, e := range c.hotScratch {
 		c.hotPages = append(c.hotPages, pageCount{page: c.pt.ID(core.PageIndex(e.Index)), count: e.Count})
 	}
-	sort.Slice(c.hotPages, func(i, j int) bool {
-		if c.hotPages[i].count != c.hotPages[j].count {
-			return c.hotPages[i].count > c.hotPages[j].count
+	slices.SortFunc(c.hotPages, func(a, b pageCount) int {
+		if o := cmp.Compare(b.count, a.count); o != 0 {
+			return o
 		}
-		return c.hotPages[i].page < c.hotPages[j].page
+		return cmp.Compare(a.page, b.page)
 	})
 	return c.hotPages
 }

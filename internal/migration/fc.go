@@ -1,7 +1,8 @@
 package migration
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hmem/internal/core"
 	"hmem/internal/sim"
@@ -9,12 +10,11 @@ import (
 
 // pagesByHotnessAsc returns page ids ordered coldest-first (ties by id).
 func pagesByHotnessAsc(stats []core.PageStats) []uint64 {
-	sort.Slice(stats, func(i, j int) bool {
-		ai, aj := stats[i].Accesses(), stats[j].Accesses()
-		if ai != aj {
-			return ai < aj
+	slices.SortFunc(stats, func(a, b core.PageStats) int {
+		if o := cmp.Compare(a.Accesses(), b.Accesses()); o != 0 {
+			return o
 		}
-		return stats[i].Page < stats[j].Page
+		return cmp.Compare(a.Page, b.Page)
 	})
 	out := make([]uint64, len(stats))
 	for i, s := range stats {

@@ -7,7 +7,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hmem/internal/avf"
 	"hmem/internal/core"
@@ -276,15 +276,6 @@ func (p *Placement) Lookup(page uint64) (avf.Tier, uint64, error) {
 	return p.LookupIndex(p.Intern(page))
 }
 
-// TierOfIndex returns the tier of the page interned at pi, if placed.
-func (p *Placement) TierOfIndex(pi core.PageIndex) (avf.Tier, bool) {
-	i := int(pi)
-	if i >= len(p.flags) || p.flags[i]&pagePlaced == 0 {
-		return 0, false
-	}
-	return avf.Tier(p.tier[i]), true
-}
-
 // InHBMIndex reports whether the page interned at pi resides in the fast
 // tier (HBM in the default topology).
 func (p *Placement) InHBMIndex(pi core.PageIndex) bool {
@@ -320,7 +311,7 @@ func (p *Placement) TierPages(t int) []uint64 {
 			out = append(out, ids[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

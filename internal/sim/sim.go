@@ -194,11 +194,10 @@ func (r Result) MeanAVF() float64 {
 	return sum / float64(len(r.Snapshot))
 }
 
-// Stats converts the snapshot into policy inputs.
+// Stats converts the snapshot into policy inputs, in page order (the
+// snapshot's own order).
 func (r Result) Stats() []core.PageStats {
-	s := core.FromSnapshot(r.Snapshot)
-	core.SortByPage(s)
-	return s
+	return core.FromSnapshot(r.Snapshot)
 }
 
 // fifo is a queue on a ring buffer. Its array is reused and only grows
@@ -394,7 +393,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		// has, so the decision uses a consistent global state.
 		if mig != nil && c.time >= nextInterval {
 			in, out := mig.Decide(nextInterval, placement)
-			moved := applyMigration(cores, mems, placement, tracker, in, out, concurrent, cfg.MigrationCostDiv, &res)
+			moved := applyMigration(cores, mems, placement, in, out, concurrent, cfg.MigrationCostDiv, &res)
 			sample := iv.sample(nextInterval, moved)
 			res.Intervals = append(res.Intervals, sample)
 			if metrics.epochs != nil {
@@ -532,27 +531,13 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 // Participants are the fast tier plus the allocation chain — both tiers of
 // the default topology.
 func applyMigration(cores []*coreState, mems []*memsim.Memory, placement *Placement,
-	tracker *avf.Tracker, in, out []uint64, concurrent bool, costDiv int, res *Result) int {
+	in, out []uint64, concurrent bool, costDiv int, res *Result) int {
 	// Migrate filters pinned/mismatched entries and reports actual moves.
 	moved := placement.Migrate(in, out)
 	if moved == 0 {
 		return 0
 	}
-	pt := placement.PageTable()
 	fastIdx := placement.FastTier()
-	fast := avf.Tier(fastIdx)
-	for _, page := range in {
-		if pi, ok := pt.Find(page); ok && placement.InHBMIndex(pi) {
-			tracker.MigratePage(uint32(pi), fast)
-		}
-	}
-	for _, page := range out {
-		if pi, ok := pt.Find(page); ok {
-			if t, placed := placement.TierOfIndex(pi); placed && t != fast {
-				tracker.MigratePage(uint32(pi), t)
-			}
-		}
-	}
 	pause := mems[fastIdx].BulkTransferCycles(moved)
 	for _, t := range placement.AllocTiers() {
 		if t == fastIdx {
