@@ -88,11 +88,7 @@ func main() {
 		for _, id := range strings.Split(*only, ",") {
 			id = strings.TrimSpace(id)
 			if !known[id] {
-				var ids []string
-				for _, exp := range all {
-					ids = append(ids, exp.ID)
-				}
-				fatal(fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(ids, ", ")))
+				fatal(fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(runner.ExperimentIDs(), ", ")))
 			}
 			want[id] = true
 		}

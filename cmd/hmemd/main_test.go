@@ -34,12 +34,7 @@ func TestKillRestartResumesJobs(t *testing.T) {
 		t.Skip("builds and boots the hmemd binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "hmemd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building hmemd: %v", err)
-	}
+	bin := buildHmemd(t, dir)
 	jdir := filepath.Join(dir, "journal")
 	ctx := context.Background()
 
@@ -87,12 +82,7 @@ func TestKillRestartResumesJobs(t *testing.T) {
 	}
 	d.requireMetric(t, "hmemd_journal_replayed_jobs 3")
 	d.requireMetric(t, `hmemd_jobs{state="done"} 3`)
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.cmd.Wait(); err != nil {
-		t.Fatalf("hmemd after SIGTERM: %v, want exit 0", err)
-	}
+	d.drain(t)
 	// Life 3 restored the jobs as done and ran nothing: its startup
 	// compaction dropped life 2's running records, and none came back.
 	for _, id := range ids {
@@ -120,17 +110,36 @@ type hmemdProc struct {
 	c   *service.Client
 }
 
-// startHmemd boots bin on a free localhost port with journal jdir and
-// returns once /healthz answers. The process is killed at test cleanup if
-// it is still running.
-func startHmemd(t *testing.T, bin, jdir string, extra ...string) *hmemdProc {
+// buildHmemd builds the hmemd binary into dir and returns its path.
+func buildHmemd(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "hmemd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building hmemd: %v", err)
+	}
+	return bin
+}
+
+// freeAddr returns a localhost address with a port that was free a moment
+// ago.
+func freeAddr(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// startHmemd boots bin on a free localhost port with journal jdir and
+// returns once /healthz answers. The process is killed at test cleanup if
+// it is still running.
+func startHmemd(t *testing.T, bin, jdir string, extra ...string) *hmemdProc {
+	t.Helper()
+	addr := freeAddr(t)
 	args := append([]string{"-addr", addr, "-records", "3000", "-fault-trials", "2000", "-journal-dir", jdir}, extra...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr
@@ -163,19 +172,39 @@ func (d *hmemdProc) kill(t *testing.T) {
 	_ = d.cmd.Wait()
 }
 
+// drain sends SIGTERM and requires a clean exit.
+func (d *hmemdProc) drain(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Fatalf("hmemd after SIGTERM: %v, want exit 0", err)
+	}
+}
+
 // requireMetric fails unless /metrics carries line.
 func (d *hmemdProc) requireMetric(t *testing.T, line string) {
 	t.Helper()
-	resp, err := http.Get(d.c.BaseURL + "/metrics")
+	if page := d.get(t, d.c.BaseURL+"/metrics", http.StatusOK); !strings.Contains(page, line+"\n") {
+		t.Fatalf("/metrics lacks %q:\n%s", line, page)
+	}
+}
+
+// get fetches url and fails unless it answers with status want.
+func (d *hmemdProc) get(t *testing.T, url string, want int) string {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	page, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(page), line+"\n") {
-		t.Fatalf("/metrics lacks %q:\n%s", line, page)
+	if resp.StatusCode != want {
+		t.Fatalf("GET %s: status %d, want %d", url, resp.StatusCode, want)
 	}
+	return string(body)
 }

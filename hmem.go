@@ -29,42 +29,37 @@
 //	fmt.Printf("IPC gain %.2fx, SER %.0fx of DDR-only\n",
 //		res.IPCvsDDROnly, res.SERvsDDROnly)
 //
-// Long-lived processes (the hmemd service) hold an Engine instead, which
-// shares one memoized runner across every request.
+// Long-lived callers hold an Engine instead, which shares one memoized
+// runner across every call.
 package hmem
 
 import (
 	"context"
-	"fmt"
 
 	"hmem/internal/core"
 	"hmem/internal/exec"
 	"hmem/internal/experiments"
-	"hmem/internal/faultsim"
-	"hmem/internal/migration"
-	"hmem/internal/obs"
 	"hmem/internal/report"
-	"hmem/internal/sim"
 	"hmem/internal/trace"
 	"hmem/internal/workload"
 )
 
 // PolicyName selects one of the paper's placement schemes.
-type PolicyName string
+type PolicyName = experiments.PolicyName
 
 // The available schemes. The first six are static (profile-guided); the
 // last three are dynamic migration mechanisms.
 const (
-	PolicyDDROnly            PolicyName = "ddr-only"
-	PolicyPerfFocused        PolicyName = "perf-focused"
-	PolicyReliabilityFocused PolicyName = "reliability-focused"
-	PolicyBalanced           PolicyName = "balanced"
-	PolicyWrRatio            PolicyName = "wr-ratio"
-	PolicyWr2Ratio           PolicyName = "wr2-ratio"
-	PolicyPerfMigration      PolicyName = "perf-migration"
-	PolicyFCMigration        PolicyName = "fc-migration"
-	PolicyCCMigration        PolicyName = "cc-migration"
-	PolicyAnnotation         PolicyName = "annotation"
+	PolicyDDROnly            = experiments.PolicyDDROnly
+	PolicyPerfFocused        = experiments.PolicyPerfFocused
+	PolicyReliabilityFocused = experiments.PolicyReliabilityFocused
+	PolicyBalanced           = experiments.PolicyBalanced
+	PolicyWrRatio            = experiments.PolicyWrRatio
+	PolicyWr2Ratio           = experiments.PolicyWr2Ratio
+	PolicyPerfMigration      = experiments.PolicyPerfMigration
+	PolicyFCMigration        = experiments.PolicyFCMigration
+	PolicyCCMigration        = experiments.PolicyCCMigration
+	PolicyAnnotation         = experiments.PolicyAnnotation
 )
 
 // Policies lists every scheme name.
@@ -95,33 +90,13 @@ func Benchmarks() []string { return workload.Names() }
 // experiments package (1/64 capacity scale, 40 K records/core).
 type Options = experiments.Options
 
-// TraceStats is the trace-delivery counter pair (recordings vs replays)
-// reported by Engine.TraceStats.
-type TraceStats = experiments.TraceStats
-
-// TraceStream is the per-core trace interface, re-exported for the
-// SetTraceWrap fault-injection seam.
+// TraceStream is the per-core trace interface, re-exported for the hmemd
+// service's trace-wrap fault-injection seam.
 type TraceStream = trace.Stream
 
-// Result summarizes one workload x policy evaluation. The JSON field names
-// are the hmemd service's wire format; encoding/json emits them in struct
-// order, so the encoding of a Result is byte-deterministic.
-type Result struct {
-	Workload string     `json:"workload"`
-	Policy   PolicyName `json:"policy"`
-	// IPC is the absolute per-core IPC; the vs fields are ratios against
-	// the same workload's baselines.
-	IPC           float64 `json:"ipc"`
-	IPCvsDDROnly  float64 `json:"ipc_vs_ddr_only"`
-	SERvsDDROnly  float64 `json:"ser_vs_ddr_only"`
-	MeanAVF       float64 `json:"mean_avf"`
-	PagesMigrated uint64  `json:"pages_migrated"`
-	// Endurance reports per-tier wear counters and is present only when the
-	// evaluation's topology declares a write budget on some tier (e.g. the
-	// built-in dram-nvm scenario); the default hbm-ddr topology omits it, so
-	// existing result encodings are unchanged.
-	Endurance []sim.TierEndurance `json:"endurance,omitempty"`
-}
+// Result summarizes one workload x policy evaluation; its JSON encoding is
+// the hmemd service's wire format.
+type Result = experiments.Result
 
 // Evaluate runs one workload under one policy and reports IPC/SER against
 // the DDR-only baseline. opts may be nil for defaults. Cancelling ctx stops
@@ -133,85 +108,6 @@ func Evaluate(ctx context.Context, workloadName string, policy PolicyName, opts 
 		return Result{}, err
 	}
 	return e.Evaluate(ctx, workloadName, policy)
-}
-
-func evaluate(ctx context.Context, r *experiments.Runner, workloadName string, policy PolicyName) (Result, error) {
-	spec, err := workload.SpecByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	prof, err := r.ProfileOf(ctx, spec)
-	if err != nil {
-		return Result{}, err
-	}
-
-	var res sim.Result
-	switch policy {
-	case PolicyDDROnly:
-		res = prof.Result
-	case PolicyPerfFocused:
-		res, err = r.RunStatic(ctx, spec, core.PerfFocused{})
-	case PolicyReliabilityFocused:
-		res, err = r.RunStatic(ctx, spec, core.ReliabilityFocused{})
-	case PolicyBalanced:
-		res, err = r.RunStatic(ctx, spec, core.Balanced{})
-	case PolicyWrRatio:
-		res, err = r.RunStatic(ctx, spec, core.WrRatio{})
-	case PolicyWr2Ratio:
-		res, err = r.RunStatic(ctx, spec, core.Wr2Ratio{})
-	case PolicyPerfMigration:
-		res, err = r.RunDynamic(ctx, spec, string(policy), func() sim.Migrator {
-			return migration.NewPerf(r.Options().FCIntervalCycles)
-		}, core.PerfFocused{})
-	case PolicyFCMigration:
-		res, err = r.RunDynamic(ctx, spec, string(policy), func() sim.Migrator {
-			return migration.NewFullCounter(r.Options().FCIntervalCycles)
-		}, core.Balanced{})
-	case PolicyCCMigration:
-		res, err = r.RunDynamic(ctx, spec, string(policy), func() sim.Migrator {
-			ratio := int(r.Options().FCIntervalCycles / r.Options().MEAIntervalCycles)
-			return migration.NewCrossCounter(r.Options().MEAIntervalCycles, ratio, 32)
-		}, core.Balanced{})
-	case PolicyAnnotation:
-		res, err = r.RunAnnotation(ctx, spec)
-	default:
-		return Result{}, fmt.Errorf("hmem: unknown policy %q", policy)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-
-	_, rel, err := r.SEROf(ctx, res)
-	if err != nil {
-		return Result{}, err
-	}
-	if reg := obs.RegistryFrom(ctx); reg != nil {
-		reg.GaugeVec("hmem_workload_ipc",
-			"Simulated per-core IPC of the latest evaluation.",
-			"workload", "policy").With(workloadName, string(policy)).Set(res.IPC)
-		// Endurance families are registered lazily so default-topology
-		// processes keep their /metrics output unchanged.
-		for _, e := range res.Endurance {
-			reg.GaugeVec("hmem_tier_writes_total",
-				"Writes absorbed by a write-budgeted tier in the latest evaluation.",
-				"workload", "policy", "tier").
-				With(workloadName, string(policy), e.Name).Set(float64(e.TotalWrites))
-			reg.GaugeVec("hmem_tier_exhausted_frames",
-				"Frames past their write budget in the latest evaluation.",
-				"workload", "policy", "tier").
-				With(workloadName, string(policy), e.Name).Set(float64(e.ExhaustedFrames))
-		}
-	}
-	return Result{
-		Workload:      workloadName,
-		Policy:        policy,
-		IPC:           res.IPC,
-		IPCvsDDROnly:  res.IPC / prof.Result.IPC,
-		SERvsDDROnly:  rel,
-		MeanAVF:       res.MeanAVF(),
-		PagesMigrated: res.PagesMigrated,
-		Endurance:     res.Endurance,
-	}, nil
 }
 
 // TierSummary describes one tier of a topology for discovery endpoints.
@@ -288,9 +184,8 @@ func Compare(ctx context.Context, workloadName string, policies []PolicyName, op
 
 // Engine is a long-lived evaluation session: one memoized experiment runner
 // shared across every call, so repeated and concurrent requests for the same
-// simulation collapse into a single execution. The hmemd service keeps one
-// Engine per distinct option set while it is in use, plus a bounded set of
-// idle ones. All methods are safe for concurrent use.
+// simulation collapse into a single execution. All methods are safe for
+// concurrent use.
 type Engine struct {
 	r *experiments.Runner
 }
@@ -309,13 +204,12 @@ func NewEngine(opts *Options) (*Engine, error) {
 	return &Engine{r: r}, nil
 }
 
-// Options returns the engine's resolved options (defaults filled in) — the
-// canonical form the service digests for its result-cache keys.
+// Options returns the engine's resolved options (defaults filled in).
 func (e *Engine) Options() Options { return e.r.Options() }
 
 // Evaluate runs one workload under one policy on the shared runner.
 func (e *Engine) Evaluate(ctx context.Context, workloadName string, policy PolicyName) (Result, error) {
-	return evaluate(ctx, e.r, workloadName, policy)
+	return e.r.Evaluate(ctx, workloadName, policy)
 }
 
 // Compare evaluates several policies on one workload concurrently, sharing
@@ -331,86 +225,17 @@ func (e *Engine) Compare(ctx context.Context, workloadName string, policies []Po
 		return nil, err
 	}
 	return exec.Map(ctx, e.r.Options().Parallel, len(policies), func(i int) (Result, error) {
-		return evaluate(ctx, e.r, workloadName, policies[i])
+		return e.r.Evaluate(ctx, workloadName, policies[i])
 	})
 }
 
 // ExperimentIDs lists the table/figure drivers runnable via RunExperiment,
 // in paper order.
-func (e *Engine) ExperimentIDs() []string {
-	var ids []string
-	for _, n := range e.r.All() {
-		ids = append(ids, n.ID)
-	}
-	return ids
-}
+func (e *Engine) ExperimentIDs() []string { return e.r.ExperimentIDs() }
 
 // RunExperiment regenerates one paper table/figure by id on the shared
-// runner (the async-job path of the hmemd service). When ctx carries a
-// tracer the whole driver runs under an "experiment.<id>" span.
+// runner. When ctx carries a tracer the whole driver runs under an
+// "experiment.<id>" span.
 func (e *Engine) RunExperiment(ctx context.Context, id string) (*report.Table, error) {
-	exp, ok := e.r.ByID(id)
-	if !ok {
-		return nil, fmt.Errorf("hmem: unknown experiment %q", id)
-	}
-	if obs.Enabled(ctx) {
-		var sp *obs.Span
-		ctx, sp = obs.Start(ctx, "experiment."+id)
-		defer sp.End()
-	}
-	return exp.Run(ctx)
-}
-
-// CacheStats reports the shared runner's memo hit/miss counters: how much
-// simulation work requests have shared so far.
-func (e *Engine) CacheStats() exec.MemoStats { return e.r.CacheStats() }
-
-// TraceStats reports the engine's trace-delivery counters: trace
-// recordings (opens) versus simulations that replayed a recording (hits).
-func (e *Engine) TraceStats() experiments.TraceStats { return e.r.TraceStats() }
-
-// RecordingBytes reports the bytes of trace recordings the engine keeps.
-// Each workload's trace is recorded once and replayed to every simulation
-// of it, under a fixed 96 MiB bound per engine.
-func (e *Engine) RecordingBytes() int64 { return e.r.RecordingBytes() }
-
-// SetTraceWrap installs a wrapper over every trace stream a simulation on
-// this engine consumes, keyed by workload name — the per-item
-// fault-injection seam of the batch chaos tests. Results computed under a
-// wrap are memoized like any other, so long-lived engines should only wrap
-// in tests.
-func (e *Engine) SetTraceWrap(wrap func(workloadName string, s trace.Stream) trace.Stream) {
-	e.r.SetTraceWrap(wrap)
-}
-
-// SetDelegate installs a distribution delegate on the shared runner: every
-// memoized building block (profiles, policy runs, fault-study shards) is
-// offered to it before local computation. The hmemd coordinator uses this to
-// fan work out to registered cluster workers; experiments.ErrNotDelegated
-// falls back to local execution, so an engine with an idle delegate behaves
-// exactly like a standalone one.
-func (e *Engine) SetDelegate(d experiments.Delegate) { e.r.SetDelegate(d) }
-
-// SetStudyStore installs a fault-study store shared with other engines:
-// every engine holding it runs each distinct tier study once between them.
-// Results are byte-identical with or without a store. hmemd installs one
-// per process.
-func (e *Engine) SetStudyStore(st *experiments.StudyStore) { e.r.SetStudyStore(st) }
-
-// StudiesKnown reports whether every fault study this engine needs is
-// finished or in flight in its installed store (false without one) — the
-// admission cost model's way to price an evaluation's study as paid.
-func (e *Engine) StudiesKnown() bool { return e.r.StudiesKnown() }
-
-// ExecuteBlock runs one building block locally by its wire key — the worker
-// side of cluster execution. Results flow through the engine's memo caches,
-// so repeated shards are served without recomputation.
-func (e *Engine) ExecuteBlock(ctx context.Context, key experiments.BlockKey) (*experiments.BlockPayload, error) {
-	return e.r.ExecuteBlock(ctx, key)
-}
-
-// RunStudyShard executes one fault-study Monte-Carlo shard for a topology
-// tier — the worker side of distributed fault studies.
-func (e *Engine) RunStudyShard(tier int, job faultsim.ShardJob) (faultsim.ShardTally, error) {
-	return e.r.RunStudyShard(tier, job)
+	return e.r.RunExperiment(ctx, id)
 }

@@ -3,11 +3,8 @@ package experiments
 import (
 	"context"
 
-	"hmem/internal/core"
 	"hmem/internal/exec"
-	"hmem/internal/migration"
 	"hmem/internal/report"
-	"hmem/internal/sim"
 	"hmem/internal/stats"
 	"hmem/internal/workload"
 )
@@ -23,75 +20,28 @@ import (
 //     doesn't churn against its own mean.
 //
 // Each variant reports IPC and SER relative to the performance-focused
-// migration baseline on a three-workload panel.
-// ccAblationVariants is the Cross Counter variant lineup, keyed by the names
-// used in the "ablation/<name>" memo keys. Package-level (built from options
-// rather than a closed-over runner) so the cluster-shard mechanism resolver
-// can rebuild any variant from its wire name on a worker node.
-var ccAblationVariants = []struct {
-	name  string
-	build func(opts Options) sim.Migrator
-}{
-	{"cc (full)", func(o Options) sim.Migrator {
-		return migration.NewCrossCounter(o.MEAIntervalCycles, int(o.FCIntervalCycles/o.MEAIntervalCycles), 32)
-	}},
-	{"cc -blacklist", func(o Options) sim.Migrator {
-		m := migration.NewCrossCounter(o.MEAIntervalCycles, int(o.FCIntervalCycles/o.MEAIntervalCycles), 32)
-		m.SetBlockEpochs(0)
-		return m
-	}},
-	{"cc -hysteresis", func(o Options) sim.Migrator {
-		m := migration.NewCrossCounter(o.MEAIntervalCycles, int(o.FCIntervalCycles/o.MEAIntervalCycles), 32)
-		m.SetEvictHysteresis(1.0)
-		return m
-	}},
-	{"cc 8-entry MEA", func(o Options) sim.Migrator {
-		return migration.NewCrossCounter(o.MEAIntervalCycles, int(o.FCIntervalCycles/o.MEAIntervalCycles), 8)
-	}},
-}
-
+// migration baseline on a three-workload panel. The full mechanism is
+// Figure 15's and shares its runs.
 func (r *Runner) AblationCC(ctx context.Context) (*report.Table, error) {
 	panel := []string{"astar", "mcf", "mix1"}
-	variants := ccAblationVariants
+	variants := []struct{ name, mech string }{
+		{"cc (full)", mechCC},
+		{"cc -blacklist", ablationPrefix + "cc -blacklist"},
+		{"cc -hysteresis", ablationPrefix + "cc -hysteresis"},
+		{"cc 8-entry MEA", ablationPrefix + "cc 8-entry MEA"},
+	}
 
 	t := report.New("Ablation: Cross Counter design choices",
 		"variant", "IPC vs perf-migration", "SER vs perf-migration", "pages migrated (avg)")
 	// Flatten the variant × workload panel into one fan-out, then regroup
 	// per variant.
-	type cell struct {
-		ipc, ser float64
-		hasSER   bool
-		migrated uint64
-	}
 	n := len(variants) * len(panel)
-	cells, err := exec.Map(ctx, r.opts.Parallel, n, func(i int) (cell, error) {
-		v := variants[i/len(panel)]
+	cells, err := exec.Map(ctx, r.opts.Parallel, n, func(i int) (relative, error) {
 		spec, err := workload.SpecByName(panel[i%len(panel)])
 		if err != nil {
-			return cell{}, err
+			return relative{}, err
 		}
-		perf, err := r.perfMigration(ctx, spec)
-		if err != nil {
-			return cell{}, err
-		}
-		res, err := r.RunDynamic(ctx, spec, "ablation/"+v.name,
-			func() sim.Migrator { return v.build(r.opts) }, core.Balanced{})
-		if err != nil {
-			return cell{}, err
-		}
-		perfSER, _, err := r.SEROf(ctx, perf)
-		if err != nil {
-			return cell{}, err
-		}
-		resSER, _, err := r.SEROf(ctx, res)
-		if err != nil {
-			return cell{}, err
-		}
-		out := cell{ipc: res.IPC / perf.IPC, migrated: res.PagesMigrated}
-		if perfSER > 0 {
-			out.ser, out.hasSER = resSER/perfSER, true
-		}
-		return out, nil
+		return r.vsPerfMigration(ctx, spec, variants[i/len(panel)].mech)
 	})
 	if err != nil {
 		return nil, err

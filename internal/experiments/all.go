@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 
+	"hmem/internal/obs"
 	"hmem/internal/report"
 )
 
@@ -55,4 +57,28 @@ func (r *Runner) ByID(id string) (Named, bool) {
 		}
 	}
 	return Named{}, false
+}
+
+// ExperimentIDs lists the ids of All, in paper order.
+func (r *Runner) ExperimentIDs() []string {
+	var ids []string
+	for _, n := range r.All() {
+		ids = append(ids, n.ID)
+	}
+	return ids
+}
+
+// RunExperiment regenerates one table or figure by id. When ctx carries a
+// tracer the whole driver runs under an "experiment.<id>" span.
+func (r *Runner) RunExperiment(ctx context.Context, id string) (*report.Table, error) {
+	exp, ok := r.ByID(id)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+	}
+	if obs.Enabled(ctx) {
+		var sp *obs.Span
+		ctx, sp = obs.Start(ctx, "experiment."+id)
+		defer sp.End()
+	}
+	return exp.Run(ctx)
 }

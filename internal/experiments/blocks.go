@@ -5,12 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strconv"
-	"strings"
 
 	"hmem/internal/core"
 	"hmem/internal/faultsim"
-	"hmem/internal/migration"
 	"hmem/internal/sim"
 	"hmem/internal/workload"
 )
@@ -104,42 +101,6 @@ func (r *Runner) delegateBlock(ctx context.Context, key BlockKey) (*BlockPayload
 	return p, true, nil
 }
 
-// mechanismByName rebuilds a migration mechanism (and its warm-start policy)
-// from the memo name it runs under — the inverse that lets a worker execute
-// a dynamic block from its wire descriptor. Covers every name the drivers
-// and the facade use; unknown names report false and the block simply is not
-// delegated.
-func mechanismByName(mech string, opts Options) (build func() sim.Migrator, warm core.Policy, ok bool) {
-	switch mech {
-	case mechPerf: // also the facade's "perf-migration" policy name
-		return func() sim.Migrator { return migration.NewPerf(opts.FCIntervalCycles) }, core.PerfFocused{}, true
-	case mechFC, "fc-migration":
-		return func() sim.Migrator { return migration.NewFullCounter(opts.FCIntervalCycles) }, core.Balanced{}, true
-	case mechCC, "cc-migration":
-		return func() sim.Migrator {
-			ratio := int(opts.FCIntervalCycles / opts.MEAIntervalCycles)
-			return migration.NewCrossCounter(opts.MEAIntervalCycles, ratio, 32)
-		}, core.Balanced{}, true
-	}
-	if name, isAblation := strings.CutPrefix(mech, "ablation/"); isAblation {
-		for _, v := range ccAblationVariants {
-			if v.name == name {
-				v := v
-				return func() sim.Migrator { return v.build(opts) }, core.Balanced{}, true
-			}
-		}
-		return nil, nil, false
-	}
-	// Figure 13's interval sweep: "<cycles>-interval" perf migration.
-	if cycles, isInterval := strings.CutSuffix(mech, "-interval"); isInterval {
-		iv, err := strconv.ParseInt(cycles, 10, 64)
-		if err == nil && iv > 0 {
-			return func() sim.Migrator { return migration.NewPerf(iv) }, core.PerfFocused{}, true
-		}
-	}
-	return nil, nil, false
-}
-
 // ExecuteBlock runs one block locally by its wire key — the worker side of
 // the distribution seam. Execution flows through the same memoized building
 // blocks as a native request, so a worker's cache warms exactly as if the
@@ -167,11 +128,7 @@ func (r *Runner) ExecuteBlock(ctx context.Context, key BlockKey) (*BlockPayload,
 		}
 		return &BlockPayload{Result: res}, nil
 	case BlockDynamic:
-		build, warm, ok := mechanismByName(key.Policy, r.opts)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unresolvable mechanism %q", key.Policy)
-		}
-		res, err := r.RunDynamic(ctx, spec, key.Policy, build, warm)
+		res, err := r.runMechanism(ctx, spec, key.Policy)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"strconv"
+	"strings"
 
 	"hmem/internal/core"
 	"hmem/internal/exec"
@@ -12,33 +15,71 @@ import (
 	"hmem/internal/workload"
 )
 
-// Mechanism names used as memoization keys.
+// Mechanism names: each is the memo key of one migrator configuration and
+// the wire name a cluster worker rebuilds it from.
 const (
 	mechPerf = "perf-migration"
 	mechFC   = "fc-reliability"
 	mechCC   = "cc-reliability"
+	// ablationPrefix names the Cross Counter variants of AblationCC.
+	ablationPrefix = "ablation/"
+	// intervalSuffix names Figure 13's perf migration at another interval:
+	// "<cycles>-interval".
+	intervalSuffix = "-interval"
 )
 
-func (r *Runner) perfMigration(ctx context.Context, spec workload.Spec) (sim.Result, error) {
-	return r.RunDynamic(ctx, spec, mechPerf, func() sim.Migrator {
-		return migration.NewPerf(r.opts.FCIntervalCycles)
-	}, core.PerfFocused{})
+// mechanismByName is the one table of migration mechanisms: it builds the
+// migrator a name runs and the oracle placement that warm-starts it. Every
+// dynamic run resolves its mechanism here, on the node that asked for it or
+// on a cluster worker executing its wire key. Unknown names report false.
+//
+// Reliability-aware mechanisms warm-start from the balanced oracle
+// placement (§6.2: "an initial placement of the top hot and low-risk pages
+// from our static oracular placement"); perf migration from the hot set.
+func mechanismByName(mech string, opts Options) (build func() sim.Migrator, warm core.Policy, ok bool) {
+	ratio := int(opts.FCIntervalCycles / opts.MEAIntervalCycles)
+	cc := func(entries int) *migration.CrossCounter {
+		return migration.NewCrossCounter(opts.MEAIntervalCycles, ratio, entries)
+	}
+	switch mech {
+	case mechPerf:
+		return func() sim.Migrator { return migration.NewPerf(opts.FCIntervalCycles) }, core.PerfFocused{}, true
+	case mechFC:
+		return func() sim.Migrator { return migration.NewFullCounter(opts.FCIntervalCycles) }, core.Balanced{}, true
+	case mechCC:
+		return func() sim.Migrator { return cc(32) }, core.Balanced{}, true
+	case ablationPrefix + "cc -blacklist":
+		return func() sim.Migrator {
+			m := cc(32)
+			m.SetBlockEpochs(0)
+			return m
+		}, core.Balanced{}, true
+	case ablationPrefix + "cc -hysteresis":
+		return func() sim.Migrator {
+			m := cc(32)
+			m.SetEvictHysteresis(1.0)
+			return m
+		}, core.Balanced{}, true
+	case ablationPrefix + "cc 8-entry MEA":
+		return func() sim.Migrator { return cc(8) }, core.Balanced{}, true
+	}
+	if cycles, isInterval := strings.CutSuffix(mech, intervalSuffix); isInterval {
+		iv, err := strconv.ParseInt(cycles, 10, 64)
+		if err == nil && iv > 0 {
+			return func() sim.Migrator { return migration.NewPerf(iv) }, core.PerfFocused{}, true
+		}
+	}
+	return nil, nil, false
 }
 
-func (r *Runner) fcMigration(ctx context.Context, spec workload.Spec) (sim.Result, error) {
-	// Reliability-aware mechanisms warm-start from the balanced oracle
-	// placement (§6.2: "an initial placement of the top hot and low-risk
-	// pages from our static oracular placement").
-	return r.RunDynamic(ctx, spec, mechFC, func() sim.Migrator {
-		return migration.NewFullCounter(r.opts.FCIntervalCycles)
-	}, core.Balanced{})
-}
-
-func (r *Runner) ccMigration(ctx context.Context, spec workload.Spec) (sim.Result, error) {
-	ratio := int(r.opts.FCIntervalCycles / r.opts.MEAIntervalCycles)
-	return r.RunDynamic(ctx, spec, mechCC, func() sim.Migrator {
-		return migration.NewCrossCounter(r.opts.MEAIntervalCycles, ratio, 32)
-	}, core.Balanced{})
+// runMechanism runs the named mechanism of the table on spec (memoized by
+// name).
+func (r *Runner) runMechanism(ctx context.Context, spec workload.Spec, mech string) (sim.Result, error) {
+	build, warm, ok := mechanismByName(mech, r.opts)
+	if !ok {
+		return sim.Result{}, fmt.Errorf("experiments: unresolvable mechanism %q", mech)
+	}
+	return r.RunDynamic(ctx, spec, mech, build, warm)
 }
 
 // Figure12 evaluates performance-focused migration against DDR-only and the
@@ -64,7 +105,7 @@ func (r *Runner) Figure12(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		res, err := r.perfMigration(ctx, spec)
+		res, err := r.runMechanism(ctx, spec, mechPerf)
 		if err != nil {
 			return row{}, err
 		}
@@ -117,9 +158,13 @@ func (r *Runner) Figure13(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := r.RunDynamic(ctx, spec, report.Int(int(iv))+"-interval", func() sim.Migrator {
-			return migration.NewPerf(iv)
-		}, core.PerfFocused{})
+		// The base interval is perf migration itself: run it under that
+		// name so it shares the drivers' memo entry.
+		mech := mechPerf
+		if iv != base {
+			mech = report.Int(int(iv)) + intervalSuffix
+		}
+		res, err := r.runMechanism(ctx, spec, mech)
 		if err != nil {
 			return 0, err
 		}
@@ -141,41 +186,57 @@ func (r *Runner) Figure13(ctx context.Context) (*report.Table, error) {
 	return t, nil
 }
 
+// relative is a run's IPC and SER as ratios to a baseline run's, and its
+// migrated page count. hasSER is false, and ser zero, when the baseline's
+// SER is zero.
+type relative struct {
+	ipc, ser float64
+	hasSER   bool
+	migrated uint64
+}
+
+// relativeTo compares res with base.
+func (r *Runner) relativeTo(ctx context.Context, base, res sim.Result) (relative, error) {
+	baseSER, _, err := r.SEROf(ctx, base)
+	if err != nil {
+		return relative{}, err
+	}
+	resSER, _, err := r.SEROf(ctx, res)
+	if err != nil {
+		return relative{}, err
+	}
+	out := relative{ipc: res.IPC / base.IPC, migrated: res.PagesMigrated}
+	if baseSER > 0 {
+		out.ser, out.hasSER = resSER/baseSER, true
+	}
+	return out, nil
+}
+
+// vsPerfMigration runs mech on spec relative to perf migration (the §6
+// normalization).
+func (r *Runner) vsPerfMigration(ctx context.Context, spec workload.Spec, mech string) (relative, error) {
+	perf, err := r.runMechanism(ctx, spec, mechPerf)
+	if err != nil {
+		return relative{}, err
+	}
+	res, err := r.runMechanism(ctx, spec, mech)
+	if err != nil {
+		return relative{}, err
+	}
+	return r.relativeTo(ctx, perf, res)
+}
+
 // dynamicTable renders a reliability-aware mechanism against the
-// performance-focused migration baseline (the §6 normalization).
-func (r *Runner) dynamicTable(ctx context.Context, title string, run func(context.Context, workload.Spec) (sim.Result, error), note string) (*report.Table, error) {
+// performance-focused migration baseline.
+func (r *Runner) dynamicTable(ctx context.Context, title, mech, note string) (*report.Table, error) {
 	ordered, err := r.byMPKIDesc(ctx)
 	if err != nil {
 		return nil, err
 	}
 	t := report.New(title,
 		"workload", "IPC vs perf-migration", "SER vs perf-migration", "pages migrated")
-	type row struct {
-		ipc, ser float64
-		migrated uint64
-	}
-	rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (row, error) {
-		perf, err := r.perfMigration(ctx, spec)
-		if err != nil {
-			return row{}, err
-		}
-		res, err := run(ctx, spec)
-		if err != nil {
-			return row{}, err
-		}
-		perfSER, _, err := r.SEROf(ctx, perf)
-		if err != nil {
-			return row{}, err
-		}
-		resSER, _, err := r.SEROf(ctx, res)
-		if err != nil {
-			return row{}, err
-		}
-		out := row{ipc: res.IPC / perf.IPC, migrated: res.PagesMigrated}
-		if perfSER > 0 {
-			out.ser = resSER / perfSER
-		}
-		return out, nil
+	rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (relative, error) {
+		return r.vsPerfMigration(ctx, spec, mech)
 	})
 	if err != nil {
 		return nil, err
@@ -196,12 +257,12 @@ func (r *Runner) dynamicTable(ctx context.Context, title string, run func(contex
 // at 6% IPC loss vs perf-focused migration).
 func (r *Runner) Figure14(ctx context.Context) (*report.Table, error) {
 	return r.dynamicTable(ctx, "Figure 14: reliability-aware migration (Full Counters)",
-		r.fcMigration, "paper: SER reduced 1.8x at 6% IPC cost vs perf-focused migration")
+		mechFC, "paper: SER reduced 1.8x at 6% IPC cost vs perf-focused migration")
 }
 
 // Figure15 is the Cross Counter mechanism (paper: SER ÷1.5 at 4.9% IPC loss
 // with 676 KB of hardware).
 func (r *Runner) Figure15(ctx context.Context) (*report.Table, error) {
 	return r.dynamicTable(ctx, "Figure 15: reliability-aware migration (Cross Counters)",
-		r.ccMigration, "paper: SER reduced 1.5x at 4.9% IPC cost vs perf-focused migration")
+		mechCC, "paper: SER reduced 1.5x at 4.9% IPC cost vs perf-focused migration")
 }

@@ -5,7 +5,6 @@ import (
 
 	"hmem/internal/annotate"
 	"hmem/internal/core"
-	"hmem/internal/migration"
 	"hmem/internal/report"
 	"hmem/internal/sim"
 	"hmem/internal/stats"
@@ -28,71 +27,50 @@ func (r *Runner) ExtensionAnnotatedMigration(ctx context.Context) (*report.Table
 	t := report.New("Extension: annotations + reliability-aware migration (§7 future work)",
 		"workload", "annot IPC", "annot SER", "FC IPC", "FC SER", "annot+FC IPC", "annot+FC SER")
 
-	type row struct {
-		ai, as, fi, fs, ci, cs float64
-	}
-	rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (row, error) {
+	// One row holds annotation, FC and annotation+FC, each relative to the
+	// perf-focused static oracle.
+	rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) ([3]relative, error) {
+		var out [3]relative
 		perf, err := r.RunStatic(ctx, spec, core.PerfFocused{})
 		if err != nil {
-			return row{}, err
+			return out, err
 		}
-		perfSER, _, err := r.SEROf(ctx, perf)
-		if err != nil {
-			return row{}, err
-		}
-		norm := func(res sim.Result) (float64, float64, error) {
-			resSER, _, err := r.SEROf(ctx, res)
-			if err != nil {
-				return 0, 0, err
-			}
-			serRatio := 0.0
-			if perfSER > 0 {
-				serRatio = resSER / perfSER
-			}
-			return res.IPC / perf.IPC, serRatio, nil
-		}
-
 		annot, _, err := r.annotationRun(ctx, spec)
 		if err != nil {
-			return row{}, err
+			return out, err
 		}
-		fc, err := r.fcMigration(ctx, spec)
+		fc, err := r.runMechanism(ctx, spec, mechFC)
 		if err != nil {
-			return row{}, err
+			return out, err
 		}
 		combined, err := r.annotatedMigrationRun(ctx, spec)
 		if err != nil {
-			return row{}, err
+			return out, err
 		}
-
-		var out row
-		if out.ai, out.as, err = norm(annot); err != nil {
-			return row{}, err
-		}
-		if out.fi, out.fs, err = norm(fc); err != nil {
-			return row{}, err
-		}
-		if out.ci, out.cs, err = norm(combined); err != nil {
-			return row{}, err
+		for i, res := range []sim.Result{annot, fc, combined} {
+			if out[i], err = r.relativeTo(ctx, perf, res); err != nil {
+				return out, err
+			}
 		}
 		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var aIPC, aSER, fIPC, fSER, cIPC, cSER []float64
+	var ipcs, sers [3][]float64
 	for i, spec := range ordered {
-		v := rows[i]
-		aIPC, aSER = append(aIPC, v.ai), append(aSER, v.as)
-		fIPC, fSER = append(fIPC, v.fi), append(fSER, v.fs)
-		cIPC, cSER = append(cIPC, v.ci), append(cSER, v.cs)
-		t.AddRow(spec.Name, report.X(v.ai), report.X(v.as), report.X(v.fi), report.X(v.fs),
-			report.X(v.ci), report.X(v.cs))
+		cells := []string{spec.Name}
+		for j, v := range rows[i] {
+			ipcs[j], sers[j] = append(ipcs[j], v.ipc), append(sers[j], v.ser)
+			cells = append(cells, report.X(v.ipc), report.X(v.ser))
+		}
+		t.AddRow(cells...)
 	}
-	t.AddRow("average",
-		report.X(stats.GeoMean(aIPC)), report.X(stats.GeoMean(aSER)),
-		report.X(stats.GeoMean(fIPC)), report.X(stats.GeoMean(fSER)),
-		report.X(stats.GeoMean(cIPC)), report.X(stats.GeoMean(cSER)))
+	avg := []string{"average"}
+	for j := range ipcs {
+		avg = append(avg, report.X(stats.GeoMean(ipcs[j])), report.X(stats.GeoMean(sers[j])))
+	}
+	t.AddRow(avg...)
 	t.Note = "IPC and SER relative to the perf-focused static oracle; the paper " +
 		"conjectures the combination improves on annotation alone"
 	return t, nil
@@ -111,8 +89,8 @@ func (r *Runner) annotatedMigrationRun(ctx context.Context, spec workload.Spec) 
 		// Pin annotations into at most half of HBM so the migration mechanism
 		// has frames to work with.
 		_, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages())/2)
-		res, _, err := r.simulate(context.Background(), spec, pins, true,
-			migration.NewFullCounter(r.opts.FCIntervalCycles))
+		build, _, _ := mechanismByName(mechFC, r.opts)
+		res, _, err := r.simulate(context.Background(), spec, pins, true, build())
 		return res, err
 	})
 }

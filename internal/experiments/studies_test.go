@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"hmem/internal/core"
 	"hmem/internal/faultsim"
+	"hmem/internal/trace"
 )
 
 // TestStudyStoreSharesAcrossRunners: runners that differ only in workload
@@ -99,5 +102,39 @@ func TestStudyStoreBounded(t *testing.T) {
 	}
 	if st.known(key(-5)) {
 		t.Fatal("a failed study was kept")
+	}
+}
+
+// TestTieredExtensionSharesStoreAndWrap: the dram-nvm sub-runner of
+// ExtensionTieredEndurance runs its fault studies through the runner's
+// store, so a later dram-nvm runner on that store needs no study of its
+// own, and its simulations consume the runner's trace wrap.
+func TestTieredExtensionSharesStoreAndWrap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three-tier simulations")
+	}
+	opts := DefaultOptions()
+	opts.Workloads = []string{"astar"}
+	opts.RecordsPerCore = 4000
+	opts.FaultTrials = 2000
+	var st StudyStore
+	r := mustRunner(t, opts)
+	r.SetStudyStore(&st)
+	var wrapped atomic.Int64
+	r.SetTraceWrap(func(_ string, s trace.Stream) trace.Stream {
+		wrapped.Add(1)
+		return s
+	})
+	if _, err := r.ExtensionTieredEndurance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	opts.Topology = core.DRAMNVMTopologyName
+	fresh := mustRunner(t, opts)
+	fresh.SetStudyStore(&st)
+	if !fresh.StudiesKnown() {
+		t.Error("a dram-nvm runner on the store still needs its studies after the extension ran them")
+	}
+	if wrapped.Load() == 0 {
+		t.Error("the extension's simulations bypassed the runner's trace wrap")
 	}
 }

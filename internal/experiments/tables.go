@@ -9,7 +9,6 @@ import (
 	"hmem/internal/ecc"
 	"hmem/internal/memsim"
 	"hmem/internal/report"
-	"hmem/internal/sim"
 	"hmem/internal/stats"
 	"hmem/internal/workload"
 )
@@ -107,37 +106,7 @@ func (r *Runner) Table3(ctx context.Context) (*report.Table, error) {
 		return nil, err
 	}
 
-	type ratios struct {
-		ipc, ser float64
-		hasSER   bool
-	}
-	addDynamic := func(label string, run func(context.Context, workload.Spec) (sim.Result, error), paper string) error {
-		rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (ratios, error) {
-			perf, err := r.perfMigration(ctx, spec)
-			if err != nil {
-				return ratios{}, err
-			}
-			res, err := run(ctx, spec)
-			if err != nil {
-				return ratios{}, err
-			}
-			perfSER, _, err := r.SEROf(ctx, perf)
-			if err != nil {
-				return ratios{}, err
-			}
-			resSER, _, err := r.SEROf(ctx, res)
-			if err != nil {
-				return ratios{}, err
-			}
-			out := ratios{ipc: res.IPC / perf.IPC}
-			if perfSER > 0 {
-				out.ser, out.hasSER = resSER/perfSER, true
-			}
-			return out, nil
-		})
-		if err != nil {
-			return err
-		}
+	addRelative := func(label, paper string, rows []relative) {
 		var ipcs, sers []float64
 		for _, row := range rows {
 			ipcs = append(ipcs, row.ipc)
@@ -146,50 +115,36 @@ func (r *Runner) Table3(ctx context.Context) (*report.Table, error) {
 			}
 		}
 		t.AddRow(label, report.Pct(1-geo(ipcs)), report.X(safeInv(geo(sers))), paper)
-		return nil
 	}
-	if err := addDynamic("reliability-aware FC (dynamic)", r.fcMigration, "6% / 1.8x"); err != nil {
-		return nil, err
-	}
-	if err := addDynamic("reliability-aware CC (dynamic)", r.ccMigration, "4.9% / 1.5x"); err != nil {
-		return nil, err
+	for _, d := range []struct{ label, mech, paper string }{
+		{"reliability-aware FC (dynamic)", mechFC, "6% / 1.8x"},
+		{"reliability-aware CC (dynamic)", mechCC, "4.9% / 1.5x"},
+	} {
+		rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (relative, error) {
+			return r.vsPerfMigration(ctx, spec, d.mech)
+		})
+		if err != nil {
+			return nil, err
+		}
+		addRelative(d.label, d.paper, rows)
 	}
 
 	// Annotations (vs static perf-focused).
-	annRows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (ratios, error) {
+	annRows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (relative, error) {
 		perf, err := r.RunStatic(ctx, spec, core.PerfFocused{})
 		if err != nil {
-			return ratios{}, err
+			return relative{}, err
 		}
 		res, _, err := r.annotationRun(ctx, spec)
 		if err != nil {
-			return ratios{}, err
+			return relative{}, err
 		}
-		perfSER, _, err := r.SEROf(ctx, perf)
-		if err != nil {
-			return ratios{}, err
-		}
-		resSER, _, err := r.SEROf(ctx, res)
-		if err != nil {
-			return ratios{}, err
-		}
-		out := ratios{ipc: res.IPC / perf.IPC}
-		if perfSER > 0 {
-			out.ser, out.hasSER = resSER/perfSER, true
-		}
-		return out, nil
+		return r.relativeTo(ctx, perf, res)
 	})
 	if err != nil {
 		return nil, err
 	}
-	var ipcs, sers []float64
-	for _, row := range annRows {
-		ipcs = append(ipcs, row.ipc)
-		if row.hasSER {
-			sers = append(sers, row.ser)
-		}
-	}
-	t.AddRow("program annotations", report.Pct(1-geo(ipcs)), report.X(safeInv(geo(sers))), "1.1% / 1.3x")
+	addRelative("program annotations", "1.1% / 1.3x", annRows)
 	t.Note = "IPC degradation and SER improvement vs the respective performance-focused baseline (Table 3)"
 	return t, nil
 }

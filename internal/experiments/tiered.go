@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"hmem/internal/core"
-	"hmem/internal/migration"
 	"hmem/internal/report"
 	"hmem/internal/sim"
 	"hmem/internal/workload"
@@ -19,7 +18,9 @@ import (
 // counters (total writes, peak per-frame writes, frames past the write
 // budget). When the runner is already configured for the dram-nvm topology
 // the runs share its memos; otherwise a sub-runner with identical options is
-// used so the driver can ride along in a default-topology suite.
+// used so the driver can ride along in a default-topology suite. The
+// sub-runner shares the runner's trace wrap and fault-study store, so with
+// a store installed it reuses the DDR and HBM studies of hbm-ddr runners.
 func (r *Runner) ExtensionTieredEndurance(ctx context.Context) (*report.Table, error) {
 	tr := r
 	if r.opts.Topology != core.DRAMNVMTopologyName {
@@ -29,6 +30,9 @@ func (r *Runner) ExtensionTieredEndurance(ctx context.Context) (*report.Table, e
 		if err != nil {
 			return nil, err
 		}
+		// Not the delegate: its shards carry the digest of r's options.
+		sub.SetStudyStore(r.studies.Load())
+		sub.SetTraceWrap(r.getTraceWrap())
 		tr = sub
 	}
 	// Cap the sweep: the driver demonstrates the scenario, it is not a
@@ -49,10 +53,7 @@ func (r *Runner) ExtensionTieredEndurance(ctx context.Context) (*report.Table, e
 		if err != nil {
 			return [2]row{}, err
 		}
-		dyn, err := tr.RunDynamic(ctx, spec, "cc-migration", func() sim.Migrator {
-			ratio := int(tr.opts.FCIntervalCycles / tr.opts.MEAIntervalCycles)
-			return migration.NewCrossCounter(tr.opts.MEAIntervalCycles, ratio, 32)
-		}, core.Balanced{})
+		dyn, err := tr.runMechanism(ctx, spec, mechCC)
 		if err != nil {
 			return [2]row{}, err
 		}

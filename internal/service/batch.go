@@ -272,7 +272,7 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 					continue
 				}
 				seen[key] = true
-				cost += s.costUnit(engines[i].e)
+				cost += s.costUnit(engines[i].runner)
 			}
 		}
 		return cost
@@ -305,13 +305,13 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 // runItem executes one item through the shared result cache. Errors are the
 // item's, never the run's.
 func (s *Service) runItem(ctx context.Context, it BatchItem, en *engineEntry) itemOutcome {
-	e, digest := en.e, en.digest
+	runner, digest := en.runner, en.digest
 	if len(it.Policies) == 0 {
-		raw, err := s.result(ctx, e, digest, it.Workload, it.Policy)
+		raw, err := s.result(ctx, runner, digest, it.Workload, it.Policy)
 		return itemOutcome{payload: raw, err: err}
 	}
-	raws, err := exec.Map(ctx, e.Options().Parallel, len(it.Policies), func(j int) (json.RawMessage, error) {
-		return s.result(ctx, e, digest, it.Workload, it.Policies[j])
+	raws, err := exec.Map(ctx, runner.Options().Parallel, len(it.Policies), func(j int) (json.RawMessage, error) {
+		return s.result(ctx, runner, digest, it.Workload, it.Policies[j])
 	})
 	if err != nil {
 		return itemOutcome{err: err}

@@ -17,27 +17,24 @@ import (
 	"hmem"
 )
 
-// referenceEngine is an in-process engine with the server's default
-// options: the ground truth the service must reproduce byte for byte,
-// computed without any of the service's code.
-func referenceEngine(t *testing.T, cfg Config) *hmem.Engine {
+// referenceEngine evaluates on one in-process hmem.Engine with the
+// server's default options: the ground truth the service must reproduce
+// byte for byte, computed without any of the service's code.
+func referenceEngine(t *testing.T, cfg Config) func(workloadName string, policy hmem.PolicyName) hmem.Result {
 	t.Helper()
 	opts := cfg.Defaults
 	e, err := hmem.NewEngine(&opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
-}
-
-// referenceResult evaluates one workload × policy in process.
-func referenceResult(t *testing.T, e *hmem.Engine, workloadName string, policy hmem.PolicyName) hmem.Result {
-	t.Helper()
-	res, err := e.Evaluate(context.Background(), workloadName, policy)
-	if err != nil {
-		t.Fatal(err)
+	return func(workloadName string, policy hmem.PolicyName) hmem.Result {
+		t.Helper()
+		res, err := e.Evaluate(context.Background(), workloadName, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	return res
 }
 
 // referenceJSON is the wire form of a reference value: marshalled and
@@ -127,7 +124,7 @@ func TestBatchDifferential(t *testing.T) {
 					if res.Error != "" {
 						t.Fatalf("item %d failed: %s", i, res.Error)
 					}
-					want := referenceJSON(t, referenceResult(t, ref, items[i].Workload, items[i].Policy))
+					want := referenceJSON(t, ref(items[i].Workload, items[i].Policy))
 					got := append(bytes.Clone(res.Result), '\n')
 					if !bytes.Equal(got, want) {
 						t.Fatalf("item %d (%s/%s): batch bytes differ from the in-process engine\nbatch:  %s\nengine: %s",
@@ -187,7 +184,7 @@ func TestBatchCoalescing(t *testing.T) {
 	// coalescing is invisible in results.
 	ref := referenceEngine(t, tinyConfig())
 	for i, res := range results {
-		want := referenceJSON(t, referenceResult(t, ref, items[i].Workload, items[i].Policy))
+		want := referenceJSON(t, ref(items[i].Workload, items[i].Policy))
 		got := append(bytes.Clone(res.Result), '\n')
 		if !bytes.Equal(got, want) {
 			t.Fatalf("policy %s: coalesced bytes differ from uncoalesced evaluation", items[i].Policy)
@@ -203,8 +200,8 @@ func TestOneItemEndpoints(t *testing.T) {
 	cfg := tinyConfig()
 	_, c := newTestServer(t, cfg)
 	ref := referenceEngine(t, cfg)
-	ddr := referenceResult(t, ref, "astar", hmem.PolicyDDROnly)
-	balanced := referenceResult(t, ref, "astar", hmem.PolicyBalanced)
+	ddr := ref("astar", hmem.PolicyDDROnly)
+	balanced := ref("astar", hmem.PolicyBalanced)
 
 	got := postRaw(t, c.BaseURL, "/v1/evaluate", `{"workload":"astar","policy":"balanced"}`)
 	if want := referenceJSON(t, balanced); !bytes.Equal(got, want) {

@@ -405,20 +405,19 @@ func (s *Service) executeShard(ctx context.Context, sh cluster.Shard) ([]byte, e
 	if en.digest != sh.Digest {
 		return nil, &digestMismatchError{want: sh.Digest, got: en.digest}
 	}
-	e := en.e
 	// The registry rides along so engine metrics (hmem_*) land on /metrics
 	// on workers too; memo sharing semantics inside the block paths handle
 	// cancellation the same way local traffic does.
 	runCtx := obs.WithRegistry(ctx, s.registry)
 	switch sh.Kind {
 	case cluster.KindFaultShard:
-		tally, err := e.RunStudyShard(sh.Tier, faultsim.ShardJob{K: sh.K, Shard: sh.Index, N: sh.Trials})
+		tally, err := en.runner.RunStudyShard(sh.Tier, faultsim.ShardJob{K: sh.K, Shard: sh.Index, N: sh.Trials})
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(tally)
 	default:
-		p, err := e.ExecuteBlock(runCtx, experiments.BlockKey{
+		p, err := en.runner.ExecuteBlock(runCtx, experiments.BlockKey{
 			Kind:     experiments.BlockKind(sh.Kind),
 			Workload: sh.Workload,
 			Policy:   sh.Policy,

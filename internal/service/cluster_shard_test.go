@@ -39,7 +39,7 @@ func TestClusterShardIgnoresRequesterCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.releaseEngine(en)
-	e, digest := en.e, en.digest
+	e, digest := en.runner, en.digest
 	raw, err := json.Marshal(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -16,11 +16,11 @@ import (
 // never retired, so the set may exceed the bound while all of them are busy.
 const maxEngines = 16
 
-// engineEntry is one live engine: the hmem.Engine for a resolved option set,
-// the digest that prefixes its result-cache keys, and the holders whose work
-// on it has not settled yet.
+// engineEntry is one live engine: the experiments runner for a resolved
+// option set, the digest that prefixes its result-cache keys, and the
+// holders whose work on it has not settled yet.
 type engineEntry struct {
-	e      *hmem.Engine
+	runner *experiments.Runner
 	digest string
 
 	refs    int            // holders; only an entry with none may be retired
@@ -43,7 +43,7 @@ type enginePool struct {
 
 	evictions    uint64
 	retiredMemo  exec.MemoStats
-	retiredTrace hmem.TraceStats
+	retiredTrace experiments.TraceStats
 
 	studies experiments.StudyStore
 }
@@ -51,7 +51,7 @@ type enginePool struct {
 // engineTotals is a point-in-time summary of the pool for /metrics.
 type engineTotals struct {
 	memo      exec.MemoStats
-	trace     hmem.TraceStats
+	trace     experiments.TraceStats
 	live      int
 	evictions uint64
 	// recordingBytes sums the trace recordings of live engines only: a
@@ -104,7 +104,7 @@ func (s *Service) acquireEngine(patch *OptionsPatch) (*engineEntry, error) {
 // options. On coordinators every new engine gets the cluster delegate, so
 // its expensive blocks fan out to workers from the first request.
 func (s *Service) acquireEngineForOptions(opts hmem.Options) (*engineEntry, error) {
-	probe, err := hmem.NewEngine(&opts)
+	probe, err := experiments.NewRunner(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +127,7 @@ func (s *Service) acquireEngineForOptions(opts hmem.Options) (*engineEntry, erro
 		probe.SetTraceWrap(s.cfg.TraceWrap)
 	}
 	probe.SetStudyStore(&p.studies)
-	en := &engineEntry{e: probe, digest: digest}
+	en := &engineEntry{runner: probe, digest: digest}
 	p.byDigest[digest] = en
 	p.holdLocked(en)
 	p.evictLocked()
@@ -171,8 +171,8 @@ func (p *enginePool) evictLocked() {
 		for _, k := range victim.patches {
 			delete(p.byPatch, k)
 		}
-		p.retiredMemo = p.retiredMemo.Add(victim.e.CacheStats())
-		p.retiredTrace = p.retiredTrace.Add(victim.e.TraceStats())
+		p.retiredMemo = p.retiredMemo.Add(victim.runner.CacheStats())
+		p.retiredTrace = p.retiredTrace.Add(victim.runner.TraceStats())
 		p.evictions++
 	}
 }
@@ -184,9 +184,9 @@ func (s *Service) engineTotals() engineTotals {
 	defer p.mu.Unlock()
 	t := engineTotals{memo: p.retiredMemo, trace: p.retiredTrace, live: len(p.byDigest), evictions: p.evictions}
 	for _, en := range p.byDigest {
-		t.memo = t.memo.Add(en.e.CacheStats())
-		t.trace = t.trace.Add(en.e.TraceStats())
-		t.recordingBytes += en.e.RecordingBytes()
+		t.memo = t.memo.Add(en.runner.CacheStats())
+		t.trace = t.trace.Add(en.runner.TraceStats())
+		t.recordingBytes += en.runner.RecordingBytes()
 	}
 	return t
 }
@@ -195,4 +195,4 @@ func (s *Service) engineTotals() engineTotals {
 // retired: trace recordings (opens) versus simulations that replayed a
 // recording (hits). Feeds hmemd_trace_opens_total / hmemd_coalesce_hits_total
 // and the recording tests.
-func (s *Service) TraceStats() hmem.TraceStats { return s.engineTotals().trace }
+func (s *Service) TraceStats() experiments.TraceStats { return s.engineTotals().trace }

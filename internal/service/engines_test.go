@@ -23,13 +23,8 @@ func coldConfig() Config {
 // for the given options seed — an engine with no shared study store.
 func seedReference(t *testing.T, cfg Config, seed uint64, workloadName string, policy hmem.PolicyName) []byte {
 	t.Helper()
-	opts := cfg.Defaults
-	opts.Seed = seed
-	e, err := hmem.NewEngine(&opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return referenceJSON(t, referenceResult(t, e, workloadName, policy))
+	cfg.Defaults.Seed = seed
+	return referenceJSON(t, referenceEngine(t, cfg)(workloadName, policy))
 }
 
 // seedEvaluate is the /v1/evaluate body for one workload × policy at an

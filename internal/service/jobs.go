@@ -319,7 +319,7 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ids := en.e.ExperimentIDs()
+	ids := en.runner.ExperimentIDs()
 	s.releaseEngine(en)
 	known := false
 	for _, id := range ids {
@@ -516,7 +516,7 @@ func (s *Service) runOneJob(j *job) {
 	})
 	var table *report.Table
 	run, _, err := s.execute(s.baseCtx, []*OptionsPatch{j.req.Options},
-		func(en []*engineEntry) float64 { return jobCostFactor * s.costUnit(en[0].e) },
+		func(en []*engineEntry) float64 { return jobCostFactor * s.costUnit(en[0].runner) },
 		// An executing job weighs on the admission budget like the fan-out of
 		// evaluations it is: sustained job load pushes the node into
 		// degraded (new submissions refused) and, at the budget, into
@@ -534,7 +534,7 @@ func (s *Service) runOneJob(j *job) {
 			ctx = obs.WithRegistry(ctx, s.registry)
 			ctx = obs.WithProgress(ctx, func(p obs.Progress) { s.jobs.setProgress(j, p) })
 			call := func() (err error) {
-				table, err = en.e.RunExperiment(ctx, j.Experiment)
+				table, err = en.runner.RunExperiment(ctx, j.Experiment)
 				return err
 			}
 			if s.cfg.TaskWrap != nil {

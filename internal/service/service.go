@@ -33,6 +33,7 @@ import (
 
 	"hmem"
 	"hmem/internal/exec"
+	"hmem/internal/experiments"
 	"hmem/internal/obs"
 )
 
@@ -207,7 +208,7 @@ func New(cfg Config) (*Service, error) {
 		s.stopCluster()
 		return nil, fmt.Errorf("service: invalid default options: %w", err)
 	}
-	s.resolvedDefaults = def.e.Options()
+	s.resolvedDefaults = def.runner.Options()
 	s.adm = newAdmission(cfg.Admission)
 	s.jobs.init()
 
@@ -396,15 +397,15 @@ func resultKey(digest, workloadName string, policy hmem.PolicyName) string {
 // evaluation: simulation time scales with the trace length (records per
 // core) and the fault-study trial count, weighted evenly. The study half is
 // free when the engine's studies are already in the shared store.
-func (s *Service) costUnit(e *hmem.Engine) float64 {
-	opts := e.Options()
+func (s *Service) costUnit(runner *experiments.Runner) float64 {
+	opts := runner.Options()
 	u := 0.0
 	if d := s.resolvedDefaults.RecordsPerCore; d > 0 {
 		u += 0.5 * float64(opts.RecordsPerCore) / float64(d)
 	} else {
 		u += 0.5
 	}
-	if e.StudiesKnown() {
+	if runner.StudiesKnown() {
 		return u
 	}
 	if d := s.resolvedDefaults.FaultTrials; d > 0 {
@@ -417,12 +418,12 @@ func (s *Service) costUnit(e *hmem.Engine) float64 {
 
 // result returns one evaluation's JSON encoding through the result cache:
 // concurrent and repeated identical requests share a single simulation.
-func (s *Service) result(ctx context.Context, e *hmem.Engine, digest, workloadName string, policy hmem.PolicyName) (json.RawMessage, error) {
+func (s *Service) result(ctx context.Context, runner *experiments.Runner, digest, workloadName string, policy hmem.PolicyName) (json.RawMessage, error) {
 	return s.results.DoCtx(ctx, resultKey(digest, workloadName, policy), func() (json.RawMessage, error) {
 		// Background, not ctx: the result is shared with every requester of
 		// the key, so one caller's cancellation must not be cached. The
 		// registry rides along so engine metrics (hmem_*) land on /metrics.
-		res, err := e.Evaluate(obs.WithRegistry(context.Background(), s.registry), workloadName, policy)
+		res, err := runner.Evaluate(obs.WithRegistry(context.Background(), s.registry), workloadName, policy)
 		if err != nil {
 			return nil, err
 		}
@@ -515,7 +516,7 @@ func (s *Service) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseEngine(en)
-	writeJSON(w, http.StatusOK, map[string]any{"experiments": en.e.ExperimentIDs()})
+	writeJSON(w, http.StatusOK, map[string]any{"experiments": en.runner.ExperimentIDs()})
 }
 
 func (s *Service) handleEvaluate(w http.ResponseWriter, r *http.Request) {
