@@ -39,7 +39,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,7 +51,6 @@ import (
 	"time"
 
 	"hmem"
-	"hmem/internal/chaos"
 	"hmem/internal/cluster"
 	"hmem/internal/obs"
 	"hmem/internal/service"
@@ -81,12 +79,10 @@ func main() {
 		coordinator  = flag.String("coordinator", "", "coordinator base URL a worker registers with (required for -role worker)")
 		advertise    = flag.String("advertise", "", "URL the coordinator should reach this worker at (default http://127.0.0.1:<port of -addr>)")
 		workerID     = flag.String("worker-id", "", "stable worker identity in the placement ring (default <hostname>:<port>)")
-		heartbeat    = flag.Duration("heartbeat", 0, "worker heartbeat interval (0 = a third of the coordinator's TTL)")
 		clusterTTL   = flag.Duration("cluster-ttl", 0, "coordinator: drop workers silent for this long (0 = 10s)")
 		stealAfter   = flag.Duration("steal-after", 0, "coordinator: longest wait before hedging a straggling shard onto another worker; the delay adapts to 2x the p90 shard latency below it (0 = 2m)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "coordinator: bound one shard dispatch (0 = 10m); timeouts count against the worker's circuit breaker")
 		admitBudget  = flag.Float64("admission-budget", 0, "in-flight cost ceiling in default-evaluation units before shedding (0 = 4 x GOMAXPROCS, min 32)")
-		chaosHTTP    = flag.String("chaos-http", "", "JSON chaos plan whose HTTP faults wrap this server's handler (testing only)")
 	)
 	flag.Parse()
 
@@ -153,30 +149,9 @@ func main() {
 		}
 	}
 
-	// An optional chaos plan wraps the whole API surface — the brownout
-	// smoke boots a worker behind injected latency and watches the
-	// coordinator quarantine it.
-	handler := svc.Handler()
-	if *chaosHTTP != "" {
-		data, err := os.ReadFile(*chaosHTTP)
-		if err != nil {
-			log.Fatalf("hmemd: reading chaos plan: %v", err)
-		}
-		var plan chaos.Plan
-		if err := json.Unmarshal(data, &plan); err != nil {
-			log.Fatalf("hmemd: parsing chaos plan %s: %v", *chaosHTTP, err)
-		}
-		inj, err := chaos.New(plan)
-		if err != nil {
-			log.Fatalf("hmemd: %v", err)
-		}
-		handler = inj.Handler(handler)
-		log.Printf("hmemd: chaos plan %s active (%d http faults)", *chaosHTTP, len(plan.HTTP))
-	}
-
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -227,7 +202,7 @@ func main() {
 		hbCtx, cancel := context.WithCancel(context.Background())
 		stopHeartbeat = cancel
 		heartbeatDone = make(chan struct{})
-		go heartbeatLoop(hbCtx, heartbeatDone, svc, &service.Client{BaseURL: *coordinator}, id, selfURL, *heartbeat)
+		go heartbeatLoop(hbCtx, heartbeatDone, svc, &service.Client{BaseURL: *coordinator}, id, selfURL)
 	}
 
 	select {
@@ -272,35 +247,14 @@ func ensurePort(addr string) string {
 	return ":" + addr
 }
 
-// heartbeatLoop registers the worker, then re-registers every interval until
-// ctx is cancelled, deregistering on the way out (clean drain; a crash is
+// heartbeatLoop registers the worker, then re-registers every third of the
+// TTL the coordinator last granted (DefaultTTL until one answers), until ctx
+// is cancelled, deregistering on the way out (clean drain; a crash is
 // instead collected by the coordinator's TTL sweep).
-func heartbeatLoop(ctx context.Context, done chan<- struct{}, svc *service.Service, c *service.Client, id, selfURL string, interval time.Duration) {
+func heartbeatLoop(ctx context.Context, done chan<- struct{}, svc *service.Service, c *service.Client, id, selfURL string) {
 	defer close(done)
-	register := func() time.Duration {
-		callCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		defer cancel()
-		ttl, err := c.ClusterRegister(callCtx, cluster.RegisterRequest{ID: id, URL: selfURL, Load: svc.ClusterLoad()})
-		if err != nil {
-			if ctx.Err() == nil {
-				log.Printf("hmemd: cluster registration failed (will retry): %v", err)
-			}
-			return 0
-		}
-		return ttl
-	}
-	ttl := register()
-	if ttl > 0 {
-		log.Printf("hmemd: registered with coordinator as %q (ttl %s)", id, ttl)
-	}
-	every := interval
-	if every <= 0 {
-		if ttl <= 0 {
-			ttl = cluster.DefaultTTL
-		}
-		every = ttl / 3
-	}
-	t := time.NewTicker(every)
+	every, registered := cluster.DefaultTTL/3, false
+	t := time.NewTimer(0)
 	defer t.Stop()
 	for {
 		select {
@@ -312,7 +266,22 @@ func heartbeatLoop(ctx context.Context, done chan<- struct{}, svc *service.Servi
 			}
 			return
 		case <-t.C:
-			register()
 		}
+		callCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		ttl, err := c.ClusterRegister(callCtx, cluster.RegisterRequest{ID: id, URL: selfURL, Load: svc.ClusterLoad()})
+		cancel()
+		switch {
+		case err != nil:
+			if ctx.Err() == nil {
+				log.Printf("hmemd: cluster registration failed (will retry): %v", err)
+			}
+		case ttl > 0:
+			if !registered {
+				log.Printf("hmemd: registered with coordinator as %q (ttl %s)", id, ttl)
+				registered = true
+			}
+			every = ttl / 3
+		}
+		t.Reset(every)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -189,6 +190,21 @@ func (d *hmemdProc) requireMetric(t *testing.T, line string) {
 	if page := d.get(t, d.c.BaseURL+"/metrics", http.StatusOK); !strings.Contains(page, line+"\n") {
 		t.Fatalf("/metrics lacks %q:\n%s", line, page)
 	}
+}
+
+// metric reads the value of the label-free series name from /metrics.
+func (d *hmemdProc) metric(t *testing.T, name string) float64 {
+	t.Helper()
+	page := d.get(t, d.c.BaseURL+"/metrics", http.StatusOK)
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\S+)$`).FindStringSubmatch(page)
+	if m == nil {
+		t.Fatalf("/metrics lacks %s", name)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return v
 }
 
 // get fetches url and fails unless it answers with status want.

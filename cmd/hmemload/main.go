@@ -56,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		sloPath    = fs.String("slo", "", "SLO spec JSON; violations exit 1")
 		chaosPath  = fs.String("chaos", "", "chaos plan JSON injected client-side (selects the SLO's degraded budget)")
-		degraded   = fs.Bool("degraded", false, "hold the run to the SLO's degraded budget even without -chaos (for server-side fault injection)")
 		saveCtx    = fs.String("save-context", "", "write the cumulative execution context here after the run")
 		loadCtx    = fs.String("load-context", "", "resume from this execution context (its cursor continues the schedule)")
 		metricsOut = fs.String("metrics-out", "", "write the hmemload_* metric families (Prometheus text) here")
@@ -177,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if spec == nil {
 		return 0
 	}
-	budget := spec.Pick(*chaosPath != "" || *degraded)
+	budget := spec.Pick(*chaosPath != "")
 	if budget != spec {
 		fmt.Fprintln(stdout, "chaos active: holding the run to the degraded SLO budget")
 	}

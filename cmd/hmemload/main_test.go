@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -37,12 +41,9 @@ func TestRunExitCodes(t *testing.T) {
 	url := startDaemon(t)
 	dir := t.TempDir()
 
-	impossible := filepath.Join(dir, "impossible.json")
-	if err := os.WriteFile(impossible, []byte(
-		`{"classes": {"evaluate": {"max_p99_ms": 1e-9, "min_requests": 1}}}`,
-	), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// The committed unmeetable budget is the negative control: if it
+	// passed, no SLO gate would prove anything.
+	impossible := "../../examples/slo/impossible.json"
 	passable := filepath.Join(dir, "ok.json")
 	if err := os.WriteFile(passable, []byte(`{"max_error_rate": 0.0}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -131,5 +132,46 @@ func TestRunArtifacts(t *testing.T) {
 	bad[5] = "10" // -seed value
 	if code := run(append(bad, "-load-context", ctxPath), &stdout, &stderr); code != 2 {
 		t.Fatalf("mismatched context exited %d, want 2", code)
+	}
+}
+
+// TestSmokeProfilesMeetSLO holds the mixed and batch profiles to the
+// committed smoke budget: mixed paced at a target rate, batch closed-loop,
+// after which the server's batch and trace-coalescing counters must have
+// moved.
+func TestSmokeProfilesMeetSLO(t *testing.T) {
+	url := startDaemon(t)
+	smoke := "../../examples/slo/smoke.json"
+	common := []string{
+		"-addr", url, "-seed", "7", "-duration", "0",
+		"-records", "300", "-trials", "50", "-slo", smoke,
+	}
+	for _, args := range [][]string{
+		{"-profile", "mixed", "-rps", "60", "-max-ops", "100", "-workers", "8"},
+		{"-profile", "batch", "-max-ops", "120", "-workers", "4"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, common...), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v exited %d\nstdout: %s\nstderr: %s", args, code, &stdout, &stderr)
+		}
+	}
+
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	page, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{"hmemd_batch_requests_total", "hmemd_coalesce_hits_total"} {
+		m := regexp.MustCompile(`(?m)^` + family + ` (\S+)$`).FindSubmatch(page)
+		if m == nil {
+			t.Fatalf("/metrics lacks %s", family)
+		}
+		if v, err := strconv.ParseFloat(string(m[1]), 64); err != nil || v <= 0 {
+			t.Errorf("%s = %s, want > 0", family, m[1])
+		}
 	}
 }

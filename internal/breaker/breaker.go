@@ -3,9 +3,8 @@
 // and stops sending traffic to an upstream that is failing, then probes it
 // with a bounded trickle until it proves healthy again.
 //
-// The contract is deliberately minimal so both hmemd's typed client (one
-// breaker per host) and the cluster scheduler (one breaker per worker, via
-// Set) can share it:
+// The cluster scheduler holds one breaker per worker, via Set. The contract
+// is deliberately minimal:
 //
 //	done, ok := b.Allow()
 //	if !ok { /* refuse fast; the upstream is quarantined */ }
@@ -15,10 +14,10 @@
 // Closed admits everything and records outcomes into a sliding window; when
 // the window's failure ratio crosses the threshold (with a minimum sample
 // count, so one early failure can't trip an idle breaker) it opens. Open
-// refuses everything until OpenFor has elapsed, then moves to half-open.
-// Half-open admits at most ProbeBudget concurrent probes: ProbeSuccesses
-// consecutive successful probes close the breaker, any probe failure snaps
-// it back to open for another full OpenFor.
+// refuses everything until its quarantine (openFor) ends, then moves to
+// half-open. Half-open admits at most probeBudget concurrent probes:
+// probeSuccesses consecutive successful probes close the breaker, any probe
+// failure snaps it back to open for another full quarantine.
 //
 // Everything is stdlib-only and safe for concurrent use.
 package breaker
@@ -34,9 +33,9 @@ type State int32
 const (
 	// Closed is normal operation: all calls admitted, outcomes recorded.
 	Closed State = iota
-	// Open is quarantine: all calls refused until OpenFor elapses.
+	// Open is quarantine: all calls refused until openFor elapses.
 	Open
-	// HalfOpen is recovery probing: up to ProbeBudget concurrent calls
+	// HalfOpen is recovery probing: up to probeBudget concurrent calls
 	// admitted; their outcomes decide between Closed and Open.
 	HalfOpen
 )
@@ -53,74 +52,36 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Config tunes a Breaker. The zero value gives usable defaults throughout.
+// The breaker's thresholds. hmemd's coordinator is their one user, so they
+// are constants rather than settings.
+const (
+	// window is the sliding outcome window size.
+	window = 20
+	// minSamples is the minimum number of recorded outcomes before the
+	// failure ratio can trip the breaker. Below it the breaker stays closed
+	// no matter what, so a cold upstream's first hiccup does not quarantine
+	// it.
+	minSamples = 5
+	// failureRatio is the windowed failure fraction at or above which a
+	// closed breaker trips.
+	failureRatio = 0.5
+	// openFor is the quarantine before an open breaker admits probes.
+	openFor = 5 * time.Second
+	// probeBudget bounds concurrent half-open probes: the recovering
+	// upstream must not be re-flooded by every waiter at once.
+	probeBudget = 1
+	// probeSuccesses is the number of consecutive successful probes needed
+	// to close again.
+	probeSuccesses = 2
+)
+
+// Config carries a Breaker's hooks. The zero value is ready to use.
 type Config struct {
-	// Window is the sliding outcome window size (<=0 = 20 outcomes).
-	Window int
-	// MinSamples is the minimum number of recorded outcomes before the
-	// failure ratio can trip the breaker (<=0 = 5). Below it the breaker
-	// stays closed no matter what, so a cold upstream's first hiccup does
-	// not quarantine it.
-	MinSamples int
-	// FailureRatio is the windowed failure fraction at or above which a
-	// closed breaker trips (<=0 = 0.5).
-	FailureRatio float64
-	// OpenFor is the quarantine duration before an open breaker admits
-	// probes (<=0 = 5s).
-	OpenFor time.Duration
-	// ProbeBudget bounds concurrent half-open probes (<=0 = 1) — the
-	// recovering upstream must not be re-flooded by every waiter at once.
-	ProbeBudget int
-	// ProbeSuccesses is the number of consecutive successful probes needed
-	// to close again (<=0 = 2).
-	ProbeSuccesses int
 	// Now is the clock (nil = time.Now) — the test seam.
 	Now func() time.Time
 	// OnTransition, when set, is called after every state change, outside
 	// the breaker's lock (so it may call back into the breaker).
 	OnTransition func(from, to State)
-}
-
-func (c Config) window() int {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return 20
-}
-
-func (c Config) minSamples() int {
-	if c.MinSamples > 0 {
-		return c.MinSamples
-	}
-	return 5
-}
-
-func (c Config) failureRatio() float64 {
-	if c.FailureRatio > 0 {
-		return c.FailureRatio
-	}
-	return 0.5
-}
-
-func (c Config) openFor() time.Duration {
-	if c.OpenFor > 0 {
-		return c.OpenFor
-	}
-	return 5 * time.Second
-}
-
-func (c Config) probeBudget() int {
-	if c.ProbeBudget > 0 {
-		return c.ProbeBudget
-	}
-	return 1
-}
-
-func (c Config) probeSuccesses() int {
-	if c.ProbeSuccesses > 0 {
-		return c.ProbeSuccesses
-	}
-	return 2
 }
 
 func (c Config) now() time.Time {
@@ -136,10 +97,10 @@ type Breaker struct {
 
 	mu       sync.Mutex
 	state    State
-	outcomes []bool // ring buffer of recent outcomes (true = success)
-	head     int    // next write slot
-	n        int    // filled entries
-	fails    int    // failures among the filled entries
+	outcomes [window]bool // ring buffer of recent outcomes (true = success)
+	head     int          // next write slot
+	n        int          // filled entries
+	fails    int          // failures among the filled entries
 	openedAt time.Time
 	probes   int // in-flight half-open probes
 	probeOK  int // consecutive successful probes this half-open episode
@@ -150,7 +111,7 @@ type Breaker struct {
 
 // New builds a breaker starting Closed.
 func New(cfg Config) *Breaker {
-	return &Breaker{cfg: cfg, outcomes: make([]bool, cfg.window())}
+	return &Breaker{cfg: cfg}
 }
 
 // Allow reports whether a call may proceed. When it returns true the caller
@@ -162,7 +123,7 @@ func (b *Breaker) Allow() (done func(success bool), ok bool) {
 	b.mu.Lock()
 	switch b.state {
 	case Open:
-		if b.cfg.now().Sub(b.openedAt) < b.cfg.openFor() {
+		if b.cfg.now().Sub(b.openedAt) < openFor {
 			b.refused++
 			b.mu.Unlock()
 			return nil, false
@@ -170,7 +131,7 @@ func (b *Breaker) Allow() (done func(success bool), ok bool) {
 		tr = b.setState(HalfOpen)
 		fallthrough
 	case HalfOpen:
-		if b.probes >= b.cfg.probeBudget() {
+		if b.probes >= probeBudget {
 			b.refused++
 			b.mu.Unlock()
 			b.notify(tr)
@@ -256,8 +217,7 @@ func (b *Breaker) resetWindow() {
 
 // push records one outcome into the sliding window. Must hold b.mu.
 func (b *Breaker) push(success bool) {
-	w := len(b.outcomes)
-	if b.n == w {
+	if b.n == window {
 		if !b.outcomes[b.head] {
 			b.fails--
 		}
@@ -268,7 +228,7 @@ func (b *Breaker) push(success bool) {
 	if !success {
 		b.fails++
 	}
-	b.head = (b.head + 1) % w
+	b.head = (b.head + 1) % window
 }
 
 // recordClosed lands the outcome of a call admitted while Closed. Outcomes
@@ -279,8 +239,7 @@ func (b *Breaker) recordClosed(success bool) {
 	b.mu.Lock()
 	if b.state == Closed {
 		b.push(success)
-		if b.n >= b.cfg.minSamples() &&
-			float64(b.fails) >= b.cfg.failureRatio()*float64(b.n) {
+		if b.n >= minSamples && float64(b.fails) >= failureRatio*float64(b.n) {
 			tr = b.setState(Open)
 		}
 	}
@@ -289,7 +248,7 @@ func (b *Breaker) recordClosed(success bool) {
 }
 
 // recordProbe lands the outcome of a half-open probe: enough consecutive
-// successes close the breaker, any failure re-opens it for a full OpenFor.
+// successes close the breaker, any failure re-opens it for a full openFor.
 func (b *Breaker) recordProbe(success bool) {
 	var tr *transition
 	b.mu.Lock()
@@ -300,7 +259,7 @@ func (b *Breaker) recordProbe(success bool) {
 	case HalfOpen:
 		if success {
 			b.probeOK++
-			if b.probeOK >= b.cfg.probeSuccesses() {
+			if b.probeOK >= probeSuccesses {
 				tr = b.setState(Closed)
 			}
 		} else {

@@ -5,13 +5,14 @@ import (
 	"sync"
 )
 
-// Set is a keyed family of breakers sharing one Config — the cluster
+// Set is a keyed family of breakers sharing one clock — the cluster
 // scheduler holds one per worker ID, the service mirrors their states onto
 // /metrics. Members are created on first use and never removed: a departed
 // worker's breaker is a few hundred bytes, and keeping it means a flapping
 // worker that re-registers inherits its quarantine instead of a clean slate.
 type Set struct {
-	// Config parameterizes every member breaker.
+	// Config is every member's Config; Set.OnTransition replaces its
+	// OnTransition.
 	Config Config
 	// OnTransition, when set, observes every member's state changes with the
 	// member key attached (metrics, spans, logs). Called outside locks.

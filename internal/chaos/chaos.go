@@ -1,16 +1,19 @@
 // Package chaos is a deterministic fault injector for hardening tests.
 //
-// A single JSON-serializable Plan describes every fault to inject — at which
-// trace record, task call, HTTP request, or write the fault fires and what
-// shape it takes. An Injector built from the plan hands out decorators for
-// the seams the rest of the repository already exposes:
+// A single JSON-serializable Plan describes every indexed fault to inject —
+// at which trace record, task call, HTTP request, or write the fault fires
+// and what shape it takes. An Injector built from the plan hands out
+// decorators for the seams the rest of the repository already exposes:
 //
 //   - Stream wraps a trace.Stream and truncates, corrupts, or errors it at
 //     configured record indices;
 //   - Task wraps a func() error (the shape of every worker-pool task) with
 //     injected panics, delays, and errors;
-//   - Handler / RoundTripper wrap HTTP server and client paths with added
-//     latency, synthetic 5xx responses, and dropped connections;
+//   - RoundTripper wraps an HTTP client path with added latency, synthetic
+//     5xx responses, and dropped connections; it is the one HTTP fault
+//     seam, and also carries host faults toggled at runtime (Block,
+//     SetDelay, Heal) — the partitions and brownouts cluster tests inject
+//     mid-run;
 //   - Writer wraps an io.Writer with injected write failures, standing in
 //     for a filesystem that fills up or yanks the disk mid-append.
 //
@@ -26,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"hmem/internal/trace"
@@ -47,7 +51,7 @@ const (
 	ModeCorrupt = "corrupt"
 	// ModePanic panics inside a task.
 	ModePanic = "panic"
-	// ModeDelay sleeps before running a task or serving a request.
+	// ModeDelay sleeps before running a task.
 	ModeDelay = "delay"
 	// ModeLatency is ModeDelay's name on the HTTP seam.
 	ModeLatency = "latency"
@@ -76,7 +80,7 @@ type TaskFault struct {
 	DelayMS int64 `json:"delay_ms,omitempty"`
 }
 
-// HTTPFault injects one fault into a wrapped handler or round tripper.
+// HTTPFault injects one fault into a wrapped round tripper.
 type HTTPFault struct {
 	// AtRequest is the 0-based request index at which the fault fires.
 	AtRequest int `json:"at_request"`
@@ -186,10 +190,14 @@ type Stats struct {
 // Stream and Writer wrappers each carry their own private record/write
 // counter (faults fire at indices within that wrapper); task and HTTP
 // counters are shared across all wrappers from the same Injector, because a
-// worker pool or server sees one global call sequence. All counters are
-// atomic: wrappers may be used from concurrent goroutines.
+// worker pool or client sees one global call sequence. All counters are
+// atomic and the host faults are locked: wrappers may be used from
+// concurrent goroutines.
 type Injector struct {
 	plan Plan
+
+	mu    sync.Mutex
+	hosts map[string]hostFault // runtime host faults, by "host:port"
 
 	taskCalls atomic.Int64
 	httpReqs  atomic.Int64
@@ -205,7 +213,7 @@ func New(plan Plan) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{plan: plan}, nil
+	return &Injector{plan: plan, hosts: make(map[string]hostFault)}, nil
 }
 
 // Plan returns the injector's fault schedule.

@@ -198,49 +198,6 @@ func TestTaskPanicAndErrorFireAtIndices(t *testing.T) {
 	}
 }
 
-func TestHandlerInjectsErrorAndDrop(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok")
-	})
-	inj := mustInjector(t, Plan{HTTP: []HTTPFault{
-		{AtRequest: 1, Mode: ModeError, Code: 502},
-		{AtRequest: 2, Mode: ModeDrop},
-	}})
-	srv := httptest.NewServer(inj.Handler(inner))
-	defer srv.Close()
-
-	get := func() (*http.Response, error) { return http.Get(srv.URL) }
-
-	resp, err := get()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("request 0: %v %v", resp, err)
-	}
-	resp.Body.Close()
-
-	resp, err = get()
-	if err != nil {
-		t.Fatalf("request 1: %v", err)
-	}
-	if resp.StatusCode != 502 || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("request 1: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	resp.Body.Close()
-
-	if _, err = get(); err == nil {
-		t.Fatal("request 2: dropped connection produced a response")
-	}
-
-	resp, err = get()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("request 3: %v %v", resp, err)
-	}
-	resp.Body.Close()
-	if got := inj.Stats().HTTP; got != 2 {
-		t.Fatalf("http fault count = %d, want 2", got)
-	}
-}
-
 func TestRoundTripperInjectsFaults(t *testing.T) {
 	var served int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -1,11 +1,15 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -17,8 +21,8 @@ func TestPartitionBlocksAndHeals(t *testing.T) {
 	defer srv.Close()
 	host := srv.Listener.Addr().String()
 
-	p := NewHostFaults(nil)
-	client := &http.Client{Transport: p}
+	p := mustInjector(t, Plan{})
+	client := &http.Client{Transport: p.RoundTripper(nil)}
 
 	get := func() error {
 		resp, err := client.Get(srv.URL)
@@ -52,8 +56,8 @@ func TestPartitionBlocksAndHeals(t *testing.T) {
 	if err := get(); err != nil {
 		t.Fatalf("heal-all request failed: %v", err)
 	}
-	if got := p.Dropped(); got != 2 {
-		t.Fatalf("Dropped = %d, want 2", got)
+	if got := p.Stats().HTTP; got != 2 {
+		t.Fatalf("Stats().HTTP = %d, want 2 dropped requests", got)
 	}
 }
 
@@ -67,8 +71,8 @@ func TestSlowdownDelaysOnlyTargetedHost(t *testing.T) {
 	}))
 	defer other.Close()
 
-	sd := NewHostFaults(nil)
-	client := &http.Client{Transport: sd}
+	sd := mustInjector(t, Plan{})
+	client := &http.Client{Transport: sd.RoundTripper(nil)}
 	slowedHost := srv.Listener.Addr().String()
 	sd.SetDelay(slowedHost, 80*time.Millisecond)
 
@@ -81,8 +85,8 @@ func TestSlowdownDelaysOnlyTargetedHost(t *testing.T) {
 	if d := time.Since(start); d < 80*time.Millisecond {
 		t.Fatalf("slowed request took %v, want >= 80ms", d)
 	}
-	if got := sd.Delayed(); got != 1 {
-		t.Fatalf("Delayed() = %d, want 1", got)
+	if got := sd.Stats().HTTP; got != 1 {
+		t.Fatalf("Stats().HTTP = %d, want 1", got)
 	}
 
 	// The untargeted host is untouched.
@@ -95,8 +99,8 @@ func TestSlowdownDelaysOnlyTargetedHost(t *testing.T) {
 	if d := time.Since(start); d > 50*time.Millisecond {
 		t.Fatalf("untargeted request took %v, want fast", d)
 	}
-	if got := sd.Delayed(); got != 1 {
-		t.Fatalf("Delayed() = %d after untargeted request, want still 1", got)
+	if got := sd.Stats().HTTP; got != 1 {
+		t.Fatalf("Stats().HTTP = %d after untargeted request, want still 1", got)
 	}
 
 	// Heal restores the slowed host.
@@ -121,9 +125,9 @@ func TestSlowdownHonorsContext(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sd := NewHostFaults(nil)
+	sd := mustInjector(t, Plan{})
 	sd.SetDelay(srv.Listener.Addr().String(), 10*time.Second)
-	client := &http.Client{Transport: sd}
+	client := &http.Client{Transport: sd.RoundTripper(nil)}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -144,20 +148,18 @@ func TestSlowdownHonorsContext(t *testing.T) {
 // TestHTTPFaultWindow pins ThroughRequest semantics: the fault fires on every
 // request in [AtRequest, ThroughRequest] and nothing outside it.
 func TestHTTPFaultWindow(t *testing.T) {
-	inj, err := New(Plan{HTTP: []HTTPFault{
+	inj := mustInjector(t, Plan{HTTP: []HTTPFault{
 		{AtRequest: 1, ThroughRequest: 3, Mode: ModeError, Code: 503},
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(inj.Handler(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok")
-	})))
+	}))
 	defer srv.Close()
+	client := &http.Client{Transport: inj.RoundTripper(nil)}
 
 	wantCodes := []int{200, 503, 503, 503, 200}
 	for i, want := range wantCodes {
-		resp, err := http.Get(srv.URL)
+		resp, err := client.Get(srv.URL)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -181,18 +183,15 @@ func TestHTTPFaultWindowValidation(t *testing.T) {
 }
 
 // TestHTTPLatencyHonorsContext: a plan's injected latency ends when the
-// request's context does, on the client and the server side alike, so a
-// caller past its deadline never waits out the full stall.
+// request's context does, so a caller past its deadline never waits out the
+// full stall.
 func TestHTTPLatencyHonorsContext(t *testing.T) {
 	plan := Plan{HTTP: []HTTPFault{{AtRequest: 0, Mode: ModeLatency, LatencyMS: 2000}}}
-	ok := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ok") })
-
 	t.Run("round-tripper", func(t *testing.T) {
-		inj, err := New(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(ok)
+		inj := mustInjector(t, plan)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			io.WriteString(w, "ok")
+		}))
 		defer srv.Close()
 		client := &http.Client{Transport: inj.RoundTripper(nil), Timeout: 50 * time.Millisecond}
 		start := time.Now()
@@ -203,22 +202,77 @@ func TestHTTPLatencyHonorsContext(t *testing.T) {
 			t.Fatalf("timed-out request returned after %v, want < 1s", d)
 		}
 	})
-	t.Run("handler", func(t *testing.T) {
-		inj, err := New(plan)
+}
+
+// TestHostFaultsComposeWithPlan pins the order of the two fault kinds on one
+// transport: a blocked host's request fails before the plan sees it (so it
+// consumes no plan index), a slowed host's request waits out its delay and
+// then meets the plan fault for its index, and both kinds count in
+// Stats().HTTP.
+func TestHostFaultsComposeWithPlan(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "ok")
+	}))
+	defer srv.Close()
+	host := srv.Listener.Addr().String()
+	inj := mustInjector(t, Plan{HTTP: []HTTPFault{{AtRequest: 0, Mode: ModeError, Code: 502}}})
+	client := &http.Client{Transport: inj.RoundTripper(nil)}
+	status := func() (int, error) {
+		resp, err := client.Get(srv.URL)
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+
+	inj.Block(host)
+	if _, err := status(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("blocked request: err = %v, want ErrInjected", err)
+	}
+	inj.Heal()
+	inj.SetDelay(host, 30*time.Millisecond)
+	start := time.Now()
+	if code, err := status(); err != nil || code != 502 {
+		t.Fatalf("slowed request 0: code %d err %v, want the plan's 502", code, err)
+	}
+	if d := time.Since(start); d < 30*time.Millisecond {
+		t.Fatalf("slowed request took %v, want >= 30ms", d)
+	}
+	inj.SetDelay(host, 0)
+	if code, err := status(); err != nil || code != 200 {
+		t.Fatalf("request 1: code %d err %v, want 200", code, err)
+	}
+	if got := inj.Stats().HTTP; got != 3 {
+		t.Fatalf("Stats().HTTP = %d, want 3 (drop, delay, plan error)", got)
+	}
+}
+
+// TestExamplePlansLoad loads every plan under examples/chaos through New,
+// rejecting unknown fields, so a plan that no longer parses or validates
+// fails here rather than under hmemload -chaos.
+func TestExamplePlansLoad(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/chaos/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no example plans found")
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		req := httptest.NewRequest(http.MethodGet, "/", nil).WithContext(ctx)
-		rec := httptest.NewRecorder()
-		start := time.Now()
-		inj.Handler(ok).ServeHTTP(rec, req)
-		if d := time.Since(start); d > time.Second {
-			t.Fatalf("handler held an abandoned request for %v, want < 1s", d)
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var plan Plan
+		if err := dec.Decode(&plan); err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
 		}
-		if rec.Body.Len() != 0 {
-			t.Fatalf("abandoned request was served: %q", rec.Body)
+		if _, err := New(plan); err != nil {
+			t.Errorf("%s: %v", path, err)
 		}
-	})
+	}
 }

@@ -315,9 +315,8 @@ func TestSchedulerQuarantinedWorkerGetsNoTraffic(t *testing.T) {
 	healthy := newFakeWorker(t, "healthy")
 	healthy.register(g)
 
-	breakers := &breaker.Set{Config: breaker.Config{MinSamples: 1, OpenFor: time.Minute}}
-	done, _ := breakers.Get("stalled").Allow()
-	done(false) // trips the stalled worker's breaker open
+	breakers := &breaker.Set{}
+	tripBreaker(breakers.Get("stalled"))
 	s := &Scheduler{Registry: g, Breakers: breakers}
 
 	const n = 10
@@ -437,3 +436,12 @@ func TestSchedulerRunAllOrdered(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// tripBreaker fails calls through b until it opens, which quarantines its
+// worker for the breaker's fixed 5 s — longer than the tests using it run.
+func tripBreaker(b *breaker.Breaker) {
+	for b.State() != breaker.Open {
+		done, _ := b.Allow()
+		done(false)
+	}
+}

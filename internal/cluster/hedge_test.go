@@ -94,9 +94,8 @@ func TestHedgeLogNamesPrimaryWorker(t *testing.T) {
 		<-release
 		return []byte(`{}`), nil
 	}
-	breakers := &breaker.Set{Config: breaker.Config{MinSamples: 1, OpenFor: time.Minute}}
-	done, _ := breakers.Get(skipped).Allow()
-	done(false) // trips the owner's breaker open
+	breakers := &breaker.Set{}
+	tripBreaker(breakers.Get(skipped))
 
 	var mu sync.Mutex
 	var logs []string

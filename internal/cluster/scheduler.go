@@ -61,7 +61,7 @@ type Scheduler struct {
 	// Registry supplies live workers and ring placement.
 	Registry *Registry
 	// Client is the HTTP client for worker calls (wrap its Transport with
-	// chaos.RoundTripper or chaos.HostFaults to inject faults). Nil uses a
+	// a chaos.Injector's RoundTripper to inject faults). Nil uses a
 	// default client with no overall timeout — per-call contexts bound each
 	// request.
 	Client *http.Client

@@ -110,6 +110,18 @@ func TestLoadSLOFile(t *testing.T) {
 	if _, err := LoadSLO(bad); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+
+	// The committed example specs, the budgets tests hold runs to, must
+	// load too.
+	examples, err := filepath.Glob("../../examples/slo/*.json")
+	if err != nil || len(examples) == 0 {
+		t.Fatalf("no example SLOs found (err %v)", err)
+	}
+	for _, path := range examples {
+		if _, err := LoadSLO(path); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
 // TestExecutionContextRoundTrip: absorb, save, load, check.

@@ -14,17 +14,10 @@ import (
 	"time"
 
 	"hmem"
-	"hmem/internal/breaker"
 	"hmem/internal/cluster"
 	"hmem/internal/obs"
 	"hmem/internal/report"
 )
-
-// ErrCircuitOpen reports a request refused locally because the client's
-// circuit breaker has quarantined the server; nothing was sent. The retry
-// machinery treats it as retryable (the breaker half-opens on its own
-// schedule), so a bounded retry loop rides out short quarantines.
-var ErrCircuitOpen = errors.New("hmemd: circuit breaker open; request not sent")
 
 // Client is a typed hmemd client. The zero Retries/Backoff give one attempt;
 // set Retries for bounded retry-with-backoff on idempotent calls (every GET,
@@ -50,13 +43,6 @@ type Client struct {
 	// xrand stream) to make retry timing a pure function of the seed; the
 	// load harness does this so soak runs replay byte for byte.
 	Rand func(n uint64) uint64
-	// Breaker, when set, gates every request through a circuit breaker
-	// (one Client speaks to one BaseURL, so this is the per-host breaker).
-	// Requests refused by an open breaker fail fast with ErrCircuitOpen.
-	// Success feeding the breaker is "the server answered coherently":
-	// non-retryable API errors (4xx verdicts) count as healthy, transport
-	// failures and 5xx/429 count against the host.
-	Breaker *breaker.Breaker
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -142,22 +128,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return nil
 }
 
-// send performs one breaker-gated exchange and returns the 2xx response for
-// the caller to read and close. A non-2xx status comes back as *APIError.
-// The breaker hears whether the server answered coherently: a 2xx or a
-// non-retryable verdict counts as healthy, transport failures and 5xx/429
-// count against the host, and failures while reading the body afterwards
-// are the pipe's fault, not the host's. stream lifts the HTTP client's
-// overall timeout for responses that can outlive it (job watches, batches),
-// leaving ctx as the only bound.
-func (c *Client) send(ctx context.Context, method, path string, body []byte, stream bool) (_ *http.Response, err error) {
-	if c.Breaker != nil {
-		done, ok := c.Breaker.Allow()
-		if !ok {
-			return nil, ErrCircuitOpen
-		}
-		defer func() { done(err == nil || !retryable(err)) }()
-	}
+// send performs one exchange and returns the 2xx response for the caller to
+// read and close. A non-2xx status comes back as *APIError. stream lifts the
+// HTTP client's overall timeout for responses that can outlive it (job
+// watches, batches), leaving ctx as the only bound.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, stream bool) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)

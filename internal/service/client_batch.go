@@ -14,7 +14,7 @@ import (
 // enough that concurrent batches and their NDJSON streams ride warm
 // keep-alive connections instead of paying a dial per request. conns
 // bounds the idle pool (<=0 = 64). The returned client is a plain Client —
-// set Retries/Breaker as usual.
+// set Retries as usual.
 func NewPooledClient(baseURL string, conns int) *Client {
 	if conns <= 0 {
 		conns = 64

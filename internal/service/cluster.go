@@ -34,10 +34,8 @@ const (
 // gives sane defaults everywhere.
 type ClusterConfig struct {
 	// TTL is how long a worker stays in the ring without a heartbeat
-	// (<=0 = cluster.DefaultTTL).
+	// (<=0 = cluster.DefaultTTL). The liveness sweep runs every TTL/10.
 	TTL time.Duration
-	// HealthEvery is the liveness sweep interval (<=0 = 1s).
-	HealthEvery time.Duration
 	// StealAfter bounds the delay before a straggling shard is hedged onto
 	// the next ring candidate (<=0 = 2m); see cluster.Scheduler.StealAfter.
 	StealAfter time.Duration
@@ -48,11 +46,6 @@ type ClusterConfig struct {
 	Transport http.RoundTripper
 	// Logf receives placement decisions (nil = silent).
 	Logf func(format string, args ...any)
-	// Breaker tunes the per-worker circuit breakers guarding placement
-	// (zero value = breaker package defaults: 20-outcome window, 50%
-	// failure ratio after 5 samples, 5s quarantine, 1 probe, 2 successes
-	// to close).
-	Breaker breaker.Config
 }
 
 // clusterState is the per-role cluster machinery hanging off a Service.
@@ -102,7 +95,6 @@ func (s *Service) initCluster() error {
 		// hmemd_breaker_state gauge, in the span stream as breaker.transition
 		// spans, and in the operator log.
 		breakers := &breaker.Set{
-			Config: cc.Breaker,
 			OnTransition: func(peer string, from, to breaker.State) {
 				s.met.breakerState.With(peer).Set(float64(to))
 				tr := obs.NewTracer("breaker", s.spanExp)
@@ -124,10 +116,7 @@ func (s *Service) initCluster() error {
 			RequestTimeout: cc.RequestTimeout,
 			Logf:           cc.Logf,
 		}
-		every := cc.HealthEvery
-		if every <= 0 {
-			every = time.Second
-		}
+		every := ttl / 10
 		cs.swept.Add(1)
 		go func() {
 			defer cs.swept.Done()

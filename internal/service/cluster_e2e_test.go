@@ -18,15 +18,12 @@ import (
 )
 
 // clusterTestConfig is tinyConfig restricted to two workloads so the
-// fan-out stays test-sized, with fast liveness sweeps.
+// fan-out stays test-sized, with a short liveness TTL.
 func clusterTestConfig(role string) Config {
 	cfg := tinyConfig()
 	cfg.Defaults.Workloads = []string{"astar", "mix1"}
 	cfg.Role = role
-	cfg.Cluster = ClusterConfig{
-		TTL:         2 * time.Second,
-		HealthEvery: 25 * time.Millisecond,
-	}
+	cfg.Cluster = ClusterConfig{TTL: 2 * time.Second}
 	return cfg
 }
 
@@ -270,9 +267,12 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	_, standalone := newTestServer(t, cfg)
 	want := evaluateJSON(t, standalone, "astar", "cc-migration")
 
-	part := chaos.NewHostFaults(nil)
+	part, err := chaos.New(chaos.Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	coordCfg := clusterTestConfig(RoleCoordinator)
-	coordCfg.Cluster.Transport = part
+	coordCfg.Cluster.Transport = part.RoundTripper(nil)
 	coord, cc := newTestServer(t, coordCfg)
 	workerSvcs, urls := startWorkers(t, coord, 2)
 
@@ -305,7 +305,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 		t.Errorf("placed=%d retries=%d survivor-executed=%d: each dead shard should re-place exactly once",
 			stats.Placed, stats.Retries, w2)
 	}
-	if part.Dropped() == 0 {
+	if part.Stats().HTTP == 0 {
 		t.Error("partition dropped no requests")
 	}
 

@@ -33,7 +33,8 @@ func seedEvaluate(workloadName string, policy hmem.PolicyName, seed uint64) stri
 	return fmt.Sprintf(`{"workload":%q,"policy":%q,"options":{"seed":%d}}`, workloadName, policy, seed)
 }
 
-// scrapeSeries reads the label-free series of the /metrics page.
+// scrapeSeries reads every series of the /metrics page, keyed by its name
+// and labels as written (`hmemd_breaker_state{peer="w1"}`).
 func scrapeSeries(t *testing.T, baseURL string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/metrics")
@@ -45,7 +46,7 @@ func scrapeSeries(t *testing.T, baseURL string) map[string]float64 {
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		name, val, ok := strings.Cut(sc.Text(), " ")
-		if !ok || strings.HasPrefix(name, "#") || strings.Contains(name, "{") {
+		if !ok || strings.HasPrefix(name, "#") {
 			continue
 		}
 		if v, err := strconv.ParseFloat(val, 64); err == nil {
