@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -16,11 +17,13 @@ import (
 // the only place the heartbeat loop and drain-time deregistration run:
 //
 //   - a standalone node answers the reference bytes for astar/cc-migration;
-//   - both workers register, and the coordinator answers the same bytes,
-//     exports hmemd_cluster_workers 2, and placed shards that the workers
-//     executed;
+//   - both workers register, w1 at the URL it passes as -advertise and w2
+//     at the default, and the coordinator (with -shard-timeout set)
+//     answers the same bytes, exports hmemd_cluster_workers 2, and placed
+//     shards that the workers executed;
 //   - the cluster load profile, through the coordinator, meets the cluster
-//     smoke SLO and places more shards;
+//     smoke SLO and places more shards, and w1 executed shards at its
+//     advertised URL;
 //   - on SIGTERM both workers exit 0 and leave the ring, and the coordinator
 //     alone still answers the reference bytes, then drains with exit 0.
 func TestClusterSmoke(t *testing.T) {
@@ -35,16 +38,32 @@ func TestClusterSmoke(t *testing.T) {
 	want := evaluateAstar(t, ref)
 	ref.drain(t)
 
-	coord := startHmemd(t, bin, filepath.Join(dir, "coord"), "-role", "coordinator", "-steal-after", "5m")
+	coord := startHmemd(t, bin, filepath.Join(dir, "coord"), "-role", "coordinator",
+		"-steal-after", "5m", "-shard-timeout", "5m")
+	// w1 advertises a localhost URL of its own; w2 keeps the default
+	// http://127.0.0.1:<port>.
+	wantURL := map[string]string{}
 	var workers []*hmemdProc
 	for _, id := range []string{"w1", "w2"} {
-		workers = append(workers, startHmemd(t, bin, filepath.Join(dir, id),
-			"-role", "worker", "-coordinator", coord.c.BaseURL, "-worker-id", id))
+		addr := freeAddr(t)
+		args := []string{"-role", "worker", "-coordinator", coord.c.BaseURL, "-worker-id", id}
+		wantURL[id] = "http://" + addr
+		if id == "w1" {
+			_, port, _ := net.SplitHostPort(addr)
+			wantURL[id] = "http://localhost:" + port
+			args = append(args, "-advertise", wantURL[id])
+		}
+		workers = append(workers, startHmemdAt(t, bin, filepath.Join(dir, id), addr, args...))
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		ws, err := coord.c.ClusterWorkers(ctx)
 		if err == nil && len(ws) == 2 {
+			for _, w := range ws {
+				if w.URL != wantURL[w.ID] {
+					t.Errorf("worker %s registered at %s, want %s", w.ID, w.URL, wantURL[w.ID])
+				}
+			}
 			break
 		}
 		if time.Now().After(deadline) {
@@ -84,6 +103,10 @@ func TestClusterSmoke(t *testing.T) {
 	// The load really flowed through the ring, not the local fallback.
 	if after := coord.metric(t, "hmemd_cluster_shards_placed_total"); after <= placed {
 		t.Errorf("the cluster load run placed no shards (%v before, %v after)", placed, after)
+	}
+	// The coordinator reached w1 through its advertised URL.
+	if executed := workers[0].metric(t, "hmemd_cluster_shards_executed_total"); executed < 1 {
+		t.Error("w1 executed no shard at its advertised URL")
 	}
 
 	for _, w := range workers {

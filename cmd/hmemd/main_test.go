@@ -140,7 +140,12 @@ func freeAddr(t *testing.T) string {
 // it is still running.
 func startHmemd(t *testing.T, bin, jdir string, extra ...string) *hmemdProc {
 	t.Helper()
-	addr := freeAddr(t)
+	return startHmemdAt(t, bin, jdir, freeAddr(t), extra...)
+}
+
+// startHmemdAt is startHmemd listening on addr.
+func startHmemdAt(t *testing.T, bin, jdir, addr string, extra ...string) *hmemdProc {
+	t.Helper()
 	args := append([]string{"-addr", addr, "-records", "3000", "-fault-trials", "2000", "-journal-dir", jdir}, extra...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr

@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// TestServeSmoke boots the real binary with a debug listener and a trace
-// log, runs examples/service_quickstart against it (two identical
-// evaluations, then one job), and checks what an operator sees:
+// TestServeSmoke boots the real binary with a debug listener, a trace log
+// and a 1 KiB body limit, runs examples/service_quickstart against it (two
+// identical evaluations, then one job), and checks what an operator sees:
 //
+//   - a request body over -max-body-bytes is refused with 413;
 //   - the result cache served the second evaluation (one hit, one miss)
 //     and the job finished;
 //   - /metrics exports the job queue depth, the job phase histogram, the
@@ -32,7 +33,17 @@ func TestServeSmoke(t *testing.T) {
 	debugAddr := freeAddr(t)
 	spanLog := filepath.Join(dir, "spans.ndjson")
 	d := startHmemd(t, bin, filepath.Join(dir, "journal"),
-		"-debug-addr", debugAddr, "-trace-log", spanLog)
+		"-debug-addr", debugAddr, "-trace-log", spanLog, "-max-body-bytes", "1024")
+
+	big := `{"workload":"astar","policy":"ddr-only","pad":"` + strings.Repeat("x", 2048) + `"}`
+	resp, err := http.Post(d.c.BaseURL+"/v1/evaluate", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 KiB body under -max-body-bytes 1024: status %d, want 413", resp.StatusCode)
+	}
 
 	quickstart := exec.Command("go", "run", "../../examples/service_quickstart", "-addr", d.c.BaseURL)
 	if out, err := quickstart.CombinedOutput(); err != nil {

@@ -1,6 +1,6 @@
 // Command tracegen generates a synthetic benchmark trace and writes it in
 // the binary trace format. The generators emit post-LLC (memory-level)
-// traffic directly, so no cache filter runs.
+// traffic directly.
 //
 // Usage:
 //

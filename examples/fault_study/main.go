@@ -1,5 +1,6 @@
 // Fault study: the reliability substrate on its own. Runs the §3.2
-// Monte-Carlo fault studies for both memory organizations, then the
+// Monte-Carlo fault study of each tier of the paper's HBM+DDR machine
+// (core.DefaultTopology, each tier with its own fault seed), then the
 // extended study with permanent faults and scrubbing — the analysis an
 // architect would run before committing to an ECC scheme.
 //
@@ -10,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"hmem/internal/core"
 	"hmem/internal/faultsim"
 )
 
@@ -18,19 +20,19 @@ func main() {
 	rates := faultsim.SridharanTransient()
 
 	fmt.Println("== transient-only (the paper's §3.2 configuration) ==")
-	for _, org := range []faultsim.Organization{faultsim.DDR3ChipKill(), faultsim.HBMSecDed()} {
-		res, err := faultsim.NewStudy(org, rates, 0x57D).Run(trials)
+	topo := core.DefaultTopology(1)
+	perGB := make([]float64, len(topo.Tiers))
+	for i, td := range topo.Tiers {
+		res, err := faultsim.NewStudy(td.Org, rates, td.FaultSeed).Run(trials)
 		if err != nil {
 			log.Fatal(err)
 		}
+		perGB[i] = res.UncFITPerGB
 		fmt.Printf("%-14s P(unc|1 fault)=%.3f  P(unc|2)=%.4f  unc FIT/GB=%.4f\n",
-			org.Name, res.PUncGivenK[1], res.PUncGivenK[2], res.UncFITPerGB)
+			td.Org.Name, res.PUncGivenK[1], res.PUncGivenK[2], res.UncFITPerGB)
 	}
-	fits, err := faultsim.DefaultTierFITs(trials)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("HBM:DDR uncorrectable FIT ratio = %.0fx -> why perf-focused placement costs ~300x SER\n\n", fits.Ratio())
+	fmt.Printf("HBM:DDR uncorrectable FIT ratio = %.0fx -> why perf-focused placement costs ~300x SER\n\n",
+		perGB[topo.FastTier]/perGB[0])
 
 	fmt.Println("== extension: permanent faults + scrubbing ==")
 	for _, scrub := range []float64{0, 24, 1} {

@@ -151,24 +151,3 @@ func TestSelectOnRealWorkload(t *testing.T) {
 		seen[p] = true
 	}
 }
-
-// corePageStats and statsFromCounts are tiny profiling helpers shared by the
-// directive end-to-end test.
-type corePageStats struct {
-	page          uint64
-	reads, writes uint64
-}
-
-func statsFromCounts(counts map[uint64]*corePageStats) []core.PageStats {
-	var stats []core.PageStats
-	for _, ps := range counts {
-		stats = append(stats, core.PageStats{
-			Page:   ps.page,
-			Reads:  ps.reads,
-			Writes: ps.writes,
-			AVF:    float64(ps.reads) / float64(ps.reads+ps.writes+1),
-		})
-	}
-	core.SortByPage(stats)
-	return stats
-}

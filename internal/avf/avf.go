@@ -29,9 +29,9 @@
 // full block doubles (2 up to 64 slots) and per-size free lists reuse the
 // blocks left behind. An access to a line already seen is array indexing and
 // a popcount: no map operations and no allocations. Tiers are dense small
-// integers too — the tracker supports any tier count (NewTrackerN) at no
-// cost to the hot path. Page ids reappear only at Snapshot time, when the
-// caller provides the dense index→id mapping.
+// integers too — the tracker supports any tier count at no cost to the hot
+// path. Page ids reappear only at Snapshot time, when the caller provides
+// the dense index→id mapping.
 package avf
 
 import (
@@ -50,7 +50,6 @@ type Tier uint8
 const (
 	TierDDR Tier = iota // off-package, high-reliability (ChipKill)
 	TierHBM             // on-package, high-bandwidth, low-reliability (SEC-DED)
-	numTiers
 )
 
 // String returns the tier's name: the paper's names for the default pair,
@@ -86,7 +85,7 @@ const (
 )
 
 // Tracker accumulates ACE time for every page index it observes. The zero
-// value is not usable; construct with NewTracker (two tiers) or NewTrackerN.
+// value is not usable; construct with NewTracker.
 // Not safe for concurrent use.
 type Tracker struct {
 	tiers    int
@@ -99,13 +98,8 @@ type Tracker struct {
 	free   [maxClass + 1][]uint32 // released blocks by size class
 }
 
-// NewTracker returns an empty tracker over the paper's two tiers.
-func NewTracker() *Tracker {
-	return NewTrackerN(int(numTiers))
-}
-
-// NewTrackerN returns an empty tracker over tiers memory tiers.
-func NewTrackerN(tiers int) *Tracker {
+// NewTracker returns an empty tracker over tiers memory tiers.
+func NewTracker(tiers int) *Tracker {
 	if tiers < 1 || tiers > 256 {
 		panic("avf: tier count out of range")
 	}

@@ -25,7 +25,7 @@ func lineAVF(t *testing.T, total int64, events []struct {
 	write bool
 }) float64 {
 	t.Helper()
-	tr := NewTracker()
+	tr := NewTracker(2)
 	for _, e := range events {
 		tr.Access(0, 0, e.at, e.write, TierDDR)
 	}
@@ -110,7 +110,7 @@ func TestWriteOnlyLineHasZeroAVF(t *testing.T) {
 }
 
 func TestPageAveragesLines(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(2)
 	// Line 0: fully ACE over [0,100]; other 63 lines untouched.
 	tr.Access(7, 0, 0, true, TierDDR)
 	tr.Access(7, 0, 100, false, TierDDR)
@@ -124,7 +124,7 @@ func TestPageAveragesLines(t *testing.T) {
 func TestTierAttribution(t *testing.T) {
 	// An interval is charged to the tier of the access that closes it, so
 	// one spanning a migration lands wholly in the destination tier.
-	tr := NewTracker()
+	tr := NewTracker(2)
 	tr.Access(1, 0, 0, true, TierHBM)    // interval starts in HBM
 	tr.Access(1, 0, 40, false, TierHBM)  // [0,40] ACE -> HBM
 	tr.Access(1, 0, 100, false, TierDDR) // page moved to DDR: [40,100] ACE -> DDR
@@ -145,7 +145,7 @@ func TestTierAttribution(t *testing.T) {
 }
 
 func TestAccessCountsTracked(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(2)
 	tr.Access(3, 1, 0, true, TierDDR)
 	tr.Access(3, 1, 5, false, TierDDR)
 	tr.Access(3, 2, 9, false, TierDDR)
@@ -162,7 +162,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		NewTracker().Access(0, 64, 0, false, TierDDR)
+		NewTracker(2).Access(0, 64, 0, false, TierDDR)
 	})
 	t.Run("bad tier", func(t *testing.T) {
 		defer func() {
@@ -170,7 +170,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		NewTracker().Access(0, 0, 0, false, Tier(7))
+		NewTracker(2).Access(0, 0, 0, false, Tier(7))
 	})
 	t.Run("bad snapshot duration", func(t *testing.T) {
 		defer func() {
@@ -178,14 +178,14 @@ func TestPanicsOnBadInput(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		NewTracker().Snapshot(0, nil)
+		NewTracker(2).Snapshot(0, nil)
 	})
 }
 
 func TestAVFBoundsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
-		tr := NewTracker()
+		tr := NewTracker(2)
 		const total = 10000
 		n := 50 + rng.Intn(500)
 		// Per (page,line) we must feed non-decreasing times; use a global
@@ -221,7 +221,7 @@ func TestMoreWritesLowerAVFProperty(t *testing.T) {
 	// raising the write fraction lowers AVF.
 	avfFor := func(writeP float64) float64 {
 		rng := xrand.New(7)
-		tr := NewTracker()
+		tr := NewTracker(2)
 		const total = 100000
 		for at := int64(0); at < total; at += 50 {
 			tr.Access(0, int(rng.Uint64n(64)), at, rng.Bool(writeP), TierDDR)
@@ -235,7 +235,7 @@ func TestMoreWritesLowerAVFProperty(t *testing.T) {
 }
 
 func TestMeanAVF(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(2)
 	if tr.MeanAVF(100, nil) != 0 {
 		t.Fatal("empty tracker mean must be 0")
 	}
@@ -262,7 +262,7 @@ func TestTierString(t *testing.T) {
 }
 
 func BenchmarkAccess(b *testing.B) {
-	tr := NewTracker()
+	tr := NewTracker(2)
 	rng := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -274,7 +274,7 @@ func BenchmarkAccess(b *testing.B) {
 // index is covered, an access to a line already seen, or to a new line the
 // page's block has room for (here each page's second line), never allocates.
 func TestAccessZeroAllocsWhenWarm(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(2)
 	for pi := uint32(0); pi < 64; pi++ {
 		tr.Access(pi, 0, int64(pi)+1, false, TierDDR)
 	}
@@ -295,7 +295,7 @@ func TestAccessZeroAllocsWhenWarm(t *testing.T) {
 // it — no panic, zero ACE charged for the inverted interval, and the line's
 // clock does not move backwards.
 func TestSkewedAccessClamps(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(2)
 	tr.Access(0, 0, 100, true, TierDDR)
 	tr.Access(0, 0, 90, false, TierDDR) // skewed read: clamped to cycle 100
 	tr.Access(0, 0, 160, false, TierDDR)
@@ -312,7 +312,7 @@ func TestSkewedAccessClamps(t *testing.T) {
 func BenchmarkSnapshot(b *testing.B) {
 	const pages = 15000
 	rng := xrand.New(1)
-	tr := NewTracker()
+	tr := NewTracker(2)
 	ids := make([]uint64, pages)
 	for i, v := range rng.Perm(pages) {
 		ids[i] = uint64(v) + 1<<20
@@ -333,7 +333,7 @@ var snapshotSink []PageAVF
 // in cache, so the benchmark counts the cache lines an access touches.
 func BenchmarkAccessSparse(b *testing.B) {
 	const pages = 1 << 14
-	tr := NewTracker()
+	tr := NewTracker(2)
 	rng := xrand.New(1)
 	for pi := uint32(0); pi < pages; pi++ {
 		for l := 0; l < 4; l++ {

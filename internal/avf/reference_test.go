@@ -86,7 +86,7 @@ type access struct {
 // and requires their snapshots to agree exactly.
 func checkAgainstReference(t testing.TB, tiers int, accesses []access, ids []uint64) {
 	t.Helper()
-	tr, ref := NewTrackerN(tiers), newRefTracker(tiers)
+	tr, ref := NewTracker(tiers), newRefTracker(tiers)
 	var total int64 = 1
 	for _, a := range accesses {
 		tr.Access(a.page, a.line, a.at, a.write, a.tier)

@@ -121,16 +121,6 @@ func (r *Ring) Remove(node string) {
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
 
-// Nodes returns the members in sorted order.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owner returns the node owning key, or false on an empty ring.
 func (r *Ring) Owner(key string) (string, bool) {
 	owners := r.Owners(key, 1)

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"hmem/internal/avf"
 	"hmem/internal/faultsim"
@@ -247,52 +246,6 @@ func TestPolicyNamesUnique(t *testing.T) {
 	}
 }
 
-func TestSatCounter(t *testing.T) {
-	c := NewSatCounter(8)
-	for i := 0; i < 300; i++ {
-		c.Inc()
-	}
-	if c.Value() != 255 {
-		t.Fatalf("8-bit counter = %d, want saturation at 255", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestSatCounterWidthPanics(t *testing.T) {
-	for _, bits := range []int{0, 33, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("bits=%d: expected panic", bits)
-				}
-			}()
-			NewSatCounter(bits)
-		}()
-	}
-}
-
-func TestSatCounterMonotoneProperty(t *testing.T) {
-	f := func(incs uint16, bits uint8) bool {
-		b := int(bits%32) + 1
-		c := NewSatCounter(b)
-		prev := uint32(0)
-		for i := 0; i < int(incs); i++ {
-			c.Inc()
-			if c.Value() < prev {
-				return false
-			}
-			prev = c.Value()
-		}
-		return c.Value() <= uint32(1)<<uint(b)-1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFullCounters(t *testing.T) {
 	pt := NewPageTable()
 	fc := NewFullCounters(8)
@@ -356,7 +309,7 @@ func TestHardwareCostMatchesPaper(t *testing.T) {
 }
 
 func TestSERModel(t *testing.T) {
-	m := SERModel{Fits: faultsim.TierFITs{DDRPerGB: 1, HBMPerGB: 100}}
+	m := SERModel{Fits: faultsim.TierFITs{PerGB: []float64{1, 100}}}
 	snap := []avf.PageAVF{
 		{Page: 1, AVF: 0.5, ByTier: []float64{0.5, 0}},   // all DDR
 		{Page: 2, AVF: 0.5, ByTier: []float64{0, 0.5}},   // all HBM
@@ -374,25 +327,6 @@ func TestSERModel(t *testing.T) {
 	}
 	if !(got > base) {
 		t.Fatal("placing AVF in HBM must raise SER")
-	}
-}
-
-func TestSERStatic(t *testing.T) {
-	m := SERModel{Fits: faultsim.TierFITs{DDRPerGB: 1, HBMPerGB: 10}}
-	stats := []PageStats{
-		{Page: 1, AVF: 0.5},
-		{Page: 2, AVF: 0.3},
-	}
-	inHBM := map[uint64]bool{2: true}
-	got := m.SERStatic(stats, inHBM)
-	want := (1*0.5 + 10*0.3) * pageGB
-	if math.Abs(got-want) > 1e-15 {
-		t.Fatalf("SERStatic = %v, want %v", got, want)
-	}
-	// Moving the high-AVF page in instead must be worse.
-	worse := m.SERStatic(stats, map[uint64]bool{1: true})
-	if !(worse > got) {
-		t.Fatal("placing higher-AVF page in HBM must raise SER")
 	}
 }
 

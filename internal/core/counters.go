@@ -12,34 +12,6 @@ package core
 // are O(touched) via an epoch stamp — entries are lazily zeroed on first
 // touch of the next interval instead of eagerly cleared or reallocated.
 
-// SatCounter is a saturating hardware counter of a configurable bit width.
-type SatCounter struct {
-	v   uint32
-	max uint32
-}
-
-// NewSatCounter returns a counter saturating at 2^bits - 1.
-func NewSatCounter(bits int) SatCounter {
-	if bits <= 0 || bits > 32 {
-		panic("core: counter width must be 1..32 bits")
-	}
-	return SatCounter{max: 1<<uint(bits) - 1}
-}
-
-// Inc adds one, sticking at the maximum ("we assume the counters to be
-// saturating, so they do not overflow").
-func (c *SatCounter) Inc() {
-	if c.v < c.max {
-		c.v++
-	}
-}
-
-// Value returns the current count.
-func (c *SatCounter) Value() uint32 { return c.v }
-
-// Reset zeroes the counter (interval boundary).
-func (c *SatCounter) Reset() { c.v = 0 }
-
 // FullCounters tracks reads and writes per page — the §6.2 FC mechanism.
 // The backing store is dense over interned page indices (only touched pages
 // ever get an index), but the hardware cost is computed from the architected

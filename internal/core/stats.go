@@ -93,17 +93,6 @@ func MeanAVF(stats []PageStats) float64 {
 // for any topology, so scores are bit-reproducible.
 type SERModel struct {
 	Fits faultsim.TierFITs
-	// Fast is the fast tier's index for static scoring (SERStatic); zero
-	// means the default topology's HBM tier (index 1).
-	Fast int
-}
-
-// fastTier returns the fast tier index, defaulting to the two-tier HBM.
-func (m SERModel) fastTier() int {
-	if m.Fast > 0 {
-		return m.Fast
-	}
-	return int(avf.TierHBM)
 }
 
 // pageGB is the capacity of one 4 KiB page in GB.
@@ -127,22 +116,6 @@ func (m SERModel) SERAllDDR(snap []avf.PageAVF) float64 {
 	total := 0.0
 	for _, p := range snap {
 		total += m.Fits.Of(0) * p.AVF * pageGB
-	}
-	return total
-}
-
-// SERStatic scores a static placement against profile stats: pages in the
-// fast tier (per inHBM) are charged at the fast tier's rate for their whole
-// AVF, everything else at tier 0's rate.
-func (m SERModel) SERStatic(stats []PageStats, inHBM map[uint64]bool) float64 {
-	base, fastFit := m.Fits.Of(0), m.Fits.Of(m.fastTier())
-	total := 0.0
-	for _, s := range stats {
-		fit := base
-		if inHBM[s.Page] {
-			fit = fastFit
-		}
-		total += fit * s.AVF * pageGB
 	}
 	return total
 }

@@ -297,7 +297,7 @@ func (g *Group) Wait() error {
 	return g.err
 }
 
-// fanout observes one Map/ForEach dispatch: each task gets a leaf
+// fanout observes one Map or Settle dispatch: each task gets a leaf
 // "exec.task" span (tasks take fn(i int) with no context, so these spans
 // cannot parent work inside the task — they record dispatch and wall time
 // only), and each completion reports fan-out progress to the context's sink,
@@ -310,7 +310,7 @@ type fanout struct {
 
 // newFanout returns the dispatch observer, or nil when ctx carries neither
 // a tracer nor a progress sink. The nil return is load-bearing: Map and
-// ForEach fall back to the exact uninstrumented task closure, so a bare
+// Settle fall back to the exact uninstrumented task closure, so a bare
 // context pays zero extra allocations — per task and per call — with the
 // observability layer compiled in (TestFanoutBareContextAllocs pins the
 // count).
@@ -386,9 +386,9 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 }
 
 // Settle evaluates fn(0..n-1) on at most workers goroutines and returns
-// every task's error by index — the error-isolating cousin of ForEach for
+// every task's error by index — the error-isolating cousin of Map for
 // fan-outs where one item's failure must not abort the rest (the batch
-// endpoint's per-item execution). Unlike Map/ForEach, a failing or
+// endpoint's per-item execution). Unlike Map, a failing or
 // panicking task never cancels its siblings: panics are converted to
 // *PanicError in that task's slot via Protect, and only tasks that have not
 // yet started when ctx is cancelled are skipped with ctx.Err(). The
@@ -426,27 +426,4 @@ func Settle(ctx context.Context, workers, n int, fn func(i int) error) []error {
 	}
 	wg.Wait()
 	return errs
-}
-
-// ForEach evaluates fn(0..n-1) on at most workers goroutines and returns
-// the first error. Observed the same way as Map.
-func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	g := NewGroup(ctx, workers)
-	if f := newFanout(ctx, n); f != nil {
-		for i := 0; i < n; i++ {
-			i := i
-			g.Go(func() error {
-				sp := f.start(i)
-				err := fn(i)
-				f.finish(sp, err)
-				return err
-			})
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			i := i
-			g.Go(func() error { return fn(i) })
-		}
-	}
-	return g.Wait()
 }

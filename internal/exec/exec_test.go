@@ -286,20 +286,6 @@ func TestMapError(t *testing.T) {
 	}
 }
 
-// TestForEach covers the no-result fan-out.
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(context.Background(), 8, 100, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if s := sum.Load(); s != 4950 {
-		t.Fatalf("sum = %d, want 4950", s)
-	}
-}
-
 // TestWorkersResolution: non-positive requests resolve to NumCPU.
 func TestWorkersResolution(t *testing.T) {
 	if Workers(0) != runtime.NumCPU() || Workers(-3) != runtime.NumCPU() {

@@ -96,14 +96,14 @@ func TestMapFailureSkipsProgress(t *testing.T) {
 	}
 }
 
-// TestForEachUntracedIsUninstrumented pins the disabled path: no tracer and
+// TestMapUntracedIsUninstrumented pins the disabled path: no tracer and
 // no sink in ctx means no spans and no reports, with the loop body running
 // exactly as before.
-func TestForEachUntracedIsUninstrumented(t *testing.T) {
+func TestMapUntracedIsUninstrumented(t *testing.T) {
 	var ran [8]bool
-	if err := ForEach(context.Background(), 4, 8, func(i int) error {
+	if _, err := Map(context.Background(), 4, 8, func(i int) (struct{}, error) {
 		ran[i] = true
-		return nil
+		return struct{}{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,5 @@ func TestFanoutBareContextAllocs(t *testing.T) {
 	})
 	if want := float64(4 + 2*n); mapAllocs > want {
 		t.Errorf("Map allocs = %v, want <= %v", mapAllocs, want)
-	}
-	forEachAllocs := testing.AllocsPerRun(100, func() {
-		ForEach(ctx, 4, n, func(int) error { return nil })
-	})
-	if want := float64(3 + 2*n); forEachAllocs > want {
-		t.Errorf("ForEach allocs = %v, want <= %v", forEachAllocs, want)
 	}
 }

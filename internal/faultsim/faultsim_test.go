@@ -323,30 +323,6 @@ func TestChipKillMultiFaultIsRareButReal(t *testing.T) {
 	}
 }
 
-func TestTierFITRatioMatchesPaperRegime(t *testing.T) {
-	fits, err := DefaultTierFITs(20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fits.DDRPerGB <= 0 || fits.HBMPerGB <= 0 {
-		t.Fatalf("non-positive FITs: %+v", fits)
-	}
-	ratio := fits.Ratio()
-	// The HBM tier must be dramatically less reliable per GB — the regime
-	// that produces the paper's ~287x SER blowup for perf-focused
-	// placement once AVF weighting is applied (Fig. 5).
-	if ratio < 100 || ratio > 2000 {
-		t.Fatalf("HBM/DDR unc-FIT ratio = %.0f, want O(100..1000)", ratio)
-	}
-}
-
-func TestTierFITsRatioInfiniteWhenDDRZero(t *testing.T) {
-	f := TierFITs{DDRPerGB: 0, HBMPerGB: 5}
-	if !math.IsInf(f.Ratio(), 1) {
-		t.Fatal("expected +Inf ratio")
-	}
-}
-
 func BenchmarkStudyHBM(b *testing.B) {
 	s := NewStudy(HBMSecDed(), SridharanTransient(), 3)
 	b.ResetTimer()

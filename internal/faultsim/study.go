@@ -368,77 +368,16 @@ func logFactorial(k int) float64 {
 	return s
 }
 
-// TierFITs bundles the per-GB uncorrectable FIT of every tier — the numbers
-// the SER model consumes. The two-tier fields remain the primary interface
-// for the paper's default machine; PerGB carries the full per-tier vector
-// for N-tier topologies (index = tier id).
+// TierFITs holds the per-GB uncorrectable FIT of every tier by dense tier
+// index — the numbers the SER model consumes.
 type TierFITs struct {
-	DDRPerGB float64
-	HBMPerGB float64
-	// PerGB, when non-nil, holds the uncorrectable FIT per GB of every tier
-	// by dense tier index. Nil means the legacy two-tier pair above (tier 0
-	// = DDR, tier 1 = HBM).
 	PerGB []float64
 }
 
-// Of returns tier's uncorrectable FIT per GB, falling back to the two-tier
-// pair when no per-tier vector is present. Unknown tiers rate zero.
+// Of returns tier's uncorrectable FIT per GB. Unknown tiers rate zero.
 func (t TierFITs) Of(tier int) float64 {
 	if tier >= 0 && tier < len(t.PerGB) {
 		return t.PerGB[tier]
 	}
-	if t.PerGB == nil {
-		switch tier {
-		case 0:
-			return t.DDRPerGB
-		case 1:
-			return t.HBMPerGB
-		}
-	}
 	return 0
-}
-
-// Ratio returns HBM/DDR per-GB uncorrectable FIT.
-func (t TierFITs) Ratio() float64 {
-	if t.DDRPerGB == 0 {
-		return math.Inf(1)
-	}
-	return t.HBMPerGB / t.DDRPerGB
-}
-
-// DefaultTierFITs runs both tier studies at the paper's trial counts scaled
-// for test-time tractability (§3.2 runs 100K/1M trials; the stratified
-// estimator reaches comparable precision with far fewer), sharded across one
-// worker per CPU.
-func DefaultTierFITs(trials int) (TierFITs, error) {
-	return DefaultTierFITsWorkers(trials, 0)
-}
-
-// DefaultTierFITsWorkers is DefaultTierFITs with an explicit worker budget
-// (non-positive = one per CPU). The worker count never changes the result.
-func DefaultTierFITsWorkers(trials, workers int) (TierFITs, error) {
-	return TierFITsCtx(context.Background(), trials, workers)
-}
-
-// TierFITsCtx is DefaultTierFITsWorkers with observability threaded through:
-// each tier's study runs under its own "faultsim.study" span and reports
-// shard progress to the context's sink.
-func TierFITsCtx(ctx context.Context, trials, workers int) (TierFITs, error) {
-	if trials <= 0 {
-		trials = 20000
-	}
-	rates := SridharanTransient()
-	ddrStudy := NewStudy(DDR3ChipKill(), rates, 0xD0D0)
-	ddrStudy.Workers = workers
-	ddr, err := ddrStudy.RunCtx(ctx, trials)
-	if err != nil {
-		return TierFITs{}, err
-	}
-	hbmStudy := NewStudy(HBMSecDed(), rates, 0x4B1D)
-	hbmStudy.Workers = workers
-	hbm, err := hbmStudy.RunCtx(ctx, trials)
-	if err != nil {
-		return TierFITs{}, err
-	}
-	return TierFITs{DDRPerGB: ddr.UncFITPerGB, HBMPerGB: hbm.UncFITPerGB}, nil
 }

@@ -10,7 +10,7 @@ import (
 // returns one interval turnover: feeding every page's access and taking the
 // migration decision for interval i.
 func decideTurn(mig sim.Migrator) func(i int) {
-	placement := sim.NewPlacement(256, 8192)
+	placement := sim.NewTopologyPlacement(twoTierTopo(256, 8192))
 	mig.Bind(placement.PageTable())
 	const pages = 2048
 	for pg := uint64(0); pg < pages; pg++ {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hmem/internal/memsim"
 	"hmem/internal/sim"
 	"hmem/internal/trace"
 )
@@ -69,8 +68,7 @@ func decideProperty(seed uint64) error {
 	for _, m := range migs {
 		rec := &disjointRecorder{decisionRecorder: decisionRecorder{m: m}}
 		cfg := sim.Config{
-			HBM:            memsim.HBM(256 << 10),
-			DDR:            memsim.DDR3(16 << 20),
+			Topology:       twoTierTopo(64, 4096),
 			IssueWidth:     4,
 			MaxOutstanding: 8,
 		}

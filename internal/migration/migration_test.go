@@ -3,15 +3,24 @@ package migration
 import (
 	"testing"
 
+	"hmem/internal/core"
 	"hmem/internal/memsim"
 	"hmem/internal/sim"
 	"hmem/internal/workload"
 )
 
+// twoTierTopo builds the default topology's DDR/HBM pair at the given
+// capacities in pages.
+func twoTierTopo(hbmPages, ddrPages uint64) *core.Topology {
+	topo := core.DefaultTopology(1)
+	topo.Tiers[0].Mem = memsim.DDR3(ddrPages * 4096)
+	topo.Tiers[1].Mem = memsim.HBM(hbmPages * 4096)
+	return topo
+}
+
 func simConfig() sim.Config {
 	return sim.Config{
-		HBM:            memsim.HBM(4 << 20),
-		DDR:            memsim.DDR3(512 << 20),
+		Topology:       twoTierTopo(1024, 131072),
 		IssueWidth:     4,
 		MaxOutstanding: 8,
 	}
@@ -32,7 +41,7 @@ func feed(m sim.Migrator, placement *sim.Placement, page uint64, reads, writes i
 
 func TestPerfMigratorSwapsHotForCold(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewPlacement(2, 16)
+	placement := sim.NewTopologyPlacement(twoTierTopo(2, 16))
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +70,7 @@ func TestPerfMigratorSwapsHotForCold(t *testing.T) {
 
 func TestPerfMigratorEvictsUntouchedResidents(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewPlacement(2, 16)
+	placement := sim.NewTopologyPlacement(twoTierTopo(2, 16))
 	if err := placement.Preplace([]uint64{100}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +84,7 @@ func TestPerfMigratorEvictsUntouchedResidents(t *testing.T) {
 
 func TestPerfMigratorCountersResetEachInterval(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewPlacement(2, 16)
+	placement := sim.NewTopologyPlacement(twoTierTopo(2, 16))
 	placement.Lookup(5)
 	feed(p, placement, 5, 10, 0, false)
 	p.Decide(1000, placement)
@@ -88,7 +97,7 @@ func TestPerfMigratorCountersResetEachInterval(t *testing.T) {
 
 func TestPerfMigratorRespectsCapacityBudget(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewPlacement(2, 64)
+	placement := sim.NewTopologyPlacement(twoTierTopo(2, 64))
 	// 10 hot DDR pages, empty HBM with 2 frames: at most 2 come in.
 	for pg := uint64(0); pg < 10; pg++ {
 		placement.Lookup(pg)
@@ -102,7 +111,7 @@ func TestPerfMigratorRespectsCapacityBudget(t *testing.T) {
 
 func TestFullCounterKeepsHotLowRisk(t *testing.T) {
 	f := NewFullCounter(1000)
-	placement := sim.NewPlacement(4, 64)
+	placement := sim.NewTopologyPlacement(twoTierTopo(4, 64))
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +142,7 @@ func TestFullCounterKeepsHotLowRisk(t *testing.T) {
 
 func TestCrossCounterMEADrivesInMigrations(t *testing.T) {
 	cc := NewCrossCounter(1000, 4, 8)
-	placement := sim.NewPlacement(4, 64)
+	placement := sim.NewTopologyPlacement(twoTierTopo(4, 64))
 	placement.Lookup(5)
 	cc.Bind(placement.PageTable())
 	pi5 := placement.PageTable().Intern(5)
@@ -151,7 +160,7 @@ func TestCrossCounterMEADrivesInMigrations(t *testing.T) {
 
 func TestCrossCounterRiskEpochFlushesHighRisk(t *testing.T) {
 	cc := NewCrossCounter(1000, 2, 8)
-	placement := sim.NewPlacement(4, 64)
+	placement := sim.NewTopologyPlacement(twoTierTopo(4, 64))
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"hmem/internal/memsim"
 	"hmem/internal/obs"
 	"hmem/internal/sim"
 	"hmem/internal/trace"
@@ -21,8 +20,7 @@ import (
 func diffRunCtx(t *testing.T, ctx context.Context, recs [][]trace.Record, mig *decisionRecorder) sim.Result {
 	t.Helper()
 	cfg := sim.Config{
-		HBM:            memsim.HBM(256 << 10),
-		DDR:            memsim.DDR3(16 << 20),
+		Topology:       twoTierTopo(64, 4096),
 		IssueWidth:     4,
 		MaxOutstanding: 8,
 	}

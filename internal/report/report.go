@@ -5,7 +5,6 @@ package report
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -89,45 +88,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON emits the table as one JSON object. Field order is fixed by the
-// struct, so the encoding of a given table is byte-deterministic.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(t); err != nil {
-		return fmt.Errorf("report: writing JSON: %w", err)
-	}
-	return nil
-}
-
-// ReadJSON parses a table previously written by WriteJSON.
-func ReadJSON(r io.Reader) (*Table, error) {
-	var t Table
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("report: reading JSON: %w", err)
-	}
-	return &t, nil
-}
-
-// ReadCSV parses a header+rows CSV previously written by WriteCSV. Title and
-// Note are not part of the CSV encoding and come back empty; rows keep ragged
-// lengths just as AddRow stored them.
-func ReadCSV(r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // AddRow permits ragged rows; accept them back.
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("report: reading CSV: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("report: reading CSV: missing header row")
-	}
-	t := &Table{Columns: records[0]}
-	for _, row := range records[1:] {
-		t.AddRow(row...)
-	}
-	return t, nil
 }
 
 // F formats a float with prec decimals.

@@ -9,7 +9,7 @@ import (
 // BenchmarkPlacementLookupIndex measures the warm page-location lookup on
 // the flat flags/frame arrays.
 func BenchmarkPlacementLookupIndex(b *testing.B) {
-	p := NewPlacement(1024, 16384)
+	p := NewTopologyPlacement(twoTierTopo(1024, 16384))
 	const pages = 8192
 	for pg := uint64(0); pg < pages; pg++ {
 		p.Lookup(pg)
@@ -26,8 +26,8 @@ func BenchmarkPlacementLookupIndex(b *testing.B) {
 // simulator core executes for one trace record (excluding the DRAM timing
 // model): intern, placement lookup, AVF tracking, interval hotness.
 func BenchmarkPerAccessPath(b *testing.B) {
-	p := NewPlacement(1024, 16384)
-	tracker := avf.NewTracker()
+	p := NewTopologyPlacement(twoTierTopo(1024, 16384))
+	tracker := avf.NewTracker(2)
 	iv := newIntervalState()
 	const pages = 8192
 	var now int64
@@ -57,7 +57,7 @@ func BenchmarkPerAccessPath(b *testing.B) {
 // bench to keep the topology generalization honest.
 func BenchmarkPerAccessPathThreeTier(b *testing.B) {
 	p := NewTopologyPlacement(threeTierTopo(16384, 4096, 1024))
-	tracker := avf.NewTrackerN(p.NumTiers())
+	tracker := avf.NewTracker(p.NumTiers())
 	iv := newIntervalState()
 	fast := avf.Tier(p.FastTier())
 	const pages = 8192

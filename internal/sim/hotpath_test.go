@@ -16,8 +16,8 @@ import (
 // tracking, interval hotness tracking).
 func TestPerAccessPathZeroAllocs(t *testing.T) {
 	const pages = 256
-	p := NewPlacement(32, 1024)
-	tracker := avf.NewTracker()
+	p := NewTopologyPlacement(twoTierTopo(32, 1024))
+	tracker := avf.NewTracker(2)
 	iv := newIntervalState()
 
 	// Warm: intern the working set, touch every structure so backing
@@ -68,8 +68,8 @@ func TestObsDisabledAddsZeroAllocs(t *testing.T) {
 	var epochSpan *obs.Span
 
 	const pages = 256
-	p := NewPlacement(32, 1024)
-	tracker := avf.NewTracker()
+	p := NewTopologyPlacement(twoTierTopo(32, 1024))
+	tracker := avf.NewTracker(2)
 	iv := newIntervalState()
 	var now int64
 	touch := func() {

@@ -62,44 +62,23 @@ type Placement struct {
 	migrations uint64
 }
 
-// NewPlacement builds a page table over the paper's two tiers (tier 0 DDR,
-// tier 1 HBM) with the given capacities in pages — the pre-topology
-// constructor, kept as the two-tier fast path for direct sim users.
-func NewPlacement(hbmPages, ddrPages uint64) *Placement {
-	return newPlacement(
-		[]string{"DDR", "HBM"},
-		[]uint64{ddrPages, hbmPages},
-		[]uint64{0, 0},
-		[]int{0}, 1)
-}
-
 // NewTopologyPlacement builds a page table over a validated topology.
 func NewTopologyPlacement(topo *core.Topology) *Placement {
-	names := make([]string, len(topo.Tiers))
-	capacity := make([]uint64, len(topo.Tiers))
-	budget := make([]uint64, len(topo.Tiers))
-	for i, td := range topo.Tiers {
-		names[i] = td.Name
-		capacity[i] = td.Mem.Pages()
-		budget[i] = td.WriteBudget
-	}
-	order := append([]int(nil), topo.AllocOrder...)
-	return newPlacement(names, capacity, budget, order, topo.FastTier)
-}
-
-func newPlacement(names []string, capacity, budget []uint64, allocOrder []int, fast int) *Placement {
+	n := len(topo.Tiers)
 	p := &Placement{
 		pt:         core.NewPageTable(),
-		names:      names,
-		capacity:   capacity,
-		allocOrder: allocOrder,
-		fast:       fast,
-		free:       make([][]uint64, len(capacity)),
-		resident:   make([]int, len(capacity)),
-		budget:     budget,
-		wear:       make([][]uint32, len(capacity)),
+		names:      make([]string, n),
+		capacity:   make([]uint64, n),
+		allocOrder: append([]int(nil), topo.AllocOrder...),
+		fast:       topo.FastTier,
+		free:       make([][]uint64, n),
+		resident:   make([]int, n),
+		budget:     make([]uint64, n),
+		wear:       make([][]uint32, n),
 	}
-	for t, pages := range capacity {
+	for t, td := range topo.Tiers {
+		pages := td.Mem.Pages()
+		p.names[t], p.capacity[t], p.budget[t] = td.Name, pages, td.WriteBudget
 		// Free lists hand out frames in descending order so frame 0 is used
 		// first (pop from the tail).
 		fl := make([]uint64, pages)
@@ -107,7 +86,7 @@ func newPlacement(names []string, capacity, budget []uint64, allocOrder []int, f
 			fl[i] = pages - 1 - uint64(i)
 		}
 		p.free[t] = fl
-		if budget[t] > 0 {
+		if td.WriteBudget > 0 {
 			p.wear[t] = make([]uint32, pages)
 			p.hasWear = true
 		}
@@ -136,12 +115,6 @@ func (p *Placement) TierName(t int) string {
 	}
 	return fmt.Sprintf("tier%d", t)
 }
-
-// CapacityOf returns tier t's size in pages.
-func (p *Placement) CapacityOf(t int) uint64 { return p.capacity[t] }
-
-// FreeOf returns the number of unallocated frames in tier t.
-func (p *Placement) FreeOf(t int) int { return len(p.free[t]) }
 
 // ResidentOf returns the number of pages resident in tier t.
 func (p *Placement) ResidentOf(t int) int { return p.resident[t] }

@@ -31,7 +31,7 @@ func churnProperty(seed uint64) error {
 	const hbmCap = 8
 	const ddrCap = 64
 	const pages = 48
-	p := NewPlacement(hbmCap, ddrCap)
+	p := NewTopologyPlacement(twoTierTopo(hbmCap, ddrCap))
 
 	// Preplace a few pages, pin half of them.
 	var pinned []uint64
@@ -138,7 +138,7 @@ func TestPlacementInvariantsUnderRandomChurn(t *testing.T) {
 // always sum to capacity.
 func TestPlacementConservation(t *testing.T) {
 	rng := xrand.New(5)
-	p := NewPlacement(16, 128)
+	p := NewTopologyPlacement(twoTierTopo(16, 128))
 	for i := uint64(0); i < 100; i++ {
 		p.Lookup(i)
 	}

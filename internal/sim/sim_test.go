@@ -6,15 +6,13 @@ import (
 
 	"hmem/internal/avf"
 	"hmem/internal/core"
-	"hmem/internal/memsim"
 	"hmem/internal/trace"
 	"hmem/internal/workload"
 )
 
 func testConfig() Config {
 	return Config{
-		HBM:            memsim.HBM(4 << 20),    // 4 MiB = 1024 pages
-		DDR:            memsim.DDR3(512 << 20), // 512 MiB = 131072 pages
+		Topology:       twoTierTopo(1024, 131072), // 4 MiB HBM, 512 MiB DDR
 		IssueWidth:     4,
 		MaxOutstanding: 8,
 	}
@@ -23,7 +21,7 @@ func testConfig() Config {
 // ---- Placement unit tests ---------------------------------------------------
 
 func TestPlacementFirstTouchGoesToDDR(t *testing.T) {
-	p := NewPlacement(4, 8)
+	p := NewTopologyPlacement(twoTierTopo(4, 8))
 	tier, frame, err := p.Lookup(100)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +43,7 @@ func TestPlacementFirstTouchGoesToDDR(t *testing.T) {
 }
 
 func TestPlacementPreplace(t *testing.T) {
-	p := NewPlacement(2, 8)
+	p := NewTopologyPlacement(twoTierTopo(2, 8))
 	if err := p.Preplace([]uint64{5, 6}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +65,7 @@ func TestPlacementPreplace(t *testing.T) {
 }
 
 func TestPlacementFramesUnique(t *testing.T) {
-	p := NewPlacement(8, 64)
+	p := NewTopologyPlacement(twoTierTopo(8, 64))
 	seen := map[uint64]bool{}
 	for page := uint64(0); page < 64; page++ {
 		tier, frame, err := p.Lookup(page)
@@ -85,7 +83,7 @@ func TestPlacementFramesUnique(t *testing.T) {
 }
 
 func TestPlacementDDRExhaustionReturnsError(t *testing.T) {
-	p := NewPlacement(1, 1)
+	p := NewTopologyPlacement(twoTierTopo(1, 1))
 	if _, _, err := p.Lookup(0); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +99,7 @@ func TestPlacementDDRExhaustionReturnsError(t *testing.T) {
 // rather than the process hosting it.
 func TestRunSurfacesDDRExhaustion(t *testing.T) {
 	cfg := testConfig()
-	cfg.DDR = memsim.DDR3(64 << 12) // 64 pages — far below any footprint
+	cfg.Topology = twoTierTopo(1024, 64) // 64 DDR pages — far below any footprint
 	prof, err := workload.Lookup("astar")
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +115,7 @@ func TestRunSurfacesDDRExhaustion(t *testing.T) {
 }
 
 func TestMigrateSwapsAndRespectsPins(t *testing.T) {
-	p := NewPlacement(2, 8)
+	p := NewTopologyPlacement(twoTierTopo(2, 8))
 	if err := p.Preplace([]uint64{10}, true); err != nil { // pinned
 		t.Fatal(err)
 	}
@@ -154,7 +152,7 @@ func TestMigrateSwapsAndRespectsPins(t *testing.T) {
 }
 
 func TestMigrateIgnoresBogusRequests(t *testing.T) {
-	p := NewPlacement(2, 8)
+	p := NewTopologyPlacement(twoTierTopo(2, 8))
 	p.Lookup(1) // in DDR
 	// Evicting a DDR page or inserting an HBM-resident page is a no-op.
 	if moved := p.Migrate(nil, []uint64{1, 999}); moved != 0 {
@@ -233,7 +231,7 @@ func TestHotPlacementImprovesIPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := core.PerfFocused{}.Select(base.Stats(), int(cfg.HBM.Pages()))
+	hot := core.PerfFocused{}.Select(base.Stats(), int(cfg.FastPages()))
 
 	suite2 := buildSuite(t, "mcf", 4000)
 	placed, err := Run(cfg, suite2.Streams(), hot, false, nil)
@@ -372,6 +370,14 @@ func TestConfigValidation(t *testing.T) {
 	if cfg.Validate() == nil {
 		t.Fatal("bad MaxOutstanding accepted")
 	}
+	// A bare Config has no machine: it fails validation instead of
+	// panicking in RunCtx.
+	if err := (Config{}).Validate(); err == nil {
+		t.Fatal("nil Topology accepted")
+	}
+	if _, err := Run(Config{}, []trace.Stream{trace.NewSliceStream(nil)}, nil, false, nil); err == nil {
+		t.Fatal("Run accepted a nil Topology")
+	}
 	if _, err := Run(testConfig(), nil, nil, false, nil); err == nil {
 		t.Fatal("empty stream list accepted")
 	}
@@ -382,18 +388,24 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaultConfigScales(t *testing.T) {
-	full := DefaultConfig(1)
-	if full.HBM.CapacityBytes != 1<<30 || full.DDR.CapacityBytes != 16<<30 {
-		t.Fatalf("full scale wrong: %+v", full)
+	// capacities returns the fast (HBM) and tier-0 (DDR) capacities in bytes.
+	capacities := func(c Config) (hbm, ddr uint64) {
+		if c.Topology.Name != core.DefaultTopologyName {
+			t.Fatalf("DefaultConfig topology = %q", c.Topology.Name)
+		}
+		return c.Topology.Tiers[c.Topology.FastTier].Mem.CapacityBytes, c.Topology.Tiers[0].Mem.CapacityBytes
 	}
-	scaled := DefaultConfig(64)
-	if scaled.HBM.CapacityBytes != 16<<20 || scaled.DDR.CapacityBytes != 256<<20 {
-		t.Fatalf("scaled wrong: %d, %d", scaled.HBM.CapacityBytes, scaled.DDR.CapacityBytes)
+	if hbm, ddr := capacities(DefaultConfig(1)); hbm != 1<<30 || ddr != 16<<30 {
+		t.Fatalf("full scale wrong: %d, %d", hbm, ddr)
 	}
-	if DefaultConfig(0).HBM.CapacityBytes != 1<<30 {
+	hbm, ddr := capacities(DefaultConfig(64))
+	if hbm != 16<<20 || ddr != 256<<20 {
+		t.Fatalf("scaled wrong: %d, %d", hbm, ddr)
+	}
+	if full, _ := capacities(DefaultConfig(0)); full != 1<<30 {
 		t.Fatal("scaleDiv<1 must clamp to 1")
 	}
-	ratio := float64(scaled.DDR.CapacityBytes) / float64(scaled.HBM.CapacityBytes)
+	ratio := float64(ddr) / float64(hbm)
 	if ratio != 16 {
 		t.Fatalf("capacity ratio = %v, want 16", ratio)
 	}

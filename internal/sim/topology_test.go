@@ -13,6 +13,15 @@ import (
 	"hmem/internal/workload"
 )
 
+// twoTierTopo builds the default topology's DDR/HBM pair at the given
+// capacities in pages.
+func twoTierTopo(hbmPages, ddrPages uint64) *core.Topology {
+	topo := core.DefaultTopology(1)
+	topo.Tiers[0].Mem = memsim.DDR3(ddrPages * 4096)
+	topo.Tiers[1].Mem = memsim.HBM(hbmPages * 4096)
+	return topo
+}
+
 // threeTierTopo builds a small NVM/DRAM/HBM topology for tests: DRAM (tier 1)
 // takes first touches and spills into the write-budgeted NVM capacity tier
 // (tier 0); HBM (tier 2) is the migration target.
@@ -121,7 +130,7 @@ func TestPlacementEndurance(t *testing.T) {
 	}
 
 	// A two-tier placement reports no endurance and RecordWrite is a no-op.
-	p2 := NewPlacement(4, 16)
+	p2 := NewTopologyPlacement(twoTierTopo(4, 16))
 	tier2, frame2, _ := p2.Lookup(0)
 	p2.RecordWrite(tier2, frame2)
 	if p2.Endurance() != nil {
@@ -137,7 +146,7 @@ func TestPerAccessPathZeroAllocsThreeTier(t *testing.T) {
 	const pages = 256
 	topo := threeTierTopo(1024, 64, 32)
 	p := NewTopologyPlacement(topo)
-	tracker := avf.NewTrackerN(p.NumTiers())
+	tracker := avf.NewTracker(p.NumTiers())
 	iv := newIntervalState()
 	fast := avf.Tier(p.FastTier())
 

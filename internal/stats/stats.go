@@ -1,13 +1,10 @@
 // Package stats provides the small statistical toolkit the experiments need:
 // means, geometric means, Pearson correlation (used for the paper's
-// hotness-AVF ρ≈0.08 and write-ratio-AVF ρ≈-0.32 claims), percentiles, and
+// hotness-AVF ρ≈0.08 and write-ratio-AVF ρ≈-0.32 claims), sums, and
 // histogram binning (Figure 9b).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -39,23 +36,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Pearson returns the Pearson correlation coefficient between xs and ys.
 // It panics if the lengths differ, and returns 0 when either series has
 // zero variance (correlation undefined).
@@ -80,30 +60,6 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Histogram bins xs into nbins equal-width bins over [min, max]. Values
@@ -138,21 +94,4 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// MinMax returns the minimum and maximum of xs, or (0, 0) for an empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }

@@ -42,19 +42,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !approx(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !approx(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Variance(nil) != 0 {
-		t.Error("Variance(nil) != 0")
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
@@ -118,35 +105,6 @@ func TestPearsonBounds(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 15}, {100, 50}, {50, 35}, {25, 20}, {-5, 15}, {120, 50},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !approx(got, c.want, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("Percentile(nil) != 0")
-	}
-	// Interpolation between ranks.
-	if got := Percentile([]float64{0, 10}, 50); !approx(got, 5, 1e-9) {
-		t.Errorf("interpolated percentile = %v, want 5", got)
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("Percentile mutated input: %v", xs)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	xs := []float64{0.1, 0.2, 0.5, 0.9, -1, 2}
 	h := Histogram(xs, 0, 1, 2)
@@ -179,17 +137,9 @@ func TestHistogramPanics(t *testing.T) {
 	}
 }
 
-func TestSumMinMax(t *testing.T) {
+func TestSum(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if got := Sum(xs); !approx(got, 11, 1e-12) {
 		t.Errorf("Sum = %v", got)
-	}
-	min, max := MinMax(xs)
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = (%v, %v)", min, max)
-	}
-	min, max = MinMax(nil)
-	if min != 0 || max != 0 {
-		t.Errorf("MinMax(nil) = (%v, %v)", min, max)
 	}
 }

@@ -2,61 +2,10 @@ package trace
 
 import (
 	"bytes"
-	"io"
-	"strings"
 	"testing"
 )
 
-// FuzzTraceText checks the text trace codec both ways. For arbitrary input
-// bytes, parsing must never panic; for every input that parses, a
-// print→parse round trip must reproduce the records exactly (the format is
-// canonical: WriteText output always re-parses to the same records).
-func FuzzTraceText(f *testing.F) {
-	f.Add("125 R 0x400040 0x7f3a1000")
-	f.Add("0 W 0x0 0x0")
-	f.Add("4294967295 I 0xffffffffffffffff 0xffffffffffffffff")
-	f.Add("# comment line\n\n12 R 0x1 0x2\n9 W 0x3 0x4000")
-	f.Add("not a record")
-	f.Add("1 X 0x1 0x2")
-	f.Add("1 R 0x1")
-	f.Add("-3 R 0x1 0x2")
-	f.Fuzz(func(t *testing.T, input string) {
-		// Pass 1: decode arbitrary input; errors are fine, panics are not.
-		var recs []Record
-		r := NewTextReader(strings.NewReader(input))
-		for {
-			rec, err := r.Next()
-			if err != nil {
-				break // io.EOF or a malformed line: either ends the stream
-			}
-			recs = append(recs, rec)
-		}
-		if len(recs) == 0 {
-			return
-		}
-
-		// Pass 2: what we decoded must survive print→parse unchanged.
-		var buf bytes.Buffer
-		if err := WriteText(&buf, recs); err != nil {
-			t.Fatalf("WriteText: %v", err)
-		}
-		back := NewTextReader(bytes.NewReader(buf.Bytes()))
-		for i, want := range recs {
-			got, err := back.Next()
-			if err != nil {
-				t.Fatalf("record %d lost in round trip: %v", i, err)
-			}
-			if got != want {
-				t.Fatalf("record %d round trip: got %+v, want %+v", i, got, want)
-			}
-		}
-		if _, err := back.Next(); err != io.EOF {
-			t.Fatalf("round trip produced extra records (err=%v)", err)
-		}
-	})
-}
-
-// FuzzTraceBinary checks the binary codec the same way: a write→read round
+// FuzzTraceBinary checks the binary codec: a write→read round
 // trip over records decoded from arbitrary bytes must be lossless.
 func FuzzTraceBinary(f *testing.F) {
 	f.Add([]byte{})

@@ -36,8 +36,8 @@ const (
 	Read Kind = iota
 	// Write is a data write (dirty line write-back from the CPU's view).
 	Write
-	// InstFetch is an instruction fetch. The cache filter treats it as a
-	// read through the I-cache; the memory system treats it as a read.
+	// InstFetch is an instruction fetch; the memory system treats it as a
+	// read.
 	InstFetch
 )
 
@@ -77,18 +77,9 @@ func (r Record) Line() uint64 { return r.Addr / LineSize }
 // Page returns the 4 KiB page index of the record's address.
 func (r Record) Page() uint64 { return r.Addr / PageSize }
 
-// LineOf returns the cache-line index of a byte address.
-func LineOf(addr uint64) uint64 { return addr / LineSize }
-
-// PageOf returns the 4 KiB page index of a byte address.
-func PageOf(addr uint64) uint64 { return addr / PageSize }
-
-// PageOfLine returns the page index containing a cache-line index.
-func PageOfLine(line uint64) uint64 { return line / LinesPerPage }
-
 // Stream produces a sequence of records for one core. Implementations
-// include on-the-fly workload generators, file readers, and the cache
-// filter. Next returns io.EOF after the final record.
+// include on-the-fly workload generators, recording replays, and file
+// readers. Next returns io.EOF after the final record.
 type Stream interface {
 	Next() (Record, error)
 }

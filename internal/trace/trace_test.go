@@ -18,12 +18,6 @@ func TestGranularityHelpers(t *testing.T) {
 	if got := r.Page(); got != 2 {
 		t.Errorf("Page() = %d", got)
 	}
-	if PageOfLine(r.Line()) != r.Page() {
-		t.Error("PageOfLine inconsistent with Page")
-	}
-	if LineOf(r.Addr) != r.Line() || PageOf(r.Addr) != r.Page() {
-		t.Error("free functions inconsistent with methods")
-	}
 }
 
 func TestKindString(t *testing.T) {

@@ -72,7 +72,7 @@ type Profile struct {
 	FootprintPages int
 	// ZipfS is the hotness skew across pages.
 	ZipfS float64
-	// MPKI is post-cache-filter memory accesses per kilo-instruction; it
+	// MPKI is post-LLC memory accesses per kilo-instruction; it
 	// sets the mean instruction gap between trace records (1000/MPKI).
 	MPKI float64
 	// Classes partition the footprint.
