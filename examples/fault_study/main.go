@@ -36,7 +36,8 @@ func main() {
 
 	fmt.Println("== extension: permanent faults + scrubbing ==")
 	for _, scrub := range []float64{0, 24, 1} {
-		s := faultsim.NewScrubStudy(faultsim.DDR3ChipKill(), 0x5C12B)
+		s := faultsim.NewStudy(faultsim.DDR3ChipKill(), rates, 0x5C12B)
+		s.Permanent = faultsim.SridharanPermanent()
 		s.ScrubIntervalHours = scrub
 		res, err := s.Run(trials)
 		if err != nil {

@@ -106,7 +106,7 @@ type Breaker struct {
 	probeOK  int // consecutive successful probes this half-open episode
 
 	// counters (guarded by mu; read via Stats)
-	allowed, refused, opens, closes uint64
+	allowed, opens, closes uint64
 }
 
 // New builds a breaker starting Closed.
@@ -124,7 +124,6 @@ func (b *Breaker) Allow() (done func(success bool), ok bool) {
 	switch b.state {
 	case Open:
 		if b.cfg.now().Sub(b.openedAt) < openFor {
-			b.refused++
 			b.mu.Unlock()
 			return nil, false
 		}
@@ -132,7 +131,6 @@ func (b *Breaker) Allow() (done func(success bool), ok bool) {
 		fallthrough
 	case HalfOpen:
 		if b.probes >= probeBudget {
-			b.refused++
 			b.mu.Unlock()
 			b.notify(tr)
 			return nil, false
@@ -160,9 +158,9 @@ func (b *Breaker) State() State {
 
 // Stats is a point-in-time snapshot of breaker activity.
 type Stats struct {
-	State            State
-	Allowed, Refused uint64
-	Opens, Closes    uint64
+	State         State
+	Allowed       uint64
+	Opens, Closes uint64
 	// WindowSamples / WindowFailures describe the current sliding window.
 	WindowSamples, WindowFailures int
 }
@@ -173,8 +171,8 @@ func (b *Breaker) Stats() Stats {
 	defer b.mu.Unlock()
 	return Stats{
 		State:   b.state,
-		Allowed: b.allowed, Refused: b.refused,
-		Opens: b.opens, Closes: b.closes,
+		Allowed: b.allowed,
+		Opens:   b.opens, Closes: b.closes,
 		WindowSamples: b.n, WindowFailures: b.fails,
 	}
 }

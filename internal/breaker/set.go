@@ -1,9 +1,6 @@
 package breaker
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Set is a keyed family of breakers sharing one clock — the cluster
 // scheduler holds one per worker ID, the service mirrors their states onto
@@ -53,27 +50,14 @@ func (s *Set) States() map[string]State {
 	return out
 }
 
-// Keys lists the member keys in sorted order (deterministic /metrics).
-func (s *Set) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.m))
-	for k := range s.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Totals sums opens, closes, and refusals across every member.
-func (s *Set) Totals() (opens, closes, refused uint64) {
+// Totals sums opens and closes across every member.
+func (s *Set) Totals() (opens, closes uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, b := range s.m {
 		st := b.Stats()
 		opens += st.Opens
 		closes += st.Closes
-		refused += st.Refused
 	}
-	return opens, closes, refused
+	return opens, closes
 }

@@ -1,12 +1,9 @@
 package ecc
 
-import "math/bits"
-
-// Fast adjudication rules used by the fault simulator, which must classify
-// millions of fault patterns per study. The package tests cross-validate
-// these rules against the real codecs above.
-
-// Scheme selects an error-correction scheme for adjudication.
+// Scheme selects the error-correction scheme that protects a rank. The
+// fault simulator (internal/faultsim) adjudicates fault patterns under it
+// with its own fast rules, which its tests cross-check against the codecs
+// in this package.
 type Scheme uint8
 
 // Available schemes. None models unprotected memory.
@@ -28,41 +25,4 @@ func (s Scheme) String() string {
 	default:
 		return "scheme(?)"
 	}
-}
-
-// AdjudicateSECDED classifies an error pattern over one 72-bit word given
-// the number of flipped bits: 0 -> OK, 1 -> Corrected, 2 -> Detected,
-// >=3 -> uncorrectable (the real decoder usually miscorrects, which is at
-// least as bad).
-func AdjudicateSECDED(flippedBits int) Outcome {
-	switch {
-	case flippedBits <= 0:
-		return OK
-	case flippedBits == 1:
-		return Corrected
-	case flippedBits == 2:
-		return DetectedUncorrectable
-	default:
-		return Miscorrected
-	}
-}
-
-// AdjudicateChipKill classifies an error pattern over one chipkill word
-// given a bitmask of affected symbols (one bit per chip): errors confined to
-// one chip are corrected, anything wider is uncorrectable.
-func AdjudicateChipKill(symbolMask uint32) Outcome {
-	switch bits.OnesCount32(symbolMask) {
-	case 0:
-		return OK
-	case 1:
-		return Corrected
-	default:
-		return DetectedUncorrectable
-	}
-}
-
-// IsUncorrectable reports whether an outcome leaves wrong data reachable by
-// software (the condition that, multiplied by AVF, produces the paper's SER).
-func IsUncorrectable(o Outcome) bool {
-	return o == DetectedUncorrectable || o == Miscorrected
 }

@@ -266,75 +266,6 @@ func TestChipKillPropertySingleSymbol(t *testing.T) {
 	}
 }
 
-// ---- Adjudication cross-validation ------------------------------------------
-
-func TestAdjudicateSECDEDMatchesCodec(t *testing.T) {
-	rng := xrand.New(11)
-	for flips := 0; flips <= 2; flips++ {
-		for trial := 0; trial < 300; trial++ {
-			data := rng.Uint64()
-			cw := EncodeSECDED(data)
-			positions := rng.Perm(72)[:flips]
-			for _, p := range positions {
-				cw = cw.FlipBit(p)
-			}
-			got, out := DecodeSECDED(cw)
-			want := AdjudicateSECDED(flips)
-			if out != want {
-				t.Fatalf("flips=%d: codec %v, adjudicator %v", flips, out, want)
-			}
-			if want == Corrected && got != data {
-				t.Fatal("correction returned wrong data")
-			}
-		}
-	}
-	// >= 3 flips: adjudicator says uncorrectable. The codec may report
-	// Corrected (miscorrection) or, for even flip counts that alias to a
-	// valid codeword, even OK — but never with the right data.
-	for trial := 0; trial < 500; trial++ {
-		data := rng.Uint64()
-		cw := EncodeSECDED(data)
-		flips := 3 + rng.Intn(4)
-		for _, p := range rng.Perm(72)[:flips] {
-			cw = cw.FlipBit(p)
-		}
-		got, out := DecodeSECDED(cw)
-		if (out == OK || out == Corrected) && got == data {
-			t.Fatal(">=3 flips cannot yield the right data")
-		}
-		if out == OK && flips%2 == 1 {
-			t.Fatal("odd-weight error decoded as clean (parity must catch it)")
-		}
-		if !IsUncorrectable(AdjudicateSECDED(flips)) {
-			t.Fatal("adjudicator must flag >=3 flips uncorrectable")
-		}
-	}
-}
-
-func TestAdjudicateChipKillMatchesCodec(t *testing.T) {
-	rng := xrand.New(12)
-	// One symbol.
-	for trial := 0; trial < 300; trial++ {
-		data := randSymbols(rng)
-		cw := EncodeChipKill(data)
-		sym := rng.Intn(CKSymbols)
-		cw[sym] ^= byte(1 + rng.Intn(255))
-		_, out := DecodeChipKill(cw)
-		if want := AdjudicateChipKill(1 << uint(sym)); out != want {
-			t.Fatalf("single symbol: codec %v, adjudicator %v", out, want)
-		}
-	}
-	// Zero symbols.
-	if AdjudicateChipKill(0) != OK {
-		t.Fatal("empty mask must be OK")
-	}
-	// Two symbols: adjudicator says uncorrectable; codec must agree that
-	// the data is not recoverable (detected or aliased, never clean).
-	if !IsUncorrectable(AdjudicateChipKill(0b11)) {
-		t.Fatal("two-symbol mask must be uncorrectable")
-	}
-}
-
 func TestOutcomeStrings(t *testing.T) {
 	names := map[Outcome]string{
 		OK: "ok", Corrected: "corrected",
@@ -352,15 +283,6 @@ func TestOutcomeStrings(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("scheme %d.String() = %q, want %q", s, s.String(), want)
 		}
-	}
-}
-
-func TestIsUncorrectable(t *testing.T) {
-	if IsUncorrectable(OK) || IsUncorrectable(Corrected) {
-		t.Fatal("correctable outcomes flagged uncorrectable")
-	}
-	if !IsUncorrectable(DetectedUncorrectable) || !IsUncorrectable(Miscorrected) {
-		t.Fatal("uncorrectable outcomes not flagged")
 	}
 }
 

@@ -61,7 +61,7 @@ func (m Mode) String() string {
 	}
 }
 
-// Rates holds transient-fault FIT rates per DRAM chip (failures per 10^9
+// Rates holds one fault class's FIT rates per DRAM chip (failures per 10^9
 // device-hours) for each fault mode.
 type Rates struct {
 	Bit, Word, Column, Row, Bank, Rank float64
@@ -77,6 +77,19 @@ func SridharanTransient() Rates {
 		Row:    0.2,
 		Bank:   0.8,
 		Rank:   0.05,
+	}
+}
+
+// SridharanPermanent returns the per-chip permanent-fault FIT rates from
+// the SC'12 field study.
+func SridharanPermanent() Rates {
+	return Rates{
+		Bit:    18.6,
+		Word:   0.8,
+		Column: 5.6,
+		Row:    8.2,
+		Bank:   10.0,
+		Rank:   0.3,
 	}
 }
 
@@ -199,13 +212,16 @@ func (o Organization) DataGB() float64 {
 	return float64(chips) * o.Geom.GBPerChip
 }
 
-// fault is one sampled fault instance.
+// fault is one sampled fault instance. onset (hours since the horizon
+// start) and permanent are only drawn by timed studies.
 type fault struct {
-	chip int
-	mode Mode
-	bank int
-	row  int
-	col  int
+	chip      int
+	mode      Mode
+	bank      int
+	row       int
+	col       int
+	onset     float64
+	permanent bool
 }
 
 // intersects reports whether the word footprints of two faults overlap,

@@ -2,9 +2,11 @@ package faultsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"hmem/internal/ecc"
+	"hmem/internal/xrand"
 )
 
 func TestOrganizationValidate(t *testing.T) {
@@ -172,18 +174,50 @@ func TestDoubleFaultAdjudication(t *testing.T) {
 	}
 }
 
+// TestSingleFaultOutcomeMatchesCodecBehaviour encodes real codewords,
+// applies one fault's footprint in a word and decodes them. The fast rule
+// must agree with the codec on whether the data comes back corrected.
 func TestSingleFaultOutcomeMatchesCodecBehaviour(t *testing.T) {
-	// The fast adjudication must agree with the real codecs for
-	// representative patterns: one bit for SEC-DED bit faults; a full
-	// symbol for chipkill chip faults; many bits in a word for row faults.
-	if singleFaultOutcome(ecc.SECDED, ModeBit) != ecc.Corrected {
-		t.Error("secded bit fault should be corrected")
-	}
-	if singleFaultOutcome(ecc.SECDED, ModeRow) != ecc.DetectedUncorrectable {
-		t.Error("secded row fault should be uncorrectable")
-	}
-	if singleFaultOutcome(ecc.ChipKillSSC, ModeBank) != ecc.Corrected {
-		t.Error("chipkill bank fault (one chip) should be corrected")
+	// Per-word footprint of one fault in the chip it hits: a bit fault is
+	// one cell and a column fault one bitline, so each corrupts one bit of
+	// a word; word, row and bank faults corrupt the chip's whole share of
+	// the word (the 72-bit word for SEC-DED, one 8-bit symbol for ChipKill).
+	wholeShare := map[Mode]bool{ModeBit: false, ModeColumn: false, ModeWord: true, ModeRow: true, ModeBank: true}
+	rng := xrand.New(0xECC)
+	for m := ModeBit; m < ModeRank; m++ {
+		whole := wholeShare[m]
+		for trial := 0; trial < 200; trial++ {
+			data := rng.Uint64()
+			cw := ecc.EncodeSECDED(data)
+			flips := 1
+			if whole {
+				flips = 2 + rng.Intn(71)
+			}
+			for _, p := range rng.Perm(72)[:flips] {
+				cw = cw.FlipBit(p)
+			}
+			got, out := ecc.DecodeSECDED(cw)
+			codec := (out == ecc.OK || out == ecc.Corrected) && got == data
+			if rule := singleFaultOutcome(ecc.SECDED, m) == ecc.Corrected; rule != codec {
+				t.Fatalf("sec-ded %v fault (%d bits): rule corrected=%v, codec %v", m, flips, rule, out)
+			}
+
+			var symbols [ecc.CKDataSymbols]byte
+			for i := range symbols {
+				symbols[i] = byte(rng.Uint64())
+			}
+			w := ecc.EncodeChipKill(symbols)
+			pattern := byte(1) << rng.Intn(8)
+			if whole {
+				pattern = byte(1 + rng.Intn(255))
+			}
+			w[rng.Intn(ecc.CKSymbols)] ^= pattern
+			gotCK, outCK := ecc.DecodeChipKill(w)
+			codec = (outCK == ecc.OK || outCK == ecc.Corrected) && gotCK == symbols
+			if rule := singleFaultOutcome(ecc.ChipKillSSC, m) == ecc.Corrected; rule != codec {
+				t.Fatalf("chipkill %v fault (pattern %02x): rule corrected=%v, codec %v", m, pattern, rule, outCK)
+			}
+		}
 	}
 	if singleFaultOutcome(ecc.None, ModeBit) != ecc.DetectedUncorrectable {
 		t.Error("unprotected memory cannot correct anything")
@@ -242,36 +276,26 @@ func TestStudyDeterminism(t *testing.T) {
 
 // TestStudyWorkerCountInvariance: the Monte-Carlo estimate is a pure
 // function of (seed, trials) — the worker count sharding the trials must
-// never change a single bit of the result. 5000 trials spans multiple
-// shards per stratum, including a partial tail shard.
+// never change a single bit of the result, for untimed and timed studies
+// alike. 5000 trials spans multiple shards per stratum, including a partial
+// tail shard.
 func TestStudyWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) Result {
-		s := NewStudy(DDR3ChipKill(), SridharanTransient(), 42)
-		s.Workers = workers
-		r, err := s.Run(5000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	ref := run(1)
-	for _, workers := range []int{2, 4, 7, 0} {
-		got := run(workers)
-		if got.PUnc != ref.PUnc || got.UncFITPerGB != ref.UncFITPerGB ||
-			got.UncFITPerRank != ref.UncFITPerRank {
-			t.Fatalf("workers=%d diverged: PUnc %v vs %v", workers, got.PUnc, ref.PUnc)
-		}
-		for k := range ref.PUncGivenK {
-			if got.PUncGivenK[k] != ref.PUncGivenK[k] {
-				t.Fatalf("workers=%d: P(unc|%d) = %v, want %v",
-					workers, k, got.PUncGivenK[k], ref.PUncGivenK[k])
+	for _, s := range []*Study{
+		NewStudy(DDR3ChipKill(), SridharanTransient(), 42),
+		timedStudy(DDR3ChipKill(), 42),
+	} {
+		run := func(workers int) Result {
+			s.Workers = workers
+			r, err := s.Run(5000)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return r
 		}
-		for m, outs := range ref.SingleFaultOutcomes {
-			for o, n := range outs {
-				if got.SingleFaultOutcomes[m][o] != n {
-					t.Fatalf("workers=%d: outcome tally diverged for %v/%v", workers, m, o)
-				}
+		ref := run(1)
+		for _, workers := range []int{2, 4, 7, 0} {
+			if got := run(workers); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("timed=%v workers=%d diverged:\n got %+v\nwant %+v", s.timed(), workers, got, ref)
 			}
 		}
 	}

@@ -19,15 +19,23 @@ func TestPermanentRatesPlausible(t *testing.T) {
 	}
 }
 
+// timedStudy returns a study with both fault classes and a daily scrub.
+func timedStudy(org Organization, seed uint64) *Study {
+	s := NewStudy(org, SridharanTransient(), seed)
+	s.Permanent = SridharanPermanent()
+	s.ScrubIntervalHours = 24
+	return s
+}
+
 func TestScrubLifetimes(t *testing.T) {
-	s := NewScrubStudy(DDR3ChipKill(), 1)
+	s := timedStudy(DDR3ChipKill(), 1)
 	s.HorizonHours = 100
 	s.ScrubIntervalHours = 10
 
-	trans := timedFault{onset: 12}                // alive [12, 20)
-	trans2 := timedFault{onset: 18}               // alive [18, 20)
-	trans3 := timedFault{onset: 25}               // alive [25, 30)
-	perm := timedFault{onset: 5, permanent: true} // alive [5, 100)
+	trans := fault{onset: 12}                // alive [12, 20)
+	trans2 := fault{onset: 18}               // alive [18, 20)
+	trans3 := fault{onset: 25}               // alive [25, 30)
+	perm := fault{onset: 5, permanent: true} // alive [5, 100)
 
 	if got := s.aliveUntil(trans); got != 20 {
 		t.Fatalf("aliveUntil = %v, want 20 (end of scrub window)", got)
@@ -53,10 +61,14 @@ func TestScrubLifetimes(t *testing.T) {
 	if !s.coexist(trans, trans3) {
 		t.Fatal("unscrubbed transients must coexist")
 	}
+	// Untimed faults (onset 0) always coexist.
+	if !s.coexist(fault{}, fault{}) {
+		t.Fatal("untimed faults must coexist")
+	}
 }
 
 func TestScrubStudyValidation(t *testing.T) {
-	s := NewScrubStudy(DDR3ChipKill(), 1)
+	s := timedStudy(DDR3ChipKill(), 1)
 	if _, err := s.Run(0); err == nil {
 		t.Error("zero trials accepted")
 	}
@@ -64,7 +76,7 @@ func TestScrubStudyValidation(t *testing.T) {
 	if _, err := s.Run(100); err == nil {
 		t.Error("negative scrub interval accepted")
 	}
-	bad := NewScrubStudy(Organization{}, 1)
+	bad := timedStudy(Organization{}, 1)
 	if _, err := bad.Run(100); err == nil {
 		t.Error("invalid organization accepted")
 	}
@@ -74,7 +86,7 @@ func TestScrubbingReducesChipkillRisk(t *testing.T) {
 	// ChipKill only fails on coexisting multi-chip faults; scrubbing
 	// shortens transient lifetimes, so P(unc | k>=2) must drop.
 	run := func(scrubHours float64) Result {
-		s := NewScrubStudy(DDR3ChipKill(), 0xBEEF)
+		s := timedStudy(DDR3ChipKill(), 0xBEEF)
 		s.ScrubIntervalHours = scrubHours
 		res, err := s.Run(60000)
 		if err != nil {
@@ -101,7 +113,7 @@ func TestPermanentFaultsRaiseSecDedRisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comb, err := NewScrubStudy(HBMSecDed(), 3).Run(20000)
+	comb, err := timedStudy(HBMSecDed(), 3).Run(20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +129,7 @@ func TestPermanentFaultsRaiseSecDedRisk(t *testing.T) {
 
 func TestScrubStudyDeterminism(t *testing.T) {
 	run := func() Result {
-		r, err := NewScrubStudy(DDR3ChipKill(), 99).Run(5000)
+		r, err := timedStudy(DDR3ChipKill(), 99).Run(5000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,26 +11,30 @@ import (
 // must reproduce RunCtx bit for bit. This is what lets shards execute on
 // remote workers.
 func TestShardAPIEquivalentToRunCtx(t *testing.T) {
-	for _, trials := range []int{100, 2048, 5000} {
-		s := NewStudy(HBMSecDed(), SridharanTransient(), 0x4B1D)
-		want, err := s.Run(trials)
-		if err != nil {
-			t.Fatalf("Run(%d): %v", trials, err)
-		}
+	for _, s := range []*Study{
+		NewStudy(HBMSecDed(), SridharanTransient(), 0x4B1D),
+		timedStudy(HBMSecDed(), 0x4B1D),
+	} {
+		for _, trials := range []int{100, 2048, 5000} {
+			want, err := s.Run(trials)
+			if err != nil {
+				t.Fatalf("Run(%d): %v", trials, err)
+			}
 
-		jobs := s.Shards(trials)
-		tallies := make([]ShardTally, len(jobs))
-		// Execute in reverse to prove merge order comes from the plan, not
-		// from execution order.
-		for i := len(jobs) - 1; i >= 0; i-- {
-			tallies[i] = s.RunShard(jobs[i])
-		}
-		got, err := s.Combine(jobs, tallies, trials)
-		if err != nil {
-			t.Fatalf("Combine(%d): %v", trials, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("trials=%d: shard-API result differs from RunCtx\n got %+v\nwant %+v", trials, got, want)
+			jobs := s.Shards(trials)
+			tallies := make([]ShardTally, len(jobs))
+			// Execute in reverse to prove merge order comes from the plan,
+			// not from execution order.
+			for i := len(jobs) - 1; i >= 0; i-- {
+				tallies[i] = s.RunShard(jobs[i])
+			}
+			got, err := s.Combine(jobs, tallies, trials)
+			if err != nil {
+				t.Fatalf("Combine(%d): %v", trials, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("timed=%v trials=%d: shard-API result differs from RunCtx\n got %+v\nwant %+v", s.timed(), trials, got, want)
+			}
 		}
 	}
 }

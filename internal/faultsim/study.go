@@ -13,12 +13,27 @@ import (
 
 // Study runs Monte-Carlo fault-accumulation experiments for one rank
 // organization over an accumulation horizon.
+//
+// The paper's §3.2 configuration is transient faults only, with no time
+// dimension: every accumulated fault is present at once. Setting Permanent
+// or ScrubIntervalHours extends the study to FaultSim's full scope (the
+// regime of the paper's aging-focused companion work, Gupta et al.,
+// MEMSYS'16 [16]): each fault also gets a class and an onset time, and two
+// faults only combine into an uncorrectable pattern if they coexist.
 type Study struct {
-	Org   Organization
+	Org Organization
+	// Rates are the per-chip transient-fault FIT rates.
 	Rates Rates
+	// Permanent are the per-chip permanent-fault FIT rates (zero = none).
+	// A permanent fault persists from its onset to the end of the horizon.
+	Permanent Rates
 	// HorizonHours is the fault-accumulation window (FaultSim-style studies
 	// use multi-year horizons so multi-fault intersections are represented).
 	HorizonHours float64
+	// ScrubIntervalHours is the scrub period (0 = no scrubbing). Scrubbing
+	// rewrites correctable data, so a transient fault is gone at the end of
+	// the scrub window it arrived in; permanent faults are never scrubbed.
+	ScrubIntervalHours float64
 	// MaxFaults caps the stratification depth; Poisson mass beyond it is
 	// folded into the deepest stratum.
 	MaxFaults int
@@ -127,8 +142,9 @@ func (s *Study) RunShard(j ShardJob) ShardTally {
 			t.Outcomes[m] = make(map[ecc.Outcome]int)
 		}
 	}
+	faults := make([]fault, j.K)
 	for n := 0; n < j.N; n++ {
-		faults := s.sampleFaults(rng, j.K)
+		s.sampleFaults(rng, faults)
 		if s.uncorrectable(faults) {
 			t.Unc++
 		}
@@ -151,7 +167,17 @@ func (s *Study) validate(trials int) error {
 	if s.HorizonHours <= 0 || s.MaxFaults < 1 {
 		return fmt.Errorf("faultsim: horizon and MaxFaults must be positive")
 	}
+	if s.ScrubIntervalHours < 0 {
+		return fmt.Errorf("faultsim: negative scrub interval")
+	}
 	return nil
+}
+
+// timed reports whether faults carry a class and an onset time. Untimed
+// studies draw neither, so their RNG streams and estimates are exactly those
+// of the transient-only study.
+func (s *Study) timed() bool {
+	return s.Permanent != (Rates{}) || s.ScrubIntervalHours != 0
 }
 
 // Combine merges shard tallies (tallies[i] answering jobs[i]) in job order
@@ -167,10 +193,10 @@ func (s *Study) Combine(jobs []ShardJob, tallies []ShardTally, trials int) (Resu
 		return Result{}, fmt.Errorf("faultsim: %d shard jobs but %d tallies", len(jobs), len(tallies))
 	}
 
-	// Expected fault counts in the horizon.
-	perChipFIT := s.Rates.Total() * s.Org.RawFITMultiplier
+	// Expected fault counts in the horizon, both classes together.
+	perChipFIT := (s.Rates.Total() + s.Permanent.Total()) * s.Org.RawFITMultiplier
 	lambda := perChipFIT * 1e-9 * s.HorizonHours * float64(s.Org.Chips)
-	lambdaRank := s.Rates.Rank * s.Org.RawFITMultiplier * 1e-9 * s.HorizonHours * float64(s.Org.Chips)
+	lambdaRank := (s.Rates.Rank + s.Permanent.Rank) * s.Org.RawFITMultiplier * 1e-9 * s.HorizonHours * float64(s.Org.Chips)
 
 	res := Result{
 		Org:                 s.Org,
@@ -256,17 +282,24 @@ func (s *Study) RunCtx(ctx context.Context, trials int) (Result, error) {
 	return s.Combine(jobs, tallies, trials)
 }
 
-// sampleFaults draws k faults: chip uniform, mode proportional to FIT,
-// location uniform in the chip grid.
-func (s *Study) sampleFaults(rng *xrand.RNG, k int) []fault {
+// sampleFaults fills out with fresh faults: chip uniform, mode proportional
+// to FIT, location uniform in the chip grid. A timed study first draws each
+// fault's class (transient or permanent, proportional to the classes' total
+// FIT) and takes the mode from that class's rates, then draws its onset
+// uniformly in the horizon.
+func (s *Study) sampleFaults(rng *xrand.RNG, out []fault) {
 	g := s.Org.Geom
-	total := s.Rates.Total()
-	out := make([]fault, k)
+	timed := s.timed()
+	pTransient := s.Rates.Total() / (s.Rates.Total() + s.Permanent.Total())
 	for i := range out {
-		u := rng.Float64() * total
+		rates, permanent := s.Rates, false
+		if timed && !rng.Bool(pTransient) {
+			rates, permanent = s.Permanent, true
+		}
+		u := rng.Float64() * rates.Total()
 		var m Mode
 		for m = ModeBit; m < ModeRank; m++ {
-			u -= s.Rates.of(m)
+			u -= rates.of(m)
 			if u < 0 {
 				break
 			}
@@ -275,17 +308,38 @@ func (s *Study) sampleFaults(rng *xrand.RNG, k int) []fault {
 			m = ModeBank
 		}
 		out[i] = fault{
-			chip: rng.Intn(s.Org.Chips),
-			mode: m,
-			bank: rng.Intn(g.Banks),
-			row:  rng.Intn(g.Rows),
-			col:  rng.Intn(g.Cols),
+			chip:      rng.Intn(s.Org.Chips),
+			mode:      m,
+			bank:      rng.Intn(g.Banks),
+			row:       rng.Intn(g.Rows),
+			col:       rng.Intn(g.Cols),
+			permanent: permanent,
+		}
+		if timed {
+			out[i].onset = rng.Float64() * s.HorizonHours
 		}
 	}
-	return out
 }
 
-// uncorrectable adjudicates an accumulated fault set under the rank's ECC.
+// aliveUntil returns when a fault stops mattering: the end of its scrub
+// window for a scrubbed transient fault, the end of the horizon otherwise.
+func (s *Study) aliveUntil(f fault) float64 {
+	if f.permanent || s.ScrubIntervalHours <= 0 {
+		return s.HorizonHours
+	}
+	k := math.Floor(f.onset/s.ScrubIntervalHours) + 1
+	return k * s.ScrubIntervalHours
+}
+
+// coexist reports whether two faults are present at the same time. Untimed
+// faults all arrive at 0 and live to the horizon, so they always coexist.
+func (s *Study) coexist(a, b fault) bool {
+	return a.onset < s.aliveUntil(b) && b.onset < s.aliveUntil(a)
+}
+
+// uncorrectable adjudicates an accumulated fault set under the rank's ECC:
+// a multi-fault pattern is fatal only if the footprints share an ECC word
+// and the faults coexist in time.
 func (s *Study) uncorrectable(faults []fault) bool {
 	switch s.Org.Scheme {
 	case ecc.None:
@@ -302,7 +356,8 @@ func (s *Study) uncorrectable(faults []fault) bool {
 		for i := 0; i < len(faults); i++ {
 			for j := i + 1; j < len(faults); j++ {
 				if faults[i].chip == faults[j].chip &&
-					intersects(faults[i], faults[j], s.Org.Geom) {
+					intersects(faults[i], faults[j], s.Org.Geom) &&
+					s.coexist(faults[i], faults[j]) {
 					return true
 				}
 			}
@@ -316,7 +371,8 @@ func (s *Study) uncorrectable(faults []fault) bool {
 		for i := 0; i < len(faults); i++ {
 			for j := i + 1; j < len(faults); j++ {
 				if faults[i].chip != faults[j].chip &&
-					intersects(faults[i], faults[j], s.Org.Geom) {
+					intersects(faults[i], faults[j], s.Org.Geom) &&
+					s.coexist(faults[i], faults[j]) {
 					return true
 				}
 			}

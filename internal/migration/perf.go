@@ -21,9 +21,6 @@ type Perf struct {
 	interval int64
 	counters *core.FullCounters
 	pt       *core.PageTable
-	// maxSwap bounds pages moved per interval (0 = unbounded, the paper's
-	// HMA swaps everything above threshold).
-	maxSwap int
 }
 
 // NewPerf builds the baseline with the given interval in CPU cycles.
@@ -86,12 +83,9 @@ func (p *Perf) Decide(_ int64, placement *sim.Placement) (in, out []uint64) {
 
 	// Bound interval churn: the paper's HMA turns over ~18% of HBM per
 	// interval (47K of 262K pages); allow up to a quarter of HBM.
-	maxSwap := p.maxSwap
-	if maxSwap <= 0 {
-		maxSwap = int(placement.HBMCapacity() / 4)
-		if maxSwap < 1 {
-			maxSwap = 1
-		}
+	maxSwap := int(placement.HBMCapacity() / 4)
+	if maxSwap < 1 {
+		maxSwap = 1
 	}
 	if len(out) > maxSwap {
 		out = out[:maxSwap]

@@ -67,12 +67,11 @@ type serviceMetrics struct {
 	admissionDrainRate *obs.Gauge
 	healthState        *obs.Gauge
 
-	breakerState   *obs.GaugeVec
-	breakerOpens   *obs.Counter
-	breakerCloses  *obs.Counter
-	breakerRefused *obs.Counter
-	hedges         *obs.Counter
-	breakerSkips   *obs.Counter
+	breakerState  *obs.GaugeVec
+	breakerOpens  *obs.Counter
+	breakerCloses *obs.Counter
+	hedges        *obs.Counter
+	breakerSkips  *obs.Counter
 }
 
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
@@ -161,8 +160,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"Circuit breaker closed -> open transitions (worker quarantined)."),
 		breakerCloses: reg.Counter("hmemd_breaker_closes_total",
 			"Circuit breaker half-open -> closed transitions (worker recovered)."),
-		breakerRefused: reg.Counter("hmemd_breaker_refusals_total",
-			"Calls refused outright by an open or probe-saturated breaker."),
 		hedges: reg.Counter("hmemd_hedges_total",
 			"Duplicate shard dispatches launched against stragglers (hedged requests)."),
 		breakerSkips: reg.Counter("hmemd_cluster_breaker_skips_total",
@@ -235,10 +232,9 @@ func (s *Service) syncMetrics() {
 			m.breakerSkips.Set(ss.BreakerSkips)
 		}
 		if cs.breakers != nil {
-			opens, closes, refused := cs.breakers.Totals()
+			opens, closes := cs.breakers.Totals()
 			m.breakerOpens.Set(opens)
 			m.breakerCloses.Set(closes)
-			m.breakerRefused.Set(refused)
 			for peer, st := range cs.breakers.States() {
 				m.breakerState.With(peer).Set(float64(st))
 			}

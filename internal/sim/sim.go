@@ -133,11 +133,9 @@ type Result struct {
 	// PagesMigrated counts migrated pages; MigrationPauses the stalls paid.
 	PagesMigrated   uint64
 	MigrationPauses int64
-	// HBMStats and DDRStats expose the fast tier's and tier 0's memory
-	// controller counters (the two tiers of the default topology);
-	// TierStats carries every tier's counters in tier order.
-	HBMStats, DDRStats memsim.Stats
-	TierStats          []memsim.Stats
+	// TierStats carries every tier's memory controller counters in tier
+	// order.
+	TierStats []memsim.Stats
 	// Reads and Writes count memory requests issued.
 	Reads, Writes uint64
 	// HBMAccessFraction is the share of requests served by the fast tier.
@@ -470,8 +468,6 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 	for i, m := range mems {
 		res.TierStats[i] = m.Stats()
 	}
-	res.HBMStats = res.TierStats[fast]
-	res.DDRStats = res.TierStats[0]
 	res.Endurance = placement.Endurance()
 	if total := res.Reads + res.Writes; total > 0 {
 		res.HBMAccessFraction /= float64(total)

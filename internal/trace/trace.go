@@ -1,6 +1,5 @@
 // Package trace defines the memory-trace representation shared by the whole
-// simulator: the per-request record, per-core streams, and a compact binary
-// on-disk format.
+// simulator: the per-request record and per-core streams.
 //
 // The record layout mirrors the paper's trace contents (§3.1): "the number of
 // intervening non-memory instructions, program counter, memory address, and
@@ -11,8 +10,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -78,8 +75,8 @@ func (r Record) Line() uint64 { return r.Addr / LineSize }
 func (r Record) Page() uint64 { return r.Addr / PageSize }
 
 // Stream produces a sequence of records for one core. Implementations
-// include on-the-fly workload generators, recording replays, and file
-// readers. Next returns io.EOF after the final record.
+// include on-the-fly workload generators and recording replays. Next
+// returns io.EOF after the final record.
 type Stream interface {
 	Next() (Record, error)
 }
@@ -125,121 +122,4 @@ func Collect(s Stream, max int) ([]Record, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// Limit wraps a stream so that it yields at most n records.
-func Limit(s Stream, n int) Stream { return &limitStream{s: s, left: n} }
-
-type limitStream struct {
-	s    Stream
-	left int
-}
-
-func (l *limitStream) Next() (Record, error) {
-	if l.left <= 0 {
-		return Record{}, io.EOF
-	}
-	r, err := l.s.Next()
-	if err == nil {
-		l.left--
-	}
-	return r, err
-}
-
-// ---- Binary encoding -------------------------------------------------------
-//
-// The on-disk format is a little-endian framed stream:
-//
-//	magic  [8]byte  "HMEMTRC1"
-//	record *        { gap uint32, kind uint8, pad [3]byte, pc uint64, addr uint64 }
-//
-// Fixed 24-byte records keep the reader allocation-free and seekable.
-
-var magic = [8]byte{'H', 'M', 'E', 'M', 'T', 'R', 'C', '1'}
-
-const recordSize = 24
-
-// ErrBadMagic indicates the input is not an hmem trace file.
-var ErrBadMagic = errors.New("trace: bad magic (not an hmem trace file)")
-
-// ErrTruncated indicates a record was cut short at end of input.
-var ErrTruncated = errors.New("trace: truncated record")
-
-// Writer serializes records to an io.Writer in the binary trace format.
-type Writer struct {
-	w   *bufio.Writer
-	buf [recordSize]byte
-	n   int
-}
-
-// NewWriter writes the file header and returns a Writer. Close must be
-// called to flush buffered output.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: writing header: %w", err)
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Write appends one record.
-func (w *Writer) Write(r Record) error {
-	b := w.buf[:]
-	binary.LittleEndian.PutUint32(b[0:4], r.Gap)
-	b[4] = byte(r.Kind)
-	b[5], b[6], b[7] = 0, 0, 0
-	binary.LittleEndian.PutUint64(b[8:16], r.PC)
-	binary.LittleEndian.PutUint64(b[16:24], r.Addr)
-	if _, err := w.w.Write(b); err != nil {
-		return fmt.Errorf("trace: writing record %d: %w", w.n, err)
-	}
-	w.n++
-	return nil
-}
-
-// Count returns the number of records written so far.
-func (w *Writer) Count() int { return w.n }
-
-// Close flushes buffered output. It does not close the underlying writer.
-func (w *Writer) Close() error { return w.w.Flush() }
-
-// Reader decodes records from an io.Reader in the binary trace format.
-// It implements Stream.
-type Reader struct {
-	r   *bufio.Reader
-	buf [recordSize]byte
-}
-
-// NewReader validates the header and returns a Reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if hdr != magic {
-		return nil, ErrBadMagic
-	}
-	return &Reader{r: br}, nil
-}
-
-// Next implements Stream, returning io.EOF cleanly at end of file.
-func (r *Reader) Next() (Record, error) {
-	n, err := io.ReadFull(r.r, r.buf[:])
-	if err != nil {
-		if errors.Is(err, io.EOF) && n == 0 {
-			return Record{}, io.EOF
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			return Record{}, ErrTruncated
-		}
-		return Record{}, fmt.Errorf("trace: reading record: %w", err)
-	}
-	b := r.buf[:]
-	return Record{
-		Gap:  binary.LittleEndian.Uint32(b[0:4]),
-		Kind: Kind(b[4]),
-		PC:   binary.LittleEndian.Uint64(b[8:16]),
-		Addr: binary.LittleEndian.Uint64(b[16:24]),
-	}, nil
 }
