@@ -296,17 +296,3 @@ func sortByID(a []entry) []entry {
 
 // PageCount returns the number of distinct pages observed.
 func (t *Tracker) PageCount() int { return t.observed }
-
-// MeanAVF returns the mean page AVF over totalCycles — the paper's Figure 2
-// metric ("Average AVF of memory"). ids is as for Snapshot.
-func (t *Tracker) MeanAVF(totalCycles int64, ids []uint64) float64 {
-	if t.observed == 0 {
-		return 0
-	}
-	sum := 0.0
-	snap := t.Snapshot(totalCycles, ids)
-	for _, p := range snap {
-		sum += p.AVF
-	}
-	return sum / float64(len(snap))
-}

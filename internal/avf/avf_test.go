@@ -234,18 +234,25 @@ func TestMoreWritesLowerAVFProperty(t *testing.T) {
 	}
 }
 
+// TestMeanAVF averages the tracker's snapshot, the data a simulation
+// averages for its mean AVF (Figure 2).
 func TestMeanAVF(t *testing.T) {
 	tr := NewTracker(2)
-	if tr.MeanAVF(100, nil) != 0 {
-		t.Fatal("empty tracker mean must be 0")
+	if snap := tr.Snapshot(100, nil); len(snap) != 0 {
+		t.Fatalf("empty tracker snapshot has %d pages", len(snap))
 	}
 	// Page 0: line fully ACE; page 1: untouched except one dead write.
 	tr.Access(0, 0, 0, true, TierDDR)
 	tr.Access(0, 0, 100, false, TierDDR)
 	tr.Access(1, 0, 0, true, TierDDR)
+	snap := tr.Snapshot(100, identityIDs(2))
+	sum := 0.0
+	for _, p := range snap {
+		sum += p.AVF
+	}
 	want := (1.0/64 + 0) / 2
-	if got := tr.MeanAVF(100, identityIDs(2)); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MeanAVF = %v, want %v", got, want)
+	if got := sum / float64(len(snap)); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("mean AVF = %v, want %v", got, want)
 	}
 	if tr.PageCount() != 2 {
 		t.Fatalf("PageCount = %d", tr.PageCount())

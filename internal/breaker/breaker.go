@@ -106,7 +106,7 @@ type Breaker struct {
 	probeOK  int // consecutive successful probes this half-open episode
 
 	// counters (guarded by mu; read via Stats)
-	allowed, opens, closes uint64
+	opens, closes uint64
 }
 
 // New builds a breaker starting Closed.
@@ -136,12 +136,10 @@ func (b *Breaker) Allow() (done func(success bool), ok bool) {
 			return nil, false
 		}
 		b.probes++
-		b.allowed++
 		b.mu.Unlock()
 		b.notify(tr)
 		return b.recordProbe, true
 	default: // Closed
-		b.allowed++
 		b.mu.Unlock()
 		return b.recordClosed, true
 	}
@@ -159,7 +157,6 @@ func (b *Breaker) State() State {
 // Stats is a point-in-time snapshot of breaker activity.
 type Stats struct {
 	State         State
-	Allowed       uint64
 	Opens, Closes uint64
 	// WindowSamples / WindowFailures describe the current sliding window.
 	WindowSamples, WindowFailures int
@@ -170,9 +167,8 @@ func (b *Breaker) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return Stats{
-		State:   b.state,
-		Allowed: b.allowed,
-		Opens:   b.opens, Closes: b.closes,
+		State: b.state,
+		Opens: b.opens, Closes: b.closes,
 		WindowSamples: b.n, WindowFailures: b.fails,
 	}
 }

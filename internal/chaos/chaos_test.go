@@ -31,7 +31,7 @@ func (s *sliceStream) Next() (trace.Record, error) {
 func testRecords(n int) []trace.Record {
 	recs := make([]trace.Record, n)
 	for i := range recs {
-		recs[i] = trace.Record{Gap: uint32(i), PC: 0x400000, Addr: uint64(i) << 12, Kind: trace.Read}
+		recs[i] = trace.Record{Gap: uint32(i), Addr: uint64(i) << 12, Kind: trace.Read}
 	}
 	return recs
 }

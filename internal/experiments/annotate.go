@@ -24,15 +24,19 @@ func (r *Runner) annotationRun(ctx context.Context, spec workload.Spec) (sim.Res
 	ann, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages()))
 
 	res, err := r.runs.DoCtx(ctx, "annotation/"+spec.Name, func() (sim.Result, error) {
+		runCtx := obs.Detach(ctx)
 		// Delegable: a worker re-derives the same pins from its own
 		// (bit-identical) profile, so only the result crosses the wire.
-		if p, ok, err := r.delegateBlock(obs.Detach(ctx), BlockKey{Kind: BlockAnnotation, Workload: spec.Name}); err != nil {
+		if p, ok, err := r.delegateBlock(runCtx, BlockKey{Kind: BlockAnnotation, Workload: spec.Name}); err != nil {
 			return sim.Result{}, err
 		} else if ok {
 			return p.Result, nil
 		}
 		res, _, err := r.simulate(context.Background(), spec, pins, true, nil)
-		return res, err
+		if err != nil {
+			return sim.Result{}, err
+		}
+		return r.score(runCtx, res)
 	})
 	if err != nil {
 		return sim.Result{}, nil, err
@@ -68,11 +72,11 @@ func (r *Runner) Figure16(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		perfSER, _, err := r.SEROf(ctx, perf)
+		perfSER, _, err := serOf(perf)
 		if err != nil {
 			return row{}, err
 		}
-		resSER, _, err := r.SEROf(ctx, res)
+		resSER, _, err := serOf(res)
 		if err != nil {
 			return row{}, err
 		}

@@ -43,13 +43,15 @@ type BlockKey struct {
 	Policy   string    `json:"policy,omitempty"`
 }
 
-// BlockPayload is a block's full result as shipped between nodes. Profile
-// blocks carry the workload's structure layout alongside the simulation
-// result (annotation needs it); per-page stats are re-derived locally from
-// the snapshot — Result.Stats() is deterministic on bit-identical inputs.
+// BlockPayload is a block's result as shipped between nodes: the scored
+// run the worker memoized, without a snapshot. Profile blocks also carry
+// the workload's structure layout and per-page stats (placement and
+// annotation need them). The worker scores with its own fits, which the
+// options-digest check on every shard makes equal to the coordinator's.
 type BlockPayload struct {
 	Result     sim.Result           `json:"result"`
 	Structures []workload.Structure `json:"structures,omitempty"`
+	Stats      []core.PageStats     `json:"stats,omitempty"`
 }
 
 // ErrNotDelegated is the Delegate's "compute it locally" answer. It must be
@@ -116,7 +118,7 @@ func (r *Runner) ExecuteBlock(ctx context.Context, key BlockKey) (*BlockPayload,
 		if err != nil {
 			return nil, err
 		}
-		return &BlockPayload{Result: prof.Result, Structures: prof.Structures}, nil
+		return &BlockPayload{Result: prof.Result, Structures: prof.Structures, Stats: prof.Stats}, nil
 	case BlockStatic:
 		policy, ok := core.PolicyByName(key.Policy)
 		if !ok {

@@ -109,7 +109,7 @@ func (r *Runner) Figure12(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		_, rel, err := r.SEROf(ctx, res)
+		_, rel, err := serOf(res)
 		if err != nil {
 			return row{}, err
 		}
@@ -196,12 +196,12 @@ type relative struct {
 }
 
 // relativeTo compares res with base.
-func (r *Runner) relativeTo(ctx context.Context, base, res sim.Result) (relative, error) {
-	baseSER, _, err := r.SEROf(ctx, base)
+func relativeTo(base, res sim.Result) (relative, error) {
+	baseSER, _, err := serOf(base)
 	if err != nil {
 		return relative{}, err
 	}
-	resSER, _, err := r.SEROf(ctx, res)
+	resSER, _, err := serOf(res)
 	if err != nil {
 		return relative{}, err
 	}
@@ -223,7 +223,7 @@ func (r *Runner) vsPerfMigration(ctx context.Context, spec workload.Spec, mech s
 	if err != nil {
 		return relative{}, err
 	}
-	return r.relativeTo(ctx, perf, res)
+	return relativeTo(perf, res)
 }
 
 // dynamicTable renders a reliability-aware mechanism against the

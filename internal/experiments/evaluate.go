@@ -92,7 +92,7 @@ func (r *Runner) Evaluate(ctx context.Context, workloadName string, policy Polic
 		return Result{}, err
 	}
 
-	_, rel, err := r.SEROf(ctx, res)
+	_, rel, err := serOf(res)
 	if err != nil {
 		return Result{}, err
 	}
@@ -119,7 +119,7 @@ func (r *Runner) Evaluate(ctx context.Context, workloadName string, policy Polic
 		IPC:           res.IPC,
 		IPCvsDDROnly:  res.IPC / prof.Result.IPC,
 		SERvsDDROnly:  rel,
-		MeanAVF:       res.MeanAVF(),
+		MeanAVF:       res.MeanAVF,
 		PagesMigrated: res.PagesMigrated,
 		Endurance:     res.Endurance,
 	}, nil

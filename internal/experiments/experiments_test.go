@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hmem/internal/avf"
 	"hmem/internal/core"
 	"hmem/internal/faultsim"
 	"hmem/internal/report"
@@ -389,14 +390,17 @@ func TestNewRunnerRejectsUnknownWorkload(t *testing.T) {
 func TestSEROfZeroBaselineIsAnError(t *testing.T) {
 	r := mustRunner(t, Options{})
 	// Pre-seed the fault-study memo with a degenerate all-zero result so
-	// SEROf's baseline SER comes out zero without running a fault study.
+	// the scored baseline SER comes out zero without running a fault study.
 	if _, err := r.fits.Do(struct{}{}, func() (faultsim.TierFITs, error) {
 		return faultsim.TierFITs{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := r.SEROf(context.Background(), sim.Result{})
-	if !errors.Is(err, ErrZeroBaselineSER) {
+	res, err := r.score(context.Background(), sim.Result{Snapshot: []avf.PageAVF{{Page: 1, AVF: 0.5, ByTier: []float64{0.5}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := serOf(res); !errors.Is(err, ErrZeroBaselineSER) {
 		t.Fatalf("err = %v, want ErrZeroBaselineSER", err)
 	}
 }
@@ -411,7 +415,7 @@ func TestSEROfUsesAllDDRBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rel, err := r.SEROf(context.Background(), prof.Result)
+	_, rel, err := serOf(prof.Result)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func (r *Runner) ExtensionAnnotatedMigration(ctx context.Context) (*report.Table
 			return out, err
 		}
 		for i, res := range []sim.Result{annot, fc, combined} {
-			if out[i], err = r.relativeTo(ctx, perf, res); err != nil {
+			if out[i], err = relativeTo(perf, res); err != nil {
 				return out, err
 			}
 		}
@@ -91,6 +91,9 @@ func (r *Runner) annotatedMigrationRun(ctx context.Context, spec workload.Spec) 
 		_, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages())/2)
 		build, _, _ := mechanismByName(mechFC, r.opts)
 		res, _, err := r.simulate(context.Background(), spec, pins, true, build())
-		return res, err
+		if err != nil {
+			return sim.Result{}, err
+		}
+		return r.score(context.Background(), res)
 	})
 }

@@ -23,8 +23,9 @@ func tinyRecordingOpts() Options {
 
 // TestRecordingReplaysAcrossPolicies is the recording's contract: on a
 // fresh runner, a workload's profile and five static policies cost one
-// trace recording and five replays, with results identical to simulations
-// over fresh generators.
+// trace recording and five replays. A whole simulation over the recording,
+// snapshot included, equals one over fresh generators, and each memoized
+// result equals that fresh result after the runner's one scoring step.
 func TestRecordingReplaysAcrossPolicies(t *testing.T) {
 	spec, err := workload.SpecByName("astar")
 	if err != nil {
@@ -61,14 +62,39 @@ func TestRecordingReplaysAcrossPolicies(t *testing.T) {
 		}
 		return res
 	}
-	ref := fresh(nil)
-	want := []sim.Result{ref}
-	for _, p := range policies {
-		want = append(want, fresh(p.Select(ref.Stats(), int(r.cfg.FastPages()))))
+	replay := func(pages []uint64) sim.Result {
+		suite, err := r.buildSuiteCtx(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(r.cfg, suite.streams, pages, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
+	ref := fresh(nil)
+	if !reflect.DeepEqual(prof.Stats, ref.Stats()) {
+		t.Fatal("profile stats differ from the fresh profiling run's snapshot")
+	}
+	placements := [][]uint64{nil}
+	for _, p := range policies {
+		placements = append(placements, p.Select(ref.Stats(), int(r.cfg.FastPages())))
+	}
+	for i, pages := range placements {
+		want := fresh(pages)
+		if len(want.Snapshot) == 0 {
+			t.Fatalf("simulation %d: fresh run has no snapshot", i)
+		}
+		if !reflect.DeepEqual(replay(pages), want) {
 			t.Fatalf("simulation %d over the recording differs from one over fresh generators", i)
+		}
+		scored, err := r.score(ctx, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], scored) {
+			t.Fatalf("memoized simulation %d differs from the scored fresh run", i)
 		}
 	}
 }

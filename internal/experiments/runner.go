@@ -121,8 +121,10 @@ type Runner struct {
 // Profile is a workload's oracle profiling run: the DDR-only simulation
 // that yields per-page hotness and AVF (§4.2) and the DDR-only baselines,
 // plus the workload's structure layout (what annotation selection consumes).
-// Everything here is serializable — a Profile computed on any cluster node
-// is bit-identical to a local one.
+// Stats is derived from the run's snapshot before scoring drops it, so
+// Result, like every memoized run, carries no snapshot. Everything here is
+// serializable — a Profile computed on any cluster node is bit-identical to
+// a local one.
 type Profile struct {
 	Structures []workload.Structure
 	Result     sim.Result
@@ -268,15 +270,6 @@ func (r *Runner) runStudy(ctx context.Context, tier int, study *faultsim.Study) 
 	return study.RunCtx(ctx, r.opts.FaultTrials)
 }
 
-// SERModel returns the SER scorer backed by the fault studies.
-func (r *Runner) SERModel(ctx context.Context) (core.SERModel, error) {
-	fits, err := r.Fits(ctx)
-	if err != nil {
-		return core.SERModel{}, err
-	}
-	return core.SERModel{Fits: fits}, nil
-}
-
 // CacheStats aggregates the hit/miss counters of the runner's three memo
 // caches (fault study, profiles, policy runs) — the work-sharing counter
 // cmd/experiments prints after a run and hmemd exports on /metrics.
@@ -300,6 +293,23 @@ func (r *Runner) simulate(ctx context.Context, spec workload.Spec, pages []uint6
 	return res, suite.structures, err
 }
 
+// score is the one step between a simulation and the memo: it fills the
+// run's SER and all-DDR SER under the runner's fits (Equation 2, summed in
+// core.SERModel's order) and drops the per-page snapshot, which nothing
+// reads after scoring. Every memoized run passes through it exactly once,
+// on the node that simulated it.
+func (r *Runner) score(ctx context.Context, res sim.Result) (sim.Result, error) {
+	fits, err := r.Fits(ctx)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	m := core.SERModel{Fits: fits}
+	res.SER = m.SER(res.Snapshot)
+	res.SERAllDDR = m.SERAllDDR(res.Snapshot)
+	res.Snapshot = nil
+	return res, nil
+}
+
 // ProfileOf returns the memoized DDR-only profiling run for a workload.
 func (r *Runner) ProfileOf(ctx context.Context, spec workload.Spec) (*Profile, error) {
 	return r.profiles.DoCtx(ctx, spec.Name, func() (*Profile, error) {
@@ -312,13 +322,17 @@ func (r *Runner) ProfileOf(ctx context.Context, spec workload.Spec) (*Profile, e
 		if p, ok, err := r.delegateBlock(runCtx, BlockKey{Kind: BlockProfile, Workload: spec.Name}); err != nil {
 			return nil, err
 		} else if ok {
-			return &Profile{Structures: p.Structures, Result: p.Result, Stats: p.Result.Stats()}, nil
+			return &Profile{Structures: p.Structures, Result: p.Result, Stats: p.Stats}, nil
 		}
 		res, structures, err := r.simulate(runCtx, spec, nil, false, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: profiling %s: %w", spec.Name, err)
 		}
-		return &Profile{Structures: structures, Result: res, Stats: res.Stats()}, nil
+		stats := res.Stats()
+		if res, err = r.score(runCtx, res); err != nil {
+			return nil, err
+		}
+		return &Profile{Structures: structures, Result: res, Stats: stats}, nil
 	})
 }
 
@@ -350,7 +364,7 @@ func (r *Runner) RunStatic(ctx context.Context, spec workload.Spec, policy core.
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("experiments: %s under %s: %w", spec.Name, policy.Name(), err)
 		}
-		return res, nil
+		return r.score(runCtx, res)
 	})
 }
 
@@ -383,7 +397,7 @@ func (r *Runner) RunDynamic(ctx context.Context, spec workload.Spec, mech string
 		if err != nil {
 			return sim.Result{}, fmt.Errorf("experiments: %s under %s: %w", spec.Name, mech, err)
 		}
-		return res, nil
+		return r.score(runCtx, res)
 	})
 }
 
@@ -393,18 +407,11 @@ func (r *Runner) RunDynamic(ctx context.Context, spec workload.Spec, mech string
 // the tables.
 var ErrZeroBaselineSER = errors.New("experiments: all-DDR baseline SER is zero (degenerate fault study or empty snapshot)")
 
-// SEROf scores a finished run against the DDR-only baseline, returning
-// (absolute SER, SER relative to all-DDR). A zero baseline returns
-// ErrZeroBaselineSER.
-func (r *Runner) SEROf(ctx context.Context, res sim.Result) (abs, rel float64, err error) {
-	m, err := r.SERModel(ctx)
-	if err != nil {
-		return 0, 0, err
+// serOf reads a memoized run's score: (absolute SER, SER relative to
+// all-DDR). A zero baseline returns ErrZeroBaselineSER.
+func serOf(res sim.Result) (abs, rel float64, err error) {
+	if res.SERAllDDR == 0 {
+		return res.SER, 0, ErrZeroBaselineSER
 	}
-	abs = m.SER(res.Snapshot)
-	base := m.SERAllDDR(res.Snapshot)
-	if base == 0 {
-		return abs, 0, ErrZeroBaselineSER
-	}
-	return abs, abs / base, nil
+	return res.SER, res.SER / res.SERAllDDR, nil
 }

@@ -79,11 +79,11 @@ func (r *Runner) staticComparison(ctx context.Context, policy core.Policy, order
 		if err != nil {
 			return policyRow{}, err
 		}
-		polSER, polRel, err := r.SEROf(ctx, pol)
+		polSER, polRel, err := serOf(pol)
 		if err != nil {
 			return policyRow{}, err
 		}
-		perfSER, _, err := r.SEROf(ctx, perf)
+		perfSER, _, err := serOf(perf)
 		if err != nil {
 			return policyRow{}, err
 		}
@@ -165,7 +165,7 @@ func (r *Runner) Figure1(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		_, rel, err := r.SEROf(ctx, res)
+		_, rel, err := serOf(res)
 		if err != nil {
 			return cell{}, err
 		}
@@ -200,7 +200,7 @@ func (r *Runner) Figure2(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return entry{}, err
 		}
-		return entry{spec.Name, p.Result.MeanAVF()}, nil
+		return entry{spec.Name, p.Result.MeanAVF}, nil
 	})
 	if err != nil {
 		return nil, err

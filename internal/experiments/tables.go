@@ -139,7 +139,7 @@ func (r *Runner) Table3(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return relative{}, err
 		}
-		return r.relativeTo(ctx, perf, res)
+		return relativeTo(perf, res)
 	})
 	if err != nil {
 		return nil, err

@@ -62,7 +62,7 @@ func (r *Runner) ExtensionTieredEndurance(ctx context.Context) (*report.Table, e
 			{scheme: "cc-migration", res: dyn, ipcBase: prof.Result.IPC},
 		}
 		for i := range out {
-			if _, rel, err := tr.SEROf(ctx, out[i].res); err == nil {
+			if _, rel, err := serOf(out[i].res); err == nil {
 				out[i].serRel = rel
 			} else {
 				return [2]row{}, err

@@ -226,7 +226,7 @@ type fault struct {
 
 // intersects reports whether the word footprints of two faults overlap,
 // honoring per-mode wildcards (a row fault spans all columns, etc.).
-func intersects(a, b fault, _ Geometry) bool {
+func intersects(a, b fault) bool {
 	if a.bank != b.bank {
 		return false
 	}

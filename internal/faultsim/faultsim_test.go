@@ -81,7 +81,6 @@ func TestRatesAccessors(t *testing.T) {
 }
 
 func TestIntersects(t *testing.T) {
-	g := Geometry{Banks: 8, Rows: 64, Cols: 64}
 	bit := func(b, r, c int) fault { return fault{mode: ModeBit, bank: b, row: r, col: c} }
 	cases := []struct {
 		name string
@@ -100,10 +99,10 @@ func TestIntersects(t *testing.T) {
 		{"two rows different rows", fault{mode: ModeRow, bank: 1, row: 7}, fault{mode: ModeRow, bank: 1, row: 8}, false},
 	}
 	for _, c := range cases {
-		if got := intersects(c.a, c.b, g); got != c.want {
+		if got := intersects(c.a, c.b); got != c.want {
 			t.Errorf("%s: intersects = %v, want %v", c.name, got, c.want)
 		}
-		if got := intersects(c.b, c.a, g); got != c.want {
+		if got := intersects(c.b, c.a); got != c.want {
 			t.Errorf("%s (swapped): intersects = %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -356,7 +356,7 @@ func (s *Study) uncorrectable(faults []fault) bool {
 		for i := 0; i < len(faults); i++ {
 			for j := i + 1; j < len(faults); j++ {
 				if faults[i].chip == faults[j].chip &&
-					intersects(faults[i], faults[j], s.Org.Geom) &&
+					intersects(faults[i], faults[j]) &&
 					s.coexist(faults[i], faults[j]) {
 					return true
 				}
@@ -371,7 +371,7 @@ func (s *Study) uncorrectable(faults []fault) bool {
 		for i := 0; i < len(faults); i++ {
 			for j := i + 1; j < len(faults); j++ {
 				if faults[i].chip != faults[j].chip &&
-					intersects(faults[i], faults[j], s.Org.Geom) &&
+					intersects(faults[i], faults[j]) &&
 					s.coexist(faults[i], faults[j]) {
 					return true
 				}

@@ -37,7 +37,7 @@ func TestWorkloadCalibration(t *testing.T) {
 				t.Fatal(err)
 			}
 			pageStats := res.Stats()
-			m := res.MeanAVF()
+			m := res.MeanAVF
 			meanAVF[spec.Name] = m
 			if m < 0.005 || m > 0.40 {
 				t.Errorf("mean AVF = %.3f outside the plausible Figure 2 band", m)

@@ -54,7 +54,7 @@ type Config struct {
 	// scale: experiments shrink simulated time ~100x relative to the
 	// paper's simpoints, so the absolute per-page transfer cost must shrink
 	// proportionally to preserve the paper's migration-overhead-to-interval
-	// ratio (~7%% of a 100 ms interval for 47K pages, §6.1). 0 or 1 means
+	// ratio (~7% of a 100 ms interval for 47K pages, §6.1). 0 or 1 means
 	// full cost.
 	MigrationCostDiv int
 }
@@ -128,8 +128,16 @@ type Result struct {
 	Instructions uint64
 	// IPC is Instructions / Cycles / cores — per-core average IPC.
 	IPC float64
-	// Snapshot is the tier-attributed per-page AVF census.
+	// Snapshot is the tier-attributed per-page AVF census. A run a
+	// caller scores and keeps drops it (see SER).
 	Snapshot []avf.PageAVF
+	// MeanAVF is the mean page AVF of the snapshot (Figure 2 metric).
+	MeanAVF float64
+	// SER and SERAllDDR are the run's score under a set of tier FITs: the
+	// snapshot's SER as placed and with every page on tier 0
+	// (core.SERModel). The simulator leaves them zero; the caller that
+	// scores a run fills them.
+	SER, SERAllDDR float64
 	// PagesMigrated counts migrated pages; MigrationPauses the stalls paid.
 	PagesMigrated   uint64
 	MigrationPauses int64
@@ -148,18 +156,6 @@ type Result struct {
 	CoreIPC []float64
 	// Intervals holds per-interval samples (only for migration runs).
 	Intervals []IntervalSample
-}
-
-// MeanAVF returns the mean page AVF of the run (Figure 2 metric).
-func (r Result) MeanAVF() float64 {
-	if len(r.Snapshot) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range r.Snapshot {
-		sum += p.AVF
-	}
-	return sum / float64(len(r.Snapshot))
 }
 
 // Stats converts the snapshot into policy inputs, in page order (the
@@ -463,6 +459,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		res.CoreIPC[i] = float64(c.insts) / float64(last)
 	}
 	res.Snapshot = tracker.Snapshot(last, pt.IDs())
+	res.MeanAVF = meanAVF(res.Snapshot)
 	res.PagesMigrated = placement.Migrations()
 	res.TierStats = make([]memsim.Stats, len(mems))
 	for i, m := range mems {
@@ -483,6 +480,18 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 			obs.Int("epochs", int64(len(res.Intervals))))
 	}
 	return res, nil
+}
+
+// meanAVF returns the mean page AVF of a snapshot (0 for an empty one).
+func meanAVF(snap []avf.PageAVF) float64 {
+	if len(snap) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, p := range snap {
+		sum += p.AVF
+	}
+	return sum / float64(len(snap))
 }
 
 // applyMigration executes a migration decision. OS-assisted mechanisms

@@ -199,8 +199,8 @@ func TestRunDDROnly(t *testing.T) {
 	if len(res.Snapshot) == 0 {
 		t.Fatal("no AVF snapshot")
 	}
-	if res.MeanAVF() <= 0 || res.MeanAVF() >= 1 {
-		t.Fatalf("MeanAVF = %v", res.MeanAVF())
+	if res.MeanAVF <= 0 || res.MeanAVF >= 1 {
+		t.Fatalf("MeanAVF = %v", res.MeanAVF)
 	}
 	if got := res.Instructions; got < uint64(3000*16) {
 		t.Fatalf("instructions = %d", got)

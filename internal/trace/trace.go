@@ -1,9 +1,10 @@
 // Package trace defines the memory-trace representation shared by the whole
 // simulator: the per-request record and per-core streams.
 //
-// The record layout mirrors the paper's trace contents (§3.1): "the number of
-// intervening non-memory instructions, program counter, memory address, and
-// request type ... for every memory request". Addresses are byte addresses;
+// The record layout follows the paper's trace contents (§3.1): "the number
+// of intervening non-memory instructions, program counter, memory address,
+// and request type ... for every memory request". The program counter is not
+// modelled, because no mechanism reads it. Addresses are byte addresses;
 // the memory system operates at 64-byte cache-line granularity and placement
 // policies at 4 KiB page granularity, so helpers for both roundings live
 // here.
@@ -60,12 +61,10 @@ type Record struct {
 	// Gap is the number of non-memory instructions executed by the core
 	// since its previous memory request.
 	Gap uint32
-	// PC is the program counter of the requesting instruction.
-	PC uint64
-	// Addr is the byte address accessed.
-	Addr uint64
 	// Kind is the request type.
 	Kind Kind
+	// Addr is the byte address accessed.
+	Addr uint64
 }
 
 // Line returns the cache-line index of the record's address.

@@ -192,7 +192,7 @@ func (g *Generator) Next() (trace.Record, error) {
 	if g.emitted >= g.total {
 		return trace.Record{}, io.EOF
 	}
-	return unpack(g.basePage, g.pageStruct, g.step()), nil
+	return unpack(g.basePage, g.step()), nil
 }
 
 // step draws the next record in packed form. The caller checks that records

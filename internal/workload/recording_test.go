@@ -8,7 +8,8 @@ import (
 
 // TestRecordingReplayMatchesGenerator: for every evaluated workload, a
 // replayed recording yields the generator's records field by field, and
-// every record's PC names the structure that holds its page.
+// every record's page lies inside the structure the generator's layout
+// assigns it.
 func TestRecordingReplayMatchesGenerator(t *testing.T) {
 	const records = 2000
 	for _, spec := range AllSpecs() {
@@ -33,12 +34,16 @@ func TestRecordingReplayMatchesGenerator(t *testing.T) {
 						}
 						break
 					}
-					if got.Gap != want.Gap || got.PC != want.PC || got.Addr != want.Addr || got.Kind != want.Kind {
+					if got != want {
 						t.Fatalf("%s seed %d core %d record %d: replay %+v, generator %+v",
 							spec.Name, seed, core, i, got, want)
 					}
-					if s := g.Structures()[(want.PC-0x400000)/0x40]; want.Page() < s.FirstPage || want.Page() >= s.FirstPage+uint64(s.Pages) {
-						t.Fatalf("%s core %d record %d: page %d outside its PC's structure %s", spec.Name, core, i, want.Page(), s.Name)
+					local := want.Page() - g.basePage
+					if local >= uint64(len(g.pageStruct)) {
+						t.Fatalf("%s core %d record %d: page %d outside the core's footprint", spec.Name, core, i, want.Page())
+					}
+					if s := g.Structures()[g.pageStruct[local]]; want.Page() < s.FirstPage || want.Page() >= s.FirstPage+uint64(s.Pages) {
+						t.Fatalf("%s core %d record %d: page %d outside its structure %s", spec.Name, core, i, want.Page(), s.Name)
 					}
 				}
 			}
@@ -46,12 +51,11 @@ func TestRecordingReplayMatchesGenerator(t *testing.T) {
 	}
 }
 
-// TestRecordingBytes: a recording holds 8 bytes per record plus a 4-byte
-// structure index per footprint page.
+// TestRecordingBytes: a recording holds 8 bytes per record.
 func TestRecordingBytes(t *testing.T) {
 	p, _ := Lookup("astar")
 	rec := mustGen(t, p, 0, 1000, 1).Record()
-	if want := int64(8*1000 + 4*p.FootprintPages); rec.Bytes() != want {
+	if want := int64(8 * 1000); rec.Bytes() != want {
 		t.Fatalf("Bytes() = %d, want %d", rec.Bytes(), want)
 	}
 }

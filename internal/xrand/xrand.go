@@ -9,7 +9,10 @@
 // independent sub-streams cheaply (see Fork).
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic xoshiro256** pseudo-random generator.
 //
@@ -65,18 +68,16 @@ func New(seed uint64) *RNG {
 	return r
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s1*5, 7) * 9
+	result := bits.RotateLeft64(r.s1*5, 7) * 9
 	t := r.s1 << 17
 	r.s2 ^= r.s0
 	r.s3 ^= r.s1
 	r.s1 ^= r.s2
 	r.s0 ^= r.s3
 	r.s2 ^= t
-	r.s3 = rotl(r.s3, 45)
+	r.s3 = bits.RotateLeft64(r.s3, 45)
 	return result
 }
 
@@ -97,30 +98,11 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	threshold := -n % n // (2^64 - n) mod n
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(v, n)
 		if lo >= threshold {
 			return hi
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	mid1 := t & mask
-	c1 := t >> 32
-	t = aLo*bHi + mid1
-	mid2 := t & mask
-	c2 := t >> 32
-	hi = aHi*bHi + c1 + c2
-	lo |= mid2 << 32
-	return hi, lo
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
