@@ -18,17 +18,17 @@ import (
 )
 
 func TestShardKeyStableAndDistinct(t *testing.T) {
-	a := Shard{Kind: KindStatic, Digest: "d1", Workload: "astar", Policy: "balanced"}
+	a := Shard{Digest: "d1", Work: json.RawMessage(`{"kind":"static","workload":"astar","name":"balanced"}`)}
 	if a.Key() != a.Key() {
 		t.Error("Key not stable")
 	}
 	variants := []Shard{
-		{Kind: KindProfile, Digest: "d1", Workload: "astar"},
-		{Kind: KindStatic, Digest: "d2", Workload: "astar", Policy: "balanced"},
-		{Kind: KindStatic, Digest: "d1", Workload: "mcf", Policy: "balanced"},
-		{Kind: KindStatic, Digest: "d1", Workload: "astar", Policy: "wr-ratio"},
-		{Kind: KindFaultShard, Digest: "d1", Tier: 1, K: 2, Index: 0, Trials: 2048},
-		{Kind: KindFaultShard, Digest: "d1", Tier: 1, K: 2, Index: 1, Trials: 2048},
+		{Digest: "d2", Work: a.Work},
+		{Digest: "d1", Work: json.RawMessage(`{"kind":"static","workload":"mcf","name":"balanced"}`)},
+		{Digest: "d1", Work: json.RawMessage(`{"kind":"static","workload":"astar","name":"wr-ratio"}`)},
+		{Digest: "d1", Work: json.RawMessage(`{"kind":"fault-shard","tier":1,"job":{"k":2,"shard":0,"n":2048}}`)},
+		{Digest: "d1", Work: json.RawMessage(`{"kind":"fault-shard","tier":1,"job":{"k":2,"shard":1,"n":2048}}`)},
+		{Digest: "d1", Options: json.RawMessage(`{"seed":7}`), Work: json.RawMessage(`{}`)},
 	}
 	seen := map[string]Shard{a.Key(): a}
 	for _, v := range variants {
@@ -41,8 +41,9 @@ func TestShardKeyStableAndDistinct(t *testing.T) {
 
 func TestShardJSONRoundTrip(t *testing.T) {
 	in := Shard{
-		Kind: KindDynamic, Digest: "abc", Workload: "mix1", Policy: "cc-migration",
+		Digest:  "abc",
 		Options: json.RawMessage(`{"fault_trials":2000}`),
+		Work:    json.RawMessage(`{"kind":"dynamic","workload":"mix1","name":"cc-reliability"}`),
 	}
 	buf, err := json.Marshal(in)
 	if err != nil {
@@ -61,24 +62,13 @@ func TestShardJSONRoundTrip(t *testing.T) {
 }
 
 func TestShardValidate(t *testing.T) {
-	valid := []Shard{
-		{Kind: KindProfile, Digest: "d", Workload: "astar"},
-		{Kind: KindStatic, Digest: "d", Workload: "astar", Policy: "balanced"},
-		{Kind: KindAnnotation, Digest: "d", Workload: "astar"},
-		{Kind: KindFaultShard, Digest: "d", Tier: 0, K: 1, Index: 0, Trials: 100},
-	}
-	for _, s := range valid {
-		if err := s.Validate(); err != nil {
-			t.Errorf("%v: unexpected error %v", s, err)
-		}
+	if err := (Shard{Digest: "d", Work: json.RawMessage(`{}`)}).Validate(); err != nil {
+		t.Errorf("unexpected error %v", err)
 	}
 	invalid := []Shard{
 		{},
-		{Kind: KindProfile, Digest: "d"},
-		{Kind: KindStatic, Digest: "d", Workload: "astar"},
-		{Kind: KindFaultShard, Digest: "d", K: 0, Trials: 100},
-		{Kind: KindProfile, Workload: "astar"},
-		{Kind: "nonsense", Digest: "d"},
+		{Digest: "d"},
+		{Work: json.RawMessage(`{"kind":"profile","workload":"astar"}`)},
 	}
 	for _, s := range invalid {
 		if err := s.Validate(); err == nil {
@@ -191,7 +181,7 @@ func (f *fakeWorker) register(g *Registry) {
 }
 
 func testShard(i int) Shard {
-	return Shard{Kind: KindProfile, Digest: "dig", Workload: fmt.Sprintf("wl-%d", i)}
+	return Shard{Digest: "dig", Work: json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))}
 }
 
 // TestSchedulerPlacesOnOwner: the scheduler keeps no results, so every Run

@@ -217,7 +217,7 @@ func (lw *latencyWindow) quantile(q float64) (float64, bool) {
 // dispatches: coalescing and caching belong to the caller's engine memo,
 // whose closures run under obs.Detach, so ctx carries no requester's
 // cancellation.
-func (s *Scheduler) Run(ctx context.Context, sh Shard) ([]byte, error) {
+func (s *Scheduler) Run(ctx context.Context, sh Shard) (json.RawMessage, error) {
 	if err := sh.Validate(); err != nil {
 		return nil, err
 	}
@@ -226,9 +226,17 @@ func (s *Scheduler) Run(ctx context.Context, sh Shard) ([]byte, error) {
 
 // RunAll places shards on at most workers concurrent dispatches and returns
 // payloads in shard order — the deterministic merge the cluster's
-// byte-identity rests on.
-func (s *Scheduler) RunAll(ctx context.Context, workers int, shards []Shard) ([][]byte, error) {
-	return exec.Map(ctx, workers, len(shards), func(i int) ([]byte, error) {
+// byte-identity rests on. A single shard is placed directly, without a
+// fan-out's task span and progress report.
+func (s *Scheduler) RunAll(ctx context.Context, workers int, shards []Shard) ([]json.RawMessage, error) {
+	if len(shards) == 1 {
+		body, err := s.Run(ctx, shards[0])
+		if err != nil {
+			return nil, err
+		}
+		return []json.RawMessage{body}, nil
+	}
+	return exec.Map(ctx, workers, len(shards), func(i int) (json.RawMessage, error) {
 		return s.Run(ctx, shards[i])
 	})
 }
@@ -237,12 +245,12 @@ func (s *Scheduler) RunAll(ctx context.Context, workers int, shards []Shard) ([]
 // bounded retry-on-another-worker and hedging of stragglers, both
 // consulting per-worker circuit breakers so quarantined workers are skipped
 // rather than tried.
-func (s *Scheduler) dispatch(ctx context.Context, sh Shard) ([]byte, error) {
+func (s *Scheduler) dispatch(ctx context.Context, sh Shard) (json.RawMessage, error) {
 	key := sh.Key()
 	if obs.Enabled(ctx) {
 		var sp *obs.Span
 		ctx, sp = obs.Start(ctx, "cluster.shard",
-			obs.Str("key", key), obs.Str("shard", sh.String()))
+			obs.Str("key", key), obs.Str("shard", string(sh.Work)))
 		defer sp.End()
 	}
 	cands := s.Registry.Owners(key, maxAttempts)
@@ -250,7 +258,7 @@ func (s *Scheduler) dispatch(ctx context.Context, sh Shard) ([]byte, error) {
 		return nil, ErrNoWorkers
 	}
 	type outcome struct {
-		body []byte
+		body json.RawMessage
 		err  error
 		from Worker
 	}
@@ -336,7 +344,7 @@ func (s *Scheduler) dispatch(ctx context.Context, sh Shard) ([]byte, error) {
 }
 
 // post delivers a shard to one worker and returns the raw result payload.
-func (s *Scheduler) post(ctx context.Context, w Worker, sh Shard) ([]byte, error) {
+func (s *Scheduler) post(ctx context.Context, w Worker, sh Shard) (json.RawMessage, error) {
 	buf, err := json.Marshal(sh)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encoding shard: %w", err)

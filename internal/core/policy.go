@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -71,9 +70,12 @@ func (PerfFocused) Select(stats []PageStats, capacity int) []uint64 {
 // pages, leaving the rest of HBM empty — the Figure 1 sweep knob.
 type PerfFraction struct{ F float64 }
 
-// Name implements Policy (distinct per fraction so result caches keyed by
-// policy name stay correct).
-func (p PerfFraction) Name() string { return fmt.Sprintf("perf-fraction-%.3f", p.F) }
+// Name implements Policy. It renders F in the shortest form that parses
+// back to the same float64, so distinct fractions get distinct names and
+// result caches keyed by policy name stay correct.
+func (p PerfFraction) Name() string {
+	return "perf-fraction-" + strconv.FormatFloat(p.F, 'g', -1, 64)
+}
 
 // Select implements Policy.
 func (p PerfFraction) Select(stats []PageStats, capacity int) []uint64 {
@@ -156,10 +158,10 @@ func StaticPolicies() []Policy {
 
 // PolicyByName resolves a policy Name() back to the policy — the inverse
 // needed to execute a policy run from a wire descriptor on another node.
-// Every named lineup policy resolves; "perf-fraction-F" resolves only when
-// the parsed fraction renders back to the same name (true for the eighths
-// Figure 1 sweeps; a fraction that loses precision at three decimals would
-// silently select a different page set, so it reports false instead).
+// Every named lineup policy resolves, and so does every PerfFraction's
+// name; "perf-fraction-F" resolves only in the canonical form Name renders
+// ("perf-fraction-0.1", not "perf-fraction-0.100"), so one policy has one
+// name.
 func PolicyByName(name string) (Policy, bool) {
 	for _, p := range StaticPolicies() {
 		if p.Name() == name {

@@ -5,7 +5,6 @@ import (
 
 	"hmem/internal/annotate"
 	"hmem/internal/core"
-	"hmem/internal/obs"
 	"hmem/internal/report"
 	"hmem/internal/sim"
 	"hmem/internal/stats"
@@ -15,39 +14,20 @@ import (
 // annotationRun performs the §7 experiment for one workload: profile, pick
 // structures to annotate, pin their pages, and run with migrations disabled
 // for pinned pages (here: no migrator at all, matching the paper's static
-// annotation evaluation).
+// annotation evaluation). A worker re-derives the same pins from its own
+// (bit-identical) profile, so only the result crosses the wire.
 func (r *Runner) annotationRun(ctx context.Context, spec workload.Spec) (sim.Result, []annotate.Annotation, error) {
 	prof, err := r.ProfileOf(ctx, spec)
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
 	ann, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages()))
-
-	res, err := r.runs.DoCtx(ctx, "annotation/"+spec.Name, func() (sim.Result, error) {
-		runCtx := obs.Detach(ctx)
-		// Delegable: a worker re-derives the same pins from its own
-		// (bit-identical) profile, so only the result crosses the wire.
-		if p, ok, err := r.delegateBlock(runCtx, BlockKey{Kind: BlockAnnotation, Workload: spec.Name}); err != nil {
-			return sim.Result{}, err
-		} else if ok {
-			return p.Result, nil
-		}
-		res, _, err := r.simulate(context.Background(), spec, pins, true, nil)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return r.score(runCtx, res)
-	})
+	res, err := resultOf(r.run(ctx, spec, Block{Kind: BlockAnnotation, Workload: spec.Name}, true,
+		func(*Profile) placement { return placement{pages: pins, pin: true} }))
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
 	return res, ann, nil
-}
-
-// RunAnnotation exposes the §7 annotation run for the facade.
-func (r *Runner) RunAnnotation(ctx context.Context, spec workload.Spec) (sim.Result, error) {
-	res, _, err := r.annotationRun(ctx, spec)
-	return res, err
 }
 
 // Figure16 compares annotation-based placement against the perf-focused

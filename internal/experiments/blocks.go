@@ -2,74 +2,93 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
 
 	"hmem/internal/core"
 	"hmem/internal/faultsim"
-	"hmem/internal/sim"
 	"hmem/internal/workload"
 )
 
-// This file is the runner's distribution seam. Every expensive memoized
-// building block — profiling runs, static-policy runs, dynamic-mechanism
-// runs, annotation runs, and fault-study Monte-Carlo shards — can be
-// described by a small wire key, executed on any node holding the same
-// binary and options, and merged back bit-identically (Go's encoding/json
-// round-trips float64 exactly, and fault tallies are integers). A Runner
-// with a Delegate installed offers each block to it first; ErrNotDelegated
-// (or no delegate) falls back to local computation, so a coordinator without
-// workers degrades to exactly the standalone behavior.
+// This file is the runner's distribution seam. Every expensive building
+// block — profiling runs, static-policy runs, dynamic-mechanism runs,
+// annotation runs, and fault-study Monte-Carlo shards — is described by one
+// Block, executed on any node holding the same binary and options, and
+// merged back bit-identically (Go's encoding/json round-trips float64
+// exactly, and fault tallies are integers). A Runner with a Delegate
+// installed offers each block to it first; ErrNotDelegated (or no delegate)
+// falls back to local computation, so a coordinator without workers
+// degrades to exactly the standalone behavior.
 
-// BlockKind names a delegable building block.
+// BlockKind names a kind of Block.
 type BlockKind string
 
 const (
 	// BlockProfile is a workload's DDR-only oracle profiling run.
 	BlockProfile BlockKind = "profile"
-	// BlockStatic is a static-policy placement run; Policy is the policy name.
+	// BlockStatic is a static-policy placement run; Name is the policy name.
 	BlockStatic BlockKind = "static"
-	// BlockDynamic is a migration run; Policy is the mechanism memo name.
+	// BlockDynamic is a migration run; Name is the mechanism name.
 	BlockDynamic BlockKind = "dynamic"
 	// BlockAnnotation is the §7 annotation-pinning run.
 	BlockAnnotation BlockKind = "annotation"
+	// BlockAnnotatedMigration is the §7 extension: annotation pins plus
+	// Full Counter migration over the remaining HBM frames.
+	BlockAnnotatedMigration BlockKind = "annotation+fc"
+	// BlockFaultShard is one Monte-Carlo shard (Job) of tier Tier's fault
+	// study.
+	BlockFaultShard BlockKind = "fault-shard"
 )
 
-// BlockKey identifies one delegable block within a fixed option set.
-type BlockKey struct {
+// Block is the unit of distributable work within a fixed option set: one
+// memoized simulation or one fault-study shard. The same value is the
+// runner's memo key, names its span ("experiments.<kind>"), is what a
+// Delegate ships, and is the work a cluster shard carries.
+type Block struct {
 	Kind     BlockKind `json:"kind"`
-	Workload string    `json:"workload"`
-	Policy   string    `json:"policy,omitempty"`
+	Workload string    `json:"workload,omitempty"`
+	// Name is the static policy's or the dynamic mechanism's name.
+	Name string `json:"name,omitempty"`
+	// Tier and Job select a fault-study shard.
+	Tier int               `json:"tier,omitempty"`
+	Job  faultsim.ShardJob `json:"job"`
 }
 
-// BlockPayload is a block's result as shipped between nodes: the scored
-// run the worker memoized, without a snapshot. Profile blocks also carry
-// the workload's structure layout and per-page stats (placement and
-// annotation need them). The worker scores with its own fits, which the
-// options-digest check on every shard makes equal to the coordinator's.
-type BlockPayload struct {
-	Result     sim.Result           `json:"result"`
-	Structures []workload.Structure `json:"structures,omitempty"`
-	Stats      []core.PageStats     `json:"stats,omitempty"`
+// Validate rejects blocks that no node could execute: a simulation block
+// needs a workload, a static or dynamic one also a name, and a fault shard
+// positive trials and stratum.
+func (b Block) Validate() error {
+	var complete bool
+	switch b.Kind {
+	case BlockProfile, BlockAnnotation, BlockAnnotatedMigration:
+		complete = b.Workload != ""
+	case BlockStatic, BlockDynamic:
+		complete = b.Workload != "" && b.Name != ""
+	case BlockFaultShard:
+		complete = b.Job.N > 0 && b.Job.K >= 1
+	default:
+		return fmt.Errorf("experiments: unknown block kind %q", b.Kind)
+	}
+	if !complete {
+		return fmt.Errorf("experiments: incomplete %s block %+v", b.Kind, b)
+	}
+	return nil
 }
 
 // ErrNotDelegated is the Delegate's "compute it locally" answer. It must be
-// returned for any shard the delegate cannot currently place (no live
-// workers, unresolvable mechanism) — any other error is treated as the
-// block's deterministic outcome and propagated.
+// returned for any block the delegate cannot currently place (no live
+// workers) — any other error is treated as the block's deterministic
+// outcome and propagated.
 var ErrNotDelegated = errors.New("experiments: block not delegated")
 
-// Delegate executes building blocks somewhere else — in practice the hmemd
-// coordinator's cluster scheduler. Implementations must return payloads that
-// are bit-identical to local execution (the service guards this with an
-// options-digest check on every shard).
+// Delegate executes blocks somewhere else — in practice the hmemd
+// coordinator's cluster scheduler. Run returns each block's payload, in
+// block order, as Execute encodes it; payloads must be bit-identical to
+// local execution (the service guards this with an options-digest check on
+// every shard).
 type Delegate interface {
-	// RunBlock executes one simulation block remotely.
-	RunBlock(ctx context.Context, key BlockKey) (*BlockPayload, error)
-	// RunStudyShards executes a tier's fault-study Monte-Carlo shards
-	// remotely, returning tallies in job order.
-	RunStudyShards(ctx context.Context, tier int, jobs []faultsim.ShardJob) ([]faultsim.ShardTally, error)
+	Run(ctx context.Context, blocks []Block) ([]json.RawMessage, error)
 }
 
 // SetDelegate installs the distribution delegate. Install before serving
@@ -80,69 +99,88 @@ func (r *Runner) SetDelegate(d Delegate) {
 	r.delegateMu.Unlock()
 }
 
-func (r *Runner) getDelegate() Delegate {
+// offer hands blocks to the delegate. ok reports whether the payloads
+// answer them; (nil, false, nil) means "compute locally".
+func (r *Runner) offer(ctx context.Context, blocks ...Block) (payloads []json.RawMessage, ok bool, err error) {
 	r.delegateMu.RLock()
-	defer r.delegateMu.RUnlock()
-	return r.delegate
-}
-
-// delegateBlock offers a block to the delegate. ok reports whether the
-// payload answers the block; (false, nil) means "compute locally".
-func (r *Runner) delegateBlock(ctx context.Context, key BlockKey) (*BlockPayload, bool, error) {
-	d := r.getDelegate()
+	d := r.delegate
+	r.delegateMu.RUnlock()
 	if d == nil {
 		return nil, false, nil
 	}
-	p, err := d.RunBlock(ctx, key)
+	payloads, err = d.Run(ctx, blocks)
 	if errors.Is(err, ErrNotDelegated) {
 		return nil, false, nil
 	}
-	if err != nil {
-		return nil, false, err
-	}
-	return p, true, nil
+	return payloads, err == nil, err
 }
 
-// ExecuteBlock runs one block locally by its wire key — the worker side of
-// the distribution seam. Execution flows through the same memoized building
-// blocks as a native request, so a worker's cache warms exactly as if the
-// work had arrived over the normal API.
-func (r *Runner) ExecuteBlock(ctx context.Context, key BlockKey) (*BlockPayload, error) {
-	spec, err := workload.SpecByName(key.Workload)
+// decodePayload reads a delegated simulation block's payload: a Profile
+// for a profile block, the scored sim.Result for any other.
+func decodePayload(b Block, raw json.RawMessage) (*Profile, error) {
+	p := &Profile{}
+	var into any = &p.Result
+	if b.Kind == BlockProfile {
+		into = p
+	}
+	if err := json.Unmarshal(raw, into); err != nil {
+		return nil, fmt.Errorf("experiments: undecodable %s payload: %w", b.Kind, err)
+	}
+	return p, nil
+}
+
+// Execute runs one block locally and returns its JSON payload — the worker
+// side of the distribution seam. A profile block's payload is its Profile,
+// a fault shard's its faultsim.ShardTally, and any other block's its scored
+// sim.Result. Simulations flow through the same memoized paths as a native
+// request, so a worker's cache warms exactly as if the work had arrived
+// over the normal API.
+func (r *Runner) Execute(ctx context.Context, b Block) (json.RawMessage, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	v, err := r.execute(ctx, b)
 	if err != nil {
 		return nil, err
 	}
-	switch key.Kind {
+	return json.Marshal(v)
+}
+
+// execute runs a valid block through its memoized path (a fault shard
+// through its tier's study) and returns the value Execute encodes.
+func (r *Runner) execute(ctx context.Context, b Block) (any, error) {
+	if b.Kind == BlockFaultShard {
+		study, ok, err := r.StudyForTier(b.Tier)
+		switch {
+		case err != nil:
+			return nil, err
+		case !ok:
+			return nil, fmt.Errorf("experiments: tier %d has a fixed FIT, no study to shard", b.Tier)
+		case b.Job.K > study.MaxFaults:
+			return nil, fmt.Errorf("experiments: invalid shard job %+v", b.Job)
+		}
+		return study.RunShard(b.Job), nil
+	}
+	spec, err := workload.SpecByName(b.Workload)
+	if err != nil {
+		return nil, err
+	}
+	switch b.Kind {
 	case BlockProfile:
-		prof, err := r.ProfileOf(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		return &BlockPayload{Result: prof.Result, Structures: prof.Structures, Stats: prof.Stats}, nil
+		return r.ProfileOf(ctx, spec)
 	case BlockStatic:
-		policy, ok := core.PolicyByName(key.Policy)
+		policy, ok := core.PolicyByName(b.Name)
 		if !ok {
-			return nil, fmt.Errorf("experiments: unresolvable static policy %q", key.Policy)
+			return nil, fmt.Errorf("experiments: unresolvable static policy %q", b.Name)
 		}
-		res, err := r.RunStatic(ctx, spec, policy)
-		if err != nil {
-			return nil, err
-		}
-		return &BlockPayload{Result: res}, nil
+		return r.RunStatic(ctx, spec, policy)
 	case BlockDynamic:
-		res, err := r.runMechanism(ctx, spec, key.Policy)
-		if err != nil {
-			return nil, err
-		}
-		return &BlockPayload{Result: res}, nil
+		return r.runMechanism(ctx, spec, b.Name)
 	case BlockAnnotation:
-		res, err := r.RunAnnotation(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		return &BlockPayload{Result: res}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown block kind %q", key.Kind)
+		res, _, err := r.annotationRun(ctx, spec)
+		return res, err
+	default: // BlockAnnotatedMigration: Validate admits no other kind
+		return r.annotatedMigrationRun(ctx, spec)
 	}
 }
 
@@ -160,29 +198,4 @@ func (r *Runner) StudyForTier(tier int) (study *faultsim.Study, ok bool, err err
 	s := faultsim.NewStudy(td.Org, faultsim.SridharanTransient(), td.FaultSeed)
 	s.Workers = r.opts.Parallel
 	return s, true, nil
-}
-
-// RunStudyShard executes one fault-study Monte-Carlo shard locally by wire
-// coordinates — the worker side of fault-study distribution.
-func (r *Runner) RunStudyShard(tier int, job faultsim.ShardJob) (faultsim.ShardTally, error) {
-	study, ok, err := r.StudyForTier(tier)
-	if err != nil {
-		return faultsim.ShardTally{}, err
-	}
-	if !ok {
-		return faultsim.ShardTally{}, fmt.Errorf("experiments: tier %d has a fixed FIT, no study to shard", tier)
-	}
-	if job.N <= 0 || job.K < 1 || job.K > study.MaxFaults {
-		return faultsim.ShardTally{}, fmt.Errorf("experiments: invalid shard job %+v", job)
-	}
-	return study.RunShard(job), nil
-}
-
-// delegableStatic reports whether a static policy can be delegated: its name
-// must resolve back to an identical policy on the remote side. This guards
-// the one lossy case — a PerfFraction whose fraction does not survive the
-// three-decimal name rendering would select different pages remotely.
-func delegableStatic(policy core.Policy) bool {
-	resolved, ok := core.PolicyByName(policy.Name())
-	return ok && reflect.DeepEqual(resolved, policy)
 }

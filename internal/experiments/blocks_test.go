@@ -9,52 +9,33 @@ import (
 
 	"hmem/internal/core"
 	"hmem/internal/faultsim"
+	"hmem/internal/obs"
 	"hmem/internal/workload"
 )
 
-// wireDelegate simulates the cluster path inside one process: every block is
-// JSON round-tripped (as the HTTP transport would) and executed on a second,
-// independent Runner built from the same options — the worker.
+// wireDelegate simulates the cluster path inside one process: every block
+// is JSON round-tripped (as the HTTP transport would) and executed on a
+// second, independent Runner built from the same options — the worker.
 type wireDelegate struct {
 	worker *Runner
-	blocks int
-	shards int
+	kinds  map[BlockKind]int
 }
 
-func (d *wireDelegate) RunBlock(ctx context.Context, key BlockKey) (*BlockPayload, error) {
-	d.blocks++
-	p, err := d.worker.ExecuteBlock(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return nil, err
-	}
-	var out BlockPayload
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-func (d *wireDelegate) RunStudyShards(ctx context.Context, tier int, jobs []faultsim.ShardJob) ([]faultsim.ShardTally, error) {
-	d.shards += len(jobs)
-	out := make([]faultsim.ShardTally, len(jobs))
-	for i, j := range jobs {
-		t, err := d.worker.RunStudyShard(tier, j)
+func (d *wireDelegate) Run(ctx context.Context, blocks []Block) ([]json.RawMessage, error) {
+	out := make([]json.RawMessage, len(blocks))
+	for i, b := range blocks {
+		raw, err := json.Marshal(b)
 		if err != nil {
 			return nil, err
 		}
-		raw, err := json.Marshal(t)
-		if err != nil {
+		var wire Block
+		if err := json.Unmarshal(raw, &wire); err != nil {
 			return nil, err
 		}
-		var rt faultsim.ShardTally
-		if err := json.Unmarshal(raw, &rt); err != nil {
+		d.kinds[wire.Kind]++
+		if out[i], err = d.worker.Execute(ctx, wire); err != nil {
 			return nil, err
 		}
-		out[i] = rt
 	}
 	return out, nil
 }
@@ -68,8 +49,8 @@ func blockTestOptions() Options {
 }
 
 // TestDelegatedBlocksBitIdentical is the cluster correctness contract at the
-// experiments layer: every delegable block, executed on a different runner
-// and shipped through JSON, must be bit-identical to local execution.
+// experiments layer: every block kind, executed on a different runner and
+// shipped through JSON, must be bit-identical to local execution.
 func TestDelegatedBlocksBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
@@ -77,98 +58,58 @@ func TestDelegatedBlocksBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	local := mustRunner(t, blockTestOptions())
 	coord := mustRunner(t, blockTestOptions())
-	deleg := &wireDelegate{worker: mustRunner(t, blockTestOptions())}
+	deleg := &wireDelegate{worker: mustRunner(t, blockTestOptions()), kinds: map[BlockKind]int{}}
 	coord.SetDelegate(deleg)
 
 	spec, err := workload.SpecByName("astar")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	lp, err := local.ProfileOf(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := coord.ProfileOf(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lp, cp) {
-		t.Error("delegated profile differs from local")
-	}
-
-	for _, policy := range []core.Policy{core.PerfFocused{}, core.Balanced{}, core.PerfFraction{F: 0.5}} {
-		lr, err := local.RunStatic(ctx, spec, policy)
+	same := func(what string, run func(r *Runner) (any, error)) {
+		t.Helper()
+		lv, err := run(local)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cr, err := coord.RunStatic(ctx, spec, policy)
+		cv, err := run(coord)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(lr, cr) {
-			t.Errorf("delegated static %s differs from local", policy.Name())
+		if !reflect.DeepEqual(lv, cv) {
+			t.Errorf("delegated %s differs from local", what)
 		}
 	}
 
+	same("profile", func(r *Runner) (any, error) { return r.ProfileOf(ctx, spec) })
+	for _, policy := range []core.Policy{core.PerfFocused{}, core.Balanced{}, core.PerfFraction{F: 0.5}, core.PerfFraction{F: 1.0 / 3.0}} {
+		same("static "+policy.Name(), func(r *Runner) (any, error) { return r.RunStatic(ctx, spec, policy) })
+	}
 	for _, mech := range []string{mechFC, mechCC} {
 		build, warm, ok := mechanismByName(mech, local.opts)
 		if !ok {
 			t.Fatalf("mechanismByName(%q) unresolvable", mech)
 		}
-		lr, err := local.RunDynamic(ctx, spec, mech, build, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cr, err := coord.RunDynamic(ctx, spec, mech, build, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(lr, cr) {
-			t.Errorf("delegated dynamic %s differs from local", mech)
-		}
+		same("dynamic "+mech, func(r *Runner) (any, error) { return r.RunDynamic(ctx, spec, mech, build, warm) })
 	}
+	same("annotation", func(r *Runner) (any, error) {
+		res, _, err := r.annotationRun(ctx, spec)
+		return res, err
+	})
+	same("annotation+fc", func(r *Runner) (any, error) { return r.annotatedMigrationRun(ctx, spec) })
+	same("fault study", func(r *Runner) (any, error) { return r.Fits(ctx) })
 
-	la, err := local.RunAnnotation(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, err := coord.RunAnnotation(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(la, ca) {
-		t.Error("delegated annotation differs from local")
-	}
-
-	lf, err := local.Fits(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf, err := coord.Fits(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lf, cf) {
-		t.Error("delegated fault study differs from local")
-	}
-
-	if deleg.blocks == 0 || deleg.shards == 0 {
-		t.Errorf("delegate not exercised: %d blocks, %d shards", deleg.blocks, deleg.shards)
+	for _, kind := range []BlockKind{BlockProfile, BlockStatic, BlockDynamic, BlockAnnotation, BlockAnnotatedMigration, BlockFaultShard} {
+		if deleg.kinds[kind] == 0 {
+			t.Errorf("no %s block was delegated (delegated: %v)", kind, deleg.kinds)
+		}
 	}
 }
 
-type funcDelegate struct {
-	block func(context.Context, BlockKey) (*BlockPayload, error)
-	study func(context.Context, int, []faultsim.ShardJob) ([]faultsim.ShardTally, error)
-}
+// funcDelegate answers every offer with one function.
+type funcDelegate func(context.Context, []Block) ([]json.RawMessage, error)
 
-func (d funcDelegate) RunBlock(ctx context.Context, key BlockKey) (*BlockPayload, error) {
-	return d.block(ctx, key)
-}
-
-func (d funcDelegate) RunStudyShards(ctx context.Context, tier int, jobs []faultsim.ShardJob) ([]faultsim.ShardTally, error) {
-	return d.study(ctx, tier, jobs)
+func (d funcDelegate) Run(ctx context.Context, blocks []Block) ([]json.RawMessage, error) {
+	return d(ctx, blocks)
 }
 
 func TestDelegateNotDelegatedFallsBackLocally(t *testing.T) {
@@ -177,17 +118,11 @@ func TestDelegateNotDelegatedFallsBackLocally(t *testing.T) {
 	}
 	ctx := context.Background()
 	r := mustRunner(t, blockTestOptions())
-	calls := 0
-	r.SetDelegate(funcDelegate{
-		block: func(context.Context, BlockKey) (*BlockPayload, error) {
-			calls++
-			return nil, ErrNotDelegated
-		},
-		study: func(context.Context, int, []faultsim.ShardJob) ([]faultsim.ShardTally, error) {
-			calls++
-			return nil, ErrNotDelegated
-		},
-	})
+	kinds := map[BlockKind]int{}
+	r.SetDelegate(funcDelegate(func(_ context.Context, blocks []Block) ([]json.RawMessage, error) {
+		kinds[blocks[0].Kind]++
+		return nil, ErrNotDelegated
+	}))
 	spec, err := workload.SpecByName("astar")
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +133,8 @@ func TestDelegateNotDelegatedFallsBackLocally(t *testing.T) {
 	if _, err := r.Fits(ctx); err != nil {
 		t.Fatalf("local fallback failed: %v", err)
 	}
-	if calls == 0 {
-		t.Error("delegate never offered any block")
+	if kinds[BlockStatic] == 0 || kinds[BlockFaultShard] == 0 {
+		t.Errorf("delegate not offered both a static block and fault shards: %v", kinds)
 	}
 }
 
@@ -209,10 +144,7 @@ func TestDelegateErrorPropagates(t *testing.T) {
 	}
 	boom := errors.New("digest mismatch on worker")
 	r := mustRunner(t, blockTestOptions())
-	r.SetDelegate(funcDelegate{
-		block: func(context.Context, BlockKey) (*BlockPayload, error) { return nil, boom },
-		study: func(context.Context, int, []faultsim.ShardJob) ([]faultsim.ShardTally, error) { return nil, boom },
-	})
+	r.SetDelegate(funcDelegate(func(context.Context, []Block) ([]json.RawMessage, error) { return nil, boom }))
 	spec, err := workload.SpecByName("astar")
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +154,89 @@ func TestDelegateErrorPropagates(t *testing.T) {
 	}
 	if _, err := r.Fits(context.Background()); !errors.Is(err, boom) {
 		t.Errorf("fits: want delegate error, got %v", err)
+	}
+}
+
+// TestAnnotationRunsReachTelemetry: both annotation simulations run under
+// the requester's observability — counted on its registry and traced under
+// their block's span.
+func TestAnnotationRunsReachTelemetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full simulations")
+	}
+	reg := obs.NewRegistry()
+	r := mustRunner(t, blockTestOptions())
+	if _, err := r.Evaluate(obs.WithRegistry(context.Background(), reg), "astar", PolicyAnnotation); err != nil {
+		t.Fatal(err)
+	}
+	// The profile and the annotation run.
+	if got := reg.Counter("hmem_sim_runs_total", "").Value(); got != 2 {
+		t.Errorf("hmem_sim_runs_total = %d after an annotation evaluation, want 2", got)
+	}
+
+	spec, err := workload.SpecByName("astar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		kind BlockKind
+		run  func(context.Context, *Runner) error
+	}{
+		{BlockAnnotation, func(ctx context.Context, r *Runner) error {
+			_, err := r.Evaluate(ctx, "astar", PolicyAnnotation)
+			return err
+		}},
+		{BlockAnnotatedMigration, func(ctx context.Context, r *Runner) error {
+			_, err := r.annotatedMigrationRun(ctx, spec)
+			return err
+		}},
+	} {
+		ring := obs.NewRing(1 << 14)
+		ctx := obs.WithTracer(context.Background(), obs.NewTracer("annotation", ring))
+		if err := tc.run(ctx, mustRunner(t, blockTestOptions())); err != nil {
+			t.Fatal(err)
+		}
+		spans := ring.Snapshot("annotation")
+		name := "experiments." + string(tc.kind)
+		blocks := map[uint64]bool{}
+		for _, sp := range spans {
+			if sp.Name == name {
+				blocks[sp.Span] = true
+			}
+		}
+		nested := false
+		for _, sp := range spans {
+			nested = nested || sp.Name == "sim.run" && blocks[sp.Parent]
+		}
+		if len(blocks) != 1 || !nested {
+			t.Errorf("%d %s spans, sim.run under one: %v", len(blocks), name, nested)
+		}
+	}
+}
+
+// TestPerfFractionRunsDistinct: nearby fractions select different page
+// sets, so each is its own memoized run.
+func TestPerfFractionRunsDistinct(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full simulations")
+	}
+	ctx := context.Background()
+	r := mustRunner(t, blockTestOptions())
+	spec, err := workload.SpecByName("astar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ProfileOf(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	before := r.blocks.Stats().Misses
+	for _, f := range []float64{0.2501, 0.2504} {
+		if _, err := r.RunStatic(ctx, spec, core.PerfFraction{F: f}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.blocks.Stats().Misses - before; got != 2 {
+		t.Errorf("perf-fraction 0.2501 then 0.2504: %d memo misses, want 2", got)
 	}
 }
 
@@ -251,19 +266,48 @@ func TestMechanismByName(t *testing.T) {
 	}
 }
 
+// TestDelegableStatic: a static block is delegated when its policy name
+// resolves on a worker, so every policy the runner can be handed by name
+// must resolve back to an identical policy.
 func TestDelegableStatic(t *testing.T) {
-	for _, p := range core.StaticPolicies() {
-		if !delegableStatic(p) {
-			t.Errorf("lineup policy %s should be delegable", p.Name())
+	policies := append(core.StaticPolicies(),
+		core.PerfFraction{F: 0.25}, core.PerfFraction{F: 1.0 / 3.0}, core.PerfFraction{F: 0.2501})
+	for _, p := range policies {
+		got, ok := core.PolicyByName(p.Name())
+		if !ok || !reflect.DeepEqual(got, p) {
+			t.Errorf("PolicyByName(%q) = %v, %v; want %#v", p.Name(), got, ok, p)
 		}
 	}
-	if !delegableStatic(core.PerfFraction{F: 0.25}) {
-		t.Error("perf-fraction-0.250 should be delegable (name round-trips)")
+}
+
+func TestBlockValidate(t *testing.T) {
+	valid := []Block{
+		{Kind: BlockProfile, Workload: "astar"},
+		{Kind: BlockStatic, Workload: "astar", Name: "balanced"},
+		{Kind: BlockDynamic, Workload: "astar", Name: mechCC},
+		{Kind: BlockAnnotation, Workload: "astar"},
+		{Kind: BlockAnnotatedMigration, Workload: "astar"},
+		{Kind: BlockFaultShard, Tier: 0, Job: faultsim.ShardJob{K: 1, Shard: 0, N: 100}},
 	}
-	// 1/3 does not survive the three-decimal rendering: the remote side
-	// would rebuild a slightly different fraction, so it must stay local.
-	if delegableStatic(core.PerfFraction{F: 1.0 / 3.0}) {
-		t.Error("perf-fraction with non-representable F must not be delegated")
+	for _, b := range valid {
+		if err := b.Validate(); err != nil {
+			t.Errorf("%+v: unexpected error %v", b, err)
+		}
+	}
+	invalid := []Block{
+		{},
+		{Kind: BlockProfile},
+		{Kind: BlockStatic, Workload: "astar"},
+		{Kind: BlockDynamic, Name: mechCC},
+		{Kind: BlockAnnotatedMigration},
+		{Kind: BlockFaultShard, Job: faultsim.ShardJob{K: 0, N: 100}},
+		{Kind: BlockFaultShard, Job: faultsim.ShardJob{K: 1}},
+		{Kind: "nonsense", Workload: "astar"},
+	}
+	for _, b := range invalid {
+		if err := b.Validate(); err == nil {
+			t.Errorf("%+v: accepted", b)
+		}
 	}
 }
 
@@ -276,10 +320,27 @@ func TestStudyForTierAndShardValidation(t *testing.T) {
 	if _, _, err := r.StudyForTier(99); err == nil {
 		t.Error("out-of-range tier should error")
 	}
-	if _, err := r.RunStudyShard(0, faultsim.ShardJob{K: 0, Shard: 0, N: 10}); err == nil {
+	shard := func(tier, k int) Block {
+		return Block{Kind: BlockFaultShard, Tier: tier, Job: faultsim.ShardJob{K: k, Shard: 0, N: 10}}
+	}
+	if _, err := r.Execute(context.Background(), shard(0, 0)); err == nil {
 		t.Error("K=0 shard should be rejected")
 	}
-	if _, err := r.RunStudyShard(0, faultsim.ShardJob{K: study.MaxFaults + 1, Shard: 0, N: 10}); err == nil {
+	if _, err := r.Execute(context.Background(), shard(0, study.MaxFaults+1)); err == nil {
 		t.Error("K beyond MaxFaults should be rejected")
+	}
+	if _, err := r.Execute(context.Background(), shard(99, 1)); err == nil {
+		t.Error("shard of an out-of-range tier should be rejected")
+	}
+	raw, err := r.Execute(context.Background(), shard(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tally faultsim.ShardTally
+	if err := json.Unmarshal(raw, &tally); err != nil {
+		t.Fatal(err)
+	}
+	if want := study.RunShard(faultsim.ShardJob{K: 1, Shard: 0, N: 10}); !reflect.DeepEqual(tally, want) {
+		t.Errorf("executed shard tally %+v, want %+v", tally, want)
 	}
 }

@@ -84,7 +84,7 @@ func (r *Runner) Evaluate(ctx context.Context, workloadName string, policy Polic
 	case PolicyCCMigration:
 		res, err = r.runMechanism(ctx, spec, mechCC)
 	case PolicyAnnotation:
-		res, err = r.RunAnnotation(ctx, spec)
+		res, _, err = r.annotationRun(ctx, spec)
 	default:
 		return Result{}, fmt.Errorf("experiments: unknown policy %q", policy)
 	}

@@ -79,21 +79,12 @@ func (r *Runner) ExtensionAnnotatedMigration(ctx context.Context) (*report.Table
 // annotatedMigrationRun pins the annotated structures and lets the FC
 // mechanism manage the remaining HBM frames.
 func (r *Runner) annotatedMigrationRun(ctx context.Context, spec workload.Spec) (sim.Result, error) {
-	return r.runs.DoCtx(ctx, "annotation+fc/"+spec.Name, func() (sim.Result, error) {
-		// Background, not ctx: the computation is shared once started and a
-		// cached ctx.Err() would poison the key (see Memo.DoCtx).
-		prof, err := r.ProfileOf(context.Background(), spec)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		// Pin annotations into at most half of HBM so the migration mechanism
-		// has frames to work with.
-		_, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages())/2)
-		build, _, _ := mechanismByName(mechFC, r.opts)
-		res, _, err := r.simulate(context.Background(), spec, pins, true, build())
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return r.score(context.Background(), res)
-	})
+	return resultOf(r.run(ctx, spec, Block{Kind: BlockAnnotatedMigration, Workload: spec.Name}, true,
+		func(prof *Profile) placement {
+			// Pin annotations into at most half of HBM so the migration
+			// mechanism has frames to work with.
+			_, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages())/2)
+			build, _, _ := mechanismByName(mechFC, r.opts)
+			return placement{pages: pins, pin: true, mig: build()}
+		}))
 }

@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -90,9 +91,11 @@ type Runner struct {
 	topo  *core.Topology
 	specs []workload.Spec
 
-	fits     exec.Memo[struct{}, faultsim.TierFITs]
-	profiles exec.Memo[string, *Profile]
-	runs     exec.Memo[string, sim.Result]
+	fits exec.Memo[struct{}, faultsim.TierFITs]
+	// blocks memoizes every simulation by its Block (see run). A profile
+	// block's entry keeps the whole Profile; any other block's keeps only
+	// Result.
+	blocks exec.Memo[Block, *Profile]
 
 	// recordings holds the workloads' recorded traces; counters and the
 	// wrap seam live in recordings.go.
@@ -108,8 +111,8 @@ type Runner struct {
 	traceWrapMu sync.RWMutex
 	traceWrap   func(workloadName string, s trace.Stream) trace.Stream
 
-	// delegate, when set, is offered every building block before local
-	// computation (the cluster distribution seam, see blocks.go).
+	// delegate, when set, is offered every block before local computation
+	// (the cluster distribution seam, see blocks.go).
 	delegateMu sync.RWMutex
 	delegate   Delegate
 
@@ -126,9 +129,9 @@ type Runner struct {
 // serializable — a Profile computed on any cluster node is bit-identical to
 // a local one.
 type Profile struct {
-	Structures []workload.Structure
-	Result     sim.Result
-	Stats      []core.PageStats
+	Structures []workload.Structure `json:"structures"`
+	Result     sim.Result           `json:"result"`
+	Stats      []core.PageStats     `json:"stats"`
 }
 
 // NewRunner builds a runner; zero-value options fall back to defaults. It
@@ -257,24 +260,32 @@ func (r *Runner) Fits(ctx context.Context) (faultsim.TierFITs, error) {
 // finishes the Poisson math locally — byte-identical to a local run at any
 // worker count. ErrNotDelegated (or no delegate) runs the study locally.
 func (r *Runner) runStudy(ctx context.Context, tier int, study *faultsim.Study) (faultsim.Result, error) {
-	if d := r.getDelegate(); d != nil {
-		jobs := study.Shards(r.opts.FaultTrials)
-		tallies, err := d.RunStudyShards(ctx, tier, jobs)
-		switch {
-		case err == nil:
-			return study.Combine(jobs, tallies, r.opts.FaultTrials)
-		case !errors.Is(err, ErrNotDelegated):
-			return faultsim.Result{}, err
+	jobs := study.Shards(r.opts.FaultTrials)
+	blocks := make([]Block, len(jobs))
+	for i, j := range jobs {
+		blocks[i] = Block{Kind: BlockFaultShard, Tier: tier, Job: j}
+	}
+	payloads, ok, err := r.offer(ctx, blocks...)
+	if err != nil {
+		return faultsim.Result{}, err
+	}
+	if !ok {
+		return study.RunCtx(ctx, r.opts.FaultTrials)
+	}
+	tallies := make([]faultsim.ShardTally, len(payloads))
+	for i, raw := range payloads {
+		if err := json.Unmarshal(raw, &tallies[i]); err != nil {
+			return faultsim.Result{}, fmt.Errorf("experiments: undecodable fault-shard payload: %w", err)
 		}
 	}
-	return study.RunCtx(ctx, r.opts.FaultTrials)
+	return study.Combine(jobs, tallies, r.opts.FaultTrials)
 }
 
-// CacheStats aggregates the hit/miss counters of the runner's three memo
-// caches (fault study, profiles, policy runs) — the work-sharing counter
+// CacheStats aggregates the hit/miss counters of the runner's memo caches
+// (fault study, simulation blocks) — the work-sharing counter
 // cmd/experiments prints after a run and hmemd exports on /metrics.
 func (r *Runner) CacheStats() exec.MemoStats {
-	return r.fits.Stats().Add(r.profiles.Stats()).Add(r.runs.Stats())
+	return r.fits.Stats().Add(r.blocks.Stats())
 }
 
 // simulate runs one simulation of the workload's trace, returning the
@@ -310,95 +321,96 @@ func (r *Runner) score(ctx context.Context, res sim.Result) (sim.Result, error) 
 	return res, nil
 }
 
-// ProfileOf returns the memoized DDR-only profiling run for a workload.
-func (r *Runner) ProfileOf(ctx context.Context, spec workload.Spec) (*Profile, error) {
-	return r.profiles.DoCtx(ctx, spec.Name, func() (*Profile, error) {
+// placement is where a run starts: the pages placed in HBM, whether they
+// are pinned there, and the migrator (nil for none).
+type placement struct {
+	pages []uint64
+	pin   bool
+	mig   sim.Migrator
+}
+
+// run is the one path of every memoized simulation. On a memo miss it
+// detaches from the requester's cancellation, opens the block's span,
+// offers the block to the delegate when it is delegable (its name resolves
+// on a worker), and otherwise simulates locally and scores. Every block but
+// the profile starts from place applied to the workload's profile; a
+// profile block keeps its structures and per-page stats.
+func (r *Runner) run(ctx context.Context, spec workload.Spec, b Block, delegable bool, place func(*Profile) placement) (*Profile, error) {
+	return r.blocks.DoCtx(ctx, b, func() (*Profile, error) {
 		runCtx := obs.Detach(ctx)
 		if obs.Enabled(runCtx) {
 			var sp *obs.Span
-			runCtx, sp = obs.Start(runCtx, "experiments.profile", obs.Str("workload", spec.Name))
+			runCtx, sp = obs.Start(runCtx, "experiments."+string(b.Kind),
+				obs.Str("workload", b.Workload), obs.Str("name", b.Name))
 			defer sp.End()
 		}
-		if p, ok, err := r.delegateBlock(runCtx, BlockKey{Kind: BlockProfile, Workload: spec.Name}); err != nil {
-			return nil, err
-		} else if ok {
-			return &Profile{Structures: p.Structures, Result: p.Result, Stats: p.Stats}, nil
+		if delegable {
+			if payloads, ok, err := r.offer(runCtx, b); err != nil || ok {
+				if err != nil {
+					return nil, err
+				}
+				return decodePayload(b, payloads[0])
+			}
 		}
-		res, structures, err := r.simulate(runCtx, spec, nil, false, nil)
+		var at placement
+		if b.Kind != BlockProfile {
+			prof, err := r.ProfileOf(runCtx, spec)
+			if err != nil {
+				return nil, err
+			}
+			at = place(prof)
+		}
+		res, structures, err := r.simulate(runCtx, spec, at.pages, at.pin, at.mig)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: profiling %s: %w", spec.Name, err)
+			return nil, fmt.Errorf("experiments: %s %s %s: %w", b.Kind, spec.Name, b.Name, err)
 		}
-		stats := res.Stats()
-		if res, err = r.score(runCtx, res); err != nil {
+		p := &Profile{}
+		if b.Kind == BlockProfile {
+			p.Structures, p.Stats = structures, res.Stats()
+		}
+		if p.Result, err = r.score(runCtx, res); err != nil {
 			return nil, err
 		}
-		return &Profile{Structures: structures, Result: res, Stats: stats}, nil
+		return p, nil
 	})
+}
+
+// resultOf unwraps a non-profile block's memo entry.
+func resultOf(p *Profile, err error) (sim.Result, error) {
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return p.Result, nil
+}
+
+// ProfileOf returns the memoized DDR-only profiling run for a workload.
+func (r *Runner) ProfileOf(ctx context.Context, spec workload.Spec) (*Profile, error) {
+	return r.run(ctx, spec, Block{Kind: BlockProfile, Workload: spec.Name}, true, nil)
 }
 
 // RunStatic executes (memoized) a static-policy run: the policy selects HBM
 // residents from the oracle profile, and the workload re-runs with that
 // placement fixed.
 func (r *Runner) RunStatic(ctx context.Context, spec workload.Spec, policy core.Policy) (sim.Result, error) {
-	return r.runs.DoCtx(ctx, "static/"+spec.Name+"/"+policy.Name(), func() (sim.Result, error) {
-		runCtx := obs.Detach(ctx)
-		if obs.Enabled(runCtx) {
-			var sp *obs.Span
-			runCtx, sp = obs.Start(runCtx, "experiments.static",
-				obs.Str("workload", spec.Name), obs.Str("policy", policy.Name()))
-			defer sp.End()
-		}
-		if delegableStatic(policy) {
-			if p, ok, err := r.delegateBlock(runCtx, BlockKey{Kind: BlockStatic, Workload: spec.Name, Policy: policy.Name()}); err != nil {
-				return sim.Result{}, err
-			} else if ok {
-				return p.Result, nil
-			}
-		}
-		prof, err := r.ProfileOf(runCtx, spec)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		pages := policy.Select(prof.Stats, int(r.cfg.FastPages()))
-		res, _, err := r.simulate(runCtx, spec, pages, false, nil)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("experiments: %s under %s: %w", spec.Name, policy.Name(), err)
-		}
-		return r.score(runCtx, res)
-	})
+	_, delegable := core.PolicyByName(policy.Name())
+	return resultOf(r.run(ctx, spec, Block{Kind: BlockStatic, Workload: spec.Name, Name: policy.Name()}, delegable,
+		func(prof *Profile) placement {
+			return placement{pages: policy.Select(prof.Stats, int(r.cfg.FastPages()))}
+		}))
 }
 
 // RunDynamic executes (memoized by mechanism name) a migration run. The
 // initial placement warms HBM with the oracle hot set ("we assume a good
 // pre-measurement placement ... the top hot pages from our oracular static
 // placement"), or the hot∧low-risk set for reliability-aware mechanisms.
+// Only a mechanism of mechanismByName's table is delegated: a caller's own
+// migrator does not resolve on a worker.
 func (r *Runner) RunDynamic(ctx context.Context, spec workload.Spec, mech string, build func() sim.Migrator, warm core.Policy) (sim.Result, error) {
-	return r.runs.DoCtx(ctx, "dynamic/"+spec.Name+"/"+mech, func() (sim.Result, error) {
-		runCtx := obs.Detach(ctx)
-		if obs.Enabled(runCtx) {
-			var sp *obs.Span
-			runCtx, sp = obs.Start(runCtx, "experiments.dynamic",
-				obs.Str("workload", spec.Name), obs.Str("mechanism", mech))
-			defer sp.End()
-		}
-		if _, _, resolvable := mechanismByName(mech, r.opts); resolvable {
-			if p, ok, err := r.delegateBlock(runCtx, BlockKey{Kind: BlockDynamic, Workload: spec.Name, Policy: mech}); err != nil {
-				return sim.Result{}, err
-			} else if ok {
-				return p.Result, nil
-			}
-		}
-		prof, err := r.ProfileOf(runCtx, spec)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		pages := warm.Select(prof.Stats, int(r.cfg.FastPages()))
-		res, _, err := r.simulate(runCtx, spec, pages, false, build())
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("experiments: %s under %s: %w", spec.Name, mech, err)
-		}
-		return r.score(runCtx, res)
-	})
+	_, _, delegable := mechanismByName(mech, r.opts)
+	return resultOf(r.run(ctx, spec, Block{Kind: BlockDynamic, Workload: spec.Name, Name: mech}, delegable,
+		func(prof *Profile) placement {
+			return placement{pages: warm.Select(prof.Stats, int(r.cfg.FastPages())), mig: build()}
+		}))
 }
 
 // ErrZeroBaselineSER reports a degenerate fault study: the all-DDR baseline

@@ -14,7 +14,6 @@ import (
 	"hmem/internal/breaker"
 	"hmem/internal/cluster"
 	"hmem/internal/experiments"
-	"hmem/internal/faultsim"
 	"hmem/internal/obs"
 )
 
@@ -196,64 +195,24 @@ func newClusterDelegate(s *Service, opts hmem.Options, digest string) (*clusterD
 	return &clusterDelegate{s: s, digest: digest, options: raw, par: par}, nil
 }
 
-// runShard places one shard, translating "cluster cannot take this" into
-// ErrNotDelegated so the runner recomputes locally. Any other error is the
-// shard's deterministic outcome (worker-side simulation failure, digest
-// mismatch) and propagates.
-func (d *clusterDelegate) runShard(ctx context.Context, sh cluster.Shard) ([]byte, error) {
-	raw, err := d.s.cluster.sched.Run(ctx, sh)
+// Run wraps each block in the engine's shard envelope and places the
+// shards, translating "cluster cannot take this" into ErrNotDelegated so
+// the runner recomputes locally. Any other error is a shard's deterministic
+// outcome (worker-side simulation failure, digest mismatch) and propagates.
+func (d *clusterDelegate) Run(ctx context.Context, blocks []experiments.Block) ([]json.RawMessage, error) {
+	shards := make([]cluster.Shard, len(blocks))
+	for i, b := range blocks {
+		work, err := json.Marshal(b)
+		if err != nil {
+			return nil, err
+		}
+		shards[i] = cluster.Shard{Digest: d.digest, Options: d.options, Work: work}
+	}
+	payloads, err := d.s.cluster.sched.RunAll(ctx, d.par, shards)
 	if errors.Is(err, cluster.ErrNoWorkers) {
 		return nil, experiments.ErrNotDelegated
 	}
-	return raw, err
-}
-
-func (d *clusterDelegate) RunBlock(ctx context.Context, key experiments.BlockKey) (*experiments.BlockPayload, error) {
-	sh := cluster.Shard{
-		Kind:     cluster.Kind(key.Kind),
-		Digest:   d.digest,
-		Options:  d.options,
-		Workload: key.Workload,
-		Policy:   key.Policy,
-	}
-	raw, err := d.runShard(ctx, sh)
-	if err != nil {
-		return nil, err
-	}
-	var p experiments.BlockPayload
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, fmt.Errorf("service: undecodable %s shard payload: %w", sh.Kind, err)
-	}
-	return &p, nil
-}
-
-func (d *clusterDelegate) RunStudyShards(ctx context.Context, tier int, jobs []faultsim.ShardJob) ([]faultsim.ShardTally, error) {
-	shards := make([]cluster.Shard, len(jobs))
-	for i, j := range jobs {
-		shards[i] = cluster.Shard{
-			Kind:    cluster.KindFaultShard,
-			Digest:  d.digest,
-			Options: d.options,
-			Tier:    tier,
-			K:       j.K,
-			Index:   j.Shard,
-			Trials:  j.N,
-		}
-	}
-	out := make([]faultsim.ShardTally, len(jobs))
-	raws, err := d.s.cluster.sched.RunAll(ctx, d.par, shards)
-	if err != nil {
-		if errors.Is(err, cluster.ErrNoWorkers) {
-			return nil, experiments.ErrNotDelegated
-		}
-		return nil, err
-	}
-	for i, raw := range raws {
-		if err := json.Unmarshal(raw, &out[i]); err != nil {
-			return nil, fmt.Errorf("service: undecodable fault-shard payload: %w", err)
-		}
-	}
-	return out, nil
+	return payloads, err
 }
 
 // --- handlers ---
@@ -344,13 +303,14 @@ func (s *Service) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &sh) {
 		return
 	}
-	if err := sh.Validate(); err != nil {
+	var b experiments.Block
+	if err := errors.Join(sh.Validate(), json.Unmarshal(sh.Work, &b), b.Validate()); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	cs.inflight.Add(1)
 	defer cs.inflight.Add(-1)
-	raw, err := s.executeShard(r.Context(), sh)
+	raw, err := s.executeShard(r.Context(), sh, b)
 	if err != nil {
 		var mismatch *digestMismatchError
 		if errors.As(err, &mismatch) {
@@ -376,13 +336,10 @@ func (e *digestMismatchError) Error() string {
 }
 
 // executeShard rebuilds the engine the shard's options describe, guards the
-// digest, and runs the block through the engine's own memoized paths — so a
-// worker's cache warms exactly as local traffic would warm it.
-func (s *Service) executeShard(ctx context.Context, sh cluster.Shard) ([]byte, error) {
+// digest, and executes the block through the engine's own memoized paths —
+// so a worker's cache warms exactly as local traffic would warm it.
+func (s *Service) executeShard(ctx context.Context, sh cluster.Shard, b experiments.Block) (json.RawMessage, error) {
 	var opts hmem.Options
-	if len(sh.Options) == 0 {
-		return nil, errors.New("cluster: shard carries no options")
-	}
 	if err := json.Unmarshal(sh.Options, &opts); err != nil {
 		return nil, fmt.Errorf("cluster: undecodable shard options: %w", err)
 	}
@@ -397,23 +354,5 @@ func (s *Service) executeShard(ctx context.Context, sh cluster.Shard) ([]byte, e
 	// The registry rides along so engine metrics (hmem_*) land on /metrics
 	// on workers too; memo sharing semantics inside the block paths handle
 	// cancellation the same way local traffic does.
-	runCtx := obs.WithRegistry(ctx, s.registry)
-	switch sh.Kind {
-	case cluster.KindFaultShard:
-		tally, err := en.runner.RunStudyShard(sh.Tier, faultsim.ShardJob{K: sh.K, Shard: sh.Index, N: sh.Trials})
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(tally)
-	default:
-		p, err := en.runner.ExecuteBlock(runCtx, experiments.BlockKey{
-			Kind:     experiments.BlockKind(sh.Kind),
-			Workload: sh.Workload,
-			Policy:   sh.Policy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(p)
-	}
+	return en.runner.Execute(obs.WithRegistry(ctx, s.registry), b)
 }

@@ -15,6 +15,7 @@ import (
 	"hmem"
 	"hmem/internal/chaos"
 	"hmem/internal/cluster"
+	"hmem/internal/experiments"
 )
 
 // clusterTestConfig is tinyConfig restricted to two workloads so the
@@ -186,7 +187,7 @@ func TestClusterBatchByteIdentical(t *testing.T) {
 type shardPostRecorder struct {
 	mu    sync.Mutex
 	posts map[string]int
-	kinds map[string]cluster.Kind
+	kinds map[string]experiments.BlockKind
 }
 
 func (rec *shardPostRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -200,9 +201,13 @@ func (rec *shardPostRecorder) RoundTrip(req *http.Request) (*http.Response, erro
 		if err := json.Unmarshal(body, &sh); err != nil {
 			return nil, err
 		}
+		var b experiments.Block
+		if err := json.Unmarshal(sh.Work, &b); err != nil {
+			return nil, err
+		}
 		rec.mu.Lock()
 		rec.posts[sh.Key()]++
-		rec.kinds[sh.Key()] = sh.Kind
+		rec.kinds[sh.Key()] = b.Kind
 		rec.mu.Unlock()
 		req = req.Clone(req.Context())
 		req.Body = io.NopCloser(bytes.NewReader(body))
@@ -218,7 +223,7 @@ func TestClusterBatchPostsEachShardOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations across multiple in-process nodes")
 	}
-	rec := &shardPostRecorder{posts: map[string]int{}, kinds: map[string]cluster.Kind{}}
+	rec := &shardPostRecorder{posts: map[string]int{}, kinds: map[string]experiments.BlockKind{}}
 	coordCfg := clusterTestConfig(RoleCoordinator)
 	coordCfg.Cluster.Transport = rec
 	coord, cc := newTestServer(t, coordCfg)
@@ -243,7 +248,7 @@ func TestClusterBatchPostsEachShardOnce(t *testing.T) {
 		if n != 1 {
 			t.Errorf("%s shard %s posted %d times, want 1", rec.kinds[key], key, n)
 		}
-		if rec.kinds[key] == cluster.KindProfile {
+		if rec.kinds[key] == experiments.BlockProfile {
 			profiles++
 		}
 	}
@@ -385,7 +390,7 @@ func TestClusterEndpointsRefuseWrongRole(t *testing.T) {
 		t.Fatalf("role = %q", coord.Role())
 	}
 	var out json.RawMessage
-	err := cc.do(ctx, "POST", "/v1/cluster/shard", cluster.Shard{Kind: cluster.KindProfile, Workload: "astar", Digest: "x"}, &out)
+	err := cc.do(ctx, "POST", "/v1/cluster/shard", profileShard(t, "x", nil), &out)
 	if err == nil {
 		t.Error("coordinator executed a shard")
 	}
@@ -407,7 +412,7 @@ func TestClusterShardDigestMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := cluster.Shard{Kind: cluster.KindProfile, Workload: "astar", Digest: "deadbeef", Options: raw}
+	sh := profileShard(t, "deadbeef", raw)
 	var out json.RawMessage
 	err = wc.do(context.Background(), "POST", "/v1/cluster/shard", sh, &out)
 	apiErr, ok := err.(*APIError)
@@ -417,4 +422,14 @@ func TestClusterShardDigestMismatch(t *testing.T) {
 	if !strings.Contains(apiErr.Message, "digest mismatch") {
 		t.Fatalf("unexpected message %q", apiErr.Message)
 	}
+}
+
+// profileShard wraps astar's profile block in a shard envelope.
+func profileShard(t *testing.T, digest string, options json.RawMessage) cluster.Shard {
+	t.Helper()
+	work, err := json.Marshal(experiments.Block{Kind: experiments.BlockProfile, Workload: "astar"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cluster.Shard{Digest: digest, Options: options, Work: work}
 }

@@ -44,10 +44,10 @@ func TestClusterShardIgnoresRequesterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := cluster.Shard{Kind: cluster.KindProfile, Workload: "astar", Digest: digest, Options: raw}
+	sh := profileShard(t, digest, raw)
 
 	// Local traffic owns the engine's profile computation, held at the gate.
-	go e.ExecuteBlock(context.Background(), experiments.BlockKey{Kind: experiments.BlockProfile, Workload: "astar"})
+	go e.Execute(context.Background(), experiments.Block{Kind: experiments.BlockProfile, Workload: "astar"})
 	<-entered
 
 	ctxA, cancelA := context.WithCancel(context.Background())
@@ -82,5 +82,30 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never held")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClusterShardRejectsMalformedBlock: a shard whose block no node could
+// execute is a 400, answered before the worker builds an engine for it.
+func TestClusterShardRejectsMalformedBlock(t *testing.T) {
+	svc, wc := newTestServer(t, clusterTestConfig(RoleWorker))
+	opts := clusterTestConfig(RoleWorker).Defaults
+	opts.Seed = 424242 // an option set no engine holds yet
+	raw, err := json.Marshal(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := svc.engineTotals().live
+	for _, work := range []string{`null`, `[]`, `{"kind":"nonsense","workload":"astar"}`,
+		`{"kind":"static","workload":"astar"}`, `{"kind":"fault-shard","job":{"k":0,"n":10}}`} {
+		sh := cluster.Shard{Digest: "d", Options: raw, Work: json.RawMessage(work)}
+		var out json.RawMessage
+		err := wc.do(context.Background(), "POST", "/v1/cluster/shard", sh, &out)
+		if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != 400 {
+			t.Errorf("work %q: got %v, want 400", work, err)
+		}
+	}
+	if got := svc.engineTotals().live; got != live {
+		t.Errorf("malformed shards built engines: %d live, was %d", got, live)
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -192,9 +193,11 @@ func TestWarmStudyPricedFree(t *testing.T) {
 	t.Cleanup(open)
 
 	postRaw(t, c.BaseURL, "/v1/evaluate", seedEvaluate("mcf", hmem.PolicyDDROnly, 11))
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Evaluate(t.Context(), EvaluateRequest{Workload: "astar", Policy: hmem.PolicyDDROnly,
+		_, err := c.Evaluate(ctx, EvaluateRequest{Workload: "astar", Policy: hmem.PolicyDDROnly,
 			Options: &OptionsPatch{Seed: 12}})
 		errc <- err
 	}()

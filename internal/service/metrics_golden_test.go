@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +62,8 @@ func maskMetricsPage(page string) string {
 
 func TestMetricsGolden(t *testing.T) {
 	_, c := newTestServer(t, tinyConfig())
-	ctx := t.Context()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 
 	// A fixed request sequence: one health probe, then one instant job
 	// (hwcost is a prebuilt table — no simulations, exactly one span) run to

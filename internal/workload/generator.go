@@ -36,7 +36,6 @@ type Generator struct {
 	basePage uint64
 
 	structures []Structure
-	pageStruct []uint32 // per-page index into structures
 	pageClass  []uint8
 	pageHash   []uint8 // per-page line-subset offset
 	pageCov    []uint8 // per-page effective coverage (class coverage, jittered)
@@ -82,7 +81,6 @@ func NewGenerator(prof Profile, basePage uint64, records int, seed uint64) (*Gen
 // layout partitions the footprint into class-homogeneous structures.
 func (g *Generator) layout() {
 	n := g.prof.FootprintPages
-	g.pageStruct = make([]uint32, n)
 	g.pageClass = make([]uint8, n)
 	g.pageHash = make([]uint8, n)
 	g.streamPos = make([]uint8, n)
@@ -113,7 +111,6 @@ func (g *Generator) layout() {
 				Pages:     size,
 			})
 			for i := 0; i < size; i++ {
-				g.pageStruct[page] = uint32(len(g.structures) - 1)
 				g.pageClass[page] = uint8(ci)
 				g.pageHash[page] = uint8(g.rng.Uint64n(64))
 				// Per-page jitter keeps neighbouring classes' AVF ranges
