@@ -1,7 +1,8 @@
 // Command workloadstat characterizes the synthetic benchmark profiles: for
-// each benchmark it generates a trace and reports footprint, measured MPKI,
-// read/write mix, structure count, and the hotness skew — the quick sanity
-// view for anyone tuning profiles against new calibration targets.
+// each benchmark it records a trace and reports, from its replay,
+// footprint, measured MPKI, read/write mix, structure count, the hotness
+// skew and the recording's bytes per record — the quick sanity view for
+// anyone tuning profiles against new calibration targets.
 //
 // Usage:
 //
@@ -31,8 +32,8 @@ func main() {
 	if *bench != "" {
 		names = []string{*bench}
 	}
-	fmt.Printf("%-12s %6s %7s %7s %7s %8s %8s %7s\n",
-		"benchmark", "pages", "structs", "MPKI", "writes", "touched", "top1%acc", "gap")
+	fmt.Printf("%-12s %6s %7s %7s %7s %8s %8s %7s %6s\n",
+		"benchmark", "pages", "structs", "MPKI", "writes", "touched", "top1%acc", "gap", "B/rec")
 	for _, name := range names {
 		prof, err := workload.Lookup(name)
 		if err != nil {
@@ -44,10 +45,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "workloadstat:", err)
 			os.Exit(1)
 		}
+		recording := g.Record()
+		replay := recording.Stream()
 		counts := map[uint64]uint64{}
 		var writes, insts, gaps uint64
 		for {
-			rec, err := g.Next()
+			rec, err := replay.Next()
 			if err != nil {
 				break
 			}
@@ -75,7 +78,7 @@ func main() {
 		for _, c := range perPage[:top] {
 			topAcc += c
 		}
-		fmt.Printf("%-12s %6d %7d %7.1f %6.1f%% %8d %7.1f%% %7.1f\n",
+		fmt.Printf("%-12s %6d %7d %7.1f %6.1f%% %8d %7.1f%% %7.1f %6.2f\n",
 			name,
 			prof.FootprintPages,
 			len(g.Structures()),
@@ -84,6 +87,7 @@ func main() {
 			len(counts),
 			100*float64(topAcc)/float64(total),
 			float64(gaps)/float64(*records),
+			float64(recording.Bytes())/float64(*records),
 		)
 	}
 }

@@ -3,8 +3,8 @@ package experiments
 // Trace recordings: every figure runs each workload under several policies,
 // and a simulation consumes its streams, so without sharing each simulation
 // would regenerate its workload's trace. Instead the first simulation of a
-// workload records the trace once, in packed form (8 bytes per record, see
-// workload.Recording), and every simulation of that workload replays the
+// workload records the trace once, in compact form (about 3.3 bytes per
+// record, see workload.Recording), and every simulation of that workload replays the
 // recording — the record-once, replay-per-configuration method of the
 // paper's PinPlay traces. Generators are pure functions of (spec,
 // recordsPerCore, seed), so a replay is bit-identical to a fresh generator
@@ -25,8 +25,8 @@ import (
 )
 
 // recordingBudget bounds the bytes of recordings one Runner keeps. The
-// figure suite at the default options needs 71.7 MB: 14 workloads × 16
-// cores × 40k records × 8 B. A variable only so tests can shrink it.
+// figure suite at the default options needs 29.3 MB: 14 workloads × 16
+// cores × 40k records × 3.27 B. A variable only so tests can shrink it.
 var recordingBudget int64 = 96 << 20
 
 // TraceStats counts trace deliveries: Opens is how many times a workload's
@@ -44,7 +44,7 @@ func (s TraceStats) Add(o TraceStats) TraceStats {
 }
 
 // recording is one workload's recorded trace: the merged structure table and
-// one packed recording per core.
+// one recording per core.
 type recording struct {
 	structures []workload.Structure
 	cores      []*workload.Recording
@@ -164,7 +164,7 @@ func (r *Runner) buildSuiteCtx(ctx context.Context, spec workload.Spec) (*suiteV
 	return v, nil
 }
 
-// record runs the workload's generators once into packed recordings.
+// record runs the workload's generators once into recordings.
 func (r *Runner) record(spec workload.Spec) (*recording, error) {
 	suite, err := spec.Build(r.opts.RecordsPerCore, r.opts.Seed)
 	if err != nil {

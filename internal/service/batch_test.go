@@ -364,30 +364,15 @@ func TestBatchThroughput(t *testing.T) {
 		t.Fatalf("warm-up batch: err=%v summary=%+v", err, sum)
 	}
 
-	const rounds = 8
-	best := func(run func() error) time.Duration {
-		min := time.Duration(1<<63 - 1)
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			if err := run(); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < min {
-				min = d
-			}
-		}
-		return min
-	}
-
-	seqBest := best(func() error {
+	seq := func() error {
 		for _, it := range items {
 			if _, err := pooled.Evaluate(ctx, EvaluateRequest{Workload: it.Workload, Policy: it.Policy}); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-	batchBest := best(func() error {
+	}
+	batch := func() error {
 		_, sum, err := pooled.CollectBatch(ctx, BatchRequest{Items: items})
 		if err != nil {
 			return err
@@ -396,7 +381,22 @@ func TestBatchThroughput(t *testing.T) {
 			return fmt.Errorf("batch summary: %+v", sum)
 		}
 		return nil
-	})
+	}
+	timed := func(run func() error) time.Duration {
+		start := time.Now()
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	// The rounds alternate, so a drift in the host's speed over the
+	// measurement falls on both sides alike.
+	const rounds = 8
+	seqBest, batchBest := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for r := 0; r < rounds; r++ {
+		seqBest = min(seqBest, timed(seq))
+		batchBest = min(batchBest, timed(batch))
+	}
 
 	ops := float64(len(items))
 	ratio := float64(seqBest) / float64(batchBest)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"hmem/internal/avf"
 	"hmem/internal/core"
@@ -220,6 +221,55 @@ type coreState struct {
 	writeRing fifo[*memsim.Request]
 }
 
+// coreQueue picks the next core to step: the one with the smallest clock,
+// the lowest index among equals, as the linear scan over every core would.
+// It is a winner tree over the cores' clocks, so a clock change costs one
+// compare per level instead of a pass over all cores. A finished core, and
+// each leaf padding the tree to a power of two, holds math.MaxInt64.
+type coreQueue struct {
+	key []int64 // per leaf; the leaves are a power of two
+	win []int32 // win[1] is the root; leaf i is win[len(key)+i]
+}
+
+func newCoreQueue(n int) *coreQueue {
+	size := 1
+	for size < n {
+		size *= 2
+	}
+	q := &coreQueue{key: make([]int64, size), win: make([]int32, 2*size)}
+	for i := range q.key {
+		q.win[size+i] = int32(i)
+		if i >= n {
+			q.key[i] = math.MaxInt64
+		}
+	}
+	for j := size - 1; j >= 1; j-- {
+		q.play(j)
+	}
+	return q
+}
+
+// min returns the index of the core to step next.
+func (q *coreQueue) min() int { return int(q.win[1]) }
+
+// set re-keys core i and replays its path to the root.
+func (q *coreQueue) set(i int, key int64) {
+	q.key[i] = key
+	for j := (len(q.key) + i) >> 1; j >= 1; j >>= 1 {
+		q.play(j)
+	}
+}
+
+// play decides node j from its children; the left child holds the lower
+// indices, so it wins ties.
+func (q *coreQueue) play(j int) {
+	a, b := q.win[2*j], q.win[2*j+1]
+	if q.key[b] < q.key[a] {
+		a = b
+	}
+	q.win[j] = a
+}
+
 // getRequest returns a recycled Request when one is available, reclaiming
 // any posted writes the memory controller has since retired.
 func (c *coreState) getRequest(line uint64, write bool, arrival int64) *memsim.Request {
@@ -336,24 +386,23 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		}
 	}
 
+	queue := newCoreQueue(len(cores))
 	active := len(cores)
 	for active > 0 {
-		// Pick the core with the smallest local clock.
-		var c *coreState
-		for _, cand := range cores {
-			if cand.done {
-				continue
-			}
-			if c == nil || cand.time < c.time {
-				c = cand
-			}
-		}
+		// Step the core with the smallest local clock.
+		ci := queue.min()
+		c := cores[ci]
 
 		// Interval boundary: once the laggard core passes it, every core
 		// has, so the decision uses a consistent global state.
 		if mig != nil && c.time >= nextInterval {
 			in, out := mig.Decide(nextInterval, placement)
 			moved := applyMigration(cores, mems, placement, in, out, concurrent, cfg.MigrationCostDiv, &res)
+			for i, other := range cores {
+				if !other.done {
+					queue.set(i, other.time)
+				}
+			}
 			sample := iv.sample(nextInterval, moved)
 			res.Intervals = append(res.Intervals, sample)
 			if metrics.epochs != nil {
@@ -376,6 +425,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		if errors.Is(err, io.EOF) {
 			c.done = true
 			active--
+			queue.set(ci, math.MaxInt64)
 			continue
 		}
 		if err != nil {
@@ -430,6 +480,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		if tier == fastTier {
 			res.HBMAccessFraction++ // accumulate count; normalized below
 		}
+		queue.set(ci, c.time)
 	}
 
 	// Drain: every core waits for its remaining reads.

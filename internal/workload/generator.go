@@ -189,18 +189,23 @@ func (g *Generator) Next() (trace.Record, error) {
 	if g.emitted >= g.total {
 		return trace.Record{}, io.EOF
 	}
-	return unpack(g.basePage, g.step()), nil
+	gap, page, line, kind := g.step()
+	return trace.Record{
+		Gap:  gap,
+		Kind: kind,
+		Addr: (g.basePage+uint64(page))*trace.PageSize + uint64(line)*trace.LineSize,
+	}, nil
 }
 
-// step draws the next record in packed form. The caller checks that records
-// remain.
-func (g *Generator) step() uint64 {
+// step draws the next record: its instruction gap, core-local page, line
+// within the page and kind (a read or a write). The caller checks that
+// records remain.
+func (g *Generator) step() (gap uint32, page, line int, kind trace.Kind) {
 	phase := float64(g.emitted) / float64(g.total)
 
 	// Burst continuation: once scheduled, a page receives Burst consecutive
 	// accesses (the temporal locality of a post-cache miss stream), which
 	// is what keeps DRAM rows open across its sequential lines.
-	var page int
 	var class Class
 	forceWrite := false
 	newBurst := g.burstLeft <= 0
@@ -236,7 +241,6 @@ func (g *Generator) step() uint64 {
 		g.burstLeft = burst - 1
 	}
 
-	var line int
 	var write bool
 	cov := int(g.pageCov[page])
 	writeP := float64(g.pageW[page]) / 100
@@ -270,23 +274,22 @@ func (g *Generator) step() uint64 {
 	// Intra-burst accesses come nearly back-to-back; the burst-opening gap
 	// carries the balance so MPKI (and so the record count per instruction)
 	// is preserved.
-	var gap int
 	burst := class.Burst
 	if burst < 1 {
 		burst = 1
 	}
 	if newBurst {
-		gap = g.rng.Poisson(g.meanGap * (1 + float64(burst-1)*7/8))
+		gap = uint32(g.rng.Poisson(g.meanGap * (1 + float64(burst-1)*7/8)))
 	} else {
-		gap = g.rng.Poisson(g.meanGap / 8)
+		gap = uint32(g.rng.Poisson(g.meanGap / 8))
 	}
 
-	kind := trace.Read
+	kind = trace.Read
 	if write {
 		kind = trace.Write
 	}
 	g.emitted++
-	return pack(uint32(gap), page, line, kind)
+	return gap, page, line, kind
 }
 
 // Structures returns the generator's structure table.

@@ -83,6 +83,10 @@ type Profile struct {
 	MeanStructPages int
 }
 
+// maxPages bounds a profile's footprint, well inside the coreStride pages
+// that separate two cores' address spaces.
+const maxPages = 1 << 24
+
 // Validate reports profile configuration errors.
 func (p Profile) Validate() error {
 	if p.FootprintPages <= 0 {
