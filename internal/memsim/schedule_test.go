@@ -19,13 +19,17 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/schedule.
 const scheduleGolden = "testdata/schedule.golden"
 
 // scheduleCases are the tier configurations whose schedules are pinned: the
-// three presets, plus windows at the 64-slot bound and at an odd depth.
+// three presets, windows at the 64-slot bound and at an odd depth, and a
+// geometry whose channel, bank and row counts are not powers of two (a
+// topology file may declare one), so both address-mapping paths are pinned.
 func scheduleCases() []Config {
 	deep := DDR3(16 << 20)
 	deep.Name, deep.QueueDepth = "DDR3-q64", 64
 	shallow := HBM(16 << 20)
 	shallow.Name, shallow.QueueDepth = "HBM-q5", 5
-	return []Config{DDR3(16 << 20), HBM(16 << 20), NVM(16 << 20), deep, shallow}
+	odd := DDR3(15 << 20)
+	odd.Name, odd.Channels, odd.BanksPerRank, odd.RowBytes = "DDR3-3ch6bk3k", 3, 6, 3*1024
+	return []Config{DDR3(16 << 20), HBM(16 << 20), NVM(16 << 20), deep, shallow, odd}
 }
 
 // scheduleRun is what one seeded stream produced: the SHA-256 of its
