@@ -273,6 +273,59 @@ func TestFullCounters(t *testing.T) {
 	}
 }
 
+// TestFullCountersSnapshotOrder: the snapshot lists every page observed this
+// interval once, by ascending page id, with its counts, both when the ids
+// fit beside the index bits of the sort keys and when one does not; Counts
+// agrees with it and reports unobserved pages as untouched.
+func TestFullCountersSnapshotOrder(t *testing.T) {
+	for _, high := range []uint64{0, 1 << 62} {
+		pt := NewPageTable()
+		fc := NewFullCounters(8)
+		rng := xrand.New(3)
+		want := map[uint64]PageStats{}
+		for i := 0; i < 5000; i++ {
+			page := rng.Uint64n(3000) * 7919
+			if rng.Bool(0.01) {
+				page |= high
+			}
+			write := rng.Bool(0.3)
+			fc.Observe(pt.Intern(page), write)
+			s := want[page]
+			s.Page = page
+			if write {
+				s.Writes = min(s.Writes+1, 255)
+			} else {
+				s.Reads = min(s.Reads+1, 255)
+			}
+			want[page] = s
+		}
+		unseen := pt.Intern(1)
+		snap := fc.Snapshot(pt)
+		if len(snap) != len(want) {
+			t.Fatalf("high=%#x: %d pages in the snapshot, %d observed", high, len(snap), len(want))
+		}
+		for i, s := range snap {
+			if i > 0 && snap[i-1].Page >= s.Page {
+				t.Fatalf("high=%#x: page %d follows page %d", high, s.Page, snap[i-1].Page)
+			}
+			if s != want[s.Page] {
+				t.Fatalf("high=%#x: snapshot has %+v, want %+v", high, s, want[s.Page])
+			}
+			pi, _ := pt.Find(s.Page)
+			if r, w, touched := fc.Counts(pi); !touched || r != s.Reads || w != s.Writes {
+				t.Fatalf("high=%#x: Counts(%d) = %d, %d, %v; snapshot has %+v", high, s.Page, r, w, touched, s)
+			}
+		}
+		if r, w, touched := fc.Counts(unseen); touched || r != 0 || w != 0 {
+			t.Fatalf("high=%#x: unobserved page counts %d, %d, %v", high, r, w, touched)
+		}
+		fc.Reset()
+		if _, _, touched := fc.Counts(pt.Intern(snap[0].Page)); touched {
+			t.Fatalf("high=%#x: a page observed before Reset counts as touched after it", high)
+		}
+	}
+}
+
 func TestFullCountersSaturate(t *testing.T) {
 	pt := NewPageTable()
 	fc := NewFullCounters(8)

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // Hardware activity counters (§6.1-§6.4). The paper's mechanisms are
 // modeled bit-faithfully: 8-bit saturating read/write counters per page for
 // the Full Counter mechanism, 16-bit risk counters for the Cross Counter
@@ -23,6 +28,7 @@ type FullCounters struct {
 	mark    []uint64 // epoch stamp: entry is live iff mark[i] == epoch
 	epoch   uint64
 	touched []PageIndex // indices observed this interval, first-touch order
+	keys    []uint64    // Snapshot's sort scratch
 }
 
 // NewFullCounters builds the tracker with the given counter width (the
@@ -79,18 +85,50 @@ func (f *FullCounters) ensure(n int) {
 // runtime mechanism estimates risk via WrRatio instead). pt must be the
 // table that issued the indices fed to Observe; the result is ordered by
 // page id for deterministic downstream aggregation.
+//
+// It sorts one word per page, the page id above the index's bits, when
+// every id fits there (as every generated workload's does); otherwise it
+// sorts the stats themselves. Both give the same order, since a table's
+// page ids are distinct.
 func (f *FullCounters) Snapshot(pt *PageTable) []PageStats {
 	out := make([]PageStats, 0, len(f.touched))
+	ids := pt.IDs()
+	shift := uint(bits.Len(uint(len(ids))))
+	var top uint64
 	for _, pi := range f.touched {
-		i := int(pi)
-		out = append(out, PageStats{
-			Page:   pt.ID(pi),
-			Reads:  uint64(f.reads[i]),
-			Writes: uint64(f.writes[i]),
-		})
+		top |= ids[pi]
 	}
-	SortByPage(out)
+	if bits.Len64(top)+int(shift) > 64 {
+		for _, pi := range f.touched {
+			out = append(out, f.stats(ids, pi))
+		}
+		SortByPage(out)
+		return out
+	}
+	keys := f.keys[:0]
+	for _, pi := range f.touched {
+		keys = append(keys, ids[pi]<<shift|uint64(pi))
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		out = append(out, f.stats(ids, PageIndex(k&(1<<shift-1))))
+	}
+	f.keys = keys
 	return out
+}
+
+func (f *FullCounters) stats(ids []uint64, pi PageIndex) PageStats {
+	return PageStats{Page: ids[pi], Reads: uint64(f.reads[pi]), Writes: uint64(f.writes[pi])}
+}
+
+// Counts returns the interval's read and write counts of the page interned
+// at pi, and whether it was observed this interval (zero counts if not).
+func (f *FullCounters) Counts(pi PageIndex) (reads, writes uint64, touched bool) {
+	i := int(pi)
+	if i >= len(f.mark) || f.mark[i] != f.epoch {
+		return 0, 0, false
+	}
+	return uint64(f.reads[i]), uint64(f.writes[i]), true
 }
 
 // Reset clears all counters for the next interval. It is O(1) and performs

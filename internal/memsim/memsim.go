@@ -111,6 +111,13 @@ type channel struct {
 	future      uint64
 	bankSet     []uint64
 	nextArrival int64
+
+	// The future slots in ascending arrival order: a ring of pendN slot
+	// indices from pendHead. Arrivals come nearly in order, so Enqueue
+	// mostly appends, and arrive pops only the slots that have arrived.
+	pending  [maxQueueDepth]uint8
+	pendHead int
+	pendN    int
 }
 
 // slot is one occupied window entry, with the fields selection reads copied
@@ -150,9 +157,14 @@ type Memory struct {
 	audit    func(ServiceEvent)
 
 	// Geometry constants hoisted out of Config so the per-access address
-	// mapping is pure integer arithmetic on local fields.
-	nch, lpr, nbk, lines uint64
-	ct                   cycTiming
+	// mapping is pure integer arithmetic on local fields. When the channel,
+	// lines-per-row and bank counts are all powers of two (every built-in
+	// tier), pow2 is set and the mapping shifts and masks by their logs.
+	nch, lpr, nbk, lines       uint64
+	pow2                       bool
+	chShift, lprShift, bkShift uint
+	chMask, lprMask, bkMask    uint64
+	ct                         cycTiming
 }
 
 // SetAudit installs a hook receiving every serviced request's committed
@@ -170,6 +182,11 @@ func New(cfg Config) *Memory {
 	m.lpr = cfg.LinesPerRow()
 	m.nbk = uint64(cfg.RanksPerChannel * cfg.BanksPerRank)
 	m.lines = cfg.Lines()
+	m.pow2 = isPow2(m.nch) && isPow2(m.lpr) && isPow2(m.nbk)
+	m.chShift = uint(bits.TrailingZeros64(m.nch))
+	m.lprShift = uint(bits.TrailingZeros64(m.lpr))
+	m.bkShift = uint(bits.TrailingZeros64(m.nbk))
+	m.chMask, m.lprMask, m.bkMask = m.nch-1, m.lpr-1, m.nbk-1
 	t := cfg.Timing
 	m.ct = cycTiming{
 		cl: t.cc(t.TCL), cwl: t.cc(t.TCWL),
@@ -209,10 +226,24 @@ func (m *Memory) Stats() Stats { return m.stats }
 // ResetStats zeroes the counters (used at measurement-interval boundaries).
 func (m *Memory) ResetStats() { m.stats = Stats{} }
 
+func isPow2(v uint64) bool { return v&(v-1) == 0 }
+
 // geometry locates a line: channel by low-order interleave (maximizes
 // channel-level parallelism for streaming), then column within row, then
-// bank interleave on row index (consecutive rows in different banks).
+// bank interleave on row index (consecutive rows in different banks). A
+// power-of-two geometry maps by shifts and masks; any other takes
+// divGeometry's divisions, which give the same answer for every geometry.
 func (m *Memory) geometry(line uint64) (ch, bk int, row int64, col uint64) {
+	if !m.pow2 {
+		return m.divGeometry(line)
+	}
+	chLine := line >> m.chShift
+	rowIdx := chLine >> m.lprShift
+	return int(line & m.chMask), int(rowIdx & m.bkMask), int64(rowIdx >> m.bkShift), chLine & m.lprMask
+}
+
+// divGeometry is geometry by division, for any geometry.
+func (m *Memory) divGeometry(line uint64) (ch, bk int, row int64, col uint64) {
 	ch = int(line % m.nch)
 	chLine := line / m.nch
 	col = chLine % m.lpr
@@ -254,7 +285,7 @@ func (m *Memory) Enqueue(r *Request) {
 	}
 	if r.Arrival > ch.now {
 		ch.future |= bit
-		ch.nextArrival = min(ch.nextArrival, r.Arrival)
+		ch.addPending(i, r.Arrival)
 	}
 }
 
@@ -333,31 +364,50 @@ func (m *Memory) serveOne(ch *channel) bool {
 	return true
 }
 
-// arrive clears the future bits of slots that have arrived by now and
-// recomputes nextArrival over the rest.
-func (ch *channel) arrive() {
-	next := int64(math.MaxInt64)
-	for f := ch.future; f != 0; f &= f - 1 {
-		i := bits.TrailingZeros64(f)
-		if a := ch.slots[i].arrival; a <= ch.now {
-			ch.future &^= 1 << i
-		} else {
-			next = min(next, a)
+// ringMask wraps an index into channel.pending.
+const ringMask = maxQueueDepth - 1
+
+// addPending inserts future slot i, arriving at arrival, into the pending
+// ring behind every slot that arrives no later.
+func (ch *channel) addPending(i int, arrival int64) {
+	j := ch.pendN
+	for ; j > 0; j-- {
+		prev := ch.pending[(ch.pendHead+j-1)&ringMask]
+		if ch.slots[prev].arrival <= arrival {
+			break
 		}
+		ch.pending[(ch.pendHead+j)&ringMask] = prev
 	}
-	ch.nextArrival = next
+	ch.pending[(ch.pendHead+j)&ringMask] = uint8(i)
+	ch.pendN++
+	ch.nextArrival = min(ch.nextArrival, arrival)
+}
+
+// arrive clears the future bits of slots that have arrived by now and
+// sets nextArrival to the earliest arrival among the rest.
+func (ch *channel) arrive() {
+	for ; ch.pendN > 0; ch.pendN-- {
+		i := ch.pending[ch.pendHead]
+		if a := ch.slots[i].arrival; a > ch.now {
+			ch.nextArrival = a
+			return
+		}
+		ch.future &^= 1 << i
+		ch.pendHead = (ch.pendHead + 1) & ringMask
+	}
+	ch.nextArrival = math.MaxInt64
 }
 
 // oldest returns the slot in the non-empty mask class with the lowest seq.
+// Each candidate is keyed seq<<6 | slot, so one branch-free min per slot
+// finds it (seqs are unique and stay far below 2^58).
 func (ch *channel) oldest(class uint64) int {
-	best := bits.TrailingZeros64(class)
-	bestSeq := ch.slots[best].seq
-	for f := class & (class - 1); f != 0; f &= f - 1 {
-		if i := bits.TrailingZeros64(f); ch.slots[i].seq < bestSeq {
-			best, bestSeq = i, ch.slots[i].seq
-		}
+	best := uint64(math.MaxUint64)
+	for f := class; f != 0; f &= f - 1 {
+		i := bits.TrailingZeros64(f)
+		best = min(best, ch.slots[i].seq<<6|uint64(i))
 	}
-	return best
+	return int(best & 63)
 }
 
 // rehit re-derives the hit bits of bank bk's slots after it opened row.
@@ -484,12 +534,14 @@ func (m *Memory) service(ch *channel, r *Request) {
 // issuing core must stall.
 func (m *Memory) Horizon(line uint64) int64 {
 	chIdx, _, _, _ := m.geometry(line)
-	ch := m.channels[chIdx]
-	if ch.dataFre > ch.now {
-		return ch.dataFre
-	}
-	return ch.now
+	return m.channels[chIdx].horizon()
 }
+
+// HorizonOf is Horizon for the channel of an enqueued request, read from
+// the geometry Enqueue resolved instead of mapping the line again.
+func (m *Memory) HorizonOf(r *Request) int64 { return m.channels[r.ch].horizon() }
+
+func (ch *channel) horizon() int64 { return max(ch.dataFre, ch.now) }
 
 // BulkTransferCycles returns the CPU cycles needed to stream nPages full
 // pages through this tier at its peak bandwidth plus a fixed per-page

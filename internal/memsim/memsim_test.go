@@ -62,24 +62,62 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 	New(c)
 }
 
+// oddGeometry is a tier whose channel, bank and lines-per-row counts are not
+// powers of two, so its address mapping takes the division path.
+func oddGeometry() Config {
+	c := small()
+	c.Channels, c.BanksPerRank, c.RowBytes = 3, 6, 3*1024
+	c.CapacityBytes = 3 << 20
+	return c
+}
+
 func TestGeometryBounds(t *testing.T) {
-	m := New(small())
-	rng := xrand.New(5)
-	for i := 0; i < 10000; i++ {
-		line := rng.Uint64n(m.cfg.Lines())
-		ch, bk, row, col := m.geometry(line)
-		if ch < 0 || ch >= m.cfg.Channels {
-			t.Fatalf("channel %d out of range", ch)
+	for _, cfg := range []Config{small(), oddGeometry()} {
+		m := New(cfg)
+		rng := xrand.New(5)
+		for i := 0; i < 10000; i++ {
+			line := rng.Uint64n(m.cfg.Lines())
+			ch, bk, row, col := m.geometry(line)
+			if ch < 0 || ch >= m.cfg.Channels {
+				t.Fatalf("channel %d out of range", ch)
+			}
+			if bk < 0 || bk >= m.cfg.RanksPerChannel*m.cfg.BanksPerRank {
+				t.Fatalf("bank %d out of range", bk)
+			}
+			if row < 0 {
+				t.Fatalf("negative row %d", row)
+			}
+			if col >= m.cfg.LinesPerRow() {
+				t.Fatalf("column %d out of range", col)
+			}
 		}
-		if bk < 0 || bk >= m.cfg.RanksPerChannel*m.cfg.BanksPerRank {
-			t.Fatalf("bank %d out of range", bk)
+	}
+}
+
+// TestGeometryShiftsMatchDivision: on a power-of-two geometry the
+// shift-and-mask mapping places every line where the division path does,
+// and a geometry that is not one takes the division path.
+func TestGeometryShiftsMatchDivision(t *testing.T) {
+	hbm := HBM(16 << 20)
+	hbm.RanksPerChannel = 2
+	for _, cfg := range []Config{small(), HBM(16 << 20), NVM(16 << 20), hbm} {
+		m := New(cfg)
+		if !m.pow2 {
+			t.Fatalf("%s: power-of-two geometry not detected", cfg.Name)
 		}
-		if row < 0 {
-			t.Fatalf("negative row %d", row)
+		rng := xrand.New(7)
+		for i := 0; i < 20000; i++ {
+			line := rng.Uint64n(m.lines)
+			ch, bk, row, col := m.geometry(line)
+			dch, dbk, drow, dcol := m.divGeometry(line)
+			if ch != dch || bk != dbk || row != drow || col != dcol {
+				t.Fatalf("%s: line %d maps to %d/%d/%d/%d by shifts, %d/%d/%d/%d by division",
+					cfg.Name, line, ch, bk, row, col, dch, dbk, drow, dcol)
+			}
 		}
-		if col >= m.cfg.LinesPerRow() {
-			t.Fatalf("column %d out of range", col)
-		}
+	}
+	if New(oddGeometry()).pow2 {
+		t.Fatal("3 channels, 6 banks and 48-line rows taken for a power-of-two geometry")
 	}
 }
 
@@ -93,15 +131,17 @@ func TestGeometryChannelInterleave(t *testing.T) {
 }
 
 func TestGeometryInjective(t *testing.T) {
-	m := New(small())
-	seen := map[[4]uint64]uint64{}
-	for line := uint64(0); line < 4096; line++ {
-		ch, bk, row, col := m.geometry(line)
-		key := [4]uint64{uint64(ch), uint64(bk), uint64(row), col}
-		if prev, dup := seen[key]; dup {
-			t.Fatalf("lines %d and %d collide at %v", prev, line, key)
+	for _, cfg := range []Config{small(), oddGeometry()} {
+		m := New(cfg)
+		seen := map[[4]uint64]uint64{}
+		for line := uint64(0); line < 4096; line++ {
+			ch, bk, row, col := m.geometry(line)
+			key := [4]uint64{uint64(ch), uint64(bk), uint64(row), col}
+			if prev, dup := seen[key]; dup {
+				t.Fatalf("%s: lines %d and %d collide at %v", cfg.Name, prev, line, key)
+			}
+			seen[key] = line
 		}
-		seen[key] = line
 	}
 }
 

@@ -40,7 +40,10 @@ type scheduleRun struct {
 	idleAhead int // enqueues arriving after their channel's horizon
 	early     int // Completes of a request that was not the oldest in flight
 	bulk, adv int // RecordBulkTransfer and AdvanceTo calls
-	stats     Stats
+	// horizonSkew counts enqueues after which HorizonOf(r) and
+	// Horizon(r.Line) disagreed; it must be zero.
+	horizonSkew int
+	stats       Stats
 }
 
 // runSchedule drives one seeded random request stream through a fresh
@@ -137,6 +140,9 @@ func runSchedule(cfg Config, seed uint64) scheduleRun {
 				out.idleAhead++
 			}
 			m.Enqueue(r)
+			if m.HorizonOf(r) != m.Horizon(line) {
+				out.horizonSkew++
+			}
 			inflight = append(inflight, r)
 			if len(inflight) > 512 {
 				kept := inflight[:0]
@@ -174,6 +180,9 @@ func TestSchedulePinned(t *testing.T) {
 			run := runSchedule(cfg, seed)
 			if run.idleAhead == 0 || run.early == 0 || run.bulk == 0 || run.adv == 0 {
 				t.Fatalf("%s: stream missed a path: %+v", name, run)
+			}
+			if run.horizonSkew != 0 {
+				t.Fatalf("%s: HorizonOf disagreed with Horizon after %d enqueues", name, run.horizonSkew)
 			}
 			if cfg.Timing.TREFI > 0 && run.stats.Refreshes == 0 {
 				t.Fatalf("%s: no refresh fired", name)

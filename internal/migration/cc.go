@@ -199,17 +199,12 @@ func (c *CrossCounter) riskEpoch(placement *sim.Placement) []uint64 {
 		return nil
 	}
 	meanRisk := meanWrRatio(snap)
-	stats := make(map[uint64]core.PageStats, len(snap))
-	for _, s := range snap {
-		stats[s.Page] = s
-	}
 	var outCand []core.PageStats
 	for _, page := range placement.HBMPages() {
 		if placement.Pinned(page) {
 			continue
 		}
-		s, touched := stats[page]
-		s.Page = page
+		s, touched := intervalStats(c.risk, c.pt, page)
 		// Hysteresis (as in the FC mechanism) so a uniformly low-risk
 		// resident set does not churn against its own mean.
 		if !touched || s.WrRatio() < c.evictFactor*meanRisk {

@@ -70,11 +70,6 @@ func (f *FullCounter) Decide(_ int64, placement *sim.Placement) (in, out []uint6
 	lowRisk := func(s core.PageStats) bool { return s.WrRatio() >= meanRisk }
 	evictRisk := func(s core.PageStats) bool { return s.WrRatio() < 0.5*meanRisk }
 
-	stats := make(map[uint64]core.PageStats, len(snap))
-	for _, s := range snap {
-		stats[s.Page] = s
-	}
-
 	// In: hot AND low-risk pages currently in DDR, hottest first.
 	var inCand []core.PageStats
 	for _, s := range snap {
@@ -91,8 +86,7 @@ func (f *FullCounter) Decide(_ int64, placement *sim.Placement) (in, out []uint6
 		if placement.Pinned(page) {
 			continue
 		}
-		s := stats[page]
-		s.Page = page
+		s, _ := intervalStats(f.counters, f.pt, page)
 		if float64(s.Accesses()) <= meanHot || evictRisk(s) {
 			outCand = append(outCand, s)
 		}
@@ -115,6 +109,19 @@ func (f *FullCounter) Decide(_ int64, placement *sim.Placement) (in, out []uint6
 		in = in[:maxSwap]
 	}
 	return in, out
+}
+
+// intervalStats returns page's counts this interval, looked up by its index
+// in pt, and whether the page was observed this interval.
+func intervalStats(c *core.FullCounters, pt *core.PageTable, page uint64) (core.PageStats, bool) {
+	s := core.PageStats{Page: page}
+	pi, ok := pt.Find(page)
+	if !ok {
+		return s, false
+	}
+	var touched bool
+	s.Reads, s.Writes, touched = c.Counts(pi)
+	return s, touched
 }
 
 // meanWrRatio returns the mean Wr/Rd over the interval's touched pages.

@@ -53,11 +53,6 @@ func (p *Perf) Decide(_ int64, placement *sim.Placement) (in, out []uint64) {
 	}
 	mean := core.MeanHotness(snap)
 
-	counts := make(map[uint64]uint64, len(snap))
-	for _, s := range snap {
-		counts[s.Page] = s.Accesses()
-	}
-
 	// In: DDR pages above mean hotness, hottest first.
 	var inCand []core.PageStats
 	for _, s := range snap {
@@ -74,8 +69,8 @@ func (p *Perf) Decide(_ int64, placement *sim.Placement) (in, out []uint64) {
 		if placement.Pinned(page) {
 			continue
 		}
-		c := counts[page]
-		if float64(c) <= mean {
+		s, _ := intervalStats(p.counters, p.pt, page)
+		if c := s.Accesses(); float64(c) <= mean {
 			outCand = append(outCand, core.PageStats{Page: page, Reads: c})
 		}
 	}

@@ -20,7 +20,7 @@ func scanMin(cores []*coreState) int {
 }
 
 // TestCoreQueueMatchesScan: over random sequences of clock advances (with
-// frequent ties), finished cores and all-core stalls, the winner tree picks
+// frequent ties), finished cores and all-core stalls, the loser tree picks
 // the same core as the linear scan.
 func TestCoreQueueMatchesScan(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 16, 17} {
@@ -42,7 +42,7 @@ func TestCoreQueueMatchesScan(t *testing.T) {
 				case r < 2:
 					c.done = true
 					active--
-					q.set(ci, math.MaxInt64)
+					q.update(math.MaxInt64)
 				case r < 5:
 					// An all-core stall, as applyMigration imposes.
 					var latest int64
@@ -52,17 +52,15 @@ func TestCoreQueueMatchesScan(t *testing.T) {
 						}
 					}
 					resume := latest + int64(rng.Intn(50))
-					for i, o := range cores {
-						if !o.done {
-							if o.time < resume {
-								o.time = resume
-							}
-							q.set(i, o.time)
+					for _, o := range cores {
+						if !o.done && o.time < resume {
+							o.time = resume
 						}
 					}
+					q.reset(cores)
 				default:
 					c.time += int64(rng.Intn(4))
-					q.set(ci, c.time)
+					q.update(c.time)
 				}
 			}
 		}

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"hmem/internal/avf"
+	"hmem/internal/trace"
+	"hmem/internal/workload"
 )
 
 // BenchmarkPlacementLookupIndex measures the warm page-location lookup on
@@ -84,4 +87,36 @@ func BenchmarkPerAccessPathThreeTier(b *testing.B) {
 		tracker.Access(uint32(pi), int(pg%64), now, write, tier)
 		iv.observe(pi, write, tier == fast)
 	}
+}
+
+// BenchmarkRunReplay measures the whole simulator per trace record: astar is
+// recorded once (16 cores × 4k records) and every iteration replays the
+// recording through RunCtx on the default machine, as the experiments'
+// memoized runs do. It reports ns/record.
+func BenchmarkRunReplay(b *testing.B) {
+	const records = 4000
+	spec, err := workload.SpecByName("astar")
+	if err != nil {
+		b.Fatal(err)
+	}
+	suite, err := spec.Build(records, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]*workload.Recording, len(suite.Generators))
+	for i, g := range suite.Generators {
+		recs[i] = g.Record()
+	}
+	cfg := DefaultConfig(64)
+	streams := make([]trace.Stream, len(recs))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c, r := range recs {
+			streams[c] = r.Stream()
+		}
+		if _, err := RunCtx(context.Background(), cfg, streams, nil, false, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records*len(recs)), "ns/record")
 }

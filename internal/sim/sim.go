@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"hmem/internal/avf"
 	"hmem/internal/core"
@@ -219,16 +220,33 @@ type coreState struct {
 	// steady-state access path performs no Request allocation.
 	reqFree   []*memsim.Request
 	writeRing fifo[*memsim.Request]
+
+	// The page memo: the page of the core's last record, with its dense
+	// index, tier and frame. It holds while memoGen equals the run's
+	// placement generation, which a migration that moves pages bumps; no
+	// other event moves a placed page. The generator emits bursts on one
+	// page, so most records skip Intern and LookupIndex.
+	memoPage  uint64
+	memoPI    core.PageIndex
+	memoTier  avf.Tier
+	memoFrame uint64
+	memoGen   uint64
 }
 
 // coreQueue picks the next core to step: the one with the smallest clock,
 // the lowest index among equals, as the linear scan over every core would.
-// It is a winner tree over the cores' clocks, so a clock change costs one
-// compare per level instead of a pass over all cores. A finished core, and
-// each leaf padding the tree to a power of two, holds math.MaxInt64.
+// It is a loser tree: each internal node keeps the loser of the match played
+// there and node 0 the overall winner. The run only ever re-keys the winner
+// (the core it just stepped), which replays one match per level: a min and
+// a max, without branches. A node holds clock<<shift | core, so keys never
+// tie and the lower core wins among equal clocks. Clocks saturate at
+// maxClock (2^59 cycles at 16 cores, far beyond any run); a finished core,
+// and each leaf padding the tree to a power of two, holds maxClock.
 type coreQueue struct {
-	key []int64 // per leaf; the leaves are a power of two
-	win []int32 // win[1] is the root; leaf i is win[len(key)+i]
+	shift    uint    // log2 of the leaf count
+	maxClock int64   // math.MaxInt64 >> shift
+	node     []int64 // node[0] is the winner, node[j >= 1] the loser at j
+	win      []int64 // rebuild's scratch: the winner of each subtree
 }
 
 func newCoreQueue(n int) *coreQueue {
@@ -236,38 +254,61 @@ func newCoreQueue(n int) *coreQueue {
 	for size < n {
 		size *= 2
 	}
-	q := &coreQueue{key: make([]int64, size), win: make([]int32, 2*size)}
-	for i := range q.key {
-		q.win[size+i] = int32(i)
+	shift := uint(bits.TrailingZeros(uint(size)))
+	q := &coreQueue{shift: shift, maxClock: math.MaxInt64 >> shift,
+		node: make([]int64, size), win: make([]int64, 2*size)}
+	for i := range size {
+		clock := int64(0)
 		if i >= n {
-			q.key[i] = math.MaxInt64
+			clock = math.MaxInt64
 		}
+		q.win[size+i] = q.leaf(i, clock)
 	}
-	for j := size - 1; j >= 1; j-- {
-		q.play(j)
-	}
+	q.rebuild()
 	return q
 }
 
-// min returns the index of the core to step next.
-func (q *coreQueue) min() int { return int(q.win[1]) }
-
-// set re-keys core i and replays its path to the root.
-func (q *coreQueue) set(i int, key int64) {
-	q.key[i] = key
-	for j := (len(q.key) + i) >> 1; j >= 1; j >>= 1 {
-		q.play(j)
-	}
+// leaf encodes core i at clock.
+func (q *coreQueue) leaf(i int, clock int64) int64 {
+	return min(clock, q.maxClock)<<q.shift | int64(i)
 }
 
-// play decides node j from its children; the left child holds the lower
-// indices, so it wins ties.
-func (q *coreQueue) play(j int) {
-	a, b := q.win[2*j], q.win[2*j+1]
-	if q.key[b] < q.key[a] {
-		a = b
+// min returns the index of the core to step next.
+func (q *coreQueue) min() int { return int(q.node[0] & (1<<q.shift - 1)) }
+
+// update re-keys the winner to clock and replays its path to the root.
+func (q *coreQueue) update(clock int64) {
+	i := q.min()
+	k := q.leaf(i, clock)
+	for j := (len(q.node) + i) >> 1; j >= 1; j >>= 1 {
+		l := q.node[j]
+		q.node[j] = max(l, k)
+		k = min(l, k)
 	}
-	q.win[j] = a
+	q.node[0] = k
+}
+
+// reset re-keys every core from its clock (a finished one to maxClock) and
+// rebuilds the tree, as after an all-core stall.
+func (q *coreQueue) reset(cores []*coreState) {
+	size := len(q.node)
+	for i, c := range cores {
+		clock := c.time
+		if c.done {
+			clock = math.MaxInt64
+		}
+		q.win[size+i] = q.leaf(i, clock)
+	}
+	q.rebuild()
+}
+
+// rebuild plays every match bottom-up from the leaves in win.
+func (q *coreQueue) rebuild() {
+	for j := len(q.node) - 1; j >= 1; j-- {
+		a, b := q.win[2*j], q.win[2*j+1]
+		q.win[j], q.node[j] = min(a, b), max(a, b)
+	}
+	q.node[0] = q.win[1]
 }
 
 // getRequest returns a recycled Request when one is available, reclaiming
@@ -388,6 +429,13 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 
 	queue := newCoreQueue(len(cores))
 	active := len(cores)
+	gen := uint64(1) // the placement generation; a zero memoGen is stale
+	// A power-of-two issue width (Table 1's is 4) divides a record's gap
+	// by a shift; issueShift is -1 for any other width.
+	issueShift := -1
+	if w := cfg.IssueWidth; w&(w-1) == 0 {
+		issueShift = bits.TrailingZeros(uint(w))
+	}
 	for active > 0 {
 		// Step the core with the smallest local clock.
 		ci := queue.min()
@@ -398,10 +446,9 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		if mig != nil && c.time >= nextInterval {
 			in, out := mig.Decide(nextInterval, placement)
 			moved := applyMigration(cores, mems, placement, in, out, concurrent, cfg.MigrationCostDiv, &res)
-			for i, other := range cores {
-				if !other.done {
-					queue.set(i, other.time)
-				}
+			if moved > 0 {
+				gen++
+				queue.reset(cores)
 			}
 			sample := iv.sample(nextInterval, moved)
 			res.Intervals = append(res.Intervals, sample)
@@ -425,7 +472,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		if errors.Is(err, io.EOF) {
 			c.done = true
 			active--
-			queue.set(ci, math.MaxInt64)
+			queue.update(math.MaxInt64)
 			continue
 		}
 		if err != nil {
@@ -433,17 +480,26 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		}
 
 		// Execute the non-memory gap at the issue-width ceiling.
-		c.time += int64(rec.Gap) / int64(cfg.IssueWidth)
+		if issueShift >= 0 {
+			c.time += int64(rec.Gap >> issueShift)
+		} else {
+			c.time += int64(rec.Gap) / int64(cfg.IssueWidth)
+		}
 		c.insts += uint64(rec.Gap) + 1
 
-		// The hot path: one sparse→dense translation (Intern), then every
-		// bookkeeping structure below is a flat array index.
-		pi := placement.Intern(rec.Page())
-		lineInPage := int(rec.Line() % trace.LinesPerPage)
-		tier, frame, err := placement.LookupIndex(pi)
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: placing page %d: %w", rec.Page(), err)
+		// The hot path: one sparse→dense translation (Intern) when the
+		// page memo misses, then every bookkeeping structure below is a
+		// flat array index.
+		if page := rec.Page(); page != c.memoPage || c.memoGen != gen {
+			pi := placement.Intern(page)
+			tier, frame, err := placement.LookupIndex(pi)
+			if err != nil {
+				return Result{}, fmt.Errorf("sim: placing page %d: %w", page, err)
+			}
+			c.memoPage, c.memoPI, c.memoTier, c.memoFrame, c.memoGen = page, pi, tier, frame, gen
 		}
+		pi, tier, frame := c.memoPI, c.memoTier, c.memoFrame
+		lineInPage := int(rec.Line() % trace.LinesPerPage)
 		write := rec.Kind.IsWrite()
 
 		tracker.Access(uint32(pi), lineInPage, c.time, write, tier)
@@ -460,8 +516,8 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 			c.writeRing.push(req)
 			res.Writes++
 			if cfg.WriteBufferCycles > 0 {
-				if lag := mem.Horizon(req.Line) - c.time; lag > cfg.WriteBufferCycles {
-					c.time = mem.Horizon(req.Line) - cfg.WriteBufferCycles
+				if h := mem.HorizonOf(req); h-c.time > cfg.WriteBufferCycles {
+					c.time = h - cfg.WriteBufferCycles
 				}
 			}
 		} else {
@@ -480,7 +536,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		if tier == fastTier {
 			res.HBMAccessFraction++ // accumulate count; normalized below
 		}
-		queue.set(ci, c.time)
+		queue.update(c.time)
 	}
 
 	// Drain: every core waits for its remaining reads.

@@ -329,6 +329,80 @@ func (m *thrashMigrator) Decide(_ int64, p *Placement) (in, out []uint64) {
 	return []uint64{m.a}, nil
 }
 
+// promoteOnce is a stub migrator: at its first interval it moves page into
+// the fast tier. It counts the accesses to page it observes after that
+// decision, and how many of them were reported as fast-tier accesses.
+type promoteOnce struct {
+	page            uint64
+	interval        int64
+	pt              *core.PageTable
+	decided         bool
+	after, afterHBM int
+}
+
+func (m *promoteOnce) Name() string            { return "promote-once" }
+func (m *promoteOnce) Bind(pt *core.PageTable) { m.pt = pt }
+func (m *promoteOnce) IntervalCycles() int64   { return m.interval }
+func (m *promoteOnce) OnAccess(pi core.PageIndex, _ bool, inHBM bool) {
+	if m.decided && m.pt.ID(pi) == m.page {
+		m.after++
+		if inHBM {
+			m.afterHBM++
+		}
+	}
+}
+func (m *promoteOnce) Decide(_ int64, p *Placement) (in, out []uint64) {
+	if m.decided {
+		return nil, nil
+	}
+	m.decided = true
+	return []uint64{m.page}, nil
+}
+
+// TestMigrationReachesPageMemo: core 0 hits one page on every record, so
+// every access after its first is a page-memo hit. When a migration moves
+// that page into the fast tier, the core's later accesses must be served by
+// the fast tier's memory and charged to it by the AVF tracker, not to the
+// tier and frame the memo held before the move.
+func TestMigrationReachesPageMemo(t *testing.T) {
+	const page, other, n = 7, 900, 4000
+	stream := func(pg uint64) trace.Stream {
+		recs := make([]trace.Record, n)
+		for i := range recs {
+			kind := trace.Read
+			if i%5 == 0 {
+				kind = trace.Write
+			}
+			recs[i] = trace.Record{Gap: 40, Kind: kind, Addr: pg*trace.PageSize + uint64(i%trace.LinesPerPage)*trace.LineSize}
+		}
+		return trace.NewSliceStream(recs)
+	}
+	cfg := testConfig()
+	fast := cfg.Topology.FastTier
+	mig := &promoteOnce{page: page, interval: 20000}
+	res, err := Run(cfg, []trace.Stream{stream(page), stream(other)}, nil, false, mig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PagesMigrated != 1 || mig.after == 0 || mig.after == n {
+		t.Fatalf("migrated %d pages, %d of %d accesses after the move", res.PagesMigrated, mig.after, n)
+	}
+	if mig.afterHBM != mig.after {
+		t.Fatalf("%d of %d accesses after the move reported in the fast tier", mig.afterHBM, mig.after)
+	}
+	if st := res.TierStats[fast]; int(st.Reads+st.Writes) != mig.after {
+		t.Fatalf("fast tier served %d requests, want the %d after the move", st.Reads+st.Writes, mig.after)
+	}
+	for _, p := range res.Snapshot {
+		if p.Page == page && p.ByTier[fast] <= 0 {
+			t.Fatalf("page %d AVF by tier %v: nothing charged to the fast tier", page, p.ByTier)
+		}
+		if p.Page == other && p.ByTier[fast] != 0 {
+			t.Fatalf("unmoved page %d charged to the fast tier: %v", other, p.ByTier)
+		}
+	}
+}
+
 func TestPinnedPagesSurviveMigration(t *testing.T) {
 	suite := buildSuite(t, "astar", 2000)
 	mig := &evictAllMigrator{interval: 10000}
@@ -357,6 +431,30 @@ func (m *evictAllMigrator) Decide(_ int64, p *Placement) (in, out []uint64) {
 		m.sawPinned = true
 	}
 	return nil, hbm
+}
+
+// TestGapAtIssueWidth: a record's non-memory gap advances its core by
+// gap/IssueWidth cycles, rounded down, for power-of-two widths (a shift)
+// and others (a division) alike. One read after the gap on an idle machine
+// finishes a fixed memory latency later.
+func TestGapAtIssueWidth(t *testing.T) {
+	const gap = 3001
+	run := func(width int) int64 {
+		cfg := testConfig()
+		cfg.IssueWidth = width
+		rec := trace.Record{Gap: gap, Kind: trace.Read, Addr: 5 * trace.PageSize}
+		res, err := Run(cfg, []trace.Stream{trace.NewSliceStream([]trace.Record{rec})}, nil, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Cycles
+	}
+	base := run(1) - gap
+	for _, w := range []int{2, 3, 4, 5, 8} {
+		if got, want := run(w), base+gap/int64(w); got != want {
+			t.Errorf("IssueWidth %d: run took %d cycles, want %d", w, got, want)
+		}
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
