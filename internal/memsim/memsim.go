@@ -528,20 +528,15 @@ func (m *Memory) service(ch *channel, r *Request) {
 	}
 }
 
-// Horizon returns the scheduling horizon of the channel serving line: the
-// later of its command horizon and data-bus free time. Cores use it to model
-// finite write buffers — when the backlog behind a write grows too deep, the
-// issuing core must stall.
-func (m *Memory) Horizon(line uint64) int64 {
-	chIdx, _, _, _ := m.geometry(line)
-	return m.channels[chIdx].horizon()
+// HorizonOf returns the scheduling horizon of the channel serving the
+// enqueued request r: the later of its command horizon and data-bus free
+// time. Cores use it to model finite write buffers — when the backlog behind
+// a write grows too deep, the issuing core must stall. It reads the channel
+// Enqueue resolved, so the line is not mapped again.
+func (m *Memory) HorizonOf(r *Request) int64 {
+	ch := m.channels[r.ch]
+	return max(ch.dataFre, ch.now)
 }
-
-// HorizonOf is Horizon for the channel of an enqueued request, read from
-// the geometry Enqueue resolved instead of mapping the line again.
-func (m *Memory) HorizonOf(r *Request) int64 { return m.channels[r.ch].horizon() }
-
-func (ch *channel) horizon() int64 { return max(ch.dataFre, ch.now) }
 
 // BulkTransferCycles returns the CPU cycles needed to stream nPages full
 // pages through this tier at its peak bandwidth plus a fixed per-page

@@ -44,15 +44,17 @@ func TestWriteBufferThrottleBoundsBacklog(t *testing.T) {
 func TestMemsimHorizonTracksBacklog(t *testing.T) {
 	cfg := memsim.DDR3(1 << 20)
 	m := memsim.New(cfg)
-	if h := m.Horizon(0); h != 0 {
+	first := &memsim.Request{Line: 0, Write: true, Arrival: 0}
+	m.Enqueue(first)
+	if h := m.HorizonOf(first); h != 0 {
 		t.Fatalf("idle horizon = %d", h)
 	}
 	// Flood one channel; the horizon must move ahead of arrivals.
-	for i := 0; i < 200; i++ {
+	for i := 1; i < 200; i++ {
 		m.Enqueue(&memsim.Request{Line: uint64(i) * uint64(cfg.Channels), Write: true, Arrival: 0})
 	}
 	m.Drain()
-	if h := m.Horizon(0); h <= 0 {
+	if h := m.HorizonOf(first); h <= 0 {
 		t.Fatalf("horizon did not advance: %d", h)
 	}
 }
