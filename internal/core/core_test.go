@@ -274,9 +274,9 @@ func TestFullCounters(t *testing.T) {
 }
 
 // TestFullCountersSnapshotOrder: the snapshot lists every page observed this
-// interval once, by ascending page id, with its counts, both when the ids
-// fit beside the index bits of the sort keys and when one does not; Counts
-// agrees with it and reports unobserved pages as untouched.
+// interval once, by ascending page id, with its counts, for small ids and
+// for ids with bit 62 set alike; Counts agrees with it and reports
+// unobserved pages as untouched.
 func TestFullCountersSnapshotOrder(t *testing.T) {
 	for _, high := range []uint64{0, 1 << 62} {
 		pt := NewPageTable()

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/bits"
+	"cmp"
 	"slices"
 )
 
@@ -28,7 +28,7 @@ type FullCounters struct {
 	mark    []uint64 // epoch stamp: entry is live iff mark[i] == epoch
 	epoch   uint64
 	touched []PageIndex // indices observed this interval, first-touch order
-	keys    []uint64    // Snapshot's sort scratch
+	order   []pageKey   // Snapshot's scratch: touched, sorted by page id
 }
 
 // NewFullCounters builds the tracker with the given counter width (the
@@ -84,41 +84,27 @@ func (f *FullCounters) ensure(n int) {
 // Snapshot exports the interval's counters as PageStats (AVF unknown: the
 // runtime mechanism estimates risk via WrRatio instead). pt must be the
 // table that issued the indices fed to Observe; the result is ordered by
-// page id for deterministic downstream aggregation.
-//
-// It sorts one word per page, the page id above the index's bits, when
-// every id fits there (as every generated workload's does); otherwise it
-// sorts the stats themselves. Both give the same order, since a table's
-// page ids are distinct.
+// page id for deterministic downstream aggregation. It sorts (id, index)
+// pairs, not the stats, and fills each page's stats once in that order.
 func (f *FullCounters) Snapshot(pt *PageTable) []PageStats {
-	out := make([]PageStats, 0, len(f.touched))
 	ids := pt.IDs()
-	shift := uint(bits.Len(uint(len(ids))))
-	var top uint64
+	order := f.order[:0]
 	for _, pi := range f.touched {
-		top |= ids[pi]
+		order = append(order, pageKey{ids[pi], pi})
 	}
-	if bits.Len64(top)+int(shift) > 64 {
-		for _, pi := range f.touched {
-			out = append(out, f.stats(ids, pi))
-		}
-		SortByPage(out)
-		return out
+	slices.SortFunc(order, func(a, b pageKey) int { return cmp.Compare(a.id, b.id) })
+	out := make([]PageStats, len(order))
+	for k, o := range order {
+		out[k] = PageStats{Page: o.id, Reads: uint64(f.reads[o.pi]), Writes: uint64(f.writes[o.pi])}
 	}
-	keys := f.keys[:0]
-	for _, pi := range f.touched {
-		keys = append(keys, ids[pi]<<shift|uint64(pi))
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		out = append(out, f.stats(ids, PageIndex(k&(1<<shift-1))))
-	}
-	f.keys = keys
+	f.order = order
 	return out
 }
 
-func (f *FullCounters) stats(ids []uint64, pi PageIndex) PageStats {
-	return PageStats{Page: ids[pi], Reads: uint64(f.reads[pi]), Writes: uint64(f.writes[pi])}
+// pageKey is one Snapshot sort entry: a touched page's id and index.
+type pageKey struct {
+	id uint64
+	pi PageIndex
 }
 
 // Counts returns the interval's read and write counts of the page interned

@@ -111,13 +111,6 @@ type channel struct {
 	future      uint64
 	bankSet     []uint64
 	nextArrival int64
-
-	// The future slots in ascending arrival order: a ring of pendN slot
-	// indices from pendHead. Arrivals come nearly in order, so Enqueue
-	// mostly appends, and arrive pops only the slots that have arrived.
-	pending  [maxQueueDepth]uint8
-	pendHead int
-	pendN    int
 }
 
 // slot is one occupied window entry, with the fields selection reads copied
@@ -285,7 +278,7 @@ func (m *Memory) Enqueue(r *Request) {
 	}
 	if r.Arrival > ch.now {
 		ch.future |= bit
-		ch.addPending(i, r.Arrival)
+		ch.nextArrival = min(ch.nextArrival, r.Arrival)
 	}
 }
 
@@ -364,50 +357,31 @@ func (m *Memory) serveOne(ch *channel) bool {
 	return true
 }
 
-// ringMask wraps an index into channel.pending.
-const ringMask = maxQueueDepth - 1
-
-// addPending inserts future slot i, arriving at arrival, into the pending
-// ring behind every slot that arrives no later.
-func (ch *channel) addPending(i int, arrival int64) {
-	j := ch.pendN
-	for ; j > 0; j-- {
-		prev := ch.pending[(ch.pendHead+j-1)&ringMask]
-		if ch.slots[prev].arrival <= arrival {
-			break
-		}
-		ch.pending[(ch.pendHead+j)&ringMask] = prev
-	}
-	ch.pending[(ch.pendHead+j)&ringMask] = uint8(i)
-	ch.pendN++
-	ch.nextArrival = min(ch.nextArrival, arrival)
-}
-
 // arrive clears the future bits of slots that have arrived by now and
-// sets nextArrival to the earliest arrival among the rest.
+// recomputes nextArrival over the rest.
 func (ch *channel) arrive() {
-	for ; ch.pendN > 0; ch.pendN-- {
-		i := ch.pending[ch.pendHead]
-		if a := ch.slots[i].arrival; a > ch.now {
-			ch.nextArrival = a
-			return
+	next := int64(math.MaxInt64)
+	for f := ch.future; f != 0; f &= f - 1 {
+		i := bits.TrailingZeros64(f)
+		if a := ch.slots[i].arrival; a <= ch.now {
+			ch.future &^= 1 << i
+		} else {
+			next = min(next, a)
 		}
-		ch.future &^= 1 << i
-		ch.pendHead = (ch.pendHead + 1) & ringMask
 	}
-	ch.nextArrival = math.MaxInt64
+	ch.nextArrival = next
 }
 
 // oldest returns the slot in the non-empty mask class with the lowest seq.
-// Each candidate is keyed seq<<6 | slot, so one branch-free min per slot
-// finds it (seqs are unique and stay far below 2^58).
 func (ch *channel) oldest(class uint64) int {
-	best := uint64(math.MaxUint64)
-	for f := class; f != 0; f &= f - 1 {
-		i := bits.TrailingZeros64(f)
-		best = min(best, ch.slots[i].seq<<6|uint64(i))
+	best := bits.TrailingZeros64(class)
+	bestSeq := ch.slots[best].seq
+	for f := class & (class - 1); f != 0; f &= f - 1 {
+		if i := bits.TrailingZeros64(f); ch.slots[i].seq < bestSeq {
+			best, bestSeq = i, ch.slots[i].seq
+		}
 	}
-	return int(best & 63)
+	return best
 }
 
 // rehit re-derives the hit bits of bank bk's slots after it opened row.

@@ -430,12 +430,6 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 	queue := newCoreQueue(len(cores))
 	active := len(cores)
 	gen := uint64(1) // the placement generation; a zero memoGen is stale
-	// A power-of-two issue width (Table 1's is 4) divides a record's gap
-	// by a shift; issueShift is -1 for any other width.
-	issueShift := -1
-	if w := cfg.IssueWidth; w&(w-1) == 0 {
-		issueShift = bits.TrailingZeros(uint(w))
-	}
 	for active > 0 {
 		// Step the core with the smallest local clock.
 		ci := queue.min()
@@ -480,11 +474,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 		}
 
 		// Execute the non-memory gap at the issue-width ceiling.
-		if issueShift >= 0 {
-			c.time += int64(rec.Gap >> issueShift)
-		} else {
-			c.time += int64(rec.Gap) / int64(cfg.IssueWidth)
-		}
+		c.time += int64(rec.Gap) / int64(cfg.IssueWidth)
 		c.insts += uint64(rec.Gap) + 1
 
 		// The hot path: one sparse→dense translation (Intern) when the

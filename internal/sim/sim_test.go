@@ -434,9 +434,8 @@ func (m *evictAllMigrator) Decide(_ int64, p *Placement) (in, out []uint64) {
 }
 
 // TestGapAtIssueWidth: a record's non-memory gap advances its core by
-// gap/IssueWidth cycles, rounded down, for power-of-two widths (a shift)
-// and others (a division) alike. One read after the gap on an idle machine
-// finishes a fixed memory latency later.
+// gap/IssueWidth cycles, rounded down, at every width. One read after the
+// gap on an idle machine finishes a fixed memory latency later.
 func TestGapAtIssueWidth(t *testing.T) {
 	const gap = 3001
 	run := func(width int) int64 {
