@@ -1,6 +1,7 @@
 package annotate
 
 import (
+	"sort"
 	"testing"
 
 	"hmem/internal/core"
@@ -129,7 +130,7 @@ func TestSelectOnRealWorkload(t *testing.T) {
 		ps.AVF = float64(ps.Reads) / float64(ps.Reads+ps.Writes+1)
 		stats = append(stats, *ps)
 	}
-	core.SortByPage(stats)
+	sort.Slice(stats, func(i, j int) bool { return stats[i].Page < stats[j].Page })
 
 	capacity := 256
 	ann, pins := Select(g.Structures(), stats, capacity)

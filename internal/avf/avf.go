@@ -18,20 +18,21 @@
 // across the tiers it occupied, and an interval spanning a migration is
 // charged wholly to the destination tier.
 //
-// The tracker is keyed by dense page indices (core.PageTable interning —
-// passed here as raw uint32 to keep this package import-free), and its
-// memory is proportional to the lines a run touches, not to its page
-// footprint: a run typically touches a few of each page's 64 lines. Per page
-// index it keeps a touched-line mask, read and write counts, the offset and
-// size class of a block holding the page's line timestamps in rank order
-// (line l sits at slot popcount(mask & (1<<l - 1))), and a flat row of ACE
-// cycles per tier. Blocks live in a chunked arena whose chunks never move; a
-// full block doubles (2 up to 64 slots) and per-size free lists reuse the
-// blocks left behind. An access to a line already seen is array indexing and
-// a popcount: no map operations and no allocations. Tiers are dense small
+// The tracker is keyed by dense page indices (a core.PageTable's, passed
+// here as raw uint32 to keep this package import-free), which follow page
+// order, and is sized once for the run's table. Its line state is
+// proportional to the lines a run touches, not to its page footprint: a run
+// typically touches a few of each page's 64 lines. Per page index it keeps a
+// touched-line mask, read and write counts, the offset and size class of a
+// block holding the page's line timestamps in rank order (line l sits at
+// slot popcount(mask & (1<<l - 1))), and a flat row of ACE cycles per tier.
+// Blocks live in a chunked arena whose chunks never move; a full block
+// doubles (2 up to 64 slots) and per-size free lists reuse the blocks left
+// behind. An access to a line already seen is array indexing and a
+// popcount: no map operations and no allocations. Tiers are dense small
 // integers too — the tracker supports any tier count at no cost to the hot
-// path. Page ids reappear only at Snapshot time, when the caller provides
-// the dense index→id mapping.
+// path. Page ids reappear only at Snapshot time, when the caller maps each
+// index back to its page.
 package avf
 
 import (
@@ -98,26 +99,17 @@ type Tracker struct {
 	free   [maxClass + 1][]uint32 // released blocks by size class
 }
 
-// NewTracker returns an empty tracker over tiers memory tiers.
-func NewTracker(tiers int) *Tracker {
+// NewTracker returns an empty tracker over tiers memory tiers for the page
+// indices below pages.
+func NewTracker(tiers, pages int) *Tracker {
 	if tiers < 1 || tiers > 256 {
 		panic("avf: tier count out of range")
 	}
-	return &Tracker{tiers: tiers}
+	return &Tracker{tiers: tiers, pages: make([]pageLines, pages), ace: make([]int64, pages*tiers)}
 }
 
 // NumTiers returns the tracker's tier count.
 func (t *Tracker) NumTiers() int { return t.tiers }
-
-// grow extends the per-page arrays to cover index i, at least doubling them.
-func (t *Tracker) grow(i int) {
-	n := max(i+1, 2*len(t.pages), 256)
-	pages := make([]pageLines, n)
-	copy(pages, t.pages)
-	ace := make([]int64, n*t.tiers)
-	copy(ace, t.ace)
-	t.pages, t.ace = pages, ace
-}
 
 // block returns the slots of a block of class c at arena offset off.
 func (t *Tracker) block(off uint32, c uint8) []int64 {
@@ -144,8 +136,8 @@ func (t *Tracker) alloc(c uint8) uint32 {
 	return off
 }
 
-// Access records an access to line lineInPage (0..63) of the page interned
-// at dense index pi, at cycle `at`, residing in tier. An ACE interval is
+// Access records an access to line lineInPage (0..63) of the page at dense
+// index pi, at cycle `at`, residing in tier. An ACE interval is
 // charged to the tier of the access that closes it. Accesses to a line
 // arrive in nearly non-decreasing time order; a timestamp earlier than the
 // line's last access is treated as concurrent with it (clamped to a
@@ -161,9 +153,6 @@ func (t *Tracker) Access(pi uint32, lineInPage int, at int64, write bool, tier T
 		panic("avf: tier out of range for tracker")
 	}
 	i := int(pi)
-	if i >= len(t.pages) {
-		t.grow(i)
-	}
 	pl := &t.pages[i]
 	bit := uint64(1) << uint(lineInPage)
 	rank := bits.OnesCount64(pl.touched & (bit - 1))
@@ -221,77 +210,33 @@ type PageAVF struct {
 // Snapshot returns the per-page AVF over a run that lasted totalCycles,
 // ordered by page id (a deterministic order keeps downstream floating-point
 // aggregation bit-reproducible: per-page tier shares accumulate in ascending
-// tier index). ids is the dense index→page-id mapping (core.PageTable.IDs);
-// indices the tracker never saw an access for are skipped. totalCycles must
-// be positive.
-func (t *Tracker) Snapshot(totalCycles int64, ids []uint64) []PageAVF {
+// tier index). id maps a dense index to its page id and must ascend with the
+// index, as core.PageTable.ID does; indices the tracker never saw an access
+// for are skipped. totalCycles must be positive.
+func (t *Tracker) Snapshot(totalCycles int64, id func(index uint32) uint64) []PageAVF {
 	if totalCycles <= 0 {
 		panic("avf: Snapshot with non-positive duration")
 	}
-	order := make([]entry, 0, t.observed)
-	for i := range t.pages {
-		if t.pages[i].touched != 0 {
-			order = append(order, entry{ids[i], i})
-		}
-	}
-	order = sortByID(order)
-
 	denom := float64(trace.LinesPerPage) * float64(totalCycles)
 	tiers := t.tiers
-	out := make([]PageAVF, len(order))
+	out := make([]PageAVF, 0, t.observed)
 	// One backing array for every page's ByTier keeps the snapshot to O(1)
 	// allocations instead of one per page.
-	shares := make([]float64, len(order)*tiers)
-	for k, e := range order {
-		pl := &t.pages[e.index]
-		p := &out[k]
-		*p = PageAVF{Page: e.id, Reads: pl.reads, Writes: pl.writes}
-		p.ByTier, shares = shares[:tiers:tiers], shares[tiers:]
-		for tier := 0; tier < tiers; tier++ {
-			p.ByTier[tier] = float64(t.ace[e.index*tiers+tier]) / denom
-			p.AVF += p.ByTier[tier]
-		}
-	}
-	return out
-}
-
-// entry pairs a page id with its dense index.
-type entry struct {
-	id    uint64
-	index int
-}
-
-// sortByID orders entries by page id with an LSD radix sort over the id
-// bytes that differ between entries. Page ids are dense per core, so that
-// is typically three passes, several times faster than a comparison sort on
-// a cold run's 15k pages. Ids are distinct, so the order is the one any
-// sort gives.
-func sortByID(a []entry) []entry {
-	var diff uint64
-	for _, e := range a {
-		diff |= e.id ^ a[0].id
-	}
-	tmp := make([]entry, len(a))
-	for shift := uint(0); diff>>shift != 0; shift += 8 {
-		if byte(diff>>shift) == 0 {
+	shares := make([]float64, t.observed*tiers)
+	for i := range t.pages {
+		pl := &t.pages[i]
+		if pl.touched == 0 {
 			continue
 		}
-		var next [256]int
-		for _, e := range a {
-			next[byte(e.id>>shift)]++
+		p := PageAVF{Page: id(uint32(i)), Reads: pl.reads, Writes: pl.writes}
+		p.ByTier, shares = shares[:tiers:tiers], shares[tiers:]
+		for tier := 0; tier < tiers; tier++ {
+			p.ByTier[tier] = float64(t.ace[i*tiers+tier]) / denom
+			p.AVF += p.ByTier[tier]
 		}
-		sum := 0
-		for b, c := range next {
-			next[b], sum = sum, sum+c
-		}
-		for _, e := range a {
-			b := byte(e.id >> shift)
-			tmp[next[b]] = e
-			next[b]++
-		}
-		a, tmp = tmp, a
+		out = append(out, p)
 	}
-	return a
+	return out
 }
 
 // PageCount returns the number of distinct pages observed.

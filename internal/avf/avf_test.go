@@ -8,15 +8,9 @@ import (
 	"hmem/internal/xrand"
 )
 
-// identityIDs is the dense index→page-id mapping for tests that use small
-// integers as both: index i is page id i.
-func identityIDs(n int) []uint64 {
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
-	return ids
-}
+// identity is the index→page-id mapping for tests that use small integers
+// as both: index i is page id i.
+func identity(i uint32) uint64 { return uint64(i) }
 
 // lineAVF runs a sequence of (time, write) events on a single line and
 // returns the page AVF scaled back up to line granularity.
@@ -25,11 +19,11 @@ func lineAVF(t *testing.T, total int64, events []struct {
 	write bool
 }) float64 {
 	t.Helper()
-	tr := NewTracker(2)
+	tr := NewTracker(2, 64)
 	for _, e := range events {
 		tr.Access(0, 0, e.at, e.write, TierDDR)
 	}
-	snap := tr.Snapshot(total, identityIDs(1))
+	snap := tr.Snapshot(total, identity)
 	if len(snap) != 1 {
 		t.Fatalf("expected 1 page, got %d", len(snap))
 	}
@@ -110,11 +104,11 @@ func TestWriteOnlyLineHasZeroAVF(t *testing.T) {
 }
 
 func TestPageAveragesLines(t *testing.T) {
-	tr := NewTracker(2)
+	tr := NewTracker(2, 64)
 	// Line 0: fully ACE over [0,100]; other 63 lines untouched.
 	tr.Access(7, 0, 0, true, TierDDR)
 	tr.Access(7, 0, 100, false, TierDDR)
-	snap := tr.Snapshot(100, identityIDs(8))
+	snap := tr.Snapshot(100, identity)
 	want := 1.0 / 64
 	if math.Abs(snap[0].AVF-want) > 1e-12 {
 		t.Fatalf("page AVF = %v, want %v", snap[0].AVF, want)
@@ -124,13 +118,13 @@ func TestPageAveragesLines(t *testing.T) {
 func TestTierAttribution(t *testing.T) {
 	// An interval is charged to the tier of the access that closes it, so
 	// one spanning a migration lands wholly in the destination tier.
-	tr := NewTracker(2)
+	tr := NewTracker(2, 64)
 	tr.Access(1, 0, 0, true, TierHBM)    // interval starts in HBM
 	tr.Access(1, 0, 40, false, TierHBM)  // [0,40] ACE -> HBM
 	tr.Access(1, 0, 100, false, TierDDR) // page moved to DDR: [40,100] ACE -> DDR
 	tr.Access(1, 0, 130, true, TierHBM)  // back in HBM: [100,130] dead
 	tr.Access(1, 0, 150, false, TierDDR) // [130,150] ACE -> DDR
-	snap := tr.Snapshot(160, identityIDs(2))
+	snap := tr.Snapshot(160, identity)
 	p := snap[0]
 	denominator := 64.0 * 160
 	if math.Abs(p.ByTier[TierHBM]-40/denominator) > 1e-12 {
@@ -145,11 +139,11 @@ func TestTierAttribution(t *testing.T) {
 }
 
 func TestAccessCountsTracked(t *testing.T) {
-	tr := NewTracker(2)
+	tr := NewTracker(2, 64)
 	tr.Access(3, 1, 0, true, TierDDR)
 	tr.Access(3, 1, 5, false, TierDDR)
 	tr.Access(3, 2, 9, false, TierDDR)
-	p := tr.Snapshot(10, identityIDs(4))[0]
+	p := tr.Snapshot(10, identity)[0]
 	if p.Reads != 2 || p.Writes != 1 {
 		t.Fatalf("counts = R%d/W%d, want R2/W1", p.Reads, p.Writes)
 	}
@@ -162,7 +156,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		NewTracker(2).Access(0, 64, 0, false, TierDDR)
+		NewTracker(2, 64).Access(0, 64, 0, false, TierDDR)
 	})
 	t.Run("bad tier", func(t *testing.T) {
 		defer func() {
@@ -170,7 +164,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		NewTracker(2).Access(0, 0, 0, false, Tier(7))
+		NewTracker(2, 64).Access(0, 0, 0, false, Tier(7))
 	})
 	t.Run("bad snapshot duration", func(t *testing.T) {
 		defer func() {
@@ -178,14 +172,14 @@ func TestPanicsOnBadInput(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		NewTracker(2).Snapshot(0, nil)
+		NewTracker(2, 64).Snapshot(0, identity)
 	})
 }
 
 func TestAVFBoundsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
-		tr := NewTracker(2)
+		tr := NewTracker(2, 64)
 		const total = 10000
 		n := 50 + rng.Intn(500)
 		// Per (page,line) we must feed non-decreasing times; use a global
@@ -198,7 +192,7 @@ func TestAVFBoundsProperty(t *testing.T) {
 			}
 			tr.Access(uint32(rng.Uint64n(4)), rng.Intn(64), at, rng.Bool(0.4), Tier(rng.Intn(2)))
 		}
-		for _, p := range tr.Snapshot(total, identityIDs(4)) {
+		for _, p := range tr.Snapshot(total, identity) {
 			if p.AVF < 0 || p.AVF > 1 {
 				return false
 			}
@@ -221,12 +215,12 @@ func TestMoreWritesLowerAVFProperty(t *testing.T) {
 	// raising the write fraction lowers AVF.
 	avfFor := func(writeP float64) float64 {
 		rng := xrand.New(7)
-		tr := NewTracker(2)
+		tr := NewTracker(2, 64)
 		const total = 100000
 		for at := int64(0); at < total; at += 50 {
 			tr.Access(0, int(rng.Uint64n(64)), at, rng.Bool(writeP), TierDDR)
 		}
-		return tr.Snapshot(total, identityIDs(1))[0].AVF
+		return tr.Snapshot(total, identity)[0].AVF
 	}
 	low, high := avfFor(0.1), avfFor(0.9)
 	if low <= high {
@@ -237,15 +231,15 @@ func TestMoreWritesLowerAVFProperty(t *testing.T) {
 // TestMeanAVF averages the tracker's snapshot, the data a simulation
 // averages for its mean AVF (Figure 2).
 func TestMeanAVF(t *testing.T) {
-	tr := NewTracker(2)
-	if snap := tr.Snapshot(100, nil); len(snap) != 0 {
+	tr := NewTracker(2, 64)
+	if snap := tr.Snapshot(100, identity); len(snap) != 0 {
 		t.Fatalf("empty tracker snapshot has %d pages", len(snap))
 	}
 	// Page 0: line fully ACE; page 1: untouched except one dead write.
 	tr.Access(0, 0, 0, true, TierDDR)
 	tr.Access(0, 0, 100, false, TierDDR)
 	tr.Access(1, 0, 0, true, TierDDR)
-	snap := tr.Snapshot(100, identityIDs(2))
+	snap := tr.Snapshot(100, identity)
 	sum := 0.0
 	for _, p := range snap {
 		sum += p.AVF
@@ -269,7 +263,7 @@ func TestTierString(t *testing.T) {
 }
 
 func BenchmarkAccess(b *testing.B) {
-	tr := NewTracker(2)
+	tr := NewTracker(2, 1024)
 	rng := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -281,7 +275,7 @@ func BenchmarkAccess(b *testing.B) {
 // index is covered, an access to a line already seen, or to a new line the
 // page's block has room for (here each page's second line), never allocates.
 func TestAccessZeroAllocsWhenWarm(t *testing.T) {
-	tr := NewTracker(2)
+	tr := NewTracker(2, 64)
 	for pi := uint32(0); pi < 64; pi++ {
 		tr.Access(pi, 0, int64(pi)+1, false, TierDDR)
 	}
@@ -302,11 +296,11 @@ func TestAccessZeroAllocsWhenWarm(t *testing.T) {
 // it — no panic, zero ACE charged for the inverted interval, and the line's
 // clock does not move backwards.
 func TestSkewedAccessClamps(t *testing.T) {
-	tr := NewTracker(2)
+	tr := NewTracker(2, 64)
 	tr.Access(0, 0, 100, true, TierDDR)
 	tr.Access(0, 0, 90, false, TierDDR) // skewed read: clamped to cycle 100
 	tr.Access(0, 0, 160, false, TierDDR)
-	p := tr.Snapshot(160, identityIDs(1))[0]
+	p := tr.Snapshot(160, identity)[0]
 	want := 60.0 / (64.0 * 160) // only [100,160] is ACE
 	if math.Abs(p.AVF-want) > 1e-12 {
 		t.Fatalf("AVF = %v, want %v (skewed access must charge nothing)", p.AVF, want)
@@ -314,22 +308,20 @@ func TestSkewedAccessClamps(t *testing.T) {
 }
 
 // BenchmarkSnapshot snapshots a tracker the size of one cold hmemd run
-// (about 15k pages, 3 lines each) whose page ids were interned in a
-// shuffled order.
+// (about 15k pages, 3 lines each).
 func BenchmarkSnapshot(b *testing.B) {
 	const pages = 15000
 	rng := xrand.New(1)
-	tr := NewTracker(2)
-	ids := make([]uint64, pages)
-	for i, v := range rng.Perm(pages) {
-		ids[i] = uint64(v) + 1<<20
+	tr := NewTracker(2, pages)
+	for i := range pages {
 		for l := 0; l < 3; l++ {
 			tr.Access(uint32(i), rng.Intn(64), int64(i), rng.Bool(0.3), TierDDR)
 		}
 	}
+	id := func(i uint32) uint64 { return uint64(i) + 1<<20 }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snapshotSink = tr.Snapshot(pages, ids)
+		snapshotSink = tr.Snapshot(pages, id)
 	}
 }
 
@@ -340,7 +332,7 @@ var snapshotSink []PageAVF
 // in cache, so the benchmark counts the cache lines an access touches.
 func BenchmarkAccessSparse(b *testing.B) {
 	const pages = 1 << 14
-	tr := NewTracker(2)
+	tr := NewTracker(2, pages)
 	rng := xrand.New(1)
 	for pi := uint32(0); pi < pages; pi++ {
 		for l := 0; l < 4; l++ {

@@ -54,10 +54,10 @@ func (r *refTracker) access(pi uint32, line int, at int64, write bool, tier Tier
 	}
 }
 
-func (r *refTracker) snapshot(total int64, ids []uint64) []PageAVF {
+func (r *refTracker) snapshot(total int64, id func(uint32) uint64) []PageAVF {
 	var out []PageAVF
 	for pi, ace := range r.ace {
-		p := PageAVF{Page: ids[pi], Reads: r.reads[pi], Writes: r.writes[pi], ByTier: make([]float64, r.tiers)}
+		p := PageAVF{Page: id(pi), Reads: r.reads[pi], Writes: r.writes[pi], ByTier: make([]float64, r.tiers)}
 		for tier, cycles := range ace {
 			p.ByTier[tier] = float64(cycles) / (64 * float64(total))
 			p.AVF += p.ByTier[tier]
@@ -82,18 +82,19 @@ type access struct {
 	tier  Tier
 }
 
-// checkAgainstReference replays accesses into a Tracker and the reference
-// and requires their snapshots to agree exactly.
-func checkAgainstReference(t testing.TB, tiers int, accesses []access, ids []uint64) {
+// checkAgainstReference replays accesses to page indices below pages into a
+// Tracker and the reference and requires their snapshots to agree exactly.
+// id maps an index to its page id, ascending.
+func checkAgainstReference(t testing.TB, tiers, pages int, accesses []access, id func(uint32) uint64) {
 	t.Helper()
-	tr, ref := NewTracker(tiers), newRefTracker(tiers)
+	tr, ref := NewTracker(tiers, pages), newRefTracker(tiers)
 	var total int64 = 1
 	for _, a := range accesses {
 		tr.Access(a.page, a.line, a.at, a.write, a.tier)
 		ref.access(a.page, a.line, a.at, a.write, a.tier)
 		total = max(total, a.at+1)
 	}
-	got, want := tr.Snapshot(total, ids), ref.snapshot(total, ids)
+	got, want := tr.Snapshot(total, id), ref.snapshot(total, id)
 	if tr.PageCount() != len(want) {
 		t.Fatalf("PageCount = %d, reference saw %d pages", tr.PageCount(), len(want))
 	}
@@ -113,18 +114,18 @@ func checkAgainstReference(t testing.TB, tiers int, accesses []access, ids []uin
 // change tier mid-run, and a few pages that sweep all 64 lines so every
 // block size class is filled and outgrown. Every tenth seed draws a long
 // stream over thousands of pages, whose blocks fill several arena chunks.
-func randomAccesses(seed uint64) (accesses []access, ids []uint64) {
+func randomAccesses(seed uint64) (accesses []access, pages int) {
 	rng := xrand.New(seed)
 	const span = 20000
 	npages, n := 1+rng.Intn(300), 500+rng.Intn(3000)
 	if seed%10 == 0 {
 		npages, n = 2500, 80000
 	}
-	pages := make([]uint32, npages)
-	for i := range pages {
-		pages[i] = uint32(rng.Uint64n(span))
+	drawn := make([]uint32, npages)
+	for i := range drawn {
+		drawn[i] = uint32(rng.Uint64n(span))
 	}
-	full := pages[:1+rng.Intn(min(len(pages), 8))]
+	full := drawn[:1+rng.Intn(min(len(drawn), 8))]
 	tierOf := make(map[uint32]Tier)
 	var now int64
 	emit := func(page uint32, line int) {
@@ -139,7 +140,7 @@ func randomAccesses(seed uint64) (accesses []access, ids []uint64) {
 		accesses = append(accesses, access{page, line, at, rng.Bool(0.4), tierOf[page]})
 	}
 	for ; n > 0; n-- {
-		page := pages[rng.Intn(len(pages))]
+		page := drawn[rng.Intn(len(drawn))]
 		// Most pages touch few lines, as traces do.
 		emit(page, rng.Intn(1+int(page%64)))
 		if rng.Bool(0.02) {
@@ -148,17 +149,16 @@ func randomAccesses(seed uint64) (accesses []access, ids []uint64) {
 			}
 		}
 	}
-	ids = make([]uint64, span)
-	for i, v := range rng.Perm(span) {
-		ids[i] = uint64(v)*7919 + 3
-	}
-	return accesses, ids
+	return accesses, span
 }
+
+// sparseID spreads page ids out, keeping them ascending with the index.
+func sparseID(i uint32) uint64 { return uint64(i)*7919 + 3 }
 
 func TestTrackerMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
-		accesses, ids := randomAccesses(seed)
-		checkAgainstReference(t, 3, accesses, ids)
+		accesses, pages := randomAccesses(seed)
+		checkAgainstReference(t, 3, pages, accesses, sparseID)
 	}
 }
 
@@ -185,10 +185,6 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 				tier:  Tier(data[3] % 3),
 			})
 		}
-		ids := make([]uint64, 256*37)
-		for i := range ids {
-			ids[i] = uint64(len(ids) - i) // descending: Snapshot must sort
-		}
-		checkAgainstReference(t, 3, accesses, ids)
+		checkAgainstReference(t, 3, 256*37, accesses, sparseID)
 	})
 }

@@ -247,9 +247,9 @@ func TestPolicyNamesUnique(t *testing.T) {
 }
 
 func TestFullCounters(t *testing.T) {
-	pt := NewPageTable()
-	fc := NewFullCounters(8)
-	p5, p9 := pt.Intern(5), pt.Intern(9)
+	pt := tableOf(t, PageRange{5, 1}, PageRange{9, 1})
+	fc := NewFullCounters(8, pt.Len())
+	p5, p9 := mustIndex(t, pt, 5), mustIndex(t, pt, 9)
 	fc.Observe(p5, false)
 	fc.Observe(p5, false)
 	fc.Observe(p5, true)
@@ -279,17 +279,22 @@ func TestFullCounters(t *testing.T) {
 // unobserved pages as untouched.
 func TestFullCountersSnapshotOrder(t *testing.T) {
 	for _, high := range []uint64{0, 1 << 62} {
-		pt := NewPageTable()
-		fc := NewFullCounters(8)
 		rng := xrand.New(3)
-		want := map[uint64]PageStats{}
-		for i := 0; i < 5000; i++ {
-			page := rng.Uint64n(3000) * 7919
+		pages := make([]uint64, 5000)
+		ranges := []PageRange{{1, 1}}
+		for i := range pages {
+			pages[i] = rng.Uint64n(3000) * 7919
 			if rng.Bool(0.01) {
-				page |= high
+				pages[i] |= high
 			}
+			ranges = append(ranges, PageRange{pages[i], 1})
+		}
+		pt := tableOf(t, ranges...)
+		fc := NewFullCounters(8, pt.Len())
+		want := map[uint64]PageStats{}
+		for _, page := range pages {
 			write := rng.Bool(0.3)
-			fc.Observe(pt.Intern(page), write)
+			fc.Observe(mustIndex(t, pt, page), write)
 			s := want[page]
 			s.Page = page
 			if write {
@@ -299,7 +304,7 @@ func TestFullCountersSnapshotOrder(t *testing.T) {
 			}
 			want[page] = s
 		}
-		unseen := pt.Intern(1)
+		unseen := mustIndex(t, pt, 1)
 		snap := fc.Snapshot(pt)
 		if len(snap) != len(want) {
 			t.Fatalf("high=%#x: %d pages in the snapshot, %d observed", high, len(snap), len(want))
@@ -311,7 +316,7 @@ func TestFullCountersSnapshotOrder(t *testing.T) {
 			if s != want[s.Page] {
 				t.Fatalf("high=%#x: snapshot has %+v, want %+v", high, s, want[s.Page])
 			}
-			pi, _ := pt.Find(s.Page)
+			pi := mustIndex(t, pt, s.Page)
 			if r, w, touched := fc.Counts(pi); !touched || r != s.Reads || w != s.Writes {
 				t.Fatalf("high=%#x: Counts(%d) = %d, %d, %v; snapshot has %+v", high, s.Page, r, w, touched, s)
 			}
@@ -320,16 +325,16 @@ func TestFullCountersSnapshotOrder(t *testing.T) {
 			t.Fatalf("high=%#x: unobserved page counts %d, %d, %v", high, r, w, touched)
 		}
 		fc.Reset()
-		if _, _, touched := fc.Counts(pt.Intern(snap[0].Page)); touched {
+		if _, _, touched := fc.Counts(mustIndex(t, pt, snap[0].Page)); touched {
 			t.Fatalf("high=%#x: a page observed before Reset counts as touched after it", high)
 		}
 	}
 }
 
 func TestFullCountersSaturate(t *testing.T) {
-	pt := NewPageTable()
-	fc := NewFullCounters(8)
-	p1 := pt.Intern(1)
+	pt := tableOf(t, PageRange{1, 1})
+	fc := NewFullCounters(8, pt.Len())
+	p1 := mustIndex(t, pt, 1)
 	for i := 0; i < 1000; i++ {
 		fc.Observe(p1, false)
 	}
@@ -389,15 +394,5 @@ func TestFromSnapshot(t *testing.T) {
 	if len(stats) != 1 || stats[0].Page != 7 || stats[0].AVF != 0.25 ||
 		stats[0].Reads != 3 || stats[0].Writes != 4 {
 		t.Fatalf("FromSnapshot = %+v", stats)
-	}
-}
-
-func TestSortByPage(t *testing.T) {
-	stats := []PageStats{{Page: 3}, {Page: 1}, {Page: 2}}
-	SortByPage(stats)
-	for i, want := range []uint64{1, 2, 3} {
-		if stats[i].Page != want {
-			t.Fatalf("order = %v", stats)
-		}
 	}
 }

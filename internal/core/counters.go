@@ -1,9 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // Hardware activity counters (§6.1-§6.4). The paper's mechanisms are
 // modeled bit-faithfully: 8-bit saturating read/write counters per page for
@@ -12,40 +9,44 @@ import (
 // §6.3/§6.4.2 hardware-cost table.
 //
 // The tracker is keyed by dense PageIndex (see PageTable) and stores its
-// state in flat slices: one bounds check and two array writes per access,
-// no map operations and no allocations in steady state. Interval resets
-// are O(touched) via an epoch stamp — entries are lazily zeroed on first
-// touch of the next interval instead of eagerly cleared or reallocated.
+// state in flat slices sized once for the table: one bounds check and two
+// array writes per access, no map operations and no allocations. Interval
+// resets are O(touched) via an epoch stamp — entries are lazily zeroed on
+// first touch of the next interval instead of eagerly cleared or
+// reallocated.
 
 // FullCounters tracks reads and writes per page — the §6.2 FC mechanism.
-// The backing store is dense over interned page indices (only touched pages
-// ever get an index), but the hardware cost is computed from the architected
-// page count. The zero value is unusable; construct with NewFullCounters.
+// The backing store is dense over the run's page indices, but the hardware
+// cost is computed from the architected page count. The zero value is
+// unusable; construct with NewFullCounters.
 type FullCounters struct {
 	max     uint32 // saturation value, 2^bits - 1
 	reads   []uint32
 	writes  []uint32
 	mark    []uint64 // epoch stamp: entry is live iff mark[i] == epoch
 	epoch   uint64
-	touched []PageIndex // indices observed this interval, first-touch order
-	order   []pageKey   // Snapshot's scratch: touched, sorted by page id
+	touched []PageIndex // indices observed this interval
 }
 
-// NewFullCounters builds the tracker with the given counter width (the
-// paper sizes 8-bit counters after observing 6 bits suffice).
-func NewFullCounters(bits int) *FullCounters {
+// NewFullCounters builds the tracker for the page indices below pages,
+// with the given counter width (the paper sizes 8-bit counters after
+// observing 6 bits suffice).
+func NewFullCounters(bits, pages int) *FullCounters {
 	if bits <= 0 || bits > 32 {
 		panic("core: counter width must be 1..32 bits")
 	}
-	return &FullCounters{max: 1<<uint(bits) - 1, epoch: 1}
+	return &FullCounters{
+		max:    1<<uint(bits) - 1,
+		reads:  make([]uint32, pages),
+		writes: make([]uint32, pages),
+		mark:   make([]uint64, pages),
+		epoch:  1,
+	}
 }
 
-// Observe records one access to the page interned at pi.
+// Observe records one access to the page at pi.
 func (f *FullCounters) Observe(pi PageIndex, write bool) {
 	i := int(pi)
-	if i >= len(f.mark) {
-		f.ensure(i + 1)
-	}
 	if f.mark[i] != f.epoch {
 		f.mark[i] = f.epoch
 		f.reads[i], f.writes[i] = 0, 0
@@ -62,56 +63,25 @@ func (f *FullCounters) Observe(pi PageIndex, write bool) {
 	}
 }
 
-// ensure grows the backing arrays to hold at least n entries. Growth is
-// amortized doubling so a run allocates O(log footprint) times total.
-func (f *FullCounters) ensure(n int) {
-	cap := len(f.mark) * 2
-	if cap < n {
-		cap = n
-	}
-	if cap < 64 {
-		cap = 64
-	}
-	reads := make([]uint32, cap)
-	writes := make([]uint32, cap)
-	mark := make([]uint64, cap)
-	copy(reads, f.reads)
-	copy(writes, f.writes)
-	copy(mark, f.mark)
-	f.reads, f.writes, f.mark = reads, writes, mark
-}
-
 // Snapshot exports the interval's counters as PageStats (AVF unknown: the
 // runtime mechanism estimates risk via WrRatio instead). pt must be the
-// table that issued the indices fed to Observe; the result is ordered by
-// page id for deterministic downstream aggregation. It sorts (id, index)
-// pairs, not the stats, and fills each page's stats once in that order.
+// table that issued the indices fed to Observe. Index order is page-id
+// order, so sorting the touched indices orders the result by page id for
+// deterministic downstream aggregation.
 func (f *FullCounters) Snapshot(pt *PageTable) []PageStats {
-	ids := pt.IDs()
-	order := f.order[:0]
-	for _, pi := range f.touched {
-		order = append(order, pageKey{ids[pi], pi})
+	slices.Sort(f.touched)
+	out := make([]PageStats, len(f.touched))
+	for k, pi := range f.touched {
+		out[k] = PageStats{Page: pt.ID(pi), Reads: uint64(f.reads[pi]), Writes: uint64(f.writes[pi])}
 	}
-	slices.SortFunc(order, func(a, b pageKey) int { return cmp.Compare(a.id, b.id) })
-	out := make([]PageStats, len(order))
-	for k, o := range order {
-		out[k] = PageStats{Page: o.id, Reads: uint64(f.reads[o.pi]), Writes: uint64(f.writes[o.pi])}
-	}
-	f.order = order
 	return out
 }
 
-// pageKey is one Snapshot sort entry: a touched page's id and index.
-type pageKey struct {
-	id uint64
-	pi PageIndex
-}
-
-// Counts returns the interval's read and write counts of the page interned
-// at pi, and whether it was observed this interval (zero counts if not).
+// Counts returns the interval's read and write counts of the page at pi,
+// and whether it was observed this interval (zero counts if not).
 func (f *FullCounters) Counts(pi PageIndex) (reads, writes uint64, touched bool) {
 	i := int(pi)
-	if i >= len(f.mark) || f.mark[i] != f.epoch {
+	if f.mark[i] != f.epoch {
 		return 0, 0, false
 	}
 	return uint64(f.reads[i]), uint64(f.writes[i]), true

@@ -2,26 +2,11 @@ package core
 
 import "testing"
 
-// BenchmarkPageTableIntern measures the warm interning cost: the one
-// sparse→dense translation every access pays.
-func BenchmarkPageTableIntern(b *testing.B) {
-	pt := NewPageTable()
-	const pages = 4096
-	for pg := uint64(0); pg < pages; pg++ {
-		pt.Intern(pg * 4096)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pt.Intern(uint64(i%pages) * 4096)
-	}
-}
-
 // BenchmarkFullCountersObserve measures one counter update on the flat
 // array path (the FC mechanism's per-access cost).
 func BenchmarkFullCountersObserve(b *testing.B) {
-	fc := NewFullCounters(8)
 	const pages = 4096
+	fc := NewFullCounters(8, pages)
 	for pg := PageIndex(0); pg < pages; pg++ {
 		fc.Observe(pg, false)
 	}
@@ -35,12 +20,12 @@ func BenchmarkFullCountersObserve(b *testing.B) {
 // snapshotResetTurn returns one interval turnover over a 4K-page working
 // set: observe every page, snapshot, and reset the epoch stamps.
 func snapshotResetTurn() func() {
-	pt := NewPageTable()
 	const pages = 4096
-	for pg := uint64(0); pg < pages; pg++ {
-		pt.Intern(pg)
+	pt, err := NewPageTable([]PageRange{{0, pages}})
+	if err != nil {
+		panic(err)
 	}
-	fc := NewFullCounters(8)
+	fc := NewFullCounters(8, pages)
 	return func() {
 		for pg := PageIndex(0); pg < pages; pg++ {
 			fc.Observe(pg, pg%3 == 0)

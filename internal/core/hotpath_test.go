@@ -8,53 +8,35 @@ import "testing"
 // once its slices cover the working set.
 func TestFullCountersResetReusesStorage(t *testing.T) {
 	const pages = 128
-	fc := NewFullCounters(16)
-	pt := NewPageTable()
+	fc := NewFullCounters(16, pages)
 	cycle := func() {
-		for pg := uint64(0); pg < pages; pg++ {
-			fc.Observe(pt.Intern(pg), pg%2 == 0)
+		for pi := PageIndex(0); pi < pages; pi++ {
+			fc.Observe(pi, pi%2 == 0)
 		}
 		fc.Reset()
 	}
-	cycle() // grow to steady state
+	cycle() // grow the touched list to steady state
 	allocs := testing.AllocsPerRun(100, cycle)
 	if allocs != 0 {
 		t.Fatalf("observe+reset cycle allocated %.1f times; want 0", allocs)
 	}
 }
 
-// TestFullCountersObserveZeroAllocs checks the per-access half alone: once a
-// page index is covered by the flat arrays, Observe never allocates.
+// TestFullCountersObserveZeroAllocs checks the per-access half alone: once
+// the interval's touched list holds every page, Observe never allocates.
 func TestFullCountersObserveZeroAllocs(t *testing.T) {
-	fc := NewFullCounters(16)
-	pt := NewPageTable()
-	for pg := uint64(0); pg < 64; pg++ {
-		fc.Observe(pt.Intern(pg), false)
+	pt := tableOf(t, PageRange{4096, 64})
+	fc := NewFullCounters(16, pt.Len())
+	for pg := uint64(4096); pg < 4096+64; pg++ {
+		fc.Observe(mustIndex(t, pt, pg), false)
 	}
 	pg := uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		fc.Observe(pt.Intern(pg), pg%2 == 0)
+		pi, _ := pt.Index(4096 + pg)
+		fc.Observe(pi, pg%2 == 0)
 		pg = (pg + 1) % 64
 	})
 	if allocs != 0 {
 		t.Fatalf("Observe allocated %.1f times per access; want 0", allocs)
-	}
-}
-
-// TestPageTableInternZeroAllocsWhenWarm checks that re-interning a known
-// page is a pure probe: no growth, no allocation.
-func TestPageTableInternZeroAllocsWhenWarm(t *testing.T) {
-	pt := NewPageTable()
-	const pages = 500
-	for pg := uint64(0); pg < pages; pg++ {
-		pt.Intern(pg * 4096)
-	}
-	pg := uint64(0)
-	allocs := testing.AllocsPerRun(1000, func() {
-		pt.Intern(pg * 4096)
-		pg = (pg + 1) % pages
-	})
-	if allocs != 0 {
-		t.Fatalf("warm Intern allocated %.1f times per access; want 0", allocs)
 	}
 }

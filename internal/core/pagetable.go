@@ -1,134 +1,130 @@
 package core
 
-// PageTable interns sparse 64-bit page ids into dense uint32 indices so the
-// per-access bookkeeping (activity counters, placement, AVF tracking, MEA,
-// interval hotness) can live in flat slices instead of Go maps. Indices are
-// assigned in first-touch order, are stable for the lifetime of the table,
-// and are dense: after N distinct interns the live indices are exactly
-// 0..N-1.
-//
-// The table is a linear-probing open-addressing hash over plain slices: one
-// probe sequence per access, no Go map machinery, and zero allocations in
-// steady state (growth is amortized and stops once the footprint is seen).
-// It is the single sparse→dense translation on the simulator's hot path;
-// everything downstream indexes arrays.
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
 
-// PageIndex is a dense index assigned to a page id by a PageTable. Indices
-// from different tables are not comparable.
+// PageTable numbers the pages of a run densely, in page-id order, so the
+// per-access bookkeeping (activity counters, placement, AVF tracking, MEA,
+// interval hotness) can live in flat slices instead of Go maps. It is built
+// once, before the first access, from the page ranges the run may touch: a
+// page's index is its offset into the sorted union of those ranges. Index
+// order is page-id order, so a walk over the indices visits pages in
+// ascending id, and ID inverts Index.
+//
+// A workload declares one range per core (its address space), so a run's
+// table holds a handful of ranges and Index is a short binary search: no
+// hashing, no growth, no allocation.
+
+// PageIndex is a page's dense index in a PageTable. Indices from different
+// tables are not comparable.
 type PageIndex uint32
 
-// NoPageIndex is the sentinel for "not interned" in sparse slot arrays.
-const NoPageIndex = PageIndex(^uint32(0))
+// PageRange is the pages First, First+1, ..., First+Count-1.
+type PageRange struct {
+	First, Count uint64
+}
 
-const emptyPageSlot = ^uint32(0)
-
-// PageTable maps page ids to dense indices. The zero value is not usable;
-// construct with NewPageTable. Not safe for concurrent use.
+// PageTable maps the pages of a fixed set of ranges to dense indices. The
+// zero value is an empty table. It is immutable, so concurrent reads are
+// safe.
 type PageTable struct {
-	ids  []uint64 // dense: index -> page id
-	keys []uint64 // open-addressing slot keys
-	vals []uint32 // parallel to keys; emptyPageSlot marks a free slot
-	mask uint64   // len(keys)-1, len is a power of two
+	first []uint64 // first page of each disjoint range, ascending
+	start []uint32 // index of each range's first page, plus the total
 }
 
-// NewPageTable returns an empty table.
-func NewPageTable() *PageTable {
-	const initial = 1 << 10
-	t := &PageTable{
-		keys: make([]uint64, initial),
-		vals: make([]uint32, initial),
-		mask: initial - 1,
-	}
-	for i := range t.vals {
-		t.vals[i] = emptyPageSlot
-	}
-	return t
-}
-
-// hashPage is the splitmix64 finalizer — a full-avalanche mixer so page ids
-// that differ only in high bits still spread across slots.
-func hashPage(id uint64) uint64 {
-	id ^= id >> 30
-	id *= 0xbf58476d1ce4e5b9
-	id ^= id >> 27
-	id *= 0x94d049bb133111eb
-	id ^= id >> 31
-	return id
-}
-
-// Intern returns the dense index for id, assigning the next free index on
-// first sight. Steady state (id already interned) performs no allocation.
-func (t *PageTable) Intern(id uint64) PageIndex {
-	slot := hashPage(id) & t.mask
-	for {
-		v := t.vals[slot]
-		if v == emptyPageSlot {
-			break
-		}
-		if t.keys[slot] == id {
-			return PageIndex(v)
-		}
-		slot = (slot + 1) & t.mask
-	}
-	ix := uint32(len(t.ids))
-	t.ids = append(t.ids, id)
-	t.keys[slot] = id
-	t.vals[slot] = ix
-	// Grow at 3/4 load so probe chains stay short.
-	if uint64(len(t.ids))*4 >= uint64(len(t.keys))*3 {
-		t.grow()
-	}
-	return PageIndex(ix)
-}
-
-// Find returns the dense index for id without interning it.
-func (t *PageTable) Find(id uint64) (PageIndex, bool) {
-	slot := hashPage(id) & t.mask
-	for {
-		v := t.vals[slot]
-		if v == emptyPageSlot {
-			return 0, false
-		}
-		if t.keys[slot] == id {
-			return PageIndex(v), true
-		}
-		slot = (slot + 1) & t.mask
-	}
-}
-
-// ID returns the page id interned at index ix. It panics on an index the
-// table never issued — that is a corrupted-index bug upstream.
-func (t *PageTable) ID(ix PageIndex) uint64 {
-	return t.ids[ix]
-}
-
-// Len returns the number of distinct page ids interned.
-func (t *PageTable) Len() int { return len(t.ids) }
-
-// IDs returns the dense index→id mapping as a slice: IDs()[ix] is the page
-// id of index ix. The slice is the table's backing store — callers must not
-// mutate it, and its length grows with future interns.
-func (t *PageTable) IDs() []uint64 { return t.ids }
-
-func (t *PageTable) grow() {
-	oldKeys, oldVals := t.keys, t.vals
-	n := uint64(len(oldKeys)) * 2
-	t.keys = make([]uint64, n)
-	t.vals = make([]uint32, n)
-	t.mask = n - 1
-	for i := range t.vals {
-		t.vals[i] = emptyPageSlot
-	}
-	for i, v := range oldVals {
-		if v == emptyPageSlot {
+// NewPageTable returns the table of the union of ranges. Ranges may come in
+// any order and may overlap, touch or repeat; empty ones are ignored. It
+// fails when the union has more pages than a PageIndex can number.
+func NewPageTable(ranges []PageRange) (*PageTable, error) {
+	rs := slices.Clone(ranges)
+	slices.SortFunc(rs, func(a, b PageRange) int { return cmp.Compare(a.First, b.First) })
+	t := &PageTable{start: []uint32{0}}
+	var end, total uint64 // end of the last range (exclusive), pages so far
+	for _, r := range rs {
+		if r.Count == 0 {
 			continue
 		}
-		id := oldKeys[i]
-		slot := hashPage(id) & t.mask
-		for t.vals[slot] != emptyPageSlot {
-			slot = (slot + 1) & t.mask
+		last := r.First + min(r.Count, math.MaxUint64-r.First) // exclusive, saturated
+		if len(t.first) > 0 && r.First <= end {
+			if last > end {
+				total += last - end
+				end = last
+			}
+		} else {
+			t.first = append(t.first, r.First)
+			t.start = append(t.start, 0)
+			total += last - r.First
+			end = last
 		}
-		t.keys[slot] = id
-		t.vals[slot] = v
+		if total > math.MaxUint32 {
+			return nil, fmt.Errorf("core: page table of more than %d pages", uint64(math.MaxUint32))
+		}
+		t.start[len(t.first)] = uint32(total)
 	}
+	return t, nil
+}
+
+// Index returns page's dense index, and false when no range holds page.
+func (t *PageTable) Index(page uint64) (PageIndex, bool) {
+	return t.at(t.find(page), page)
+}
+
+// IndexNear is Index for a caller whose lookups stay near each other: *r,
+// the range of its last lookup (any value at first), is tried before the
+// search and then set to the range searched. A simulated core's records
+// stay in its own address space, so its lookups rarely search.
+func (t *PageTable) IndexNear(r *int, page uint64) (PageIndex, bool) {
+	if ix, ok := t.at(*r, page); ok {
+		return ix, true
+	}
+	*r = t.find(page)
+	return t.at(*r, page)
+}
+
+// find returns the last range starting at or before page, -1 if none.
+func (t *PageTable) find(page uint64) int {
+	lo, hi := 0, len(t.first)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.first[m] <= page {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo - 1
+}
+
+// at returns page's index in range r, and false when r holds no such page.
+func (t *PageTable) at(r int, page uint64) (PageIndex, bool) {
+	if r < 0 || r >= len(t.first) {
+		return 0, false
+	}
+	off := page - t.first[r]
+	if off >= uint64(t.start[r+1]-t.start[r]) {
+		return 0, false
+	}
+	return PageIndex(t.start[r] + uint32(off)), true
+}
+
+// ID returns the page at index ix. It panics on an index at or past Len.
+func (t *PageTable) ID(ix PageIndex) uint64 {
+	if int(ix) >= t.Len() {
+		panic("core: page index out of range")
+	}
+	// Find the last range starting at or before ix.
+	r, _ := slices.BinarySearch(t.start[1:], uint32(ix)+1)
+	return t.first[r] + uint64(uint32(ix)-t.start[r])
+}
+
+// Len returns the number of pages in the table.
+func (t *PageTable) Len() int {
+	if len(t.start) == 0 {
+		return 0
+	}
+	return int(t.start[len(t.start)-1])
 }

@@ -5,64 +5,99 @@ import (
 	"testing"
 )
 
-// FuzzPageTable drives the interning table with an arbitrary page-id
-// sequence (8 bytes per id, little-endian) and checks its contract:
+// tableOf returns the page table of the union of ranges.
+func tableOf(t testing.TB, ranges ...PageRange) *PageTable {
+	t.Helper()
+	pt, err := NewPageTable(ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
+// mustIndex returns page's index in pt.
+func mustIndex(t testing.TB, pt *PageTable, page uint64) PageIndex {
+	t.Helper()
+	pi, ok := pt.Index(page)
+	if !ok {
+		t.Fatalf("page %#x is not in the table", page)
+	}
+	return pi
+}
+
+// FuzzPageTable builds a table from arbitrary ranges (16 bytes per range,
+// little-endian: the first page, kept below 2^52, then the page count, kept
+// below 256) and checks its contract against the union the ranges spell
+// out page by page:
 //
-//   - the same id always interns to the same index (stable within a run);
-//   - indices are dense: the i-th distinct id gets index i;
-//   - no aliasing: distinct ids never share an index, and ID() inverts
-//     Intern() exactly;
-//   - Find agrees with Intern without side effects.
+//   - Len is the size of the union;
+//   - every page of the union has an index, and ID inverts Index;
+//   - ID strictly ascends over the indices, so index order is page order;
+//   - a page next to a range, but outside the union, has no index.
 func FuzzPageTable(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0})
-	seed := make([]byte, 0, 64)
-	for _, id := range []uint64{0, 1, 1, 2, 1 << 40, 0xffffffffffffffff, 4096, 8192} {
-		seed = binary.LittleEndian.AppendUint64(seed, id)
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 4096), 3))
+	seed := make([]byte, 0, 128)
+	for _, r := range []PageRange{
+		{10, 5}, {12, 2}, // overlapping
+		{15, 1},              // adjacent
+		{10, 5},              // repeated
+		{0, 0},               // empty
+		{1<<52 - 3, 255},     // near the top of the id space
+		{1 << 40, 1}, {7, 1}, // out of order
+	} {
+		seed = binary.LittleEndian.AppendUint64(seed, r.First)
+		seed = binary.LittleEndian.AppendUint64(seed, r.Count)
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pt := NewPageTable()
-		want := make(map[uint64]PageIndex)
-		var order []uint64
-		for len(data) >= 8 {
-			id := binary.LittleEndian.Uint64(data[:8])
-			data = data[8:]
-
-			prev, seen := want[id]
-			if ix, ok := pt.Find(id); ok != seen {
-				t.Fatalf("Find(%#x) ok=%v disagrees with history (seen=%v)", id, ok, seen)
-			} else if ok && ix != prev {
-				t.Fatalf("Find(%#x) = %d, want %d", id, ix, prev)
+		var ranges []PageRange
+		union := map[uint64]bool{}
+		for ; len(data) >= 16; data = data[16:] {
+			r := PageRange{
+				First: binary.LittleEndian.Uint64(data) & (1<<52 - 1),
+				Count: binary.LittleEndian.Uint64(data[8:]) % 256,
 			}
-
-			ix := pt.Intern(id)
-			if seen {
-				if ix != prev {
-					t.Fatalf("Intern(%#x) = %d, previously %d (unstable)", id, ix, prev)
+			ranges = append(ranges, r)
+			for p := r.First; p < r.First+r.Count; p++ {
+				union[p] = true
+			}
+		}
+		pt := tableOf(t, ranges...)
+		if pt.Len() != len(union) {
+			t.Fatalf("Len() = %d, want %d pages in the union", pt.Len(), len(union))
+		}
+		for p := range union {
+			ix, ok := pt.Index(p)
+			if !ok {
+				t.Fatalf("Index(%#x) reports false for a page of the union", p)
+			}
+			if back := pt.ID(ix); back != p {
+				t.Fatalf("ID(Index(%#x)) = %#x", p, back)
+			}
+		}
+		for ix := 1; ix < pt.Len(); ix++ {
+			if a, b := pt.ID(PageIndex(ix-1)), pt.ID(PageIndex(ix)); a >= b {
+				t.Fatalf("ID(%d) = %#x does not ascend past ID(%d) = %#x", ix, b, ix-1, a)
+			}
+		}
+		for _, r := range ranges {
+			for _, p := range []uint64{r.First - 1, r.First + r.Count} {
+				if _, ok := pt.Index(p); ok != union[p] {
+					t.Fatalf("Index(%#x) reports %v, union membership %v", p, ok, union[p])
 				}
-			} else {
-				if int(ix) != len(order) {
-					t.Fatalf("Intern(%#x) = %d, want dense next index %d", id, ix, len(order))
-				}
-				want[id] = ix
-				order = append(order, id)
-			}
-			if back := pt.ID(ix); back != id {
-				t.Fatalf("ID(%d) = %#x, want %#x (aliasing)", ix, back, id)
-			}
-		}
-		if pt.Len() != len(order) {
-			t.Fatalf("Len() = %d, want %d distinct ids", pt.Len(), len(order))
-		}
-		ids := pt.IDs()
-		if len(ids) != len(order) {
-			t.Fatalf("IDs() has %d entries, want %d", len(ids), len(order))
-		}
-		for i, id := range order {
-			if ids[i] != id {
-				t.Fatalf("IDs()[%d] = %#x, want %#x (insertion order broken)", i, ids[i], id)
 			}
 		}
 	})
+}
+
+// TestPageTableRejectsOversizedUnion: a union of more pages than a
+// PageIndex can number is an error, found without touching the pages.
+func TestPageTableRejectsOversizedUnion(t *testing.T) {
+	if _, err := NewPageTable([]PageRange{{0, 1 << 31}, {1 << 40, 1 << 31}}); err == nil {
+		t.Fatal("a table of 2^32 pages was accepted")
+	}
+	if pt := tableOf(t, PageRange{0, 1 << 31}, PageRange{1 << 40, 1<<31 - 1}); pt.Len() != 1<<32-1 {
+		t.Fatalf("Len() = %d, want 2^32-1", pt.Len())
+	}
 }

@@ -6,9 +6,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"hmem/internal/avf"
 	"hmem/internal/faultsim"
 )
@@ -53,11 +50,6 @@ func FromSnapshot(snap []avf.PageAVF) []PageStats {
 		out[i] = PageStats{Page: s.Page, Reads: s.Reads, Writes: s.Writes, AVF: s.AVF}
 	}
 	return out
-}
-
-// SortByPage orders stats by page id (canonical order for determinism).
-func SortByPage(stats []PageStats) {
-	slices.SortFunc(stats, func(a, b PageStats) int { return cmp.Compare(a.Page, b.Page) })
 }
 
 // MeanHotness returns the mean access count — the paper's hot/cold threshold

@@ -10,24 +10,36 @@ package experiments
 // recordsPerCore, seed), so a replay is bit-identical to a fresh generator
 // and results do not depend on whether a simulation recorded or replayed.
 //
-// A Runner keeps its recordings under a fixed byte budget, dropping the
-// oldest first; a dropped workload is recorded again by its next
-// simulation.
+// A Runner keeps its recordings under a byte budget sized from the trace
+// length, dropping the oldest first; a dropped workload is recorded again
+// by its next simulation.
 
 import (
 	"context"
 	"sync"
 
+	"hmem/internal/core"
 	"hmem/internal/exec"
 	"hmem/internal/obs"
 	"hmem/internal/trace"
 	"hmem/internal/workload"
 )
 
-// recordingBudget bounds the bytes of recordings one Runner keeps. The
-// figure suite at the default options needs 29.3 MB: 14 workloads × 16
-// cores × 40k records × 3.27 B. A variable only so tests can shrink it.
-var recordingBudget int64 = 96 << 20
+// maxRecordBytes bounds the bytes of one recorded record of a built-in
+// workload: a header byte, a gap code of at most two bytes and a two-byte
+// page code. Built-in footprints stay below the page escape and their gaps
+// below the gap escape, so no record spills into the wide column. Records
+// average about 3.3 B, since most carry no page code.
+const maxRecordBytes = 5
+
+// recordingBudget bounds the bytes of recordings one Runner keeps at
+// recordsPerCore records per core: room for every built-in workload's
+// recording at once, so a figure suite records each workload once at any
+// trace length. At the default 40k it is 44.8 MB; the 14 workloads need
+// 29.3 MB (16 cores × 40k records × 3.27 B each).
+func recordingBudget(recordsPerCore int) int64 {
+	return int64(len(workload.AllSpecs())) * workload.Cores * int64(recordsPerCore) * maxRecordBytes
+}
 
 // TraceStats counts trace deliveries: Opens is how many times a workload's
 // trace was recorded from its generators, and CoalesceHits is how many
@@ -52,16 +64,18 @@ type recording struct {
 }
 
 // suiteView is what a simulation consumes from a recording: the structure
-// table plus one replay stream per core.
+// table, one replay stream per core and each core's page range.
 type suiteView struct {
 	structures []workload.Structure
 	streams    []trace.Stream
+	ranges     []core.PageRange
 }
 
 // recordingStore is a Runner's bounded set of recordings by workload name,
 // the StudyStore pattern with a byte bound.
 type recordingStore struct {
-	memo exec.Memo[string, *recording]
+	memo   exec.Memo[string, *recording]
+	budget int64 // see recordingBudget
 
 	mu    sync.Mutex
 	order []storedRecording // oldest first
@@ -85,7 +99,7 @@ func (st *recordingStore) do(ctx context.Context, name string, rec func() (*reco
 		st.mu.Lock()
 		st.order = append(st.order, storedRecording{name, v.bytes})
 		st.bytes += v.bytes
-		for st.bytes > recordingBudget {
+		for st.bytes > st.budget {
 			st.memo.Forget(st.order[0].name)
 			st.bytes -= st.order[0].bytes
 			st.order = st.order[1:]
@@ -108,7 +122,7 @@ func (r *Runner) TraceStats() TraceStats {
 }
 
 // RecordingBytes returns the bytes of trace recordings the runner keeps,
-// at most 96 MiB.
+// at most its recording budget.
 func (r *Runner) RecordingBytes() int64 { return r.recordings.size() }
 
 // SetTraceWrap installs a wrapper applied to every trace stream a
@@ -154,8 +168,11 @@ func (r *Runner) buildSuiteCtx(ctx context.Context, spec workload.Spec) (*suiteV
 		r.coalesceHits.Add(1)
 	}
 	wrap := r.getTraceWrap()
-	v := &suiteView{structures: rec.structures, streams: make([]trace.Stream, len(rec.cores))}
+	v := &suiteView{structures: rec.structures, streams: make([]trace.Stream, len(rec.cores)),
+		ranges: make([]core.PageRange, len(rec.cores))}
 	for i, c := range rec.cores {
+		first, count := c.Pages()
+		v.ranges[i] = core.PageRange{First: first, Count: count}
 		v.streams[i] = c.Stream()
 		if wrap != nil {
 			v.streams[i] = wrap(spec.Name, v.streams[i])

@@ -130,10 +130,8 @@ func TestRecordingEviction(t *testing.T) {
 		sizes[i] = rec.bytes
 	}
 	// The two newest fit; all three do not.
-	defer func(b int64) { recordingBudget = b }(recordingBudget)
-	recordingBudget = sizes[1] + max(sizes[0], sizes[2])
-
 	r := mustRunner(t, tinyRecordingOpts())
+	r.recordings.budget = sizes[1] + max(sizes[0], sizes[2])
 	for _, spec := range specs {
 		if _, err := r.ProfileOf(ctx, spec); err != nil {
 			t.Fatal(err)
@@ -159,8 +157,8 @@ func TestRecordingEviction(t *testing.T) {
 	if st := r.TraceStats(); st.Opens != 4 {
 		t.Fatalf("opens = %d after re-running the evicted workload, want 4", st.Opens)
 	}
-	if got := r.RecordingBytes(); got > recordingBudget {
-		t.Fatalf("kept %d bytes over the %d-byte budget", got, recordingBudget)
+	if got := r.RecordingBytes(); got > r.recordings.budget {
+		t.Fatalf("kept %d bytes over the %d-byte budget", got, r.recordings.budget)
 	}
 }
 
@@ -275,5 +273,33 @@ func TestCoalescedReplayZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("building and draining a replay allocates %.1f per pass, want 0", allocs)
+	}
+}
+
+// TestRecordingBudgetHoldsEveryWorkload checks maxRecordBytes against the
+// bytes actually recorded: at a small length, no core of any built-in
+// workload records more than maxRecordBytes per record, so the budget holds
+// every workload's recording at once and a suite records each once.
+func TestRecordingBudgetHoldsEveryWorkload(t *testing.T) {
+	const records = 2000
+	r := mustRunner(t, Options{RecordsPerCore: records, FaultTrials: 1500})
+	var total int64
+	for _, spec := range workload.AllSpecs() {
+		rec, err := r.record(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, cr := range rec.cores {
+			if b := cr.Bytes(); b > maxRecordBytes*records {
+				t.Errorf("%s core %d: %d bytes for %d records, over %d B per record", spec.Name, c, b, records, maxRecordBytes)
+			}
+		}
+		total += rec.bytes
+	}
+	if budget := r.recordings.budget; total > budget {
+		t.Fatalf("the built-in workloads record %d bytes, over the %d-byte budget", total, budget)
+	}
+	if got, want := recordingBudget(40000), int64(29_300_000); got <= want {
+		t.Fatalf("budget at 40k records is %d bytes, below the %d the figure suite needs", got, want)
 	}
 }

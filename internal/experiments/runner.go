@@ -173,11 +173,12 @@ func NewRunner(opts Options) (*Runner, error) {
 	cfg := sim.DefaultConfig(opts.ScaleDiv)
 	cfg.Topology = topo
 	return &Runner{
-		opts:  opts,
-		cfg:   cfg,
-		topo:  topo,
-		specs: specs,
-		slots: make(chan struct{}, opts.Parallel),
+		opts:       opts,
+		cfg:        cfg,
+		topo:       topo,
+		specs:      specs,
+		slots:      make(chan struct{}, opts.Parallel),
+		recordings: recordingStore{budget: recordingBudget(opts.RecordsPerCore)},
 	}, nil
 }
 
@@ -300,7 +301,7 @@ func (r *Runner) simulate(ctx context.Context, spec workload.Spec, pages []uint6
 	}
 	r.slots <- struct{}{}
 	defer func() { <-r.slots }()
-	res, err := sim.RunCtx(ctx, r.cfg, suite.streams, pages, pin, mig)
+	res, err := sim.RunCtx(ctx, r.cfg, suite.ranges, suite.streams, pages, pin, mig)
 	return res, suite.structures, err
 }
 

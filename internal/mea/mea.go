@@ -5,11 +5,11 @@
 // interval with strong theoretical guarantees and O(k) state, in contrast to
 // a full counter per addressable page.
 //
-// The tracker is keyed by dense page indices (core.PageTable interning —
-// passed as raw uint32 to keep this package leaf-level). The k entries live
-// in two flat arrays and a reverse slot array indexed by page index answers
-// "is this page tracked?" in one load — the per-access path performs no map
-// operations and no allocations once the footprint has been seen.
+// The tracker is keyed by dense page indices (a core.PageTable's, passed as
+// raw uint32 to keep this package leaf-level). The k entries live in two
+// flat arrays and a reverse slot array, sized once for the run's table and
+// indexed by page index, answers "is this page tracked?" in one load — the
+// per-access path performs no map operations and no allocations.
 package mea
 
 // noSlot marks a page index with no MEA entry.
@@ -26,17 +26,22 @@ type Tracker struct {
 	observed uint64
 }
 
-// New returns a tracker with k counters (MemPod and the paper use 32).
-// It panics if k <= 0.
-func New(k int) *Tracker {
+// New returns a tracker with k counters (MemPod and the paper use 32) for
+// the page indices below pages. It panics if k <= 0.
+func New(k, pages int) *Tracker {
 	if k <= 0 {
 		panic("mea: k must be positive")
 	}
-	return &Tracker{
-		k:   k,
-		idx: make([]uint32, k),
-		cnt: make([]uint64, k),
+	t := &Tracker{
+		k:    k,
+		idx:  make([]uint32, k),
+		cnt:  make([]uint64, k),
+		slot: make([]int32, pages),
 	}
+	for i := range t.slot {
+		t.slot[i] = noSlot
+	}
+	return t
 }
 
 // K returns the counter budget.
@@ -45,43 +50,19 @@ func (t *Tracker) K() int { return t.k }
 // Observed returns the number of observations in the current interval.
 func (t *Tracker) Observed() uint64 { return t.observed }
 
-// ensure grows the reverse slot array to cover page index i.
-func (t *Tracker) ensure(i int) {
-	if i < len(t.slot) {
-		return
-	}
-	n := len(t.slot) * 2
-	if n <= i {
-		n = i + 1
-	}
-	if n < 64 {
-		n = 64
-	}
-	slot := make([]int32, n)
-	copy(slot, t.slot)
-	for j := len(t.slot); j < n; j++ {
-		slot[j] = noSlot
-	}
-	t.slot = slot
-}
-
-// Observe feeds one access to the page interned at dense index pi. Classic
+// Observe feeds one access to the page at dense index pi. Classic
 // Misra-Gries update: increment a tracked entry, adopt the page if a counter
 // is free, otherwise decrement every counter (evicting zeros).
 func (t *Tracker) Observe(pi uint32) {
 	t.observed++
-	i := int(pi)
-	if i >= len(t.slot) {
-		t.ensure(i)
-	}
-	if s := t.slot[i]; s != noSlot {
+	if s := t.slot[pi]; s != noSlot {
 		t.cnt[s]++
 		return
 	}
 	if t.n < t.k {
 		t.idx[t.n] = pi
 		t.cnt[t.n] = 1
-		t.slot[i] = int32(t.n)
+		t.slot[pi] = int32(t.n)
 		t.n++
 		return
 	}
@@ -109,8 +90,7 @@ type Entry struct {
 // Hot appends the tracked entries to dst and returns it. Entries come out
 // in internal (insertion) order: callers that need a deterministic ranking
 // resolve indices to page ids and sort by (count desc, page id asc) — see
-// migration.CrossCounter — because dense index order is first-touch order,
-// not id order.
+// migration.CrossCounter.
 func (t *Tracker) Hot(dst []Entry) []Entry {
 	for e := 0; e < t.n; e++ {
 		dst = append(dst, Entry{Index: t.idx[e], Count: t.cnt[e]})

@@ -8,6 +8,9 @@ import (
 	"hmem/internal/xrand"
 )
 
+// testPages sizes trackers for the page indices the tests draw.
+const testPages = 1 << 13
+
 // hotSorted drains the summary into the deterministic ranking consumers use:
 // descending residual count, ties by index (tests use identity index→id).
 func hotSorted(tr *Tracker) []Entry {
@@ -27,11 +30,11 @@ func TestNewPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(0)
+	New(0, testPages)
 }
 
 func TestTracksHeavyHitter(t *testing.T) {
-	tr := New(4)
+	tr := New(4, testPages)
 	// One page with 50% frequency among uniform noise must be tracked.
 	rng := xrand.New(1)
 	for i := 0; i < 10000; i++ {
@@ -50,7 +53,7 @@ func TestTracksHeavyHitter(t *testing.T) {
 func TestMisraGriesGuarantee(t *testing.T) {
 	// Any element with frequency > n/(k+1) must survive in the summary.
 	k := 8
-	tr := New(k)
+	tr := New(k, testPages)
 	const n = 9000
 	// Element 42 appears n/4 times > n/9.
 	rng := xrand.New(2)
@@ -78,7 +81,7 @@ func TestCounterBudgetNeverExceeded(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		k := 1 + rng.Intn(16)
-		tr := New(k)
+		tr := New(k, testPages)
 		for i := 0; i < 2000; i++ {
 			tr.Observe(uint32(rng.Uint64n(500)))
 			if tr.Len() > k {
@@ -94,7 +97,7 @@ func TestCounterBudgetNeverExceeded(t *testing.T) {
 
 func TestHotOrderingDeterministic(t *testing.T) {
 	build := func() []Entry {
-		tr := New(8)
+		tr := New(8, testPages)
 		rng := xrand.New(3)
 		for i := 0; i < 5000; i++ {
 			tr.Observe(uint32(rng.Uint64n(100)))
@@ -119,7 +122,7 @@ func TestHotOrderingDeterministic(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	tr := New(4)
+	tr := New(4, testPages)
 	tr.Observe(1)
 	tr.Observe(1)
 	tr.Reset()
@@ -129,7 +132,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestDecrementEvictsSingletons(t *testing.T) {
-	tr := New(2)
+	tr := New(2, testPages)
 	tr.Observe(1) // counts: 1->1
 	tr.Observe(2) // counts: 1->1, 2->1
 	tr.Observe(3) // full: decrement all -> both evicted, 3 not adopted
@@ -154,7 +157,7 @@ func TestCostBytes(t *testing.T) {
 }
 
 func BenchmarkObserve(b *testing.B) {
-	tr := New(32)
+	tr := New(32, 1<<20)
 	rng := xrand.New(1)
 	pages := make([]uint32, 1<<12)
 	for i := range pages {
@@ -166,10 +169,10 @@ func BenchmarkObserve(b *testing.B) {
 	}
 }
 
-// TestObserveAndResetZeroAllocs checks the Misra-Gries unit's hot path: once
-// the slot table covers the index space, Observe and Reset never allocate.
+// TestObserveAndResetZeroAllocs checks the Misra-Gries unit's hot path:
+// Observe and Reset never allocate.
 func TestObserveAndResetZeroAllocs(t *testing.T) {
-	tr := New(8)
+	tr := New(8, testPages)
 	for pi := uint32(0); pi < 64; pi++ {
 		tr.Observe(pi)
 	}

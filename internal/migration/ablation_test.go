@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"hmem/internal/core"
-	"hmem/internal/sim"
 )
 
 func TestCCBlacklistBlocksReadmission(t *testing.T) {
 	cc := NewCrossCounter(1000, 1, 8) // every tick is an epoch
-	placement := sim.NewTopologyPlacement(twoTierTopo(4, 64))
+	placement := newPlacement(twoTierTopo(4, 64), cc)
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestCCBlacklistBlocksReadmission(t *testing.T) {
 func TestCCBlacklistDisabled(t *testing.T) {
 	cc := NewCrossCounter(1000, 1, 8)
 	cc.SetBlockEpochs(0)
-	placement := sim.NewTopologyPlacement(twoTierTopo(4, 64))
+	placement := newPlacement(twoTierTopo(4, 64), cc)
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func TestCCEvictHysteresis(t *testing.T) {
 	build := func(factor float64) []uint64 {
 		cc := NewCrossCounter(1000, 1, 8)
 		cc.SetEvictHysteresis(factor)
-		placement := sim.NewTopologyPlacement(twoTierTopo(8, 64))
+		placement := newPlacement(twoTierTopo(8, 64), cc)
 		// Four residents with slightly different but uniformly writey mixes.
 		for i, w := range []int{40, 42, 44, 46} {
 			page := uint64(100 + i)

@@ -21,6 +21,7 @@ type CrossCounter struct {
 	meaInterval int64
 	fcRatio     int // FC interval = fcRatio × MEA interval
 	tick        int
+	meaEntries  int
 	perf        *mea.Tracker
 	risk        *core.FullCounters
 	pt          *core.PageTable
@@ -54,8 +55,7 @@ func NewCrossCounter(meaIntervalCycles int64, fcRatio int, meaEntries int) *Cros
 	return &CrossCounter{
 		meaInterval: meaIntervalCycles,
 		fcRatio:     fcRatio,
-		perf:        mea.New(meaEntries),
-		risk:        core.NewFullCounters(16),
+		meaEntries:  meaEntries,
 		blocked:     make(map[uint64]int),
 		blockEpochs: 4,
 		evictFactor: 0.5,
@@ -66,7 +66,11 @@ func NewCrossCounter(meaIntervalCycles int64, fcRatio int, meaEntries int) *Cros
 func (c *CrossCounter) Name() string { return "cc-reliability" }
 
 // Bind implements sim.Migrator.
-func (c *CrossCounter) Bind(pt *core.PageTable) { c.pt = pt }
+func (c *CrossCounter) Bind(pt *core.PageTable) {
+	c.pt = pt
+	c.perf = mea.New(c.meaEntries, pt.Len())
+	c.risk = core.NewFullCounters(16, pt.Len())
+}
 
 // SetBlockEpochs overrides how many FC epochs a high-risk verdict keeps a
 // page out of HBM (default 4; 0 disables the blacklist entirely). Exposed

@@ -58,7 +58,7 @@ func (r *refCounters) Snapshot() []core.PageStats {
 	for page, c := range r.counts {
 		out = append(out, core.PageStats{Page: page, Reads: uint64(c.reads), Writes: uint64(c.writes)})
 	}
-	core.SortByPage(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })
 	return out
 }
 

@@ -36,14 +36,16 @@ type FullCounter struct {
 
 // NewFullCounter builds the FC mechanism with the given interval.
 func NewFullCounter(intervalCycles int64) *FullCounter {
-	return &FullCounter{interval: intervalCycles, counters: core.NewFullCounters(8)}
+	return &FullCounter{interval: intervalCycles}
 }
 
 // Name implements sim.Migrator.
 func (f *FullCounter) Name() string { return "fc-reliability" }
 
 // Bind implements sim.Migrator.
-func (f *FullCounter) Bind(pt *core.PageTable) { f.pt = pt }
+func (f *FullCounter) Bind(pt *core.PageTable) {
+	f.pt, f.counters = pt, core.NewFullCounters(8, pt.Len())
+}
 
 // IntervalCycles implements sim.Migrator.
 func (f *FullCounter) IntervalCycles() int64 { return f.interval }
@@ -115,7 +117,7 @@ func (f *FullCounter) Decide(_ int64, placement *sim.Placement) (in, out []uint6
 // in pt, and whether the page was observed this interval.
 func intervalStats(c *core.FullCounters, pt *core.PageTable, page uint64) (core.PageStats, bool) {
 	s := core.PageStats{Page: page}
-	pi, ok := pt.Find(page)
+	pi, ok := pt.Index(page)
 	if !ok {
 		return s, false
 	}

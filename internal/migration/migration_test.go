@@ -26,11 +26,23 @@ func simConfig() sim.Config {
 	}
 }
 
-// feed binds m to placement's page table and feeds it a page's accesses.
-// Bind is idempotent, so repeated feeds against the same placement are fine.
+// newPlacement returns a placement over topo of the pages below 4096 and
+// binds m to its page table.
+func newPlacement(topo *core.Topology, m sim.Migrator) *sim.Placement {
+	pt, err := core.NewPageTable([]core.PageRange{{First: 0, Count: 4096}})
+	if err != nil {
+		panic(err)
+	}
+	m.Bind(pt)
+	return sim.NewTopologyPlacement(topo, pt)
+}
+
+// feed feeds m, bound by newPlacement, a page's accesses.
 func feed(m sim.Migrator, placement *sim.Placement, page uint64, reads, writes int, inHBM bool) {
-	m.Bind(placement.PageTable())
-	pi := placement.PageTable().Intern(page)
+	pi, ok := placement.PageTable().Index(page)
+	if !ok {
+		panic("page outside the page table")
+	}
 	for i := 0; i < reads; i++ {
 		m.OnAccess(pi, false, inHBM)
 	}
@@ -41,7 +53,7 @@ func feed(m sim.Migrator, placement *sim.Placement, page uint64, reads, writes i
 
 func TestPerfMigratorSwapsHotForCold(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewTopologyPlacement(twoTierTopo(2, 16))
+	placement := newPlacement(twoTierTopo(2, 16), p)
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +82,7 @@ func TestPerfMigratorSwapsHotForCold(t *testing.T) {
 
 func TestPerfMigratorEvictsUntouchedResidents(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewTopologyPlacement(twoTierTopo(2, 16))
+	placement := newPlacement(twoTierTopo(2, 16), p)
 	if err := placement.Preplace([]uint64{100}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +96,7 @@ func TestPerfMigratorEvictsUntouchedResidents(t *testing.T) {
 
 func TestPerfMigratorCountersResetEachInterval(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewTopologyPlacement(twoTierTopo(2, 16))
+	placement := newPlacement(twoTierTopo(2, 16), p)
 	placement.Lookup(5)
 	feed(p, placement, 5, 10, 0, false)
 	p.Decide(1000, placement)
@@ -97,7 +109,7 @@ func TestPerfMigratorCountersResetEachInterval(t *testing.T) {
 
 func TestPerfMigratorRespectsCapacityBudget(t *testing.T) {
 	p := NewPerf(1000)
-	placement := sim.NewTopologyPlacement(twoTierTopo(2, 64))
+	placement := newPlacement(twoTierTopo(2, 64), p)
 	// 10 hot DDR pages, empty HBM with 2 frames: at most 2 come in.
 	for pg := uint64(0); pg < 10; pg++ {
 		placement.Lookup(pg)
@@ -111,7 +123,7 @@ func TestPerfMigratorRespectsCapacityBudget(t *testing.T) {
 
 func TestFullCounterKeepsHotLowRisk(t *testing.T) {
 	f := NewFullCounter(1000)
-	placement := sim.NewTopologyPlacement(twoTierTopo(4, 64))
+	placement := newPlacement(twoTierTopo(4, 64), f)
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +154,9 @@ func TestFullCounterKeepsHotLowRisk(t *testing.T) {
 
 func TestCrossCounterMEADrivesInMigrations(t *testing.T) {
 	cc := NewCrossCounter(1000, 4, 8)
-	placement := sim.NewTopologyPlacement(twoTierTopo(4, 64))
+	placement := newPlacement(twoTierTopo(4, 64), cc)
 	placement.Lookup(5)
-	cc.Bind(placement.PageTable())
-	pi5 := placement.PageTable().Intern(5)
-	for i := 0; i < 100; i++ {
-		cc.OnAccess(pi5, false, false)
-	}
+	feed(cc, placement, 5, 100, 0, false)
 	in, out := cc.Decide(1000, placement)
 	if len(in) != 1 || in[0] != 5 {
 		t.Fatalf("in = %v, want [5]", in)
@@ -160,7 +168,7 @@ func TestCrossCounterMEADrivesInMigrations(t *testing.T) {
 
 func TestCrossCounterRiskEpochFlushesHighRisk(t *testing.T) {
 	cc := NewCrossCounter(1000, 2, 8)
-	placement := sim.NewTopologyPlacement(twoTierTopo(4, 64))
+	placement := newPlacement(twoTierTopo(4, 64), cc)
 	if err := placement.Preplace([]uint64{100, 101}, false); err != nil {
 		t.Fatal(err)
 	}

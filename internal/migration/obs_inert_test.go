@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hmem/internal/core"
 	"hmem/internal/obs"
 	"hmem/internal/sim"
 	"hmem/internal/trace"
@@ -28,7 +29,9 @@ func diffRunCtx(t *testing.T, ctx context.Context, recs [][]trace.Record, mig *d
 	for i, r := range recs {
 		streams[i] = trace.NewSliceStream(r)
 	}
-	res, err := sim.RunCtx(ctx, cfg, streams, []uint64{0, 1, 2, 3}, true, mig)
+	// diffTrace draws every core's pages from [0, 300).
+	pages := []core.PageRange{{First: 0, Count: 300}}
+	res, err := sim.RunCtx(ctx, cfg, pages, streams, []uint64{0, 1, 2, 3}, true, mig)
 	if err != nil {
 		t.Fatalf("sim.RunCtx: %v", err)
 	}

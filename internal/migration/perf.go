@@ -25,14 +25,16 @@ type Perf struct {
 
 // NewPerf builds the baseline with the given interval in CPU cycles.
 func NewPerf(intervalCycles int64) *Perf {
-	return &Perf{interval: intervalCycles, counters: core.NewFullCounters(8)}
+	return &Perf{interval: intervalCycles}
 }
 
 // Name implements sim.Migrator.
 func (p *Perf) Name() string { return "perf-migration" }
 
 // Bind implements sim.Migrator.
-func (p *Perf) Bind(pt *core.PageTable) { p.pt = pt }
+func (p *Perf) Bind(pt *core.PageTable) {
+	p.pt, p.counters = pt, core.NewFullCounters(8, pt.Len())
+}
 
 // IntervalCycles implements sim.Migrator.
 func (p *Perf) IntervalCycles() int64 { return p.interval }

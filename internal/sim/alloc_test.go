@@ -9,13 +9,14 @@ import (
 )
 
 // TestRunAllocationBudget bounds the transient allocation of one profiling
-// run: the AVF tracker's memory follows the lines a run touches rather than
-// its pages, and the per-core read window and posted-write ring reuse their
-// arrays, so a run allocates its touched-line state and little else. At 20k
-// records per core this run allocates about 5.7 MB in 1.3k mallocs, and
-// 2.9 MB at 4k, the size hmemd runs under cold traffic. Sizing the tracker
-// by page footprint took 9.0 and 4.9 MB, and queues that reallocate as they
-// slide push the 20k run past 28 MB and 60k mallocs.
+// run: the AVF tracker's line timestamps follow the lines a run touches
+// rather than its pages, and the per-core read window and posted-write ring
+// reuse their arrays, so a run allocates its touched-line state, per-page
+// arrays sized once for the footprint, and little else. At 20k records per
+// core this run allocates about 3.9 MB in 1.3k mallocs, and 2.6 MB at 4k,
+// the size hmemd runs under cold traffic. Keeping 64 line timestamps for
+// every page took 9.0 and 4.9 MB, and queues that reallocate as they slide
+// push the 20k run past 28 MB and 60k mallocs.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size run")

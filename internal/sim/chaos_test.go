@@ -1,21 +1,26 @@
 package sim
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hmem/internal/chaos"
+	"hmem/internal/core"
 	"hmem/internal/trace"
 	"hmem/internal/workload"
 )
 
 // TestRunReportsInjectedStreamFaultAndStaysClean drives Run through a
 // chaos-wrapped trace: the injected mid-stream error must surface with the
-// record position and wrap chaos.ErrInjected, and a fault-free run afterward
-// must match a fault-free run from before — one poisoned stream never
-// corrupts later simulations.
+// record position and wrap chaos.ErrInjected. RunCtx over the core's
+// declared pages must reject a corrupted record's address with an error
+// naming the core and the page. A fault-free run afterward must match a
+// fault-free run from before — one poisoned stream never corrupts later
+// simulations.
 func TestRunReportsInjectedStreamFaultAndStaysClean(t *testing.T) {
 	cfg := testConfig()
 	prof, err := workload.Lookup("astar")
@@ -53,6 +58,34 @@ func TestRunReportsInjectedStreamFaultAndStaysClean(t *testing.T) {
 	}
 	if got := inj.Stats().Trace; got != 1 {
 		t.Fatalf("injected trace faults = %d, want 1", got)
+	}
+
+	const corruptAt = 777
+	corrupt := func() trace.Stream {
+		inj, err := chaos.New(chaos.Plan{Trace: []chaos.TraceFault{
+			{AtRecord: corruptAt, Mode: chaos.ModeCorrupt},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inj.Stream(mkStream())
+	}
+	recs, err := trace.Collect(corrupt(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := recs[corruptAt].Page()
+	first, count := mkStream().(*workload.Generator).Pages()
+	if bad-first < count {
+		t.Fatalf("corrupted page %#x stayed inside the core's pages", bad)
+	}
+	ranges := []core.PageRange{{First: first, Count: count}}
+	_, err = RunCtx(context.Background(), cfg, ranges, []trace.Stream{corrupt()}, nil, false, nil)
+	if err == nil {
+		t.Fatal("RunCtx accepted a record outside the core's pages")
+	}
+	if want := fmt.Sprintf("core 0: page %#x", bad); !strings.Contains(err.Error(), want) {
+		t.Fatalf("RunCtx err = %q, want it to name %q", err, want)
 	}
 
 	after, err := Run(cfg, []trace.Stream{mkStream()}, nil, false, nil)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hmem/internal/avf"
+	"hmem/internal/core"
 	"hmem/internal/trace"
 	"hmem/internal/workload"
 )
@@ -12,30 +13,30 @@ import (
 // BenchmarkPlacementLookupIndex measures the warm page-location lookup on
 // the flat flags/frame arrays.
 func BenchmarkPlacementLookupIndex(b *testing.B) {
-	p := NewTopologyPlacement(twoTierTopo(1024, 16384))
 	const pages = 8192
+	p := newTestPlacement(twoTierTopo(1024, 16384), pages)
 	for pg := uint64(0); pg < pages; pg++ {
 		p.Lookup(pg)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pi := p.Intern(uint64(i % pages))
+		pi := mustIndex(p, uint64(i%pages))
 		p.LookupIndex(pi)
 	}
 }
 
 // BenchmarkPerAccessPath measures the full per-access bookkeeping chain the
 // simulator core executes for one trace record (excluding the DRAM timing
-// model): intern, placement lookup, AVF tracking, interval hotness.
+// model): page index, placement lookup, AVF tracking, interval hotness.
 func BenchmarkPerAccessPath(b *testing.B) {
-	p := NewTopologyPlacement(twoTierTopo(1024, 16384))
-	tracker := avf.NewTracker(2)
-	iv := newIntervalState()
 	const pages = 8192
+	p := newTestPlacement(twoTierTopo(1024, 16384), pages)
+	tracker := avf.NewTracker(2, pages)
+	iv := newIntervalState(pages)
 	var now int64
 	for pg := uint64(0); pg < pages; pg++ {
-		pi := p.Intern(pg)
+		pi := mustIndex(p, pg)
 		tier, _, _ := p.LookupIndex(pi)
 		now++
 		tracker.Access(uint32(pi), int(pg%64), now, false, tier)
@@ -45,7 +46,7 @@ func BenchmarkPerAccessPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pg := uint64(i % pages)
-		pi := p.Intern(pg)
+		pi := mustIndex(p, pg)
 		tier, _, _ := p.LookupIndex(pi)
 		now++
 		write := i%3 == 0
@@ -59,14 +60,14 @@ func BenchmarkPerAccessPath(b *testing.B) {
 // attribution, and the RecordWrite wear path. Gated alongside the two-tier
 // bench to keep the topology generalization honest.
 func BenchmarkPerAccessPathThreeTier(b *testing.B) {
-	p := NewTopologyPlacement(threeTierTopo(16384, 4096, 1024))
-	tracker := avf.NewTracker(p.NumTiers())
-	iv := newIntervalState()
-	fast := avf.Tier(p.FastTier())
 	const pages = 8192
+	p := newTestPlacement(threeTierTopo(16384, 4096, 1024), pages)
+	tracker := avf.NewTracker(p.NumTiers(), pages)
+	iv := newIntervalState(pages)
+	fast := avf.Tier(p.FastTier())
 	var now int64
 	for pg := uint64(0); pg < pages; pg++ {
-		pi := p.Intern(pg)
+		pi := mustIndex(p, pg)
 		tier, frame, _ := p.LookupIndex(pi)
 		now++
 		p.RecordWrite(tier, frame)
@@ -77,7 +78,7 @@ func BenchmarkPerAccessPathThreeTier(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pg := uint64(i % pages)
-		pi := p.Intern(pg)
+		pi := mustIndex(p, pg)
 		tier, frame, _ := p.LookupIndex(pi)
 		now++
 		write := i%3 == 0
@@ -104,8 +105,10 @@ func BenchmarkRunReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	recs := make([]*workload.Recording, len(suite.Generators))
+	ranges := make([]core.PageRange, len(recs))
 	for i, g := range suite.Generators {
 		recs[i] = g.Record()
+		ranges[i].First, ranges[i].Count = recs[i].Pages()
 	}
 	cfg := DefaultConfig(64)
 	streams := make([]trace.Stream, len(recs))
@@ -114,7 +117,7 @@ func BenchmarkRunReplay(b *testing.B) {
 		for c, r := range recs {
 			streams[c] = r.Stream()
 		}
-		if _, err := RunCtx(context.Background(), cfg, streams, nil, false, nil); err != nil {
+		if _, err := RunCtx(context.Background(), cfg, ranges, streams, nil, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

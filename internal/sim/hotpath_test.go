@@ -9,24 +9,24 @@ import (
 	"hmem/internal/obs"
 )
 
-// TestPerAccessPathZeroAllocs verifies the tentpole invariant of the flat
-// hot-path layout: once the page working set has been interned and every
-// per-page slice has grown to cover it, an access performs no heap
-// allocation in any of the per-access structures (placement lookup, AVF
-// tracking, interval hotness tracking).
+// TestPerAccessPathZeroAllocs verifies the invariant of the flat hot-path
+// layout: with every per-page slice sized for the page table and the
+// working set touched once, an access performs no heap allocation in any
+// of the per-access structures (placement lookup, AVF tracking, interval
+// hotness tracking).
 func TestPerAccessPathZeroAllocs(t *testing.T) {
 	const pages = 256
-	p := NewTopologyPlacement(twoTierTopo(32, 1024))
-	tracker := avf.NewTracker(2)
-	iv := newIntervalState()
+	p := newTestPlacement(twoTierTopo(32, 1024), pages)
+	tracker := avf.NewTracker(2, pages)
+	iv := newIntervalState(pages)
 
-	// Warm: intern the working set, touch every structure so backing
-	// storage reaches steady state, and run one interval boundary so the
-	// hot-set scratch is sized too.
+	// Warm: touch every structure so backing storage reaches steady
+	// state, and run one interval boundary so the hot-set scratch is
+	// sized too.
 	var now int64
 	touch := func() {
 		for pg := uint64(0); pg < pages; pg++ {
-			pi := p.Intern(pg)
+			pi := mustIndex(p, pg)
 			tier, _, _ := p.LookupIndex(pi)
 			now++
 			write := pg%3 == 0
@@ -40,7 +40,7 @@ func TestPerAccessPathZeroAllocs(t *testing.T) {
 
 	pg := uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		pi := p.Intern(pg)
+		pi := mustIndex(p, pg)
 		tier, _, _ := p.LookupIndex(pi)
 		now++
 		tracker.Access(uint32(pi), int(pg%64), now, pg%3 == 0, tier)
@@ -68,13 +68,13 @@ func TestObsDisabledAddsZeroAllocs(t *testing.T) {
 	var epochSpan *obs.Span
 
 	const pages = 256
-	p := NewTopologyPlacement(twoTierTopo(32, 1024))
-	tracker := avf.NewTracker(2)
-	iv := newIntervalState()
+	p := newTestPlacement(twoTierTopo(32, 1024), pages)
+	tracker := avf.NewTracker(2, pages)
+	iv := newIntervalState(pages)
 	var now int64
 	touch := func() {
 		for pg := uint64(0); pg < pages; pg++ {
-			pi := p.Intern(pg)
+			pi := mustIndex(p, pg)
 			tier, _, _ := p.LookupIndex(pi)
 			now++
 			write := pg%3 == 0
@@ -99,7 +99,7 @@ func TestObsDisabledAddsZeroAllocs(t *testing.T) {
 		}
 		epochSpan.End() // nil-safe no-op outside the guard too
 
-		pi := p.Intern(pg)
+		pi := mustIndex(p, pg)
 		tier, _, _ := p.LookupIndex(pi)
 		now++
 		tracker.Access(uint32(pi), int(pg%64), now, pg%3 == 0, tier)
@@ -119,7 +119,7 @@ func TestObsDisabledAddsZeroAllocs(t *testing.T) {
 // the hot-set scratch has grown to the working set.
 func TestIntervalSampleReusesStorage(t *testing.T) {
 	const pages = 64
-	iv := newIntervalState()
+	iv := newIntervalState(pages)
 	var now int64
 	warm := func() {
 		for pg := core.PageIndex(0); pg < pages; pg++ {

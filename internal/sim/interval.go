@@ -3,7 +3,7 @@ package sim
 import "hmem/internal/core"
 
 // intervalState accumulates one measurement interval's activity and derives
-// the IntervalSample at each boundary. State is dense over interned page
+// the IntervalSample at each boundary. State is dense over the run's page
 // indices: per-access work is two array writes (epoch-stamped counts plus a
 // touched list), with no map operations and no steady-state allocations.
 // The previous interval's hot set is an epoch-stamped array too, so the
@@ -23,37 +23,19 @@ type intervalState struct {
 	prevHotLen int
 }
 
-func newIntervalState() *intervalState {
-	return &intervalState{epoch: 1, hotEpoch: 1}
+func newIntervalState(pages int) *intervalState {
+	return &intervalState{
+		counts:   make([]uint32, pages),
+		mark:     make([]uint64, pages),
+		hotMark:  make([]uint64, pages),
+		epoch:    1,
+		hotEpoch: 1,
+	}
 }
 
-// ensure grows the per-index arrays to cover index i.
-func (iv *intervalState) ensure(i int) {
-	if i < len(iv.counts) {
-		return
-	}
-	n := len(iv.counts) * 2
-	if n <= i {
-		n = i + 1
-	}
-	if n < 64 {
-		n = 64
-	}
-	counts := make([]uint32, n)
-	mark := make([]uint64, n)
-	hotMark := make([]uint64, n)
-	copy(counts, iv.counts)
-	copy(mark, iv.mark)
-	copy(hotMark, iv.hotMark)
-	iv.counts, iv.mark, iv.hotMark = counts, mark, hotMark
-}
-
-// observe records one access to the page interned at pi.
+// observe records one access to the page at pi.
 func (iv *intervalState) observe(pi core.PageIndex, write, inHBM bool) {
 	i := int(pi)
-	if i >= len(iv.counts) {
-		iv.ensure(i)
-	}
 	if iv.mark[i] != iv.epoch {
 		iv.mark[i] = iv.epoch
 		iv.counts[i] = 0

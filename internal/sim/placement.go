@@ -7,7 +7,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"hmem/internal/avf"
 	"hmem/internal/core"
@@ -25,12 +24,12 @@ const (
 // of frames), and performs migrations into and out of the fast tier. Pinned
 // pages (program annotations, §7) never migrate.
 //
-// Placement owns the run's core.PageTable: page ids are interned to dense
-// indices on first sight and all per-page state (tier, frame, pin) lives in
-// flat slices indexed by them, so the per-access LookupIndex path performs
-// no map operations and no allocations in steady state. The id-keyed
-// methods (Preplace, Migrate, InHBM, HBMPages, ...) remain the public
-// interval/driver API; the HBM-named methods answer for the fast tier.
+// Placement holds the run's core.PageTable: all per-page state (tier,
+// frame, pin) lives in flat slices indexed by the table's dense indices and
+// sized once for it, so the per-access LookupIndex path performs no map
+// operations and no allocations. The id-keyed methods (Preplace, Migrate,
+// InHBM, HBMPages, ...) remain the public API of migrators and
+// experiments; the HBM-named methods answer for the fast tier.
 //
 // Tiers with a write budget get per-frame wear counters (RecordWrite); the
 // default topology has none, so the write path pays one boolean check.
@@ -62,11 +61,15 @@ type Placement struct {
 	migrations uint64
 }
 
-// NewTopologyPlacement builds a page table over a validated topology.
-func NewTopologyPlacement(topo *core.Topology) *Placement {
+// NewTopologyPlacement builds a placement of pt's pages over a validated
+// topology, with no page placed yet.
+func NewTopologyPlacement(topo *core.Topology, pt *core.PageTable) *Placement {
 	n := len(topo.Tiers)
 	p := &Placement{
-		pt:         core.NewPageTable(),
+		pt:         pt,
+		flags:      make([]uint8, pt.Len()),
+		tier:       make([]uint8, pt.Len()),
+		frame:      make([]uint64, pt.Len()),
 		names:      make([]string, n),
 		capacity:   make([]uint64, n),
 		allocOrder: append([]int(nil), topo.AllocOrder...),
@@ -94,7 +97,7 @@ func NewTopologyPlacement(topo *core.Topology) *Placement {
 	return p
 }
 
-// PageTable returns the run's interning table. The simulator shares it with
+// PageTable returns the run's page table. The simulator shares it with
 // the AVF tracker, the interval tracker, and the migrator so every structure
 // indexes the same dense space.
 func (p *Placement) PageTable() *core.PageTable { return p.pt }
@@ -119,37 +122,18 @@ func (p *Placement) TierName(t int) string {
 // ResidentOf returns the number of pages resident in tier t.
 func (p *Placement) ResidentOf(t int) int { return p.resident[t] }
 
-// ensure grows the per-index state to cover index i.
-func (p *Placement) ensure(i int) {
-	if i < len(p.flags) {
-		return
-	}
-	n := len(p.flags) * 2
-	if n <= i {
-		n = i + 1
-	}
-	if n < 64 {
-		n = 64
-	}
-	flags := make([]uint8, n)
-	tier := make([]uint8, n)
-	frame := make([]uint64, n)
-	copy(flags, p.flags)
-	copy(tier, p.tier)
-	copy(frame, p.frame)
-	p.flags, p.tier, p.frame = flags, tier, frame
-}
-
 // Preplace installs pages in the fast tier before the measured region begins
 // — the paper's warm-start ("we assume a good pre-measurement placement").
-// Pages beyond capacity are rejected with an error. pin marks them immovable
-// (annotation-based placement).
+// Pages beyond capacity, and pages outside the page table, are rejected
+// with an error. pin marks them immovable (annotation-based placement).
 func (p *Placement) Preplace(pages []uint64, pin bool) error {
 	fast := p.fast
 	for _, page := range pages {
-		pi := p.pt.Intern(page)
+		pi, ok := p.pt.Index(page)
+		if !ok {
+			return fmt.Errorf("sim: preplaced page %#x is outside the run's page table", page)
+		}
 		i := int(pi)
-		p.ensure(i)
 		if p.flags[i]&pagePlaced != 0 {
 			return fmt.Errorf("sim: page %d placed twice", page)
 		}
@@ -168,14 +152,6 @@ func (p *Placement) Preplace(pages []uint64, pin bool) error {
 		p.resident[fast]++
 	}
 	return nil
-}
-
-// Intern returns the dense index for page, interning it on first sight.
-// The per-access caller interns once and then uses index-keyed calls only.
-func (p *Placement) Intern(page uint64) core.PageIndex {
-	pi := p.pt.Intern(page)
-	p.ensure(int(pi))
-	return pi
 }
 
 // ErrDDRExhausted reports that a run's footprint outgrew the allocation
@@ -204,29 +180,20 @@ func (e *ErrTierExhausted) Error() string {
 // Is reports equivalence to the legacy ErrDDRExhausted sentinel.
 func (e *ErrTierExhausted) Is(target error) bool { return target == ErrDDRExhausted }
 
-// LookupIndex returns the tier and frame of the page interned at pi,
-// allocating a frame on first touch following the topology's allocation
-// order and spilling to the next tier when one is full. If every allocation
-// tier is out of frames it returns *ErrTierExhausted (matching
-// ErrDDRExhausted under errors.Is) — a configuration error, since
-// experiments size the allocation tiers to hold every footprint. The error
-// path is cold; the steady-state lookup stays allocation-free. The index
-// must come from this placement's Intern (or PageTable).
+// LookupIndex returns the tier and frame of the page at pi, allocating a
+// frame on first touch following the topology's allocation order and
+// spilling to the next tier when one is full. If every allocation tier is
+// out of frames it returns *ErrTierExhausted (matching ErrDDRExhausted under
+// errors.Is) — a configuration error, since experiments size the allocation
+// tiers to hold every footprint. The error path is cold; the steady-state
+// lookup is allocation-free. pi must be an index of this placement's page
+// table.
 func (p *Placement) LookupIndex(pi core.PageIndex) (avf.Tier, uint64, error) {
 	i := int(pi)
-	if i >= len(p.flags) {
-		p.ensure(i)
-	}
 	f := p.flags[i]
 	if f&pagePlaced != 0 {
 		return avf.Tier(p.tier[i]), p.frame[i], nil
 	}
-	return p.allocate(i, f)
-}
-
-// allocate performs the first-touch allocation for LookupIndex. It is kept
-// out of line so the warm lookup above stays small enough to inline.
-func (p *Placement) allocate(i int, f uint8) (avf.Tier, uint64, error) {
 	for _, t := range p.allocOrder {
 		fl := p.free[t]
 		if n := len(fl); n > 0 {
@@ -244,47 +211,42 @@ func (p *Placement) allocate(i int, f uint8) (avf.Tier, uint64, error) {
 }
 
 // Lookup returns a page's tier and frame by id, allocating a frame on first
-// touch (see LookupIndex).
+// touch (see LookupIndex). A page outside the page table is an error.
 func (p *Placement) Lookup(page uint64) (avf.Tier, uint64, error) {
-	return p.LookupIndex(p.Intern(page))
+	pi, ok := p.pt.Index(page)
+	if !ok {
+		return 0, 0, fmt.Errorf("sim: page %#x is outside the run's page table", page)
+	}
+	return p.LookupIndex(pi)
 }
 
-// InHBMIndex reports whether the page interned at pi resides in the fast
-// tier (HBM in the default topology).
+// InHBMIndex reports whether the page at pi resides in the fast tier (HBM
+// in the default topology).
 func (p *Placement) InHBMIndex(pi core.PageIndex) bool {
-	i := int(pi)
-	return i < len(p.flags) && p.flags[i]&pagePlaced != 0 && int(p.tier[i]) == p.fast
+	return p.flags[pi]&pagePlaced != 0 && int(p.tier[pi]) == p.fast
 }
 
 // InHBM reports whether page currently resides in the fast tier.
 func (p *Placement) InHBM(page uint64) bool {
-	pi, ok := p.pt.Find(page)
+	pi, ok := p.pt.Index(page)
 	return ok && p.InHBMIndex(pi)
 }
 
 // Pinned reports whether page is pinned (annotation).
 func (p *Placement) Pinned(page uint64) bool {
-	pi, ok := p.pt.Find(page)
-	if !ok {
-		return false
-	}
-	i := int(pi)
-	return i < len(p.flags) && p.flags[i]&pagePinned != 0
+	pi, ok := p.pt.Index(page)
+	return ok && p.flags[pi]&pagePinned != 0
 }
 
-// TierPages returns tier t's resident pages in ascending page-id order.
+// TierPages returns tier t's resident pages in ascending page-id order
+// (index order).
 func (p *Placement) TierPages(t int) []uint64 {
 	out := make([]uint64, 0, p.resident[t])
-	ids := p.pt.IDs()
 	for i, f := range p.flags {
-		if i >= len(ids) {
-			break
-		}
 		if f&pagePlaced != 0 && int(p.tier[i]) == t {
-			out = append(out, ids[i])
+			out = append(out, p.pt.ID(core.PageIndex(i)))
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -366,14 +328,11 @@ func (p *Placement) Migrate(in, out []uint64) int {
 	moved := 0
 	fast := p.fast
 	for _, page := range out {
-		pi, ok := p.pt.Find(page)
+		pi, ok := p.pt.Index(page)
 		if !ok {
 			continue
 		}
 		i := int(pi)
-		if i >= len(p.flags) {
-			continue
-		}
 		f := p.flags[i]
 		if f&pagePlaced == 0 || int(p.tier[i]) != fast || f&pagePinned != 0 {
 			continue
@@ -402,14 +361,11 @@ func (p *Placement) Migrate(in, out []uint64) int {
 		moved++
 	}
 	for _, page := range in {
-		pi, ok := p.pt.Find(page)
+		pi, ok := p.pt.Index(page)
 		if !ok {
 			continue
 		}
 		i := int(pi)
-		if i >= len(p.flags) {
-			continue
-		}
 		f := p.flags[i]
 		if f&pagePlaced == 0 || int(p.tier[i]) == fast || f&pagePinned != 0 {
 			continue

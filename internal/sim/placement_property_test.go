@@ -13,8 +13,8 @@ import (
 
 // placed reports whether the placement has assigned a frame to page.
 func placed(p *Placement, page uint64) bool {
-	pi, ok := p.pt.Find(page)
-	return ok && int(pi) < len(p.flags) && p.flags[pi]&pagePlaced != 0
+	pi, ok := p.pt.Index(page)
+	return ok && p.flags[pi]&pagePlaced != 0
 }
 
 // churnProperty drives the page table through random lookup/migrate
@@ -31,7 +31,7 @@ func churnProperty(seed uint64) error {
 	const hbmCap = 8
 	const ddrCap = 64
 	const pages = 48
-	p := NewTopologyPlacement(twoTierTopo(hbmCap, ddrCap))
+	p := newTestPlacement(twoTierTopo(hbmCap, ddrCap), 128)
 
 	// Preplace a few pages, pin half of them.
 	var pinned []uint64
@@ -138,7 +138,7 @@ func TestPlacementInvariantsUnderRandomChurn(t *testing.T) {
 // always sum to capacity.
 func TestPlacementConservation(t *testing.T) {
 	rng := xrand.New(5)
-	p := NewTopologyPlacement(twoTierTopo(16, 128))
+	p := newTestPlacement(twoTierTopo(16, 128), 128)
 	for i := uint64(0); i < 100; i++ {
 		p.Lookup(i)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 
 	"hmem/internal/avf"
 	"hmem/internal/core"
@@ -20,14 +21,16 @@ import (
 // IntervalCycles boundary; mechanisms with multiple internal intervals
 // (Cross Counters) fire their coarser epoch internally on every Nth call.
 //
-// The per-access path runs on dense page indices: Run binds the placement's
+// The per-access path runs on dense page indices: a run binds its
 // core.PageTable to the migrator before simulation starts, OnAccess receives
-// interned indices, and Decide translates back to page ids (the public
-// currency of placement decisions and snapshots).
+// the table's indices, which follow page-id order, and Decide translates
+// back to page ids (the public currency of placement decisions and
+// snapshots).
 type Migrator interface {
 	Name() string
-	// Bind attaches the run's interning table before the first access.
-	// Indices passed to OnAccess are issued by this table.
+	// Bind attaches the run's page table before the first access; a
+	// migrator sizes its per-page state from pt.Len(). Indices passed to
+	// OnAccess are issued by this table.
 	Bind(pt *core.PageTable)
 	// OnAccess observes one access; inHBM reflects the page's tier at
 	// access time (risk units that only track HBM use it to filter).
@@ -221,16 +224,9 @@ type coreState struct {
 	reqFree   []*memsim.Request
 	writeRing fifo[*memsim.Request]
 
-	// The page memo: the page of the core's last record, with its dense
-	// index, tier and frame. It holds while memoGen equals the run's
-	// placement generation, which a migration that moves pages bumps; no
-	// other event moves a placed page. The generator emits bursts on one
-	// page, so most records skip Intern and LookupIndex.
-	memoPage  uint64
-	memoPI    core.PageIndex
-	memoTier  avf.Tier
-	memoFrame uint64
-	memoGen   uint64
+	// span is the page-table range of the core's last record (see
+	// core.PageTable.IndexNear).
+	span int
 }
 
 // coreQueue picks the next core to step: the one with the smallest clock,
@@ -329,8 +325,37 @@ func (c *coreState) getRequest(line uint64, write bool, arrival int64) *memsim.R
 // Run simulates streams (one per core) against the configured HMA.
 // initialHBM pages are preplaced in HBM (pin pins them against migration);
 // mig may be nil for static placements.
+//
+// Run builds the page table RunCtx takes. A stream with a
+// Pages() (first, count uint64) method, as a workload generator or replay
+// has, declares its core's pages. Run reads any other stream to its end
+// first and takes the distinct pages of its records, so a stream of
+// arbitrary page ids needs no declaration. initialHBM's pages join the
+// table too.
 func Run(cfg Config, streams []trace.Stream, initialHBM []uint64, pin bool, mig Migrator) (Result, error) {
-	return RunCtx(context.Background(), cfg, streams, initialHBM, pin, mig)
+	streams = slices.Clone(streams)
+	var ranges []core.PageRange
+	pages := slices.Clone(initialHBM)
+	for i, s := range streams {
+		if d, ok := s.(interface{ Pages() (first, count uint64) }); ok {
+			first, count := d.Pages()
+			ranges = append(ranges, core.PageRange{First: first, Count: count})
+			continue
+		}
+		recs, err := trace.Collect(s, 0)
+		if err != nil {
+			return Result{}, fmt.Errorf("sim: core %d stream: %w", i, err)
+		}
+		for _, r := range recs {
+			pages = append(pages, r.Page())
+		}
+		streams[i] = trace.NewSliceStream(recs)
+	}
+	slices.Sort(pages)
+	for _, p := range slices.Compact(pages) {
+		ranges = append(ranges, core.PageRange{First: p, Count: 1})
+	}
+	return RunCtx(context.Background(), cfg, ranges, streams, initialHBM, pin, mig)
 }
 
 // simMetrics holds the registry handles a run touches, hoisted out of the
@@ -352,14 +377,19 @@ func newSimMetrics(ctx context.Context) simMetrics {
 	}
 }
 
-// RunCtx is Run with observability: the run is wrapped in a "sim.run" span,
-// every migration-interval boundary closes a "sim.epoch" span carrying the
-// boundary cycle, pages moved, and distinct pages touched, and a registry in
-// ctx accumulates run/epoch/migration counters. The per-access hot loop is
-// untouched — all context lookups happen once, before the first access — so
-// with no tracer or registry installed RunCtx costs exactly what Run did.
-// ctx is not consulted for cancellation (runs have no preemption points).
-func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM []uint64, pin bool, mig Migrator) (Result, error) {
+// RunCtx simulates streams over the pages of ranges, the union of which
+// must hold every page a record or initialHBM names: a page outside it
+// fails the run with an error naming the core and the page. Ranges may
+// overlap, so cores that share pages share their indices.
+//
+// The run is wrapped in a "sim.run" span, every migration-interval boundary
+// closes a "sim.epoch" span carrying the boundary cycle, pages moved, and
+// distinct pages touched, and a registry in ctx accumulates
+// run/epoch/migration counters. The per-access hot loop is untouched — all
+// context lookups happen once, before the first access — so with no tracer
+// or registry installed the observability costs nothing per access. ctx is
+// not consulted for cancellation (runs have no preemption points).
+func RunCtx(ctx context.Context, cfg Config, ranges []core.PageRange, streams []trace.Stream, initialHBM []uint64, pin bool, mig Migrator) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -393,14 +423,16 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 	for i, td := range tiers {
 		mems[i] = memsim.New(td.Mem)
 	}
-	fast := cfg.Topology.FastTier
-	fastTier := avf.Tier(fast)
-	placement := NewTopologyPlacement(cfg.Topology)
+	fastTier := avf.Tier(cfg.Topology.FastTier)
+	pt, err := core.NewPageTable(ranges)
+	if err != nil {
+		return Result{}, err
+	}
+	placement := NewTopologyPlacement(cfg.Topology, pt)
 	if err := placement.Preplace(initialHBM, pin); err != nil {
 		return Result{}, err
 	}
-	pt := placement.PageTable()
-	tracker := avf.NewTracker(len(tiers))
+	tracker := avf.NewTracker(len(tiers), pt.Len())
 
 	cores := make([]*coreState, len(streams))
 	for i, s := range streams {
@@ -409,13 +441,14 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 
 	var res Result
 	var nextInterval int64
-	iv := newIntervalState()
+	var iv *intervalState
 	concurrent := false
 	if mig != nil {
 		if mig.IntervalCycles() <= 0 {
 			return Result{}, fmt.Errorf("sim: migrator %s has non-positive interval", mig.Name())
 		}
 		mig.Bind(pt)
+		iv = newIntervalState(pt.Len())
 		nextInterval = mig.IntervalCycles()
 		if traced {
 			_, epochSpan = obs.Start(ctx, "sim.epoch")
@@ -429,7 +462,6 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 
 	queue := newCoreQueue(len(cores))
 	active := len(cores)
-	gen := uint64(1) // the placement generation; a zero memoGen is stale
 	for active > 0 {
 		// Step the core with the smallest local clock.
 		ci := queue.min()
@@ -441,7 +473,6 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 			in, out := mig.Decide(nextInterval, placement)
 			moved := applyMigration(cores, mems, placement, in, out, concurrent, cfg.MigrationCostDiv, &res)
 			if moved > 0 {
-				gen++
 				queue.reset(cores)
 			}
 			sample := iv.sample(nextInterval, moved)
@@ -470,25 +501,24 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 			continue
 		}
 		if err != nil {
-			return Result{}, fmt.Errorf("sim: core stream: %w", err)
+			return Result{}, fmt.Errorf("sim: core %d stream: %w", ci, err)
 		}
 
 		// Execute the non-memory gap at the issue-width ceiling.
 		c.time += int64(rec.Gap) / int64(cfg.IssueWidth)
 		c.insts += uint64(rec.Gap) + 1
 
-		// The hot path: one sparse→dense translation (Intern) when the
-		// page memo misses, then every bookkeeping structure below is a
-		// flat array index.
-		if page := rec.Page(); page != c.memoPage || c.memoGen != gen {
-			pi := placement.Intern(page)
-			tier, frame, err := placement.LookupIndex(pi)
-			if err != nil {
-				return Result{}, fmt.Errorf("sim: placing page %d: %w", page, err)
-			}
-			c.memoPage, c.memoPI, c.memoTier, c.memoFrame, c.memoGen = page, pi, tier, frame, gen
+		// The hot path: one page-to-index translation, then every
+		// bookkeeping structure below is a flat array index.
+		page := rec.Page()
+		pi, ok := pt.IndexNear(&c.span, page)
+		if !ok {
+			return Result{}, fmt.Errorf("sim: core %d: page %#x is outside the run's page table", ci, page)
 		}
-		pi, tier, frame := c.memoPI, c.memoTier, c.memoFrame
+		tier, frame, err := placement.LookupIndex(pi)
+		if err != nil {
+			return Result{}, fmt.Errorf("sim: placing page %d: %w", page, err)
+		}
 		lineInPage := int(rec.Line() % trace.LinesPerPage)
 		write := rec.Kind.IsWrite()
 
@@ -555,7 +585,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []trace.Stream, initialHBM 
 	for i, c := range cores {
 		res.CoreIPC[i] = float64(c.insts) / float64(last)
 	}
-	res.Snapshot = tracker.Snapshot(last, pt.IDs())
+	res.Snapshot = tracker.Snapshot(last, func(i uint32) uint64 { return pt.ID(core.PageIndex(i)) })
 	res.MeanAVF = meanAVF(res.Snapshot)
 	res.PagesMigrated = placement.Migrations()
 	res.TierStats = make([]memsim.Stats, len(mems))

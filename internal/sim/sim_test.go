@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"hmem/internal/avf"
@@ -18,10 +21,28 @@ func testConfig() Config {
 	}
 }
 
+// newTestPlacement returns a placement over topo of the pages below pages.
+func newTestPlacement(topo *core.Topology, pages uint64) *Placement {
+	pt, err := core.NewPageTable([]core.PageRange{{First: 0, Count: pages}})
+	if err != nil {
+		panic(err)
+	}
+	return NewTopologyPlacement(topo, pt)
+}
+
+// mustIndex returns page's index in p's page table.
+func mustIndex(p *Placement, page uint64) core.PageIndex {
+	pi, ok := p.PageTable().Index(page)
+	if !ok {
+		panic(fmt.Sprintf("page %d is outside the page table", page))
+	}
+	return pi
+}
+
 // ---- Placement unit tests ---------------------------------------------------
 
 func TestPlacementFirstTouchGoesToDDR(t *testing.T) {
-	p := NewTopologyPlacement(twoTierTopo(4, 8))
+	p := newTestPlacement(twoTierTopo(4, 8), 128)
 	tier, frame, err := p.Lookup(100)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +64,7 @@ func TestPlacementFirstTouchGoesToDDR(t *testing.T) {
 }
 
 func TestPlacementPreplace(t *testing.T) {
-	p := NewTopologyPlacement(twoTierTopo(2, 8))
+	p := newTestPlacement(twoTierTopo(2, 8), 128)
 	if err := p.Preplace([]uint64{5, 6}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +80,16 @@ func TestPlacementPreplace(t *testing.T) {
 	if err := p.Preplace([]uint64{5}, false); err == nil {
 		t.Fatal("double placement accepted")
 	}
+	if err := p.Preplace([]uint64{1 << 20}, false); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("preplacing a page outside the table: err = %v", err)
+	}
 	if got := p.HBMPages(); len(got) != 2 || got[0] != 5 || got[1] != 6 {
 		t.Fatalf("HBMPages = %v", got)
 	}
 }
 
 func TestPlacementFramesUnique(t *testing.T) {
-	p := NewTopologyPlacement(twoTierTopo(8, 64))
+	p := newTestPlacement(twoTierTopo(8, 64), 128)
 	seen := map[uint64]bool{}
 	for page := uint64(0); page < 64; page++ {
 		tier, frame, err := p.Lookup(page)
@@ -83,7 +107,7 @@ func TestPlacementFramesUnique(t *testing.T) {
 }
 
 func TestPlacementDDRExhaustionReturnsError(t *testing.T) {
-	p := NewTopologyPlacement(twoTierTopo(1, 1))
+	p := newTestPlacement(twoTierTopo(1, 1), 128)
 	if _, _, err := p.Lookup(0); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +139,7 @@ func TestRunSurfacesDDRExhaustion(t *testing.T) {
 }
 
 func TestMigrateSwapsAndRespectsPins(t *testing.T) {
-	p := NewTopologyPlacement(twoTierTopo(2, 8))
+	p := newTestPlacement(twoTierTopo(2, 8), 128)
 	if err := p.Preplace([]uint64{10}, true); err != nil { // pinned
 		t.Fatal(err)
 	}
@@ -152,7 +176,7 @@ func TestMigrateSwapsAndRespectsPins(t *testing.T) {
 }
 
 func TestMigrateIgnoresBogusRequests(t *testing.T) {
-	p := NewTopologyPlacement(twoTierTopo(2, 8))
+	p := newTestPlacement(twoTierTopo(2, 8), 128)
 	p.Lookup(1) // in DDR
 	// Evicting a DDR page or inserting an HBM-resident page is a no-op.
 	if moved := p.Migrate(nil, []uint64{1, 999}); moved != 0 {
@@ -359,12 +383,11 @@ func (m *promoteOnce) Decide(_ int64, p *Placement) (in, out []uint64) {
 	return []uint64{m.page}, nil
 }
 
-// TestMigrationReachesPageMemo: core 0 hits one page on every record, so
-// every access after its first is a page-memo hit. When a migration moves
-// that page into the fast tier, the core's later accesses must be served by
-// the fast tier's memory and charged to it by the AVF tracker, not to the
-// tier and frame the memo held before the move.
-func TestMigrationReachesPageMemo(t *testing.T) {
+// TestMigratedPageServedByFastTier: core 0 hits one page on every record.
+// When a migration moves that page into the fast tier, the core's later
+// accesses must be served by the fast tier's memory and charged to it by the
+// AVF tracker, not to the tier and frame the page held before the move.
+func TestMigratedPageServedByFastTier(t *testing.T) {
 	const page, other, n = 7, 900, 4000
 	stream := func(pg uint64) trace.Stream {
 		recs := make([]trace.Record, n)
@@ -516,4 +539,79 @@ func BenchmarkRunAstar(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// tableProbe is a stub migrator that keeps the page table its run binds.
+type tableProbe struct{ pt *core.PageTable }
+
+func (m *tableProbe) Name() string                                { return "table-probe" }
+func (m *tableProbe) Bind(pt *core.PageTable)                     { m.pt = pt }
+func (m *tableProbe) OnAccess(core.PageIndex, bool, bool)         {}
+func (m *tableProbe) IntervalCycles() int64                       { return 1 << 40 }
+func (m *tableProbe) Decide(int64, *Placement) (in, out []uint64) { return nil, nil }
+
+// TestRunTablesDistinctPages: Run builds the page table of an undeclared
+// stream from its distinct pages, not from their spread, so one page at
+// 2^40 among small pages costs one entry, not 2^40.
+func TestRunTablesDistinctPages(t *testing.T) {
+	pages := []uint64{3, 1 << 40, 4, 3, 9, 1 << 40, 5}
+	recs := make([]trace.Record, 0, 4*len(pages))
+	for i := 0; i < 4; i++ {
+		for _, pg := range pages {
+			recs = append(recs, trace.Record{Gap: 20, Kind: trace.Kind(i % 2), Addr: pg * trace.PageSize})
+		}
+	}
+	probe := &tableProbe{}
+	res, err := Run(testConfig(), []trace.Stream{trace.NewSliceStream(recs)}, []uint64{7}, false, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := probe.pt.Len(), 6; got != want { // 3, 4, 5, 7, 9, 2^40
+		t.Fatalf("page table holds %d pages, want %d", got, want)
+	}
+	var seen []uint64
+	for _, p := range res.Snapshot {
+		seen = append(seen, p.Page)
+	}
+	if want := []uint64{3, 4, 5, 9, 1 << 40}; fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("snapshot pages %v, want %v", seen, want)
+	}
+}
+
+// TestSharedPageOneEntry: two cores write and read one page. Whether Run
+// tables their records or RunCtx gets overlapping declared ranges, the page
+// has one index, so the snapshot holds one entry with both cores' counts.
+func TestSharedPageOneEntry(t *testing.T) {
+	const shared = 6
+	stream := func(writes, reads int) trace.Stream {
+		var recs []trace.Record
+		for i := 0; i < writes+reads; i++ {
+			kind := trace.Read
+			if i < writes {
+				kind = trace.Write
+			}
+			recs = append(recs, trace.Record{Gap: 10, Kind: kind, Addr: shared*trace.PageSize + uint64(i%4)*trace.LineSize})
+		}
+		return trace.NewSliceStream(recs)
+	}
+	check := func(how string, res Result) {
+		t.Helper()
+		if len(res.Snapshot) != 1 {
+			t.Fatalf("%s: snapshot has %d entries, want 1", how, len(res.Snapshot))
+		}
+		if p := res.Snapshot[0]; p.Page != shared || p.Writes != 3+5 || p.Reads != 7+2 {
+			t.Fatalf("%s: snapshot entry %+v, want page %d with 8 writes and 9 reads", how, p, shared)
+		}
+	}
+	res, err := Run(testConfig(), []trace.Stream{stream(3, 7), stream(5, 2)}, nil, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Run", res)
+	ranges := []core.PageRange{{First: 0, Count: 10}, {First: 4, Count: 10}}
+	res, err = RunCtx(context.Background(), testConfig(), ranges, []trace.Stream{stream(3, 7), stream(5, 2)}, nil, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RunCtx", res)
 }

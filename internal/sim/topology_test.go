@@ -47,7 +47,7 @@ func TestPlacementSpillsAcrossTiers(t *testing.T) {
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := NewTopologyPlacement(topo)
+	p := newTestPlacement(topo, 128)
 
 	for pg := uint64(0); pg < 12; pg++ {
 		tier, _, err := p.Lookup(pg)
@@ -95,7 +95,7 @@ func TestPlacementSpillsAcrossTiers(t *testing.T) {
 // counts frames at or past the budget.
 func TestPlacementEndurance(t *testing.T) {
 	topo := threeTierTopo(8, 2, 2)
-	p := NewTopologyPlacement(topo)
+	p := newTestPlacement(topo, 128)
 
 	// Fill DRAM (pages 0-1), spill pages 2-4 into NVM.
 	for pg := uint64(0); pg < 5; pg++ {
@@ -104,7 +104,7 @@ func TestPlacementEndurance(t *testing.T) {
 		}
 	}
 	// Page 2 is the first NVM page: write it past the budget of 4.
-	pi := p.Intern(2)
+	pi := mustIndex(p, 2)
 	tier, frame, err := p.LookupIndex(pi)
 	if err != nil || tier != 0 {
 		t.Fatalf("page 2 in tier %d err %v, want NVM", tier, err)
@@ -113,7 +113,7 @@ func TestPlacementEndurance(t *testing.T) {
 		p.RecordWrite(tier, frame)
 	}
 	// One write to another NVM page, below budget.
-	pi3 := p.Intern(3)
+	pi3 := mustIndex(p, 3)
 	t3, f3, _ := p.LookupIndex(pi3)
 	p.RecordWrite(t3, f3)
 
@@ -130,7 +130,7 @@ func TestPlacementEndurance(t *testing.T) {
 	}
 
 	// A two-tier placement reports no endurance and RecordWrite is a no-op.
-	p2 := NewTopologyPlacement(twoTierTopo(4, 16))
+	p2 := newTestPlacement(twoTierTopo(4, 16), 128)
 	tier2, frame2, _ := p2.Lookup(0)
 	p2.RecordWrite(tier2, frame2)
 	if p2.Endurance() != nil {
@@ -145,15 +145,15 @@ func TestPlacementEndurance(t *testing.T) {
 func TestPerAccessPathZeroAllocsThreeTier(t *testing.T) {
 	const pages = 256
 	topo := threeTierTopo(1024, 64, 32)
-	p := NewTopologyPlacement(topo)
-	tracker := avf.NewTracker(p.NumTiers())
-	iv := newIntervalState()
+	p := newTestPlacement(topo, pages)
+	tracker := avf.NewTracker(p.NumTiers(), pages)
+	iv := newIntervalState(pages)
 	fast := avf.Tier(p.FastTier())
 
 	var now int64
 	touch := func() {
 		for pg := uint64(0); pg < pages; pg++ {
-			pi := p.Intern(pg)
+			pi := mustIndex(p, pg)
 			tier, frame, _ := p.LookupIndex(pi)
 			now++
 			write := pg%3 == 0
@@ -170,7 +170,7 @@ func TestPerAccessPathZeroAllocsThreeTier(t *testing.T) {
 
 	pg := uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		pi := p.Intern(pg)
+		pi := mustIndex(p, pg)
 		tier, frame, _ := p.LookupIndex(pi)
 		now++
 		write := pg%3 == 0
@@ -205,7 +205,8 @@ func TestRunCtxThreeTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCtx(context.Background(), cfg, []trace.Stream{g}, nil, false, nil)
+	first, count := g.Pages()
+	res, err := RunCtx(context.Background(), cfg, []core.PageRange{{First: first, Count: count}}, []trace.Stream{g}, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,6 +295,12 @@ func (g *Generator) step() (gap uint32, page, line int, kind trace.Kind) {
 // Structures returns the generator's structure table.
 func (g *Generator) Structures() []Structure { return g.structures }
 
+// Pages returns the core's address space: every record's page lies in
+// [first, first+count).
+func (g *Generator) Pages() (first, count uint64) {
+	return g.basePage, uint64(g.prof.FootprintPages)
+}
+
 // FootprintPages returns the per-core footprint size.
 func (g *Generator) FootprintPages() int { return g.prof.FootprintPages }
 

@@ -33,9 +33,10 @@ const (
 // times; a replay yields exactly the records the generator would have
 // emitted. A recording is immutable, so concurrent replays are safe.
 type Recording struct {
-	basePage uint64
-	data     []byte
-	wide     []uint32 // escaped gaps and pages, in record order
+	basePage  uint64
+	footprint uint64 // pages from basePage on that records may touch
+	data      []byte
+	wide      []uint32 // escaped gaps and pages, in record order
 }
 
 // Record drains the generator's remaining records into a recording.
@@ -72,7 +73,7 @@ func (g *Generator) Record() *Recording {
 	}
 	// Copy out of the worst-case buffer so the recording holds only its
 	// bytes.
-	r := &Recording{basePage: g.basePage, data: make([]byte, len(data))}
+	r := &Recording{basePage: g.basePage, footprint: uint64(g.prof.FootprintPages), data: make([]byte, len(data))}
 	copy(r.data, data)
 	if len(wide) > 0 {
 		r.wide = append([]uint32(nil), wide...)
@@ -82,6 +83,10 @@ func (g *Generator) Record() *Recording {
 
 // Bytes returns the memory the recording's encoded records hold.
 func (r *Recording) Bytes() int64 { return int64(cap(r.data)) + 4*int64(cap(r.wide)) }
+
+// Pages returns the core's address space: every record's page lies in
+// [first, first+count).
+func (r *Recording) Pages() (first, count uint64) { return r.basePage, r.footprint }
 
 // Stream returns a new replay of the recording from its first record.
 func (r *Recording) Stream() *Replay { return &Replay{rec: r} }
@@ -93,6 +98,9 @@ type Replay struct {
 	wi   int    // next entry of rec.wide
 	page uint64 // byte address of the current page
 }
+
+// Pages returns the recording's address space (see Recording.Pages).
+func (p *Replay) Pages() (first, count uint64) { return p.rec.Pages() }
 
 // Next implements trace.Stream.
 func (p *Replay) Next() (trace.Record, error) {
