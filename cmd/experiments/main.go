@@ -160,7 +160,7 @@ func main() {
 	fmt.Printf("suite: %d experiments in %.1fs with %d workers\n",
 		len(selected), time.Since(suiteStart).Seconds(), exec.Workers(*parallel))
 	cs := runner.CacheStats()
-	fmt.Printf("memo cache: %d hits, %d misses (each miss is one simulation or fault study actually run)\n",
+	fmt.Printf("memo cache: %d hits, %d misses (each miss is one simulation actually run)\n",
 		cs.Hits, cs.Misses)
 	if tracer != nil {
 		if d := tracer.Dropped(); d > 0 {

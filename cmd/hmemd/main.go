@@ -1,6 +1,6 @@
 // Command hmemd serves the placement-advisory HTTP API: workload × policy
-// evaluations, policy comparisons, and async experiment jobs, all backed by
-// a process-lifetime result cache (identical requests — concurrent or
+// evaluations, policy comparisons, and async experiment jobs, all answered
+// from per-engine memoized simulations (identical requests — concurrent or
 // repeated — perform one simulation).
 //
 // Usage:

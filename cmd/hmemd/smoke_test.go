@@ -16,8 +16,9 @@ import (
 // identical evaluations, then one job), and checks what an operator sees:
 //
 //   - a request body over -max-body-bytes is refused with 413;
-//   - the result cache served the second evaluation (one hit, one miss)
-//     and the job finished;
+//   - the two evaluations ran two simulations (the profile and the policy
+//     run), so the second was answered from the engine's memo, and the job
+//     finished;
 //   - /metrics exports the job queue depth, the job phase histogram, the
 //     engine's simulation counter, and no dropped spans;
 //   - /debug/runtime and pprof answer on the debug port and not on the
@@ -51,8 +52,8 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	for _, line := range []string{
-		"hmemd_result_cache_hits_total 1",
-		"hmemd_result_cache_misses_total 1",
+		"hmem_sim_runs_total 2",
+		"hmemd_engine_memo_misses_total 2",
 		`hmemd_jobs{state="done"} 1`,
 		"hmemd_spans_dropped_total 0",
 	} {

@@ -1,6 +1,6 @@
 // Service quickstart: talk to a running hmemd with the typed client — list
-// the catalog, evaluate the same request twice to show the server-side
-// result cache, and run one async experiment job with progress events.
+// the catalog, evaluate the same request twice to show that the server
+// simulates once, and run one async experiment job with progress events.
 //
 // Start a server first (small options keep this snappy):
 //
@@ -41,8 +41,8 @@ func main() {
 	}
 	fmt.Printf("server offers %d workloads and %d policies\n\n", len(workloads), len(policies))
 
-	// The same request twice: the second answer comes from the result
-	// cache — same bytes, no second simulation.
+	// The same request twice: the second answer comes from the engine's
+	// memoized simulations — same bytes, no second simulation.
 	req := service.EvaluateRequest{Workload: "astar", Policy: hmem.PolicyWr2Ratio}
 	for i, label := range []string{"cold (simulates)", "warm (cached)"} {
 		start := time.Now()

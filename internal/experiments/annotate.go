@@ -14,20 +14,21 @@ import (
 // annotationRun performs the §7 experiment for one workload: profile, pick
 // structures to annotate, pin their pages, and run with migrations disabled
 // for pinned pages (here: no migrator at all, matching the paper's static
-// annotation evaluation). A worker re-derives the same pins from its own
-// (bit-identical) profile, so only the result crosses the wire.
-func (r *Runner) annotationRun(ctx context.Context, spec workload.Spec) (sim.Result, []annotate.Annotation, error) {
-	prof, err := r.ProfileOf(ctx, spec)
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	ann, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages()))
-	res, err := resultOf(r.run(ctx, spec, Block{Kind: BlockAnnotation, Workload: spec.Name}, true,
-		func(*Profile) placement { return placement{pages: pins, pin: true} }))
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	return res, ann, nil
+// annotation evaluation). The pins are selected only when the run is
+// simulated; a worker re-derives the same pins from its own (bit-identical)
+// profile, so only the result crosses the wire.
+func (r *Runner) annotationRun(ctx context.Context, spec workload.Spec) (sim.Result, error) {
+	return resultOf(r.run(ctx, spec, Block{Kind: BlockAnnotation, Workload: spec.Name}, true,
+		func(prof *Profile) placement {
+			_, pins := r.annotations(prof)
+			return placement{pages: pins, pin: true}
+		}))
+}
+
+// annotations selects the structures to annotate from a workload's profile,
+// with the pages they pin into HBM.
+func (r *Runner) annotations(prof *Profile) ([]annotate.Annotation, []uint64) {
+	return annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages()))
 }
 
 // Figure16 compares annotation-based placement against the perf-focused
@@ -48,10 +49,15 @@ func (r *Runner) Figure16(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		res, ann, err := r.annotationRun(ctx, spec)
+		res, err := r.annotationRun(ctx, spec)
 		if err != nil {
 			return row{}, err
 		}
+		prof, err := r.ProfileOf(ctx, spec)
+		if err != nil {
+			return row{}, err
+		}
+		ann, _ := r.annotations(prof)
 		perfSER, _, err := serOf(perf)
 		if err != nil {
 			return row{}, err
@@ -92,10 +98,11 @@ func (r *Runner) Figure17(ctx context.Context) (*report.Table, error) {
 	specs := r.Workloads()
 	type row struct{ count, pinned int }
 	rows, err := mapSpecs(ctx, r, specs, func(spec workload.Spec) (row, error) {
-		_, ann, err := r.annotationRun(ctx, spec)
+		prof, err := r.ProfileOf(ctx, spec)
 		if err != nil {
 			return row{}, err
 		}
+		ann, _ := r.annotations(prof)
 		pinned := 0
 		for _, a := range ann {
 			pinned += len(a.Pages)

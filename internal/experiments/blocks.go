@@ -8,6 +8,7 @@ import (
 
 	"hmem/internal/core"
 	"hmem/internal/faultsim"
+	"hmem/internal/sim"
 	"hmem/internal/workload"
 )
 
@@ -165,20 +166,28 @@ func (r *Runner) execute(ctx context.Context, b Block) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	if b.Kind == BlockProfile {
+		return r.ProfileOf(ctx, spec)
+	}
+	return r.runBlock(ctx, spec, b)
+}
+
+// runBlock runs a simulation block of spec through its memoized path and
+// returns its scored result (a profile block's DDR-only run).
+func (r *Runner) runBlock(ctx context.Context, spec workload.Spec, b Block) (sim.Result, error) {
 	switch b.Kind {
 	case BlockProfile:
-		return r.ProfileOf(ctx, spec)
+		return resultOf(r.ProfileOf(ctx, spec))
 	case BlockStatic:
 		policy, ok := core.PolicyByName(b.Name)
 		if !ok {
-			return nil, fmt.Errorf("experiments: unresolvable static policy %q", b.Name)
+			return sim.Result{}, fmt.Errorf("experiments: unresolvable static policy %q", b.Name)
 		}
 		return r.RunStatic(ctx, spec, policy)
 	case BlockDynamic:
 		return r.runMechanism(ctx, spec, b.Name)
 	case BlockAnnotation:
-		res, _, err := r.annotationRun(ctx, spec)
-		return res, err
+		return r.annotationRun(ctx, spec)
 	default: // BlockAnnotatedMigration: Validate admits no other kind
 		return r.annotatedMigrationRun(ctx, spec)
 	}

@@ -92,8 +92,7 @@ func TestDelegatedBlocksBitIdentical(t *testing.T) {
 		same("dynamic "+mech, func(r *Runner) (any, error) { return r.RunDynamic(ctx, spec, mech, build, warm) })
 	}
 	same("annotation", func(r *Runner) (any, error) {
-		res, _, err := r.annotationRun(ctx, spec)
-		return res, err
+		return r.annotationRun(ctx, spec)
 	})
 	same("annotation+fc", func(r *Runner) (any, error) { return r.annotatedMigrationRun(ctx, spec) })
 	same("fault study", func(r *Runner) (any, error) { return r.Fits(ctx) })

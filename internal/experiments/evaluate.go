@@ -48,46 +48,52 @@ type Result struct {
 	Endurance []sim.TierEndurance `json:"endurance,omitempty"`
 }
 
+// policyBlocks maps each policy to the block that answers it: the profile
+// for DDR-only, a static block named by its core policy, a dynamic block
+// named by the drivers' mechanism, or the annotation run. Every block but
+// the profile also reads the workload's profile.
+var policyBlocks = map[PolicyName]Block{
+	PolicyDDROnly:            {Kind: BlockProfile},
+	PolicyPerfFocused:        {Kind: BlockStatic, Name: core.PerfFocused{}.Name()},
+	PolicyReliabilityFocused: {Kind: BlockStatic, Name: core.ReliabilityFocused{}.Name()},
+	PolicyBalanced:           {Kind: BlockStatic, Name: core.Balanced{}.Name()},
+	PolicyWrRatio:            {Kind: BlockStatic, Name: core.WrRatio{}.Name()},
+	PolicyWr2Ratio:           {Kind: BlockStatic, Name: core.Wr2Ratio{}.Name()},
+	PolicyPerfMigration:      {Kind: BlockDynamic, Name: mechPerf},
+	PolicyFCMigration:        {Kind: BlockDynamic, Name: mechFC},
+	PolicyCCMigration:        {Kind: BlockDynamic, Name: mechCC},
+	PolicyAnnotation:         {Kind: BlockAnnotation},
+}
+
+// Known reports whether every block Evaluate(workloadName, policy) reads is
+// finished or in flight, so that the evaluation starts no simulation of its
+// own. Unknown policies report false.
+func (r *Runner) Known(workloadName string, policy PolicyName) bool {
+	b, ok := policyBlocks[policy]
+	b.Workload = workloadName
+	return ok && r.blocks.Known(Block{Kind: BlockProfile, Workload: workloadName}) && r.blocks.Known(b)
+}
+
 // Evaluate runs one workload under one policy and reports IPC/SER against
-// the DDR-only baseline. The dynamic policies run the drivers' mechanisms
-// under the drivers' memo names, so an evaluation and a figure share every
-// simulation. When ctx carries a registry the evaluation's IPC (and, on
-// write-budgeted topologies, its wear) is exported as gauges.
+// the DDR-only baseline. The policy's block is the drivers' own, so an
+// evaluation and a figure share every simulation. When ctx carries a
+// registry the evaluation's IPC (and, on write-budgeted topologies, its
+// wear) is exported as gauges.
 func (r *Runner) Evaluate(ctx context.Context, workloadName string, policy PolicyName) (Result, error) {
 	spec, err := workload.SpecByName(workloadName)
 	if err != nil {
 		return Result{}, err
 	}
+	b, ok := policyBlocks[policy]
+	if !ok {
+		return Result{}, fmt.Errorf("experiments: unknown policy %q", policy)
+	}
+	b.Workload = workloadName
 	prof, err := r.ProfileOf(ctx, spec)
 	if err != nil {
 		return Result{}, err
 	}
-
-	var res sim.Result
-	switch policy {
-	case PolicyDDROnly:
-		res = prof.Result
-	case PolicyPerfFocused:
-		res, err = r.RunStatic(ctx, spec, core.PerfFocused{})
-	case PolicyReliabilityFocused:
-		res, err = r.RunStatic(ctx, spec, core.ReliabilityFocused{})
-	case PolicyBalanced:
-		res, err = r.RunStatic(ctx, spec, core.Balanced{})
-	case PolicyWrRatio:
-		res, err = r.RunStatic(ctx, spec, core.WrRatio{})
-	case PolicyWr2Ratio:
-		res, err = r.RunStatic(ctx, spec, core.Wr2Ratio{})
-	case PolicyPerfMigration:
-		res, err = r.runMechanism(ctx, spec, mechPerf)
-	case PolicyFCMigration:
-		res, err = r.runMechanism(ctx, spec, mechFC)
-	case PolicyCCMigration:
-		res, err = r.runMechanism(ctx, spec, mechCC)
-	case PolicyAnnotation:
-		res, _, err = r.annotationRun(ctx, spec)
-	default:
-		return Result{}, fmt.Errorf("experiments: unknown policy %q", policy)
-	}
+	res, err := r.runBlock(ctx, spec, b)
 	if err != nil {
 		return Result{}, err
 	}

@@ -11,7 +11,6 @@ import (
 
 	"hmem/internal/avf"
 	"hmem/internal/core"
-	"hmem/internal/faultsim"
 	"hmem/internal/report"
 	"hmem/internal/sim"
 	"hmem/internal/workload"
@@ -389,12 +388,14 @@ func TestNewRunnerRejectsUnknownWorkload(t *testing.T) {
 
 func TestSEROfZeroBaselineIsAnError(t *testing.T) {
 	r := mustRunner(t, Options{})
-	// Pre-seed the fault-study memo with a degenerate all-zero result so
-	// the scored baseline SER comes out zero without running a fault study.
-	if _, err := r.fits.Do(struct{}{}, func() (faultsim.TierFITs, error) {
-		return faultsim.TierFITs{}, nil
-	}); err != nil {
-		t.Fatal(err)
+	// Pre-seed the runner's study store with degenerate zero FITs so the
+	// scored baseline SER comes out zero without running a fault study.
+	for i := range r.Topology().Tiers {
+		if _, err := r.studies.Load().do(context.Background(), r.tierStudyKey(i), func() (float64, error) {
+			return 0, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := r.score(context.Background(), sim.Result{Snapshot: []avf.PageAVF{{Page: 1, AVF: 0.5, ByTier: []float64{0.5}}}})
 	if err != nil {

@@ -35,7 +35,7 @@ func (r *Runner) ExtensionAnnotatedMigration(ctx context.Context) (*report.Table
 		if err != nil {
 			return out, err
 		}
-		annot, _, err := r.annotationRun(ctx, spec)
+		annot, err := r.annotationRun(ctx, spec)
 		if err != nil {
 			return out, err
 		}

@@ -1,11 +1,12 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (the per-experiment index lives in DESIGN.md §4).
-// A Runner memoizes profiling runs, policy runs, and the fault study behind
-// singleflight caches, records each workload's trace once for all of its
-// simulations, and every driver fans its independent simulations out over a
-// bounded worker pool — so the full suite does each expensive simulation
-// exactly once, saturates the machine, and still produces bit-identical
-// tables for a given Options.Seed at any worker count.
+// A Runner memoizes profiling runs and policy runs behind a singleflight
+// cache and fault studies in a study store, records each workload's trace
+// once for all of its simulations, and every driver fans its independent
+// simulations out over a bounded worker pool — so the full suite does each
+// expensive simulation exactly once, saturates the machine, and still
+// produces bit-identical tables for a given Options.Seed at any worker
+// count.
 package experiments
 
 import (
@@ -91,7 +92,6 @@ type Runner struct {
 	topo  *core.Topology
 	specs []workload.Spec
 
-	fits exec.Memo[struct{}, faultsim.TierFITs]
 	// blocks memoizes every simulation by its Block (see run). A profile
 	// block's entry keeps the whole Profile; any other block's keeps only
 	// Result.
@@ -116,8 +116,8 @@ type Runner struct {
 	delegateMu sync.RWMutex
 	delegate   Delegate
 
-	// studies, when set, shares fault-study outcomes with other runners
-	// (see studies.go).
+	// studies holds the runner's fault-study outcomes: a private store, or
+	// one shared with other runners (see studies.go).
 	studies atomic.Pointer[StudyStore]
 }
 
@@ -172,14 +172,16 @@ func NewRunner(opts Options) (*Runner, error) {
 	}
 	cfg := sim.DefaultConfig(opts.ScaleDiv)
 	cfg.Topology = topo
-	return &Runner{
+	r := &Runner{
 		opts:       opts,
 		cfg:        cfg,
 		topo:       topo,
 		specs:      specs,
 		slots:      make(chan struct{}, opts.Parallel),
 		recordings: recordingStore{budget: recordingBudget(opts.RecordsPerCore)},
-	}, nil
+	}
+	r.studies.Store(&StudyStore{})
+	return r, nil
 }
 
 // resolveWorkloads maps the requested names to specs, or reports the full
@@ -228,31 +230,23 @@ func mapSpecs[T any](ctx context.Context, r *Runner, specs []workload.Spec, fn f
 	})
 }
 
-// Fits runs (once) the per-tier FaultSim studies and returns every tier's
-// uncorrectable FIT per GB, in topology tier order. Tiers carrying a fixed
-// FITPerGB skip their study. Concurrent callers share the one computation,
-// and with a StudyStore installed so do other runners.
+// Fits returns every tier's uncorrectable FIT per GB, in topology tier
+// order, running each tier's FaultSim study once through the runner's study
+// store. Tiers carrying a fixed FITPerGB skip their study. Concurrent
+// callers share each study, and so do runners sharing the store.
 func (r *Runner) Fits(ctx context.Context) (faultsim.TierFITs, error) {
-	return r.fits.DoCtx(ctx, struct{}{}, func() (faultsim.TierFITs, error) {
-		// Detach: keep the first requester's observability but not its
-		// cancellation — the result is shared with every other requester.
-		runCtx := obs.Detach(ctx)
-		per := make([]float64, len(r.topo.Tiers))
-		for i, td := range r.topo.Tiers {
-			if td.FITPerGB > 0 {
-				per[i] = td.FITPerGB
-				continue
-			}
-			study, _, err := r.StudyForTier(i)
-			if err != nil {
-				return faultsim.TierFITs{}, err
-			}
-			if per[i], err = r.tierFIT(runCtx, i, study); err != nil {
-				return faultsim.TierFITs{}, err
-			}
+	per := make([]float64, len(r.topo.Tiers))
+	for i, td := range r.topo.Tiers {
+		if td.FITPerGB > 0 {
+			per[i] = td.FITPerGB
+			continue
 		}
-		return faultsim.TierFITs{PerGB: per}, nil
-	})
+		var err error
+		if per[i], err = r.tierFIT(ctx, i); err != nil {
+			return faultsim.TierFITs{}, err
+		}
+	}
+	return faultsim.TierFITs{PerGB: per}, nil
 }
 
 // runStudy executes one tier's fault study, preferring the delegate's
@@ -282,12 +276,10 @@ func (r *Runner) runStudy(ctx context.Context, tier int, study *faultsim.Study) 
 	return study.Combine(jobs, tallies, r.opts.FaultTrials)
 }
 
-// CacheStats aggregates the hit/miss counters of the runner's memo caches
-// (fault study, simulation blocks) — the work-sharing counter
+// CacheStats reports the hit/miss counters of the runner's block memo: each
+// miss is one simulation started. It is the work-sharing counter
 // cmd/experiments prints after a run and hmemd exports on /metrics.
-func (r *Runner) CacheStats() exec.MemoStats {
-	return r.fits.Stats().Add(r.blocks.Stats())
-}
+func (r *Runner) CacheStats() exec.MemoStats { return r.blocks.Stats() }
 
 // simulate runs one simulation of the workload's trace, returning the
 // workload's structure table with the result. It holds one of the runner's

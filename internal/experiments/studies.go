@@ -6,6 +6,7 @@ import (
 
 	"hmem/internal/exec"
 	"hmem/internal/faultsim"
+	"hmem/internal/obs"
 )
 
 // studyStoreCap bounds a StudyStore's entries. Each entry is one tier's
@@ -22,10 +23,10 @@ const studyStoreCap = 32
 // tier content, not a topology name, so topologies with an identical tier
 // share its study too.
 //
-// A runner consults a store only when one is installed (SetStudyStore); a
-// runner without one behaves exactly as before. The store keeps at most
-// studyStoreCap outcomes, dropping the oldest first. The zero value is ready
-// to use; all methods are safe for concurrent use.
+// Every runner starts with a private store; SetStudyStore swaps in a shared
+// one. The store keeps at most studyStoreCap outcomes, dropping the oldest
+// first. The zero value is ready to use; all methods are safe for
+// concurrent use.
 type StudyStore struct {
 	memo exec.Memo[studyKey, float64]
 
@@ -67,8 +68,8 @@ func (st *StudyStore) known(key studyKey) bool { return st.memo.Known(key) }
 // study, plus one per recomputation after an eviction or a failure.
 func (st *StudyStore) Runs() uint64 { return st.memo.Stats().Misses }
 
-// SetStudyStore installs a shared fault-study store. Install before serving
-// requests.
+// SetStudyStore replaces the runner's private fault-study store with a
+// shared one. Install before serving requests.
 func (r *Runner) SetStudyStore(st *StudyStore) { r.studies.Store(st) }
 
 // tierStudyKey returns the identity of a tier's study.
@@ -78,33 +79,29 @@ func (r *Runner) tierStudyKey(tier int) studyKey {
 }
 
 // StudiesKnown reports whether every fault study this runner's Fits needs is
-// finished or in flight in its installed store, so that scoring a result
-// costs no study of its own. False without a store.
+// finished or in flight in its store, so that scoring a result costs no
+// study of its own.
 func (r *Runner) StudiesKnown() bool {
 	st := r.studies.Load()
-	if st == nil {
-		return false
-	}
 	for i, td := range r.topo.Tiers {
-		if td.FITPerGB > 0 {
-			continue
-		}
-		if !st.known(r.tierStudyKey(i)) {
+		if td.FITPerGB <= 0 && !st.known(r.tierStudyKey(i)) {
 			return false
 		}
 	}
 	return true
 }
 
-// tierFIT returns one tier's uncorrectable FIT/GB from its study, through
-// the installed store when there is one.
-func (r *Runner) tierFIT(ctx context.Context, tier int, study *faultsim.Study) (float64, error) {
-	run := func() (float64, error) {
-		res, err := r.runStudy(ctx, tier, study)
+// tierFIT returns one tier's uncorrectable FIT/GB through the runner's
+// store, building and running the tier's study only on a miss. The study
+// runs detached from the requester's cancellation: its outcome is shared
+// with every other requester of the key.
+func (r *Runner) tierFIT(ctx context.Context, tier int) (float64, error) {
+	return r.studies.Load().do(ctx, r.tierStudyKey(tier), func() (float64, error) {
+		study, _, err := r.StudyForTier(tier)
+		if err != nil {
+			return 0, err
+		}
+		res, err := r.runStudy(obs.Detach(ctx), tier, study)
 		return res.UncFITPerGB, err
-	}
-	if st := r.studies.Load(); st != nil {
-		return st.do(ctx, r.tierStudyKey(tier), run)
-	}
-	return run()
+	})
 }

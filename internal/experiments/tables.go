@@ -135,7 +135,7 @@ func (r *Runner) Table3(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return relative{}, err
 		}
-		res, _, err := r.annotationRun(ctx, spec)
+		res, err := r.annotationRun(ctx, spec)
 		if err != nil {
 			return relative{}, err
 		}

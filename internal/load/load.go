@@ -69,8 +69,8 @@ type classWeight struct {
 }
 
 // Profile is a named operation mix. CacheHostile makes every operation carry
-// a unique options seed, so the server's memoized result cache never hits
-// and each request pays the full simulation.
+// a unique options seed, so the server's memoized simulations never hit and
+// each request pays the full simulation.
 type Profile struct {
 	Name         string
 	Description  string
@@ -98,7 +98,7 @@ func Profiles() []Profile {
 		},
 		{
 			Name:         "hostile",
-			Description:  "cache-hostile: unique option seeds defeat the result cache",
+			Description:  "cache-hostile: unique option seeds defeat the simulation memo",
 			mix:          []classWeight{{ClassEvaluate, 80}, {ClassCompare, 20}},
 			CacheHostile: true,
 		},

@@ -18,12 +18,11 @@ const noSlot = int32(-1)
 // Tracker is a k-counter Misra-Gries summary over dense page indices. The
 // zero value is unusable; construct with New. Not safe for concurrent use.
 type Tracker struct {
-	k        int
-	idx      []uint32 // entry -> dense page index (first n in use)
-	cnt      []uint64 // entry -> residual count
-	n        int      // entries in use, <= k
-	slot     []int32  // dense page index -> entry position, noSlot if absent
-	observed uint64
+	k    int
+	idx  []uint32 // entry -> dense page index (first n in use)
+	cnt  []uint64 // entry -> residual count
+	n    int      // entries in use, <= k
+	slot []int32  // dense page index -> entry position, noSlot if absent
 }
 
 // New returns a tracker with k counters (MemPod and the paper use 32) for
@@ -47,14 +46,10 @@ func New(k, pages int) *Tracker {
 // K returns the counter budget.
 func (t *Tracker) K() int { return t.k }
 
-// Observed returns the number of observations in the current interval.
-func (t *Tracker) Observed() uint64 { return t.observed }
-
 // Observe feeds one access to the page at dense index pi. Classic
 // Misra-Gries update: increment a tracked entry, adopt the page if a counter
 // is free, otherwise decrement every counter (evicting zeros).
 func (t *Tracker) Observe(pi uint32) {
-	t.observed++
 	if s := t.slot[pi]; s != noSlot {
 		t.cnt[s]++
 		return
@@ -104,17 +99,7 @@ func (t *Tracker) Reset() {
 		t.slot[t.idx[e]] = noSlot
 	}
 	t.n = 0
-	t.observed = 0
 }
 
 // Len returns the number of entries currently tracked.
 func (t *Tracker) Len() int { return t.n }
-
-// CostBytes returns the hardware cost of a k-entry MEA unit with the given
-// counter width in bits plus a page-id tag (52 bits for 4 KiB pages in a
-// 64-bit space), rounded up per entry.
-func CostBytes(k, counterBits int) int {
-	const tagBits = 52
-	perEntry := (counterBits + tagBits + 7) / 8
-	return k * perEntry
-}

@@ -66,9 +66,6 @@ func TestMisraGriesGuarantee(t *testing.T) {
 			tr.Observe(uint32(1000 + rng.Uint64n(5000)))
 		}
 	}
-	if tr.Observed() != n {
-		t.Fatalf("observed = %d", tr.Observed())
-	}
 	for _, e := range tr.Hot(nil) {
 		if e.Index == 42 {
 			return
@@ -126,7 +123,7 @@ func TestReset(t *testing.T) {
 	tr.Observe(1)
 	tr.Observe(1)
 	tr.Reset()
-	if len(tr.Hot(nil)) != 0 || tr.Observed() != 0 {
+	if len(tr.Hot(nil)) != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -142,17 +139,6 @@ func TestDecrementEvictsSingletons(t *testing.T) {
 	tr.Observe(4)
 	if tr.Len() != 1 {
 		t.Fatal("counter not reusable after eviction")
-	}
-}
-
-func TestCostBytes(t *testing.T) {
-	// 32 entries, 16-bit counters + 52-bit tag = 68 bits -> 9 bytes/entry.
-	if got := CostBytes(32, 16); got != 32*9 {
-		t.Fatalf("CostBytes = %d", got)
-	}
-	// MEA hardware is tiny next to full counters over millions of pages.
-	if CostBytes(32, 16) > 1024 {
-		t.Fatal("MEA unit should be under 1 KB")
 	}
 }
 

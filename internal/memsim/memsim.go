@@ -216,9 +216,6 @@ func (m *Memory) Config() Config { return m.cfg }
 // Stats returns a snapshot of the tier's counters.
 func (m *Memory) Stats() Stats { return m.stats }
 
-// ResetStats zeroes the counters (used at measurement-interval boundaries).
-func (m *Memory) ResetStats() { m.stats = Stats{} }
-
 func isPow2(v uint64) bool { return v&(v-1) == 0 }
 
 // geometry locates a line: channel by low-order interleave (maximizes

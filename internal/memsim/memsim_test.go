@@ -477,17 +477,6 @@ func TestRecordBulkTransferClosesRows(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	m := New(small())
-	r := &Request{Line: 0}
-	m.Enqueue(r)
-	m.Complete(r)
-	m.ResetStats()
-	if m.Stats() != (Stats{}) {
-		t.Fatalf("ResetStats left %+v", m.Stats())
-	}
-}
-
 func TestAdvanceTo(t *testing.T) {
 	m := New(small())
 	m.AdvanceTo(1000)

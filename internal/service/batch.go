@@ -9,13 +9,14 @@ package service
 // executor. Server side, items that share a workload trace but differ in
 // policy share one trace recording: each engine records a workload's trace
 // once and every policy's simulation replays it. A run is priced into the
-// admission controller as the sum of its distinct fresh result keys, one
-// options-scaled unit each; duplicates within the run and already-cached
-// keys are free. Item failures are isolated: an item's error rides its own
-// result line while the rest of the batch completes.
+// admission controller as the sum of its distinct fresh evaluations, one
+// options-scaled unit each; duplicates within the run and evaluations whose
+// simulations are already memoized are free. Item failures are isolated: an
+// item's error rides its own result line while the rest of the batch
+// completes.
 //
-// The stream replays identically on reconnect (results are cached and
-// emission order is item order), so the client's seq-dedup reconnect
+// The stream replays identically on reconnect (results are deterministic
+// and emission order is item order), so the client's seq-dedup reconnect
 // machinery — the same scheme the job watch stream uses — resumes a
 // severed batch with no lost or duplicated items.
 
@@ -30,6 +31,7 @@ import (
 
 	"hmem"
 	"hmem/internal/exec"
+	"hmem/internal/obs"
 )
 
 // maxBatchItems bounds one batch request. The body limit bounds it too;
@@ -253,8 +255,9 @@ func (s *Service) execute(ctx context.Context, patches []*OptionsPatch, price fu
 }
 
 // evaluate runs evaluate and compare items through execute. Each distinct
-// result key that is neither cached nor in flight costs one options-scaled
-// unit; duplicates within the run and cached keys are free. On false the
+// evaluation (engine, workload, policy) whose blocks are neither finished
+// nor in flight in its engine's memo costs one options-scaled unit;
+// duplicates within the run and known evaluations are free. On false the
 // response is already written: a 400 for an item whose options do not
 // resolve (itemErr labels the error), or an admission refusal.
 func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []BatchItem, itemErr func(i int, err error) error) (*evaluationRun, bool) {
@@ -263,12 +266,17 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 		patches[i] = items[i].Options
 	}
 	price := func(engines []*engineEntry) float64 {
+		type evaluation struct {
+			en       *engineEntry
+			workload string
+			policy   hmem.PolicyName
+		}
 		var cost float64
-		seen := make(map[string]bool)
+		seen := make(map[evaluation]bool)
 		for i := range items {
 			for _, p := range items[i].policySet() {
-				key := resultKey(engines[i].digest, items[i].Workload, p)
-				if seen[key] || s.results.Known(key) {
+				key := evaluation{engines[i], items[i].Workload, p}
+				if seen[key] || engines[i].runner.Known(key.workload, p) {
 					continue
 				}
 				seen[key] = true
@@ -302,21 +310,24 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 	return run, run != nil
 }
 
-// runItem executes one item through the shared result cache. Errors are the
-// item's, never the run's.
+// runItem answers one item from its engine's block memo and marshals the
+// result (a compare item's as an array). The registry rides along so engine
+// metrics (hmem_*) land on /metrics. Errors are the item's, never the run's.
 func (s *Service) runItem(ctx context.Context, it BatchItem, en *engineEntry) itemOutcome {
-	runner, digest := en.runner, en.digest
+	ctx = obs.WithRegistry(ctx, s.registry)
+	var v any
+	var err error
 	if len(it.Policies) == 0 {
-		raw, err := s.result(ctx, runner, digest, it.Workload, it.Policy)
-		return itemOutcome{payload: raw, err: err}
+		v, err = en.runner.Evaluate(ctx, it.Workload, it.Policy)
+	} else {
+		v, err = exec.Map(ctx, en.runner.Options().Parallel, len(it.Policies), func(j int) (hmem.Result, error) {
+			return en.runner.Evaluate(ctx, it.Workload, it.Policies[j])
+		})
 	}
-	raws, err := exec.Map(ctx, runner.Options().Parallel, len(it.Policies), func(j int) (json.RawMessage, error) {
-		return s.result(ctx, runner, digest, it.Workload, it.Policies[j])
-	})
 	if err != nil {
 		return itemOutcome{err: err}
 	}
-	raw, err := json.Marshal(raws)
+	raw, err := json.Marshal(v)
 	return itemOutcome{payload: raw, err: err}
 }
 

@@ -336,7 +336,7 @@ func TestBatchCompareItems(t *testing.T) {
 // TestBatchThroughput is the acceptance ratio: on a same-workload
 // multi-policy profile, the batch path over a pooled client must clear at
 // least 2× the ops/sec of one-request-per-round-trip sequential
-// evaluation. Steady state (warm result cache) is measured, so the ratio
+// evaluation. Steady state (warm engine memo) is measured, so the ratio
 // isolates the request path — pipelining N items over one request versus N
 // round trips — rather than simulation time. Each round times one
 // sequential pass and then one batch, back to back, and the test holds the
@@ -363,7 +363,7 @@ func TestBatchThroughput(t *testing.T) {
 
 	_, base := newTestServer(t, tinyConfig())
 	pooled := NewPooledClient(base.BaseURL, 8)
-	// Warm the result cache: after this, both sides serve identical cached
+	// Warm the engine: after this, both sides serve identical memoized
 	// evaluations and differ only in transport.
 	if _, sum, err := pooled.CollectBatch(ctx, BatchRequest{Items: items}); err != nil || sum.Errors != 0 {
 		t.Fatalf("warm-up batch: err=%v summary=%+v", err, sum)

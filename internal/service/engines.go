@@ -17,8 +17,9 @@ import (
 const maxEngines = 16
 
 // engineEntry is one live engine: the experiments runner for a resolved
-// option set, the digest that prefixes its result-cache keys, and the
-// holders whose work on it has not settled yet.
+// option set, whose block memo answers every evaluation on it, the digest
+// that names the option set, and the holders whose work on it has not
+// settled yet.
 type engineEntry struct {
 	runner *experiments.Runner
 	digest string
@@ -61,7 +62,7 @@ type engineTotals struct {
 
 // optionsDigest canonically fingerprints a resolved option set. Parallel is
 // normalized out: it only changes scheduling, never a result, so requests
-// differing only in worker count share cache entries.
+// differing only in worker count share an engine.
 func optionsDigest(o hmem.Options) string {
 	o.Parallel = 0
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", o)))

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"hmem"
 )
@@ -21,7 +24,7 @@ func coldConfig() Config {
 }
 
 // seedReference evaluates one workload × policy on a fresh in-process engine
-// for the given options seed — an engine with no shared study store.
+// for the given options seed — an engine with its own study store.
 func seedReference(t *testing.T, cfg Config, seed uint64, workloadName string, policy hmem.PolicyName) []byte {
 	t.Helper()
 	cfg.Defaults.Seed = seed
@@ -75,8 +78,9 @@ func idleEngines(s *Service) (idle, live int) {
 // TestColdEnginesBounded sends 3 × maxEngines evaluations, each with a
 // unique options seed, through one service. The engine set stays within its
 // bound, the tier fault studies run once for the whole stream, every body is
-// byte-identical to a fresh in-process engine without a study store, and no
-// engine-summed counter ever decreases as engines are retired.
+// byte-identical to a fresh in-process engine with its own study store, and
+// no engine-summed counter ever decreases as engines are retired. A retired
+// option set that returns is simulated again, to the same bytes.
 func TestColdEnginesBounded(t *testing.T) {
 	cfg := coldConfig()
 	svc, c := newTestServer(t, cfg)
@@ -118,6 +122,21 @@ func TestColdEnginesBounded(t *testing.T) {
 	}
 	if got := prev["hmemd_trace_opens_total"]; got != float64(3*maxEngines) {
 		t.Fatalf("hmemd_trace_opens_total = %v, want one per request (%d)", got, 3*maxEngines)
+	}
+
+	// The first seed's engine is retired, and its answer with it: asking
+	// again costs exactly one simulation, the DDR-only profile.
+	const first = 1000
+	got := postRaw(t, c.BaseURL, "/v1/evaluate", seedEvaluate("astar", hmem.PolicyDDROnly, first))
+	if want := seedReference(t, cfg, first, "astar", hmem.PolicyDDROnly); !bytes.Equal(got, want) {
+		t.Fatalf("retired seed %d: server bytes differ from the in-process engine\nserver: %s\nengine: %s", first, got, want)
+	}
+	cur := scrapeSeries(t, c.BaseURL)
+	if runs := cur["hmem_sim_runs_total"] - prev["hmem_sim_runs_total"]; runs != 1 {
+		t.Fatalf("re-asking retired seed %d ran %v simulations, want 1", first, runs)
+	}
+	if got := cur["hmemd_fault_studies_total"]; got != 2 {
+		t.Fatalf("hmemd_fault_studies_total = %v after a retired seed returned, want 2", got)
 	}
 }
 
@@ -205,6 +224,69 @@ func TestWarmStudyPricedFree(t *testing.T) {
 	if got := svc.adm.inflight(); got != 0.5 {
 		t.Fatalf("in-flight cost of a new-seed evaluate with the study warm = %v, want 0.5", got)
 	}
+	open()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return svc.adm.inflight() == 0 })
+}
+
+// TestKnownEvaluationPricedFree: with the admission budget full, a repeat of
+// an evaluation whose simulations its live engine already holds is admitted
+// at cost 0, while a fresh evaluation on the same engine is shed with 429.
+func TestKnownEvaluationPricedFree(t *testing.T) {
+	cfg := coldConfig()
+	var mu sync.Mutex
+	now := time.Unix(1000, 0)
+	cfg.Admission = AdmissionConfig{Budget: 1, Now: func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}}
+	// Step past the health hold, so the full budget answers 429 rather
+	// than the shedding rung's 503.
+	pastHold := func() {
+		mu.Lock()
+		now = now.Add(2 * healthHold)
+		mu.Unlock()
+	}
+	reached, open := gatedTraces(&cfg)
+	svc, c := newTestServer(t, cfg)
+	t.Cleanup(open)
+
+	// The answered evaluation runs on its own option set, so its studies
+	// leave the default engine's unknown and the held evaluation below
+	// costs the whole budget.
+	answered := `{"workload":"mcf","policy":"ddr-only","options":{"fault_trials":400}}`
+	want := postRaw(t, c.BaseURL, "/v1/evaluate", answered)
+	pastHold()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Evaluate(ctx, EvaluateRequest{Workload: "astar", Policy: hmem.PolicyDDROnly})
+		errc <- err
+	}()
+	<-reached
+	if got := svc.adm.inflight(); got != 1 {
+		t.Fatalf("in-flight cost of the held cold evaluation = %v, want 1", got)
+	}
+	pastHold()
+
+	_, err := c.Evaluate(ctx, EvaluateRequest{Workload: "mcf", Policy: hmem.PolicyBalanced,
+		Options: &OptionsPatch{FaultTrials: 400}})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("fresh evaluation over a full budget: err = %v, want 429", err)
+	}
+	if got := postRaw(t, c.BaseURL, "/v1/evaluate", answered); !bytes.Equal(got, want) {
+		t.Fatalf("repeat bytes differ\nfirst:  %s\nrepeat: %s", want, got)
+	}
+	if got := svc.adm.inflight(); got != 1 {
+		t.Fatalf("in-flight cost after the repeat = %v, want 1 (the repeat is free)", got)
+	}
+
 	open()
 	if err := <-errc; err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ type serviceMetrics struct {
 	jobPhase     *obs.HistogramVec
 	spansDropped *obs.Counter
 
-	resultHits, resultMisses *obs.Counter
 	engineHits, engineMisses *obs.Counter
 	engines                  *obs.Gauge
 	engineEvictions          *obs.Counter
@@ -84,14 +83,10 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"Wall time of job execution phases, from tracing spans.", latencyBounds, "phase"),
 		spansDropped: reg.Counter("hmemd_spans_dropped_total",
 			"Tracing spans the exporter failed to accept (dropped, never failing the job)."),
-		resultHits: reg.Counter("hmemd_result_cache_hits_total",
-			"Evaluate requests served from the result cache (finished or in-flight)."),
-		resultMisses: reg.Counter("hmemd_result_cache_misses_total",
-			"Evaluate requests that started a simulation."),
 		engineHits: reg.Counter("hmemd_engine_memo_hits_total",
-			"Engine-level memo hits (profiles, policy runs, fault studies) across all engines."),
+			"Engine-level memo hits (profiles and policy runs) across all engines."),
 		engineMisses: reg.Counter("hmemd_engine_memo_misses_total",
-			"Engine-level memo misses across all engines."),
+			"Engine-level memo misses (simulations started) across all engines."),
 		engines: reg.Gauge("hmemd_engines",
 			"Live engines, one per resolved option set; idle ones are retired beyond "+strconv.Itoa(maxEngines)+"."),
 		engineEvictions: reg.Counter("hmemd_engine_evictions_total",
@@ -107,7 +102,7 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		coalesceHits: reg.Counter("hmemd_coalesce_hits_total",
 			"Simulations that replayed an existing trace recording instead of generating the trace."),
 		recordingSize: reg.Gauge("hmemd_trace_recording_bytes",
-			"Bytes of trace recordings kept across live engines, at most 96 MiB per engine."),
+			"Bytes of trace recordings kept across live engines; each engine's budget follows its trace length."),
 		queueDepth: reg.Gauge("hmemd_job_queue_depth",
 			"Jobs waiting in the queue."),
 		queueOldestAge: reg.Gauge("hmemd_job_queue_oldest_age_seconds",
@@ -188,9 +183,6 @@ var jobStates = []string{JobQueued, JobRunning, JobDone, JobFailed, JobCancelled
 // final counts of retired engines, so eviction never lowers them.
 func (s *Service) syncMetrics() {
 	m := s.met
-	rc := s.results.Stats()
-	m.resultHits.Set(rc.Hits)
-	m.resultMisses.Set(rc.Misses)
 	et := s.engineTotals()
 	m.engineHits.Set(et.memo.Hits)
 	m.engineMisses.Set(et.memo.Misses)

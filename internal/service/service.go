@@ -6,9 +6,9 @@
 // The service is three cooperating pieces:
 //
 //   - evaluation endpoints (/v1/evaluate, /v1/compare, /v1/batch) that share
-//     one executor (see batch.go), deduplicated by a process-lifetime
-//     singleflight cache of encoded results — two concurrent identical
-//     requests perform one simulation;
+//     one executor (see batch.go), answered from each engine's singleflight
+//     block memo — two concurrent identical requests perform one
+//     simulation;
 //   - an async job queue (/v1/jobs) for the long-running experiment drivers
 //     (regenerating a paper figure can take minutes), bounded in depth and
 //     drained by a fixed worker pool, with NDJSON progress streaming;
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"hmem"
-	"hmem/internal/exec"
 	"hmem/internal/experiments"
 	"hmem/internal/obs"
 )
@@ -108,11 +107,6 @@ type Service struct {
 	// bounded set of idle ones, all sharing one fault-study store (see
 	// engines.go).
 	engines enginePool
-
-	// results collapses identical evaluations — concurrent and repeated —
-	// into one simulation and holds each result's JSON encoding, the bytes
-	// every endpoint writes. Keyed by digest|workload|policy.
-	results exec.Memo[string, json.RawMessage]
 
 	jobs jobStore
 
@@ -347,7 +341,7 @@ type CompareRequest struct {
 // OptionsPatch is the subset of engine options a request may override.
 // Omitted (zero) fields keep the server's defaults. Parallel is
 // deliberately absent: it never changes results, only scheduling, and
-// letting clients set it would fragment the result cache.
+// letting clients set it would fragment the engine set.
 type OptionsPatch struct {
 	ScaleDiv       int    `json:"scale_div,omitempty"`
 	RecordsPerCore int    `json:"records_per_core,omitempty"`
@@ -385,13 +379,7 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// --- the result cache (engines live in engines.go) ---
-
-// resultKey is the result-cache key for one evaluation; the admission cost
-// model probes the same key to price cache hits as free.
-func resultKey(digest, workloadName string, policy hmem.PolicyName) string {
-	return digest + "|" + workloadName + "|" + string(policy)
-}
+// --- pricing (engines live in engines.go) ---
 
 // costUnit prices one evaluation on engine e in units of a default-shaped
 // evaluation: simulation time scales with the trace length (records per
@@ -415,24 +403,6 @@ func (s *Service) costUnit(runner *experiments.Runner) float64 {
 	}
 	return u
 }
-
-// result returns one evaluation's JSON encoding through the result cache:
-// concurrent and repeated identical requests share a single simulation.
-func (s *Service) result(ctx context.Context, runner *experiments.Runner, digest, workloadName string, policy hmem.PolicyName) (json.RawMessage, error) {
-	return s.results.DoCtx(ctx, resultKey(digest, workloadName, policy), func() (json.RawMessage, error) {
-		// Background, not ctx: the result is shared with every requester of
-		// the key, so one caller's cancellation must not be cached. The
-		// registry rides along so engine metrics (hmem_*) land on /metrics.
-		res, err := runner.Evaluate(obs.WithRegistry(context.Background(), s.registry), workloadName, policy)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	})
-}
-
-// ResultCacheStats exposes the evaluate-cache counters (tests and /metrics).
-func (s *Service) ResultCacheStats() exec.MemoStats { return s.results.Stats() }
 
 // --- validation ---
 

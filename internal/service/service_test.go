@@ -122,7 +122,7 @@ func TestBodyLimit(t *testing.T) {
 
 // TestConcurrentIdenticalEvaluatesShareOneSimulation is the issue's
 // acceptance test: two concurrent identical evaluate requests perform one
-// simulation — the result cache reports exactly one miss and one hit.
+// simulation, and a repeat performs none.
 func TestConcurrentIdenticalEvaluatesShareOneSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
@@ -150,17 +150,17 @@ func TestConcurrentIdenticalEvaluatesShareOneSimulation(t *testing.T) {
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Fatalf("concurrent identical requests disagree: %+v vs %+v", results[0], results[1])
 	}
-	stats := svc.ResultCacheStats()
-	if stats.Misses != 1 || stats.Hits != 1 {
-		t.Fatalf("cache stats = %+v, want exactly 1 miss and 1 hit", stats)
+	simRuns := func() uint64 { return svc.registry.Counter("hmem_sim_runs_total", "").Value() }
+	if got := simRuns(); got != 1 {
+		t.Fatalf("hmem_sim_runs_total = %d after two concurrent identical requests, want 1", got)
 	}
 
-	// A third identical request is a pure cache hit.
+	// A third identical request is answered from the engine's block memo.
 	if _, err := c.Evaluate(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if stats := svc.ResultCacheStats(); stats.Hits != 2 || stats.Misses != 1 {
-		t.Fatalf("cache stats after third request = %+v", stats)
+	if got := simRuns(); got != 1 {
+		t.Fatalf("hmem_sim_runs_total = %d after a repeat, want 1", got)
 	}
 }
 
@@ -360,7 +360,7 @@ func TestMetricsExposition(t *testing.T) {
 	if _, err := c.Evaluate(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Evaluate(ctx, req); err != nil { // cache hit
+	if _, err := c.Evaluate(ctx, req); err != nil { // answered from the memo
 		t.Fatal(err)
 	}
 
@@ -376,13 +376,12 @@ func TestMetricsExposition(t *testing.T) {
 	page := string(raw)
 
 	for _, want := range []string{
-		"hmemd_result_cache_hits_total 1",
-		"hmemd_result_cache_misses_total 1",
+		"hmem_sim_runs_total 1",
+		"hmemd_engine_memo_misses_total 1",
 		"hmemd_job_queue_depth 0",
 		`hmemd_jobs{state="queued"} 0`,
 		`hmemd_requests_total{route="POST /v1/evaluate",code="200"} 2`,
 		`hmemd_request_duration_seconds_count{route="POST /v1/evaluate"} 2`,
-		"hmemd_engine_memo_misses_total",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("metrics page missing %q\n%s", want, page)

@@ -5,8 +5,8 @@
 // All simulation randomness must flow through this package so that every
 // experiment is exactly reproducible from its seed. The generator is
 // xoshiro256**, seeded through splitmix64 per the reference recommendation,
-// which gives high-quality 64-bit streams with a tiny state and lets us fork
-// independent sub-streams cheaply (see Fork).
+// which gives high-quality 64-bit streams with a tiny state and lets us seed
+// independent sub-streams cheaply (see Derive).
 package xrand
 
 import (
@@ -17,7 +17,7 @@ import (
 // RNG is a deterministic xoshiro256** pseudo-random generator.
 //
 // The zero value is not usable; construct with New. RNG is not safe for
-// concurrent use; fork one per goroutine instead.
+// concurrent use; seed one per goroutine instead (see Derive).
 type RNG struct {
 	s0, s1, s2, s3 uint64
 }
@@ -81,10 +81,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Fork derives an independent generator from the current stream. The child
-// is seeded from the parent's output, so forking is itself deterministic.
-func (r *RNG) Fork() *RNG { return New(r.Uint64()) }
-
 // Uint64n returns a uniform integer in [0, n). It panics if n == 0.
 // Uses Lemire's multiply-shift rejection method to avoid modulo bias.
 func (r *RNG) Uint64n(n uint64) uint64 {
@@ -129,16 +125,6 @@ func (r *RNG) NormFloat64() float64 {
 		s := u*u + v*v
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
 		}
 	}
 }

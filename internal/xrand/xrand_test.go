@@ -59,25 +59,6 @@ func TestDeriveDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := New(7)
-	c1 := parent.Fork()
-	c2 := parent.Fork()
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("forked children produced identical first output")
-	}
-}
-
-func TestForkDeterminism(t *testing.T) {
-	a := New(7).Fork()
-	b := New(7).Fork()
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("forked streams diverged at step %d", i)
-		}
-	}
-}
-
 func TestUint64nRange(t *testing.T) {
 	r := New(3)
 	for _, n := range []uint64{1, 2, 3, 7, 10, 1 << 20, 1<<63 + 5} {
@@ -163,22 +144,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.05 {
 		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(13)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatal("negative exponential variate")
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exp mean = %v, want ~1", mean)
 	}
 }
 
