@@ -37,7 +37,6 @@ import (
 	"context"
 
 	"hmem/internal/core"
-	"hmem/internal/exec"
 	"hmem/internal/experiments"
 	"hmem/internal/report"
 	"hmem/internal/trace"
@@ -215,18 +214,7 @@ func (e *Engine) Evaluate(ctx context.Context, workloadName string, policy Polic
 // Compare evaluates several policies on one workload concurrently, sharing
 // the profiling run and every memoized simulation.
 func (e *Engine) Compare(ctx context.Context, workloadName string, policies []PolicyName) ([]Result, error) {
-	// Profile once up front so the concurrent evaluations share the warm
-	// memo instead of all blocking on the same singleflight leader.
-	spec, err := workload.SpecByName(workloadName)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := e.r.ProfileOf(ctx, spec); err != nil {
-		return nil, err
-	}
-	return exec.Map(ctx, e.r.Options().Parallel, len(policies), func(i int) (Result, error) {
-		return e.r.Evaluate(ctx, workloadName, policies[i])
-	})
+	return e.r.Compare(ctx, workloadName, policies)
 }
 
 // ExperimentIDs lists the table/figure drivers runnable via RunExperiment,

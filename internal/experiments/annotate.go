@@ -6,24 +6,9 @@ import (
 	"hmem/internal/annotate"
 	"hmem/internal/core"
 	"hmem/internal/report"
-	"hmem/internal/sim"
 	"hmem/internal/stats"
 	"hmem/internal/workload"
 )
-
-// annotationRun performs the §7 experiment for one workload: profile, pick
-// structures to annotate, pin their pages, and run with migrations disabled
-// for pinned pages (here: no migrator at all, matching the paper's static
-// annotation evaluation). The pins are selected only when the run is
-// simulated; a worker re-derives the same pins from its own (bit-identical)
-// profile, so only the result crosses the wire.
-func (r *Runner) annotationRun(ctx context.Context, spec workload.Spec) (sim.Result, error) {
-	return resultOf(r.run(ctx, spec, Block{Kind: BlockAnnotation, Workload: spec.Name}, true,
-		func(prof *Profile) placement {
-			_, pins := r.annotations(prof)
-			return placement{pages: pins, pin: true}
-		}))
-}
 
 // annotations selects the structures to annotate from a workload's profile,
 // with the pages they pin into HBM.
@@ -41,15 +26,15 @@ func (r *Runner) Figure16(ctx context.Context) (*report.Table, error) {
 	t := report.New("Figure 16: program-annotation placement",
 		"workload", "IPC vs perf-focused", "SER vs perf-focused", "pinned pages")
 	type row struct {
-		ipc, ser float64
-		pinned   int
+		relative
+		pinned int
 	}
 	rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (row, error) {
-		perf, err := r.RunStatic(ctx, spec, core.PerfFocused{})
+		perf, err := r.result(ctx, spec, BlockStatic, core.PerfFocused{}.Name())
 		if err != nil {
 			return row{}, err
 		}
-		res, err := r.annotationRun(ctx, spec)
+		res, err := r.result(ctx, spec, BlockAnnotation, "")
 		if err != nil {
 			return row{}, err
 		}
@@ -57,24 +42,12 @@ func (r *Runner) Figure16(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		ann, _ := r.annotations(prof)
-		perfSER, _, err := serOf(perf)
+		_, pins := r.annotations(prof)
+		vs, err := relativeTo(perf, res)
 		if err != nil {
 			return row{}, err
 		}
-		resSER, _, err := serOf(res)
-		if err != nil {
-			return row{}, err
-		}
-		pinned := 0
-		for _, a := range ann {
-			pinned += len(a.Pages)
-		}
-		out := row{ipc: res.IPC / perf.IPC, pinned: pinned}
-		if perfSER > 0 {
-			out.ser = resSER / perfSER
-		}
-		return out, nil
+		return row{relative: vs, pinned: len(pins)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -102,12 +75,8 @@ func (r *Runner) Figure17(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		ann, _ := r.annotations(prof)
-		pinned := 0
-		for _, a := range ann {
-			pinned += len(a.Pages)
-		}
-		return row{count: annotate.Count(ann), pinned: pinned}, nil
+		ann, pins := r.annotations(prof)
+		return row{count: annotate.Count(ann), pinned: len(pins)}, nil
 	})
 	if err != nil {
 		return nil, err

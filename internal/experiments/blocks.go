@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 
-	"hmem/internal/core"
 	"hmem/internal/faultsim"
-	"hmem/internal/sim"
 	"hmem/internal/workload"
 )
 
@@ -18,9 +16,10 @@ import (
 // Block, executed on any node holding the same binary and options, and
 // merged back bit-identically (Go's encoding/json round-trips float64
 // exactly, and fault tallies are integers). A Runner with a Delegate
-// installed offers each block to it first; ErrNotDelegated (or no delegate)
-// falls back to local computation, so a coordinator without workers
-// degrades to exactly the standalone behavior.
+// installed offers it each block that Runner.start resolves, before
+// computing it; ErrNotDelegated (or no delegate) falls back to local
+// computation, so a coordinator without workers degrades to exactly the
+// standalone behavior.
 
 // BlockKind names a kind of Block.
 type BlockKind string
@@ -169,28 +168,7 @@ func (r *Runner) execute(ctx context.Context, b Block) (any, error) {
 	if b.Kind == BlockProfile {
 		return r.ProfileOf(ctx, spec)
 	}
-	return r.runBlock(ctx, spec, b)
-}
-
-// runBlock runs a simulation block of spec through its memoized path and
-// returns its scored result (a profile block's DDR-only run).
-func (r *Runner) runBlock(ctx context.Context, spec workload.Spec, b Block) (sim.Result, error) {
-	switch b.Kind {
-	case BlockProfile:
-		return resultOf(r.ProfileOf(ctx, spec))
-	case BlockStatic:
-		policy, ok := core.PolicyByName(b.Name)
-		if !ok {
-			return sim.Result{}, fmt.Errorf("experiments: unresolvable static policy %q", b.Name)
-		}
-		return r.RunStatic(ctx, spec, policy)
-	case BlockDynamic:
-		return r.runMechanism(ctx, spec, b.Name)
-	case BlockAnnotation:
-		return r.annotationRun(ctx, spec)
-	default: // BlockAnnotatedMigration: Validate admits no other kind
-		return r.annotatedMigrationRun(ctx, spec)
-	}
+	return r.result(ctx, spec, b.Kind, b.Name)
 }
 
 // StudyForTier returns the fault study a tier's FIT estimate runs, or

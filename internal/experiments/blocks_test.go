@@ -92,9 +92,9 @@ func TestDelegatedBlocksBitIdentical(t *testing.T) {
 		same("dynamic "+mech, func(r *Runner) (any, error) { return r.RunDynamic(ctx, spec, mech, build, warm) })
 	}
 	same("annotation", func(r *Runner) (any, error) {
-		return r.annotationRun(ctx, spec)
+		return r.result(ctx, spec, BlockAnnotation, "")
 	})
-	same("annotation+fc", func(r *Runner) (any, error) { return r.annotatedMigrationRun(ctx, spec) })
+	same("annotation+fc", func(r *Runner) (any, error) { return r.result(ctx, spec, BlockAnnotatedMigration, "") })
 	same("fault study", func(r *Runner) (any, error) { return r.Fits(ctx) })
 
 	for _, kind := range []BlockKind{BlockProfile, BlockStatic, BlockDynamic, BlockAnnotation, BlockAnnotatedMigration, BlockFaultShard} {
@@ -186,7 +186,7 @@ func TestAnnotationRunsReachTelemetry(t *testing.T) {
 			return err
 		}},
 		{BlockAnnotatedMigration, func(ctx context.Context, r *Runner) error {
-			_, err := r.annotatedMigrationRun(ctx, spec)
+			_, err := r.result(ctx, spec, BlockAnnotatedMigration, "")
 			return err
 		}},
 	} {

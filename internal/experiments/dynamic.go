@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -29,13 +28,16 @@ const (
 )
 
 // mechanismByName is the one table of migration mechanisms: it builds the
-// migrator a name runs and the oracle placement that warm-starts it. Every
-// dynamic run resolves its mechanism here, on the node that asked for it or
-// on a cluster worker executing its wire key. Unknown names report false.
+// migrator a name runs and the oracle placement that warm-starts it.
+// Runner.start resolves every dynamic block's name here, on the node that
+// asked for it or on a cluster worker executing its wire key. Unknown names
+// report false.
 //
 // Reliability-aware mechanisms warm-start from the balanced oracle
 // placement (§6.2: "an initial placement of the top hot and low-risk pages
-// from our static oracular placement"); perf migration from the hot set.
+// from our static oracular placement"); perf migration from the hot set
+// ("we assume a good pre-measurement placement ... the top hot pages from
+// our oracular static placement").
 func mechanismByName(mech string, opts Options) (build func() sim.Migrator, warm core.Policy, ok bool) {
 	ratio := int(opts.FCIntervalCycles / opts.MEAIntervalCycles)
 	cc := func(entries int) *migration.CrossCounter {
@@ -72,16 +74,6 @@ func mechanismByName(mech string, opts Options) (build func() sim.Migrator, warm
 	return nil, nil, false
 }
 
-// runMechanism runs the named mechanism of the table on spec (memoized by
-// name).
-func (r *Runner) runMechanism(ctx context.Context, spec workload.Spec, mech string) (sim.Result, error) {
-	build, warm, ok := mechanismByName(mech, r.opts)
-	if !ok {
-		return sim.Result{}, fmt.Errorf("experiments: unresolvable mechanism %q", mech)
-	}
-	return r.RunDynamic(ctx, spec, mech, build, warm)
-}
-
 // Figure12 evaluates performance-focused migration against DDR-only and the
 // static oracle (paper: IPC 1.52x vs DDR-only — 5.8% under static — and
 // SER 268x vs DDR-only).
@@ -101,11 +93,11 @@ func (r *Runner) Figure12(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		static, err := r.RunStatic(ctx, spec, core.PerfFocused{})
+		static, err := r.result(ctx, spec, BlockStatic, core.PerfFocused{}.Name())
 		if err != nil {
 			return row{}, err
 		}
-		res, err := r.runMechanism(ctx, spec, mechPerf)
+		res, err := r.result(ctx, spec, BlockDynamic, mechPerf)
 		if err != nil {
 			return row{}, err
 		}
@@ -164,7 +156,7 @@ func (r *Runner) Figure13(ctx context.Context) (*report.Table, error) {
 		if iv != base {
 			mech = report.Int(int(iv)) + intervalSuffix
 		}
-		res, err := r.runMechanism(ctx, spec, mech)
+		res, err := r.result(ctx, spec, BlockDynamic, mech)
 		if err != nil {
 			return 0, err
 		}
@@ -215,11 +207,11 @@ func relativeTo(base, res sim.Result) (relative, error) {
 // vsPerfMigration runs mech on spec relative to perf migration (the §6
 // normalization).
 func (r *Runner) vsPerfMigration(ctx context.Context, spec workload.Spec, mech string) (relative, error) {
-	perf, err := r.runMechanism(ctx, spec, mechPerf)
+	perf, err := r.result(ctx, spec, BlockDynamic, mechPerf)
 	if err != nil {
 		return relative{}, err
 	}
-	res, err := r.runMechanism(ctx, spec, mech)
+	res, err := r.result(ctx, spec, BlockDynamic, mech)
 	if err != nil {
 		return relative{}, err
 	}

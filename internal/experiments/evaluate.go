@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hmem/internal/core"
+	"hmem/internal/exec"
 	"hmem/internal/obs"
 	"hmem/internal/sim"
 	"hmem/internal/workload"
@@ -65,6 +66,12 @@ var policyBlocks = map[PolicyName]Block{
 	PolicyAnnotation:         {Kind: BlockAnnotation},
 }
 
+// KnownPolicy reports whether Evaluate answers policy.
+func KnownPolicy(policy PolicyName) bool {
+	_, ok := policyBlocks[policy]
+	return ok
+}
+
 // Known reports whether every block Evaluate(workloadName, policy) reads is
 // finished or in flight, so that the evaluation starts no simulation of its
 // own. Unknown policies report false.
@@ -93,7 +100,7 @@ func (r *Runner) Evaluate(ctx context.Context, workloadName string, policy Polic
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := r.runBlock(ctx, spec, b)
+	res, err := r.result(ctx, spec, b.Kind, b.Name)
 	if err != nil {
 		return Result{}, err
 	}
@@ -129,4 +136,21 @@ func (r *Runner) Evaluate(ctx context.Context, workloadName string, policy Polic
 		PagesMigrated: res.PagesMigrated,
 		Endurance:     res.Endurance,
 	}, nil
+}
+
+// Compare evaluates several policies on one workload concurrently on the
+// runner's worker pool, returning the results in policy order. The profile
+// runs first, so the evaluations share the warm memo instead of all
+// blocking on the same in-flight profile.
+func (r *Runner) Compare(ctx context.Context, workloadName string, policies []PolicyName) ([]Result, error) {
+	spec, err := workload.SpecByName(workloadName)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := r.ProfileOf(ctx, spec); err != nil {
+		return nil, err
+	}
+	return exec.Map(ctx, r.opts.Parallel, len(policies), func(i int) (Result, error) {
+		return r.Evaluate(ctx, workloadName, policies[i])
+	})
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 
-	"hmem/internal/annotate"
 	"hmem/internal/core"
 	"hmem/internal/report"
 	"hmem/internal/sim"
@@ -31,19 +30,19 @@ func (r *Runner) ExtensionAnnotatedMigration(ctx context.Context) (*report.Table
 	// perf-focused static oracle.
 	rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) ([3]relative, error) {
 		var out [3]relative
-		perf, err := r.RunStatic(ctx, spec, core.PerfFocused{})
+		perf, err := r.result(ctx, spec, BlockStatic, core.PerfFocused{}.Name())
 		if err != nil {
 			return out, err
 		}
-		annot, err := r.annotationRun(ctx, spec)
+		annot, err := r.result(ctx, spec, BlockAnnotation, "")
 		if err != nil {
 			return out, err
 		}
-		fc, err := r.runMechanism(ctx, spec, mechFC)
+		fc, err := r.result(ctx, spec, BlockDynamic, mechFC)
 		if err != nil {
 			return out, err
 		}
-		combined, err := r.annotatedMigrationRun(ctx, spec)
+		combined, err := r.result(ctx, spec, BlockAnnotatedMigration, "")
 		if err != nil {
 			return out, err
 		}
@@ -74,17 +73,4 @@ func (r *Runner) ExtensionAnnotatedMigration(ctx context.Context) (*report.Table
 	t.Note = "IPC and SER relative to the perf-focused static oracle; the paper " +
 		"conjectures the combination improves on annotation alone"
 	return t, nil
-}
-
-// annotatedMigrationRun pins the annotated structures and lets the FC
-// mechanism manage the remaining HBM frames.
-func (r *Runner) annotatedMigrationRun(ctx context.Context, spec workload.Spec) (sim.Result, error) {
-	return resultOf(r.run(ctx, spec, Block{Kind: BlockAnnotatedMigration, Workload: spec.Name}, true,
-		func(prof *Profile) placement {
-			// Pin annotations into at most half of HBM so the migration
-			// mechanism has frames to work with.
-			_, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages())/2)
-			build, _, _ := mechanismByName(mechFC, r.opts)
-			return placement{pages: pins, pin: true, mig: build()}
-		}))
 }

@@ -76,7 +76,7 @@ func TestMemoizedRunsHoldNoSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(spec.Name+" static", static)
-		dyn, err := r.runMechanism(ctx, spec, mechPerf)
+		dyn, err := r.result(ctx, spec, BlockDynamic, mechPerf)
 		if err != nil {
 			t.Fatal(err)
 		}

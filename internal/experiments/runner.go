@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hmem/internal/annotate"
 	"hmem/internal/core"
 	"hmem/internal/exec"
 	"hmem/internal/faultsim"
@@ -322,14 +323,69 @@ type placement struct {
 	mig   sim.Migrator
 }
 
+// start is the one table of simulation blocks: it maps b to where its run
+// starts, as a function of the workload's profile (nil for the profile
+// block itself, which runs DDR-only). Static blocks resolve their name with
+// core.PolicyByName, dynamic ones with mechanismByName, and the annotation
+// blocks pin annotate.Select's pages. ok is false when b's name resolves to
+// nothing; such a block runs only from its caller's own placement, and no
+// other node could run it. start is called only on a memo miss.
+func (r *Runner) start(b Block) (place func(*Profile) placement, ok bool) {
+	switch b.Kind {
+	case BlockStatic:
+		policy, ok := core.PolicyByName(b.Name)
+		return r.warmStart(policy, nil), ok
+	case BlockDynamic:
+		build, warm, ok := mechanismByName(b.Name, r.opts)
+		return r.warmStart(warm, build), ok
+	case BlockAnnotation:
+		// §7's static evaluation: the pins stay put and no migrator runs. A
+		// worker derives the same pins from its own bit-identical profile,
+		// so only the result crosses the wire.
+		return func(prof *Profile) placement {
+			_, pins := r.annotations(prof)
+			return placement{pages: pins, pin: true}
+		}, true
+	case BlockAnnotatedMigration:
+		// Pin annotations into at most half of HBM so the Full Counter
+		// mechanism has frames to manage.
+		build, _, _ := mechanismByName(mechFC, r.opts)
+		return func(prof *Profile) placement {
+			_, pins := annotate.Select(prof.Structures, prof.Stats, int(r.cfg.FastPages())/2)
+			return placement{pages: pins, pin: true, mig: build()}
+		}, true
+	}
+	return nil, b.Kind == BlockProfile
+}
+
+// warmStart starts a run with warm's pick of the profile in HBM and build's
+// migrator (none for a nil build).
+func (r *Runner) warmStart(warm core.Policy, build func() sim.Migrator) func(*Profile) placement {
+	return func(prof *Profile) placement {
+		at := placement{pages: warm.Select(prof.Stats, int(r.cfg.FastPages()))}
+		if build != nil {
+			at.mig = build()
+		}
+		return at
+	}
+}
+
 // run is the one path of every memoized simulation. On a memo miss it
-// detaches from the requester's cancellation, opens the block's span,
-// offers the block to the delegate when it is delegable (its name resolves
-// on a worker), and otherwise simulates locally and scores. Every block but
-// the profile starts from place applied to the workload's profile; a
-// profile block keeps its structures and per-page stats.
-func (r *Runner) run(ctx context.Context, spec workload.Spec, b Block, delegable bool, place func(*Profile) placement) (*Profile, error) {
+// resolves the block through start, detaches from the requester's
+// cancellation, opens the block's span, offers the block to the delegate
+// when it resolves (so a worker can run it), and otherwise simulates
+// locally and scores. own, when non-nil, is the caller's own placement and
+// is used instead of start's for a local run. Every block but the profile
+// starts from its placement applied to the workload's profile; a profile
+// block keeps its structures and per-page stats.
+func (r *Runner) run(ctx context.Context, spec workload.Spec, b Block, own func(*Profile) placement) (*Profile, error) {
 	return r.blocks.DoCtx(ctx, b, func() (*Profile, error) {
+		place, resolves := r.start(b)
+		if own != nil {
+			place = own
+		} else if !resolves {
+			return nil, fmt.Errorf("experiments: unresolvable %s block %q", b.Kind, b.Name)
+		}
 		runCtx := obs.Detach(ctx)
 		if obs.Enabled(runCtx) {
 			var sp *obs.Span
@@ -337,7 +393,7 @@ func (r *Runner) run(ctx context.Context, spec workload.Spec, b Block, delegable
 				obs.Str("workload", b.Workload), obs.Str("name", b.Name))
 			defer sp.End()
 		}
-		if delegable {
+		if resolves {
 			if payloads, ok, err := r.offer(runCtx, b); err != nil || ok {
 				if err != nil {
 					return nil, err
@@ -368,7 +424,13 @@ func (r *Runner) run(ctx context.Context, spec workload.Spec, b Block, delegable
 	})
 }
 
-// resultOf unwraps a non-profile block's memo entry.
+// result returns the scored result of spec's block of kind and name (a
+// profile block's DDR-only run), memoized and resolved through start.
+func (r *Runner) result(ctx context.Context, spec workload.Spec, kind BlockKind, name string) (sim.Result, error) {
+	return resultOf(r.run(ctx, spec, Block{Kind: kind, Workload: spec.Name, Name: name}, nil))
+}
+
+// resultOf unwraps a block's memo entry to its scored result.
 func resultOf(p *Profile, err error) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
@@ -378,32 +440,22 @@ func resultOf(p *Profile, err error) (sim.Result, error) {
 
 // ProfileOf returns the memoized DDR-only profiling run for a workload.
 func (r *Runner) ProfileOf(ctx context.Context, spec workload.Spec) (*Profile, error) {
-	return r.run(ctx, spec, Block{Kind: BlockProfile, Workload: spec.Name}, true, nil)
+	return r.run(ctx, spec, Block{Kind: BlockProfile, Workload: spec.Name}, nil)
 }
 
 // RunStatic executes (memoized) a static-policy run: the policy selects HBM
 // residents from the oracle profile, and the workload re-runs with that
 // placement fixed.
 func (r *Runner) RunStatic(ctx context.Context, spec workload.Spec, policy core.Policy) (sim.Result, error) {
-	_, delegable := core.PolicyByName(policy.Name())
-	return resultOf(r.run(ctx, spec, Block{Kind: BlockStatic, Workload: spec.Name, Name: policy.Name()}, delegable,
-		func(prof *Profile) placement {
-			return placement{pages: policy.Select(prof.Stats, int(r.cfg.FastPages()))}
-		}))
+	return resultOf(r.run(ctx, spec, Block{Kind: BlockStatic, Workload: spec.Name, Name: policy.Name()}, r.warmStart(policy, nil)))
 }
 
-// RunDynamic executes (memoized by mechanism name) a migration run. The
-// initial placement warms HBM with the oracle hot set ("we assume a good
-// pre-measurement placement ... the top hot pages from our oracular static
-// placement"), or the hot∧low-risk set for reliability-aware mechanisms.
-// Only a mechanism of mechanismByName's table is delegated: a caller's own
-// migrator does not resolve on a worker.
+// RunDynamic executes (memoized by mechanism name) a migration run of the
+// caller's migrator, warm-started from warm's oracle placement. Only a
+// mechanism of mechanismByName's table is delegated: a caller's own
+// migrator under another name does not resolve on a worker.
 func (r *Runner) RunDynamic(ctx context.Context, spec workload.Spec, mech string, build func() sim.Migrator, warm core.Policy) (sim.Result, error) {
-	_, _, delegable := mechanismByName(mech, r.opts)
-	return resultOf(r.run(ctx, spec, Block{Kind: BlockDynamic, Workload: spec.Name, Name: mech}, delegable,
-		func(prof *Profile) placement {
-			return placement{pages: warm.Select(prof.Stats, int(r.cfg.FastPages())), mig: build()}
-		}))
+	return resultOf(r.run(ctx, spec, Block{Kind: BlockDynamic, Workload: spec.Name, Name: mech}, r.warmStart(warm, build)))
 }
 
 // ErrZeroBaselineSER reports a degenerate fault study: the all-DDR baseline

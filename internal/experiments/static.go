@@ -71,32 +71,29 @@ func (r *Runner) staticComparison(ctx context.Context, policy core.Policy, order
 		if err != nil {
 			return policyRow{}, err
 		}
-		perf, err := r.RunStatic(ctx, spec, core.PerfFocused{})
+		perf, err := r.result(ctx, spec, BlockStatic, core.PerfFocused{}.Name())
 		if err != nil {
 			return policyRow{}, err
 		}
-		pol, err := r.RunStatic(ctx, spec, policy)
+		pol, err := r.result(ctx, spec, BlockStatic, policy.Name())
 		if err != nil {
 			return policyRow{}, err
 		}
-		polSER, polRel, err := serOf(pol)
+		_, polRel, err := serOf(pol)
 		if err != nil {
 			return policyRow{}, err
 		}
-		perfSER, _, err := serOf(perf)
+		vsPerf, err := relativeTo(perf, pol)
 		if err != nil {
 			return policyRow{}, err
 		}
-		row := policyRow{
+		return policyRow{
 			Workload:  spec.Name,
 			IPCvsDDR:  pol.IPC / prof.Result.IPC,
 			SERvsDDR:  polRel,
-			IPCvsPerf: pol.IPC / perf.IPC,
-		}
-		if perfSER > 0 {
-			row.SERvsPerf = polSER / perfSER
-		}
-		return row, nil
+			IPCvsPerf: vsPerf.ipc,
+			SERvsPerf: vsPerf.ser,
+		}, nil
 	})
 }
 
@@ -161,7 +158,7 @@ func (r *Runner) Figure1(ctx context.Context) (*report.Table, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		res, err := r.RunStatic(ctx, spec, core.PerfFraction{F: f})
+		res, err := r.result(ctx, spec, BlockStatic, core.PerfFraction{F: f}.Name())
 		if err != nil {
 			return cell{}, err
 		}

@@ -131,11 +131,11 @@ func (r *Runner) Table3(ctx context.Context) (*report.Table, error) {
 
 	// Annotations (vs static perf-focused).
 	annRows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (relative, error) {
-		perf, err := r.RunStatic(ctx, spec, core.PerfFocused{})
+		perf, err := r.result(ctx, spec, BlockStatic, core.PerfFocused{}.Name())
 		if err != nil {
 			return relative{}, err
 		}
-		res, err := r.annotationRun(ctx, spec)
+		res, err := r.result(ctx, spec, BlockAnnotation, "")
 		if err != nil {
 			return relative{}, err
 		}

@@ -53,7 +53,7 @@ func (r *Runner) ExtensionTieredEndurance(ctx context.Context) (*report.Table, e
 		if err != nil {
 			return [2]row{}, err
 		}
-		dyn, err := tr.runMechanism(ctx, spec, mechCC)
+		dyn, err := tr.result(ctx, spec, BlockDynamic, mechCC)
 		if err != nil {
 			return [2]row{}, err
 		}

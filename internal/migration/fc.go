@@ -93,24 +93,7 @@ func (f *FullCounter) Decide(_ int64, placement *sim.Placement) (in, out []uint6
 			outCand = append(outCand, s)
 		}
 	}
-	out = pagesByHotnessAsc(outCand)
-
-	// Same churn bound as the performance-focused baseline.
-	maxSwap := int(placement.HBMCapacity() / 4)
-	if maxSwap < 1 {
-		maxSwap = 1
-	}
-	if len(out) > maxSwap {
-		out = out[:maxSwap]
-	}
-	budget := len(out) + placement.HBMFreePages()
-	if len(in) > budget {
-		in = in[:budget]
-	}
-	if len(in) > maxSwap {
-		in = in[:maxSwap]
-	}
-	return in, out
+	return boundChurn(placement, in, pagesByHotnessAsc(outCand))
 }
 
 // intervalStats returns page's counts this interval, looked up by its index

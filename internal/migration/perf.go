@@ -76,24 +76,21 @@ func (p *Perf) Decide(_ int64, placement *sim.Placement) (in, out []uint64) {
 			outCand = append(outCand, core.PageStats{Page: page, Reads: c})
 		}
 	}
-	out = pagesByHotnessAsc(outCand)
+	return boundChurn(placement, in, pagesByHotnessAsc(outCand))
+}
 
-	// Bound interval churn: the paper's HMA turns over ~18% of HBM per
-	// interval (47K of 262K pages); allow up to a quarter of HBM.
-	maxSwap := int(placement.HBMCapacity() / 4)
-	if maxSwap < 1 {
-		maxSwap = 1
-	}
+// boundChurn caps one interval's swap. The paper's HMA turns over ~18% of
+// HBM per interval (47K of 262K pages); at most a quarter of HBM leaves or
+// enters, and the swap is paired: only as many pages come in as leave plus
+// free room.
+func boundChurn(placement *sim.Placement, in, out []uint64) ([]uint64, []uint64) {
+	maxSwap := max(int(placement.HBMCapacity()/4), 1)
 	if len(out) > maxSwap {
 		out = out[:maxSwap]
 	}
-	// Pair the swap: we can bring in only as many as leave plus free room.
-	budget := len(out) + placement.HBMFreePages()
+	budget := min(len(out)+placement.HBMFreePages(), maxSwap)
 	if len(in) > budget {
 		in = in[:budget]
-	}
-	if len(in) > maxSwap {
-		in = in[:maxSwap]
 	}
 	return in, out
 }

@@ -320,9 +320,7 @@ func (s *Service) runItem(ctx context.Context, it BatchItem, en *engineEntry) it
 	if len(it.Policies) == 0 {
 		v, err = en.runner.Evaluate(ctx, it.Workload, it.Policy)
 	} else {
-		v, err = exec.Map(ctx, en.runner.Options().Parallel, len(it.Policies), func(j int) (hmem.Result, error) {
-			return en.runner.Evaluate(ctx, it.Workload, it.Policies[j])
-		})
+		v, err = en.runner.Compare(ctx, it.Workload, it.Policies)
 	}
 	if err != nil {
 		return itemOutcome{err: err}

@@ -171,7 +171,7 @@ func (s *Service) ClusterWorkers() []cluster.Worker {
 
 // --- coordinator-side delegate ---
 
-// clusterDelegate adapts one engine's delegable blocks onto the shard
+// clusterDelegate adapts the blocks one engine offers onto the shard
 // scheduler. Each engine gets its own delegate because shards carry the
 // engine's resolved options (and their digest) so a worker can rebuild the
 // identical engine — or refuse with a digest mismatch.

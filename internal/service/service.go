@@ -34,6 +34,7 @@ import (
 	"hmem"
 	"hmem/internal/experiments"
 	"hmem/internal/obs"
+	"hmem/internal/workload"
 )
 
 // Config tunes a Service. The zero value is usable: default options, 1 MiB
@@ -406,48 +407,14 @@ func (s *Service) costUnit(runner *experiments.Runner) float64 {
 
 // --- validation ---
 
-// knownTargets holds the valid workload and policy names, built once: the
-// lists are static, and rebuilding them per validation was a measurable
-// slice of the warm request path once batches multiplied validations per
-// request.
-var (
-	knownOnce      sync.Once
-	knownWorkloads map[string]bool
-	knownPolicies  map[hmem.PolicyName]bool
-)
-
-func buildKnownTargets() {
-	knownWorkloads = make(map[string]bool)
-	for _, w := range hmem.Workloads() {
-		knownWorkloads[w] = true
-	}
-	for _, b := range hmem.Benchmarks() {
-		knownWorkloads[b] = true
-	}
-	knownPolicies = make(map[hmem.PolicyName]bool, len(hmem.Policies()))
-	for _, q := range hmem.Policies() {
-		knownPolicies[q] = true
-	}
-}
-
-func knownWorkload(name string) bool {
-	knownOnce.Do(buildKnownTargets)
-	return knownWorkloads[name]
-}
-
-func knownPolicy(p hmem.PolicyName) bool {
-	knownOnce.Do(buildKnownTargets)
-	return knownPolicies[p]
-}
-
 // validateTarget 400s unknown workloads/policies before any simulation (or
 // cache entry) happens, with the valid choices in the message.
 func validateTarget(workloadName string, policies ...hmem.PolicyName) error {
-	if !knownWorkload(workloadName) {
+	if _, err := workload.SpecByName(workloadName); err != nil {
 		return fmt.Errorf("unknown workload %q (GET /v1/workloads lists the choices)", workloadName)
 	}
 	for _, p := range policies {
-		if !knownPolicy(p) {
+		if !experiments.KnownPolicy(p) {
 			return fmt.Errorf("unknown policy %q (GET /v1/policies lists the choices)", p)
 		}
 	}
