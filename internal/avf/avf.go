@@ -108,9 +108,6 @@ func NewTracker(tiers, pages int) *Tracker {
 	return &Tracker{tiers: tiers, pages: make([]pageLines, pages), ace: make([]int64, pages*tiers)}
 }
 
-// NumTiers returns the tracker's tier count.
-func (t *Tracker) NumTiers() int { return t.tiers }
-
 // block returns the slots of a block of class c at arena offset off.
 func (t *Tracker) block(off uint32, c uint8) []int64 {
 	lo := off & (chunkSlots - 1)

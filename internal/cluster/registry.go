@@ -27,7 +27,7 @@ type Registry struct {
 	workers map[string]*Worker
 	ring    *Ring
 
-	joins, leaves, expiries uint64
+	expiries uint64
 
 	// now is a test seam; nil means time.Now.
 	now func() time.Time
@@ -70,7 +70,6 @@ func (g *Registry) Register(req RegisterRequest) (isNew bool, err error) {
 		w = &Worker{ID: req.ID}
 		g.workers[req.ID] = w
 		g.ring.Add(req.ID)
-		g.joins++
 	}
 	w.URL = req.URL
 	w.Load = req.Load
@@ -88,7 +87,6 @@ func (g *Registry) Deregister(id string) bool {
 	}
 	delete(g.workers, id)
 	g.ring.Remove(id)
-	g.leaves++
 	return true
 }
 
@@ -149,8 +147,6 @@ func (g *Registry) Owners(key string, n int) []Worker {
 // onto /metrics by the service.
 type RegistryStats struct {
 	Live     int
-	Joins    uint64
-	Leaves   uint64
 	Expiries uint64
 }
 
@@ -160,8 +156,6 @@ func (g *Registry) Stats() RegistryStats {
 	defer g.mu.Unlock()
 	return RegistryStats{
 		Live:     len(g.workers),
-		Joins:    g.joins,
-		Leaves:   g.leaves,
 		Expiries: g.expiries,
 	}
 }

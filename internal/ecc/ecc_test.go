@@ -144,14 +144,6 @@ func TestSECDEDTripleBitIsHazardous(t *testing.T) {
 	}
 }
 
-func TestSECDEDXorHelper(t *testing.T) {
-	cw := EncodeSECDED(0xDEADBEEF)
-	e := Codeword72{Lo: 1 << 5}
-	if cw.Xor(e) != cw.FlipBit(5) {
-		t.Fatal("Xor and FlipBit disagree")
-	}
-}
-
 // ---- ChipKill ----------------------------------------------------------------
 
 func randSymbols(rng *xrand.RNG) [CKDataSymbols]byte {

@@ -32,11 +32,6 @@ func (c Codeword72) FlipBit(i int) Codeword72 {
 	return c
 }
 
-// Xor returns the bitwise XOR of two codewords (error-pattern application).
-func (c Codeword72) Xor(e Codeword72) Codeword72 {
-	return Codeword72{Lo: c.Lo ^ e.Lo, Hi: c.Hi ^ e.Hi}
-}
-
 // dataPositions lists the 64 codeword positions holding data bits: positions
 // 1..71 that are not powers of two and not the overall-parity position 0.
 var dataPositions = func() [64]int {

@@ -3,10 +3,7 @@ package experiments
 import (
 	"context"
 
-	"hmem/internal/exec"
 	"hmem/internal/report"
-	"hmem/internal/stats"
-	"hmem/internal/workload"
 )
 
 // AblationCC quantifies the two design choices in this reproduction's Cross
@@ -23,7 +20,6 @@ import (
 // migration baseline on a three-workload panel. The full mechanism is
 // Figure 15's and shares its runs.
 func (r *Runner) AblationCC(ctx context.Context) (*report.Table, error) {
-	panel := []string{"astar", "mcf", "mix1"}
 	variants := []struct{ name, mech string }{
 		{"cc (full)", mechCC},
 		{"cc -blacklist", ablationPrefix + "cc -blacklist"},
@@ -31,34 +27,22 @@ func (r *Runner) AblationCC(ctx context.Context) (*report.Table, error) {
 		{"cc 8-entry MEA", ablationPrefix + "cc 8-entry MEA"},
 	}
 
-	t := report.New("Ablation: Cross Counter design choices",
-		"variant", "IPC vs perf-migration", "SER vs perf-migration", "pages migrated (avg)")
-	// Flatten the variant × workload panel into one fan-out, then regroup
-	// per variant.
-	n := len(variants) * len(panel)
-	cells, err := exec.Map(ctx, r.opts.Parallel, n, func(i int) (relative, error) {
-		spec, err := workload.SpecByName(panel[i%len(panel)])
-		if err != nil {
-			return relative{}, err
-		}
-		return r.vsPerfMigration(ctx, spec, variants[i/len(panel)].mech)
-	})
+	specs, err := resolveWorkloads([]string{"astar", "mcf", "mix1"})
 	if err != nil {
 		return nil, err
 	}
-	for vi, v := range variants {
-		var ipcs, sers []float64
-		var migrated uint64
-		for pi := range panel {
-			c := cells[vi*len(panel)+pi]
-			ipcs = append(ipcs, c.ipc)
-			if c.hasSER {
-				sers = append(sers, c.ser)
-			}
-			migrated += c.migrated
-		}
-		t.AddRow(v.name, report.X(stats.GeoMean(ipcs)), report.X(stats.GeoMean(sers)),
-			report.Int(int(migrated/uint64(len(panel)))))
+	cmps := make([]comparison, len(variants))
+	for i, v := range variants {
+		cmps[i] = comparison{perfMigBlock, dynamicBlock(v.mech)}
+	}
+	cells, err := r.grid(ctx, specs, cmps...)
+	if err != nil {
+		return nil, err
+	}
+	t := report.New("Ablation: Cross Counter design choices",
+		"variant", "IPC vs perf-migration", "SER vs perf-migration", "pages migrated (avg)")
+	for i, avg := range means(cells) {
+		t.AddRow(variants[i].name, report.X(avg.ipc), report.X(avg.ser), report.Int(int(avg.migrated)))
 	}
 	t.Note = "the blacklist is what converts eviction work into SER reduction; " +
 		"hysteresis suppresses self-churn of a low-risk resident set"

@@ -168,7 +168,7 @@ func (r *Runner) execute(ctx context.Context, b Block) (any, error) {
 	if b.Kind == BlockProfile {
 		return r.ProfileOf(ctx, spec)
 	}
-	return r.result(ctx, spec, b.Kind, b.Name)
+	return r.result(ctx, spec, b)
 }
 
 // StudyForTier returns the fault study a tier's FIT estimate runs, or

@@ -92,9 +92,9 @@ func TestDelegatedBlocksBitIdentical(t *testing.T) {
 		same("dynamic "+mech, func(r *Runner) (any, error) { return r.RunDynamic(ctx, spec, mech, build, warm) })
 	}
 	same("annotation", func(r *Runner) (any, error) {
-		return r.result(ctx, spec, BlockAnnotation, "")
+		return r.result(ctx, spec, annotationBlock)
 	})
-	same("annotation+fc", func(r *Runner) (any, error) { return r.result(ctx, spec, BlockAnnotatedMigration, "") })
+	same("annotation+fc", func(r *Runner) (any, error) { return r.result(ctx, spec, Block{Kind: BlockAnnotatedMigration}) })
 	same("fault study", func(r *Runner) (any, error) { return r.Fits(ctx) })
 
 	for _, kind := range []BlockKind{BlockProfile, BlockStatic, BlockDynamic, BlockAnnotation, BlockAnnotatedMigration, BlockFaultShard} {
@@ -186,7 +186,7 @@ func TestAnnotationRunsReachTelemetry(t *testing.T) {
 			return err
 		}},
 		{BlockAnnotatedMigration, func(ctx context.Context, r *Runner) error {
-			_, err := r.result(ctx, spec, BlockAnnotatedMigration, "")
+			_, err := r.result(ctx, spec, Block{Kind: BlockAnnotatedMigration})
 			return err
 		}},
 	} {

@@ -6,12 +6,9 @@ import (
 	"strings"
 
 	"hmem/internal/core"
-	"hmem/internal/exec"
 	"hmem/internal/migration"
 	"hmem/internal/report"
 	"hmem/internal/sim"
-	"hmem/internal/stats"
-	"hmem/internal/workload"
 )
 
 // Mechanism names: each is the memo key of one migrator configuration and
@@ -82,50 +79,20 @@ func (r *Runner) Figure12(ctx context.Context) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := report.New("Figure 12: performance-focused migration",
-		"workload", "IPC vs DDR-only", "SER vs DDR-only", "IPC vs static perf", "pages migrated")
-	type row struct {
-		ipc, ser, vsStatic float64
-		migrated           uint64
-	}
-	rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (row, error) {
-		prof, err := r.ProfileOf(ctx, spec)
-		if err != nil {
-			return row{}, err
-		}
-		static, err := r.result(ctx, spec, BlockStatic, core.PerfFocused{}.Name())
-		if err != nil {
-			return row{}, err
-		}
-		res, err := r.result(ctx, spec, BlockDynamic, mechPerf)
-		if err != nil {
-			return row{}, err
-		}
-		_, rel, err := serOf(res)
-		if err != nil {
-			return row{}, err
-		}
-		return row{
-			ipc:      res.IPC / prof.Result.IPC,
-			ser:      rel,
-			vsStatic: res.IPC / static.IPC,
-			migrated: res.PagesMigrated,
-		}, nil
-	})
+	cells, err := r.grid(ctx, ordered,
+		comparison{profileBlock, perfMigBlock}, comparison{perfStaticBlock, perfMigBlock})
 	if err != nil {
 		return nil, err
 	}
-	var ipcs, sers, vsStatic []float64
-	for i, spec := range ordered {
-		v := rows[i]
-		ipcs = append(ipcs, v.ipc)
-		sers = append(sers, v.ser)
-		vsStatic = append(vsStatic, v.vsStatic)
-		t.AddRow(spec.Name, report.X(v.ipc), report.X(v.ser),
-			report.X(v.vsStatic), report.Int(int(v.migrated)))
+	t := report.New("Figure 12: performance-focused migration",
+		"workload", "IPC vs DDR-only", "SER vs DDR-only", "IPC vs static perf", "pages migrated")
+	for s, spec := range ordered {
+		ddr, static := cells[0][s], cells[1][s]
+		t.AddRow(spec.Name, report.X(ddr.ipc), report.X(ddr.ser),
+			report.X(static.ipc), report.Int(int(ddr.migrated)))
 	}
-	t.AddRow("average", report.X(stats.GeoMean(ipcs)), report.X(stats.GeoMean(sers)),
-		report.X(stats.GeoMean(vsStatic)), "")
+	avg := means(cells)
+	t.AddRow("average", report.X(avg[0].ipc), report.X(avg[0].ser), report.X(avg[1].ipc), "")
 	t.Note = "paper: 1.52x IPC and 268x SER vs DDR-only; 5.8% under static placement"
 	return t, nil
 }
@@ -135,87 +102,35 @@ func (r *Runner) Figure12(ctx context.Context) (*report.Table, error) {
 func (r *Runner) Figure13(ctx context.Context) (*report.Table, error) {
 	base := r.opts.FCIntervalCycles
 	intervals := []int64{base / 8, base / 4, base / 2, base, base * 2, base * 4}
-	names := []string{"libquantum", "soplex", "astar"} // high / medium / low intensity
-	t := report.New("Figure 13: migration-interval sweep (perf-focused migration)",
-		"interval (cycles)", "mean IPC vs DDR-only")
-	// Flatten the interval × workload grid into one fan-out.
-	n := len(intervals) * len(names)
-	cells, err := exec.Map(ctx, r.opts.Parallel, n, func(i int) (float64, error) {
-		iv := intervals[i/len(names)]
-		spec, err := workload.SpecByName(names[i%len(names)])
-		if err != nil {
-			return 0, err
-		}
-		prof, err := r.ProfileOf(ctx, spec)
-		if err != nil {
-			return 0, err
-		}
-		// The base interval is perf migration itself: run it under that
-		// name so it shares the drivers' memo entry.
-		mech := mechPerf
-		if iv != base {
-			mech = report.Int(int(iv)) + intervalSuffix
-		}
-		res, err := r.result(ctx, spec, BlockDynamic, mech)
-		if err != nil {
-			return 0, err
-		}
-		return res.IPC / prof.Result.IPC, nil
-	})
+	specs, err := resolveWorkloads([]string{"libquantum", "soplex", "astar"}) // high / medium / low intensity
 	if err != nil {
 		return nil, err
 	}
-	bestIPC, bestIv := 0.0, int64(0)
-	for ii, iv := range intervals {
-		mean := stats.GeoMean(cells[ii*len(names) : (ii+1)*len(names)])
-		if mean > bestIPC {
-			bestIPC, bestIv = mean, iv
+	cmps := make([]comparison, len(intervals))
+	for i, iv := range intervals {
+		// The base interval is perf migration itself: run it under that
+		// name so it shares the drivers' memo entry.
+		cmps[i] = comparison{profileBlock, perfMigBlock}
+		if iv != base {
+			cmps[i].run = dynamicBlock(report.Int(int(iv)) + intervalSuffix)
 		}
-		t.AddRow(report.Int(int(iv)), report.X(mean))
+	}
+	cells, err := r.grid(ctx, specs, cmps...)
+	if err != nil {
+		return nil, err
+	}
+	t := report.New("Figure 13: migration-interval sweep (perf-focused migration)",
+		"interval (cycles)", "mean IPC vs DDR-only")
+	bestIPC, bestIv := 0.0, int64(0)
+	for i, avg := range means(cells) {
+		if avg.ipc > bestIPC {
+			bestIPC, bestIv = avg.ipc, intervals[i]
+		}
+		t.AddRow(report.Int(int(intervals[i])), report.X(avg.ipc))
 	}
 	t.Note = "best interval: " + report.Int(int(bestIv)) +
 		" cycles (paper finds 100 ms best at full scale)"
 	return t, nil
-}
-
-// relative is a run's IPC and SER as ratios to a baseline run's, and its
-// migrated page count. hasSER is false, and ser zero, when the baseline's
-// SER is zero.
-type relative struct {
-	ipc, ser float64
-	hasSER   bool
-	migrated uint64
-}
-
-// relativeTo compares res with base.
-func relativeTo(base, res sim.Result) (relative, error) {
-	baseSER, _, err := serOf(base)
-	if err != nil {
-		return relative{}, err
-	}
-	resSER, _, err := serOf(res)
-	if err != nil {
-		return relative{}, err
-	}
-	out := relative{ipc: res.IPC / base.IPC, migrated: res.PagesMigrated}
-	if baseSER > 0 {
-		out.ser, out.hasSER = resSER/baseSER, true
-	}
-	return out, nil
-}
-
-// vsPerfMigration runs mech on spec relative to perf migration (the §6
-// normalization).
-func (r *Runner) vsPerfMigration(ctx context.Context, spec workload.Spec, mech string) (relative, error) {
-	perf, err := r.result(ctx, spec, BlockDynamic, mechPerf)
-	if err != nil {
-		return relative{}, err
-	}
-	res, err := r.result(ctx, spec, BlockDynamic, mech)
-	if err != nil {
-		return relative{}, err
-	}
-	return relativeTo(perf, res)
 }
 
 // dynamicTable renders a reliability-aware mechanism against the
@@ -225,22 +140,18 @@ func (r *Runner) dynamicTable(ctx context.Context, title, mech, note string) (*r
 	if err != nil {
 		return nil, err
 	}
-	t := report.New(title,
-		"workload", "IPC vs perf-migration", "SER vs perf-migration", "pages migrated")
-	rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (relative, error) {
-		return r.vsPerfMigration(ctx, spec, mech)
-	})
+	cells, err := r.grid(ctx, ordered, comparison{perfMigBlock, dynamicBlock(mech)})
 	if err != nil {
 		return nil, err
 	}
-	var ipcs, sers []float64
-	for i, spec := range ordered {
-		v := rows[i]
-		ipcs = append(ipcs, v.ipc)
-		sers = append(sers, v.ser)
+	t := report.New(title,
+		"workload", "IPC vs perf-migration", "SER vs perf-migration", "pages migrated")
+	for s, spec := range ordered {
+		v := cells[0][s]
 		t.AddRow(spec.Name, report.X(v.ipc), report.X(v.ser), report.Int(int(v.migrated)))
 	}
-	t.AddRow("average", report.X(stats.GeoMean(ipcs)), report.X(stats.GeoMean(sers)), "")
+	avg := means(cells)[0]
+	t.AddRow("average", report.X(avg.ipc), report.X(avg.ser), "")
 	t.Note = note
 	return t, nil
 }

@@ -54,16 +54,16 @@ type Result struct {
 // named by the drivers' mechanism, or the annotation run. Every block but
 // the profile also reads the workload's profile.
 var policyBlocks = map[PolicyName]Block{
-	PolicyDDROnly:            {Kind: BlockProfile},
-	PolicyPerfFocused:        {Kind: BlockStatic, Name: core.PerfFocused{}.Name()},
-	PolicyReliabilityFocused: {Kind: BlockStatic, Name: core.ReliabilityFocused{}.Name()},
-	PolicyBalanced:           {Kind: BlockStatic, Name: core.Balanced{}.Name()},
-	PolicyWrRatio:            {Kind: BlockStatic, Name: core.WrRatio{}.Name()},
-	PolicyWr2Ratio:           {Kind: BlockStatic, Name: core.Wr2Ratio{}.Name()},
-	PolicyPerfMigration:      {Kind: BlockDynamic, Name: mechPerf},
-	PolicyFCMigration:        {Kind: BlockDynamic, Name: mechFC},
-	PolicyCCMigration:        {Kind: BlockDynamic, Name: mechCC},
-	PolicyAnnotation:         {Kind: BlockAnnotation},
+	PolicyDDROnly:            profileBlock,
+	PolicyPerfFocused:        perfStaticBlock,
+	PolicyReliabilityFocused: staticBlock(core.ReliabilityFocused{}),
+	PolicyBalanced:           staticBlock(core.Balanced{}),
+	PolicyWrRatio:            staticBlock(core.WrRatio{}),
+	PolicyWr2Ratio:           staticBlock(core.Wr2Ratio{}),
+	PolicyPerfMigration:      perfMigBlock,
+	PolicyFCMigration:        dynamicBlock(mechFC),
+	PolicyCCMigration:        dynamicBlock(mechCC),
+	PolicyAnnotation:         annotationBlock,
 }
 
 // KnownPolicy reports whether Evaluate answers policy.
@@ -95,12 +95,11 @@ func (r *Runner) Evaluate(ctx context.Context, workloadName string, policy Polic
 	if !ok {
 		return Result{}, fmt.Errorf("experiments: unknown policy %q", policy)
 	}
-	b.Workload = workloadName
 	prof, err := r.ProfileOf(ctx, spec)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := r.result(ctx, spec, b.Kind, b.Name)
+	res, err := r.result(ctx, spec, b)
 	if err != nil {
 		return Result{}, err
 	}

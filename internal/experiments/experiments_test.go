@@ -182,12 +182,12 @@ func TestStaticPolicyOrderings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avgFor := func(p core.Policy) policyRow {
-		rows, err := r.staticComparison(context.Background(), p, ordered)
+	avgFor := func(p core.Policy) ratios {
+		cells, err := r.grid(context.Background(), ordered, comparison{perfStaticBlock, staticBlock(p)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return avgRow(rows)
+		return means(cells)[0]
 	}
 	rel := avgFor(core.ReliabilityFocused{})
 	bal := avgFor(core.Balanced{})
@@ -195,23 +195,23 @@ func TestStaticPolicyOrderings(t *testing.T) {
 	wr2 := avgFor(core.Wr2Ratio{})
 
 	// Every reliability-aware static reduces SER versus perf-focused...
-	for name, row := range map[string]policyRow{"rel": rel, "bal": bal, "wr": wr, "wr2": wr2} {
-		if row.SERvsPerf >= 1 {
-			t.Errorf("%s: SER vs perf = %.2f, want < 1", name, row.SERvsPerf)
+	for name, row := range map[string]ratios{"rel": rel, "bal": bal, "wr": wr, "wr2": wr2} {
+		if row.ser >= 1 {
+			t.Errorf("%s: SER vs perf = %.2f, want < 1", name, row.ser)
 		}
-		if row.IPCvsPerf > 1.02 {
-			t.Errorf("%s: IPC vs perf = %.2f, cannot beat the perf oracle", name, row.IPCvsPerf)
+		if row.ipc > 1.02 {
+			t.Errorf("%s: IPC vs perf = %.2f, cannot beat the perf oracle", name, row.ipc)
 		}
 	}
 	// ...and the paper's key trade-off holds: Wr2 keeps the most
 	// performance of all reliability-aware statics while reducing SER least.
-	if !(wr2.IPCvsPerf > wr.IPCvsPerf && wr2.IPCvsPerf > rel.IPCvsPerf) {
+	if !(wr2.ipc > wr.ipc && wr2.ipc > rel.ipc) {
 		t.Errorf("Wr2 should be the cheapest heuristic: wr2=%.2f wr=%.2f rel=%.2f",
-			wr2.IPCvsPerf, wr.IPCvsPerf, rel.IPCvsPerf)
+			wr2.ipc, wr.ipc, rel.ipc)
 	}
-	if !(rel.SERvsPerf < wr2.SERvsPerf && bal.SERvsPerf < wr2.SERvsPerf) {
+	if !(rel.ser < wr2.ser && bal.ser < wr2.ser) {
 		t.Errorf("conservative policies should cut SER more than Wr2: rel=%.3f bal=%.3f wr2=%.3f",
-			rel.SERvsPerf, bal.SERvsPerf, wr2.SERvsPerf)
+			rel.ser, bal.ser, wr2.ser)
 	}
 }
 

@@ -224,7 +224,7 @@ func (r *Runner) Workloads() []workload.Spec {
 
 // mapSpecs evaluates fn over specs on the runner's worker budget and
 // returns the results in spec order regardless of completion order — the
-// deterministic fan-out every figure driver is built on.
+// deterministic fan-out of the per-workload drivers (comparisons use grid).
 func mapSpecs[T any](ctx context.Context, r *Runner, specs []workload.Spec, fn func(workload.Spec) (T, error)) ([]T, error) {
 	return exec.Map(ctx, r.opts.Parallel, len(specs), func(i int) (T, error) {
 		return fn(specs[i])
@@ -424,10 +424,11 @@ func (r *Runner) run(ctx context.Context, spec workload.Spec, b Block, own func(
 	})
 }
 
-// result returns the scored result of spec's block of kind and name (a
-// profile block's DDR-only run), memoized and resolved through start.
-func (r *Runner) result(ctx context.Context, spec workload.Spec, kind BlockKind, name string) (sim.Result, error) {
-	return resultOf(r.run(ctx, spec, Block{Kind: kind, Workload: spec.Name, Name: name}, nil))
+// result returns the scored result of b on spec (a profile block's
+// DDR-only run), memoized and resolved through start.
+func (r *Runner) result(ctx context.Context, spec workload.Spec, b Block) (sim.Result, error) {
+	b.Workload = spec.Name
+	return resultOf(r.run(ctx, spec, b, nil))
 }
 
 // resultOf unwraps a block's memo entry to its scored result.

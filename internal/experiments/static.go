@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"hmem/internal/core"
-	"hmem/internal/exec"
 	"hmem/internal/report"
 	"hmem/internal/sim"
 	"hmem/internal/stats"
@@ -53,68 +52,6 @@ func (r *Runner) byMPKIDesc(ctx context.Context) ([]workload.Spec, error) {
 	return out, nil
 }
 
-// policyRow is one workload's comparison of a static policy against the
-// DDR-only and perf-focused baselines.
-type policyRow struct {
-	Workload  string
-	IPCvsDDR  float64 // policy IPC / DDR-only IPC
-	SERvsDDR  float64 // policy SER / all-DDR SER (same snapshot)
-	IPCvsPerf float64 // policy IPC / perf-focused IPC
-	SERvsPerf float64 // policy SER / perf-focused SER
-}
-
-// staticComparison evaluates a policy on every workload, fanning the
-// per-workload simulations out over the runner's worker pool.
-func (r *Runner) staticComparison(ctx context.Context, policy core.Policy, ordered []workload.Spec) ([]policyRow, error) {
-	return mapSpecs(ctx, r, ordered, func(spec workload.Spec) (policyRow, error) {
-		prof, err := r.ProfileOf(ctx, spec)
-		if err != nil {
-			return policyRow{}, err
-		}
-		perf, err := r.result(ctx, spec, BlockStatic, core.PerfFocused{}.Name())
-		if err != nil {
-			return policyRow{}, err
-		}
-		pol, err := r.result(ctx, spec, BlockStatic, policy.Name())
-		if err != nil {
-			return policyRow{}, err
-		}
-		_, polRel, err := serOf(pol)
-		if err != nil {
-			return policyRow{}, err
-		}
-		vsPerf, err := relativeTo(perf, pol)
-		if err != nil {
-			return policyRow{}, err
-		}
-		return policyRow{
-			Workload:  spec.Name,
-			IPCvsDDR:  pol.IPC / prof.Result.IPC,
-			SERvsDDR:  polRel,
-			IPCvsPerf: vsPerf.ipc,
-			SERvsPerf: vsPerf.ser,
-		}, nil
-	})
-}
-
-// avgRow aggregates: geometric means for the ratios.
-func avgRow(rows []policyRow) policyRow {
-	g := func(get func(policyRow) float64) float64 {
-		vs := make([]float64, len(rows))
-		for i, r := range rows {
-			vs[i] = get(r)
-		}
-		return stats.GeoMean(vs)
-	}
-	return policyRow{
-		Workload:  "average",
-		IPCvsDDR:  g(func(r policyRow) float64 { return r.IPCvsDDR }),
-		SERvsDDR:  g(func(r policyRow) float64 { return r.SERvsDDR }),
-		IPCvsPerf: g(func(r policyRow) float64 { return r.IPCvsPerf }),
-		SERvsPerf: g(func(r policyRow) float64 { return r.SERvsPerf }),
-	}
-}
-
 // policyTable renders a static-policy comparison in the layout shared by
 // Figures 5, 7, 8, 10 and 11.
 func (r *Runner) policyTable(ctx context.Context, title string, policy core.Policy, note string) (*report.Table, error) {
@@ -122,16 +59,21 @@ func (r *Runner) policyTable(ctx context.Context, title string, policy core.Poli
 	if err != nil {
 		return nil, err
 	}
-	rows, err := r.staticComparison(ctx, policy, ordered)
+	pol := staticBlock(policy)
+	cells, err := r.grid(ctx, ordered, comparison{profileBlock, pol}, comparison{perfStaticBlock, pol})
 	if err != nil {
 		return nil, err
 	}
 	t := report.New(title,
 		"workload", "IPC vs DDR-only", "SER vs DDR-only", "IPC vs perf-focused", "SER vs perf-focused")
-	for _, row := range append(rows, avgRow(rows)) {
-		t.AddRow(row.Workload, report.X(row.IPCvsDDR), report.X(row.SERvsDDR),
-			report.X(row.IPCvsPerf), report.X(row.SERvsPerf))
+	row := func(label string, ddr, perf ratios) {
+		t.AddRow(label, report.X(ddr.ipc), report.X(ddr.ser), report.X(perf.ipc), report.X(perf.ser))
 	}
+	for s, spec := range ordered {
+		row(spec.Name, cells[0][s], cells[1][s])
+	}
+	avg := means(cells)
+	row("average", avg[0], avg[1])
 	t.Note = note
 	return t, nil
 }
@@ -140,45 +82,23 @@ func (r *Runner) policyTable(ctx context.Context, title string, policy core.Poli
 // mix1 averaged, as in the paper's motivation figure): the SER cost of
 // approaching full performance.
 func (r *Runner) Figure1(ctx context.Context) (*report.Table, error) {
-	specNames := []string{"astar", "cactusADM", "mix1"}
-	fractions := []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}
-	t := report.New("Figure 1: reliability vs performance across hot-page fractions",
-		"fraction of HBM filled", "IPC vs DDR-only (avg)", "SER vs DDR-only (avg)")
-	// The full fraction × workload grid is independent work: flatten it into
-	// one fan-out and regroup per fraction afterwards.
-	type cell struct{ ipc, ser float64 }
-	n := len(fractions) * len(specNames)
-	cells, err := exec.Map(ctx, r.opts.Parallel, n, func(i int) (cell, error) {
-		f := fractions[i/len(specNames)]
-		spec, err := workload.SpecByName(specNames[i%len(specNames)])
-		if err != nil {
-			return cell{}, err
-		}
-		prof, err := r.ProfileOf(ctx, spec)
-		if err != nil {
-			return cell{}, err
-		}
-		res, err := r.result(ctx, spec, BlockStatic, core.PerfFraction{F: f}.Name())
-		if err != nil {
-			return cell{}, err
-		}
-		_, rel, err := serOf(res)
-		if err != nil {
-			return cell{}, err
-		}
-		return cell{ipc: res.IPC / prof.Result.IPC, ser: rel}, nil
-	})
+	specs, err := resolveWorkloads([]string{"astar", "cactusADM", "mix1"})
 	if err != nil {
 		return nil, err
 	}
-	for fi, f := range fractions {
-		var ipcs, sers []float64
-		for si := range specNames {
-			c := cells[fi*len(specNames)+si]
-			ipcs = append(ipcs, c.ipc)
-			sers = append(sers, c.ser)
-		}
-		t.AddRow(report.Pct(f), report.X(stats.GeoMean(ipcs)), report.X(stats.GeoMean(sers)))
+	fractions := []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}
+	cmps := make([]comparison, len(fractions))
+	for i, f := range fractions {
+		cmps[i] = comparison{profileBlock, staticBlock(core.PerfFraction{F: f})}
+	}
+	cells, err := r.grid(ctx, specs, cmps...)
+	if err != nil {
+		return nil, err
+	}
+	t := report.New("Figure 1: reliability vs performance across hot-page fractions",
+		"fraction of HBM filled", "IPC vs DDR-only (avg)", "SER vs DDR-only (avg)")
+	for i, avg := range means(cells) {
+		t.AddRow(report.Pct(fractions[i]), report.X(avg.ipc), report.X(avg.ser))
 	}
 	t.Note = "paper: the loss in reliability to achieve full performance is extreme (Fig. 1)"
 	return t, nil

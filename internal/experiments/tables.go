@@ -9,7 +9,6 @@ import (
 	"hmem/internal/ecc"
 	"hmem/internal/memsim"
 	"hmem/internal/report"
-	"hmem/internal/stats"
 	"hmem/internal/workload"
 )
 
@@ -77,74 +76,35 @@ func (r *Runner) Table2() *report.Table {
 // Table3 is the paper's summary: every scheme's average IPC degradation and
 // SER improvement against its performance-focused baseline.
 func (r *Runner) Table3(ctx context.Context) (*report.Table, error) {
-	t := report.New("Table 3: summary of reliability-aware schemes",
-		"scheme", "IPC degradation", "SER improvement", "paper (IPC / SER)")
 	ordered, err := r.byMPKIDesc(ctx)
 	if err != nil {
 		return nil, err
 	}
-
-	addStatic := func(label string, pol core.Policy, paper string) error {
-		rows, err := r.staticComparison(ctx, pol, ordered)
-		if err != nil {
-			return err
-		}
-		avg := avgRow(rows)
-		t.AddRow(label, report.Pct(1-avg.IPCvsPerf), report.X(safeInv(avg.SERvsPerf)), paper)
-		return nil
+	schemes := []struct {
+		label, paper string
+		cmp          comparison
+	}{
+		{"reliability-focused (static)", "17% / 5.0x", comparison{perfStaticBlock, staticBlock(core.ReliabilityFocused{})}},
+		{"balanced (static)", "14% / 3.0x", comparison{perfStaticBlock, staticBlock(core.Balanced{})}},
+		{"Wr ratio (heuristic)", "8.1% / 1.8x", comparison{perfStaticBlock, staticBlock(core.WrRatio{})}},
+		{"Wr2 ratio (heuristic)", "1% / 1.6x", comparison{perfStaticBlock, staticBlock(core.Wr2Ratio{})}},
+		{"reliability-aware FC (dynamic)", "6% / 1.8x", comparison{perfMigBlock, dynamicBlock(mechFC)}},
+		{"reliability-aware CC (dynamic)", "4.9% / 1.5x", comparison{perfMigBlock, dynamicBlock(mechCC)}},
+		{"program annotations", "1.1% / 1.3x", comparison{perfStaticBlock, annotationBlock}},
 	}
-	if err := addStatic("reliability-focused (static)", core.ReliabilityFocused{}, "17% / 5.0x"); err != nil {
-		return nil, err
+	cmps := make([]comparison, len(schemes))
+	for i, s := range schemes {
+		cmps[i] = s.cmp
 	}
-	if err := addStatic("balanced (static)", core.Balanced{}, "14% / 3.0x"); err != nil {
-		return nil, err
-	}
-	if err := addStatic("Wr ratio (heuristic)", core.WrRatio{}, "8.1% / 1.8x"); err != nil {
-		return nil, err
-	}
-	if err := addStatic("Wr2 ratio (heuristic)", core.Wr2Ratio{}, "1% / 1.6x"); err != nil {
-		return nil, err
-	}
-
-	addRelative := func(label, paper string, rows []relative) {
-		var ipcs, sers []float64
-		for _, row := range rows {
-			ipcs = append(ipcs, row.ipc)
-			if row.hasSER {
-				sers = append(sers, row.ser)
-			}
-		}
-		t.AddRow(label, report.Pct(1-geo(ipcs)), report.X(safeInv(geo(sers))), paper)
-	}
-	for _, d := range []struct{ label, mech, paper string }{
-		{"reliability-aware FC (dynamic)", mechFC, "6% / 1.8x"},
-		{"reliability-aware CC (dynamic)", mechCC, "4.9% / 1.5x"},
-	} {
-		rows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (relative, error) {
-			return r.vsPerfMigration(ctx, spec, d.mech)
-		})
-		if err != nil {
-			return nil, err
-		}
-		addRelative(d.label, d.paper, rows)
-	}
-
-	// Annotations (vs static perf-focused).
-	annRows, err := mapSpecs(ctx, r, ordered, func(spec workload.Spec) (relative, error) {
-		perf, err := r.result(ctx, spec, BlockStatic, core.PerfFocused{}.Name())
-		if err != nil {
-			return relative{}, err
-		}
-		res, err := r.result(ctx, spec, BlockAnnotation, "")
-		if err != nil {
-			return relative{}, err
-		}
-		return relativeTo(perf, res)
-	})
+	cells, err := r.grid(ctx, ordered, cmps...)
 	if err != nil {
 		return nil, err
 	}
-	addRelative("program annotations", "1.1% / 1.3x", annRows)
+	t := report.New("Table 3: summary of reliability-aware schemes",
+		"scheme", "IPC degradation", "SER improvement", "paper (IPC / SER)")
+	for i, avg := range means(cells) {
+		t.AddRow(schemes[i].label, report.Pct(1-avg.ipc), report.X(safeInv(avg.ser)), schemes[i].paper)
+	}
 	t.Note = "IPC degradation and SER improvement vs the respective performance-focused baseline (Table 3)"
 	return t, nil
 }
@@ -170,8 +130,6 @@ func (r *Runner) TableHardwareCost() *report.Table {
 		report.Int(core.CCCostBytes(scaledHBM)), "")
 	return t
 }
-
-func geo(vs []float64) float64 { return stats.GeoMean(vs) }
 
 func safeInv(v float64) float64 {
 	if v == 0 {

@@ -28,32 +28,15 @@ func pagesByHotnessAsc(stats []core.PageStats) []uint64 {
 // (R+W) and runtime risk (Wr/Rd) per page. At every interval it exchanges
 // cold-or-high-risk HBM residents for hot-and-low-risk DDR pages, using the
 // interval's mean hotness and mean risk as thresholds.
-type FullCounter struct {
-	interval int64
-	counters *core.FullCounters
-	pt       *core.PageTable
-}
+type FullCounter struct{ counting }
 
 // NewFullCounter builds the FC mechanism with the given interval.
 func NewFullCounter(intervalCycles int64) *FullCounter {
-	return &FullCounter{interval: intervalCycles}
+	return &FullCounter{counting{interval: intervalCycles}}
 }
 
 // Name implements sim.Migrator.
 func (f *FullCounter) Name() string { return "fc-reliability" }
-
-// Bind implements sim.Migrator.
-func (f *FullCounter) Bind(pt *core.PageTable) {
-	f.pt, f.counters = pt, core.NewFullCounters(8, pt.Len())
-}
-
-// IntervalCycles implements sim.Migrator.
-func (f *FullCounter) IntervalCycles() int64 { return f.interval }
-
-// OnAccess implements sim.Migrator.
-func (f *FullCounter) OnAccess(pi core.PageIndex, write bool, _ bool) {
-	f.counters.Observe(pi, write)
-}
 
 // Decide implements sim.Migrator.
 func (f *FullCounter) Decide(_ int64, placement *sim.Placement) (in, out []uint64) {

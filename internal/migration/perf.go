@@ -14,35 +14,40 @@ import (
 	"hmem/internal/sim"
 )
 
-// Perf is the performance-focused migration baseline (§6.1): raw access
-// counters per page; at every interval, pages hotter than the interval mean
-// migrate into HBM, displacing the coldest HBM residents.
-type Perf struct {
+// counting is the bookkeeping Perf and FullCounter share: an 8-bit read and
+// write counter per page, bumped on every access and read out and reset at
+// every interval.
+type counting struct {
 	interval int64
 	counters *core.FullCounters
 	pt       *core.PageTable
 }
 
+// Bind implements sim.Migrator.
+func (c *counting) Bind(pt *core.PageTable) {
+	c.pt, c.counters = pt, core.NewFullCounters(8, pt.Len())
+}
+
+// IntervalCycles implements sim.Migrator.
+func (c *counting) IntervalCycles() int64 { return c.interval }
+
+// OnAccess implements sim.Migrator.
+func (c *counting) OnAccess(pi core.PageIndex, write bool, _ bool) {
+	c.counters.Observe(pi, write)
+}
+
+// Perf is the performance-focused migration baseline (§6.1): raw access
+// counters per page; at every interval, pages hotter than the interval mean
+// migrate into HBM, displacing the coldest HBM residents.
+type Perf struct{ counting }
+
 // NewPerf builds the baseline with the given interval in CPU cycles.
 func NewPerf(intervalCycles int64) *Perf {
-	return &Perf{interval: intervalCycles}
+	return &Perf{counting{interval: intervalCycles}}
 }
 
 // Name implements sim.Migrator.
 func (p *Perf) Name() string { return "perf-migration" }
-
-// Bind implements sim.Migrator.
-func (p *Perf) Bind(pt *core.PageTable) {
-	p.pt, p.counters = pt, core.NewFullCounters(8, pt.Len())
-}
-
-// IntervalCycles implements sim.Migrator.
-func (p *Perf) IntervalCycles() int64 { return p.interval }
-
-// OnAccess implements sim.Migrator.
-func (p *Perf) OnAccess(pi core.PageIndex, write bool, _ bool) {
-	p.counters.Observe(pi, write)
-}
 
 // Decide implements sim.Migrator: swap cold HBM residents for hot DDR pages,
 // using the interval's mean page hotness as the threshold ("We use dynamic

@@ -41,9 +41,6 @@ func NewTracer(traceID string, exp Exporter) *Tracer {
 	return &Tracer{trace: traceID, exp: exp}
 }
 
-// TraceID returns the tracer's run-scoped id.
-func (t *Tracer) TraceID() string { return t.trace }
-
 // OnEnd installs a hook invoked (synchronously, from End's goroutine) for
 // every finished span — hmemd feeds per-phase latency histograms and the job
 // progress phase from it. Must be set before the tracer is shared.

@@ -78,9 +78,6 @@ func TestSpanParentingAndExport(t *testing.T) {
 	if len(in.Attrs) != 1 || in.Attrs[0].Key != "n" {
 		t.Fatalf("inner attrs wrong: %+v", in.Attrs)
 	}
-	if tr.TraceID() != "run-1" {
-		t.Fatalf("TraceID %q", tr.TraceID())
-	}
 }
 
 func TestTracerDroppedOnExportError(t *testing.T) {

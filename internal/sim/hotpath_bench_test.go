@@ -61,8 +61,9 @@ func BenchmarkPerAccessPath(b *testing.B) {
 // bench to keep the topology generalization honest.
 func BenchmarkPerAccessPathThreeTier(b *testing.B) {
 	const pages = 8192
-	p := newTestPlacement(threeTierTopo(16384, 4096, 1024), pages)
-	tracker := avf.NewTracker(p.NumTiers(), pages)
+	topo := threeTierTopo(16384, 4096, 1024)
+	p := newTestPlacement(topo, pages)
+	tracker := avf.NewTracker(len(topo.Tiers), pages)
 	iv := newIntervalState(pages)
 	fast := avf.Tier(p.FastTier())
 	var now int64

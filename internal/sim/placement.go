@@ -102,22 +102,11 @@ func NewTopologyPlacement(topo *core.Topology, pt *core.PageTable) *Placement {
 // indexes the same dense space.
 func (p *Placement) PageTable() *core.PageTable { return p.pt }
 
-// NumTiers returns the topology's tier count.
-func (p *Placement) NumTiers() int { return len(p.capacity) }
-
 // FastTier returns the fast (migration-target) tier index.
 func (p *Placement) FastTier() int { return p.fast }
 
 // AllocTiers returns the first-touch allocation order.
 func (p *Placement) AllocTiers() []int { return p.allocOrder }
-
-// TierName returns tier t's display name, with a stable "tier<N>" fallback.
-func (p *Placement) TierName(t int) string {
-	if t >= 0 && t < len(p.names) {
-		return p.names[t]
-	}
-	return fmt.Sprintf("tier%d", t)
-}
 
 // ResidentOf returns the number of pages resident in tier t.
 func (p *Placement) ResidentOf(t int) int { return p.resident[t] }

@@ -146,7 +146,7 @@ func TestPerAccessPathZeroAllocsThreeTier(t *testing.T) {
 	const pages = 256
 	topo := threeTierTopo(1024, 64, 32)
 	p := newTestPlacement(topo, pages)
-	tracker := avf.NewTracker(p.NumTiers(), pages)
+	tracker := avf.NewTracker(len(topo.Tiers), pages)
 	iv := newIntervalState(pages)
 	fast := avf.Tier(p.FastTier())
 

@@ -1,13 +1,13 @@
 // Package stats provides the small statistical toolkit the experiments need:
-// means, geometric means, Pearson correlation (used for the paper's
-// hotness-AVF ρ≈0.08 and write-ratio-AVF ρ≈-0.32 claims), sums, and
-// histogram binning (Figure 9b).
+// geometric means, Pearson correlation (used for the paper's hotness-AVF
+// ρ≈0.08 and write-ratio-AVF ρ≈-0.32 claims), and histogram binning
+// (Figure 9b).
 package stats
 
 import "math"
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean of xs, or 0 for an empty slice.
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -47,7 +47,7 @@ func Pearson(xs, ys []float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	mx, my := Mean(xs), Mean(ys)
+	mx, my := mean(xs), mean(ys)
 	var sxy, sxx, syy float64
 	for i := 0; i < n; i++ {
 		dx := xs[i] - mx
@@ -85,13 +85,4 @@ func Histogram(xs []float64, min, max float64, nbins int) []int {
 		counts[b]++
 	}
 	return counts
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }

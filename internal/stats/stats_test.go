@@ -21,8 +21,8 @@ func TestMean(t *testing.T) {
 		{[]float64{-1, 1}, 0},
 	}
 	for _, c := range cases {
-		if got := Mean(c.in); !approx(got, c.want, 1e-12) {
-			t.Errorf("Mean(%v) = %v, want %v", c.in, got, c.want)
+		if got := mean(c.in); !approx(got, c.want, 1e-12) {
+			t.Errorf("mean(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
@@ -134,12 +134,5 @@ func TestHistogramPanics(t *testing.T) {
 			}()
 			Histogram(nil, c.min, c.max, c.bins)
 		}()
-	}
-}
-
-func TestSum(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if got := Sum(xs); !approx(got, 11, 1e-12) {
-		t.Errorf("Sum = %v", got)
 	}
 }

@@ -304,9 +304,6 @@ func (g *Generator) Pages() (first, count uint64) {
 // FootprintPages returns the per-core footprint size.
 func (g *Generator) FootprintPages() int { return g.prof.FootprintPages }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 func structName(bench, class string, seq int) string {
 	return bench + "." + class + "." + strconv.Itoa(seq)
 }

@@ -93,29 +93,29 @@ func AllSpecs() []Spec {
 	return append(out, MixSpecs()...)
 }
 
-// specIndex is the lazily-built name → spec table behind SpecByName; the
-// spec list is static, and hot paths (request validation, trace-plan
-// acquisition) resolve names per call.
+// specIndex is the lazily-built name → spec table behind SpecByName: every
+// evaluated workload, and every benchmark as a homogeneous workload. The
+// lists are static, and hot paths (request validation, Runner.Evaluate,
+// Runner.Execute) resolve a name per call, so a lookup allocates nothing.
 var (
 	specIndexOnce sync.Once
 	specIndex     map[string]Spec
 )
 
-// SpecByName resolves a workload name against AllSpecs.
+// SpecByName resolves a workload name against AllSpecs; any single
+// benchmark is also addressable as a homogeneous workload.
 func SpecByName(name string) (Spec, error) {
 	specIndexOnce.Do(func() {
-		all := AllSpecs()
-		specIndex = make(map[string]Spec, len(all))
-		for _, s := range all {
+		specIndex = make(map[string]Spec)
+		for _, n := range Names() {
+			specIndex[n] = Homogeneous(n)
+		}
+		for _, s := range AllSpecs() {
 			specIndex[s.Name] = s
 		}
 	})
 	if s, ok := specIndex[name]; ok {
 		return s, nil
-	}
-	// Any single benchmark is also addressable as a homogeneous workload.
-	if _, err := Lookup(name); err == nil {
-		return Homogeneous(name), nil
 	}
 	return Spec{}, fmt.Errorf("workload: unknown workload %q", name)
 }

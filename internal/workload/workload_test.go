@@ -287,6 +287,16 @@ func TestSpecByName(t *testing.T) {
 	}
 }
 
+// TestSpecByNameAllocs pins that resolving an evaluated workload, a mix or
+// a benchmark outside the evaluated set allocates nothing.
+func TestSpecByNameAllocs(t *testing.T) {
+	for _, name := range []string{"astar", "mix1", "gcc"} {
+		if a := testing.AllocsPerRun(100, func() { _, _ = SpecByName(name) }); a != 0 {
+			t.Errorf("SpecByName(%q) allocates %.1f times per call, want 0", name, a)
+		}
+	}
+}
+
 func TestSuiteBuild(t *testing.T) {
 	suite, err := MixSpecs()[0].Build(100, 21)
 	if err != nil {
