@@ -16,6 +16,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -170,7 +171,13 @@ func main() {
 	}
 }
 
+// fatal reports err and exits 1; a panic's error also prints the stack of
+// the goroutine that panicked.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "experiments:", err)
+	var pe *exec.PanicError
+	if errors.As(err, &pe) {
+		fmt.Fprint(os.Stderr, pe.Stack)
+	}
 	os.Exit(1)
 }

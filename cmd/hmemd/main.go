@@ -71,7 +71,6 @@ func main() {
 		journalDir   = flag.String("journal-dir", "", "directory for the durable job journal (empty = jobs do not survive restarts)")
 		debugAddr    = flag.String("debug-addr", "", "listen address for pprof + /debug/runtime (empty = disabled; bind localhost, it is unauthenticated)")
 		traceLog     = flag.String("trace-log", "", "append tracing spans as NDJSON to this file (empty = ring buffer only)")
-		traceBuffer  = flag.Int("trace-buffer", 0, "spans kept in memory for GET /v1/jobs/{id}/trace (0 = default 4096)")
 		topology     = flag.String("topology", "", "default memory topology by name (empty = hbm-ddr; see GET /v1/topologies)")
 		topologyFile = flag.String("topology-file", "", "register a custom topology from a JSON file; it becomes the default unless -topology is set")
 
@@ -114,7 +113,6 @@ func main() {
 		QueueDepth:   *queueDepth,
 		JobWorkers:   *jobWorkers,
 		JournalDir:   *journalDir,
-		TraceBuffer:  *traceBuffer,
 		Role:         *role,
 		Admission:    service.AdmissionConfig{Budget: *admitBudget},
 		Cluster: service.ClusterConfig{

@@ -1,9 +1,9 @@
 // Package exec provides the concurrency primitives behind the experiment
-// engine: a generic singleflight memo cache and a bounded worker group.
+// engine: a generic singleflight memo cache and a bounded fan-out.
 //
 // Every fan-out in the repository — figure drivers sweeping workloads ×
 // policies, fault-study shards, facade comparisons, hmemd service requests —
-// goes through this package so that three invariants hold everywhere:
+// goes through this package so that four invariants hold everywhere:
 //
 //   - work sharing: concurrent requests for the same memo key share one
 //     in-flight computation instead of racing or duplicating multi-second
@@ -13,7 +13,10 @@
 //     count or goroutine scheduling;
 //   - prompt cancellation: a cancelled context stops a pool from starting
 //     any further task and releases waiters blocked on someone else's
-//     in-flight memo computation.
+//     in-flight memo computation;
+//   - one failure convention: a task's panic is recovered once, in the
+//     goroutine where it happened, into a *PanicError, and travels as an
+//     error from there (see Protect).
 package exec
 
 import (
@@ -31,7 +34,7 @@ import (
 //
 // The first caller of Do for a key runs the function; callers arriving while
 // it is in flight block and share its outcome. Only successes are cached. A
-// failed computation's error, or its panic (re-raised wrapped in PanicError),
+// failed computation's error, or its panic (returned as a *PanicError),
 // reaches the first caller and every waiter already sharing it, and then the
 // key is forgotten so the next caller computes afresh. Simulations are
 // deterministic functions of their key and would fail the same way again,
@@ -50,11 +53,9 @@ type Memo[K comparable, V any] struct {
 
 // memoCall is one (possibly in-flight) computation.
 type memoCall[V any] struct {
-	done     chan struct{}
-	val      V
-	err      error
-	panicked bool
-	panicVal any
+	done chan struct{}
+	val  V
+	err  error
 }
 
 // MemoStats is a point-in-time snapshot of a memo's request counters. A hit
@@ -71,25 +72,27 @@ func (s MemoStats) Add(o MemoStats) MemoStats {
 	return MemoStats{Hits: s.Hits + o.Hits, Misses: s.Misses + o.Misses}
 }
 
-// PanicError wraps a panic value recovered from a memoized computation or a
-// group task so it can be re-raised in a different goroutine with its origin
-// preserved.
+// PanicError is a task's panic, recovered by Protect in the goroutine where
+// it happened. From there it travels as an ordinary error: out of Memo to
+// the leader and every waiter, out of Map as the fan-out's failure, out of
+// Settle in the task's slot. A panic nested several fan-outs deep therefore
+// arrives as one PanicError, not as a wrapper of wrappers.
 type PanicError struct {
 	Value any
-	// Stack is the panicking goroutine's stack, captured at recovery time.
-	// Only Protect fills it; re-raised memo/group panics leave it empty
-	// because the original stack is gone by the time they propagate.
+	// Stack is the panicking goroutine's own stack, captured while the
+	// panic unwinds, so it names the frame that panicked.
 	Stack string
 }
 
 // Error implements error.
-func (p PanicError) Error() string { return fmt.Sprintf("exec: panic in task: %v", p.Value) }
+func (p *PanicError) Error() string { return fmt.Sprintf("exec: panic in task: %v", p.Value) }
 
 // Protect runs fn and converts a panic into a returned *PanicError carrying
-// the recovered value and the panicking goroutine's stack. It is the
-// isolation primitive for long-lived worker loops (hmemd's job runner): a
-// broken invariant in one task must fail that task's request, not the
-// process. Deliberate runtime aborts (runtime.Goexit) are not intercepted.
+// the recovered value and the panicking goroutine's stack. It is the one
+// place this package recovers: Memo, Map and Settle run every task through
+// it, and hmemd runs each cluster shard through it, so a broken invariant in
+// one task fails that task's caller, not the process. Deliberate runtime
+// aborts (runtime.Goexit) are not intercepted.
 func Protect(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -127,38 +130,28 @@ func (m *Memo[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (V,
 		m.hits.Add(1)
 		select {
 		case <-c.done:
+			return c.val, c.err
 		case <-ctx.Done():
 			return zero, ctx.Err()
 		}
-		if c.panicked {
-			panic(PanicError{Value: c.panicVal})
-		}
-		return c.val, c.err
 	}
 	c := &memoCall[V]{done: make(chan struct{})}
 	m.calls[key] = c
 	m.mu.Unlock()
 	m.misses.Add(1)
 
-	defer func() {
-		r := recover()
-		if r != nil {
-			c.panicked = true
-			c.panicVal = r
+	c.err = Protect(func() (err error) {
+		c.val, err = fn()
+		return err
+	})
+	if c.err != nil {
+		m.mu.Lock()
+		if m.calls[key] == c {
+			delete(m.calls, key)
 		}
-		if c.panicked || c.err != nil {
-			m.mu.Lock()
-			if m.calls[key] == c {
-				delete(m.calls, key)
-			}
-			m.mu.Unlock()
-		}
-		close(c.done)
-		if r != nil {
-			panic(PanicError{Value: r})
-		}
-	}()
-	c.val, c.err = fn()
+		m.mu.Unlock()
+	}
+	close(c.done)
 	return c.val, c.err
 }
 
@@ -194,23 +187,6 @@ func (m *Memo[K, V]) Stats() MemoStats {
 	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load()}
 }
 
-// Group runs tasks on at most a fixed number of goroutines, propagating the
-// first failure and cancelling tasks that have not started yet. It is a
-// dependency-free analogue of errgroup.Group with a concurrency limit and
-// context cancellation.
-type Group struct {
-	ctx  context.Context
-	sem  chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
-	err  error
-
-	mu       sync.Mutex
-	panicked bool
-	panicVal any
-	done     chan struct{}
-}
-
 // Workers resolves a requested worker count: non-positive means "one worker
 // per CPU".
 func Workers(n int) int {
@@ -218,83 +194,6 @@ func Workers(n int) int {
 		return runtime.NumCPU()
 	}
 	return n
-}
-
-// NewGroup returns a group running at most workers tasks concurrently
-// (non-positive workers = runtime.NumCPU()). Cancelling ctx prevents any
-// not-yet-started task from running; Wait then reports ctx's error (unless
-// a task already failed first). Tasks already running are not interrupted —
-// simulations have no preemption points, and their results are discarded on
-// error anyway.
-func NewGroup(ctx context.Context, workers int) *Group {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &Group{
-		ctx:  ctx,
-		sem:  make(chan struct{}, Workers(workers)),
-		done: make(chan struct{}),
-	}
-}
-
-// fail records the group's first failure and cancels pending tasks.
-func (g *Group) fail(err error, panicVal any, panicked bool) {
-	g.once.Do(func() {
-		g.mu.Lock()
-		g.err = err
-		g.panicked = panicked
-		g.panicVal = panicVal
-		g.mu.Unlock()
-		close(g.done)
-	})
-}
-
-// Go schedules fn. Tasks that have not yet started when another task fails —
-// or when the group's context is cancelled — are skipped.
-func (g *Group) Go(fn func() error) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		select {
-		case <-g.done:
-			return
-		case <-g.ctx.Done():
-			g.fail(g.ctx.Err(), nil, false)
-			return
-		case g.sem <- struct{}{}:
-		}
-		defer func() { <-g.sem }()
-		select {
-		case <-g.done:
-			return
-		case <-g.ctx.Done():
-			g.fail(g.ctx.Err(), nil, false)
-			return
-		default:
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				g.fail(nil, r, true)
-			}
-		}()
-		if err := fn(); err != nil {
-			g.fail(err, nil, false)
-		}
-	}()
-}
-
-// Wait blocks until every scheduled task has finished or been skipped and
-// returns the first error (a task's error, or the context's if cancellation
-// struck first). If a task panicked, Wait re-raises the panic (wrapped in
-// PanicError) in the waiting goroutine.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.panicked {
-		panic(PanicError{Value: g.panicVal})
-	}
-	return g.err
 }
 
 // fanout observes one Map or Settle dispatch: each task gets a leaf
@@ -309,11 +208,10 @@ type fanout struct {
 }
 
 // newFanout returns the dispatch observer, or nil when ctx carries neither
-// a tracer nor a progress sink. The nil return is load-bearing: Map and
-// Settle fall back to the exact uninstrumented task closure, so a bare
-// context pays zero extra allocations — per task and per call — with the
-// observability layer compiled in (TestFanoutBareContextAllocs pins the
-// count).
+// a tracer nor a progress sink. The nil return is load-bearing: a nil
+// fanout's start and finish do nothing, so a bare context pays zero extra
+// allocations — per task and per call — with the observability layer
+// compiled in (TestFanoutBareContextAllocs pins the count).
 func newFanout(ctx context.Context, n int) *fanout {
 	if !obs.Enabled(ctx) && !obs.Reporting(ctx) {
 		return nil
@@ -324,7 +222,7 @@ func newFanout(ctx context.Context, n int) *fanout {
 // start opens the task's span (nil when tracing is off; obs.Span is
 // nil-safe).
 func (f *fanout) start(i int) *obs.Span {
-	if !obs.Enabled(f.ctx) {
+	if f == nil || !obs.Enabled(f.ctx) {
 		return nil
 	}
 	_, sp := obs.Start(f.ctx, "exec.task", obs.Int("index", int64(i)))
@@ -334,7 +232,7 @@ func (f *fanout) start(i int) *obs.Span {
 // finish closes the task's span and, on success, reports fan-out progress.
 func (f *fanout) finish(sp *obs.Span, err error) {
 	sp.End()
-	if err != nil {
+	if f == nil || err != nil {
 		return
 	}
 	done := f.done.Add(1)
@@ -344,86 +242,73 @@ func (f *fanout) finish(sp *obs.Span, err error) {
 	})
 }
 
+// pool is the one worker loop behind Map and Settle. At most workers
+// goroutines take the indices in order and run task(i), recording its error
+// in errs[i]; a task not yet started when ctx is done is skipped with
+// ctx.Err(). Tasks recover their own panics (Protect), so a worker never
+// dies mid-loop.
+func pool(ctx context.Context, workers, n int, task func(i int) error) []error {
+	errs := make([]error, n)
+	f := newFanout(ctx, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(Workers(workers), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				if errs[i] = ctx.Err(); errs[i] != nil {
+					continue
+				}
+				sp := f.start(i)
+				errs[i] = task(i)
+				f.finish(sp, errs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
 // Map evaluates fn(0..n-1) on at most workers goroutines and returns the
 // results in index order — the fan-out/fan-in used by every figure driver.
-// On error (or ctx cancellation) the first failure is returned and the
-// partial results discarded. When ctx carries obs facilities, each task is
+// The first failure (a task's error, its *PanicError, or ctx's error)
+// cancels every task not yet started and is returned, the partial results
+// discarded. Tasks already running are not interrupted — simulations have
+// no preemption points. When ctx carries obs facilities, each task is
 // recorded as an "exec.task" span and completions report progress.
 func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	out := make([]T, n)
-	g := NewGroup(ctx, workers)
-	if f := newFanout(ctx, n); f != nil {
-		for i := 0; i < n; i++ {
-			i := i
-			g.Go(func() error {
-				sp := f.start(i)
-				v, err := fn(i)
-				f.finish(sp, err)
-				if err != nil {
-					return err
-				}
-				out[i] = v
-				return nil
-			})
+	errs := pool(ctx, workers, n, func(i int) error {
+		err := Protect(func() (err error) {
+			out[i], err = fn(i)
+			return err
+		})
+		if err != nil {
+			cancel(err)
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			i := i
-			g.Go(func() error {
-				v, err := fn(i)
-				if err != nil {
-					return err
-				}
-				out[i] = v
-				return nil
-			})
+		return err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, context.Cause(ctx)
 		}
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
 // Settle evaluates fn(0..n-1) on at most workers goroutines and returns
 // every task's error by index — the error-isolating cousin of Map for
-// fan-outs where one item's failure must not abort the rest (the batch
-// endpoint's per-item execution). Unlike Map, a failing or
-// panicking task never cancels its siblings: panics are converted to
-// *PanicError in that task's slot via Protect, and only tasks that have not
-// yet started when ctx is cancelled are skipped with ctx.Err(). The
-// returned slice always has length n; nil entries are tasks that completed
-// without error.
+// fan-outs where one item's failure must not abort the rest (hmemd's
+// per-item and per-job execution). A failing or panicking task never
+// cancels its siblings: its error, or its *PanicError, lands in its own
+// slot, and only tasks that have not yet started when ctx is cancelled are
+// skipped with ctx.Err(). The returned slice always has length n; nil
+// entries are tasks that completed without error.
 func Settle(ctx context.Context, workers, n int, fn func(i int) error) []error {
-	errs := make([]error, n)
-	sem := make(chan struct{}, Workers(workers))
-	var wg sync.WaitGroup
-	f := newFanout(ctx, n)
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			if f != nil {
-				sp := f.start(i)
-				errs[i] = Protect(func() error { return fn(i) })
-				f.finish(sp, errs[i])
-				return
-			}
-			errs[i] = Protect(func() error { return fn(i) })
-		}()
-	}
-	wg.Wait()
-	return errs
+	return pool(ctx, workers, n, func(i int) error {
+		return Protect(func() error { return fn(i) })
+	})
 }

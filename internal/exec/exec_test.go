@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -127,8 +128,8 @@ func TestMemoErrorForgotten(t *testing.T) {
 	}
 }
 
-// TestMemoPanicPropagation: a panicking computation re-raises in the leader
-// and every concurrent waiter, without re-execution.
+// TestMemoPanicPropagation: a panicking computation runs once, and the
+// leader and every concurrent waiter get its *PanicError as an error.
 func TestMemoPanicPropagation(t *testing.T) {
 	var m Memo[string, int]
 	var executions, caught atomic.Int64
@@ -140,24 +141,17 @@ func TestMemoPanicPropagation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Error("caller did not panic")
-					return
-				}
-				pe, ok := r.(PanicError)
-				if !ok || pe.Value != "kaboom" {
-					t.Errorf("unexpected panic payload %v", r)
-					return
-				}
-				caught.Add(1)
-			}()
-			m.Do("explosive", func() (int, error) {
+			_, err := m.Do("explosive", func() (int, error) {
 				executions.Add(1)
 				<-gate
 				panic("kaboom")
 			})
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Value != "kaboom" {
+				t.Errorf("caller got %v, want a *PanicError of kaboom", err)
+				return
+			}
+			caught.Add(1)
 		}()
 	}
 	for m.Stats().Hits < callers-1 {
@@ -166,7 +160,7 @@ func TestMemoPanicPropagation(t *testing.T) {
 	close(gate)
 	wg.Wait()
 	if n := caught.Load(); n != callers {
-		t.Fatalf("%d callers caught the panic, want %d", n, callers)
+		t.Fatalf("%d callers got the panic, want %d", n, callers)
 	}
 	if n := executions.Load(); n != 1 {
 		t.Fatalf("panicking fn executed %d times, want 1", n)
@@ -178,10 +172,9 @@ func TestMemoPanicPropagation(t *testing.T) {
 // a short deadline runs its own function instead of waiting it out.
 func TestMemoPanicDoesNotWedgeKey(t *testing.T) {
 	var m Memo[string, []byte]
-	func() {
-		defer func() { recover() }()
-		m.Do("shard", func() ([]byte, error) { panic("worker bug") })
-	}()
+	if _, err := m.Do("shard", func() ([]byte, error) { panic("worker bug") }); err == nil {
+		t.Fatal("panicking Do returned no error")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	v, err := m.DoCtx(ctx, "shard", func() ([]byte, error) { return []byte("ok"), nil })
@@ -190,26 +183,22 @@ func TestMemoPanicDoesNotWedgeKey(t *testing.T) {
 	}
 }
 
-// TestGroupBoundsConcurrency: at most `workers` tasks run at once.
-func TestGroupBoundsConcurrency(t *testing.T) {
+// TestMapBoundsConcurrency: at most `workers` tasks run at once.
+func TestMapBoundsConcurrency(t *testing.T) {
 	const workers, tasks = 3, 24
-	g := NewGroup(context.Background(), workers)
 	var cur, peak atomic.Int64
-	for i := 0; i < tasks; i++ {
-		g.Go(func() error {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+	if _, err := Map(context.Background(), workers, tasks, func(int) (struct{}, error) {
+		n := cur.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
 			}
-			runtime.Gosched()
-			cur.Add(-1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+		}
+		runtime.Gosched()
+		cur.Add(-1)
+		return struct{}{}, nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > workers {
@@ -217,18 +206,22 @@ func TestGroupBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestGroupFirstErrorWinsAndCancels: the first error is reported and tasks
+// TestMapFirstErrorWinsAndCancels: the first error is reported and tasks
 // not yet started are skipped.
-func TestGroupFirstErrorWinsAndCancels(t *testing.T) {
-	g := NewGroup(context.Background(), 1) // serialize so "later" tasks are provably unstarted
+func TestMapFirstErrorWinsAndCancels(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	g.Go(func() error { ran.Add(1); return boom })
-	for i := 0; i < 50; i++ {
-		g.Go(func() error { ran.Add(1); return nil })
-	}
-	if err := g.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait = %v, want boom", err)
+	// One worker serializes the tasks, so "later" tasks are provably
+	// unstarted when the first fails.
+	_, err := Map(context.Background(), 1, 51, func(i int) (struct{}, error) {
+		ran.Add(1)
+		if i == 0 {
+			return struct{}{}, boom
+		}
+		return struct{}{}, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Map = %v, want boom", err)
 	}
 	// The failing task ran; with one worker and immediate failure, at least
 	// the tail of the queue must have been skipped.
@@ -237,20 +230,73 @@ func TestGroupFirstErrorWinsAndCancels(t *testing.T) {
 	}
 }
 
-// TestGroupPanicSurfacesInWait: a panicking task does not crash the worker
-// goroutine silently — Wait re-raises it.
-func TestGroupPanicSurfacesInWait(t *testing.T) {
-	g := NewGroup(context.Background(), 2)
-	g.Go(func() error { panic("worker exploded") })
-	defer func() {
-		r := recover()
-		pe, ok := r.(PanicError)
-		if !ok || pe.Value != "worker exploded" {
-			t.Fatalf("unexpected panic payload %v", r)
+// TestMapPanicIsReturned: a panicking task does not crash its worker
+// goroutine or the caller — Map returns it as the fan-out's *PanicError.
+func TestMapPanicIsReturned(t *testing.T) {
+	_, err := Map(context.Background(), 2, 4, func(i int) (int, error) {
+		if i == 1 {
+			panic("worker exploded")
 		}
-	}()
-	g.Wait()
-	t.Fatal("Wait returned instead of panicking")
+		return i, nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "worker exploded" {
+		t.Fatalf("Map = %v, want a *PanicError of worker exploded", err)
+	}
+}
+
+// explode is the panic site TestPanicErrorNamesPanickingFrame looks for in
+// each primitive's stack.
+func explode() { panic("original-site") }
+
+// TestPanicErrorNamesPanickingFrame: Memo, Map and Settle each return a
+// *PanicError whose stack is the panicking goroutine's own, and a panic
+// nested Settle → Map → Memo — the path every hmemd job takes — arrives as
+// one PanicError, not a wrapper of wrappers.
+func TestPanicErrorNamesPanickingFrame(t *testing.T) {
+	var m Memo[int, int]
+	memo := func() error {
+		_, err := m.Do(0, func() (int, error) { explode(); return 0, nil })
+		return err
+	}
+	mapped := func() error {
+		_, err := Map(context.Background(), 2, 3, func(i int) (int, error) {
+			if i == 2 {
+				explode()
+			}
+			return i, nil
+		})
+		return err
+	}
+	settled := func() error {
+		return Settle(context.Background(), 2, 3, func(i int) error {
+			if i == 1 {
+				explode()
+			}
+			return nil
+		})[1]
+	}
+	nested := func() error {
+		return Settle(context.Background(), 1, 1, func(int) error {
+			_, err := Map(context.Background(), 2, 2, func(i int) (int, error) {
+				return m.Do(i, func() (int, error) { explode(); return 0, nil })
+			})
+			return err
+		})[0]
+	}
+	for name, run := range map[string]func() error{"Memo": memo, "Map": mapped, "Settle": settled, "nested": nested} {
+		err := run()
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: got %v, want a *PanicError", name, err)
+		}
+		if n := strings.Count(err.Error(), "exec: panic in task"); n != 1 {
+			t.Errorf("%s: error %q wraps the panic %d times, want once", name, err, n)
+		}
+		if pe.Value != "original-site" || !strings.Contains(pe.Stack, "exec.explode(") {
+			t.Errorf("%s: Value = %v, stack does not name the panicking frame:\n%s", name, pe.Value, pe.Stack)
+		}
+	}
 }
 
 // TestMapOrderIndependentOfScheduling: Map returns results in index order
@@ -296,31 +342,31 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-// TestGroupContextCancelStopsPool: cancelling the group's context skips every
-// task that has not started yet and Wait reports the cancellation promptly.
-// Run under -race this also checks the cancel path for data races.
-func TestGroupContextCancelStopsPool(t *testing.T) {
+// TestMapContextCancelStopsPool: cancelling the fan-out's context skips
+// every task that has not started yet and Map reports the cancellation
+// promptly. Run under -race this also checks the cancel path for data races.
+func TestMapContextCancelStopsPool(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	g := NewGroup(ctx, 2)
 	var started atomic.Int64
 	release := make(chan struct{})
 	firstRunning := make(chan struct{}, 2)
 
 	const tasks = 200
-	for i := 0; i < tasks; i++ {
-		g.Go(func() error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := Map(ctx, 2, tasks, func(int) (struct{}, error) {
 			started.Add(1)
 			firstRunning <- struct{}{}
 			<-release // hold both workers until the test cancels
-			return nil
+			return struct{}{}, nil
 		})
-	}
+		done <- err
+	}()
 	<-firstRunning // at least one task is occupying the pool
 	cancel()
 	close(release)
-	err := g.Wait()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait = %v, want context.Canceled", err)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Map = %v, want context.Canceled", err)
 	}
 	// Both workers may have picked up a task before cancel landed; everything
 	// else must have been skipped.

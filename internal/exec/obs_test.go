@@ -114,10 +114,11 @@ func TestMapUntracedIsUninstrumented(t *testing.T) {
 	}
 }
 
-// TestFanoutBareContextAllocs pins the cost of a fan-out on a bare context:
-// the group's fixed three allocations (group, semaphore, done channel), Map's
-// result slice, and two per task (the task closure and its goroutine). Any
-// observability allocation leaking onto the untraced path breaks it.
+// TestFanoutBareContextAllocs pins the cost of a fan-out on a bare context
+// at four fixed allocations plus two per task. The worker loop spends a
+// handful of fixed ones (cancel context, result and error slices, task
+// closure, loop state) and one per worker goroutine; any observability
+// allocation leaking onto the untraced path shows up against that bound.
 func TestFanoutBareContextAllocs(t *testing.T) {
 	ctx := context.Background()
 	const n = 8

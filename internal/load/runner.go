@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"sync"
@@ -132,45 +133,53 @@ type Summary struct {
 	Shed           map[string]uint64       `json:"shed,omitempty"`
 }
 
-// ErrorRate is the run-wide error fraction, canceled excluded.
-func (s *Summary) ErrorRate() float64 {
-	var errs, considered uint64
-	for _, cs := range s.Classes {
-		for outcome, n := range cs.Outcomes {
+// errorRates is the one tally behind every error budget. Of the operations
+// not canceled (deadline-cut, they say nothing about the server), all is
+// the fraction that failed and unhinted the fraction that failed other than
+// by an honest shed (429/503 + Retry-After); both are 0 when none count.
+func errorRates(classes ...map[string]uint64) (all, unhinted float64) {
+	var considered, errs, unhintedErrs uint64
+	for _, outcomes := range classes {
+		for outcome, n := range outcomes {
 			if outcome != OutcomeCanceled {
 				considered += n
 			}
 			if IsError(outcome) {
 				errs += n
+				if outcome != OutcomeShedHinted {
+					unhintedErrs += n
+				}
 			}
 		}
 	}
 	if considered == 0 {
-		return 0
+		return 0, 0
 	}
-	return float64(errs) / float64(considered)
+	return float64(errs) / float64(considered), float64(unhintedErrs) / float64(considered)
 }
 
-// UnhintedErrorRate is ErrorRate with honest sheds (429/503 + Retry-After)
-// forgiven: the error fraction a browned-out server cannot excuse. Canceled
-// stays excluded; hinted sheds stay in the denominator — they are real
-// responses, just not failures of the overload contract.
-func (s *Summary) UnhintedErrorRate() float64 {
-	var errs, considered uint64
+// errorRates tallies every class's outcomes.
+func (s *Summary) errorRates() (all, unhinted float64) {
+	classes := make([]map[string]uint64, 0, len(s.Classes))
 	for _, cs := range s.Classes {
-		for outcome, n := range cs.Outcomes {
-			if outcome != OutcomeCanceled {
-				considered += n
-			}
-			if IsError(outcome) && outcome != OutcomeShedHinted {
-				errs += n
-			}
-		}
+		classes = append(classes, cs.Outcomes)
 	}
-	if considered == 0 {
-		return 0
-	}
-	return float64(errs) / float64(considered)
+	return errorRates(classes...)
+}
+
+// ErrorRate is the run-wide error fraction, canceled excluded.
+func (s *Summary) ErrorRate() float64 {
+	all, _ := s.errorRates()
+	return all
+}
+
+// UnhintedErrorRate is ErrorRate with honest sheds forgiven: the error
+// fraction a browned-out server cannot excuse. Hinted sheds stay in the
+// denominator — they are real responses, just not failures of the overload
+// contract.
+func (s *Summary) UnhintedErrorRate() float64 {
+	_, unhinted := s.errorRates()
+	return unhinted
 }
 
 // Run executes one load segment against cfg.BaseURL and returns its Summary.
@@ -286,21 +295,11 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	achievedGauge.Set(sum.AchievedRPS)
 	rec.mu.Lock()
 	for class, outcomes := range rec.counts {
-		cs := ClassSummary{Outcomes: map[string]uint64{}}
-		var errs, considered uint64
-		for outcome, n := range outcomes {
-			cs.Outcomes[outcome] = n
+		cs := ClassSummary{Outcomes: maps.Clone(outcomes)}
+		for _, n := range outcomes {
 			cs.Requests += n
-			if outcome != OutcomeCanceled {
-				considered += n
-			}
-			if IsError(outcome) {
-				errs += n
-			}
 		}
-		if considered > 0 {
-			cs.ErrorRate = float64(errs) / float64(considered)
-		}
+		cs.ErrorRate, _ = errorRates(outcomes)
 		snap := rec.duration.With(class).Snapshot()
 		cs.P50MS = snap.Quantile(0.50) * 1e3
 		cs.P90MS = snap.Quantile(0.90) * 1e3

@@ -61,7 +61,7 @@ func TestClusterBrownoutBreakerAndRecovery(t *testing.T) {
 	coordCfg.Cluster.RequestTimeout = 2 * time.Second
 	coordCfg.Cluster.StealAfter = time.Second
 	coord, cc := service.NewTestServer(t, coordCfg)
-	_, urls := service.StartWorkers(t, coord, 2)
+	_, urls := service.StartWorkers(t, coord, 2, service.ClusterTestConfig(service.RoleWorker))
 
 	// Brownout: w1 stays registered and alive but answers far slower than the
 	// shard timeout allows. Every dispatch to it times out; w2 is healthy.

@@ -16,6 +16,7 @@ import (
 
 	"hmem"
 	"hmem/internal/chaos"
+	"hmem/internal/trace"
 )
 
 // metricsPage fetches /metrics as text.
@@ -99,6 +100,41 @@ func TestJobPanicIsolation(t *testing.T) {
 	}
 	if got := inj.Stats().Tasks; got != 1 {
 		t.Fatalf("injected task faults = %d, want 1", got)
+	}
+}
+
+// panicStream is a trace stream whose Next panics: a simulation bug deep
+// inside a memoized run.
+type panicStream struct{}
+
+func (panicStream) Next() (trace.Record, error) { panic("stream exploded") }
+
+// TestJobSimulationPanicNamesItsFrame: a simulation that panics inside a
+// figure driver — under the job's Settle, the driver's Map and the engine's
+// Memo — fails its job with the panic wrapped once and the panicking
+// goroutine's own stack, which names the frame that panicked.
+func TestJobSimulationPanicNamesItsFrame(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Defaults.Workloads = []string{"astar"}
+	cfg.TraceWrap = func(string, hmem.TraceStream) hmem.TraceStream { return panicStream{} }
+	_, c := newTestServer(t, cfg)
+
+	st, err := c.SubmitJob(context.Background(), JobRequest{Experiment: "figure5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, c, st.ID)
+	if final.State != JobFailed {
+		t.Fatalf("job state = %s, want failed", final.State)
+	}
+	if n := strings.Count(final.Error, "exec: panic in task"); n != 1 || !strings.Contains(final.Error, "stream exploded") {
+		t.Fatalf("job error wraps the panic %d times, want once:\n%s", n, final.Error)
+	}
+	if !strings.Contains(final.Error, "service.panicStream.Next(") {
+		t.Fatalf("job error's stack does not name the panicking frame:\n%s", final.Error)
+	}
+	if page := metricsPage(t, c.BaseURL); !strings.Contains(page, "hmemd_job_panics_total 1") {
+		t.Fatalf("metrics missing panic count:\n%s", page)
 	}
 }
 
@@ -582,8 +618,8 @@ func TestJournalRetriesFailedAppendAndSeversTornWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	jl2.close()
-	if stats.corruptLines != 1 {
-		t.Fatalf("corrupt lines = %d, want exactly the one torn fragment", stats.corruptLines)
+	if stats.CorruptLines != 1 {
+		t.Fatalf("corrupt lines = %d, want exactly the one torn fragment", stats.CorruptLines)
 	}
 	if len(recs) != 2 || recs[0].Op != "submit" || recs[1].State != JobDone {
 		t.Fatalf("replayed records = %+v, want the retried submit and done", recs)

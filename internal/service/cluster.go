@@ -13,6 +13,7 @@ import (
 	"hmem"
 	"hmem/internal/breaker"
 	"hmem/internal/cluster"
+	"hmem/internal/exec"
 	"hmem/internal/experiments"
 	"hmem/internal/obs"
 )
@@ -353,6 +354,13 @@ func (s *Service) executeShard(ctx context.Context, sh cluster.Shard, b experime
 	}
 	// The registry rides along so engine metrics (hmem_*) land on /metrics
 	// on workers too; memo sharing semantics inside the block paths handle
-	// cancellation the same way local traffic does.
-	return en.runner.Execute(obs.WithRegistry(ctx, s.registry), b)
+	// cancellation the same way local traffic does. A panicking block
+	// becomes a *PanicError and so a 500: the coordinator propagates that
+	// deterministic failure once instead of retrying it on every worker.
+	var raw json.RawMessage
+	err = exec.Protect(func() (err error) {
+		raw, err = en.runner.Execute(obs.WithRegistry(ctx, s.registry), b)
+		return err
+	})
+	return raw, err
 }

@@ -28,14 +28,14 @@ func clusterTestConfig(role string) Config {
 	return cfg
 }
 
-// startWorkers brings up n worker nodes and registers them with the
-// coordinator, returning their services and base URLs.
-func startWorkers(t *testing.T, coord *Service, n int) ([]*Service, []string) {
+// startWorkers brings up n worker nodes configured by cfg and registers
+// them with the coordinator, returning their services and base URLs.
+func startWorkers(t *testing.T, coord *Service, n int, cfg Config) ([]*Service, []string) {
 	t.Helper()
 	var svcs []*Service
 	var urls []string
 	for i := 0; i < n; i++ {
-		w, err := New(clusterTestConfig(RoleWorker))
+		w, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestClusterByteIdenticalToStandalone(t *testing.T) {
 
 	for _, workers := range []int{1, 3} {
 		coord, cc := newTestServer(t, clusterTestConfig(RoleCoordinator))
-		workerSvcs, _ := startWorkers(t, coord, workers)
+		workerSvcs, _ := startWorkers(t, coord, workers, clusterTestConfig(RoleWorker))
 		for i, tc := range cases {
 			got := evaluateJSON(t, cc, tc.workload, tc.policy)
 			if string(got) != string(want[i]) {
@@ -148,7 +148,7 @@ func TestClusterBatchByteIdentical(t *testing.T) {
 	}
 
 	coord, cc := newTestServer(t, clusterTestConfig(RoleCoordinator))
-	workerSvcs, _ := startWorkers(t, coord, 2)
+	workerSvcs, _ := startWorkers(t, coord, 2, clusterTestConfig(RoleWorker))
 	got, gotSum, err := cc.CollectBatch(ctx, BatchRequest{Items: items})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestClusterBatchPostsEachShardOnce(t *testing.T) {
 	coordCfg := clusterTestConfig(RoleCoordinator)
 	coordCfg.Cluster.Transport = rec
 	coord, cc := newTestServer(t, coordCfg)
-	startWorkers(t, coord, 2)
+	startWorkers(t, coord, 2, clusterTestConfig(RoleWorker))
 
 	var items []BatchItem
 	for _, p := range []hmem.PolicyName{"perf-focused", "balanced", "wr-ratio", "cc-migration", "fc-migration"} {
@@ -279,7 +279,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	coordCfg := clusterTestConfig(RoleCoordinator)
 	coordCfg.Cluster.Transport = part.RoundTripper(nil)
 	coord, cc := newTestServer(t, coordCfg)
-	workerSvcs, urls := startWorkers(t, coord, 2)
+	workerSvcs, urls := startWorkers(t, coord, 2, clusterTestConfig(RoleWorker))
 
 	// Warm nothing; partition w1 before the run so every shard the ring
 	// hands it fails over to w2 on first contact — the deterministic
@@ -321,6 +321,58 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	_ = evaluateJSON(t, cc, "astar", "cc-migration")
 	if after := coord.cluster.sched.Stats().Placed; after != before {
 		t.Errorf("re-evaluation re-placed shards (%d -> %d), want cache hit", before, after)
+	}
+}
+
+// TestClusterPoisonBlockPlacedOnce: a block that panics on every node is a
+// deterministic shard failure, not a dead worker. The worker recovers the
+// panic and answers 500, so the coordinator places the block once and
+// returns the worker's panic: no retry on another worker, no breaker
+// failure, no local recompute.
+func TestClusterPoisonBlockPlacedOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations across multiple in-process nodes")
+	}
+	poison := func(cfg Config) Config {
+		cfg.TraceWrap = func(string, hmem.TraceStream) hmem.TraceStream { return panicStream{} }
+		return cfg
+	}
+	rec := &shardPostRecorder{posts: map[string]int{}, kinds: map[string]experiments.BlockKind{}}
+	coordCfg := poison(clusterTestConfig(RoleCoordinator))
+	coordCfg.Cluster.Transport = rec
+	coord, cc := newTestServer(t, coordCfg)
+	startWorkers(t, coord, 2, poison(clusterTestConfig(RoleWorker)))
+
+	_, err := cc.Evaluate(context.Background(), EvaluateRequest{Workload: "astar", Policy: hmem.PolicyDDROnly})
+	if err == nil {
+		t.Fatal("evaluate of a poison block succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "worker HTTP 500") ||
+		strings.Count(msg, "exec: panic in task: stream exploded") != 1 {
+		t.Fatalf("coordinator answer = %q, want the worker's panic, once", msg)
+	}
+
+	rec.mu.Lock()
+	profiles := 0
+	for key, n := range rec.posts {
+		if n != 1 {
+			t.Errorf("%s shard %s posted %d times, want 1", rec.kinds[key], key, n)
+		}
+		if rec.kinds[key] == experiments.BlockProfile {
+			profiles++
+		}
+	}
+	rec.mu.Unlock()
+	if profiles != 1 {
+		t.Errorf("%d profile shards posted, want the poison block placed once", profiles)
+	}
+	if page := metricsPage(t, cc.BaseURL); !strings.Contains(page, "hmemd_cluster_retries_total 0") {
+		t.Errorf("coordinator retried the poison block:\n%s", page)
+	}
+	for _, w := range coord.ClusterWorkers() {
+		if st := coord.cluster.breakers.Get(w.ID).Stats(); st.WindowFailures != 0 {
+			t.Errorf("worker %s breaker recorded %d failures, want 0", w.ID, st.WindowFailures)
+		}
 	}
 }
 

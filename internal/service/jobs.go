@@ -558,7 +558,7 @@ func (s *Service) runOneJob(j *job) {
 		if len(stack) > panicStackLimit {
 			stack = stack[:panicStackLimit] + "\n[stack truncated]"
 		}
-		s.setJobState(j, JobFailed, fmt.Sprintf("panic: %v\n%s", pe.Value, stack), nil)
+		s.setJobState(j, JobFailed, fmt.Sprintf("panic: %v\n%s", err, stack), nil)
 	case errors.Is(err, context.DeadlineExceeded) && j.req.TimeoutMS > 0 && s.baseCtx.Err() == nil:
 		s.setJobState(j, JobFailed, fmt.Sprintf("job deadline (%dms) exceeded", j.req.TimeoutMS), nil)
 	case err != nil:

@@ -87,25 +87,16 @@ type journal struct {
 	appendErrs atomic.Uint64
 }
 
-// journalOpenStats reports what opening the journal found and cleaned up.
-type journalOpenStats struct {
-	// corruptLines is how many unparsable lines were skipped: one torn tail
-	// is expected after a crash mid-append, anything more is corruption an
-	// operator should know turned the replay lossy.
-	corruptLines int
-	// compacted is how many superseded or orphaned records the startup
-	// rewrite dropped.
-	compacted int
-}
-
 // openJournal reads dir's existing journal (if any), compacts the file, and
-// opens it for append; it returns the records it read, in seq order. A torn trailing line — what a crash mid-append leaves
-// behind — is skipped, as is any other unparsable line: a best-effort
-// journal must not brick the daemon that owns it; the skips are counted so
-// operators can tell a clean replay from a lossy one. wrap, when non-nil,
-// decorates the append writer (fault-injection seam).
-func openJournal(dir string, wrap func(io.Writer) io.Writer) (*journal, []journalRecord, journalOpenStats, error) {
-	var stats journalOpenStats
+// opens it for append; it returns the records it read, in seq order, and
+// fills the returned RecoveryStats' CorruptLines and CompactedRecords. A
+// torn trailing line — what a crash mid-append leaves behind — is skipped,
+// as is any other unparsable line: a best-effort journal must not brick the
+// daemon that owns it; the skips are counted so operators can tell a clean
+// replay from a lossy one. wrap, when non-nil, decorates the append writer
+// (fault-injection seam).
+func openJournal(dir string, wrap func(io.Writer) io.Writer) (*journal, []journalRecord, RecoveryStats, error) {
+	var stats RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, stats, fmt.Errorf("service: creating journal dir: %w", err)
 	}
@@ -119,7 +110,7 @@ func openJournal(dir string, wrap func(io.Writer) io.Writer) (*journal, []journa
 			}
 			var rec journalRecord
 			if json.Unmarshal(line, &rec) != nil {
-				stats.corruptLines++
+				stats.CorruptLines++
 				continue
 			}
 			recs = append(recs, rec)
@@ -144,9 +135,9 @@ func openJournal(dir string, wrap func(io.Writer) io.Writer) (*journal, []journa
 	// old file is still valid, just larger, and appends continue past its
 	// original tail. Replay compacts the records itself either way.
 	kept := flattenJobs(compactRecords(recs))
-	stats.compacted = len(recs) - len(kept)
-	if (stats.compacted > 0 || stats.corruptLines > 0) && rewriteJournal(path, kept) != nil {
-		stats.compacted = 0
+	stats.CompactedRecords = len(recs) - len(kept)
+	if (stats.CompactedRecords > 0 || stats.CorruptLines > 0) && rewriteJournal(path, kept) != nil {
+		stats.CompactedRecords = 0
 	}
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

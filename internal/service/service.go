@@ -72,10 +72,6 @@ type Config struct {
 	// WrapJournalWriter, when set, decorates the journal's append writer
 	// (fault-injection seam for disk-failure tests).
 	WrapJournalWriter func(io.Writer) io.Writer
-	// TraceBuffer is the capacity of the in-memory span ring buffer behind
-	// GET /v1/jobs/{id}/trace (<=0 = 4096 spans). One ring serves every job;
-	// spans carry the job id as their trace id.
-	TraceBuffer int
 	// SpanWriter, when set, additionally streams every finished span as one
 	// NDJSON line (hmemd's -trace-log flag). Write failures degrade to the
 	// dropped-spans counter; they never fail the traced job.
@@ -95,7 +91,10 @@ type Config struct {
 const (
 	defaultMaxBodyBytes = 1 << 20
 	defaultQueueDepth   = 16
-	defaultTraceBuffer  = 4096
+	// traceBuffer is the capacity of the in-memory span ring behind
+	// GET /v1/jobs/{id}/trace. One ring serves every job; spans carry the
+	// job id as their trace id, and the newest spans win.
+	traceBuffer = 4096
 )
 
 // Service is the hmemd HTTP handler plus its job queue and caches. Create
@@ -166,9 +165,6 @@ func New(cfg Config) (*Service, error) {
 	if workers == 0 {
 		workers = 1
 	}
-	if cfg.TraceBuffer <= 0 {
-		cfg.TraceBuffer = defaultTraceBuffer
-	}
 	baseCtx, cancel := context.WithCancel(context.Background())
 	reg := obs.NewRegistry()
 	s := &Service{
@@ -181,7 +177,7 @@ func New(cfg Config) (*Service, error) {
 		cancelBase: cancel,
 		registry:   reg,
 		met:        newServiceMetrics(reg),
-		ring:       obs.NewRing(cfg.TraceBuffer),
+		ring:       obs.NewRing(traceBuffer),
 	}
 	s.spanExp = obs.Exporter(s.ring)
 	if cfg.SpanWriter != nil {
@@ -219,14 +215,12 @@ func New(cfg Config) (*Service, error) {
 		// other phase; attrs carry what compaction and replay found.
 		tr := obs.NewTracer("startup", s.spanExp)
 		_, sp := obs.Start(obs.WithTracer(context.Background(), tr), "journal.replay")
-		jl, recs, jstats, err := openJournal(cfg.JournalDir, cfg.WrapJournalWriter)
+		jl, recs, recovery, err := openJournal(cfg.JournalDir, cfg.WrapJournalWriter)
 		if err != nil {
 			cancel()
 			return nil, err
 		}
-		s.journal = jl
-		s.recovery.CorruptLines = jstats.corruptLines
-		s.recovery.CompactedRecords = jstats.compacted
+		s.journal, s.recovery = jl, recovery
 		requeue = s.replayJournal(recs)
 		sp.SetAttrs(
 			obs.Int("restored", int64(s.recovery.Restored)),
