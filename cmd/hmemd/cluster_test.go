@@ -24,7 +24,7 @@ import (
 //   - the cluster load profile, through the coordinator, meets the cluster
 //     smoke SLO and places more shards, and w1 executed shards at its
 //     advertised URL;
-//   - on SIGTERM both workers exit 0 and leave the ring, and the coordinator
+//   - on SIGTERM both workers exit 0 and deregister, and the coordinator
 //     alone still answers the reference bytes, then drains with exit 0.
 func TestClusterSmoke(t *testing.T) {
 	if testing.Short() {
@@ -100,7 +100,7 @@ func TestClusterSmoke(t *testing.T) {
 	for _, v := range spec.Evaluate(sum) {
 		t.Errorf("cluster load run: %s", v)
 	}
-	// The load really flowed through the ring, not the local fallback.
+	// The load really flowed through the workers, not the local fallback.
 	if after := coord.metric(t, "hmemd_cluster_shards_placed_total"); after <= placed {
 		t.Errorf("the cluster load run placed no shards (%v before, %v after)", placed, after)
 	}

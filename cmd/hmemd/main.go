@@ -10,7 +10,7 @@
 //
 // Clustering (-role): a coordinator shards expensive work — experiment
 // grids and fault-study Monte-Carlo strata — across registered workers by
-// consistent hashing, retrying shards from dead or straggling workers
+// rendezvous hashing, retrying shards from dead or straggling workers
 // elsewhere; results merge deterministically, so cluster output is
 // byte-identical to standalone at any worker count. Workers self-register
 // and heartbeat:
@@ -77,8 +77,8 @@ func main() {
 		role         = flag.String("role", "standalone", "cluster role: standalone, coordinator, or worker")
 		coordinator  = flag.String("coordinator", "", "coordinator base URL a worker registers with (required for -role worker)")
 		advertise    = flag.String("advertise", "", "URL the coordinator should reach this worker at (default http://127.0.0.1:<port of -addr>)")
-		workerID     = flag.String("worker-id", "", "stable worker identity in the placement ring (default <hostname>:<port>)")
-		clusterTTL   = flag.Duration("cluster-ttl", 0, "coordinator: drop workers silent for this long (0 = 10s)")
+		workerID     = flag.String("worker-id", "", "stable worker identity that placement keys on (default <hostname>:<port>)")
+		clusterTTL   = flag.Duration("cluster-ttl", 0, "coordinator: stop placing on a worker silent for this long, checked at each placement (0 = 10s)")
 		stealAfter   = flag.Duration("steal-after", 0, "coordinator: longest wait before hedging a straggling shard onto another worker; the delay adapts to 2x the p90 shard latency below it (0 = 2m)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "coordinator: bound one shard dispatch (0 = 10m); timeouts count against the worker's circuit breaker")
 		admitBudget  = flag.Float64("admission-budget", 0, "in-flight cost ceiling in default-evaluation units before shedding (0 = 4 x GOMAXPROCS, min 32)")
@@ -213,7 +213,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if stopHeartbeat != nil {
-		// Leave the ring first so the coordinator stops placing new shards
+		// Deregister first so the coordinator stops placing new shards
 		// here while we drain the ones in flight.
 		stopHeartbeat()
 		<-heartbeatDone
@@ -247,8 +247,8 @@ func ensurePort(addr string) string {
 
 // heartbeatLoop registers the worker, then re-registers every third of the
 // TTL the coordinator last granted (DefaultTTL until one answers), until ctx
-// is cancelled, deregistering on the way out (clean drain; a crash is
-// instead collected by the coordinator's TTL sweep).
+// is cancelled, deregistering on the way out (clean drain; a crashed worker
+// instead expires once silent past the coordinator's TTL).
 func heartbeatLoop(ctx context.Context, done chan<- struct{}, svc *service.Service, c *service.Client, id, selfURL string) {
 	defer close(done)
 	every, registered := cluster.DefaultTTL/3, false

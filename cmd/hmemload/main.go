@@ -88,14 +88,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *chaosPath != "" {
-		data, err := os.ReadFile(*chaosPath)
+		f, err := os.Open(*chaosPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "hmemload: %v\n", err)
 			return 2
 		}
 		var plan chaos.Plan
-		if err := json.Unmarshal(data, &plan); err != nil {
+		dec := json.NewDecoder(f)
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&plan)
+		f.Close()
+		if err != nil {
 			fmt.Fprintf(stderr, "hmemload: parsing chaos plan: %v\n", err)
+			return 2
+		}
+		// Only the HTTP seam reaches a remote daemon: a plan with nothing to
+		// inject there would hold a healthy run to the degraded budget.
+		if len(plan.HTTP) == 0 || len(plan.Trace)+len(plan.Tasks)+len(plan.Write) > 0 {
+			fmt.Fprintf(stderr, "hmemload: chaos plan %s: hmemload injects only http faults; the plan must hold at least one and no other kind\n", *chaosPath)
 			return 2
 		}
 		inj, err := chaos.New(plan)

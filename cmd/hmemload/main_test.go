@@ -80,6 +80,23 @@ func TestRunExitCodes(t *testing.T) {
 	if code := run([]string{"-duration", "0"}, &stdout, &stderr); code != 2 {
 		t.Fatal("unbounded run accepted")
 	}
+
+	// A chaos plan that would inject nothing over HTTP must not quietly
+	// switch a fault-free run to the degraded budget.
+	for name, plan := range map[string]string{
+		"typo":       `{"htpp": [{"at_request": 0, "mode": "error"}]}`,
+		"tasks-only": `{"tasks": [{"at_call": 0, "mode": "panic"}]}`,
+		"mixed":      `{"http": [{"at_request": 0, "mode": "error"}], "write": [{"at_write": 0, "mode": "error"}]}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stderr.Reset()
+		if code := run(append(base, "-chaos", path, "-slo", passable), &stdout, &stderr); code != 2 {
+			t.Errorf("chaos plan %s exited %d, want 2\nstderr: %s", name, code, &stderr)
+		}
+	}
 }
 
 // TestRunArtifacts: one run emits the metrics text and a resumable context;

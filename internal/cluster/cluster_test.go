@@ -114,19 +114,58 @@ func TestRegistryExpire(t *testing.T) {
 	now = now.Add(8 * time.Second)
 	g.Register(RegisterRequest{ID: "fresh", URL: "http://fresh"})
 	now = now.Add(5 * time.Second) // old: 13s ago, fresh: 5s ago
-	dead := g.Expire()
-	if len(dead) != 1 || dead[0].ID != "old" {
-		t.Fatalf("Expire = %+v, want [old]", dead)
-	}
 	if g.Len() != 1 {
-		t.Errorf("live after expire = %d", g.Len())
+		t.Errorf("live after TTL = %d", g.Len())
 	}
 	if st := g.Stats(); st.Expiries != 1 {
 		t.Errorf("expiries = %d", st.Expiries)
 	}
-	// The expired worker must also have left the ring.
+	// The expired worker must also have left placement.
 	if owners := g.Owners("anything", 5); len(owners) != 1 || owners[0].ID != "fresh" {
 		t.Errorf("Owners after expire = %+v", owners)
+	}
+	// A heartbeat after the TTL re-joins the worker as new; the drop it
+	// follows was already counted once.
+	if isNew, err := g.Register(RegisterRequest{ID: "old", URL: "http://old"}); err != nil || !isNew {
+		t.Errorf("late heartbeat: new=%v err=%v, want a re-join", isNew, err)
+	}
+	if st := g.Stats(); st.Live != 2 || st.Expiries != 1 {
+		t.Errorf("after re-join: %+v, want 2 live, 1 expiry", st)
+	}
+}
+
+// TestRegistryExpiresOnRead: with no sweep anywhere, every reader drops a
+// worker silent past the TTL before answering, and the drop counts as
+// exactly one expiry however many reads follow.
+func TestRegistryExpiresOnRead(t *testing.T) {
+	readers := map[string]func(g *Registry) int{
+		"Owners":   func(g *Registry) int { return len(g.Owners("k", 5)) },
+		"Snapshot": func(g *Registry) int { return len(g.Snapshot()) },
+		"Len":      func(g *Registry) int { return g.Len() },
+		"Stats":    func(g *Registry) int { return g.Stats().Live },
+	}
+	for name, live := range readers {
+		t.Run(name, func(t *testing.T) {
+			g := NewRegistry(time.Second)
+			now := time.Unix(1000, 0)
+			g.now = func() time.Time { return now }
+			g.Register(RegisterRequest{ID: "silent", URL: "http://silent"})
+			now = now.Add(600 * time.Millisecond)
+			g.Register(RegisterRequest{ID: "beating", URL: "http://beating"})
+			now = now.Add(600 * time.Millisecond) // silent: 1.2s, beating: 0.6s
+			if got := live(g); got != 1 {
+				t.Errorf("%s shows %d workers, want 1", name, got)
+			}
+			if ws := g.Snapshot(); len(ws) != 1 || ws[0].ID != "beating" {
+				t.Errorf("Snapshot = %+v, want [beating]", ws)
+			}
+			if owners := g.Owners("k", 5); len(owners) != 1 || owners[0].ID != "beating" {
+				t.Errorf("Owners = %+v, want [beating]", owners)
+			}
+			if st := g.Stats(); st.Live != 1 || st.Expiries != 1 {
+				t.Errorf("Stats = %+v, want 1 live, exactly 1 expiry", st)
+			}
+		})
 	}
 }
 
@@ -185,7 +224,7 @@ func testShard(i int) Shard {
 }
 
 // TestSchedulerPlacesOnOwner: the scheduler keeps no results, so every Run
-// places the shard, and a repeat lands on the same ring owner, whose engine
+// places the shard, and a repeat lands on the same owner, whose engine
 // memo answers it.
 func TestSchedulerPlacesOnOwner(t *testing.T) {
 	g := NewRegistry(time.Minute)
@@ -207,7 +246,7 @@ func TestSchedulerPlacesOnOwner(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Errorf("repeat run differs: %s vs %s", b1, b2)
 	}
-	owner, _ := g.ring.Owner(sh.Key())
+	owner := g.Owners(sh.Key(), 1)[0].ID
 	for _, w := range []*fakeWorker{w1, w2} {
 		want := 0
 		if w.id == owner {
@@ -229,19 +268,19 @@ func TestSchedulerConsistentPlacement(t *testing.T) {
 		w.register(g)
 	}
 	s := &Scheduler{Registry: g}
-	// Each shard must be executed by its ring owner.
+	// Each shard must be executed by its owner.
 	for i := 0; i < 12; i++ {
 		sh := testShard(i)
 		if _, err := s.Run(context.Background(), sh); err != nil {
 			t.Fatal(err)
 		}
-		owner, _ := g.ring.Owner(sh.Key())
+		owner := g.Owners(sh.Key(), 1)[0].ID
 		found := false
 		for _, w := range workers {
 			for _, k := range w.executions() {
 				if k == sh.Key() {
 					if w.id != owner {
-						t.Errorf("shard %d executed on %s, ring owner is %s", i, w.id, owner)
+						t.Errorf("shard %d executed on %s, owner is %s", i, w.id, owner)
 					}
 					found = true
 				}
@@ -264,7 +303,7 @@ func TestSchedulerRetriesOnDeadWorker(t *testing.T) {
 	var sh Shard
 	for i := 0; ; i++ {
 		sh = testShard(i)
-		if owner, _ := g.ring.Owner(sh.Key()); owner == "w1" {
+		if g.Owners(sh.Key(), 1)[0].ID == "w1" {
 			break
 		}
 	}
@@ -385,7 +424,7 @@ func TestSchedulerStealsFromStraggler(t *testing.T) {
 	var sh Shard
 	for i := 0; ; i++ {
 		sh = testShard(i)
-		if owner, _ := g.ring.Owner(sh.Key()); owner == "w1" {
+		if g.Owners(sh.Key(), 1)[0].ID == "w1" {
 			break
 		}
 	}

@@ -74,7 +74,7 @@ func TestHedgeBudget(t *testing.T) {
 	}
 }
 
-// TestHedgeLogNamesPrimaryWorker: when the ring owner's breaker refuses the
+// TestHedgeLogNamesPrimaryWorker: when the owner's breaker refuses the
 // dispatch, the primary lands on the next candidate, and the hedge log must
 // name that worker as the straggler, not the skipped owner.
 func TestHedgeLogNamesPrimaryWorker(t *testing.T) {

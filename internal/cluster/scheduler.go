@@ -50,15 +50,16 @@ func retryableStatus(code int) bool {
 }
 
 // Scheduler places shards on registered workers and collects their results.
-// Placement is consistent-hash by shard key (repeat shards land on the node
+// Placement is rendezvous-hash by shard key (repeat shards land on the node
 // whose engine memo already holds the result); failures retry on the next
-// ring candidate; stragglers are raced against a hedged duplicate dispatch —
-// all safe because shard results are pure functions of their descriptors.
+// placement candidate; stragglers are raced against a hedged duplicate
+// dispatch — all safe because shard results are pure functions of their
+// descriptors.
 // The scheduler keeps no results: callers run it inside their engine memo,
 // which coalesces concurrent requests for a block and caches its success.
 // Safe for concurrent use.
 type Scheduler struct {
-	// Registry supplies live workers and ring placement.
+	// Registry supplies live workers and their placement order.
 	Registry *Registry
 	// Client is the HTTP client for worker calls (wrap its Transport with
 	// a chaos.Injector's RoundTripper to inject faults). Nil uses a
@@ -67,7 +68,7 @@ type Scheduler struct {
 	Client *http.Client
 	// StealAfter enables hedging and bounds its delay (0 disables it). When
 	// the owner has not answered in time, a duplicate dispatch goes to the
-	// next ring candidate; first success wins and the loser's result is
+	// next placement candidate; first success wins and the loser's result is
 	// discarded. The delay is hedgeMultiplier × the p90 of recent shard
 	// latencies, clamped to [StealAfter/4, StealAfter]; until hedgeMinSamples
 	// latencies exist it is StealAfter itself.
@@ -77,7 +78,7 @@ type Scheduler struct {
 	// failures and retryable statuses count against the worker; application
 	// errors do not — the shard, not the worker, is broken). Workers with an
 	// open breaker are probed by the breaker's half-open trickle instead of
-	// being binary-expired from the ring.
+	// being dropped from placement.
 	Breakers *breaker.Set
 	// RequestTimeout bounds one shard POST (<=0 means 10 minutes —
 	// simulations are slow, wedged workers are not).
@@ -241,7 +242,7 @@ func (s *Scheduler) RunAll(ctx context.Context, workers int, shards []Shard) ([]
 	})
 }
 
-// dispatch drives one shard to completion: placement on the ring owner with
+// dispatch drives one shard to completion: placement on the key's owner with
 // bounded retry-on-another-worker and hedging of stragglers, both
 // consulting per-worker circuit breakers so quarantined workers are skipped
 // rather than tried.

@@ -47,7 +47,7 @@ func (s Shard) Validate() error {
 
 // RegisterRequest is the worker -> coordinator registration/heartbeat body.
 type RegisterRequest struct {
-	// ID is the worker's stable identity (ring membership key).
+	// ID is the worker's stable identity (its placement key).
 	ID string `json:"id"`
 	// URL is the worker's base URL as reachable from the coordinator.
 	URL string `json:"url"`

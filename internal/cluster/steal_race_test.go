@@ -35,11 +35,11 @@ func TestClusterStealRaceBothSucceed(t *testing.T) {
 	owner.register(g)
 	thief.register(g)
 
-	// Pick a shard whose ring owner is the stalling worker.
+	// Pick a shard whose owner is the stalling worker.
 	var sh Shard
 	for i := 0; ; i++ {
 		sh = testShard(i)
-		if o, _ := g.ring.Owner(sh.Key()); o == "w1" {
+		if g.Owners(sh.Key(), 1)[0].ID == "w1" {
 			break
 		}
 	}

@@ -115,7 +115,7 @@ func TestClusterBrownoutBreakerAndRecovery(t *testing.T) {
 	// Recovery: end the brownout, wait out the breaker's 5 s quarantine
 	// (in-flight brownout dispatches fail within one shard timeout of the
 	// heal, well inside it), and keep offering fresh work. Each placement
-	// whose ring owner is w1 becomes a half-open probe; two successful
+	// whose owner is w1 becomes a half-open probe; two successful
 	// probes in a row re-close the breaker. A unique fault_trials per
 	// iteration defeats every cache.
 	inj.Heal()

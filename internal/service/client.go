@@ -326,8 +326,8 @@ func (c *Client) Jobs(ctx context.Context, limit, offset int) (jobs []JobStatus,
 	return out.Jobs, out.Total, nil
 }
 
-// ClusterRegister joins (or heartbeats) this process as a worker in a
-// coordinator's placement ring. The returned TTL is how long the
+// ClusterRegister joins (or heartbeats) this process as a worker a
+// coordinator places shards on. The returned TTL is how long the
 // registration stays live without another heartbeat.
 func (c *Client) ClusterRegister(ctx context.Context, req cluster.RegisterRequest) (ttl time.Duration, err error) {
 	var out struct {
@@ -341,8 +341,8 @@ func (c *Client) ClusterRegister(ctx context.Context, req cluster.RegisterReques
 	return time.Duration(out.TTLSeconds * float64(time.Second)), nil
 }
 
-// ClusterDeregister removes a worker from the ring immediately (clean
-// drain; otherwise the TTL sweep collects it).
+// ClusterDeregister removes a worker from placement immediately (clean
+// drain; otherwise it expires once silent past the TTL).
 func (c *Client) ClusterDeregister(ctx context.Context, id string) error {
 	return c.doIdempotent(ctx, http.MethodPost, "/v1/cluster/deregister",
 		map[string]string{"id": id}, &struct {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,11 +32,11 @@ const (
 // ClusterConfig tunes the coordinator/worker machinery. The zero value
 // gives sane defaults everywhere.
 type ClusterConfig struct {
-	// TTL is how long a worker stays in the ring without a heartbeat
-	// (<=0 = cluster.DefaultTTL). The liveness sweep runs every TTL/10.
+	// TTL is how long a worker stays placeable without a heartbeat
+	// (<=0 = cluster.DefaultTTL); the registry checks it on every read.
 	TTL time.Duration
 	// StealAfter bounds the delay before a straggling shard is hedged onto
-	// the next ring candidate (<=0 = 2m); see cluster.Scheduler.StealAfter.
+	// the next placement candidate (<=0 = 2m); see cluster.Scheduler.StealAfter.
 	StealAfter time.Duration
 	// RequestTimeout bounds one shard POST (<=0 = 10m).
 	RequestTimeout time.Duration
@@ -53,16 +52,12 @@ type ClusterConfig struct {
 // in the engine memo of the node that computed them, not here.
 type clusterState struct {
 	role     string
-	reg      *cluster.Registry  // coordinator: worker membership + ring
+	reg      *cluster.Registry  // coordinator: worker membership + placement
 	sched    *cluster.Scheduler // coordinator: shard placement
 	breakers *breaker.Set       // coordinator: per-worker circuit breakers
 
 	executed atomic.Uint64 // shards this node ran for a coordinator
 	inflight atomic.Int64  // shard executions currently running
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	swept    sync.WaitGroup
 }
 
 // initCluster builds the role's machinery. Called from New before routes.
@@ -78,25 +73,20 @@ func (s *Service) initCluster() error {
 	default:
 		return fmt.Errorf("service: unknown role %q (want standalone, coordinator, or worker)", s.cfg.Role)
 	}
-	cs := &clusterState{role: role, stop: make(chan struct{})}
+	cs := &clusterState{role: role}
 	if role == RoleCoordinator {
 		cc := s.cfg.Cluster
-		ttl := cc.TTL
-		if ttl <= 0 {
-			ttl = cluster.DefaultTTL
-		}
 		stealAfter := cc.StealAfter
 		if stealAfter <= 0 {
 			stealAfter = 2 * time.Minute
 		}
 		httpClient := &http.Client{Transport: cc.Transport}
-		cs.reg = cluster.NewRegistry(ttl)
-		// Per-worker circuit breakers: transitions land on /metrics as the
-		// hmemd_breaker_state gauge, in the span stream as breaker.transition
-		// spans, and in the operator log.
+		cs.reg = cluster.NewRegistry(cc.TTL)
+		// Per-worker circuit breakers: transitions land in the span stream as
+		// breaker.transition spans and in the operator log; syncMetrics
+		// mirrors every breaker's state onto /metrics (hmemd_breaker_state).
 		breakers := &breaker.Set{
 			OnTransition: func(peer string, from, to breaker.State) {
-				s.met.breakerState.With(peer).Set(float64(to))
 				tr := obs.NewTracer("breaker", s.spanExp)
 				_, sp := obs.Start(obs.WithTracer(context.Background(), tr), "breaker.transition",
 					obs.Str("peer", peer), obs.Str("from", from.String()), obs.Str("to", to.String()))
@@ -116,33 +106,9 @@ func (s *Service) initCluster() error {
 			RequestTimeout: cc.RequestTimeout,
 			Logf:           cc.Logf,
 		}
-		every := ttl / 10
-		cs.swept.Add(1)
-		go func() {
-			defer cs.swept.Done()
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-cs.stop:
-					return
-				case <-t.C:
-					cs.reg.Expire()
-				}
-			}
-		}()
 	}
 	s.cluster = cs
 	return nil
-}
-
-// stopCluster halts the health sweeper; idempotent.
-func (s *Service) stopCluster() {
-	if s.cluster == nil {
-		return
-	}
-	s.cluster.stopOnce.Do(func() { close(s.cluster.stop) })
-	s.cluster.swept.Wait()
 }
 
 // Role reports the configured cluster role.
@@ -234,7 +200,7 @@ func (s *Service) requireCluster(w http.ResponseWriter, roles ...string) *cluste
 
 // handleClusterRegister is the worker -> coordinator join/heartbeat. The
 // same body serves both: a known ID refreshes liveness and load, a new one
-// joins the ring.
+// (or one already expired) joins placement.
 func (s *Service) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 	cs := s.requireCluster(w, RoleCoordinator)
 	if cs == nil {
@@ -253,14 +219,7 @@ func (s *Service) handleClusterRegister(w http.ResponseWriter, r *http.Request) 
 	if isNew {
 		code = http.StatusCreated
 	}
-	writeJSON(w, code, map[string]any{"workers": cs.reg.Len(), "ttl_seconds": s.clusterTTL().Seconds()})
-}
-
-func (s *Service) clusterTTL() time.Duration {
-	if s.cfg.Cluster.TTL > 0 {
-		return s.cfg.Cluster.TTL
-	}
-	return cluster.DefaultTTL
+	writeJSON(w, code, map[string]any{"workers": cs.reg.Len(), "ttl_seconds": cs.reg.TTL().Seconds()})
 }
 
 // handleClusterDeregister removes a worker immediately (clean drain beats

@@ -119,7 +119,7 @@ func TestClusterByteIdenticalToStandalone(t *testing.T) {
 }
 
 // TestClusterBatchByteIdentical routes a batch through a coordinator: each
-// item shards independently across the ring (the coordinator records no
+// item shards independently across the workers (the coordinator records no
 // trace: its blocks run on workers), and every item's bytes still match a
 // standalone server's batch answer.
 func TestClusterBatchByteIdentical(t *testing.T) {
@@ -162,9 +162,9 @@ func TestClusterBatchByteIdentical(t *testing.T) {
 				want[i].ID, want[i].Result, got[i].Result)
 		}
 	}
-	// The work really sharded: the ring placed and executed, and no item was
+	// The work really sharded: the workers took and executed it, and no item was
 	// replayed from a coordinator-side recording. (Opens may be nonzero: a
-	// shard that exhausts the ring falls back to a local recording by
+	// shard that exhausts its candidates falls back to a local recording by
 	// design. CoalesceHits is the invariant — with the delegate installed,
 	// blocks run on workers, so no coordinator simulation replays.)
 	if coord.cluster.sched.Stats().Placed == 0 {
@@ -281,7 +281,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	coord, cc := newTestServer(t, coordCfg)
 	workerSvcs, urls := startWorkers(t, coord, 2, clusterTestConfig(RoleWorker))
 
-	// Warm nothing; partition w1 before the run so every shard the ring
+	// Warm nothing; partition w1 before the run so every shard placement
 	// hands it fails over to w2 on first contact — the deterministic
 	// equivalent of killing the process mid-grid.
 	w1Host := strings.TrimPrefix(urls[0], "http://")
@@ -407,7 +407,7 @@ func TestClusterRegistrationLifecycle(t *testing.T) {
 	if ws, _ = cc.ClusterWorkers(ctx); len(ws) != 1 {
 		t.Fatalf("after deregister: workers = %d, want 1", len(ws))
 	}
-	// Stop heartbeating w1 and let the sweeper expire it.
+	// Stop heartbeating w1; the first read past its TTL expires it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if ws, _ = cc.ClusterWorkers(ctx); len(ws) == 0 {
@@ -420,6 +420,34 @@ func TestClusterRegistrationLifecycle(t *testing.T) {
 	}
 	if s := coord.cluster.reg.Stats(); s.Expiries != 1 {
 		t.Fatalf("expiries = %d, want 1", s.Expiries)
+	}
+}
+
+// TestClusterNanosecondTTL: liveness is checked on read, with no timer to
+// derive from the TTL, so even a 1 ns TTL gives a coordinator that starts,
+// answers its worker list and shuts down cleanly.
+func TestClusterNanosecondTTL(t *testing.T) {
+	cfg := clusterTestConfig(RoleCoordinator)
+	cfg.Cluster.TTL = time.Nanosecond
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	cc := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+	ttl, err := cc.ClusterRegister(ctx, cluster.RegisterRequest{ID: "w1", URL: "http://127.0.0.1:1"})
+	if err != nil || ttl != time.Nanosecond {
+		t.Fatalf("register: ttl=%s err=%v, want 1ns", ttl, err)
+	}
+	if _, err := cc.ClusterWorkers(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(sctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

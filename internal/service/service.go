@@ -196,7 +196,6 @@ func New(cfg Config) (*Service, error) {
 	def, err := s.acquireEngine(nil)
 	if err != nil {
 		cancel()
-		s.stopCluster()
 		return nil, fmt.Errorf("service: invalid default options: %w", err)
 	}
 	s.resolvedDefaults = def.runner.Options()
@@ -279,7 +278,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		s.cancelBase()
-		s.stopCluster()
 		s.journal.close()
 		return nil
 	case <-ctx.Done():
@@ -287,7 +285,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		// launching new simulations, then wait for the workers to notice.
 		s.cancelBase()
 		<-done
-		s.stopCluster()
 		s.journal.close()
 		return ctx.Err()
 	}
