@@ -25,7 +25,7 @@ import (
 	"strings"
 	"time"
 
-	"hmem/internal/core"
+	"hmem"
 	"hmem/internal/exec"
 	"hmem/internal/experiments"
 	"hmem/internal/obs"
@@ -52,15 +52,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		topo, err := core.ParseTopology(data)
+		name, err := hmem.RegisterTopologyJSON(data)
 		if err != nil {
 			fatal(err)
 		}
-		if err := core.RegisterTopology(topo); err != nil {
-			fatal(err)
-		}
 		if *topology == "" {
-			*topology = topo.Name
+			*topology = name
 		}
 	}
 	opts.Topology = *topology

@@ -128,9 +128,6 @@ func (t *Topology) TierName(i int) string {
 	return fmt.Sprintf("tier%d", i)
 }
 
-// NumTiers returns the tier count.
-func (t *Topology) NumTiers() int { return len(t.Tiers) }
-
 // TotalPages sums tier capacities in pages.
 func (t *Topology) TotalPages() uint64 {
 	var total uint64

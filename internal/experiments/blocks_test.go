@@ -157,20 +157,19 @@ func TestDelegateErrorPropagates(t *testing.T) {
 }
 
 // TestAnnotationRunsReachTelemetry: both annotation simulations run under
-// the requester's observability — counted on its registry and traced under
-// their block's span.
+// the requester's observability — counted in the runner's SimStats and
+// traced under their block's span.
 func TestAnnotationRunsReachTelemetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	reg := obs.NewRegistry()
 	r := mustRunner(t, blockTestOptions())
-	if _, err := r.Evaluate(obs.WithRegistry(context.Background(), reg), "astar", PolicyAnnotation); err != nil {
+	if _, err := r.Evaluate(context.Background(), "astar", PolicyAnnotation); err != nil {
 		t.Fatal(err)
 	}
 	// The profile and the annotation run.
-	if got := reg.Counter("hmem_sim_runs_total", "").Value(); got != 2 {
-		t.Errorf("hmem_sim_runs_total = %d after an annotation evaluation, want 2", got)
+	if got := r.SimStats().Runs; got != 2 {
+		t.Errorf("SimStats().Runs = %d after an annotation evaluation, want 2", got)
 	}
 
 	spec, err := workload.SpecByName("astar")

@@ -6,7 +6,6 @@ import (
 
 	"hmem/internal/core"
 	"hmem/internal/exec"
-	"hmem/internal/obs"
 	"hmem/internal/sim"
 	"hmem/internal/workload"
 )
@@ -83,9 +82,7 @@ func (r *Runner) Known(workloadName string, policy PolicyName) bool {
 
 // Evaluate runs one workload under one policy and reports IPC/SER against
 // the DDR-only baseline. The policy's block is the drivers' own, so an
-// evaluation and a figure share every simulation. When ctx carries a
-// registry the evaluation's IPC (and, on write-budgeted topologies, its
-// wear) is exported as gauges.
+// evaluation and a figure share every simulation.
 func (r *Runner) Evaluate(ctx context.Context, workloadName string, policy PolicyName) (Result, error) {
 	spec, err := workload.SpecByName(workloadName)
 	if err != nil {
@@ -107,23 +104,6 @@ func (r *Runner) Evaluate(ctx context.Context, workloadName string, policy Polic
 	_, rel, err := serOf(res)
 	if err != nil {
 		return Result{}, err
-	}
-	if reg := obs.RegistryFrom(ctx); reg != nil {
-		reg.GaugeVec("hmem_workload_ipc",
-			"Simulated per-core IPC of the latest evaluation.",
-			"workload", "policy").With(workloadName, string(policy)).Set(res.IPC)
-		// Endurance families are registered lazily so default-topology
-		// processes keep their /metrics output unchanged.
-		for _, e := range res.Endurance {
-			reg.GaugeVec("hmem_tier_writes_total",
-				"Writes absorbed by a write-budgeted tier in the latest evaluation.",
-				"workload", "policy", "tier").
-				With(workloadName, string(policy), e.Name).Set(float64(e.TotalWrites))
-			reg.GaugeVec("hmem_tier_exhausted_frames",
-				"Frames past their write budget in the latest evaluation.",
-				"workload", "policy", "tier").
-				With(workloadName, string(policy), e.Name).Set(float64(e.ExhaustedFrames))
-		}
 	}
 	return Result{
 		Workload:      workloadName,

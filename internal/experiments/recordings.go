@@ -41,10 +41,11 @@ func recordingBudget(recordsPerCore int) int64 {
 	return int64(len(workload.AllSpecs())) * workload.Cores * int64(recordsPerCore) * maxRecordBytes
 }
 
-// TraceStats counts trace deliveries: Opens is how many times a workload's
-// trace was recorded from its generators, and CoalesceHits is how many
-// simulations replayed an existing recording instead. Exported on /metrics
-// as hmemd_trace_opens_total / hmemd_coalesce_hits_total.
+// TraceStats counts trace deliveries, the recording memo's own misses and
+// hits: Opens is how many times a workload's trace was recorded from its
+// generators, and CoalesceHits is how many simulations replayed a kept or
+// in-flight recording instead. Exported as hmemd_trace_opens_total and
+// hmemd_coalesce_hits_total.
 type TraceStats struct {
 	Opens        uint64
 	CoalesceHits uint64
@@ -87,11 +88,11 @@ type storedRecording struct {
 	bytes int64
 }
 
-// do returns the workload's recording, recording it with rec on a miss;
-// fresh reports whether this call did the recording. Concurrent callers of
-// one workload share a single recording.
-func (st *recordingStore) do(ctx context.Context, name string, rec func() (*recording, error)) (v *recording, fresh bool, err error) {
-	v, err = st.memo.DoCtx(ctx, name, func() (*recording, error) {
+// do returns the workload's recording, recording it with rec on a miss.
+// Concurrent callers of one workload share a single recording.
+func (st *recordingStore) do(ctx context.Context, name string, rec func() (*recording, error)) (*recording, error) {
+	fresh := false
+	v, err := st.memo.DoCtx(ctx, name, func() (*recording, error) {
 		fresh = true
 		return rec()
 	})
@@ -106,7 +107,7 @@ func (st *recordingStore) do(ctx context.Context, name string, rec func() (*reco
 		}
 		st.mu.Unlock()
 	}
-	return v, fresh, err
+	return v, err
 }
 
 // size returns the bytes of the recordings the store keeps.
@@ -118,7 +119,8 @@ func (st *recordingStore) size() int64 {
 
 // TraceStats returns the runner's trace-delivery counters.
 func (r *Runner) TraceStats() TraceStats {
-	return TraceStats{Opens: r.traceOpens.Load(), CoalesceHits: r.coalesceHits.Load()}
+	s := r.recordings.memo.Stats()
+	return TraceStats{Opens: s.Misses, CoalesceHits: s.Hits}
 }
 
 // RecordingBytes returns the bytes of trace recordings the runner keeps,
@@ -156,16 +158,11 @@ func (r *Runner) buildSuiteCtx(ctx context.Context, spec workload.Spec) (*suiteV
 			obs.Str("workload", spec.Name), obs.Int("records_per_core", int64(r.opts.RecordsPerCore)))
 		defer sp.End()
 	}
-	rec, fresh, err := r.recordings.do(ctx, spec.Name, func() (*recording, error) {
+	rec, err := r.recordings.do(ctx, spec.Name, func() (*recording, error) {
 		return r.record(spec)
 	})
 	if err != nil {
 		return nil, err
-	}
-	if fresh {
-		r.traceOpens.Add(1)
-	} else {
-		r.coalesceHits.Add(1)
 	}
 	wrap := r.getTraceWrap()
 	v := &suiteView{structures: rec.structures, streams: make([]trace.Stream, len(rec.cores)),

@@ -100,7 +100,9 @@ func TestRecordingReplaysAcrossPolicies(t *testing.T) {
 }
 
 // TestRecordingRejectsInvalidSpec: an invalid spec fails its simulation
-// before anything is recorded, and the failure is not kept.
+// before anything is recorded, and the failure is not kept: each attempt
+// opens the trace afresh (a failed recording counts as an open) and none
+// replays the first one's outcome.
 func TestRecordingRejectsInvalidSpec(t *testing.T) {
 	r := mustRunner(t, tinyRecordingOpts())
 	for i := 0; i < 2; i++ {
@@ -108,7 +110,7 @@ func TestRecordingRejectsInvalidSpec(t *testing.T) {
 			t.Fatal("expected an error for an invalid spec")
 		}
 	}
-	if st := r.TraceStats(); st.Opens != 0 || r.RecordingBytes() != 0 {
+	if st := r.TraceStats(); st != (TraceStats{Opens: 2}) || r.RecordingBytes() != 0 {
 		t.Fatalf("invalid spec recorded: stats %+v, %d bytes", st, r.RecordingBytes())
 	}
 }

@@ -86,7 +86,7 @@ func DefaultOptions() Options {
 // not record one caller's cancellation. That is why the memoized closures
 // below resolve their own dependencies with obs.Detach(ctx): a fresh
 // background context that keeps the first requester's observability (tracer,
-// registry, progress sink) and none of its cancellation.
+// progress sink) and none of its cancellation.
 type Runner struct {
 	opts  Options
 	cfg   sim.Config
@@ -106,8 +106,9 @@ type Runner struct {
 	// Options.Parallel however the fan-outs nest.
 	slots chan struct{}
 
-	traceOpens   atomic.Uint64
-	coalesceHits atomic.Uint64
+	// sims counts the simulations simulate completes; a sub-runner shares
+	// its parent's.
+	sims *simCounts
 
 	traceWrapMu sync.RWMutex
 	traceWrap   func(workloadName string, s trace.Stream) trace.Stream
@@ -180,6 +181,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		specs:      specs,
 		slots:      make(chan struct{}, opts.Parallel),
 		recordings: recordingStore{budget: recordingBudget(opts.RecordsPerCore)},
+		sims:       &simCounts{},
 	}
 	r.studies.Store(&StudyStore{})
 	return r, nil
@@ -282,11 +284,30 @@ func (r *Runner) runStudy(ctx context.Context, tier int, study *faultsim.Study) 
 // cmd/experiments prints after a run and hmemd exports on /metrics.
 func (r *Runner) CacheStats() exec.MemoStats { return r.blocks.Stats() }
 
-// simulate runs one simulation of the workload's trace, returning the
-// workload's structure table with the result. It holds one of the runner's
-// simulation slots only while the simulation runs — never while recording
-// or resolving dependencies, and a simulation waits on nothing else, so
-// slots cannot deadlock.
+// SimStats counts a runner's completed local simulations: the runs, the
+// migration intervals they crossed and the pages they moved. Exported on
+// /metrics as hmem_sim_{runs,epochs,pages_migrated}_total.
+type SimStats struct {
+	Runs, Epochs, PagesMigrated uint64
+}
+
+// Add returns the element-wise sum, for aggregating several runners.
+func (s SimStats) Add(o SimStats) SimStats {
+	return SimStats{Runs: s.Runs + o.Runs, Epochs: s.Epochs + o.Epochs, PagesMigrated: s.PagesMigrated + o.PagesMigrated}
+}
+
+type simCounts struct{ runs, epochs, migrated atomic.Uint64 }
+
+// SimStats returns the runner's simulation counters.
+func (r *Runner) SimStats() SimStats {
+	return SimStats{Runs: r.sims.runs.Load(), Epochs: r.sims.epochs.Load(), PagesMigrated: r.sims.migrated.Load()}
+}
+
+// simulate is the one place a runner simulates: it runs the workload's trace,
+// counts the run once it succeeds and returns the workload's structure
+// table with the result. It holds a simulation slot only while the run runs
+// — never while recording or resolving dependencies, and a simulation waits
+// on nothing else, so slots cannot deadlock.
 func (r *Runner) simulate(ctx context.Context, spec workload.Spec, pages []uint64, pin bool, mig sim.Migrator) (sim.Result, []workload.Structure, error) {
 	suite, err := r.buildSuiteCtx(ctx, spec)
 	if err != nil {
@@ -295,7 +316,13 @@ func (r *Runner) simulate(ctx context.Context, spec workload.Spec, pages []uint6
 	r.slots <- struct{}{}
 	defer func() { <-r.slots }()
 	res, err := sim.RunCtx(ctx, r.cfg, suite.ranges, suite.streams, pages, pin, mig)
-	return res, suite.structures, err
+	if err != nil {
+		return sim.Result{}, nil, err
+	}
+	r.sims.runs.Add(1)
+	r.sims.epochs.Add(uint64(len(res.Intervals)))
+	r.sims.migrated.Add(res.PagesMigrated)
+	return res, suite.structures, nil
 }
 
 // score is the one step between a simulation and the memo: it fills the

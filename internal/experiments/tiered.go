@@ -19,8 +19,8 @@ import (
 // budget). When the runner is already configured for the dram-nvm topology
 // the runs share its memos; otherwise a sub-runner with identical options is
 // used so the driver can ride along in a default-topology suite. The
-// sub-runner shares the runner's trace wrap and fault-study store, so with
-// a store installed it reuses the DDR and HBM studies of hbm-ddr runners.
+// sub-runner shares the runner's trace wrap, fault-study store (reusing the
+// DDR and HBM studies of hbm-ddr runners) and simulation counts.
 func (r *Runner) ExtensionTieredEndurance(ctx context.Context) (*report.Table, error) {
 	tr := r
 	if r.opts.Topology != core.DRAMNVMTopologyName {
@@ -33,6 +33,7 @@ func (r *Runner) ExtensionTieredEndurance(ctx context.Context) (*report.Table, e
 		// Not the delegate: its shards carry the digest of r's options.
 		sub.SetStudyStore(r.studies.Load())
 		sub.SetTraceWrap(r.getTraceWrap())
+		sub.sims = r.sims
 		tr = sub
 	}
 	// Cap the sweep: the driver demonstrates the scenario, it is not a

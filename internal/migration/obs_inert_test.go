@@ -40,7 +40,7 @@ func diffRunCtx(t *testing.T, ctx context.Context, recs [][]trace.Record, mig *d
 
 // TestTracingInertOnDecisions runs every mechanism on identical seeded
 // traces twice — tracing off (sim.Run) and tracing fully on (tracer into a
-// ring, registry installed) — and requires identical decision sequences,
+// ring) — and requires identical decision sequences,
 // IPC, cycles, migration counts, and AVF snapshots.
 func TestTracingInertOnDecisions(t *testing.T) {
 	mechanisms := []struct {
@@ -63,7 +63,6 @@ func TestTracingInertOnDecisions(t *testing.T) {
 				ring := obs.NewRing(1 << 14)
 				tracer := obs.NewTracer("inert-test", ring)
 				ctx := obs.WithTracer(context.Background(), tracer)
-				ctx = obs.WithRegistry(ctx, obs.NewRegistry())
 				onRec := &decisionRecorder{m: tc.mk()}
 				on := diffRunCtx(t, ctx, recs, onRec)
 

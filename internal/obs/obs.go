@@ -2,10 +2,12 @@
 // spans, a reusable metrics registry with deterministic Prometheus-text
 // rendering, lightweight job-progress reporting, and pprof/debug HTTP
 // endpoints. It is dependency-free (stdlib only) and deliberately passive:
-// every facility here is carried through context.Context, and code
-// instrumented with obs calls is a strict no-op — zero allocations, zero
+// spans and progress reports are carried through context.Context, and code
+// instrumented with them is a strict no-op — zero allocations, zero
 // branches beyond one context lookup per seam — when the context carries no
-// tracer, registry, or progress sink.
+// tracer or progress sink. A Registry is never carried in a context: the
+// process that renders it (hmemd) holds it, and library code exposes plain
+// counts that the process copies in.
 //
 // The three facilities compose but do not require each other:
 //
@@ -54,7 +56,6 @@ type ctxKey int
 const (
 	tracerKey ctxKey = iota
 	spanKey
-	registryKey
 	progressKey
 )
 
@@ -77,27 +78,11 @@ func TracerFrom(ctx context.Context) *Tracer {
 // allocate to build span attributes should gate on it.
 func Enabled(ctx context.Context) bool { return TracerFrom(ctx) != nil }
 
-// WithRegistry returns a context carrying reg, making engine-level metrics
-// (simulation epochs, per-workload IPC, ...) land in reg. A nil reg returns
-// ctx unchanged.
-func WithRegistry(ctx context.Context, reg *Registry) context.Context {
-	if reg == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, registryKey, reg)
-}
-
-// RegistryFrom returns the context's metrics registry, or nil.
-func RegistryFrom(ctx context.Context) *Registry {
-	reg, _ := ctx.Value(registryKey).(*Registry)
-	return reg
-}
-
 // Detach returns a fresh background context carrying only the observability
-// values of ctx (tracer, active span, registry, progress sink) — none of its
+// values of ctx (tracer, active span, progress sink) — none of its
 // cancellation or deadlines. It exists for singleflight seams (exec.Memo):
 // a memoized computation must not observe its first requester's cancellation,
-// but should still attribute its spans and metrics to that requester's run.
+// but should still attribute its spans and progress to that requester's run.
 func Detach(ctx context.Context) context.Context {
 	out := context.Background()
 	if tr := TracerFrom(ctx); tr != nil {
@@ -105,9 +90,6 @@ func Detach(ctx context.Context) context.Context {
 	}
 	if sp := SpanFrom(ctx); sp != nil {
 		out = context.WithValue(out, spanKey, sp)
-	}
-	if reg := RegistryFrom(ctx); reg != nil {
-		out = context.WithValue(out, registryKey, reg)
 	}
 	if pf := progressFrom(ctx); pf != nil {
 		out = context.WithValue(out, progressKey, pf)

@@ -85,23 +85,28 @@ func (r *Registry) lookup(name, help, typ string, labels []string, bounds []floa
 	return f
 }
 
-// one returns the family's series for key, creating it with mk on first use.
-func (f *family) one(key string, mk func() any) any {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.series[key]
-	if !ok {
-		s = mk()
-		f.series[key] = s
-	}
-	return s
-}
-
-func (f *family) joinKey(values []string) string {
+// one returns the family's series for the label values, creating it with mk
+// on first use. The series key is built on the stack, so finding an
+// existing series allocates nothing.
+func (f *family) one(values []string, mk func() any) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	return strings.Join(values, seriesKeySep)
+	key := make([]byte, 0, 128)
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, seriesKeySep...)
+		}
+		key = append(key, v...)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s, ok := f.series[string(key)]
+	if !ok {
+		s = mk()
+		f.series[string(key)] = s
+	}
+	return s
 }
 
 // --- Counter ---
@@ -126,7 +131,7 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Counter registers (or finds) an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	f := r.lookup(name, help, typeCounter, nil, nil)
-	return f.one("", func() any { return &Counter{} }).(*Counter)
+	return f.one(nil, func() any { return &Counter{} }).(*Counter)
 }
 
 // CounterVec is a labeled counter family.
@@ -140,7 +145,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // With returns the series for the given label values, creating it on first
 // use.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.one(v.f.joinKey(values), func() any { return &Counter{} }).(*Counter)
+	return v.f.one(values, func() any { return &Counter{} }).(*Counter)
 }
 
 // --- Gauge ---
@@ -168,7 +173,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Gauge registers (or finds) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.lookup(name, help, typeGauge, nil, nil)
-	return f.one("", func() any { return &Gauge{} }).(*Gauge)
+	return f.one(nil, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeVec is a labeled gauge family.
@@ -181,7 +186,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 
 // With returns the series for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.one(v.f.joinKey(values), func() any { return &Gauge{} }).(*Gauge)
+	return v.f.one(values, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // --- Histogram ---
@@ -222,7 +227,7 @@ func (h *Histogram) Count() uint64 {
 // upper bounds (ascending; +Inf is implicit).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	f := r.lookup(name, help, typeHistogram, nil, bounds)
-	return f.one("", func() any { return newHistogram(f.bounds) }).(*Histogram)
+	return f.one(nil, func() any { return newHistogram(f.bounds) }).(*Histogram)
 }
 
 // HistogramVec is a labeled histogram family.
@@ -235,7 +240,7 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 
 // With returns the series for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.one(v.f.joinKey(values), func() any { return newHistogram(v.f.bounds) }).(*Histogram)
+	return v.f.one(values, func() any { return newHistogram(v.f.bounds) }).(*Histogram)
 }
 
 func newHistogram(bounds []float64) *Histogram {

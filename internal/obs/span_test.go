@@ -226,11 +226,9 @@ func TestSpansConcurrent(t *testing.T) {
 func TestDetachCarriesObsValuesOnly(t *testing.T) {
 	ring := NewRing(4)
 	tr := NewTracer("d", ring)
-	reg := NewRegistry()
 	var reports []Progress
 	ctx, cancel := context.WithCancel(context.Background())
 	ctx = WithTracer(ctx, tr)
-	ctx = WithRegistry(ctx, reg)
 	ctx = WithProgress(ctx, func(p Progress) { reports = append(reports, p) })
 	ctx, sp := Start(ctx, "outer")
 	defer sp.End()
@@ -242,9 +240,6 @@ func TestDetachCarriesObsValuesOnly(t *testing.T) {
 	}
 	if TracerFrom(detached) != tr {
 		t.Fatalf("tracer lost")
-	}
-	if RegistryFrom(detached) != reg {
-		t.Fatalf("registry lost")
 	}
 	if SpanFrom(detached) != sp {
 		t.Fatalf("span lost")
@@ -262,8 +257,5 @@ func TestReportProgressNoSinkIsNoop(t *testing.T) {
 	}
 	if WithTracer(context.Background(), nil) != context.Background() {
 		t.Fatalf("WithTracer(nil) derived a context")
-	}
-	if WithRegistry(context.Background(), nil) != context.Background() {
-		t.Fatalf("WithRegistry(nil) derived a context")
 	}
 }

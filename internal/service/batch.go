@@ -31,7 +31,6 @@ import (
 
 	"hmem"
 	"hmem/internal/exec"
-	"hmem/internal/obs"
 )
 
 // maxBatchItems bounds one batch request. The body limit bounds it too;
@@ -310,20 +309,27 @@ func (s *Service) evaluate(ctx context.Context, w http.ResponseWriter, items []B
 	return run, run != nil
 }
 
-// runItem answers one item from its engine's block memo and marshals the
-// result (a compare item's as an array). The registry rides along so engine
-// metrics (hmem_*) land on /metrics. Errors are the item's, never the run's.
+// runItem answers one item from its engine's block memo, sets the
+// answer's evaluation gauges and marshals it (a compare item's as an
+// array). Errors are the item's, never the run's.
 func (s *Service) runItem(ctx context.Context, it BatchItem, en *engineEntry) itemOutcome {
-	ctx = obs.WithRegistry(ctx, s.registry)
 	var v any
-	var err error
 	if len(it.Policies) == 0 {
-		v, err = en.runner.Evaluate(ctx, it.Workload, it.Policy)
+		res, err := en.runner.Evaluate(ctx, it.Workload, it.Policy)
+		if err != nil {
+			return itemOutcome{err: err}
+		}
+		s.met.exportResult(&res)
+		v = res
 	} else {
-		v, err = en.runner.Compare(ctx, it.Workload, it.Policies)
-	}
-	if err != nil {
-		return itemOutcome{err: err}
+		rs, err := en.runner.Compare(ctx, it.Workload, it.Policies)
+		if err != nil {
+			return itemOutcome{err: err}
+		}
+		for i := range rs {
+			s.met.exportResult(&rs[i])
+		}
+		v = rs
 	}
 	raw, err := json.Marshal(v)
 	return itemOutcome{payload: raw, err: err}

@@ -157,7 +157,7 @@ func TestBatchCoalescing(t *testing.T) {
 	if sum.Errors != 0 {
 		t.Fatalf("summary = %+v, want no errors", sum)
 	}
-	st := svc.TraceStats()
+	st := svc.engineTotals().trace
 	if st.Opens != 1 {
 		t.Fatalf("batch opened the trace %d times, want exactly 1 (one recording)", st.Opens)
 	}

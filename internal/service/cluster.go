@@ -311,14 +311,13 @@ func (s *Service) executeShard(ctx context.Context, sh cluster.Shard, b experime
 	if en.digest != sh.Digest {
 		return nil, &digestMismatchError{want: sh.Digest, got: en.digest}
 	}
-	// The registry rides along so engine metrics (hmem_*) land on /metrics
-	// on workers too; memo sharing semantics inside the block paths handle
-	// cancellation the same way local traffic does. A panicking block
-	// becomes a *PanicError and so a 500: the coordinator propagates that
+	// Memo sharing semantics inside the block paths handle cancellation
+	// the same way local traffic does. A panicking block becomes a
+	// *PanicError and so a 500: the coordinator propagates that
 	// deterministic failure once instead of retrying it on every worker.
 	var raw json.RawMessage
 	err = exec.Protect(func() (err error) {
-		raw, err = en.runner.Execute(obs.WithRegistry(ctx, s.registry), b)
+		raw, err = en.runner.Execute(ctx, b)
 		return err
 	})
 	return raw, err

@@ -143,7 +143,7 @@ func TestClusterBatchByteIdentical(t *testing.T) {
 	if wantSum.Errors != 0 {
 		t.Fatalf("standalone summary = %+v", wantSum)
 	}
-	if st := standaloneSvc.TraceStats(); st.CoalesceHits == 0 {
+	if st := standaloneSvc.engineTotals().trace; st.CoalesceHits == 0 {
 		t.Error("standalone batch never coalesced — the contrast below is vacuous")
 	}
 
@@ -177,7 +177,7 @@ func TestClusterBatchByteIdentical(t *testing.T) {
 	if executed == 0 {
 		t.Error("no worker executed a shard for the batch")
 	}
-	if st := coord.TraceStats(); st.CoalesceHits != 0 {
+	if st := coord.engineTotals().trace; st.CoalesceHits != 0 {
 		t.Errorf("coordinator served %d coalesce hits; delegated items must not coalesce locally", st.CoalesceHits)
 	}
 }

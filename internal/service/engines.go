@@ -45,6 +45,7 @@ type enginePool struct {
 	evictions    uint64
 	retiredMemo  exec.MemoStats
 	retiredTrace experiments.TraceStats
+	retiredSims  experiments.SimStats
 
 	studies experiments.StudyStore
 }
@@ -53,6 +54,7 @@ type enginePool struct {
 type engineTotals struct {
 	memo      exec.MemoStats
 	trace     experiments.TraceStats
+	sims      experiments.SimStats
 	live      int
 	evictions uint64
 	// recordingBytes sums the trace recordings of live engines only: a
@@ -174,6 +176,7 @@ func (p *enginePool) evictLocked() {
 		}
 		p.retiredMemo = p.retiredMemo.Add(victim.runner.CacheStats())
 		p.retiredTrace = p.retiredTrace.Add(victim.runner.TraceStats())
+		p.retiredSims = p.retiredSims.Add(victim.runner.SimStats())
 		p.evictions++
 	}
 }
@@ -183,17 +186,12 @@ func (s *Service) engineTotals() engineTotals {
 	p := &s.engines
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t := engineTotals{memo: p.retiredMemo, trace: p.retiredTrace, live: len(p.byDigest), evictions: p.evictions}
+	t := engineTotals{memo: p.retiredMemo, trace: p.retiredTrace, sims: p.retiredSims, live: len(p.byDigest), evictions: p.evictions}
 	for _, en := range p.byDigest {
 		t.memo = t.memo.Add(en.runner.CacheStats())
 		t.trace = t.trace.Add(en.runner.TraceStats())
+		t.sims = t.sims.Add(en.runner.SimStats())
 		t.recordingBytes += en.runner.RecordingBytes()
 	}
 	return t
 }
-
-// TraceStats sums the trace-delivery counters of every engine, live and
-// retired: trace recordings (opens) versus simulations that replayed a
-// recording (hits). Feeds hmemd_trace_opens_total / hmemd_coalesce_hits_total
-// and the recording tests.
-func (s *Service) TraceStats() experiments.TraceStats { return s.engineTotals().trace }

@@ -531,7 +531,6 @@ func (s *Service) runOneJob(j *job) {
 				defer cancel()
 			}
 			ctx = obs.WithTracer(ctx, tracer)
-			ctx = obs.WithRegistry(ctx, s.registry)
 			ctx = obs.WithProgress(ctx, func(p obs.Progress) { s.jobs.setProgress(j, p) })
 			call := func() (err error) {
 				table, err = en.runner.RunExperiment(ctx, j.Experiment)

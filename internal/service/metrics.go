@@ -3,8 +3,10 @@ package service
 import (
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
+	"hmem"
 	"hmem/internal/obs"
 )
 
@@ -14,16 +16,20 @@ import (
 // histogram shares them.
 var latencyBounds = []float64{0.001, 0.01, 0.1, 1, 10, 60, 300}
 
-// serviceMetrics is every /metrics family the daemon exports, registered
-// once at startup on the shared obs.Registry so the page is complete (all
-// names, types, and label-less series present at zero) from the very first
-// scrape — the property the golden exposition test freezes.
+// serviceMetrics is every /metrics family the daemon exports; their names
+// and HELP texts live only here. The hmemd_* families are registered at
+// startup, so the page is complete (all names, types, and label-less series
+// present at zero) from the very first scrape — the property the golden
+// exposition test freezes. The engine families (hmem_*) are registered on
+// first use, so a node that has simulated and answered nothing keeps it.
 //
-// Families fall in two groups: live handles the serving path updates
-// directly (requests, latency, job phases, dropped spans), and mirrors of
-// counters owned elsewhere (memo caches, job store, journal) that
-// handleMetrics copies in just before rendering via Counter.Set.
+// The serving path updates live handles (requests, latency, job phases,
+// dropped spans, and exportResult's evaluation gauges); every other family
+// mirrors a counter owned elsewhere (engines, job store, journal) that
+// syncMetrics copies in just before rendering.
 type serviceMetrics struct {
+	reg *obs.Registry
+
 	requests *obs.CounterVec
 	latency  *obs.HistogramVec
 
@@ -71,10 +77,15 @@ type serviceMetrics struct {
 	breakerCloses *obs.Counter
 	hedges        *obs.Counter
 	breakerSkips  *obs.Counter
+
+	ipcOnce, tierOnce         sync.Once
+	workloadIPC               *obs.GaugeVec
+	tierWrites, tierExhausted *obs.GaugeVec
 }
 
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	m := &serviceMetrics{
+		reg: reg,
 		requests: reg.CounterVec("hmemd_requests_total",
 			"HTTP requests served, by route and status code.", "route", "code"),
 		latency: reg.HistogramVec("hmemd_request_duration_seconds",
@@ -124,9 +135,9 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		// Cluster families are registered on every role (zero when
 		// standalone) so the exposition page keeps one stable shape.
 		clusterWorkers: reg.Gauge("hmemd_cluster_workers",
-			"Live workers in the coordinator's placement ring."),
+			"Live workers the coordinator places shards on."),
 		clusterExpiries: reg.Counter("hmemd_cluster_worker_expiries_total",
-			"Workers dropped from the ring after missing their liveness TTL."),
+			"Workers dropped from placement after missing their liveness TTL."),
 		clusterShardsPlaced: reg.Counter("hmemd_cluster_shards_placed_total",
 			"Shards this coordinator dispatched to workers (successful placements)."),
 		clusterShardsExecuted: reg.Counter("hmemd_cluster_shards_executed_total",
@@ -167,6 +178,29 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	return m
 }
 
+// exportResult sets one answer's evaluation gauges: its IPC and, on a
+// write-budgeted topology only, each budgeted tier's wear.
+func (m *serviceMetrics) exportResult(r *hmem.Result) {
+	m.ipcOnce.Do(func() {
+		m.workloadIPC = m.reg.GaugeVec("hmem_workload_ipc",
+			"Simulated per-core IPC of the latest evaluation.", "workload", "policy")
+	})
+	m.workloadIPC.With(r.Workload, string(r.Policy)).Set(r.IPC)
+	if len(r.Endurance) == 0 {
+		return
+	}
+	m.tierOnce.Do(func() {
+		m.tierWrites = m.reg.GaugeVec("hmem_tier_writes_total",
+			"Writes absorbed by a write-budgeted tier in the latest evaluation.", "workload", "policy", "tier")
+		m.tierExhausted = m.reg.GaugeVec("hmem_tier_exhausted_frames",
+			"Frames past their write budget in the latest evaluation.", "workload", "policy", "tier")
+	})
+	for _, e := range r.Endurance {
+		m.tierWrites.With(r.Workload, string(r.Policy), e.Name).Set(float64(e.TotalWrites))
+		m.tierExhausted.With(r.Workload, string(r.Policy), e.Name).Set(float64(e.ExhaustedFrames))
+	}
+}
+
 // observe records one served request.
 func (m *serviceMetrics) observe(route string, code int, d time.Duration) {
 	m.requests.With(route, strconv.Itoa(code)).Inc()
@@ -188,6 +222,11 @@ func (s *Service) syncMetrics() {
 	m.engineMisses.Set(et.memo.Misses)
 	m.traceOpens.Set(et.trace.Opens)
 	m.coalesceHits.Set(et.trace.CoalesceHits)
+	if et.sims.Runs > 0 {
+		m.reg.Counter("hmem_sim_runs_total", "Completed simulator runs.").Set(et.sims.Runs)
+		m.reg.Counter("hmem_sim_epochs_total", "Migration-interval boundaries crossed.").Set(et.sims.Epochs)
+		m.reg.Counter("hmem_sim_pages_migrated_total", "Pages moved between tiers by migration decisions.").Set(et.sims.PagesMigrated)
+	}
 	m.recordingSize.Set(float64(et.recordingBytes))
 	m.engines.Set(float64(et.live))
 	m.engineEvictions.Set(et.evictions)
@@ -242,5 +281,5 @@ func (s *Service) syncMetrics() {
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.syncMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.registry.RenderText(w)
+	_ = s.met.reg.RenderText(w)
 }

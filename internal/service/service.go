@@ -133,11 +133,8 @@ type Service struct {
 	jobPanics  atomic.Uint64
 	jobRetries atomic.Uint64
 
-	// registry backs /metrics; met holds the daemon's registered families.
-	// Engine-level series (hmem_*) land in the same registry because job and
-	// evaluate contexts carry it.
-	registry *obs.Registry
-	met      *serviceMetrics
+	// met holds every /metrics family and the registry that renders them.
+	met *serviceMetrics
 
 	// ring buffers every job's spans (trace id = job id); spanExp is the
 	// exporter job tracers write to (the ring, plus Config.SpanWriter).
@@ -166,7 +163,6 @@ func New(cfg Config) (*Service, error) {
 		workers = 1
 	}
 	baseCtx, cancel := context.WithCancel(context.Background())
-	reg := obs.NewRegistry()
 	s := &Service{
 		cfg: cfg,
 		engines: enginePool{
@@ -175,8 +171,7 @@ func New(cfg Config) (*Service, error) {
 		},
 		baseCtx:    baseCtx,
 		cancelBase: cancel,
-		registry:   reg,
-		met:        newServiceMetrics(reg),
+		met:        newServiceMetrics(obs.NewRegistry()),
 		ring:       obs.NewRing(traceBuffer),
 	}
 	s.spanExp = obs.Exporter(s.ring)

@@ -127,7 +127,7 @@ func TestConcurrentIdenticalEvaluatesShareOneSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
-	svc, c := newTestServer(t, tinyConfig())
+	_, c := newTestServer(t, tinyConfig())
 	ctx := context.Background()
 	req := EvaluateRequest{Workload: "astar", Policy: hmem.PolicyDDROnly}
 
@@ -150,7 +150,7 @@ func TestConcurrentIdenticalEvaluatesShareOneSimulation(t *testing.T) {
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Fatalf("concurrent identical requests disagree: %+v vs %+v", results[0], results[1])
 	}
-	simRuns := func() uint64 { return svc.registry.Counter("hmem_sim_runs_total", "").Value() }
+	simRuns := func() uint64 { return uint64(scrapeSeries(t, c.BaseURL)["hmem_sim_runs_total"]) }
 	if got := simRuns(); got != 1 {
 		t.Fatalf("hmem_sim_runs_total = %d after two concurrent identical requests, want 1", got)
 	}

@@ -358,25 +358,6 @@ func Run(cfg Config, streams []trace.Stream, initialHBM []uint64, pin bool, mig 
 	return RunCtx(context.Background(), cfg, ranges, streams, initialHBM, pin, mig)
 }
 
-// simMetrics holds the registry handles a run touches, hoisted out of the
-// loop so the per-access path never consults the context. The zero value
-// (no registry in ctx) makes every record call a cheap nil check.
-type simMetrics struct {
-	runs, epochs, migrated *obs.Counter
-}
-
-func newSimMetrics(ctx context.Context) simMetrics {
-	reg := obs.RegistryFrom(ctx)
-	if reg == nil {
-		return simMetrics{}
-	}
-	return simMetrics{
-		runs:     reg.Counter("hmem_sim_runs_total", "Completed simulator runs."),
-		epochs:   reg.Counter("hmem_sim_epochs_total", "Migration-interval boundaries crossed."),
-		migrated: reg.Counter("hmem_sim_pages_migrated_total", "Pages moved between tiers by migration decisions."),
-	}
-}
-
 // RunCtx simulates streams over the pages of ranges, the union of which
 // must hold every page a record or initialHBM names: a page outside it
 // fails the run with an error naming the core and the page. Ranges may
@@ -384,11 +365,10 @@ func newSimMetrics(ctx context.Context) simMetrics {
 //
 // The run is wrapped in a "sim.run" span, every migration-interval boundary
 // closes a "sim.epoch" span carrying the boundary cycle, pages moved, and
-// distinct pages touched, and a registry in ctx accumulates
-// run/epoch/migration counters. The per-access hot loop is untouched — all
-// context lookups happen once, before the first access — so with no tracer
-// or registry installed the observability costs nothing per access. ctx is
-// not consulted for cancellation (runs have no preemption points).
+// distinct pages touched. The per-access hot loop is untouched — the
+// context lookup happens once, before the first access — so with no tracer
+// installed the observability costs nothing per access. ctx is not
+// consulted for cancellation (runs have no preemption points).
 func RunCtx(ctx context.Context, cfg Config, ranges []core.PageRange, streams []trace.Stream, initialHBM []uint64, pin bool, mig Migrator) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -400,7 +380,6 @@ func RunCtx(ctx context.Context, cfg Config, ranges []core.PageRange, streams []
 	// All observability state is resolved here, once; the per-access loop
 	// below never consults the context.
 	traced := obs.Enabled(ctx)
-	metrics := newSimMetrics(ctx)
 	var runSpan, epochSpan *obs.Span
 	if traced {
 		policy := "static"
@@ -477,10 +456,6 @@ func RunCtx(ctx context.Context, cfg Config, ranges []core.PageRange, streams []
 			}
 			sample := iv.sample(nextInterval, moved)
 			res.Intervals = append(res.Intervals, sample)
-			if metrics.epochs != nil {
-				metrics.epochs.Inc()
-				metrics.migrated.Add(uint64(moved))
-			}
 			if traced {
 				epochSpan.SetAttrs(
 					obs.Int("end_cycle", nextInterval),
@@ -595,9 +570,6 @@ func RunCtx(ctx context.Context, cfg Config, ranges []core.PageRange, streams []
 	res.Endurance = placement.Endurance()
 	if total := res.Reads + res.Writes; total > 0 {
 		res.HBMAccessFraction /= float64(total)
-	}
-	if metrics.runs != nil {
-		metrics.runs.Inc()
 	}
 	if traced {
 		runSpan.SetAttrs(
